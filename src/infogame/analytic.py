@@ -15,8 +15,6 @@ not). The cross-component condition of the component checker is oriented as
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -29,6 +27,8 @@ from .formation_game import (
     component_masks,
     undirected_adjacency,
 )
+from .equilibrium import social_optimum
+from .kernel import fh_table, ne_status, orientations, row_costs, spanning_trees
 
 K_C = "K_C"
 K_I = "K_I"
@@ -135,34 +135,6 @@ def _partition_masks(n: int, partition: Iterable[Iterable[int]]) -> list[int]:
     return masks
 
 
-def _spanning_trees(members: tuple[int, ...]):
-    """Spanning trees of a labelled vertex set, as edge lists (Pruefer decode)."""
-    m = len(members)
-    if m == 1:
-        yield []
-        return
-    if m == 2:
-        yield [(members[0], members[1])]
-        return
-    for seq in itertools.product(range(m), repeat=m - 2):
-        degree = [1] * m
-        for v in seq:
-            degree[v] += 1
-        heap = [v for v in range(m) if degree[v] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((members[min(leaf, v)], members[max(leaf, v)]))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        u = heapq.heappop(heap)
-        v = heapq.heappop(heap)
-        edges.append((members[min(u, v)], members[max(u, v)]))
-        yield edges
-
-
 def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bool:
     """Does some sponsored spanning tree of the block survive its members' best
     responses, with the other blocks abstracted to their information masks?
@@ -173,34 +145,19 @@ def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bo
     block, and demand that every member's current row stays within tolerance
     of its best response.
     """
-    from .equilibrium import _compress_row, _cost_rows, _fh_table, _row_utilities
-
     n = cfg.n_agents
     members = subset_agents(mask)
-    fh = _fh_table(cfg)
-    cost_rows = _cost_rows(cfg)
+    fh = fh_table(cfg)
+    costs = row_costs(cfg)
     # index-order paths inside the other blocks; shape is irrelevant to this block
-    filler: list[tuple[int, int]] = []
+    filler = [0] * n
     for om in other_masks:
         agents = subset_agents(om)
-        filler += [(agents[t], agents[t + 1]) for t in range(len(agents) - 1)]
-    for edges in _spanning_trees(members):
-        for orient in range(1 << len(edges)):
-            rows = [0] * n
-            for b, (i, j) in enumerate(edges):
-                if orient >> b & 1:
-                    rows[j] |= 1 << i
-                else:
-                    rows[i] |= 1 << j
-            for i, j in filler:
-                rows[i] |= 1 << j
-            ok = True
-            for i in members:
-                utils = _row_utilities(n, rows, i, fh, cost_rows[i])
-                if utils[_compress_row(rows[i], i)] < max(utils) - TOL:
-                    ok = False
-                    break
-            if ok:
+        for t in range(len(agents) - 1):
+            filler[agents[t]] |= 1 << agents[t + 1]
+    for edges in spanning_trees(members):
+        for rows in orientations(edges, tuple(filler)):
+            if ne_status(n, rows, members, fh, costs)[0]:
                 return True
     return False
 
@@ -290,18 +247,6 @@ def _connected_poa_closed_form(n: int, f_joint: float, costs: Sequence[float]) -
     return num / den
 
 
-def _welfare_optimum(cfg: GameConfig) -> float:
-    """Planner's optimum by the welfare formula over partitions.
-
-    Cycles and duplicate sponsorships only add cost, so the optimum ranges
-    over partitions of the agents with each block wired as a minimum-cost
-    spanning tree: welfare = sum over blocks of |B| f(H(B)) - MST cost.
-    """
-    from .equilibrium import social_optimum
-
-    return social_optimum(cfg)[0]
-
-
 def poa_predict(cfg: GameConfig) -> Prediction:
     """Price-of-anarchy prediction from the region classification.
 
@@ -316,44 +261,35 @@ def poa_predict(cfg: GameConfig) -> Prediction:
     empty for costs just above the isolation threshold, in which case the
     value exceeds 1; it collapses to 1 once links are socially unaffordable.
     """
-    n = cfg.n_agents
+    label = _region(cfg, "PoA").label
     f = cfg.benefit
     ev = cfg.ev
-    f_joint = f(ev.joint_entropy)
-    km_bound = n * f_joint / sum(f(v) for v in ev.singletons)
+    empty_welfare = sum(f(v) for v in ev.singletons)
+    if label == K_I:
+        return Prediction(social_optimum(cfg)[0] / empty_welfare, False, K_I)
+    if label == K_M:
+        return Prediction(cfg.n_agents * f(ev.joint_entropy) / empty_welfare, True, K_M)
     if cfg.costs.kind == "homogeneous":
-        region = classify_homogeneous(ev, f, cfg.costs.values[0])
-        if region.label == K_C:
-            return Prediction(1.0, False, K_C)
-        if region.label == K_I:
-            empty_welfare = sum(f(v) for v in ev.singletons)
-            return Prediction(_welfare_optimum(cfg) / empty_welfare, False, K_I)
-        return Prediction(km_bound, True, K_M)
-    if cfg.costs.kind == "recipient":
-        region = region_heterogeneous(ev, f, cfg.costs)
-        if region.label == K_I:
-            empty_welfare = sum(f(v) for v in ev.singletons)
-            return Prediction(_welfare_optimum(cfg) / empty_welfare, False, K_I)
-        if region.label == K_C:
-            return Prediction(_connected_poa_closed_form(n, f_joint, cfg.costs.values), False, K_C)
-        return Prediction(km_bound, True, K_M)
-    raise ValueError("PoA prediction supports homogeneous or recipient costs only")
+        return Prediction(1.0, False, K_C)
+    return Prediction(_connected_poa_closed_form(cfg.n_agents, f(ev.joint_entropy), cfg.costs.values),
+                      False, K_C)
 
 
 def mil_predict(cfg: GameConfig) -> Prediction:
     """Maximum-information-loss prediction: 0 in K_C and K_I, else the bound
     H(all) - min_i H({i})."""
-    ev = cfg.ev
-    f = cfg.benefit
-    if cfg.costs.kind == "homogeneous":
-        region = classify_homogeneous(ev, f, cfg.costs.values[0])
-    elif cfg.costs.kind == "recipient":
-        region = region_heterogeneous(ev, f, cfg.costs)
-    else:
-        raise ValueError("MIL prediction supports homogeneous or recipient costs only")
+    region = _region(cfg, "MIL")
     if region.label in (K_C, K_I):
         return Prediction(0.0, False, region.label)
-    return Prediction(ev.joint_entropy - min(ev.singletons), True, K_M)
+    return Prediction(cfg.ev.joint_entropy - min(cfg.ev.singletons), True, K_M)
+
+
+def _region(cfg: GameConfig, what: str) -> ConnectivityRegion:
+    if cfg.costs.kind == "homogeneous":
+        return classify_homogeneous(cfg.ev, cfg.benefit, cfg.costs.values[0])
+    if cfg.costs.kind == "recipient":
+        return region_heterogeneous(cfg.ev, cfg.benefit, cfg.costs)
+    raise ValueError(f"{what} prediction supports homogeneous or recipient costs only")
 
 
 def poa_monotonicity_sweep(

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import yaml
@@ -55,6 +55,7 @@ from . import analytic, equilibrium, production
 from .entropy import family_pair_redundancy
 from .equilibrium import CapExceededError
 from .formation_game import (
+    CostModel,
     GameConfig,
     benefit_from_config,
     config_from_dict,
@@ -79,7 +80,7 @@ def _grid_values(node, what: str) -> list[float]:
     if isinstance(node, (list, tuple)):
         if not node:
             raise SpecError(f"{what} grid must be nonempty")
-        return [float(v) for v in node]
+        return _finite([float(v) for v in node], what)
     if isinstance(node, dict):
         try:
             start, stop, points = float(node["start"]), float(node["stop"]), int(node["points"])
@@ -87,8 +88,15 @@ def _grid_values(node, what: str) -> list[float]:
             raise SpecError(f"{what} grid needs start/stop/points") from None
         if points < 1:
             raise SpecError(f"{what} grid must be nonempty")
+        _finite([start, stop], what)
         return [float(v) for v in np.linspace(start, stop, points)]
     raise SpecError(f"{what} grid must be a list or a start/stop/points mapping")
+
+
+def _finite(values: list[float], what: str) -> list[float]:
+    if not all(math.isfinite(v) for v in values):
+        raise SpecError(f"{what} grid values must be finite")
+    return values
 
 
 def _require(spec: dict, key: str) -> dict:
@@ -109,35 +117,24 @@ def _sweep_family(spec: dict):
     return [float(v) for v in h], benefit
 
 
-def _sweep_rows(spec: dict, threads: int):
+def _sweep_rows(spec: dict):
     h, benefit = _sweep_family(spec)
     grid = _require(spec, "grid")
     kl_values = _grid_values(grid.get("kl", [0.0]), "kl")
     c_values = _grid_values(_require(grid, "c"), "c")
 
-    def one(point):
-        kl, c = point
+    def one(kl, c):
         try:
-            ev = family_pair_redundancy(h[0], h[1], h[2], kl)
+            cfg = GameConfig(family_pair_redundancy(h[0], h[1], h[2], kl), benefit,
+                             CostModel.homogeneous(c))
         except ValueError as e:
             raise SpecError(str(e)) from None
-        region = analytic.classify_homogeneous(ev, benefit, c)
-        n = ev.n_agents
-        f_joint = benefit(ev.joint_entropy)
-        if region.label == analytic.K_M:
-            poa = n * f_joint / sum(benefit(v) for v in ev.singletons)
-            mil = ev.joint_entropy - min(ev.singletons)
-        else:
-            poa = 1.0
-            mil = 0.0
+        region = analytic.classify_homogeneous(cfg.ev, benefit, c)
+        poa = analytic.poa_predict(cfg).value
+        mil = analytic.mil_predict(cfg).value
         return (c, kl, region.label, region.c_l, region.c_u, poa, mil)
 
-    points = [(kl, c) for kl in kl_values for c in c_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, points))
-    else:
-        rows = [one(p) for p in points]
+    rows = [one(kl, c) for kl in kl_values for c in c_values]
     columns = ["c", "kl", "region", "c_l", "c_u", "poa_or_bound", "mil_or_bound"]
     return columns, rows
 
@@ -183,10 +180,7 @@ def _run_production(spec: dict, max_n) -> tuple[str, int]:
     cfg = _production_config(spec)
     found = production.enumerate_production_ne(cfg, max_n=max_n)
     columns = ["links"] + [f"prod_{i}" for i in range(cfg.n_agents)]
-    lines = [",".join(columns)]
-    for s in found:
-        lines.append(",".join([s.links.bitstring()] + [repr(p) for p in s.productions]))
-    return "\n".join(lines) + "\n", 0
+    return _csv(columns, [(s.links.bitstring(),) + s.productions for s in found]), 0
 
 
 def _run_few_sweep(spec: dict) -> tuple[str, int]:
@@ -196,13 +190,9 @@ def _run_few_sweep(spec: dict) -> tuple[str, int]:
         raise SpecError("few-sweep needs a nonempty n_list")
     points = production.few_sweep(cfg, [int(n) for n in n_list])
     columns = ["n", "agg", "c", "k", "h_bar", "producer_fraction", "total_information_bits"]
-    lines = [",".join(columns)]
-    for pt in points:
-        lines.append(",".join([
-            str(pt.n), pt.agg.value, repr(pt.c), repr(pt.k), repr(pt.h_bar),
-            repr(pt.producer_fraction), repr(pt.total_information_bits),
-        ]))
-    return "\n".join(lines) + "\n", 0
+    rows = [(pt.n, pt.agg.value, pt.c, pt.k, pt.h_bar, pt.producer_fraction, pt.total_information_bits)
+            for pt in points]
+    return _csv(columns, rows), 0
 
 
 def _run_verify(spec: dict, seed: int) -> tuple[str, int]:
@@ -220,14 +210,14 @@ def _run_verify(spec: dict, seed: int) -> tuple[str, int]:
     return report.to_text(), 0 if report.ok else 1
 
 
-def _csv_with_header(comment: str, columns, rows) -> str:
-    lines = [f"# {comment}", ",".join(columns)]
+def _csv(columns, rows) -> str:
+    lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def run_spec(spec: dict, spec_bytes: bytes, seed: int | None, threads: int,
+def run_spec(spec: dict, spec_bytes: bytes, seed: int | None,
              max_n: int | None) -> tuple[str, int]:
     """Execute one experiment document; returns (output text, exit code)."""
     if not isinstance(spec, dict):
@@ -241,18 +231,15 @@ def run_spec(spec: dict, spec_bytes: bytes, seed: int | None, threads: int,
     comment = f"spec_sha256={digest} seed={effective_seed} {caps} command={command}"
 
     if command in ("regions", "poa-sweep", "mil-sweep"):
-        columns, rows = _sweep_rows(spec, threads)
-        return _csv_with_header(comment, columns, rows), 0
-    if command == "enumerate":
+        body, code = _csv(*_sweep_rows(spec)), 0
+    elif command == "enumerate":
         body, code = _run_enumerate(spec, max_n)
-        return f"# {comment}\n" + body, code
-    if command == "production":
+    elif command == "production":
         body, code = _run_production(spec, max_n)
-        return f"# {comment}\n" + body, code
-    if command == "few-sweep":
+    elif command == "few-sweep":
         body, code = _run_few_sweep(spec)
-        return f"# {comment}\n" + body, code
-    body, code = _run_verify(spec, effective_seed)
+    else:
+        body, code = _run_verify(spec, effective_seed)
     return f"# {comment}\n" + body, code
 
 
@@ -263,13 +250,9 @@ def main(argv=None) -> int:
     parser.add_argument("--spec", required=True, help="experiment document (YAML)")
     parser.add_argument("--out", help="output file; stdout when omitted")
     parser.add_argument("--seed", type=int, default=None, help="override the document seed")
-    parser.add_argument("--threads", type=int, default=1, help="parallel sweep evaluation")
     parser.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="override enumeration agent caps")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         with open(args.spec, "rb") as fh:
             spec_bytes = fh.read()
@@ -281,7 +264,7 @@ def main(argv=None) -> int:
         print(f"error: spec is not valid YAML: {e}", file=sys.stderr)
         return 2
     try:
-        text, code = run_spec(spec, spec_bytes, args.seed, args.threads, args.max_n)
+        text, code = run_spec(spec, spec_bytes, args.seed, args.max_n)
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -24,6 +24,18 @@ from .formation_game import (
     component_masks,
     undirected_adjacency,
 )
+from .kernel import (
+    compress_row,
+    expand_row,
+    fh_table,
+    ne_status,
+    orientations,
+    profile_from_index,
+    row_costs,
+    row_utilities,
+    set_partitions,
+    welfare,
+)
 
 FULL_SCAN_CAP = 5
 DEFAULT_ENUM_CAP = 6
@@ -78,91 +90,9 @@ class EquilibriumReport:
         return "\n".join(lines) + "\n"
 
 
-# -- row packing -------------------------------------------------------------
-
-def _expand_row(compact: int, i: int) -> int:
-    """Insert a zero bit at position i, mapping a compact row to a real row."""
-    low = compact & ((1 << i) - 1)
-    return low | ((compact >> i) << (i + 1))
-
-
-def _compress_row(row: int, i: int) -> int:
-    """Drop bit i (which must be zero) from a row mask."""
-    low = row & ((1 << i) - 1)
-    return low | ((row >> (i + 1)) << i)
-
-
-def _profile_from_index(idx: int, n: int) -> tuple[int, ...]:
-    """Decode the lexicographic rank of a flattened link matrix into rows."""
-    width = n - 1
-    rows = []
-    shift = n * width
-    for i in range(n):
-        shift -= width
-        compact = (idx >> shift) & ((1 << width) - 1)
-        # compact holds row i left to right: most significant bit = lowest target
-        row = 0
-        pos = width - 1
-        for j in range(n):
-            if j == i:
-                continue
-            if compact >> pos & 1:
-                row |= 1 << j
-            pos -= 1
-        rows.append(row)
-    return tuple(rows)
-
-
-def _fh_table(cfg: GameConfig) -> list[float]:
-    """Benefit of the joint entropy of every subset mask; index 0 is f(0) = 0."""
-    n = cfg.n_agents
-    table = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = cfg.benefit(cfg.ev.h(mask))
-    return table
-
-
-def _cost_rows(cfg: GameConfig) -> list[list[float]]:
-    n = cfg.n_agents
-    return [[cfg.link_cost(i, j) if j != i else 0.0 for j in range(n)] for i in range(n)]
-
-
-def _row_utilities(n, rows, i, fh, cost_row):
-    """Utility of every candidate row for agent i, holding the others fixed.
-
-    Returns a list indexed by compact row. Exploits that linking to agent j
-    merges in j's whole component of the graph without i's sponsored links.
-    """
-    adj = [0] * n
-    for a in range(n):
-        r = rows[a] if a != i else 0
-        adj[a] |= r
-        t = r
-        while t:
-            low = t & -t
-            adj[low.bit_length() - 1] |= 1 << a
-            t ^= low
-    comp = component_masks(adj)
-    base = comp[i]
-    targets = [j for j in range(n) if j != i]
-    m = 1 << (n - 1)
-    merged = [0] * m
-    costs = [0.0] * m
-    utils = [0.0] * m
-    merged[0] = base
-    utils[0] = fh[base]
-    for compact in range(1, m):
-        prev = compact & (compact - 1)
-        j = targets[(compact & -compact).bit_length() - 1]
-        merged[compact] = merged[prev] | comp[j]
-        costs[compact] = costs[prev] + cost_row[j]
-        utils[compact] = fh[merged[compact]] - costs[compact]
-    return utils
-
-
 def _br_mask(n, rows, i, fh, cost_row, tol):
     """Bitmask over compact rows within ``tol`` of agent i's best utility."""
-    utils = _row_utilities(n, rows, i, fh, cost_row)
+    utils = row_utilities(n, rows, i, fh, cost_row)
     best = max(utils)
     mask = 0
     for compact, u in enumerate(utils):
@@ -182,40 +112,25 @@ def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TO
         raise ValueError(f"agent {i} out of range")
     if others.n_agents != n:
         raise ValueError("profile size does not match the game")
-    utils = _row_utilities(n, others.rows, i, _fh_table(cfg), _cost_rows(cfg)[i])
-    best = max(utils)
-    return frozenset(_expand_row(c, i) for c, u in enumerate(utils) if u >= best - tol)
+    brm = _br_mask(n, others.rows, i, fh_table(cfg), row_costs(cfg)[i], tol)
+    return frozenset(expand_row(c, i) for c in range(1 << (n - 1)) if brm >> c & 1)
+
+
+def _profile_status(cfg: GameConfig, profile: LinkProfile, tol: float) -> tuple[bool, bool]:
+    n = cfg.n_agents
+    if profile.n_agents != n:
+        raise ValueError("profile size does not match the game")
+    return ne_status(n, profile.rows, range(n), fh_table(cfg), row_costs(cfg), tol)
 
 
 def is_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> bool:
     """True when no agent can gain more than ``tol`` by changing its row."""
-    n = cfg.n_agents
-    if profile.n_agents != n:
-        raise ValueError("profile size does not match the game")
-    fh = _fh_table(cfg)
-    cost_rows = _cost_rows(cfg)
-    for i in range(n):
-        utils = _row_utilities(n, profile.rows, i, fh, cost_rows[i])
-        if utils[_compress_row(profile.rows[i], i)] < max(utils) - tol:
-            return False
-    return True
+    return _profile_status(cfg, profile, tol)[0]
 
 
 def is_strict_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> bool:
     """True when each agent's row beats every alternative by more than ``tol``."""
-    n = cfg.n_agents
-    if profile.n_agents != n:
-        raise ValueError("profile size does not match the game")
-    fh = _fh_table(cfg)
-    cost_rows = _cost_rows(cfg)
-    for i in range(n):
-        utils = _row_utilities(n, profile.rows, i, fh, cost_rows[i])
-        current = _compress_row(profile.rows[i], i)
-        u_cur = utils[current]
-        for compact, u in enumerate(utils):
-            if compact != current and u >= u_cur - tol:
-                return False
-    return True
+    return _profile_status(cfg, profile, tol)[1]
 
 
 # -- enumeration --------------------------------------------------------------
@@ -223,12 +138,12 @@ def is_strict_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> b
 def _ne_scan_full(cfg: GameConfig, tol: float):
     """Exhaustive scan; yields (rows, strict) for every NE in lexicographic order."""
     n = cfg.n_agents
-    fh = _fh_table(cfg)
-    cost_rows = _cost_rows(cfg)
+    fh = fh_table(cfg)
+    costs = row_costs(cfg)
     memo: dict[int, int] = {}
     found = []
     for idx in range(1 << (n * (n - 1))):
-        rows = _profile_from_index(idx, n)
+        rows = profile_from_index(idx, n)
         is_ne = True
         strict = True
         for i in range(n):
@@ -239,9 +154,9 @@ def _ne_scan_full(cfg: GameConfig, tol: float):
             key = (packed << 4) | i
             brm = memo.get(key)
             if brm is None:
-                brm = _br_mask(n, rows, i, fh, cost_rows[i], tol)
+                brm = _br_mask(n, rows, i, fh, costs[i], tol)
                 memo[key] = brm
-            cbit = 1 << _compress_row(rows[i], i)
+            cbit = 1 << compress_row(rows[i], i)
             if not brm & cbit:
                 is_ne = False
                 break
@@ -278,51 +193,17 @@ def _ne_scan_pruned(cfg: GameConfig, tol: float):
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
-    fh = _fh_table(cfg)
-    cost_rows = _cost_rows(cfg)
+    fh = fh_table(cfg)
+    costs = row_costs(cfg)
+    empty = (0,) * n
     found = []
     for edge_list in _forest_edge_subsets(n):
-        k = len(edge_list)
-        for orient in range(1 << k):
-            rows = [0] * n
-            for b, (i, j) in enumerate(edge_list):
-                if orient >> b & 1:
-                    rows[j] |= 1 << i
-                else:
-                    rows[i] |= 1 << j
-            rows = tuple(rows)
-            is_ne = True
-            strict = True
-            for i in range(n):
-                utils = _row_utilities(n, rows, i, fh, cost_rows[i])
-                current = _compress_row(rows[i], i)
-                u_cur = utils[current]
-                for compact, u in enumerate(utils):
-                    if compact == current:
-                        continue
-                    if u > u_cur + tol:
-                        is_ne = False
-                        break
-                    if u >= u_cur - tol:
-                        strict = False
-                if not is_ne:
-                    break
+        for rows in orientations(edge_list, empty):
+            is_ne, strict = ne_status(n, rows, range(n), fh, costs, tol)
             if is_ne:
                 found.append((rows, strict))
     found.sort(key=lambda item: LinkProfile(n, item[0]).index())
     return found
-
-
-def _set_partitions(items: tuple[int, ...]):
-    """Partitions of ``items`` into blocks, in a deterministic order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
 
 
 def _mst(block: tuple[int, ...], weight):
@@ -365,14 +246,14 @@ def social_optimum(cfg: GameConfig, max_n: int | None = None,
     cap = max_n if max_n is not None else SOCIAL_OPT_CAP
     if n > cap:
         raise CapExceededError(f"social optimum capped at {cap} agents, got {n}")
-    fh = _fh_table(cfg)
+    fh = fh_table(cfg)
 
     def edge_weight(i, j):
         return min(cfg.link_cost(i, j), cfg.link_cost(j, i))
 
     best_value = None
     best_links = None
-    for part in _set_partitions(tuple(range(n))):
+    for part in set_partitions(tuple(range(n))):
         value = 0.0
         links = []
         for block in part:
@@ -392,19 +273,11 @@ def social_optimum(cfg: GameConfig, max_n: int | None = None,
     if verify_by_full_scan:
         if n > 4:
             raise CapExceededError("full-scan verification is limited to 4 agents")
-        cost_rows = _cost_rows(cfg)
         top = 0.0
         for idx in range(1 << (n * (n - 1))):
-            rows = _profile_from_index(idx, n)
+            rows = profile_from_index(idx, n)
             comp = component_masks(undirected_adjacency(LinkProfile(n, rows)))
-            w = sum(fh[comp[i]] for i in range(n))
-            for i in range(n):
-                t = rows[i]
-                while t:
-                    low = t & -t
-                    w -= cost_rows[i][low.bit_length() - 1]
-                    t ^= low
-            top = max(top, w)
+            top = max(top, welfare(cfg, rows, comp, fh))
         if abs(top - best_value) > 1e-9:
             raise RuntimeError(f"partition search gave {best_value!r}, full scan {top!r}")
     return best_value, profile
@@ -433,8 +306,7 @@ def enumerate_nash(cfg: GameConfig, max_n: int | None = None,
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
 
-    fh = _fh_table(cfg)
-    cost_rows = _cost_rows(cfg)
+    fh = fh_table(cfg)
     ne_profiles = []
     strict_profiles = []
     welfares = []
@@ -442,13 +314,7 @@ def enumerate_nash(cfg: GameConfig, max_n: int | None = None,
     for rows, strict in found:
         p = LinkProfile(n, rows)
         comp = component_masks(undirected_adjacency(p))
-        w = sum(fh[comp[i]] for i in range(n))
-        for i in range(n):
-            t = rows[i]
-            while t:
-                low = t & -t
-                w -= cost_rows[i][low.bit_length() - 1]
-                t ^= low
+        w = welfare(cfg, rows, comp, fh)
         ne_profiles.append(p)
         welfares.append(w)
         infos.append(tuple(cfg.ev.h(comp[i]) for i in range(n)))

@@ -111,13 +111,17 @@ class BenefitFunction:
         return self
 
 
+def _valid_cost(c: float) -> bool:
+    return math.isfinite(c) and c >= 0
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Link formation costs paid by the sponsor.
 
     ``homogeneous``: one scalar c for every link. ``recipient``: cost depends
     on the link target only (linking to j costs values[j]). ``matrix``: fully
-    general per-pair costs. All costs must be nonnegative.
+    general per-pair costs. All costs must be finite and nonnegative.
     """
 
     kind: str
@@ -125,15 +129,16 @@ class CostModel:
 
     @classmethod
     def homogeneous(cls, c: float) -> "CostModel":
-        if c < 0:
-            raise ValueError("link cost must be nonnegative")
-        return cls("homogeneous", (float(c),))
+        c = float(c)
+        if not _valid_cost(c):
+            raise ValueError("link cost must be finite and nonnegative")
+        return cls("homogeneous", (c,))
 
     @classmethod
     def recipient(cls, costs) -> "CostModel":
         vals = tuple(float(c) for c in costs)
-        if any(c < 0 for c in vals):
-            raise ValueError("link costs must be nonnegative")
+        if not all(_valid_cost(c) for c in vals):
+            raise ValueError("link costs must be finite and nonnegative")
         return cls("recipient", vals)
 
     @classmethod
@@ -142,8 +147,8 @@ class CostModel:
         n = len(vals)
         if any(len(row) != n for row in vals):
             raise ValueError("cost matrix must be square")
-        if any(c < 0 for row in vals for c in row):
-            raise ValueError("link costs must be nonnegative")
+        if not all(_valid_cost(c) for row in vals for c in row):
+            raise ValueError("link costs must be finite and nonnegative")
         return cls("matrix", vals)
 
     def link_cost(self, i: int, j: int) -> float:
@@ -367,29 +372,12 @@ def utility(cfg: GameConfig, profile: LinkProfile, i: int) -> float:
         raise ValueError("profile size does not match the game")
     comp = component_masks(undirected_adjacency(profile))[i]
     benefit = cfg.benefit(cfg.ev.h(comp))
-    cost = 0.0
-    t = profile.rows[i]
-    while t:
-        low = t & -t
-        cost += cfg.link_cost(i, low.bit_length() - 1)
-        t ^= low
-    return benefit - cost
+    return benefit - sum(cfg.link_cost(i, j) for j in subset_agents(profile.rows[i]))
 
 
 def social_welfare(cfg: GameConfig, profile: LinkProfile) -> float:
     """Sum of all agents' utilities."""
-    if profile.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    comp = component_masks(undirected_adjacency(profile))
-    total = 0.0
-    for i in range(cfg.n_agents):
-        total += cfg.benefit(cfg.ev.h(comp[i]))
-        t = profile.rows[i]
-        while t:
-            low = t & -t
-            total -= cfg.link_cost(i, low.bit_length() - 1)
-            t ^= low
-    return total
+    return sum(utility(cfg, profile, i) for i in range(cfg.n_agents))
 
 
 # -- config documents --------------------------------------------------------

@@ -21,14 +21,15 @@ high-cost branch.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .entropy import TOL, subset_agents
 from .equilibrium import CapExceededError
 from .formation_game import BenefitFunction, LinkProfile, component_masks, undirected_adjacency
+from .kernel import merged_components, orientations, profile_from_index, spanning_trees
 
 NE_CHECK_CAP = 10
 FULL_SCAN_CAP = 3
@@ -74,8 +75,8 @@ class ProductionProfile:
     def __post_init__(self):
         if len(self.productions) != self.links.n_agents:
             raise ValueError("production vector length does not match the link profile")
-        if any(p < 0 for p in self.productions):
-            raise ValueError("production levels must be nonnegative")
+        if not all(math.isfinite(p) and p >= 0 for p in self.productions):
+            raise ValueError("production levels must be finite and nonnegative")
 
     @property
     def n_agents(self) -> int:
@@ -113,14 +114,19 @@ class ProductionGameConfig:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
-        if not self.k > 0:
-            raise ValueError("production cost k must be positive")
-        if self.c < 0:
-            raise ValueError("link cost must be nonnegative")
-        if self.grid_step is not None and not self.grid_step > 0:
-            raise ValueError("grid step must be positive")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError("production cost k must be finite and positive")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError("link cost must be finite and nonnegative")
+        if self.grid_step is not None and not (math.isfinite(self.grid_step) and self.grid_step > 0):
+            raise ValueError("grid step must be finite and positive")
 
     def h_bar(self) -> float:
+        return self._h_bar
+
+    @cached_property
+    def _h_bar(self) -> float:
+        # solved on first use, so a game without a finite optimum still constructs
         return h_bar(self.benefit, self.k)
 
     def step(self) -> float:
@@ -172,7 +178,8 @@ def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) 
     return cfg.benefit(info) - cfg.k * s.productions[i] - cfg.c * s.links.rows[i].bit_count()
 
 
-def _grid_levels(cfg: ProductionGameConfig) -> list[float]:
+def grid_levels(cfg: ProductionGameConfig) -> list[float]:
+    """Production levels 0, step, 2 step, ... up to the first one at or above h_bar."""
     hb = cfg.h_bar()
     if hb <= 0 and cfg.grid_step is None:
         return [0.0]  # producing anything already costs more than it earns
@@ -205,33 +212,15 @@ def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile,
     f = cfg.benefit
     k, c = cfg.k, cfg.c
     hb = cfg.h_bar()
-    grid = _grid_levels(cfg)
+    grid = grid_levels(cfg)
     prods = s.productions
     is_sum = cfg.agg is Aggregation.SUM
     for i in range(n):
         current = production_utility(cfg, s, i)
-        adj = [0] * n
-        for a in range(n):
-            r = s.links.rows[a] if a != i else 0
-            adj[a] |= r
-            t = r
-            while t:
-                low = t & -t
-                adj[low.bit_length() - 1] |= 1 << a
-                t ^= low
-        comp = component_masks(adj)
-        base = comp[i]
-        targets = [j for j in range(n) if j != i]
-        m = 1 << (n - 1)
-        merged = [0] * m
-        merged[0] = base
-        for compact in range(1, m):
-            prev = compact & (compact - 1)
-            j = targets[(compact & -compact).bit_length() - 1]
-            merged[compact] = merged[prev] | comp[j]
-        for compact in range(m):
+        merged = merged_components(n, s.links.rows, i)
+        for compact, mask in enumerate(merged):
             linkcost = c * compact.bit_count()
-            acquired = aggregate(cfg.agg, prods, merged[compact] & ~(1 << i))
+            acquired = aggregate(cfg.agg, prods, mask & ~(1 << i))
             for h in _deviation_candidates(cfg, grid, hb, acquired):
                 info = acquired + h if is_sum else max(acquired, h)
                 u = f(info) - k * h - linkcost
@@ -340,33 +329,6 @@ def _check_production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> 
 
 # -- enumeration ---------------------------------------------------------------
 
-def _all_trees(n: int):
-    """Labelled trees as edge lists (Pruefer decode); n = 1 yields the empty tree."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        heap = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((min(leaf, v), max(leaf, v)))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        u = heapq.heappop(heap)
-        v = heapq.heappop(heap)
-        edges.append((min(u, v), max(u, v)))
-        yield edges
-
-
 def _rooted_rows(n: int, edges, root: int) -> tuple[int, ...]:
     """Each non-root sponsors the edge toward the root; the root sponsors nothing."""
     adjacency = [[] for _ in range(n)]
@@ -415,29 +377,26 @@ def enumerate_production_ne(cfg: ProductionGameConfig, max_n: int | None = None,
     raise ValueError(f"unknown enumeration method {method!r}")
 
 
-def _enumerate_full(cfg: ProductionGameConfig) -> list[ProductionProfile]:
+def grid_profiles(cfg: ProductionGameConfig):
+    """Every link profile crossed with every grid production vector, in link-index order."""
     n = cfg.n_agents
-    grid = _grid_levels(cfg)
-    out = []
+    grid = grid_levels(cfg)
     for idx in range(1 << (n * (n - 1))):
-        links = LinkProfile(n, _decode_rows(idx, n))
+        links = LinkProfile(n, profile_from_index(idx, n))
         for prods in itertools.product(grid, repeat=n):
-            s = ProductionProfile(prods, links)
-            if is_production_ne(cfg, s):
-                out.append(s)
+            yield ProductionProfile(prods, links)
+
+
+def _enumerate_full(cfg: ProductionGameConfig) -> list[ProductionProfile]:
+    out = [s for s in grid_profiles(cfg) if is_production_ne(cfg, s)]
     out.sort(key=_profile_sort_key)
     return out
-
-
-def _decode_rows(idx: int, n: int) -> tuple[int, ...]:
-    from .equilibrium import _profile_from_index
-    return _profile_from_index(idx, n)
 
 
 def _enumerate_candidates(cfg: ProductionGameConfig) -> list[ProductionProfile]:
     n = cfg.n_agents
     hb = cfg.h_bar()
-    grid = _grid_levels(cfg)
+    grid = grid_levels(cfg)
     seen = set()
     out = []
 
@@ -454,21 +413,15 @@ def _enumerate_candidates(cfg: ProductionGameConfig) -> list[ProductionProfile]:
     if not cfg.high_cost() and n >= 2:
         if cfg.agg is Aggregation.SUM:
             splits = [p for p in itertools.product(grid, repeat=n) if abs(sum(p) - hb) <= TOL]
-            for edges in _all_trees(n):
-                for orient in range(1 << len(edges)):
-                    rows = [0] * n
-                    for b, (i, j) in enumerate(edges):
-                        if orient >> b & 1:
-                            rows[j] |= 1 << i
-                        else:
-                            rows[i] |= 1 << j
-                    links = LinkProfile(n, tuple(rows))
+            for edges in spanning_trees(tuple(range(n))):
+                for rows in orientations(edges, (0,) * n):
+                    links = LinkProfile(n, rows)
                     for prods in splits:
                         consider(prods, links)
         else:
             for producer in range(n):
                 prods = tuple(hb if i == producer else 0.0 for i in range(n))
-                for edges in _all_trees(n):
+                for edges in spanning_trees(tuple(range(n))):
                     consider(prods, LinkProfile(n, _rooted_rows(n, edges, producer)))
     out.sort(key=_profile_sort_key)
     return out
@@ -511,17 +464,14 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
     for n in n_list:
         point_cfg = replace(cfg, n_agents=int(n))
         hb = point_cfg.h_bar()
+        star = LinkProfile(n, tuple(0 if i == 0 else 1 for i in range(n)))
         if point_cfg.high_cost() or n == 1:
             witness = ProductionProfile((hb,) * n, LinkProfile.empty(n))
         elif point_cfg.agg is Aggregation.MAX:
-            prods = tuple(hb if i == 0 else 0.0 for i in range(n))
-            rows = tuple(0 if i == 0 else 1 for i in range(n))
-            witness = ProductionProfile(prods, LinkProfile(n, rows))
+            witness = ProductionProfile(tuple(hb if i == 0 else 0.0 for i in range(n)), star)
         else:
             share = min(hb / n, hb - point_cfg.c / point_cfg.k)
-            prods = (hb - (n - 1) * share,) + (share,) * (n - 1)
-            rows = tuple(0 if i == 0 else 1 for i in range(n))
-            witness = ProductionProfile(prods, LinkProfile(n, rows))
+            witness = ProductionProfile((hb - (n - 1) * share,) + (share,) * (n - 1), star)
         if not is_production_ne(point_cfg, witness):
             raise RuntimeError(
                 f"witness profile failed equilibrium verification at n={n}; "

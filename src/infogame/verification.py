@@ -9,7 +9,6 @@ check, and is byte-identical across runs for a fixed seed.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,15 @@ from .entropy import (
     family_pair_redundancy,
     from_joint_pmf,
 )
-from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
+from .formation_game import (
+    BenefitFunction,
+    CostModel,
+    GameConfig,
+    LinkProfile,
+    components,
+    is_minimally_connected,
+)
+from .kernel import profile_from_index, set_partitions
 from .production import Aggregation, ProductionGameConfig
 
 
@@ -80,10 +87,6 @@ def random_recipient_config(rng: np.random.Generator, n_agents: int,
     return GameConfig(ev, benefit, CostModel.recipient(costs))
 
 
-def _partitions_of(n: int):
-    return equilibrium._set_partitions(tuple(range(n)))
-
-
 def _realized_partitions(report: equilibrium.EquilibriumReport) -> set[frozenset[frozenset[int]]]:
     out = set()
     for p in report.ne_profiles:
@@ -93,7 +96,7 @@ def _realized_partitions(report: equilibrium.EquilibriumReport) -> set[frozenset
 
 def _accepted_partitions(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
     out = set()
-    for part in _partitions_of(cfg.n_agents):
+    for part in set_partitions(tuple(range(cfg.n_agents))):
         if analytic.check_component_structure_ne(cfg, part):
             out.add(frozenset(frozenset(b) for b in part))
     return out
@@ -117,7 +120,6 @@ def _check_existence_minimality(rng, n_agents, instances, benefit):
                 bad += 1
                 witness = f"instance {t} equilibrium {p.bitstring()} has a duplicate link"
                 break
-            from .formation_game import is_minimally_connected
             if not all(is_minimally_connected(p, comp) for comp in components(p)):
                 bad += 1
                 witness = f"instance {t} equilibrium {p.bitstring()} has a cycle"
@@ -145,9 +147,9 @@ def _check_region_soundness(rng, benefit):
     return not failures, failures[0] if failures else "connected below c_l, unique empty above c_u"
 
 
-def _check_partition_equivalence(rng, n_agents, instances, benefit):
+def _check_partitions(rng, n_agents, instances, benefit, random_config):
     for t in range(instances):
-        cfg = random_homogeneous_config(rng, 2 + t % (n_agents - 1), benefit)
+        cfg = random_config(rng, 2 + t % (n_agents - 1), benefit)
         realized = _realized_partitions(equilibrium.enumerate_nash(cfg))
         accepted = _accepted_partitions(cfg)
         if realized != accepted:
@@ -162,26 +164,37 @@ def _check_strict_equivalence(rng, n_agents, instances, benefit):
         strict = {p.rows for p in report.strict_ne_profiles}
         n = cfg.n_agents
         for idx in range(1 << (n * (n - 1))):
-            rows = equilibrium._profile_from_index(idx, n)
+            rows = profile_from_index(idx, n)
             p = LinkProfile(n, rows)
             if analytic.check_strict_ne_structure(cfg, p) != (rows in strict):
                 return False, f"instance {t}: profile {p.bitstring()} misclassified"
     return True, f"{instances} instances, strict sets identical"
 
 
-def _check_poa_homogeneous(rng, n_agents, instances, benefit):
+def _check_poa(rng, n_agents, instances, benefit, random_config, claim):
+    """Brute-force PoA against the prediction: equal where it is exact, below
+    it where it is a bound. A bound holds vacuously for a game without a pure
+    equilibrium; such games are counted, and fail an exact prediction."""
+    without_ne = 0
     for t in range(instances):
-        cfg = random_homogeneous_config(rng, 2 + t % (n_agents - 1), benefit)
+        cfg = random_config(rng, 2 + t % (n_agents - 1), benefit)
         pred = analytic.poa_predict(cfg)
-        poa = equilibrium.enumerate_nash(cfg).poa
+        report = equilibrium.enumerate_nash(cfg)
+        poa = report.poa
         if poa is None:
+            if pred.is_bound and not report.ne_profiles:
+                without_ne += 1
+                continue
             return False, f"instance {t}: undefined brute-force PoA"
         if pred.is_bound:
             if not poa < pred.value + 1e-9:
                 return False, f"instance {t}: PoA {poa} exceeds bound {pred.value}"
         elif abs(poa - pred.value) > 1e-6:
-            return False, f"instance {t}: PoA {poa} vs exact {pred.value}"
-    return True, f"{instances} instances, exact in K_C/K_I and bounded in K_M"
+            return False, f"instance {t}: PoA {poa} vs exact {pred.value} in {pred.region}"
+    detail = f"{instances} instances, {claim}"
+    if without_ne:
+        detail += f"; {without_ne} without a pure equilibrium"
+    return True, detail
 
 
 def _check_mil(rng, n_agents, instances, benefit):
@@ -212,31 +225,6 @@ def _check_heterogeneous_regions(rng, n_agents, instances, benefit):
     return True, f"{instances} instances, K_C all-connected and K_I unique-empty"
 
 
-def _check_heterogeneous_partitions(rng, n_agents, instances, benefit):
-    for t in range(instances):
-        cfg = random_recipient_config(rng, 2 + t % (n_agents - 1), benefit)
-        realized = _realized_partitions(equilibrium.enumerate_nash(cfg))
-        accepted = _accepted_partitions(cfg)
-        if realized != accepted:
-            return False, f"instance {t}: realized {len(realized)} vs accepted {len(accepted)} partitions"
-    return True, f"{instances} instances, partition sets identical"
-
-
-def _check_poa_heterogeneous(rng, n_agents, instances, benefit):
-    for t in range(instances):
-        cfg = random_recipient_config(rng, 2 + t % (n_agents - 1), benefit)
-        pred = analytic.poa_predict(cfg)
-        poa = equilibrium.enumerate_nash(cfg).poa
-        if poa is None:
-            return False, f"instance {t}: undefined brute-force PoA"
-        if pred.is_bound:
-            if not poa < pred.value + 1e-9:
-                return False, f"instance {t}: PoA {poa} exceeds bound {pred.value}"
-        elif abs(poa - pred.value) > 1e-6:
-            return False, f"instance {t}: PoA {poa} vs exact {pred.value} in {pred.region}"
-    return True, f"{instances} instances, connected-region closed form matches brute force"
-
-
 def _check_poa_monotonicity(benefit):
     costs = CostModel.recipient([0.01, 0.02, 0.03])
     series = analytic.poa_monotonicity_sweep(
@@ -249,24 +237,19 @@ def _check_poa_monotonicity(benefit):
 
 def _production_scan_matches(cfg: ProductionGameConfig):
     checker = production.check_sum_equilibrium if cfg.agg is Aggregation.SUM else production.check_max_equilibrium
-    n = cfg.n_agents
-    grid = production._grid_levels(cfg)
-    for idx in range(1 << (n * (n - 1))):
-        links = LinkProfile(n, equilibrium._profile_from_index(idx, n))
-        for prods in itertools.product(grid, repeat=n):
-            s = production.ProductionProfile(prods, links)
-            if production.is_production_ne(cfg, s) != checker(cfg, s):
-                return False, f"profile {s.to_text().strip()} misclassified"
+    for s in production.grid_profiles(cfg):
+        if production.is_production_ne(cfg, s) != checker(cfg, s):
+            return False, f"profile {s.to_text().strip()} misclassified"
     return True, "scan agrees with the characterization"
 
 
 def _check_production(agg: Aggregation, benefit):
     base = dict(n_agents=3, benefit=benefit, k=0.25, agg=agg)
     for c in (0.2, 1.0):
-        ok, detail = _production_scan_matches(ProductionGameConfig(c=c, **base))
+        cfg = ProductionGameConfig(c=c, **base)
+        ok, detail = _production_scan_matches(cfg)
         if not ok:
             return False, f"c={c}: {detail}"
-        cfg = ProductionGameConfig(c=c, **base)
         if cfg.high_cost():
             found = production.enumerate_production_ne(cfg)
             hb = cfg.h_bar()
@@ -310,13 +293,17 @@ def run_verification(n_agents: int = 3, instances: int = 20, seed: int = 0) -> V
     rng = np.random.default_rng(seed)
     run("existence_and_minimality", _check_existence_minimality, rng, n_agents, instances, benefit)
     run("connectivity_thresholds", _check_region_soundness, rng, benefit)
-    run("ne_partition_characterization", _check_partition_equivalence, rng, n_agents, instances, benefit)
+    run("ne_partition_characterization", _check_partitions, rng, n_agents, instances, benefit,
+        random_homogeneous_config)
     run("strict_ne_structure", _check_strict_equivalence, rng, n_agents, max(instances // 2, 5), benefit)
-    run("poa_homogeneous", _check_poa_homogeneous, rng, n_agents, instances, benefit)
+    run("poa_homogeneous", _check_poa, rng, n_agents, instances, benefit,
+        random_homogeneous_config, "exact in K_C/K_I and bounded in K_M")
     run("mil_bounds", _check_mil, rng, n_agents, instances, benefit)
     run("heterogeneous_regions", _check_heterogeneous_regions, rng, n_agents, instances, benefit)
-    run("heterogeneous_partition_characterization", _check_heterogeneous_partitions, rng, n_agents, instances, benefit)
-    run("poa_heterogeneous", _check_poa_heterogeneous, rng, n_agents, instances, benefit)
+    run("heterogeneous_partition_characterization", _check_partitions, rng, n_agents, instances, benefit,
+        random_recipient_config)
+    run("poa_heterogeneous", _check_poa, rng, n_agents, instances, benefit,
+        random_recipient_config, "connected-region closed form matches brute force")
     run("poa_redundancy_monotonicity", _check_poa_monotonicity, benefit)
     run("production_sum_characterization", _check_production, Aggregation.SUM, benefit)
     run("production_max_characterization", _check_production, Aggregation.MAX, benefit)

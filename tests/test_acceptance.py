@@ -29,7 +29,7 @@ from infogame.analytic import (
 )
 from infogame.cli import main
 from infogame.entropy import family_pair_redundancy
-from infogame.equilibrium import enumerate_nash, _profile_from_index, _set_partitions
+from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import (
     BenefitFunction,
     CostModel,
@@ -38,6 +38,7 @@ from infogame.formation_game import (
     components,
     is_minimally_connected,
 )
+from infogame.kernel import profile_from_index, set_partitions
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -130,12 +131,12 @@ def test_criterion_4_structure_oracle_equivalence():
             report = enumerate_nash(cfg)
             realized = {frozenset(components(p)) for p in report.ne_profiles}
             accepted = {frozenset(frozenset(b) for b in part)
-                        for part in _set_partitions(tuple(range(n)))
+                        for part in set_partitions(tuple(range(n)))
                         if check_component_structure_ne(cfg, part)}
             assert realized == accepted
             strict = {p.rows for p in report.strict_ne_profiles}
             for idx in range(1 << (n * (n - 1))):
-                rows = _profile_from_index(idx, n)
+                rows = profile_from_index(idx, n)
                 assert check_strict_ne_structure(cfg, LinkProfile(n, rows)) \
                     == (rows in strict)
             for p in report.strict_ne_profiles:
@@ -276,11 +277,11 @@ def test_criterion_8_production_characterizations():
             checker = check_sum_equilibrium if agg is Aggregation.SUM else check_max_equilibrium
             for c in (0.2, 1.0):
                 cfg = ProductionGameConfig(3, LN, 0.25, c, agg)
-                grid = production._grid_levels(cfg)
+                grid = production.grid_levels(cfg)
                 assert len(grid) == 7  # step h_bar / 6
                 ne_found = 0
                 for idx in range(1 << 6):
-                    links = LinkProfile(3, _profile_from_index(idx, 3))
+                    links = LinkProfile(3, profile_from_index(idx, 3))
                     for prods in itertools.product(grid, repeat=3):
                         s = ProductionProfile(prods, links)
                         ne = is_production_ne(cfg, s)

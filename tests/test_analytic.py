@@ -19,7 +19,8 @@ from infogame.analytic import (
 )
 from infogame.entropy import family_pair_redundancy, family_independent, family_max_correlated
 from infogame.equilibrium import enumerate_nash, price_of_anarchy
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
+from infogame.kernel import profile_from_index, set_partitions
 from infogame.verification import random_homogeneous_config
 
 LN = BenefitFunction.log1p(math.e)
@@ -98,16 +99,13 @@ class TestComponentStructure:
             check_component_structure_ne(cfg, [{0, 1}])
 
     def test_matches_enumeration_partitions(self):
-        from infogame.formation_game import components
-        from infogame.equilibrium import _set_partitions
-
         for seed in range(25):
             rng = np.random.default_rng(seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             realized = {frozenset(components(p))
                         for p in enumerate_nash(cfg).ne_profiles}
             accepted = {frozenset(frozenset(b) for b in part)
-                        for part in _set_partitions(tuple(range(cfg.n_agents)))
+                        for part in set_partitions(tuple(range(cfg.n_agents)))
                         if check_component_structure_ne(cfg, part)}
             assert realized == accepted
 
@@ -134,15 +132,13 @@ class TestStrictStructure:
         assert not check_strict_ne_structure(cfg, LinkProfile.empty(2))
 
     def test_matches_enumeration(self):
-        from infogame.equilibrium import _profile_from_index
-
         for seed in range(12):
             rng = np.random.default_rng(50 + seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             n = cfg.n_agents
             strict = {p.rows for p in enumerate_nash(cfg).strict_ne_profiles}
             for idx in range(1 << (n * (n - 1))):
-                rows = _profile_from_index(idx, n)
+                rows = profile_from_index(idx, n)
                 p = LinkProfile(n, rows)
                 assert check_strict_ne_structure(cfg, p) == (rows in strict)
 

@@ -4,6 +4,11 @@ import math
 import pytest
 
 from infogame.cli import main
+from infogame.entropy import family_pair_redundancy
+from infogame.equilibrium import enumerate_nash
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig
+
+LN = BenefitFunction.log1p(math.e)
 
 REGION_SPEC = """\
 command: regions
@@ -70,11 +75,6 @@ class TestRegions:
         _, second = run_cli(tmp_path, REGION_SPEC, name="b.yaml")
         assert first == second
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        _, serial = run_cli(tmp_path, REGION_SPEC, name="s.yaml")
-        _, parallel = run_cli(tmp_path, REGION_SPEC, name="p.yaml", extra=["--threads", "4"])
-        assert serial == parallel
-
 
 class TestSweeps:
     def test_poa_column_one_outside_mixed_and_decreasing_inside(self, tmp_path):
@@ -82,9 +82,14 @@ class TestSweeps:
         code, text = run_cli(tmp_path, spec)
         assert code == 0
         rows = parse_csv(text)
+        assert {r["region"] for r in rows} == {"K_C", "K_M", "K_I"}
         for r in rows:
-            if r["region"] != "K_M":
+            if r["region"] == "K_C":
                 assert float(r["poa_or_bound"]) == 1.0
+            elif r["region"] == "K_I":
+                cfg = GameConfig(family_pair_redundancy(5, 4, 4, float(r["kl"])), LN,
+                                 CostModel.homogeneous(float(r["c"])))
+                assert float(r["poa_or_bound"]) == enumerate_nash(cfg).poa
         by_c = {}
         for r in rows:
             if r["region"] == "K_M":
@@ -214,6 +219,20 @@ game:
     def test_bad_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, REGION_SPEC.replace("kl: [0, 1, 2, 3, 4]", "kl: []"))
         assert code == 2
+
+    @pytest.mark.parametrize("grid", [
+        "kl: [0, .nan]\n  c: [0.1]",
+        "kl: [0]\n  c: [0.1, .inf]",
+        "kl: [0]\n  c: {start: 0.0, stop: -.inf, points: 3}",
+    ])
+    def test_non_finite_grid_rejected(self, tmp_path, grid):
+        spec = REGION_SPEC.split("grid:")[0] + "grid:\n  " + grid + "\n"
+        code, _ = run_cli(tmp_path, spec)
+        assert code == 2
+
+    def test_nan_cost_rejected(self, tmp_path):
+        code, text = run_cli(tmp_path, ENUM_SPEC.replace("c: 0.3", "c: .nan"))
+        assert code == 2 and text == ""
 
     def test_missing_file(self, tmp_path):
         assert main(["--spec", str(tmp_path / "nope.yaml")]) == 2

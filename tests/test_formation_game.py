@@ -87,6 +87,16 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel.recipient([0.1, -0.2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        CostModel.homogeneous,
+        lambda c: CostModel.recipient([0.1, c]),
+        lambda c: CostModel.matrix([[0, c], [0.1, 0]]),
+    ], ids=["homogeneous", "recipient", "matrix"])
+    def test_non_finite_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
     def test_self_link_undefined(self):
         with pytest.raises(ValueError):
             CostModel.homogeneous(1.0).link_cost(1, 1)

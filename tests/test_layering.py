@@ -1,0 +1,49 @@
+"""Module boundaries of the package, checked from the source text.
+
+No module imports a private name from another, no import hides inside a
+function body, and every module can be the first one a fresh interpreter
+imports (so no import order is needed to break a cycle).
+"""
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import infogame
+
+SRC = Path(infogame.__file__).resolve().parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def parsed(module):
+    path = SRC / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_imported_across_modules(module):
+    bad = [f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+           for node in ast.walk(parsed(module))
+           if isinstance(node, ast.ImportFrom) and node.level > 0
+           for alias in node.names if alias.name.startswith("_")]
+    assert bad == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_imports_inside_functions(module):
+    bad = [f"line {inner.lineno} in {node.name}"
+           for node in ast.walk(parsed(module))
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert bad == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_importable_first_in_fresh_interpreter(module):
+    src_root = str(SRC.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src_root!r}); import infogame.{module}"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

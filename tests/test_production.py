@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from infogame import production
 from infogame.equilibrium import CapExceededError
 from infogame.formation_game import BenefitFunction, LinkProfile
 from infogame.production import (
@@ -16,6 +17,7 @@ from infogame.production import (
     enumerate_production_ne,
     few_metrics,
     few_sweep,
+    grid_levels,
     h_bar,
     is_production_ne,
     production_utility,
@@ -52,6 +54,40 @@ class TestHBar:
     def test_linear_benefit_has_no_finite_optimum(self):
         with pytest.raises(ValueError, match="finite"):
             h_bar(BenefitFunction.linear(), 0.5)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c", "k", "grid_step"])
+    def test_non_finite_rejected(self, field, bad):
+        fields = dict(n_agents=2, benefit=LN, k=0.25, c=0.2, agg=Aggregation.SUM)
+        fields[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ProductionGameConfig(**fields)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_production_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProductionProfile((bad, 0.0), LinkProfile.empty(2))
+
+    def test_h_bar_solved_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counting(f, k):
+            calls.append(k)
+            return h_bar(f, k)
+
+        monkeypatch.setattr(production, "h_bar", counting)
+        cfg = make_cfg(n=3, c=0.2)
+        assert calls == []
+        found = enumerate_production_ne(cfg)
+        assert found and cfg.step() == pytest.approx(0.5) and not cfg.high_cost()
+        assert calls == [0.25]
+
+    def test_missing_optimum_raises_on_first_use(self):
+        cfg = ProductionGameConfig(2, BenefitFunction.linear(), 0.5, 0.2, Aggregation.SUM)
+        with pytest.raises(ValueError, match="finite"):
+            cfg.h_bar()
 
 
 class TestAggregate:
@@ -150,11 +186,9 @@ class TestCharacterizations:
     @pytest.mark.parametrize("agg", [Aggregation.SUM, Aggregation.MAX])
     @pytest.mark.parametrize("c", [0.2, 1.0])
     def test_grid_scan_equivalence_two_agents(self, agg, c):
-        from infogame.production import _grid_levels
-
         cfg = make_cfg(n=2, c=c, agg=agg)
         checker = check_sum_equilibrium if agg is Aggregation.SUM else check_max_equilibrium
-        grid = _grid_levels(cfg)
+        grid = grid_levels(cfg)
         for rows in itertools.product((0, 2), (0, 1)):
             links = LinkProfile(2, rows)
             for prods in itertools.product(grid, repeat=2):

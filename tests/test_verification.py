@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from infogame.entropy import validate_shannon
-from infogame.formation_game import BenefitFunction
+from infogame import verification
+from infogame.analytic import poa_predict
+from infogame.entropy import EntropicVector, validate_shannon
+from infogame.equilibrium import enumerate_nash
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.verification import (
     random_entropic_vector,
     random_homogeneous_config,
@@ -75,3 +78,27 @@ class TestSuite:
             run_verification(n_agents=5)
         with pytest.raises(ValueError):
             run_verification(n_agents=3, instances=0)
+
+
+class TestPoaCheck:
+    # a three-agent recipient-cost game in K_M whose 64 profiles hold no pure equilibrium
+    NO_PURE_NE = GameConfig(
+        EntropicVector(3, (1.5548227125963834, 0.983362969163396, 2.308195877078754,
+                           0.8151197651989379, 2.2998198386772075, 1.7858666456580972,
+                           2.989872499621462)),
+        LN,
+        CostModel.recipient([0.5641013053238928, 0.5537202169052128, 0.4688629228076661]))
+
+    def test_bound_holds_vacuously_without_pure_equilibrium(self):
+        cfg = self.NO_PURE_NE
+        assert enumerate_nash(cfg).ne_profiles == ()
+        assert poa_predict(cfg).is_bound
+        passed, detail = verification._check_poa(
+            np.random.default_rng(0), 3, 2, LN, lambda rng, n, benefit: cfg, "claim")
+        assert passed
+        assert detail == "2 instances, claim; 2 without a pure equilibrium"
+
+    def test_detail_unchanged_when_every_game_has_an_equilibrium(self):
+        passed, detail = verification._check_poa(
+            np.random.default_rng(0), 3, 4, LN, random_homogeneous_config, "claim")
+        assert passed and detail == "4 instances, claim"
