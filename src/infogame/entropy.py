@@ -91,8 +91,8 @@ class JointPmf:
     """Discrete joint distribution over outcome tuples of n agents.
 
     The probability table has one axis per agent; axis length is that agent's
-    alphabet size. Probabilities must be nonnegative and sum to 1 within
-    1e-12.
+    alphabet size. Probabilities must be finite, nonnegative and sum to 1
+    within 1e-12.
     """
 
     __slots__ = ("table",)
@@ -103,6 +103,8 @@ class JointPmf:
             raise ValueError(f"pmf must have 1..{MAX_AGENTS} axes, got {arr.ndim}")
         if any(s < 1 for s in arr.shape):
             raise ValueError("every agent needs a nonempty alphabet")
+        if not np.isfinite(arr).all():
+            raise ValueError("pmf has non-finite probabilities")
         if float(arr.min(initial=0.0)) < -1e-12:
             raise ValueError("pmf has negative probabilities")
         total = float(arr.sum())

@@ -1,21 +1,30 @@
 """Brute-force equilibrium machinery: best responses, NE sets, optimum, PoA, MIL.
 
-The full scan walks every profile in lexicographic order of the flattened
-link matrix. Agent i's best-response set depends on the others' rows only,
-so the scan memoizes one bitmask per (agent, others) pair: bit r is set when
-own-row r is within tolerance of the best achievable utility. A profile is
-an NE when every agent's current row has its bit set, and strict when that
-bit is the only one.
+Both scans judge profiles with :func:`~infogame.kernel.best_response_table`,
+which gives agent i's within-tolerance best-response rows for a batch of
+profiles at once, and evaluate it in fixed-size chunks so that memory stays
+bounded whatever the game.
+
+The full scan covers every profile. Agent i's best responses depend on the
+others' rows only, so its table is built once per others configuration
+(2**((n-1)**2) of them) and then reshaped to (2**(w*i), 2**w, rest), w = n-1,
+putting agent i's own row field in the middle axis: in the profile index
+that field is contiguous, so one gather tests agent i's row in every profile
+at once. A profile is an NE when every agent's own row is set in its table,
+and strict when that row is the only one set.
 
 For six agents the profile space is 2**30 and the scan switches to candidate
 pruning: every NE with strictly positive link costs is a forest in which each
 edge has exactly one sponsor (a duplicate or cycle link could be dropped for
-a strict gain), so only sponsored forests are generated and verified. The
-pruned path refuses cost models with a link cost at or below tolerance.
+a strict gain), so only sponsored forests are generated, as profile indices,
+and verified. The pruned path refuses cost models with a link cost at or
+below tolerance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .entropy import TOL, subset_mask
 from .formation_game import (
@@ -25,14 +34,17 @@ from .formation_game import (
     undirected_adjacency,
 )
 from .kernel import (
+    best_response_table,
     compress_row,
     expand_row,
     fh_table,
+    field_compacts,
     ne_status,
-    orientations,
     profile_from_index,
+    profile_index,
     row_costs,
     row_utilities,
+    rows_from_indices,
     set_partitions,
     welfare,
 )
@@ -40,6 +52,8 @@ from .kernel import (
 FULL_SCAN_CAP = 5
 DEFAULT_ENUM_CAP = 6
 SOCIAL_OPT_CAP = 8
+# profiles (or others configurations) per best-response table evaluation
+SCAN_CHUNK = 4096
 
 
 class CapExceededError(RuntimeError):
@@ -84,21 +98,11 @@ class EquilibriumReport:
             f"price of anarchy: {'undefined' if self.poa is None else repr(self.poa)}",
             f"max information loss (bits): {self.mil!r}",
         ]
+        strict_rows = {q.rows for q in self.strict_ne_profiles}
         for p, w in zip(self.ne_profiles, self.ne_welfares):
-            strict = p.rows in {q.rows for q in self.strict_ne_profiles}
+            strict = p.rows in strict_rows
             lines.append(f"  NE {p.bitstring()} welfare={w!r}{' strict' if strict else ''}")
         return "\n".join(lines) + "\n"
-
-
-def _br_mask(n, rows, i, fh, cost_row, tol):
-    """Bitmask over compact rows within ``tol`` of agent i's best utility."""
-    utils = row_utilities(n, rows, i, fh, cost_row)
-    best = max(utils)
-    mask = 0
-    for compact, u in enumerate(utils):
-        if u >= best - tol:
-            mask |= 1 << compact
-    return mask
 
 
 def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TOL) -> frozenset[int]:
@@ -112,8 +116,9 @@ def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TO
         raise ValueError(f"agent {i} out of range")
     if others.n_agents != n:
         raise ValueError("profile size does not match the game")
-    brm = _br_mask(n, others.rows, i, fh_table(cfg), row_costs(cfg)[i], tol)
-    return frozenset(expand_row(c, i) for c in range(1 << (n - 1)) if brm >> c & 1)
+    utils = row_utilities(n, others.rows, i, fh_table(cfg), row_costs(cfg)[i])
+    best = max(utils)
+    return frozenset(expand_row(c, i) for c, u in enumerate(utils) if u >= best - tol)
 
 
 def _profile_status(cfg: GameConfig, profile: LinkProfile, tol: float) -> tuple[bool, bool]:
@@ -135,36 +140,37 @@ def is_strict_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> b
 
 # -- enumeration --------------------------------------------------------------
 
+def _found(idx: np.ndarray, strict: np.ndarray, n: int):
+    """(rows, strict) pairs of the profiles with the given indices."""
+    return [(tuple(rows), bool(st))
+            for rows, st in zip(rows_from_indices(idx, n).tolist(), strict)]
+
+
 def _ne_scan_full(cfg: GameConfig, tol: float):
-    """Exhaustive scan; yields (rows, strict) for every NE in lexicographic order."""
+    """Exhaustive scan; (rows, strict) for every NE in profile-index order."""
     n = cfg.n_agents
-    fh = fh_table(cfg)
-    costs = row_costs(cfg)
-    memo: dict[int, int] = {}
-    found = []
-    for idx in range(1 << (n * (n - 1))):
-        rows = profile_from_index(idx, n)
-        is_ne = True
-        strict = True
-        for i in range(n):
-            packed = 0
-            for j in range(n):
-                if j != i:
-                    packed |= rows[j] << (j * n)
-            key = (packed << 4) | i
-            brm = memo.get(key)
-            if brm is None:
-                brm = _br_mask(n, rows, i, fh, costs[i], tol)
-                memo[key] = brm
-            cbit = 1 << compress_row(rows[i], i)
-            if not brm & cbit:
-                is_ne = False
-                break
-            if brm != cbit:
-                strict = False
-        if is_ne:
-            found.append((rows, strict))
-    return found
+    w = n - 1
+    fh = np.asarray(fh_table(cfg))
+    costs = [np.asarray(c) for c in row_costs(cfg)]
+    ne = np.ones(1 << (n * w), dtype=bool)
+    strict = np.ones(1 << (n * w), dtype=bool)
+    n_others = 1 << (w * w)
+    for i in range(n):
+        low = w * (n - 1 - i)
+        table = np.empty((n_others, 1 << w), dtype=bool)
+        for start in range(0, n_others, SCAN_CHUNK):
+            others = np.arange(start, min(start + SCAN_CHUNK, n_others), dtype=np.int64)
+            # the others' fields around an empty own field
+            idx = (others >> low << (low + w)) | (others & ((1 << low) - 1))
+            table[start:start + len(others)] = best_response_table(
+                n, rows_from_indices(idx, n), i, fh, costs[i], tol)
+        unique = (table.sum(axis=1) == 1).reshape(1 << (w * i), 1, 1 << low)
+        own = table[:, field_compacts(n)].reshape(1 << (w * i), 1 << low, 1 << w)
+        own = own.transpose(0, 2, 1)
+        ne &= own.reshape(-1)
+        strict &= (own & unique).reshape(-1)
+    idx = np.flatnonzero(ne)
+    return _found(idx, strict[idx], n)
 
 
 def _forest_edge_subsets(n: int):
@@ -186,6 +192,29 @@ def _forest_edge_subsets(n: int):
     yield from grow(0, [], list(range(n)))
 
 
+def _forest_candidates(n: int) -> np.ndarray:
+    """Profile indices of every sponsored forest, ascending.
+
+    Each edge of each acyclic edge subset is sponsored by one of its two
+    ends, in all 2**len(edges) ways.
+    """
+    bit = np.array([[profile_index(tuple(1 << j if a == i else 0 for a in range(n)))
+                     if i != j else 0 for j in range(n)] for i in range(n)], dtype=np.int64)
+    # edges of the forests with k >= 1 edges, flattened; the pairs are shared, not copied
+    by_size: dict[int, list] = {}
+    for edge_list in _forest_edge_subsets(n):
+        if edge_list:
+            by_size.setdefault(len(edge_list), []).extend(edge_list)
+    parts = [np.zeros(1, dtype=np.int64)]  # the empty network
+    for k, flat in by_size.items():
+        ends = np.array(flat, dtype=np.intp).reshape(-1, k, 2)
+        forward = bit[ends[..., 0], ends[..., 1]]
+        backward = bit[ends[..., 1], ends[..., 0]]
+        flip = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+        parts.append(np.where(flip, backward[:, None, :], forward[:, None, :]).sum(axis=2).ravel())
+    return np.sort(np.concatenate(parts))
+
+
 def _ne_scan_pruned(cfg: GameConfig, tol: float):
     """Forest-candidate scan for n >= 6. Needs every link cost above tolerance."""
     n = cfg.n_agents
@@ -193,16 +222,23 @@ def _ne_scan_pruned(cfg: GameConfig, tol: float):
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
-    fh = fh_table(cfg)
-    costs = row_costs(cfg)
-    empty = (0,) * n
+    if n * (n - 1) > 63:
+        raise CapExceededError(f"pruned enumeration indexes profiles in 64 bits, "
+                               f"so it is capped at 8 agents, got {n}")
+    fh = np.asarray(fh_table(cfg))
+    costs = [np.asarray(c) for c in row_costs(cfg)]
+    candidates = _forest_candidates(n)
     found = []
-    for edge_list in _forest_edge_subsets(n):
-        for rows in orientations(edge_list, empty):
-            is_ne, strict = ne_status(n, rows, range(n), fh, costs, tol)
-            if is_ne:
-                found.append((rows, strict))
-    found.sort(key=lambda item: LinkProfile(n, item[0]).index())
+    for start in range(0, len(candidates), SCAN_CHUNK):
+        idx = candidates[start:start + SCAN_CHUNK]
+        rows = rows_from_indices(idx, n)
+        strict = np.ones(len(idx), dtype=bool)
+        for i in range(n):
+            table = best_response_table(n, rows, i, fh, costs[i], tol)
+            keep = table[np.arange(len(idx)), compress_row(rows[:, i], i)]
+            strict = strict[keep] & (table[keep].sum(axis=1) == 1)
+            idx, rows = idx[keep], rows[keep]
+        found += _found(idx, strict, n)
     return found
 
 
@@ -298,8 +334,10 @@ def enumerate_nash(cfg: GameConfig, max_n: int | None = None,
     if method == "auto":
         method = "full" if n <= FULL_SCAN_CAP else "pruned"
     if method == "full":
-        if n > FULL_SCAN_CAP and (max_n is None or n > max_n):
-            raise CapExceededError(f"full scan capped at {FULL_SCAN_CAP} agents, got {n}")
+        if n > FULL_SCAN_CAP:
+            raise CapExceededError(
+                f"full scan capped at {FULL_SCAN_CAP} agents, got {n}: "
+                f"it would test 2**{n * (n - 1)} profiles")
         found = _ne_scan_full(cfg, tol)
     elif method == "pruned":
         found = _ne_scan_pruned(cfg, tol)

@@ -4,6 +4,16 @@ Here a link profile is a tuple of row bitmasks: row i holds the agents that
 i links to. Agent i's alternatives are indexed by *compact* rows, its row
 with bit i removed, so its 2**(n-1) candidate rows are 0 .. 2**(n-1) - 1.
 
+The *profile index* ranks the 2**(n(n-1)) profiles by their flattened link
+matrix with the diagonal left out: row i is the (n-1)-bit field starting at
+bit (n-1)(n-1-i), and inside a field the most significant bit is the lowest
+target, the reverse of the compact-row order.
+
+Two paths evaluate best responses. The scalar one (:func:`row_utilities`,
+:func:`ne_status`) takes one profile of Python ints; the array one
+(:func:`best_response_table`) takes a batch of profiles as an int64 array.
+Both compute the same float64 utilities and the same within-tolerance test.
+
 ``component_masks`` is looked up on its module at call time rather than
 imported by name, so that anything which replaces it there (a call tracer,
 say) also sees the calls made from this module.
@@ -13,6 +23,8 @@ from __future__ import annotations
 import heapq
 import itertools
 
+import numpy as np
+
 from . import formation_game
 from .entropy import TOL
 
@@ -20,13 +32,19 @@ from .entropy import TOL
 # -- profile encoding -----------------------------------------------------------
 
 def expand_row(compact: int, i: int) -> int:
-    """Insert a zero bit at position i, mapping a compact row to a real row."""
+    """Insert a zero bit at position i, mapping a compact row to a real row.
+
+    Works elementwise on int arrays too.
+    """
     low = compact & ((1 << i) - 1)
     return low | ((compact >> i) << (i + 1))
 
 
 def compress_row(row: int, i: int) -> int:
-    """Drop bit i (which must be zero) from a row mask."""
+    """Drop bit i (which must be zero) from a row mask.
+
+    Works elementwise on int arrays too.
+    """
     low = row & ((1 << i) - 1)
     return low | ((row >> (i + 1)) << i)
 
@@ -50,6 +68,41 @@ def profile_from_index(idx: int, n: int) -> tuple[int, ...]:
             pos -= 1
         rows.append(row)
     return tuple(rows)
+
+
+def profile_index(rows) -> int:
+    """Profile index of a tuple of rows; the inverse of :func:`profile_from_index`."""
+    n = len(rows)
+    idx = 0
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if j != i:
+                idx = idx << 1 | (row >> j & 1)
+    return idx
+
+
+def field_compacts(n: int) -> np.ndarray:
+    """Compact row of every value of an (n-1)-bit row field of the profile index.
+
+    The field reverses the compact bit order, so this is a bit reversal.
+    """
+    width = n - 1
+    fields = np.arange(1 << width)
+    compacts = np.zeros(1 << width, dtype=np.int64)
+    for p in range(width):
+        compacts |= (fields >> (width - 1 - p) & 1) << p
+    return compacts
+
+
+def rows_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
+    """Rows of every profile index in ``idx``, as an int64 array of shape (len, n)."""
+    width = n - 1
+    compacts = field_compacts(n)
+    out = np.empty((len(idx), n), dtype=np.int64)
+    for i in range(n):
+        field = (idx >> (width * (n - 1 - i))) & ((1 << width) - 1)
+        out[:, i] = expand_row(compacts, i)[field]
+    return out
 
 
 # -- combinatorics ----------------------------------------------------------------
@@ -191,6 +244,45 @@ def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
             floor = u_cur - tol
             strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
     return True, strict
+
+
+def best_response_table(n: int, rows: np.ndarray, i: int, fh: np.ndarray,
+                        row_cost: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """Agent i's within-tolerance best responses for a batch of profiles.
+
+    ``rows`` is an int64 array of shape (batch, n); column i is ignored.
+    Returns a bool array of shape (batch, 2**(n-1)) whose entry [b, c] is set
+    when compact row c is within ``tol`` of agent i's best utility against
+    the other rows of profile b. ``fh`` and ``row_cost`` are
+    :func:`fh_table` and agent i's :func:`row_costs` table as float64 arrays.
+    The utilities are those of :func:`row_utilities` and the test is that of
+    :func:`ne_status`, in the same float64 arithmetic, so both paths agree
+    bit for bit.
+    """
+    # reach[a]: agent a's neighbours (then its component) without i's links
+    reach = np.zeros((n, len(rows)), dtype=np.int64)
+    for a in range(n):
+        reach[a] |= 1 << a
+        if a == i:
+            continue
+        r = rows[:, a]
+        reach[a] |= r
+        for j in range(n):
+            if j != a:
+                reach[j] |= (r >> j & 1) << a
+    # Warshall closure: whoever reaches k reaches all that k reaches
+    for k in range(n):
+        for a in range(n):
+            if a != k:
+                reach[a] |= reach[k] & -(reach[a] >> k & 1)
+    # the OR over compact rows of merged_components, one target bit at a time
+    merged = np.empty((len(rows), 1 << (n - 1)), dtype=np.int64)
+    merged[:, 0] = reach[i]
+    for k, j in enumerate(t for t in range(n) if t != i):
+        half = 1 << k
+        np.bitwise_or(merged[:, :half], reach[j][:, None], out=merged[:, half:2 * half])
+    u = fh[merged] - row_cost
+    return u >= u.max(axis=1, keepdims=True) - tol
 
 
 def welfare(cfg: formation_game.GameConfig, rows, comp: list[int], fh: list[float]) -> float:

@@ -66,6 +66,12 @@ class TestFromJointPmf:
         with pytest.raises(ValueError, match="negative"):
             JointPmf([[0.6, -0.1], [0.3, 0.2]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_cell(self, bad):
+        # NaN passed both the sign and the sum check, and read as probability 0
+        with pytest.raises(ValueError, match="non-finite"):
+            JointPmf([[bad, 0.5], [0.25, 0.25]])
+
 
 class TestValidateShannon:
     def test_pmf_output_always_valid(self):
@@ -262,3 +268,8 @@ class TestSerialization:
     def test_pmf_csv_duplicate_outcome(self):
         with pytest.raises(ValueError, match="duplicate"):
             JointPmf.from_csv("x1,prob\n0,0.5\n0,0.5\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_pmf_csv_non_finite_probability(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            JointPmf.from_csv(f"x1,x2,prob\n0,0,{bad}\n0,1,0.5\n1,0,0.25\n1,1,0.25\n")

@@ -3,8 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infogame.entropy import family_pair_redundancy, family_independent, family_max_correlated
+from infogame import equilibrium
+from infogame.entropy import (
+    TOL,
+    family_independent,
+    family_max_correlated,
+    family_pair_redundancy,
+    from_joint_pmf,
+)
 from infogame.equilibrium import (
     CapExceededError,
     best_responses,
@@ -23,7 +32,8 @@ from infogame.formation_game import (
     components,
     is_minimally_connected,
 )
-from infogame.verification import random_homogeneous_config
+from infogame.kernel import fh_table, ne_status, profile_from_index, profile_index, row_costs
+from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)
@@ -111,10 +121,13 @@ class TestEnumerate:
                                for i in range(n) for j in range(i + 1, n))
 
     def test_pruned_matches_full(self):
-        for seed in range(10):
-            rng = np.random.default_rng(200 + seed)
-            cfg = random_homogeneous_config(rng, 3 + seed % 2, LN)
-            if cfg.costs.values[0] <= 1e-9:
+        games = [random_homogeneous_config(np.random.default_rng(200 + seed), 3 + seed % 2, LN)
+                 for seed in range(10)]
+        # five agents, positive costs, from 2000 equilibria (5 strict) down to 5 (all strict)
+        games += [random_homogeneous_config(np.random.default_rng(seed), 5, LN) for seed in (0, 1, 18)]
+        games += [random_recipient_config(np.random.default_rng(seed), 5, LOG2) for seed in (0, 5)]
+        for cfg in games:
+            if cfg.costs.min_cost(cfg.n_agents) <= 1e-9:
                 continue
             full = enumerate_nash(cfg, method="full")
             pruned = enumerate_nash(cfg, method="pruned")
@@ -127,10 +140,24 @@ class TestEnumerate:
         with pytest.raises(CapExceededError, match="positive"):
             enumerate_nash(cfg, method="pruned")
 
+    def test_pruned_scan_refuses_indices_beyond_64_bits(self):
+        cfg = homog(family_independent([1] * 9), 0.5)
+        with pytest.raises(CapExceededError, match="64 bits"):
+            enumerate_nash(cfg, max_n=9, method="pruned")
+
     def test_cap(self):
         cfg = homog(family_independent([1] * 7), 0.5)
         with pytest.raises(CapExceededError):
             enumerate_nash(cfg)
+
+    @pytest.mark.parametrize("max_n", [None, 6, 7])
+    def test_full_scan_refuses_six_agents_whatever_max_n(self, max_n, monkeypatch):
+        def never(cfg, tol):
+            raise AssertionError("the full scan started")
+        monkeypatch.setattr(equilibrium, "_ne_scan_full", never)
+        cfg = homog(family_independent([1] * 6), 0.5)
+        with pytest.raises(CapExceededError, match=r"capped at 5 agents, got 6: .* 2\*\*30 profiles"):
+            enumerate_nash(cfg, max_n=max_n, method="full")
 
     def test_single_agent_game(self):
         cfg = homog(family_independent([2.0]), 0.5)
@@ -166,6 +193,95 @@ class TestEnumerate:
             b = enumerate_nash(cfg, tol=5e-10)
             assert ([p.rows for p in a.strict_ne_profiles]
                     == [p.rows for p in b.strict_ne_profiles])
+
+
+def scalar_status(cfg, indices, tol=TOL):
+    """{index: (is_ne, is_strict)} from the per-profile scalar test."""
+    n = cfg.n_agents
+    fh, costs = fh_table(cfg), row_costs(cfg)
+    return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs, tol) for k in indices}
+
+
+def kernel_sets(cfg, tol=TOL):
+    """(NE indices, strict indices) from the full scan."""
+    report = enumerate_nash(cfg, method="full", tol=tol)
+    return ({profile_index(p.rows) for p in report.ne_profiles},
+            {profile_index(p.rows) for p in report.strict_ne_profiles})
+
+
+BENEFITS = [LOG2, LN, BenefitFunction.power(0.5), BenefitFunction.linear()]
+
+
+@st.composite
+def games(draw, n):
+    """Random games: pmf-realized or family information, any benefit, any cost model."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["pmf", "independent", "correlated"]))
+    if source == "pmf":
+        ev = from_joint_pmf(random_joint_pmf(rng, n))
+    else:
+        h = [float(x) for x in rng.integers(1, 25, size=n) / 8.0]
+        ev = family_independent(h) if source == "independent" else family_max_correlated(h)
+    kind = draw(st.sampled_from(["homogeneous", "recipient", "matrix"]))
+    if kind == "homogeneous":
+        costs = CostModel.homogeneous(float(rng.uniform(0.0, 2.0)))
+    elif kind == "recipient":
+        costs = CostModel.recipient(rng.uniform(0.0, 2.0, size=n))
+    else:
+        costs = CostModel.matrix(rng.uniform(0.0, 2.0, size=(n, n)))
+    return GameConfig(ev, draw(st.sampled_from(BENEFITS)), costs)
+
+
+@st.composite
+def tie_games(draw, n):
+    """Linear benefit, integer entropies, each link priced at a marginal gain.
+
+    Utilities are small integers, so many rows tie exactly; prices nudged by
+    half the tolerance (or twice it) put rows just inside (or outside) the
+    within-tolerance test.
+    """
+    h = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    correlated = draw(st.booleans())
+    ev = (family_max_correlated if correlated else family_independent)([float(x) for x in h])
+    nudges = st.sampled_from([0.0, TOL / 2, -TOL / 2, 2 * TOL, -2 * TOL])
+    if draw(st.booleans()):
+        costs = CostModel.recipient([max(0.0, x + draw(nudges)) for x in h])
+    else:
+        costs = CostModel.homogeneous(max(0.0, draw(st.sampled_from(h)) + draw(nudges)))
+    return GameConfig(ev, BenefitFunction.linear(), costs)
+
+
+class TestArrayKernelMatchesScalar:
+    """The full scan's NE and strict sets against the per-profile ``ne_status``."""
+
+    @staticmethod
+    def check_all_profiles(cfg):
+        n = cfg.n_agents
+        status = scalar_status(cfg, range(1 << (n * (n - 1))))
+        ne, strict = kernel_sets(cfg)
+        assert ne == {k for k, (is_ne, _) in status.items() if is_ne}
+        assert strict == {k for k, (_, is_strict) in status.items() if is_strict}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4).flatmap(games))
+    def test_every_profile_small_games(self, cfg):
+        self.check_all_profiles(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4).flatmap(tie_games))
+    def test_every_profile_tie_heavy_games(self, cfg):
+        self.check_all_profiles(cfg)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.one_of(games(5), tie_games(5)), st.data())
+    def test_sampled_profiles_five_agents(self, cfg, data):
+        ne, strict = kernel_sets(cfg)
+        # every NE the kernel reports plus a sample of other profiles
+        sample = data.draw(st.lists(st.integers(0, (1 << 20) - 1), min_size=40, max_size=40))
+        picked = sorted(ne)[:: max(1, len(ne) // 40)]
+        for k, (is_ne, is_strict) in scalar_status(cfg, picked + sample).items():
+            assert (k in ne) == is_ne
+            assert (k in strict) == is_strict
 
 
 class TestSocialOptimum:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infogame.formation_game import (
     BenefitFunction,
@@ -14,14 +16,19 @@ from infogame.formation_game import (
     undirected_adjacency,
 )
 from infogame.kernel import (
+    best_response_table,
     fh_table,
     orientations,
     profile_from_index,
+    profile_index,
+    row_costs,
+    row_utilities,
+    rows_from_indices,
     set_partitions,
     spanning_trees,
     welfare,
 )
-from infogame.verification import random_recipient_config
+from infogame.verification import random_homogeneous_config, random_recipient_config
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -62,6 +69,41 @@ def test_index_decoding_inverts_profile_index():
     assert len(ranked) == 1 << (n * (n - 1))
     for idx, p in enumerate(ranked):
         assert profile_from_index(idx, n) == p.rows
+
+
+profile_indices = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1))) - 1),
+                        st.integers(0, (1 << (n * (n - 1))) - 1)))
+
+
+@settings(max_examples=300)
+@given(profile_indices)
+def test_profile_index_round_trip(case):
+    n, k, other = case
+    rows = profile_from_index(k, n)
+    assert profile_index(rows) == k
+    assert rows_from_indices(np.array([k, other]), n).tolist() == [list(rows),
+                                                                   list(profile_from_index(other, n))]
+    # index() ranks the same flattened matrix with its zero diagonal kept, so
+    # the two indices differ in value but not in order
+    p, q = LinkProfile(n, rows), LinkProfile(n, profile_from_index(other, n))
+    assert "".join(c for t, c in enumerate(p.bitstring()) if t % (n + 1)) == format(k, f"0{n * (n - 1)}b")
+    assert (p.index() < q.index()) == (k < other)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_best_response_table_matches_row_utilities(n):
+    rng = np.random.default_rng(40 + n)
+    make = random_recipient_config if n % 2 else random_homogeneous_config
+    cfg = make(rng, n, LN)
+    fh, costs = fh_table(cfg), row_costs(cfg)
+    idx = rng.integers(0, 1 << (n * (n - 1)), size=200)
+    rows = rows_from_indices(idx, n)
+    for i in range(n):
+        table = best_response_table(n, rows, i, np.asarray(fh), np.asarray(costs[i]))
+        for b, k in enumerate(idx):
+            utils = row_utilities(n, profile_from_index(int(k), n), i, fh, costs[i])
+            assert table[b].tolist() == [u >= max(utils) - 1e-9 for u in utils]
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1)], [(0, 1), (1, 2)], [(0, 3), (1, 3), (2, 4), (3, 4)]])
