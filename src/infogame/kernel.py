@@ -13,6 +13,8 @@ Two paths evaluate best responses. The scalar one (:func:`row_utilities`,
 :func:`ne_status`) takes one profile of Python ints; the array one
 (:func:`best_response_table`) takes a batch of profiles as an int64 array.
 Both compute the same float64 utilities and the same within-tolerance test.
+The array path's component walk, :func:`merged_table`, is shared with the
+production game's equilibrium check.
 
 ``component_masks`` is looked up on its module at call time rather than
 imported by name, so that anything which replaces it there (a call tracer,
@@ -246,18 +248,12 @@ def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
     return True, strict
 
 
-def best_response_table(n: int, rows: np.ndarray, i: int, fh: np.ndarray,
-                        row_cost: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Agent i's within-tolerance best responses for a batch of profiles.
+def merged_table(n: int, rows: np.ndarray, i: int) -> np.ndarray:
+    """Agent i's component mask for every compact row, for a batch of profiles.
 
     ``rows`` is an int64 array of shape (batch, n); column i is ignored.
-    Returns a bool array of shape (batch, 2**(n-1)) whose entry [b, c] is set
-    when compact row c is within ``tol`` of agent i's best utility against
-    the other rows of profile b. ``fh`` and ``row_cost`` are
-    :func:`fh_table` and agent i's :func:`row_costs` table as float64 arrays.
-    The utilities are those of :func:`row_utilities` and the test is that of
-    :func:`ne_status`, in the same float64 arithmetic, so both paths agree
-    bit for bit.
+    Returns an int64 array of shape (batch, 2**(n-1)) whose row b is
+    :func:`merged_components` of profile b.
     """
     # reach[a]: agent a's neighbours (then its component) without i's links
     reach = np.zeros((n, len(rows)), dtype=np.int64)
@@ -281,7 +277,23 @@ def best_response_table(n: int, rows: np.ndarray, i: int, fh: np.ndarray,
     for k, j in enumerate(t for t in range(n) if t != i):
         half = 1 << k
         np.bitwise_or(merged[:, :half], reach[j][:, None], out=merged[:, half:2 * half])
-    u = fh[merged] - row_cost
+    return merged
+
+
+def best_response_table(n: int, rows: np.ndarray, i: int, fh: np.ndarray,
+                        row_cost: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """Agent i's within-tolerance best responses for a batch of profiles.
+
+    ``rows`` is an int64 array of shape (batch, n); column i is ignored.
+    Returns a bool array of shape (batch, 2**(n-1)) whose entry [b, c] is set
+    when compact row c is within ``tol`` of agent i's best utility against
+    the other rows of profile b. ``fh`` and ``row_cost`` are
+    :func:`fh_table` and agent i's :func:`row_costs` table as float64 arrays.
+    The utilities are those of :func:`row_utilities` and the test is that of
+    :func:`ne_status`, in the same float64 arithmetic, so both paths agree
+    bit for bit.
+    """
+    u = fh[merged_table(n, rows, i)] - row_cost
     return u >= u.max(axis=1, keepdims=True) - tol
 
 

@@ -13,6 +13,15 @@ production for each link choice, which covers the continuous axis: for SUM
 the inner optimum is max(0, h_bar - acquired), for MAX it is 0 or h_bar.
 h_bar, the stand-alone optimal production, solves f'(h) = k.
 
+One check, :func:`production_ne_mask`, judges a batch of profiles given as
+arrays: for each agent, ``kernel.merged_table`` gives its component under
+every compact row, and every (row, production) deviation of every profile is
+scored at once, in chunks of ``CHECK_CHUNK`` cells. The aggregates are
+accumulated one agent at a time in ascending order, and f is evaluated by
+the scalar :class:`BenefitFunction` on the distinct values only, so every
+utility is the float that :func:`production_utility` computes. Enumerations
+estimate their checks first and refuse more than ``CHECK_BUDGET``.
+
 The characterization checkers assume a strictly positive link cost; with
 free links a duplicate-sponsored edge can sit in an equilibrium that the
 checkers reject. The knife edge c = k * h_bar is classified with the
@@ -26,14 +35,20 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from .entropy import TOL, subset_agents
 from .equilibrium import CapExceededError
 from .formation_game import BenefitFunction, LinkProfile, component_masks, undirected_adjacency
-from .kernel import merged_components, orientations, profile_from_index, spanning_trees
+from .kernel import compress_row, merged_table, orientations, rows_from_indices, spanning_trees
 
 NE_CHECK_CAP = 10
 FULL_SCAN_CAP = 3
 CANDIDATE_CAP = 5
+# profiles one enumeration may check, whatever max_n
+CHECK_BUDGET = 1 << 20
+# cells (profiles x compact rows x production candidates) per chunk of production_ne_mask
+CHECK_CHUNK = 1 << 13
 PRODUCER_EPS = 1e-12
 
 
@@ -178,30 +193,108 @@ def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) 
     return cfg.benefit(info) - cfg.k * s.productions[i] - cfg.c * s.links.rows[i].bit_count()
 
 
-def grid_levels(cfg: ProductionGameConfig) -> list[float]:
-    """Production levels 0, step, 2 step, ... up to the first one at or above h_bar."""
+def _grid_top(cfg: ProductionGameConfig) -> int:
+    """Index of the last grid level, the first multiple of the step at or above h_bar."""
     hb = cfg.h_bar()
     if hb <= 0 and cfg.grid_step is None:
-        return [0.0]  # producing anything already costs more than it earns
+        return 0  # producing anything already costs more than it earns
+    return math.ceil(hb / cfg.step() - 1e-12)
+
+
+def grid_levels(cfg: ProductionGameConfig) -> list[float]:
+    """Production levels 0, step, 2 step, ... up to the first one at or above h_bar."""
+    top = _grid_top(cfg)
+    if not top:
+        return [0.0]
     step = cfg.step()
-    top = math.ceil(hb / step - 1e-12)
     return [m * step for m in range(top + 1)]
 
 
-def _deviation_candidates(cfg: ProductionGameConfig, grid, hb, acquired) -> list[float]:
-    cands = list(grid)
-    cands.append(hb)
-    if cfg.agg is Aggregation.SUM:
-        cands.append(max(0.0, hb - acquired))
-    return cands
+def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """:func:`aggregate` of every entry of ``masks``, row b over the productions ``prods[b]``.
+
+    SUM adds the members' productions one agent at a time in ascending
+    order, as :func:`aggregate` does, so each value is the same float.
+    """
+    n = prods.shape[1]
+    member = (masks[..., None] >> np.arange(n) & 1).astype(bool)
+    terms = np.where(member, prods.reshape((len(prods),) + (1,) * (masks.ndim - 1) + (n,)), 0.0)
+    if agg is Aggregation.SUM:
+        return np.add.accumulate(terms, axis=-1)[..., -1]
+    return terms.max(axis=-1)
+
+
+def _chunk_profiles(cfg: ProductionGameConfig) -> int:
+    """Profiles per chunk: ``CHECK_CHUNK`` cells of compact rows x production candidates."""
+    width = len(grid_levels(cfg)) + 1 + (cfg.agg is Aggregation.SUM)
+    return max(1, CHECK_CHUNK // (width << (cfg.n_agents - 1)))
+
+
+def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
+    """Which profiles of a batch are equilibria: no unilateral (links, production)
+    deviation gains more than 1e-9.
+
+    ``rows`` holds link rows and ``prods`` production levels, both of shape
+    (batch, n). Deviations range over every link vector crossed with the
+    production grid, h_bar, and for SUM the closed-form best production
+    max(0, h_bar - acquired) for the deviated links. Returns a bool array of
+    length batch.
+    """
+    n = cfg.n_agents
+    rows = np.asarray(rows, dtype=np.int64)
+    prods = np.asarray(prods, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != n or prods.shape != rows.shape:
+        raise ValueError("profile size does not match the game")
+    if ((rows < 0) | (rows >> n != 0) | (rows >> np.arange(n) & 1 != 0)).any():
+        raise ValueError("link rows must be n-bit masks without self links")
+    if not (np.isfinite(prods) & (prods >= 0)).all():
+        raise ValueError("production levels must be finite and nonnegative")
+    f, k, c, hb = cfg.benefit, cfg.k, cfg.c, cfg.h_bar()
+    is_sum = cfg.agg is Aggregation.SUM
+    levels = np.array(grid_levels(cfg) + [hb])
+    n_links = np.array([m.bit_count() for m in range(1 << n)], dtype=np.float64)  # per row mask
+    link_cost = c * n_links[:1 << (n - 1), None]
+
+    def deviates(rows, prods, i):
+        """Per profile: can agent i gain more than TOL by a (links, production) deviation?"""
+        merged = merged_table(n, rows, i)
+        own = merged[np.arange(len(rows)), compress_row(rows[:, i], i)]
+        # column 0: i's component; then what each compact row acquires from others
+        info = _aggregate_masks(cfg.agg, prods, np.hstack([own[:, None], merged & ~(1 << i)]))
+        acquired = info[:, 1:, None]
+        h = np.empty(acquired.shape[:2] + (len(levels) + is_sum,))
+        h[..., :len(levels)] = levels
+        if is_sum:
+            h[..., -1:] = np.maximum(0.0, hb - acquired)
+            gained = acquired + h
+        else:
+            gained = np.maximum(acquired, h)
+        # f by the scalar BenefitFunction, once per distinct value: numpy's log1p and
+        # power differ from math's in the last bit on some inputs
+        values, inverse = np.unique(np.concatenate([info[:, 0], gained.ravel()]), return_inverse=True)
+        fv = np.array([f(v) for v in values.tolist()])[inverse]
+        current = fv[:len(rows)] - k * prods[:, i] - c * n_links[rows[:, i]]
+        u = fv[len(rows):].reshape(h.shape) - k * h - link_cost
+        return (u > (current + TOL)[:, None, None]).any(axis=(1, 2))
+
+    per = _chunk_profiles(cfg)
+    ne = np.zeros(len(rows), dtype=bool)
+    for start in range(0, len(rows), per):
+        alive = np.arange(start, min(start + per, len(rows)))
+        for i in range(n):
+            # a profile leaves at its first agent with a profitable deviation
+            alive = alive[~deviates(rows[alive], prods[alive], i)]
+            if not len(alive):
+                break
+        ne[alive] = True
+    return ne
 
 
 def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile,
                      max_n: int | None = None) -> bool:
     """True when no unilateral (links, production) deviation gains more than 1e-9.
 
-    Deviations range over every link vector crossed with the production grid,
-    h_bar, and the closed-form best production for the deviated links.
+    :func:`production_ne_mask` of the batch of one.
     """
     n = cfg.n_agents
     cap = max_n if max_n is not None else NE_CHECK_CAP
@@ -209,24 +302,7 @@ def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile,
         raise CapExceededError(f"equilibrium check capped at {cap} agents, got {n}")
     if s.n_agents != n:
         raise ValueError("profile size does not match the game")
-    f = cfg.benefit
-    k, c = cfg.k, cfg.c
-    hb = cfg.h_bar()
-    grid = grid_levels(cfg)
-    prods = s.productions
-    is_sum = cfg.agg is Aggregation.SUM
-    for i in range(n):
-        current = production_utility(cfg, s, i)
-        merged = merged_components(n, s.links.rows, i)
-        for compact, mask in enumerate(merged):
-            linkcost = c * compact.bit_count()
-            acquired = aggregate(cfg.agg, prods, mask & ~(1 << i))
-            for h in _deviation_candidates(cfg, grid, hb, acquired):
-                info = acquired + h if is_sum else max(acquired, h)
-                u = f(info) - k * h - linkcost
-                if u > current + TOL:
-                    return False
-    return True
+    return bool(production_ne_mask(cfg, [s.links.rows], [s.productions])[0])
 
 
 # -- equilibrium-shape characterizations --------------------------------------
@@ -352,6 +428,102 @@ def _profile_sort_key(s: ProductionProfile):
     return (s.links.index(), s.productions)
 
 
+def _compositions(total: int, parts: int, top: int):
+    """Vectors of ``parts`` integers in [0, top] adding up to ``total``, lexicographic."""
+    if parts == 1:
+        if total <= top:
+            yield (total,)
+        return
+    for first in range(max(0, total - top * (parts - 1)), min(top, total) + 1):
+        for rest in _compositions(total - first, parts - 1, top):
+            yield (first,) + rest
+
+
+def _composition_count(total: int, parts: int, top: int) -> int:
+    """Number of :func:`_compositions`, by inclusion-exclusion over parts above ``top``."""
+    return sum((-1) ** j * math.comb(parts, j) * math.comb(total - j * (top + 1) + parts - 1, parts - 1)
+               for j in range(parts + 1) if total - j * (top + 1) >= 0)
+
+
+def _split_totals(cfg: ProductionGameConfig):
+    """Step counts t with t * step near h_bar: every grid vector whose production adds
+    up to h_bar within TOL has one of them as its sum of step counts."""
+    hb, step = cfg.h_bar(), cfg.step()
+    slack = TOL + 1e-12 * (1.0 + hb)  # covers the rounding of the grid values and their sum
+    for t in range(max(0, math.floor((hb - slack) / step)), math.ceil((hb + slack) / step) + 1):
+        if abs(t * step - hb) <= slack:
+            yield t
+
+
+def _splits(cfg: ProductionGameConfig) -> np.ndarray:
+    """Grid production vectors adding up to h_bar within TOL, shape (splits, n)."""
+    n, hb = cfg.n_agents, cfg.h_bar()
+    grid = grid_levels(cfg)
+    out = []
+    for t in _split_totals(cfg):
+        for m in _compositions(t, n, len(grid) - 1):
+            p = tuple(grid[x] for x in m)
+            if abs(sum(p) - hb) <= TOL:
+                out.append(p)
+    return np.array(out, dtype=np.float64).reshape(-1, n)
+
+
+def _candidate_count(cfg: ProductionGameConfig) -> int:
+    """Profiles the candidate scan checks, at most: the empty network plus
+    trees x orientations x splits (SUM) or producers x trees (MAX)."""
+    n = cfg.n_agents
+    if cfg.high_cost() or n < 2:
+        return 1
+    trees = n ** (n - 2)
+    if cfg.agg is Aggregation.MAX:
+        return 1 + n * trees
+    checks, top = 1, _grid_top(cfg)
+    for t in _split_totals(cfg):
+        checks += trees * (1 << (n - 1)) * _composition_count(t, n, top)
+        if checks > CHECK_BUDGET:
+            break  # over budget already, the rest of the count changes nothing
+    return checks
+
+
+def _cross_batches(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarray):
+    """Every link row of ``rows`` crossed with every production vector of ``prods``,
+    link rows major, as (rows, prods) batches of about one check chunk."""
+    if not len(prods):
+        return
+    per = max(1, _chunk_profiles(cfg) // len(prods))
+    for start in range(0, len(rows), per):
+        block = rows[start:start + per]
+        yield np.repeat(block, len(prods), axis=0), np.tile(prods, (len(block), 1))
+
+
+def grid_batches(cfg: ProductionGameConfig):
+    """Every link profile crossed with every grid production vector, as (rows, prods)
+    array batches in link-index order."""
+    n = cfg.n_agents
+    rows = rows_from_indices(np.arange(1 << (n * (n - 1)), dtype=np.int64), n)
+    prods = np.array(list(itertools.product(grid_levels(cfg), repeat=n)))
+    return _cross_batches(cfg, rows, prods)
+
+
+def _candidate_batches(cfg: ProductionGameConfig):
+    """The characterizations' shapes: the empty network at h_bar; every sponsored
+    spanning tree with every split of h_bar (SUM); every tree rooted at a single
+    producer of h_bar (MAX). Each profile is generated once."""
+    n, hb = cfg.n_agents, cfg.h_bar()
+    yield np.zeros((1, n), dtype=np.int64), np.full((1, n), hb)
+    if cfg.high_cost() or n < 2:
+        return
+    trees = list(spanning_trees(tuple(range(n))))
+    if cfg.agg is Aggregation.SUM:
+        rows = [r for edges in trees for r in orientations(edges, (0,) * n)]
+        yield from _cross_batches(cfg, np.array(rows, dtype=np.int64), _splits(cfg))
+        return
+    for producer in range(n):
+        rows = [_rooted_rows(n, edges, producer) for edges in trees]
+        prods = np.where(np.arange(n) == producer, hb, 0.0)[None, :]
+        yield from _cross_batches(cfg, np.array(rows, dtype=np.int64), prods)
+
+
 def enumerate_production_ne(cfg: ProductionGameConfig, max_n: int | None = None,
                             method: str = "auto") -> list[ProductionProfile]:
     """Grid equilibria of the production game, deterministically ordered.
@@ -360,7 +532,9 @@ def enumerate_production_ne(cfg: ProductionGameConfig, max_n: int | None = None,
     vector (n <= 3). ``candidates`` generates the equilibrium shapes of the
     characterizations' shapes (empty network at full production; production
     splits on spanning trees for SUM; single producers on rooted trees for
-    MAX) and keeps the ones that verify, which covers n <= 5.
+    MAX) and keeps the ones that verify, which covers n <= 5. Either way the
+    number of profiles to check is estimated first, and a scan of more than
+    ``CHECK_BUDGET`` raises :class:`CapExceededError` whatever ``max_n``.
     """
     n = cfg.n_agents
     cap = max_n if max_n is not None else CANDIDATE_CAP
@@ -371,58 +545,22 @@ def enumerate_production_ne(cfg: ProductionGameConfig, max_n: int | None = None,
     if method == "full":
         if n > FULL_SCAN_CAP and (max_n is None or n > max_n):
             raise CapExceededError(f"full production scan capped at {FULL_SCAN_CAP} agents")
-        return _enumerate_full(cfg)
-    if method == "candidates":
-        return _enumerate_candidates(cfg)
-    raise ValueError(f"unknown enumeration method {method!r}")
-
-
-def grid_profiles(cfg: ProductionGameConfig):
-    """Every link profile crossed with every grid production vector, in link-index order."""
-    n = cfg.n_agents
-    grid = grid_levels(cfg)
-    for idx in range(1 << (n * (n - 1))):
-        links = LinkProfile(n, profile_from_index(idx, n))
-        for prods in itertools.product(grid, repeat=n):
-            yield ProductionProfile(prods, links)
-
-
-def _enumerate_full(cfg: ProductionGameConfig) -> list[ProductionProfile]:
-    out = [s for s in grid_profiles(cfg) if is_production_ne(cfg, s)]
-    out.sort(key=_profile_sort_key)
-    return out
-
-
-def _enumerate_candidates(cfg: ProductionGameConfig) -> list[ProductionProfile]:
-    n = cfg.n_agents
-    hb = cfg.h_bar()
-    grid = grid_levels(cfg)
-    seen = set()
+        checks = (1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n
+    elif method == "candidates":
+        checks = _candidate_count(cfg)
+    else:
+        raise ValueError(f"unknown enumeration method {method!r}")
+    if checks > CHECK_BUDGET:
+        raise CapExceededError(f"{method} production scan capped at {CHECK_BUDGET} checks, "
+                               f"got {n} agents: it would check {checks} profiles")
     out = []
-
-    def consider(prods, links):
-        s = ProductionProfile(prods, links)
-        key = (links.rows, prods)
-        if key in seen:
-            return
-        seen.add(key)
-        if is_production_ne(cfg, s):
-            out.append(s)
-
-    consider((hb,) * n, LinkProfile.empty(n))
-    if not cfg.high_cost() and n >= 2:
-        if cfg.agg is Aggregation.SUM:
-            splits = [p for p in itertools.product(grid, repeat=n) if abs(sum(p) - hb) <= TOL]
-            for edges in spanning_trees(tuple(range(n))):
-                for rows in orientations(edges, (0,) * n):
-                    links = LinkProfile(n, rows)
-                    for prods in splits:
-                        consider(prods, links)
-        else:
-            for producer in range(n):
-                prods = tuple(hb if i == producer else 0.0 for i in range(n))
-                for edges in spanning_trees(tuple(range(n))):
-                    consider(prods, LinkProfile(n, _rooted_rows(n, edges, producer)))
+    links, prod_tuples = {}, {}  # equilibria share their link profiles and production tuples
+    for rows, prods in grid_batches(cfg) if method == "full" else _candidate_batches(cfg):
+        keep = production_ne_mask(cfg, rows, prods)
+        for r, p in zip(map(tuple, rows[keep].tolist()), map(tuple, prods[keep].tolist())):
+            if r not in links:
+                links[r] = LinkProfile(n, r)
+            out.append(ProductionProfile(prod_tuples.setdefault(p, p), links[r]))
     out.sort(key=_profile_sort_key)
     return out
 

@@ -30,7 +30,7 @@ from .formation_game import (
     is_minimally_connected,
 )
 from .kernel import profile_from_index, set_partitions
-from .production import Aggregation, ProductionGameConfig
+from .production import Aggregation, ProductionGameConfig, ProductionProfile
 
 
 @dataclass(frozen=True)
@@ -237,9 +237,13 @@ def _check_poa_monotonicity(benefit):
 
 def _production_scan_matches(cfg: ProductionGameConfig):
     checker = production.check_sum_equilibrium if cfg.agg is Aggregation.SUM else production.check_max_equilibrium
-    for s in production.grid_profiles(cfg):
-        if production.is_production_ne(cfg, s) != checker(cfg, s):
-            return False, f"profile {s.to_text().strip()} misclassified"
+    n = cfg.n_agents
+    for rows, prods in production.grid_batches(cfg):
+        ne = production.production_ne_mask(cfg, rows, prods)
+        for r, p, is_ne in zip(rows.tolist(), prods.tolist(), ne.tolist()):
+            s = ProductionProfile(tuple(p), LinkProfile(n, tuple(r)))
+            if is_ne != checker(cfg, s):
+                return False, f"profile {s.to_text().strip()} misclassified"
     return True, "scan agrees with the characterization"
 
 

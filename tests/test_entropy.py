@@ -244,6 +244,14 @@ class TestSerialization:
         back = from_text(text)
         assert back == ev
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_property(self, n, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.random(tuple(int(rng.integers(2, 4)) for _ in range(n))) + 1e-6
+        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        assert from_text(to_text(ev)) == ev
+
     def test_reads_seventeen_digit_precision(self):
         ev = family_independent([math.pi, math.e])
         assert from_text(to_text(ev)).entries == ev.entries

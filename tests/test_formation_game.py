@@ -112,6 +112,14 @@ class TestLinkProfile:
         assert p.to_text() == "010\n000\n100\n"
         assert LinkProfile.from_text(p.to_text()) == p
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.integers(0, (1 << n) - 1).map(lambda r, i=i: r & ~(1 << i))
+                              for i in range(n)])))
+    def test_text_round_trip_property(self, rows):
+        p = LinkProfile(len(rows), rows)
+        assert LinkProfile.from_text(p.to_text()) == p
+
     def test_bitstring_and_index_order(self):
         # lexicographic order of the flattened matrix
         a = LinkProfile.from_links(2, [(1, 0)])  # "0010"

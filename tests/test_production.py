@@ -3,6 +3,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infogame import production
 from infogame.equilibrium import CapExceededError
@@ -305,6 +307,18 @@ class TestSerialization:
         assert text == "0010 3,0.25\n"
         back = ProductionProfile.from_text(text)
         assert back == s
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.tuples(*[st.integers(0, (1 << n) - 1).map(lambda r, i=i: r & ~(1 << i)) for i in range(n)]),
+        st.tuples(*[st.floats(0.0, 1e300) for _ in range(n)]))))
+    def test_round_trip_property(self, drawn):
+        rows, prods = drawn
+        s = ProductionProfile(prods, LinkProfile(len(rows), rows))
+        back = ProductionProfile.from_text(s.to_text())
+        assert back == s
+        assert [math.copysign(1.0, p) for p in back.productions] == \
+               [math.copysign(1.0, p) for p in s.productions]
 
     def test_negative_production_rejected(self):
         with pytest.raises(ValueError):

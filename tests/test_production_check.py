@@ -1,0 +1,287 @@
+"""The batched production equilibrium check against the per-profile scalar loop.
+
+``scalar_is_production_ne`` is the check as a plain loop over agents, compact
+rows and production candidates; it is the oracle for
+:func:`production_ne_mask` and for everything built on it.
+"""
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infogame import production
+from infogame.entropy import TOL
+from infogame.equilibrium import CapExceededError
+from infogame.formation_game import BenefitFunction, LinkProfile
+from infogame.kernel import merged_components, rows_from_indices
+from infogame.production import (
+    Aggregation,
+    ProductionGameConfig,
+    ProductionProfile,
+    aggregate,
+    enumerate_production_ne,
+    few_sweep,
+    grid_levels,
+    is_production_ne,
+    production_ne_mask,
+    production_utility,
+)
+
+BENEFITS = [BenefitFunction.log1p(2.0), BenefitFunction.log1p(math.e),
+            BenefitFunction.power(0.5), BenefitFunction.power(0.3)]
+
+
+def scalar_is_production_ne(cfg, s):
+    """Every agent, every compact row, every production candidate, one at a time."""
+    n = cfg.n_agents
+    hb = cfg.h_bar()
+    grid = grid_levels(cfg)
+    is_sum = cfg.agg is Aggregation.SUM
+    for i in range(n):
+        current = production_utility(cfg, s, i)
+        for compact, mask in enumerate(merged_components(n, s.links.rows, i)):
+            link_cost = cfg.c * compact.bit_count()
+            acquired = aggregate(cfg.agg, s.productions, mask & ~(1 << i))
+            for h in grid + [hb] + ([max(0.0, hb - acquired)] if is_sum else []):
+                info = acquired + h if is_sum else max(acquired, h)
+                if cfg.benefit(info) - cfg.k * h - link_cost > current + TOL:
+                    return False
+    return True
+
+
+def assert_mask_matches_scalar(cfg, profiles):
+    rows = [s.links.rows for s in profiles]
+    prods = [s.productions for s in profiles]
+    got = production_ne_mask(cfg, rows, prods).tolist()
+    assert got == [scalar_is_production_ne(cfg, s) for s in profiles]
+    return got
+
+
+@st.composite
+def games(draw, sizes=(1, 2, 3, 4)):
+    n = draw(st.sampled_from(sizes))
+    f = draw(st.sampled_from(BENEFITS))
+    # k below f'(0) so that h_bar is finite and positive
+    slope = math.inf if f.name == "power" else f.deriv(0.0)
+    k = draw(st.floats(0.08, 0.6)) if slope == math.inf else slope / draw(st.floats(1.5, 5.0))
+    agg = draw(st.sampled_from(list(Aggregation)))
+    hb = production.h_bar(f, k)
+    c = draw(st.one_of(st.floats(0.0, 2.0 * k * hb), st.just(k * hb)))
+    return ProductionGameConfig(n, f, k, c, agg)
+
+
+@st.composite
+def profiles(draw, cfg, count):
+    n = cfg.n_agents
+    grid = grid_levels(cfg)
+    out = []
+    for _ in range(count):
+        rows = tuple(draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n))
+        if draw(st.booleans()):
+            prods = tuple(draw(st.sampled_from(grid)) for _ in range(n))
+        else:
+            prods = tuple(draw(st.floats(0.0, 1.5 * cfg.h_bar())) for _ in range(n))
+        out.append(ProductionProfile(prods, LinkProfile(n, rows)))
+    return out
+
+
+class TestMaskMatchesScalar:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_rows_and_productions(self, data):
+        cfg = data.draw(games())
+        assert_mask_matches_scalar(cfg, data.draw(profiles(cfg, 30)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(games(sizes=(1, 2)))
+    def test_every_grid_profile(self, cfg):
+        self.check_grid(cfg)
+
+    @settings(max_examples=3, deadline=None)
+    @given(games(sizes=(3,)))
+    def test_every_three_agent_grid_profile(self, cfg):
+        self.check_grid(cfg)
+
+    @staticmethod
+    def check_grid(cfg):
+        batches = list(production.grid_batches(cfg))
+        rows = np.concatenate([r for r, _ in batches])
+        prods = np.concatenate([p for _, p in batches])
+        n = cfg.n_agents
+        profiles_ = [ProductionProfile(tuple(p), LinkProfile(n, tuple(r)))
+                     for r, p in zip(rows.tolist(), prods.tolist())]
+        assert_mask_matches_scalar(cfg, profiles_)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_knife_edge_cut_link_costs(self, data):
+        # a periphery-sponsored star with the link price exactly at k times the
+        # production the link reaches, the threshold of the SUM characterization
+        cfg = data.draw(games(sizes=(2, 3, 4)))
+        n = cfg.n_agents
+        grid = grid_levels(cfg)
+        prods = tuple(data.draw(st.sampled_from(grid)) for _ in range(n))
+        j = data.draw(st.integers(1, n - 1))
+        c = cfg.k * aggregate(cfg.agg, prods, ((1 << n) - 1) & ~(1 << j))
+        cfg = ProductionGameConfig(n, cfg.benefit, cfg.k, c, cfg.agg)
+        star = ProductionProfile(prods, LinkProfile(n, tuple(0 if i == 0 else 1 for i in range(n))))
+        assert_mask_matches_scalar(cfg, [star] + data.draw(profiles(cfg, 10)))
+
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("f", BENEFITS, ids=lambda f: f.describe())
+    def test_high_cost_knife_edge(self, agg, f):
+        # c = k * h_bar is classified high cost: the empty network at h_bar
+        k = 0.25 if f.name == "power" else f.deriv(0.0) / 4.0
+        hb = production.h_bar(f, k)
+        for n in (1, 2, 3):
+            cfg = ProductionGameConfig(n, f, k, k * hb, agg)
+            assert cfg.high_cost()
+            rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n).tolist()
+            cands = [ProductionProfile(p, LinkProfile(n, tuple(r)))
+                     for r in rows for p in ((hb,) * n, (0.0,) * n, (hb,) + (0.0,) * (n - 1))]
+            got = assert_mask_matches_scalar(cfg, cands)
+            assert got[0]  # the empty network at h_bar
+
+    @pytest.mark.parametrize("agg, c", [(Aggregation.MAX, 0.2), (Aggregation.SUM, 0.2),
+                                        (Aggregation.SUM, 0.7), (Aggregation.SUM, 1.0)])
+    @pytest.mark.parametrize("f", BENEFITS[:2], ids=lambda f: f.describe())
+    def test_few_sweep_witnesses(self, agg, c, f):
+        cfg = ProductionGameConfig(2, f, 0.25 / math.log(f.params[0]), c, agg)
+        for pt in few_sweep(cfg, range(2, 11)):
+            n = pt.n
+            point = ProductionGameConfig(n, cfg.benefit, cfg.k, cfg.c, cfg.agg)
+            hb = point.h_bar()
+            star = LinkProfile(n, tuple(0 if i == 0 else 1 for i in range(n)))
+            if point.high_cost():
+                witness = ProductionProfile((hb,) * n, LinkProfile.empty(n))
+            elif agg is Aggregation.MAX:
+                witness = ProductionProfile((hb,) + (0.0,) * (n - 1), star)
+            else:
+                share = min(hb / n, hb - point.c / point.k)
+                witness = ProductionProfile((hb - (n - 1) * share,) + (share,) * (n - 1), star)
+            assert scalar_is_production_ne(point, witness)
+            assert is_production_ne(point, witness)
+
+    def test_sum_closed_form_is_a_candidate(self):
+        # total 3.1 beats the grid totals 2.75 and 3.25 and the h_bar total 3.25;
+        # only producing exactly h_bar - acquired (total 3.0) gains, for both agents
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.01, Aggregation.SUM)
+        s = ProductionProfile((2.85, 0.25), LinkProfile.from_links(2, [(0, 1)]))
+        assert assert_mask_matches_scalar(cfg, [s]) == [False]
+
+    def test_h_bar_is_a_candidate(self):
+        # on the grid 0, 0.7, ..., 3.5 only producing h_bar = 3 itself beats 2.9
+        cfg = ProductionGameConfig(1, BENEFITS[1], 0.25, 0.0, Aggregation.MAX, 0.7)
+        profiles_ = [ProductionProfile((p,), LinkProfile.empty(1)) for p in (2.9, cfg.h_bar())]
+        assert assert_mask_matches_scalar(cfg, profiles_) == [False, True]
+
+    def test_shape_mismatch_rejected(self):
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        with pytest.raises(ValueError):
+            production_ne_mask(cfg, [[0, 0, 0]], [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            production_ne_mask(cfg, [[0, 0]], [[0.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("rows, prods", [
+        ([[1, 0]], [[0.0, 0.0]]),          # agent 0 links to itself
+        ([[4, 0]], [[0.0, 0.0]]),          # a target beyond n
+        ([[-2, 0]], [[0.0, 0.0]]),
+        ([[2, 0]], [[math.nan, 0.0]]),
+        ([[2, 0]], [[math.inf, 0.0]]),
+        ([[2, 0]], [[-1.0, 0.0]])])
+    def test_profiles_outside_the_model_rejected(self, rows, prods):
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        with pytest.raises(ValueError):
+            production_ne_mask(cfg, rows, prods)
+
+    def test_empty_batch(self):
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        assert production_ne_mask(cfg, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
+
+class TestEnumeration:
+    # 1 and 7 cells leave one profile per chunk, 250 a few with ragged ends
+    @pytest.mark.parametrize("chunk", [1, 7, 250])
+    @pytest.mark.parametrize("n, agg, c, method", [
+        (2, Aggregation.SUM, 0.2, "full"), (2, Aggregation.MAX, 1.0, "full"),
+        (3, Aggregation.SUM, 0.2, "candidates"), (4, Aggregation.MAX, 0.2, "candidates")])
+    def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk, n, agg, c, method):
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
+        want = enumerate_production_ne(cfg, method=method)
+        monkeypatch.setattr(production, "CHECK_CHUNK", chunk)
+        assert enumerate_production_ne(cfg, method=method) == want
+
+    @pytest.mark.parametrize("chunk", [250, 1000])
+    @pytest.mark.parametrize("agg, c", [(Aggregation.SUM, 0.2), (Aggregation.MAX, 1.0)])
+    def test_chunk_size_does_not_change_the_three_agent_grid(self, monkeypatch, chunk, agg, c):
+        cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, c, agg)
+        want = enumerate_production_ne(cfg)
+        monkeypatch.setattr(production, "CHECK_CHUNK", chunk)
+        assert enumerate_production_ne(cfg) == want
+
+    @pytest.mark.parametrize("n, agg, c, method", [
+        (2, Aggregation.SUM, 0.2, "full"), (2, Aggregation.MAX, 1.0, "full"),
+        (3, Aggregation.SUM, 0.2, "candidates"), (3, Aggregation.MAX, 0.2, "candidates")])
+    def test_matches_scalar_oracle(self, n, agg, c, method):
+        cfg = ProductionGameConfig(n, BENEFITS[0], 0.25 / math.log(2.0), c, agg)
+        found = enumerate_production_ne(cfg, method=method)
+        assert found and all(scalar_is_production_ne(cfg, s) for s in found)
+        if method == "full":
+            n_grid = 0
+            for rows, prods in production.grid_batches(cfg):
+                for r, p in zip(rows.tolist(), prods.tolist()):
+                    s = ProductionProfile(tuple(p), LinkProfile(n, tuple(r)))
+                    n_grid += scalar_is_production_ne(cfg, s)
+            assert n_grid == len(found)
+
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_candidates_are_distinct(self, n, agg):
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg)
+        batches = list(production._candidate_batches(cfg))
+        stacked = np.concatenate([np.hstack([r, p]) for r, p in batches])
+        assert len(np.unique(stacked, axis=0)) == len(stacked)
+        assert len(stacked) == production._candidate_count(cfg)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_splits_are_the_filtered_grid(self, n):
+        for step in (None, 0.5, 0.7, 0.3):
+            cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, step)
+            hb = cfg.h_bar()
+            want = [p for p in itertools.product(grid_levels(cfg), repeat=n)
+                    if abs(sum(p) - hb) <= TOL]
+            assert sorted(map(tuple, production._splits(cfg).tolist())) == want
+
+
+class TestWorkBudget:
+    @pytest.fixture
+    def never_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan started")
+        monkeypatch.setattr(production, "production_ne_mask", refuse)
+
+    def test_full_scan_at_five_agents_fails_fast(self, never_scan):
+        cfg = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        with pytest.raises(CapExceededError, match=f"it would check {2 ** 20 * 7 ** 5} profiles"):
+            enumerate_production_ne(cfg, max_n=5, method="full")
+
+    def test_fine_grid_candidates_fail_fast(self, never_scan):
+        # 2000 sponsored trees times every split of h_bar into 0.01 steps
+        cfg = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 0.01)
+        with pytest.raises(CapExceededError, match="candidates production scan capped"):
+            enumerate_production_ne(cfg)
+
+    def test_fine_grid_full_scan_fails_fast(self, never_scan):
+        cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX, 1e-6)
+        with pytest.raises(CapExceededError, match="it would check"):
+            enumerate_production_ne(cfg)
+
+    def test_budget_covers_the_largest_default_scans(self):
+        sum4 = ProductionGameConfig(4, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        assert production._candidate_count(sum4) == 1 + 16 * 8 * 84
+        sum5 = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        assert production._candidate_count(sum5) == 1 + 125 * 16 * 210 <= production.CHECK_BUDGET
+        assert 64 * 7 ** 3 <= production.CHECK_BUDGET
