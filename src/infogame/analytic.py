@@ -15,8 +15,11 @@ not). The cross-component condition of the component checker is oriented as
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
 from .formation_game import (
@@ -27,7 +30,7 @@ from .formation_game import (
     component_masks,
     undirected_adjacency,
 )
-from .equilibrium import social_optimum
+from .equilibrium import CHECK_BUDGET, SCAN_CHUNK, CapExceededError, social_optimum
 from .kernel import fh_table, ne_status, orientations, row_costs, spanning_trees
 
 K_C = "K_C"
@@ -143,11 +146,12 @@ def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bo
     their joint entropies, so blocks can be certified independently: wire the
     other blocks as arbitrary trees, try every sponsored spanning tree of this
     block, and demand that every member's current row stays within tolerance
-    of its best response.
+    of its best response. The trees are judged in batches of ``SCAN_CHUNK``,
+    and the search stops at the first batch holding a viable tree.
     """
     n = cfg.n_agents
     members = subset_agents(mask)
-    fh = fh_table(cfg)
+    fh = np.asarray(fh_table(cfg))
     costs = row_costs(cfg)
     # index-order paths inside the other blocks; shape is irrelevant to this block
     filler = [0] * n
@@ -155,11 +159,16 @@ def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bo
         agents = subset_agents(om)
         for t in range(len(agents) - 1):
             filler[agents[t]] |= 1 << agents[t + 1]
-    for edges in spanning_trees(members):
-        for rows in orientations(edges, tuple(filler)):
-            if ne_status(n, rows, members, fh, costs)[0]:
-                return True
+    trees = (rows for edges in spanning_trees(members) for rows in orientations(edges, tuple(filler)))
+    while batch := list(itertools.islice(trees, SCAN_CHUNK)):
+        if ne_status(n, np.array(batch, dtype=np.int64), members, fh, costs)[0].any():
+            return True
     return False
+
+
+def _sponsored_trees(m: int) -> int:
+    """Sponsored spanning trees of an m-agent block: m**(m-2) trees, 2**(m-1) orientations each."""
+    return m ** max(m - 2, 0) << (m - 1)
 
 
 def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[int]]) -> bool:
@@ -177,12 +186,19 @@ def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[i
     for star-shaped components; chains routing information through a member
     whose information is jointly redundant escape it, so the constructive
     characterization is used instead. Supports homogeneous and
-    recipient-dependent costs; general cost matrices are rejected.
+    recipient-dependent costs; general cost matrices are rejected. A
+    partition whose blocks have more than ``CHECK_BUDGET`` sponsored trees
+    in all raises :class:`CapExceededError` before any is checked.
     """
     if cfg.costs.kind not in ("homogeneous", "recipient"):
         raise ValueError("component checker supports homogeneous or recipient costs only")
     n = cfg.n_agents
     masks = _partition_masks(n, partition)
+    trees = sum(_sponsored_trees(mask.bit_count()) for mask in masks)
+    if trees > CHECK_BUDGET:
+        raise CapExceededError(f"component checker capped at {CHECK_BUDGET} sponsored trees, "
+                               f"got blocks of {sorted(m.bit_count() for m in masks)} agents: "
+                               f"it would check {trees} sponsored trees")
     for mask in masks:
         others = [m for m in masks if m != mask]
         if not _block_supports_ne(cfg, mask, others):

@@ -260,11 +260,6 @@ def validate_shannon(ev: EntropicVector) -> ShannonReport:
     return ShannonReport(n, tuple(out))
 
 
-def subset_entropy(ev: EntropicVector, mask: int) -> float:
-    """H of a nonempty agent subset, in bits."""
-    return ev.h(mask)
-
-
 def _check_disjoint(ev: EntropicVector, a: int, b: int) -> None:
     if a <= 0 or b <= 0:
         raise ValueError("subsets must be nonempty")

@@ -1,9 +1,12 @@
 """Brute-force equilibrium machinery: best responses, NE sets, optimum, PoA, MIL.
 
-Both scans judge profiles with :func:`~infogame.kernel.best_response_table`,
-which gives agent i's within-tolerance best-response rows for a batch of
-profiles at once, and evaluate it in fixed-size chunks so that memory stays
-bounded whatever the game.
+Every equilibrium test here goes through
+:func:`~infogame.kernel.best_response_table`, which gives agent i's
+within-tolerance best-response rows for a batch of profiles at once: the two
+scans evaluate it in fixed-size chunks so that memory stays bounded whatever
+the game, and :func:`is_nash`, :func:`is_strict_nash` and
+:func:`best_responses` are batches of one. The price of anarchy and the
+maximum information loss are fields of :class:`EquilibriumReport`.
 
 The full scan covers every profile. Agent i's best responses depend on the
 others' rows only, so its table is built once per others configuration
@@ -17,8 +20,9 @@ For six agents the profile space is 2**30 and the scan switches to candidate
 pruning: every NE with strictly positive link costs is a forest in which each
 edge has exactly one sponsor (a duplicate or cycle link could be dropped for
 a strict gain), so only sponsored forests are generated, as profile indices,
-and verified. The pruned path refuses cost models with a link cost at or
-below tolerance.
+and verified by :func:`~infogame.kernel.ne_status`, which drops a profile at
+its first failing agent. The pruned path refuses cost models with a link
+cost at or below tolerance.
 """
 from __future__ import annotations
 
@@ -35,15 +39,12 @@ from .formation_game import (
 )
 from .kernel import (
     best_response_table,
-    compress_row,
     expand_row,
     fh_table,
     field_compacts,
     ne_status,
-    profile_from_index,
     profile_index,
     row_costs,
-    row_utilities,
     rows_from_indices,
     set_partitions,
     welfare,
@@ -58,6 +59,10 @@ SCAN_CHUNK = 4096
 
 class CapExceededError(RuntimeError):
     """Raised when an enumeration would exceed its configured agent cap."""
+
+
+# profiles or sponsored trees one brute-force check may visit, whatever its agent cap
+CHECK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,16 +121,18 @@ def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TO
         raise ValueError(f"agent {i} out of range")
     if others.n_agents != n:
         raise ValueError("profile size does not match the game")
-    utils = row_utilities(n, others.rows, i, fh_table(cfg), row_costs(cfg)[i])
-    best = max(utils)
-    return frozenset(expand_row(c, i) for c, u in enumerate(utils) if u >= best - tol)
+    rows = np.array([others.rows], dtype=np.int64)
+    table = best_response_table(n, rows, i, np.asarray(fh_table(cfg)), row_costs(cfg)[i], tol)
+    return frozenset(expand_row(c, i) for c in np.flatnonzero(table[0]).tolist())
 
 
 def _profile_status(cfg: GameConfig, profile: LinkProfile, tol: float) -> tuple[bool, bool]:
     n = cfg.n_agents
     if profile.n_agents != n:
         raise ValueError("profile size does not match the game")
-    return ne_status(n, profile.rows, range(n), fh_table(cfg), row_costs(cfg), tol)
+    is_ne, strict = ne_status(n, np.array([profile.rows], dtype=np.int64), range(n),
+                              np.asarray(fh_table(cfg)), row_costs(cfg), tol)
+    return bool(is_ne[0]), bool(strict[0])
 
 
 def is_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> bool:
@@ -151,7 +158,7 @@ def _ne_scan_full(cfg: GameConfig, tol: float):
     n = cfg.n_agents
     w = n - 1
     fh = np.asarray(fh_table(cfg))
-    costs = [np.asarray(c) for c in row_costs(cfg)]
+    costs = row_costs(cfg)
     ne = np.ones(1 << (n * w), dtype=bool)
     strict = np.ones(1 << (n * w), dtype=bool)
     n_others = 1 << (w * w)
@@ -226,19 +233,13 @@ def _ne_scan_pruned(cfg: GameConfig, tol: float):
         raise CapExceededError(f"pruned enumeration indexes profiles in 64 bits, "
                                f"so it is capped at 8 agents, got {n}")
     fh = np.asarray(fh_table(cfg))
-    costs = [np.asarray(c) for c in row_costs(cfg)]
+    costs = row_costs(cfg)
     candidates = _forest_candidates(n)
     found = []
     for start in range(0, len(candidates), SCAN_CHUNK):
         idx = candidates[start:start + SCAN_CHUNK]
-        rows = rows_from_indices(idx, n)
-        strict = np.ones(len(idx), dtype=bool)
-        for i in range(n):
-            table = best_response_table(n, rows, i, fh, costs[i], tol)
-            keep = table[np.arange(len(idx)), compress_row(rows[:, i], i)]
-            strict = strict[keep] & (table[keep].sum(axis=1) == 1)
-            idx, rows = idx[keep], rows[keep]
-        found += _found(idx, strict, n)
+        ne, strict = ne_status(n, rows_from_indices(idx, n), range(n), fh, costs, tol)
+        found += _found(idx[ne], strict[ne], n)
     return found
 
 
@@ -268,15 +269,13 @@ def _mst(block: tuple[int, ...], weight):
     return cost, edges
 
 
-def social_optimum(cfg: GameConfig, max_n: int | None = None,
-                   verify_by_full_scan: bool = False) -> tuple[float, LinkProfile]:
+def social_optimum(cfg: GameConfig, max_n: int | None = None) -> tuple[float, LinkProfile]:
     """Welfare-maximal profile and its value.
 
     Adding a link never raises welfare of other components and a cycle edge
     only adds cost, so the search ranges over partitions of the agents, each
     block wired as a minimum-cost spanning tree with every edge sponsored in
-    its cheaper direction. ``verify_by_full_scan`` cross-checks the value
-    against an exhaustive profile scan (n <= 4 only).
+    its cheaper direction.
     """
     n = cfg.n_agents
     cap = max_n if max_n is not None else SOCIAL_OPT_CAP
@@ -305,18 +304,7 @@ def social_optimum(cfg: GameConfig, max_n: int | None = None,
         if best_value is None or value > best_value + 1e-15:
             best_value = value
             best_links = links
-    profile = LinkProfile.from_links(n, best_links)
-    if verify_by_full_scan:
-        if n > 4:
-            raise CapExceededError("full-scan verification is limited to 4 agents")
-        top = 0.0
-        for idx in range(1 << (n * (n - 1))):
-            rows = profile_from_index(idx, n)
-            comp = component_masks(undirected_adjacency(LinkProfile(n, rows)))
-            top = max(top, welfare(cfg, rows, comp, fh))
-        if abs(top - best_value) > 1e-9:
-            raise RuntimeError(f"partition search gave {best_value!r}, full scan {top!r}")
-    return best_value, profile
+    return best_value, LinkProfile.from_links(n, best_links)
 
 
 def enumerate_nash(cfg: GameConfig, max_n: int | None = None,
@@ -378,13 +366,3 @@ def enumerate_nash(cfg: GameConfig, max_n: int | None = None,
         poa=poa,
         mil=mil,
     )
-
-
-def price_of_anarchy(cfg: GameConfig, max_n: int | None = None) -> float | None:
-    """Optimum welfare over worst equilibrium welfare; None when the ratio is undefined."""
-    return enumerate_nash(cfg, max_n=max_n).poa
-
-
-def max_information_loss(cfg: GameConfig, max_n: int | None = None) -> float:
-    """Largest spread, over agents, of gathered information across equilibria (bits)."""
-    return enumerate_nash(cfg, max_n=max_n).mil

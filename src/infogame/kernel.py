@@ -9,16 +9,12 @@ matrix with the diagonal left out: row i is the (n-1)-bit field starting at
 bit (n-1)(n-1-i), and inside a field the most significant bit is the lowest
 target, the reverse of the compact-row order.
 
-Two paths evaluate best responses. The scalar one (:func:`row_utilities`,
-:func:`ne_status`) takes one profile of Python ints; the array one
-(:func:`best_response_table`) takes a batch of profiles as an int64 array.
-Both compute the same float64 utilities and the same within-tolerance test.
-The array path's component walk, :func:`merged_table`, is shared with the
-production game's equilibrium check.
-
-``component_masks`` is looked up on its module at call time rather than
-imported by name, so that anything which replaces it there (a call tracer,
-say) also sees the calls made from this module.
+One path evaluates best responses: :func:`best_response_table` takes a
+batch of profiles as an int64 array, and :func:`ne_status` judges a batch
+with it, so a single profile is a batch of one. Its component walk,
+:func:`merged_table`, is shared with the production game's equilibrium
+check. A scalar, per-profile form of the same walk lives under ``tests/``
+as the oracle the array form is compared against.
 """
 from __future__ import annotations
 
@@ -51,29 +47,8 @@ def compress_row(row: int, i: int) -> int:
     return low | ((row >> (i + 1)) << i)
 
 
-def profile_from_index(idx: int, n: int) -> tuple[int, ...]:
-    """Decode the lexicographic rank of a flattened link matrix into rows."""
-    width = n - 1
-    rows = []
-    shift = n * width
-    for i in range(n):
-        shift -= width
-        compact = (idx >> shift) & ((1 << width) - 1)
-        # compact holds row i left to right: most significant bit = lowest target
-        row = 0
-        pos = width - 1
-        for j in range(n):
-            if j == i:
-                continue
-            if compact >> pos & 1:
-                row |= 1 << j
-            pos -= 1
-        rows.append(row)
-    return tuple(rows)
-
-
 def profile_index(rows) -> int:
-    """Profile index of a tuple of rows; the inverse of :func:`profile_from_index`."""
+    """Profile index of a tuple of rows; the inverse of :func:`rows_from_indices`."""
     n = len(rows)
     idx = 0
     for i, row in enumerate(rows):
@@ -178,9 +153,10 @@ def fh_table(cfg: formation_game.GameConfig) -> list[float]:
     return table
 
 
-def row_costs(cfg: formation_game.GameConfig) -> list[list[float]]:
-    """Link cost of every compact row, per agent: ``[i][compact]`` is what
-    agent i pays for the links of its compact row ``compact``."""
+def row_costs(cfg: formation_game.GameConfig) -> np.ndarray:
+    """Link cost of every compact row, per agent, as a float64 array of shape
+    (n, 2**(n-1)): ``[i, compact]`` is what agent i pays for the links of its
+    compact row ``compact``."""
     n = cfg.n_agents
     tables = []
     for i in range(n):
@@ -190,88 +166,29 @@ def row_costs(cfg: formation_game.GameConfig) -> list[list[float]]:
             j = targets[(compact & -compact).bit_length() - 1]
             table[compact] = table[compact & (compact - 1)] + cfg.link_cost(i, j)
         tables.append(table)
-    return tables
-
-
-def merged_components(n: int, rows, i: int) -> list[int]:
-    """Component mask of agent i for every compact row, the other rows held fixed.
-
-    Linking to agent j merges in j's whole component of the graph without
-    i's sponsored links, so each entry is one OR away from a smaller one.
-    """
-    adj = [0] * n
-    for a in range(n):
-        r = rows[a] if a != i else 0
-        adj[a] |= r
-        t = r
-        while t:
-            low = t & -t
-            adj[low.bit_length() - 1] |= 1 << a
-            t ^= low
-    comp = formation_game.component_masks(adj)
-    targets = [j for j in range(n) if j != i]
-    merged = [0] * (1 << (n - 1))
-    merged[0] = comp[i]
-    for compact in range(1, len(merged)):
-        j = targets[(compact & -compact).bit_length() - 1]
-        merged[compact] = merged[compact & (compact - 1)] | comp[j]
-    return merged
-
-
-def row_utilities(n: int, rows, i: int, fh: list[float], row_cost: list[float]) -> list[float]:
-    """Utility of every compact row for agent i, holding the others fixed.
-
-    ``row_cost`` is agent i's table from :func:`row_costs`.
-    """
-    return [fh[m] - c for m, c in zip(merged_components(n, rows, i), row_cost)]
-
-
-def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
-              tol: float = TOL) -> tuple[bool, bool]:
-    """(is_ne, is_strict) of a profile, judged over the given agents only.
-
-    ``costs`` holds the per-agent tables of :func:`row_costs`. An agent
-    fails when some row beats its current one by more than ``tol``; it is
-    strict when every other row is worse by more than ``tol``. The test
-    stops at the first failing agent and then returns (False, False).
-    """
-    strict = True
-    for i in agents:
-        utils = row_utilities(n, rows, i, fh, costs[i])
-        current = compress_row(rows[i], i)
-        u_cur = utils[current]
-        if u_cur < max(utils) - tol:
-            return False, False
-        if strict:
-            floor = u_cur - tol
-            strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
-    return True, strict
+    return np.array(tables)
 
 
 def merged_table(n: int, rows: np.ndarray, i: int) -> np.ndarray:
     """Agent i's component mask for every compact row, for a batch of profiles.
 
     ``rows`` is an int64 array of shape (batch, n); column i is ignored.
-    Returns an int64 array of shape (batch, 2**(n-1)) whose row b is
-    :func:`merged_components` of profile b.
+    Returns an int64 array of shape (batch, 2**(n-1)) whose entry [b, c] is
+    the component agent i joins in profile b by playing compact row c:
+    linking to agent j merges in j's whole component of the graph without
+    i's sponsored links.
     """
+    agent = np.arange(n, dtype=np.int64)[:, None]
+    out = rows.T.copy()
+    out[i] = 0
     # reach[a]: agent a's neighbours (then its component) without i's links
-    reach = np.zeros((n, len(rows)), dtype=np.int64)
+    reach = out | 1 << agent
     for a in range(n):
-        reach[a] |= 1 << a
-        if a == i:
-            continue
-        r = rows[:, a]
-        reach[a] |= r
-        for j in range(n):
-            if j != a:
-                reach[j] |= (r >> j & 1) << a
+        reach |= (out[a] >> agent & 1) << a
     # Warshall closure: whoever reaches k reaches all that k reaches
     for k in range(n):
-        for a in range(n):
-            if a != k:
-                reach[a] |= reach[k] & -(reach[a] >> k & 1)
-    # the OR over compact rows of merged_components, one target bit at a time
+        reach |= reach[k] & -(reach >> k & 1)
+    # the OR over compact rows, one target bit at a time
     merged = np.empty((len(rows), 1 << (n - 1)), dtype=np.int64)
     merged[:, 0] = reach[i]
     for k, j in enumerate(t for t in range(n) if t != i):
@@ -287,14 +204,36 @@ def best_response_table(n: int, rows: np.ndarray, i: int, fh: np.ndarray,
     ``rows`` is an int64 array of shape (batch, n); column i is ignored.
     Returns a bool array of shape (batch, 2**(n-1)) whose entry [b, c] is set
     when compact row c is within ``tol`` of agent i's best utility against
-    the other rows of profile b. ``fh`` and ``row_cost`` are
-    :func:`fh_table` and agent i's :func:`row_costs` table as float64 arrays.
-    The utilities are those of :func:`row_utilities` and the test is that of
-    :func:`ne_status`, in the same float64 arithmetic, so both paths agree
-    bit for bit.
+    the other rows of profile b. ``fh`` is :func:`fh_table` as a float64
+    array and ``row_cost`` is agent i's row of :func:`row_costs`.
     """
     u = fh[merged_table(n, rows, i)] - row_cost
     return u >= u.max(axis=1, keepdims=True) - tol
+
+
+def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarray,
+              tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(is_ne, is_strict) of every profile of a batch, judged over the given agents only.
+
+    ``rows`` is an int64 array of shape (batch, n); ``fh`` and ``costs`` are
+    as in :func:`best_response_table`, with ``costs`` holding every agent's
+    table. An agent fails when some row beats its current one by more than
+    ``tol``; it is strict when its current row is its only within-tolerance
+    best response. A profile is dropped at its first failing agent. Returns
+    two bool arrays of length batch.
+    """
+    is_ne = np.zeros(len(rows), dtype=bool)
+    is_strict = np.zeros(len(rows), dtype=bool)
+    alive = np.arange(len(rows))
+    strict = np.ones(len(rows), dtype=bool)
+    for i in agents:
+        table = best_response_table(n, rows, i, fh, costs[i], tol)
+        keep = table[np.arange(len(rows)), compress_row(rows[:, i], i)]
+        strict = strict[keep] & (table[keep].sum(axis=1) == 1)
+        alive, rows = alive[keep], rows[keep]
+    is_ne[alive] = True
+    is_strict[alive] = strict
+    return is_ne, is_strict
 
 
 def welfare(cfg: formation_game.GameConfig, rows, comp: list[int], fh: list[float]) -> float:

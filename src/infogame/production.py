@@ -38,15 +38,13 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import TOL, subset_agents
-from .equilibrium import CapExceededError
+from .equilibrium import CHECK_BUDGET, CapExceededError
 from .formation_game import BenefitFunction, LinkProfile, component_masks, undirected_adjacency
 from .kernel import compress_row, merged_table, orientations, rows_from_indices, spanning_trees
 
 NE_CHECK_CAP = 10
 FULL_SCAN_CAP = 3
 CANDIDATE_CAP = 5
-# profiles one enumeration may check, whatever max_n
-CHECK_BUDGET = 1 << 20
 # cells (profiles x compact rows x production candidates) per chunk of production_ne_mask
 CHECK_CHUNK = 1 << 13
 PRODUCER_EPS = 1e-12

@@ -29,7 +29,7 @@ from .formation_game import (
     components,
     is_minimally_connected,
 )
-from .kernel import profile_from_index, set_partitions
+from .kernel import rows_from_indices, set_partitions
 from .production import Aggregation, ProductionGameConfig, ProductionProfile
 
 
@@ -163,8 +163,7 @@ def _check_strict_equivalence(rng, n_agents, instances, benefit):
         report = equilibrium.enumerate_nash(cfg)
         strict = {p.rows for p in report.strict_ne_profiles}
         n = cfg.n_agents
-        for idx in range(1 << (n * (n - 1))):
-            rows = profile_from_index(idx, n)
+        for rows in map(tuple, rows_from_indices(np.arange(1 << (n * (n - 1))), n).tolist()):
             p = LinkProfile(n, rows)
             if analytic.check_strict_ne_structure(cfg, p) != (rows in strict):
                 return False, f"instance {t}: profile {p.bitstring()} misclassified"

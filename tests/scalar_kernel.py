@@ -1,0 +1,88 @@
+"""The scalar best-response walk: the oracle for the array kernel.
+
+These are the per-profile, Python-int forms of :mod:`infogame.kernel`'s
+batch functions. ``merged_components`` is one row of ``merged_table``,
+``row_utilities`` one row of the utilities behind ``best_response_table``,
+``ne_status`` one profile of the batch ``ne_status``, and
+``profile_from_index`` one row of ``rows_from_indices``. The tests compare
+the two forms; nothing in the package uses these.
+"""
+from infogame import formation_game
+from infogame.entropy import TOL
+from infogame.kernel import compress_row
+
+
+def profile_from_index(idx: int, n: int) -> tuple[int, ...]:
+    """Decode the lexicographic rank of a flattened link matrix into rows."""
+    width = n - 1
+    rows = []
+    shift = n * width
+    for i in range(n):
+        shift -= width
+        compact = (idx >> shift) & ((1 << width) - 1)
+        # compact holds row i left to right: most significant bit = lowest target
+        row = 0
+        pos = width - 1
+        for j in range(n):
+            if j == i:
+                continue
+            if compact >> pos & 1:
+                row |= 1 << j
+            pos -= 1
+        rows.append(row)
+    return tuple(rows)
+
+
+def merged_components(n: int, rows, i: int) -> list[int]:
+    """Component mask of agent i for every compact row, the other rows held fixed.
+
+    Linking to agent j merges in j's whole component of the graph without
+    i's sponsored links, so each entry is one OR away from a smaller one.
+    """
+    adj = [0] * n
+    for a in range(n):
+        r = rows[a] if a != i else 0
+        adj[a] |= r
+        t = r
+        while t:
+            low = t & -t
+            adj[low.bit_length() - 1] |= 1 << a
+            t ^= low
+    comp = formation_game.component_masks(adj)
+    targets = [j for j in range(n) if j != i]
+    merged = [0] * (1 << (n - 1))
+    merged[0] = comp[i]
+    for compact in range(1, len(merged)):
+        j = targets[(compact & -compact).bit_length() - 1]
+        merged[compact] = merged[compact & (compact - 1)] | comp[j]
+    return merged
+
+
+def row_utilities(n: int, rows, i: int, fh: list[float], row_cost: list[float]) -> list[float]:
+    """Utility of every compact row for agent i, holding the others fixed.
+
+    ``row_cost`` is agent i's table from :func:`row_costs`.
+    """
+    return [fh[m] - c for m, c in zip(merged_components(n, rows, i), row_cost)]
+
+
+def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
+              tol: float = TOL) -> tuple[bool, bool]:
+    """(is_ne, is_strict) of a profile, judged over the given agents only.
+
+    ``costs`` holds the per-agent tables of :func:`row_costs`. An agent
+    fails when some row beats its current one by more than ``tol``; it is
+    strict when every other row is worse by more than ``tol``. The test
+    stops at the first failing agent and then returns (False, False).
+    """
+    strict = True
+    for i in agents:
+        utils = row_utilities(n, rows, i, fh, costs[i])
+        current = compress_row(rows[i], i)
+        u_cur = utils[current]
+        if u_cur < max(utils) - tol:
+            return False, False
+        if strict:
+            floor = u_cur - tol
+            strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
+    return True, strict

@@ -5,7 +5,6 @@ recomputed here from its defining formula or from the brute-force oracle;
 nothing is asserted that was not derived independently of the code path
 under test.
 """
-import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -38,7 +37,7 @@ from infogame.formation_game import (
     components,
     is_minimally_connected,
 )
-from infogame.kernel import profile_from_index, set_partitions
+from infogame.kernel import set_partitions
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -47,12 +46,13 @@ from infogame.production import (
     check_max_equilibrium,
     enumerate_production_ne,
     few_sweep,
-    is_production_ne,
+    production_ne_mask,
 )
 from infogame.verification import (
     random_entropic_vector,
     random_homogeneous_config,
 )
+from scalar_kernel import profile_from_index
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -279,14 +279,14 @@ def test_criterion_8_production_characterizations():
                 cfg = ProductionGameConfig(3, LN, 0.25, c, agg)
                 grid = production.grid_levels(cfg)
                 assert len(grid) == 7  # step h_bar / 6
-                ne_found = 0
-                for idx in range(1 << 6):
-                    links = LinkProfile(3, profile_from_index(idx, 3))
-                    for prods in itertools.product(grid, repeat=3):
-                        s = ProductionProfile(prods, links)
-                        ne = is_production_ne(cfg, s)
-                        assert ne == checker(cfg, s)
-                        ne_found += ne
+                judged = ne_found = 0
+                for rows, prods in production.grid_batches(cfg):
+                    ne = production_ne_mask(cfg, rows, prods)
+                    for r, p, is_ne in zip(rows.tolist(), prods.tolist(), ne.tolist()):
+                        assert is_ne == checker(cfg, ProductionProfile(tuple(p), LinkProfile(3, tuple(r))))
+                    judged += len(ne)
+                    ne_found += int(ne.sum())
+                assert judged == (1 << 6) * len(grid) ** 3
                 assert ne_found > 0
                 if c > 0.25 * cfg.h_bar():
                     found = enumerate_production_ne(cfg)

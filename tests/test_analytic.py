@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from infogame import analytic
 from infogame.analytic import (
     K_C,
     K_I,
@@ -18,10 +19,11 @@ from infogame.analytic import (
     thresholds_homogeneous,
 )
 from infogame.entropy import family_pair_redundancy, family_independent, family_max_correlated
-from infogame.equilibrium import enumerate_nash, price_of_anarchy
+from infogame.equilibrium import CapExceededError, enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
-from infogame.kernel import profile_from_index, set_partitions
+from infogame.kernel import set_partitions
 from infogame.verification import random_homogeneous_config
+from scalar_kernel import profile_from_index
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -109,6 +111,53 @@ class TestComponentStructure:
                         if check_component_structure_ne(cfg, part)}
             assert realized == accepted
 
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_tree_batch_size_does_not_change_the_answer(self, monkeypatch, chunk):
+        # four agents: a block's viable tree can sit in any batch, not only the first
+        monkeypatch.setattr(analytic, "SCAN_CHUNK", chunk)
+        for seed in (1, 4, 7, 10):
+            cfg = random_homogeneous_config(np.random.default_rng(seed), 4, LN)
+            realized = {frozenset(components(p))
+                        for p in enumerate_nash(cfg).ne_profiles}
+            accepted = {frozenset(frozenset(b) for b in part)
+                        for part in set_partitions(tuple(range(4)))
+                        if check_component_structure_ne(cfg, part)}
+            assert realized == accepted
+
+
+class TestComponentCheckerBudget:
+    """Partitions with more than 2**20 sponsored trees are refused before any is checked."""
+
+    @pytest.fixture
+    def no_checks(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sponsored tree was checked")
+        monkeypatch.setattr(analytic, "ne_status", fail)
+
+    def test_seven_agent_block_refused(self, no_checks):
+        cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
+        # 7**5 trees, 2**6 orientations each
+        with pytest.raises(CapExceededError, match="it would check 1075648 sponsored trees"):
+            check_component_structure_ne(cfg, [range(7)])
+
+    def test_budget_sums_over_blocks(self, no_checks):
+        cfg = GameConfig(family_independent([1.0] * 8), LN, CostModel.homogeneous(0.1))
+        with pytest.raises(CapExceededError, match="it would check 1075649 sponsored trees"):
+            check_component_structure_ne(cfg, [range(7), [7]])
+
+    def test_strict_checker_refused_on_a_seven_agent_star(self, no_checks):
+        # each periphery link gains ln(8/7) > c, so the star passes the shape test
+        cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
+        star = LinkProfile.from_links(7, [(0, j) for j in range(1, 7)])
+        with pytest.raises(CapExceededError, match="1075648"):
+            check_strict_ne_structure(cfg, star)
+
+    def test_six_agent_block_checked(self):
+        # cheap links: every sponsored spanning tree is an equilibrium
+        cfg = GameConfig(family_independent([1.0] * 6), LN, CostModel.homogeneous(0.1))
+        assert check_component_structure_ne(cfg, [range(6)])
+        assert not check_component_structure_ne(cfg, [[a] for a in range(6)])
+
 
 class TestStrictStructure:
     def test_core_sponsored_star_accepted(self):
@@ -156,7 +205,7 @@ class TestPredictions:
         expect = (3 * math.log(14) - 2 * 0.1) / (3 * math.log(14) - 0.6 + 0.1)
         assert not pred.is_bound
         assert pred.value == pytest.approx(expect, abs=1e-12)
-        assert pred.value == pytest.approx(price_of_anarchy(cfg), abs=1e-9)
+        assert pred.value == pytest.approx(enumerate_nash(cfg).poa, abs=1e-9)
 
     def test_mixed_region_bound_value(self):
         cfg = GameConfig(family_pair_redundancy(5, 4, 4, 0), LN, CostModel.homogeneous(0.75))
@@ -170,7 +219,7 @@ class TestPredictions:
         cfg = GameConfig(family_pair_redundancy(5, 4, 4, 0), LN, CostModel.homogeneous(3.0))
         pred = poa_predict(cfg)
         assert (pred.value, pred.is_bound, pred.region) == (1.0, False, K_I)
-        assert price_of_anarchy(cfg) == pytest.approx(1.0, abs=1e-9)
+        assert enumerate_nash(cfg).poa == pytest.approx(1.0, abs=1e-9)
 
     def test_isolated_region_just_above_threshold_can_exceed_one(self):
         # the unique equilibrium is empty but the planner still links agents

@@ -18,7 +18,6 @@ from infogame.entropy import (
     kl_total,
     mutual_info,
     subset_agents,
-    subset_entropy,
     to_text,
     validate_shannon,
 )
@@ -129,7 +128,7 @@ class TestInformationMeasures:
     def test_empty_subset_rejected(self):
         ev = family_independent([1, 1])
         with pytest.raises(ValueError):
-            subset_entropy(ev, 0)
+            ev.h(0)
         with pytest.raises(ValueError):
             mutual_info(ev, 0, 0b10)
 

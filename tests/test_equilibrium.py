@@ -20,8 +20,6 @@ from infogame.equilibrium import (
     enumerate_nash,
     is_nash,
     is_strict_nash,
-    max_information_loss,
-    price_of_anarchy,
     social_optimum,
 )
 from infogame.formation_game import (
@@ -29,11 +27,15 @@ from infogame.formation_game import (
     CostModel,
     GameConfig,
     LinkProfile,
+    component_masks,
     components,
     is_minimally_connected,
+    social_welfare,
+    undirected_adjacency,
 )
-from infogame.kernel import fh_table, ne_status, profile_from_index, profile_index, row_costs
+from infogame.kernel import expand_row, fh_table, profile_index, row_costs, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
+from scalar_kernel import ne_status, profile_from_index, row_utilities
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)
@@ -172,7 +174,8 @@ class TestEnumerate:
                          CostModel.matrix([[0.0, 5.0], [0.3, 0.0]]))
         report = enumerate_nash(cfg)
         assert [p.rows for p in report.ne_profiles] == [(0, 1)]
-        value, profile = social_optimum(cfg, verify_by_full_scan=True)
+        value, profile = social_optimum(cfg)
+        assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         # the optimum sponsors the cheap direction
         assert profile.rows == (0, 1)
         assert value == pytest.approx(2 * math.log2(3) - 0.3, abs=1e-12)
@@ -193,6 +196,13 @@ class TestEnumerate:
             b = enumerate_nash(cfg, tol=5e-10)
             assert ([p.rows for p in a.strict_ne_profiles]
                     == [p.rows for p in b.strict_ne_profiles])
+
+
+def best_welfare(cfg):
+    """Largest social welfare over every profile, by exhaustive scan (n <= 4)."""
+    n = cfg.n_agents
+    return max(social_welfare(cfg, LinkProfile(n, profile_from_index(k, n)))
+               for k in range(1 << (n * (n - 1))))
 
 
 def scalar_status(cfg, indices, tol=TOL):
@@ -284,24 +294,76 @@ class TestArrayKernelMatchesScalar:
             assert (k in strict) == is_strict
 
 
+class TestPredicatesMatchScalar:
+    """``is_nash``, ``is_strict_nash`` and ``best_responses`` against the scalar walk."""
+
+    @staticmethod
+    def check_every_profile(cfg):
+        n = cfg.n_agents
+        fh, costs = fh_table(cfg), row_costs(cfg)
+        for k in range(1 << (n * (n - 1))):
+            rows = profile_from_index(k, n)
+            p = LinkProfile(n, rows)
+            assert (is_nash(cfg, p), is_strict_nash(cfg, p)) == ne_status(n, rows, range(n), fh, costs)
+            for i in range(n):
+                utils = row_utilities(n, rows, i, fh, costs[i])
+                best = frozenset(expand_row(c, i) for c, u in enumerate(utils) if u >= max(utils) - TOL)
+                got = best_responses(cfg, i, p)
+                assert got == best
+                assert all(type(r) is int for r in got)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3).flatmap(games))
+    def test_every_profile_small_games(self, cfg):
+        self.check_every_profile(cfg)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3).flatmap(tie_games))
+    def test_every_profile_tie_heavy_games(self, cfg):
+        self.check_every_profile(cfg)
+
+
+profile_samples = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    games(n), st.lists(st.integers(0, (1 << (n * (n - 1))) - 1), min_size=1, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile_samples)
+def test_kernel_welfare_matches_social_welfare(case):
+    """Within 1e-12 of the sum of the terms' magnitudes: the two sum in different orders."""
+    cfg, indices = case
+    n = cfg.n_agents
+    fh = fh_table(cfg)
+    for k in indices:
+        rows = profile_from_index(k, n)
+        p = LinkProfile(n, rows)
+        comp = component_masks(undirected_adjacency(p))
+        scale = sum(fh[c] for c in comp) + sum(
+            cfg.link_cost(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1)
+        assert abs(welfare(cfg, rows, comp, fh) - social_welfare(cfg, p)) <= 1e-12 * scale
+
+
 class TestSocialOptimum:
     def test_connected_region_value(self):
         ev = family_pair_redundancy(5, 4, 4, 0)
         cfg = homog(ev, 0.3, LN)
-        value, profile = social_optimum(cfg, verify_by_full_scan=True)
+        value, profile = social_optimum(cfg)
+        assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         assert value == pytest.approx(3 * LN(13) - 2 * 0.3, abs=1e-9)
         assert len(components(profile)) == 1
 
     def test_isolated_region_empty(self):
         cfg = homog(family_independent([1, 1]), 3.0)
-        value, profile = social_optimum(cfg, verify_by_full_scan=True)
+        value, profile = social_optimum(cfg)
+        assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         assert profile.rows == (0, 0)
         assert value == pytest.approx(2 * math.log2(2), abs=1e-12)
 
     def test_heterogeneous_periphery_star_on_cheapest_core(self):
         ev = family_pair_redundancy(5, 4, 4, 0)
         cfg = GameConfig(ev, LN, CostModel.recipient([0.1, 0.2, 0.3]))
-        value, profile = social_optimum(cfg, verify_by_full_scan=True)
+        value, profile = social_optimum(cfg)
+        assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         assert value == pytest.approx(3 * LN(13) - 2 * 0.1, abs=1e-9)
         # both links point at agent 0, the cheapest recipient
         assert profile.rows == (0, 1, 1)
@@ -310,31 +372,31 @@ class TestSocialOptimum:
         for seed in range(10):
             rng = np.random.default_rng(400 + seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
-            social_optimum(cfg, verify_by_full_scan=True)
+            assert social_optimum(cfg)[0] == pytest.approx(best_welfare(cfg), abs=1e-9)
 
 
 class TestEfficiencyMetrics:
     def test_poa_one_in_connected_region(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.3, LN)  # c < c_l
-        assert price_of_anarchy(cfg) == pytest.approx(1.0, abs=1e-9)
+        assert enumerate_nash(cfg).poa == pytest.approx(1.0, abs=1e-9)
 
     def test_heterogeneous_connected_poa_closed_form(self):
         ev = family_pair_redundancy(5, 4, 4, 0)
         cfg = GameConfig(ev, LN, CostModel.recipient([0.1, 0.2, 0.3]))
         expect = (3 * math.log(14) - 2 * 0.1) / (3 * math.log(14) - 0.6 + 0.1)
-        assert price_of_anarchy(cfg) == pytest.approx(expect, abs=1e-9)
+        assert enumerate_nash(cfg).poa == pytest.approx(expect, abs=1e-9)
         assert expect == pytest.approx(1.0404, abs=5e-5)
 
     def test_mixed_region_poa_below_bound(self):
         ev = family_pair_redundancy(5, 4, 4, 0)
         cfg = homog(ev, 0.75, LN)  # strictly between the thresholds
         bound = 3 * math.log(14) / (math.log(6) + 2 * math.log(5))
-        poa = price_of_anarchy(cfg)
+        poa = enumerate_nash(cfg).poa
         assert 1.0 - 1e-9 <= poa < bound
 
     def test_mil_zero_in_connected_region(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.3, LN)
-        assert max_information_loss(cfg) == pytest.approx(0.0, abs=1e-12)
+        assert enumerate_nash(cfg).mil == pytest.approx(0.0, abs=1e-12)
 
     def test_mil_nine_bits_when_both_extremes_are_equilibria(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.75, LN)

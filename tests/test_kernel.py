@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infogame.entropy import family_independent
 from infogame.formation_game import (
     BenefitFunction,
+    CostModel,
+    GameConfig,
     LinkProfile,
     component_masks,
     social_welfare,
@@ -18,17 +21,19 @@ from infogame.formation_game import (
 from infogame.kernel import (
     best_response_table,
     fh_table,
+    merged_table,
+    ne_status,
     orientations,
-    profile_from_index,
     profile_index,
     row_costs,
-    row_utilities,
     rows_from_indices,
     set_partitions,
     spanning_trees,
     welfare,
 )
 from infogame.verification import random_homogeneous_config, random_recipient_config
+from scalar_kernel import merged_components, profile_from_index, row_utilities
+from scalar_kernel import ne_status as scalar_ne_status
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -104,6 +109,38 @@ def test_best_response_table_matches_row_utilities(n):
         for b, k in enumerate(idx):
             utils = row_utilities(n, profile_from_index(int(k), n), i, fh, costs[i])
             assert table[b].tolist() == [u >= max(utils) - 1e-9 for u in utils]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 4096])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_merged_table_matches_merged_components(n, batch):
+    rng = np.random.default_rng(10 * n + batch)
+    idx = rng.integers(0, 1 << (n * (n - 1)), size=batch)
+    rows = rows_from_indices(idx, n)
+    for i in range(n):
+        table = merged_table(n, rows, i).tolist()
+        assert table == [merged_components(n, r, i) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
+    # agent subsets in ascending order, as the component checker passes a block's members
+    rng = np.random.default_rng(70 + n)
+    if ties:
+        # a link to a one-bit agent gains exactly its price: equilibria that are not strict
+        cfg = GameConfig(family_independent([1.0] * (n - 1) + [2.0]), BenefitFunction.linear(),
+                         CostModel.homogeneous(1.0))
+    else:
+        cfg = (random_recipient_config if n % 2 else random_homogeneous_config)(rng, n, LN)
+    fh, costs = fh_table(cfg), row_costs(cfg)
+    idx = rng.integers(0, 1 << (n * (n - 1)), size=300)
+    rows = rows_from_indices(idx, n)
+    for mask in range(1, 1 << n):
+        agents = [a for a in range(n) if mask >> a & 1]
+        is_ne, strict = ne_status(n, rows, agents, np.asarray(fh), costs)
+        expect = [scalar_ne_status(n, r, agents, fh, costs) for r in map(tuple, rows.tolist())]
+        assert list(zip(is_ne.tolist(), strict.tolist())) == expect
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1)], [(0, 1), (1, 2)], [(0, 3), (1, 3), (2, 4), (3, 4)]])

@@ -16,7 +16,7 @@ from infogame import production
 from infogame.entropy import TOL
 from infogame.equilibrium import CapExceededError
 from infogame.formation_game import BenefitFunction, LinkProfile
-from infogame.kernel import merged_components, rows_from_indices
+from infogame.kernel import rows_from_indices
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -29,6 +29,7 @@ from infogame.production import (
     production_ne_mask,
     production_utility,
 )
+from scalar_kernel import merged_components
 
 BENEFITS = [BenefitFunction.log1p(2.0), BenefitFunction.log1p(math.e),
             BenefitFunction.power(0.5), BenefitFunction.power(0.3)]
