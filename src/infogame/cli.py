@@ -53,7 +53,7 @@ import yaml
 
 from . import analytic, equilibrium, production
 from .entropy import family_pair_redundancy
-from .equilibrium import CapExceededError
+from .equilibrium import CHECK_BUDGET, CapExceededError
 from .formation_game import (
     CostModel,
     GameConfig,
@@ -76,21 +76,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _grid_values(node, what: str) -> list[float]:
+def _grid_size(node, what: str) -> int:
+    """Number of values of a grid node, validated without building them."""
     if isinstance(node, (list, tuple)):
-        if not node:
-            raise SpecError(f"{what} grid must be nonempty")
-        return _finite([float(v) for v in node], what)
+        size = len(node)
+    elif isinstance(node, dict) and {"start", "stop", "points"} <= node.keys():
+        size = int(node["points"])
+    else:
+        raise SpecError(f"{what} grid must be a list or a start/stop/points mapping")
+    if size < 1:
+        raise SpecError(f"{what} grid must be nonempty")
+    return size
+
+
+def _grid_values(node, what: str) -> list[float]:
+    """The values of a grid node that :func:`_grid_size` accepted."""
     if isinstance(node, dict):
-        try:
-            start, stop, points = float(node["start"]), float(node["stop"]), int(node["points"])
-        except KeyError as e:
-            raise SpecError(f"{what} grid needs start/stop/points") from None
-        if points < 1:
-            raise SpecError(f"{what} grid must be nonempty")
-        _finite([start, stop], what)
-        return [float(v) for v in np.linspace(start, stop, points)]
-    raise SpecError(f"{what} grid must be a list or a start/stop/points mapping")
+        start, stop = _finite([float(node["start"]), float(node["stop"])], what)
+        return [float(v) for v in np.linspace(start, stop, int(node["points"]))]
+    return _finite([float(v) for v in node], what)
 
 
 def _finite(values: list[float], what: str) -> list[float]:
@@ -100,8 +104,11 @@ def _finite(values: list[float], what: str) -> list[float]:
 
 
 def _require(spec: dict, key: str) -> dict:
+    """The mapping under ``key``; a missing or non-mapping section is a spec error."""
     if key not in spec:
         raise SpecError(f"spec is missing the {key!r} section")
+    if not isinstance(spec[key], dict):
+        raise SpecError(f"the {key!r} section must be a mapping")
     return spec[key]
 
 
@@ -120,8 +127,12 @@ def _sweep_family(spec: dict):
 def _sweep_rows(spec: dict):
     h, benefit = _sweep_family(spec)
     grid = _require(spec, "grid")
-    kl_values = _grid_values(grid.get("kl", [0.0]), "kl")
-    c_values = _grid_values(_require(grid, "c"), "c")
+    kl_node, c_node = grid.get("kl", [0.0]), grid.get("c")
+    points = _grid_size(kl_node, "kl") * _grid_size(c_node, "c")
+    if points > CHECK_BUDGET:
+        raise CapExceededError(f"sweep grids capped at {CHECK_BUDGET} points: "
+                               f"it would evaluate {points} grid points")
+    kl_values, c_values = _grid_values(kl_node, "kl"), _grid_values(c_node, "c")
 
     def one(kl, c):
         try:
@@ -167,11 +178,13 @@ def _production_config(spec: dict) -> ProductionGameConfig:
         return ProductionGameConfig(
             n_agents=int(node.get("n_agents", 2)),
             benefit=benefit_from_config(_require(node, "benefit")),
-            k=float(_require(node, "k")),
-            c=float(_require(node, "c")),
+            k=float(node["k"]),
+            c=float(node["c"]),
             agg=agg,
             grid_step=float(node["grid_step"]) if "grid_step" in node else None,
         )
+    except KeyError as e:
+        raise SpecError(f"the 'production' section is missing {e}") from None
     except ValueError as e:
         raise SpecError(str(e)) from None
 

@@ -95,20 +95,6 @@ class EquilibriumReport:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def to_text(self) -> str:
-        lines = [
-            f"equilibria: {len(self.ne_profiles)} ({len(self.strict_ne_profiles)} strict)",
-            f"social optimum: {self.social_optimum_value!r} at {self.social_optimum_profile.bitstring()}",
-            f"worst equilibrium welfare: {self.worst_ne_welfare!r}",
-            f"price of anarchy: {'undefined' if self.poa is None else repr(self.poa)}",
-            f"max information loss (bits): {self.mil!r}",
-        ]
-        strict_rows = {q.rows for q in self.strict_ne_profiles}
-        for p, w in zip(self.ne_profiles, self.ne_welfares):
-            strict = p.rows in strict_rows
-            lines.append(f"  NE {p.bitstring()} welfare={w!r}{' strict' if strict else ''}")
-        return "\n".join(lines) + "\n"
-
 
 def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TOL) -> frozenset[int]:
     """Agent i's best-response rows (as link bitmasks) against ``others``.

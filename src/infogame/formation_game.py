@@ -183,9 +183,9 @@ class CostModel:
 class LinkProfile:
     """One strategy profile: row i is the bitmask of agents that i links to.
 
-    The diagonal is forbidden (no self links). Profiles are hashable and
-    ordered deterministically by :meth:`index`, the integer whose binary
-    expansion is the row-major flattening of the adjacency matrix.
+    The diagonal is forbidden (no self links). Profiles are hashable;
+    enumerations order them by :func:`~infogame.kernel.profile_index` of
+    their rows, the rank of the row-major link matrix without its diagonal.
     """
 
     n_agents: int
@@ -245,14 +245,6 @@ class LinkProfile:
         """Row-major flattening, diagonal included as '0'."""
         n = self.n_agents
         return "".join("1" if self.rows[i] >> j & 1 else "0" for i in range(n) for j in range(n))
-
-    def index(self) -> int:
-        """Lexicographic rank of :meth:`bitstring`; the enumeration order."""
-        return int(self.bitstring(), 2)
-
-    def directed_links(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i in range(self.n_agents)
-                     for j in subset_agents(self.rows[i]))
 
 
 @dataclass(frozen=True)
@@ -342,12 +334,6 @@ def components(profile: LinkProfile) -> tuple[frozenset[int], ...]:
             seen.add(comp[i])
             out.append(frozenset(subset_agents(comp[i])))
     return tuple(out)
-
-
-def reachable_set(profile: LinkProfile, i: int) -> frozenset[int]:
-    """Agents i reaches through the topology, excluding i itself."""
-    comp = component_masks(undirected_adjacency(profile))
-    return frozenset(subset_agents(comp[i] & ~(1 << i)))
 
 
 def is_minimally_connected(profile: LinkProfile, component) -> bool:

@@ -19,8 +19,9 @@ every compact row, and every (row, production) deviation of every profile is
 scored at once, in chunks of ``CHECK_CHUNK`` cells. The aggregates are
 accumulated one agent at a time in ascending order, and f is evaluated by
 the scalar :class:`BenefitFunction` on the distinct values only, so every
-utility is the float that :func:`production_utility` computes. Enumerations
-estimate their checks first and refuse more than ``CHECK_BUDGET``.
+utility is the float that the per-profile utility under ``tests/`` (the
+oracle the check is compared against) computes. Enumerations estimate their
+checks first and refuse more than ``CHECK_BUDGET``.
 
 The characterization checkers assume a strictly positive link cost; with
 free links a duplicate-sponsored edge can sit in an equilibrium that the
@@ -40,9 +41,9 @@ import numpy as np
 from .entropy import TOL, subset_agents
 from .equilibrium import CHECK_BUDGET, CapExceededError
 from .formation_game import BenefitFunction, LinkProfile, component_masks, undirected_adjacency
-from .kernel import compress_row, merged_table, orientations, rows_from_indices, spanning_trees
+from .kernel import (compress_row, merged_table, orientations, profile_index, rows_from_indices,
+                     spanning_trees)
 
-NE_CHECK_CAP = 10
 FULL_SCAN_CAP = 3
 CANDIDATE_CAP = 5
 # cells (profiles x compact rows x production candidates) per chunk of production_ne_mask
@@ -182,15 +183,6 @@ def h_bar(f: BenefitFunction, k: float) -> float:
     return (lo + hi) / 2.0
 
 
-def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) -> float:
-    """f(aggregate over i's component) - k * own production - c * sponsored links."""
-    if s.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    comp = component_masks(undirected_adjacency(s.links))[i]
-    info = aggregate(cfg.agg, s.productions, comp)
-    return cfg.benefit(info) - cfg.k * s.productions[i] - cfg.c * s.links.rows[i].bit_count()
-
-
 def _grid_top(cfg: ProductionGameConfig) -> int:
     """Index of the last grid level, the first multiple of the step at or above h_bar."""
     hb = cfg.h_bar()
@@ -288,53 +280,17 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     return ne
 
 
-def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile,
-                     max_n: int | None = None) -> bool:
+def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
     """True when no unilateral (links, production) deviation gains more than 1e-9.
 
     :func:`production_ne_mask` of the batch of one.
     """
-    n = cfg.n_agents
-    cap = max_n if max_n is not None else NE_CHECK_CAP
-    if n > cap:
-        raise CapExceededError(f"equilibrium check capped at {cap} agents, got {n}")
-    if s.n_agents != n:
+    if s.n_agents != cfg.n_agents:
         raise ValueError("profile size does not match the game")
     return bool(production_ne_mask(cfg, [s.links.rows], [s.productions])[0])
 
 
 # -- equilibrium-shape characterizations --------------------------------------
-
-def _tree_structure(s: ProductionProfile):
-    """(is spanning tree with single-sponsored edges, undirected edge list)."""
-    links = s.links
-    n = links.n_agents
-    edges = []
-    for i in range(n):
-        for j in subset_agents(links.rows[i]):
-            if links.rows[j] >> i & 1 and j < i:
-                return False, []  # duplicate sponsorship
-            edges.append((min(i, j), max(i, j)))
-    if len(set(edges)) != len(edges):
-        return False, []
-    if len(edges) != n - 1:
-        return False, edges
-    comp = component_masks(undirected_adjacency(links))
-    if comp[0] != (1 << n) - 1:
-        return False, edges
-    return True, edges
-
-
-def _cut_mask(n: int, edges, drop, side: int) -> int:
-    """Component mask containing ``side`` after removing edge ``drop`` from a tree."""
-    adj = [0] * n
-    for (a, b) in edges:
-        if (a, b) == drop:
-            continue
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return component_masks(adj)[side]
-
 
 def check_sum_equilibrium(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
     """Equilibrium characterization under SUM aggregation.
@@ -375,17 +331,19 @@ def _check_production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> 
         return all(abs(p - hb) <= TOL for p in prods)
     if n == 1:
         return abs(prods[0] - hb) <= TOL
-    is_tree, edges = _tree_structure(s)
-    if not is_tree:
+    rows = s.links.rows
+    # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
+    if (sum(r.bit_count() for r in rows) != n - 1
+            or component_masks(undirected_adjacency(s.links))[0] != (1 << n) - 1):
         return False
     if cfg.agg is Aggregation.SUM:
         if abs(sum(prods) - hb) > TOL:
             return False
         for i in range(n):
-            for j in subset_agents(s.links.rows[i]):
-                edge = (min(i, j), max(i, j))
-                cut = _cut_mask(n, edges, edge, j)
-                if cfg.c > cfg.k * aggregate(cfg.agg, prods, cut) + TOL:
+            # without i's links each target j keeps the subtree that the link i -> j reaches
+            cut = component_masks(undirected_adjacency(s.links, skip_row=i))
+            for j in subset_agents(rows[i]):
+                if cfg.c > cfg.k * aggregate(cfg.agg, prods, cut[j]) + TOL:
                     return False
         return True
     producers = [i for i in range(n) if prods[i] > PRODUCER_EPS]
@@ -396,35 +354,12 @@ def _check_production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> 
     for i in range(n):
         if i == producers[0]:
             continue
-        if s.links.rows[i].bit_count() != 1:
+        if rows[i].bit_count() != 1:
             return False
     return True
 
 
 # -- enumeration ---------------------------------------------------------------
-
-def _rooted_rows(n: int, edges, root: int) -> tuple[int, ...]:
-    """Each non-root sponsors the edge toward the root; the root sponsors nothing."""
-    adjacency = [[] for _ in range(n)]
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    rows = [0] * n
-    stack = [root]
-    seen = {root}
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                rows[w] |= 1 << v
-                stack.append(w)
-    return tuple(rows)
-
-
-def _profile_sort_key(s: ProductionProfile):
-    return (s.links.index(), s.productions)
-
 
 def _compositions(total: int, parts: int, top: int):
     """Vectors of ``parts`` integers in [0, top] adding up to ``total``, lexicographic."""
@@ -511,15 +446,18 @@ def _candidate_batches(cfg: ProductionGameConfig):
     yield np.zeros((1, n), dtype=np.int64), np.full((1, n), hb)
     if cfg.high_cost() or n < 2:
         return
-    trees = list(spanning_trees(tuple(range(n))))
+    trees = np.array([rows for edges in spanning_trees(tuple(range(n)))
+                      for rows in orientations(edges, (0,) * n)], dtype=np.int64)
     if cfg.agg is Aggregation.SUM:
-        rows = [r for edges in trees for r in orientations(edges, (0,) * n)]
-        yield from _cross_batches(cfg, np.array(rows, dtype=np.int64), _splits(cfg))
+        yield from _cross_batches(cfg, trees, _splits(cfg))
         return
+    sponsors = trees != 0
     for producer in range(n):
-        rows = [_rooted_rows(n, edges, producer) for edges in trees]
+        # in a tree, the producer sponsoring nothing and everyone else a link is
+        # exactly the orientation toward the producer
+        rooted = ~sponsors[:, producer] & (sponsors.sum(axis=1) == n - 1)
         prods = np.where(np.arange(n) == producer, hb, 0.0)[None, :]
-        yield from _cross_batches(cfg, np.array(rows, dtype=np.int64), prods)
+        yield from _cross_batches(cfg, trees[rooted], prods)
 
 
 def enumerate_production_ne(cfg: ProductionGameConfig, max_n: int | None = None,
@@ -559,7 +497,7 @@ def enumerate_production_ne(cfg: ProductionGameConfig, max_n: int | None = None,
             if r not in links:
                 links[r] = LinkProfile(n, r)
             out.append(ProductionProfile(prod_tuples.setdefault(p, p), links[r]))
-    out.sort(key=_profile_sort_key)
+    out.sort(key=lambda s: (profile_index(s.links.rows), s.productions))
     return out
 
 

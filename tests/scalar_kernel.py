@@ -3,13 +3,16 @@
 These are the per-profile, Python-int forms of :mod:`infogame.kernel`'s
 batch functions. ``merged_components`` is one row of ``merged_table``,
 ``row_utilities`` one row of the utilities behind ``best_response_table``,
-``ne_status`` one profile of the batch ``ne_status``, and
-``profile_from_index`` one row of ``rows_from_indices``. The tests compare
-the two forms; nothing in the package uses these.
+``ne_status`` one profile of the batch ``ne_status``,
+``profile_from_index`` one row of ``rows_from_indices``, and
+``production_utility`` one utility behind ``production.production_ne_mask``.
+The tests compare the two forms; nothing in the package uses these.
 """
 from infogame import formation_game
 from infogame.entropy import TOL
+from infogame.formation_game import component_masks, undirected_adjacency
 from infogame.kernel import compress_row
+from infogame.production import ProductionGameConfig, ProductionProfile, aggregate
 
 
 def profile_from_index(idx: int, n: int) -> tuple[int, ...]:
@@ -86,3 +89,12 @@ def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
             floor = u_cur - tol
             strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
     return True, strict
+
+
+def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) -> float:
+    """f(aggregate over i's component) - k * own production - c * sponsored links."""
+    if s.n_agents != cfg.n_agents:
+        raise ValueError("profile size does not match the game")
+    comp = component_masks(undirected_adjacency(s.links))[i]
+    info = aggregate(cfg.agg, s.productions, comp)
+    return cfg.benefit(info) - cfg.k * s.productions[i] - cfg.c * s.links.rows[i].bit_count()

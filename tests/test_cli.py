@@ -1,8 +1,10 @@
 """The batch front end: spec documents, CSV schemas, exit codes, determinism."""
 import math
 
+import numpy as np
 import pytest
 
+from infogame import analytic
 from infogame.cli import main
 from infogame.entropy import family_pair_redundancy
 from infogame.equilibrium import enumerate_nash
@@ -229,6 +231,25 @@ game:
         spec = REGION_SPEC.split("grid:")[0] + "grid:\n  " + grid + "\n"
         code, _ = run_cli(tmp_path, spec)
         assert code == 2
+
+    @pytest.mark.parametrize("spec", [
+        REGION_SPEC.split("game:")[0] + "game: [1, 2]\n" + "grid:" + REGION_SPEC.split("grid:")[1],
+        REGION_SPEC.split("grid:")[0] + "grid: [1, 2]\n",
+        "command: production\nproduction: [1]\n",
+    ], ids=["game", "grid", "production"])
+    def test_non_mapping_section_rejected(self, tmp_path, spec):
+        code, text = run_cli(tmp_path, spec)
+        assert code == 2 and text == ""
+
+    def test_oversized_sweep_grid_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(analytic, "classify_homogeneous", refuse)
+        spec = REGION_SPEC.replace("points: 20", "points: 100000000000")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 3 and text == ""
+        assert "it would evaluate 500000000000 grid points" in capsys.readouterr().err
 
     def test_nan_cost_rejected(self, tmp_path):
         code, text = run_cli(tmp_path, ENUM_SPEC.replace("c: 0.3", "c: .nan"))

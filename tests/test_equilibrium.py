@@ -427,4 +427,3 @@ class TestEfficiencyMetrics:
         header = csv_text.splitlines()[0].split(",")
         assert header == ["profile", "welfare", "info_0", "info_1", "info_2", "strict"]
         assert len(csv_text.splitlines()) == 1 + len(report.ne_profiles)
-        assert "price of anarchy" in report.to_text()

@@ -1,8 +1,10 @@
 """Module boundaries of the package, checked from the source text.
 
 No module imports a private name from another, no import hides inside a
-function body, and every module can be the first one a fresh interpreter
-imports (so no import order is needed to break a cycle).
+function body, every module can be the first one a fresh interpreter
+imports (so no import order is needed to break a cycle), and every public
+module-level function serves the package: something in ``src/`` uses it or
+``infogame`` exports it. Test-only helpers live under ``tests/``.
 """
 import ast
 import subprocess
@@ -47,3 +49,23 @@ def test_importable_first_in_fresh_interpreter(module):
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src_root!r}); import infogame.{module}"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_function_is_used_or_exported():
+    used = set()
+    for module in MODULES:
+        for top in parsed(module).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            names.discard(getattr(top, "name", None))  # a function calling itself does not count
+            used |= names
+    unused = [f"{module}.{node.name}" for module in MODULES for node in parsed(module).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in used and node.name not in infogame.__all__]
+    assert unused == []

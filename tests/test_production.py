@@ -22,8 +22,8 @@ from infogame.production import (
     grid_levels,
     h_bar,
     is_production_ne,
-    production_utility,
 )
+from scalar_kernel import production_utility
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -139,10 +139,11 @@ class TestEquilibriumCheck:
         s = ProductionProfile((3.0, 0.0), LinkProfile.from_links(2, [(0, 1)]))
         assert not is_production_ne(cfg, s)
 
-    def test_cap(self):
-        cfg = make_cfg(n=12)
-        with pytest.raises(CapExceededError):
-            is_production_ne(cfg, ProductionProfile((0.0,) * 12, LinkProfile.empty(12)))
+    def test_twelve_agents_checked(self):
+        # no agent cap of its own: any profile LinkProfile accepts is judged
+        cfg = make_cfg(n=12, c=1.0)
+        assert is_production_ne(cfg, ProductionProfile((3.0,) * 12, LinkProfile.empty(12)))
+        assert not is_production_ne(cfg, ProductionProfile((0.0,) * 12, LinkProfile.empty(12)))
 
 
 class TestCharacterizations:
@@ -202,7 +203,7 @@ class TestEnumeration:
     def test_sum_low_cost_splits(self):
         cfg = make_cfg(c=0.2)
         found = enumerate_production_ne(cfg)
-        got = {(s.links.directed_links(), tuple(round(p, 9) for p in s.productions))
+        got = {(s.links.rows, tuple(round(p, 9) for p in s.productions))
                for s in found}
         # exactly the grid splits of h_bar with one link whose sponsor could
         # not produce the acquired information more cheaply: p_sponsor <= 2.2
@@ -211,9 +212,9 @@ class TestEnumeration:
             p0 = round(sixths * 0.5, 9)
             p1 = round(3.0 - p0, 9)
             if p0 <= 3.0 - cfg.c / cfg.k + 1e-9:
-                expect.add((((0, 1),), (p0, p1)))
+                expect.add(((0b10, 0), (p0, p1)))  # 0 -> 1
             if p1 <= 3.0 - cfg.c / cfg.k + 1e-9:
-                expect.add((((1, 0),), (p0, p1)))
+                expect.add(((0, 0b01), (p0, p1)))  # 1 -> 0
         assert got == expect
         assert len(found) == 10
 

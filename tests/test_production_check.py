@@ -2,7 +2,8 @@
 
 ``scalar_is_production_ne`` is the check as a plain loop over agents, compact
 rows and production candidates; it is the oracle for
-:func:`production_ne_mask` and for everything built on it.
+:func:`production_ne_mask` and for everything built on it. The shape
+checkers are compared with the batched check off the production grid.
 """
 import itertools
 import math
@@ -16,20 +17,21 @@ from infogame import production
 from infogame.entropy import TOL
 from infogame.equilibrium import CapExceededError
 from infogame.formation_game import BenefitFunction, LinkProfile
-from infogame.kernel import rows_from_indices
+from infogame.kernel import orientations, rows_from_indices, spanning_trees
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
     ProductionProfile,
     aggregate,
+    check_max_equilibrium,
+    check_sum_equilibrium,
     enumerate_production_ne,
     few_sweep,
     grid_levels,
     is_production_ne,
     production_ne_mask,
-    production_utility,
 )
-from scalar_kernel import merged_components
+from scalar_kernel import merged_components, production_utility
 
 BENEFITS = [BenefitFunction.log1p(2.0), BenefitFunction.log1p(math.e),
             BenefitFunction.power(0.5), BenefitFunction.power(0.3)]
@@ -201,6 +203,40 @@ class TestMaskMatchesScalar:
     def test_empty_batch(self):
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
         assert production_ne_mask(cfg, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
+
+class TestShapeCheckers:
+    # k * h_bar = 0.75 with h_bar = 3: the first three costs are low, 1.0 is high
+    @pytest.mark.parametrize("c", [0.05, 0.2, 0.4, 1.0])
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_match_the_mask_off_the_grid(self, n, agg, c):
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
+        checker = check_sum_equilibrium if agg is Aggregation.SUM else check_max_equilibrium
+        hb = cfg.h_bar()
+        rng = np.random.default_rng([n, round(100 * c), agg is Aggregation.SUM])
+        single = [tuple(hb if a == p else 0.0 for a in range(n)) for p in range(n)]
+        cases = [((0,) * n, (hb,) * n)]  # the high-cost equilibrium
+        for edges in spanning_trees(tuple(range(n))):
+            for rows in orientations(edges, (0,) * n):
+                cases += [(rows, tuple(hb * rng.dirichlet(np.ones(n))))] + [(rows, p) for p in single]
+        for _ in range(100):
+            rows = tuple(int(r) & ~(1 << i) for i, r in enumerate(rng.integers(0, 1 << n, n)))
+            for p in (tuple(hb * rng.dirichlet(np.ones(n))), single[int(rng.integers(n))],
+                      tuple(rng.uniform(0.0, 1.5 * hb, n))):
+                cases.append((rows, p))
+        ne = production_ne_mask(cfg, [r for r, _ in cases], [p for _, p in cases])
+        got = [checker(cfg, ProductionProfile(p, LinkProfile(n, r))) for r, p in cases]
+        assert got == ne.tolist()
+        assert any(got)
+
+    @pytest.mark.parametrize("agg, c, fraction", [
+        (Aggregation.SUM, 1.0, 1.0), (Aggregation.MAX, 0.2, 1 / 16), (Aggregation.SUM, 0.2, 1.0)])
+    def test_few_sweep_runs_to_sixteen_agents(self, agg, c, fraction):
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, agg)
+        assert [pt.producer_fraction for pt in few_sweep(cfg, [16])] == [fraction]
+        with pytest.raises(ValueError, match="n_agents must be in 1..16"):
+            few_sweep(cfg, [17])
 
 
 class TestEnumeration:
