@@ -30,8 +30,9 @@ from .formation_game import (
     component_masks,
     undirected_adjacency,
 )
-from .equilibrium import CHECK_BUDGET, SCAN_CHUNK, CapExceededError, social_optimum
-from .kernel import fh_table, ne_status, orientations, row_costs, spanning_trees
+from .equilibrium import SCAN_CHUNK, social_optimum
+from .kernel import (fh_table, ne_status, orientations, require_budget, row_costs,
+                     spanning_trees, sponsored_tree_count)
 
 K_C = "K_C"
 K_I = "K_I"
@@ -166,11 +167,6 @@ def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bo
     return False
 
 
-def _sponsored_trees(m: int) -> int:
-    """Sponsored spanning trees of an m-agent block: m**(m-2) trees, 2**(m-1) orientations each."""
-    return m ** max(m - 2, 0) << (m - 1)
-
-
 def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[int]]) -> bool:
     """Can a network whose components are exactly ``partition`` arise in equilibrium?
 
@@ -188,17 +184,16 @@ def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[i
     characterization is used instead. Supports homogeneous and
     recipient-dependent costs; general cost matrices are rejected. A
     partition whose blocks have more than ``CHECK_BUDGET`` sponsored trees
-    in all raises :class:`CapExceededError` before any is checked.
+    in all raises :class:`~infogame.kernel.CapExceededError` before any is
+    checked.
     """
     if cfg.costs.kind not in ("homogeneous", "recipient"):
         raise ValueError("component checker supports homogeneous or recipient costs only")
     n = cfg.n_agents
     masks = _partition_masks(n, partition)
-    trees = sum(_sponsored_trees(mask.bit_count()) for mask in masks)
-    if trees > CHECK_BUDGET:
-        raise CapExceededError(f"component checker capped at {CHECK_BUDGET} sponsored trees, "
-                               f"got blocks of {sorted(m.bit_count() for m in masks)} agents: "
-                               f"it would check {trees} sponsored trees")
+    require_budget(sum(sponsored_tree_count(mask.bit_count()) for mask in masks),
+                   f"component checker on blocks of {sorted(m.bit_count() for m in masks)} agents",
+                   "sponsored trees")
     for mask in masks:
         others = [m for m in masks if m != mask]
         if not _block_supports_ne(cfg, mask, others):

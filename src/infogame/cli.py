@@ -37,9 +37,9 @@ the remaining sections configure it:
     output: out.csv              # optional, overridden by --out
 
 Sweep rows are emitted redundancy-major, then cost. Every CSV starts with a
-comment line recording the sha256 of the experiment document, the seed, and
-the caps in effect, so identical inputs produce byte-identical files. Exit
-codes: 0 success, 1 verification failure, 2 invalid spec, 3 cap exceeded.
+comment line recording the sha256 of the experiment document and the seed,
+so identical inputs produce byte-identical files. Exit codes: 0 success, 1
+verification failure, 2 invalid spec, 3 work budget (2**20) exceeded.
 """
 from __future__ import annotations
 
@@ -53,13 +53,13 @@ import yaml
 
 from . import analytic, equilibrium, production
 from .entropy import family_pair_redundancy
-from .equilibrium import CHECK_BUDGET, CapExceededError
 from .formation_game import (
     CostModel,
     GameConfig,
     benefit_from_config,
     config_from_dict,
 )
+from .kernel import CapExceededError, require_budget
 from .production import Aggregation, ProductionGameConfig
 from .verification import run_verification
 
@@ -76,12 +76,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _number(kind, value, what: str):
+    """``kind(value)`` for kind int or float; a wrong-typed or non-finite value is a spec error."""
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise SpecError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def _grid_size(node, what: str) -> int:
     """Number of values of a grid node, validated without building them."""
     if isinstance(node, (list, tuple)):
         size = len(node)
     elif isinstance(node, dict) and {"start", "stop", "points"} <= node.keys():
-        size = int(node["points"])
+        size = _number(int, node["points"], f"{what} grid points")
     else:
         raise SpecError(f"{what} grid must be a list or a start/stop/points mapping")
     if size < 1:
@@ -92,15 +103,9 @@ def _grid_size(node, what: str) -> int:
 def _grid_values(node, what: str) -> list[float]:
     """The values of a grid node that :func:`_grid_size` accepted."""
     if isinstance(node, dict):
-        start, stop = _finite([float(node["start"]), float(node["stop"])], what)
+        start, stop = (_number(float, node[key], f"{what} grid {key}") for key in ("start", "stop"))
         return [float(v) for v in np.linspace(start, stop, int(node["points"]))]
-    return _finite([float(v) for v in node], what)
-
-
-def _finite(values: list[float], what: str) -> list[float]:
-    if not all(math.isfinite(v) for v in values):
-        raise SpecError(f"{what} grid values must be finite")
-    return values
+    return [_number(float, v, f"{what} grid value") for v in node]
 
 
 def _require(spec: dict, key: str) -> dict:
@@ -118,20 +123,17 @@ def _sweep_family(spec: dict):
     if not isinstance(ev_cfg, dict) or ev_cfg.get("family") != "pair_redundancy":
         raise SpecError("region sweeps need entropic_vector family 'pair_redundancy'")
     h = ev_cfg.get("h")
-    if not h or len(h) != 3:
+    if not isinstance(h, list) or len(h) != 3:
         raise SpecError("pair_redundancy family needs h: [h1, h2, h3]")
     benefit = benefit_from_config(_require(game, "benefit"))
-    return [float(v) for v in h], benefit
+    return [_number(float, v, "h") for v in h], benefit
 
 
 def _sweep_rows(spec: dict):
     h, benefit = _sweep_family(spec)
     grid = _require(spec, "grid")
     kl_node, c_node = grid.get("kl", [0.0]), grid.get("c")
-    points = _grid_size(kl_node, "kl") * _grid_size(c_node, "c")
-    if points > CHECK_BUDGET:
-        raise CapExceededError(f"sweep grids capped at {CHECK_BUDGET} points: "
-                               f"it would evaluate {points} grid points")
+    require_budget(_grid_size(kl_node, "kl") * _grid_size(c_node, "c"), "sweep grid", "grid points")
     kl_values, c_values = _grid_values(kl_node, "kl"), _grid_values(c_node, "c")
 
     def one(kl, c):
@@ -150,9 +152,9 @@ def _sweep_rows(spec: dict):
     return columns, rows
 
 
-def _run_enumerate(spec: dict, max_n) -> tuple[str, int]:
+def _run_enumerate(spec: dict) -> tuple[str, int]:
     cfg = _game_config(spec)
-    report = equilibrium.enumerate_nash(cfg, max_n=max_n)
+    report = equilibrium.enumerate_nash(cfg)
     body = report.to_csv()
     extra = (f"# social_optimum={_fmt(report.social_optimum_value)}"
              f" worst_ne_welfare={_fmt(report.worst_ne_welfare)}"
@@ -176,12 +178,12 @@ def _production_config(spec: dict) -> ProductionGameConfig:
         raise SpecError(f"unknown aggregation {node.get('aggregation')!r}") from None
     try:
         return ProductionGameConfig(
-            n_agents=int(node.get("n_agents", 2)),
+            n_agents=_number(int, node.get("n_agents", 2), "n_agents"),
             benefit=benefit_from_config(_require(node, "benefit")),
-            k=float(node["k"]),
-            c=float(node["c"]),
+            k=_number(float, node["k"], "k"),
+            c=_number(float, node["c"], "c"),
             agg=agg,
-            grid_step=float(node["grid_step"]) if "grid_step" in node else None,
+            grid_step=_number(float, node["grid_step"], "grid_step") if "grid_step" in node else None,
         )
     except KeyError as e:
         raise SpecError(f"the 'production' section is missing {e}") from None
@@ -189,9 +191,9 @@ def _production_config(spec: dict) -> ProductionGameConfig:
         raise SpecError(str(e)) from None
 
 
-def _run_production(spec: dict, max_n) -> tuple[str, int]:
+def _run_production(spec: dict) -> tuple[str, int]:
     cfg = _production_config(spec)
-    found = production.enumerate_production_ne(cfg, max_n=max_n)
+    found = production.enumerate_production_ne(cfg)
     columns = ["links"] + [f"prod_{i}" for i in range(cfg.n_agents)]
     return _csv(columns, [(s.links.bitstring(),) + s.productions for s in found]), 0
 
@@ -201,7 +203,7 @@ def _run_few_sweep(spec: dict) -> tuple[str, int]:
     n_list = spec.get("n_list", [2, 3, 4, 5, 6, 7, 8])
     if not isinstance(n_list, (list, tuple)) or not n_list:
         raise SpecError("few-sweep needs a nonempty n_list")
-    points = production.few_sweep(cfg, [int(n) for n in n_list])
+    points = production.few_sweep(cfg, [_number(int, n, "n_list entry") for n in n_list])
     columns = ["n", "agg", "c", "k", "h_bar", "producer_fraction", "total_information_bits"]
     rows = [(pt.n, pt.agg.value, pt.c, pt.k, pt.h_bar, pt.producer_fraction, pt.total_information_bits)
             for pt in points]
@@ -214,8 +216,8 @@ def _run_verify(spec: dict, seed: int) -> tuple[str, int]:
         raise SpecError("verify section must be a mapping")
     try:
         report = run_verification(
-            n_agents=int(node.get("n_agents", 3)),
-            instances=int(node.get("instances", 20)),
+            n_agents=_number(int, node.get("n_agents", 3), "n_agents"),
+            instances=_number(int, node.get("instances", 20), "instances"),
             seed=seed,
         )
     except ValueError as e:
@@ -230,25 +232,25 @@ def _csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_spec(spec: dict, spec_bytes: bytes, seed: int | None,
-             max_n: int | None) -> tuple[str, int]:
+def run_spec(spec: dict, spec_bytes: bytes, seed: int | None) -> tuple[str, int]:
     """Execute one experiment document; returns (output text, exit code)."""
     if not isinstance(spec, dict):
         raise SpecError("experiment document must be a mapping")
     command = spec.get("command")
     if command not in COMMANDS:
         raise SpecError(f"command must be one of {', '.join(COMMANDS)}; got {command!r}")
-    effective_seed = seed if seed is not None else int(spec.get("seed", 0))
+    effective_seed = seed if seed is not None else _number(int, spec.get("seed", 0), "seed")
     digest = hashlib.sha256(spec_bytes).hexdigest()
-    caps = f"max_n={max_n if max_n is not None else 'default'}"
-    comment = f"spec_sha256={digest} seed={effective_seed} {caps} command={command}"
+    # the field before "command" names an agent-cap option that no longer exists; it stays
+    # so that output bytes do not change (bench/workloads.py expects this exact header)
+    comment = f"spec_sha256={digest} seed={effective_seed} max_n=default command={command}"
 
     if command in ("regions", "poa-sweep", "mil-sweep"):
         body, code = _csv(*_sweep_rows(spec)), 0
     elif command == "enumerate":
-        body, code = _run_enumerate(spec, max_n)
+        body, code = _run_enumerate(spec)
     elif command == "production":
-        body, code = _run_production(spec, max_n)
+        body, code = _run_production(spec)
     elif command == "few-sweep":
         body, code = _run_few_sweep(spec)
     else:
@@ -263,8 +265,6 @@ def main(argv=None) -> int:
     parser.add_argument("--spec", required=True, help="experiment document (YAML)")
     parser.add_argument("--out", help="output file; stdout when omitted")
     parser.add_argument("--seed", type=int, default=None, help="override the document seed")
-    parser.add_argument("--max-n", type=int, default=None, dest="max_n",
-                        help="override enumeration agent caps")
     args = parser.parse_args(argv)
     try:
         with open(args.spec, "rb") as fh:
@@ -277,14 +277,11 @@ def main(argv=None) -> int:
         print(f"error: spec is not valid YAML: {e}", file=sys.stderr)
         return 2
     try:
-        text, code = run_spec(spec, spec_bytes, args.seed, args.max_n)
+        text, code = run_spec(spec, spec_bytes, args.seed)
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # SpecError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     out_path = args.out or (spec.get("output") if isinstance(spec, dict) else None)

@@ -16,13 +16,14 @@ that field is contiguous, so one gather tests agent i's row in every profile
 at once. A profile is an NE when every agent's own row is set in its table,
 and strict when that row is the only one set.
 
-For six agents the profile space is 2**30 and the scan switches to candidate
-pruning: every NE with strictly positive link costs is a forest in which each
-edge has exactly one sponsor (a duplicate or cycle link could be dropped for
-a strict gain), so only sponsored forests are generated, as profile indices,
-and verified by :func:`~infogame.kernel.ne_status`, which drops a profile at
-its first failing agent. The pruned path refuses cost models with a link
-cost at or below tolerance.
+Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
+have 2**30 profiles) and the scan switches to candidate pruning: every NE
+with strictly positive link costs is a forest in which each edge has exactly
+one sponsor (a duplicate or cycle link could be dropped for a strict gain),
+so only sponsored forests are generated, as profile indices, and verified by
+:func:`~infogame.kernel.ne_status`, which drops a profile at its first
+failing agent. The pruned path refuses cost models with a link cost at or
+below tolerance.
 """
 from __future__ import annotations
 
@@ -38,31 +39,26 @@ from .formation_game import (
     undirected_adjacency,
 )
 from .kernel import (
+    CHECK_BUDGET,
+    CapExceededError,
     best_response_table,
     expand_row,
     fh_table,
     field_compacts,
     ne_status,
     profile_index,
+    require_budget,
     row_costs,
     rows_from_indices,
+    set_partition_count,
     set_partitions,
+    spanning_trees,
+    sponsored_tree_count,
     welfare,
 )
 
-FULL_SCAN_CAP = 5
-DEFAULT_ENUM_CAP = 6
-SOCIAL_OPT_CAP = 8
 # profiles (or others configurations) per best-response table evaluation
 SCAN_CHUNK = 4096
-
-
-class CapExceededError(RuntimeError):
-    """Raised when an enumeration would exceed its configured agent cap."""
-
-
-# profiles or sponsored trees one brute-force check may visit, whatever its agent cap
-CHECK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -166,45 +162,31 @@ def _ne_scan_full(cfg: GameConfig, tol: float):
     return _found(idx, strict[idx], n)
 
 
-def _forest_edge_subsets(n: int):
-    """All acyclic subsets of the complete graph's edges, as edge lists."""
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def grow(start, chosen, comp):
-        yield list(chosen)
-        for k in range(start, len(edges)):
-            i, j = edges[k]
-            ci, cj = comp[i], comp[j]
-            if ci == cj:
-                continue
-            new_comp = [ci if c == cj else c for c in comp]
-            chosen.append(edges[k])
-            yield from grow(k + 1, chosen, new_comp)
-            chosen.pop()
-
-    yield from grow(0, [], list(range(n)))
-
-
 def _forest_candidates(n: int) -> np.ndarray:
     """Profile indices of every sponsored forest, ascending.
 
-    Each edge of each acyclic edge subset is sponsored by one of its two
-    ends, in all 2**len(edges) ways.
+    Each set partition is wired by a spanning tree per block, each edge
+    sponsored by one of its two ends in all ways, so there are
+    ``set_partition_count(n, sponsored_tree_count)`` of them.
     """
     bit = np.array([[profile_index(tuple(1 << j if a == i else 0 for a in range(n)))
                      if i != j else 0 for j in range(n)] for i in range(n)], dtype=np.int64)
-    # edges of the forests with k >= 1 edges, flattened; the pairs are shared, not copied
-    by_size: dict[int, list] = {}
-    for edge_list in _forest_edge_subsets(n):
-        if edge_list:
-            by_size.setdefault(len(edge_list), []).extend(edge_list)
-    parts = [np.zeros(1, dtype=np.int64)]  # the empty network
-    for k, flat in by_size.items():
-        ends = np.array(flat, dtype=np.intp).reshape(-1, k, 2)
-        forward = bit[ends[..., 0], ends[..., 1]]
-        backward = bit[ends[..., 1], ends[..., 0]]
-        flip = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
-        parts.append(np.where(flip, backward[:, None, :], forward[:, None, :]).sum(axis=2).ravel())
+    shapes, trees = {}, {}  # tree edges per block size; sponsored-tree indices per block
+    parts = []
+    for part in set_partitions(tuple(range(n))):
+        idx = np.zeros(1, dtype=np.int64)
+        for block in map(tuple, part):
+            if block not in trees:
+                k = len(block) - 1
+                if k not in shapes:
+                    edges = list(spanning_trees(tuple(range(k + 1))))
+                    shapes[k] = np.array(edges, dtype=np.intp).reshape(len(edges), k, 2)
+                ends = np.array(block)[shapes[k]]
+                flip = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+                trees[block] = np.where(flip, bit[ends[..., 1], ends[..., 0]][:, None, :],
+                                        bit[ends[..., 0], ends[..., 1]][:, None, :]).sum(axis=2).ravel()
+            idx = (idx[:, None] + trees[block]).ravel()
+        parts.append(idx)
     return np.sort(np.concatenate(parts))
 
 
@@ -215,9 +197,6 @@ def _ne_scan_pruned(cfg: GameConfig, tol: float):
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
-    if n * (n - 1) > 63:
-        raise CapExceededError(f"pruned enumeration indexes profiles in 64 bits, "
-                               f"so it is capped at 8 agents, got {n}")
     fh = np.asarray(fh_table(cfg))
     costs = row_costs(cfg)
     candidates = _forest_candidates(n)
@@ -255,18 +234,17 @@ def _mst(block: tuple[int, ...], weight):
     return cost, edges
 
 
-def social_optimum(cfg: GameConfig, max_n: int | None = None) -> tuple[float, LinkProfile]:
+def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
     """Welfare-maximal profile and its value.
 
     Adding a link never raises welfare of other components and a cycle edge
     only adds cost, so the search ranges over partitions of the agents, each
     block wired as a minimum-cost spanning tree with every edge sponsored in
-    its cheaper direction.
+    its cheaper direction. More than ``CHECK_BUDGET`` partitions (the Bell
+    number of n, past 11 agents) raises :class:`CapExceededError`.
     """
     n = cfg.n_agents
-    cap = max_n if max_n is not None else SOCIAL_OPT_CAP
-    if n > cap:
-        raise CapExceededError(f"social optimum capped at {cap} agents, got {n}")
+    require_budget(set_partition_count(n), f"social optimum at {n} agents", "partitions")
     fh = fh_table(cfg)
 
     def edge_weight(i, j):
@@ -293,27 +271,24 @@ def social_optimum(cfg: GameConfig, max_n: int | None = None) -> tuple[float, Li
     return best_value, LinkProfile.from_links(n, best_links)
 
 
-def enumerate_nash(cfg: GameConfig, max_n: int | None = None,
-                   method: str = "auto", tol: float = TOL) -> EquilibriumReport:
+def enumerate_nash(cfg: GameConfig, method: str = "auto", tol: float = TOL) -> EquilibriumReport:
     """Enumerate all Nash equilibria and summarize efficiency.
 
-    ``method`` is ``"full"`` (exhaustive, n <= 5), ``"pruned"`` (sponsored
-    forests, positive costs) or ``"auto"``. Results are ordered by the
-    lexicographic profile index regardless of method.
+    ``method`` is ``"full"`` (every profile), ``"pruned"`` (sponsored
+    forests, positive costs) or ``"auto"``: full while its 2**(n(n-1))
+    profiles fit ``CHECK_BUDGET`` (n <= 5), else pruned (refused past 6
+    agents). Results are ordered by the profile index regardless of method.
     """
     n = cfg.n_agents
-    cap = max_n if max_n is not None else DEFAULT_ENUM_CAP
-    if n > cap:
-        raise CapExceededError(f"equilibrium enumeration capped at {cap} agents, got {n}")
+    profiles = 1 << (n * (n - 1))
     if method == "auto":
-        method = "full" if n <= FULL_SCAN_CAP else "pruned"
+        method = "full" if profiles <= CHECK_BUDGET else "pruned"
     if method == "full":
-        if n > FULL_SCAN_CAP:
-            raise CapExceededError(
-                f"full scan capped at {FULL_SCAN_CAP} agents, got {n}: "
-                f"it would test 2**{n * (n - 1)} profiles")
+        require_budget(profiles, f"full scan at {n} agents", "profiles")
         found = _ne_scan_full(cfg, tol)
     elif method == "pruned":
+        require_budget(set_partition_count(n, sponsored_tree_count),
+                       f"pruned scan at {n} agents", "sponsored forests")
         found = _ne_scan_pruned(cfg, tol)
     else:
         raise ValueError(f"unknown enumeration method {method!r}")

@@ -14,17 +14,32 @@ batch of profiles as an int64 array, and :func:`ne_status` judges a batch
 with it, so a single profile is a batch of one. Its component walk,
 :func:`merged_table`, is shared with the production game's equilibrium
 check. A scalar, per-profile form of the same walk lives under ``tests/``
-as the oracle the array form is compared against.
+as the oracle the array form is compared against. Every brute-force search
+counts its work in closed form first and passes it to :func:`require_budget`.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
 from . import formation_game
 from .entropy import TOL
+
+# profiles, sponsored trees, partitions or grid points one brute-force search may visit
+CHECK_BUDGET = 1 << 20
+
+
+class CapExceededError(RuntimeError):
+    """Raised when a brute-force search would exceed the work budget."""
+
+
+def require_budget(count: int, what: str, unit: str) -> None:
+    """Refuse a search of ``count`` units of work when that exceeds ``CHECK_BUDGET``."""
+    if count > CHECK_BUDGET:
+        raise CapExceededError(f"{what} capped at {CHECK_BUDGET} {unit}: it would check {count} {unit}")
 
 
 # -- profile encoding -----------------------------------------------------------
@@ -94,6 +109,23 @@ def set_partitions(items: tuple[int, ...]):
         yield [[first]] + part
         for k in range(len(part)):
             yield part[:k] + [[first] + part[k]] + part[k + 1:]
+
+
+def set_partition_count(n: int, weight=lambda size: 1) -> int:
+    """Partitions of n items, each weighted by the product of ``weight(block size)``.
+
+    a(n) = sum over k of C(n-1, k-1) weight(k) a(n-k), k being the size of
+    the first item's block; with unit weights these are the Bell numbers.
+    """
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.comb(m - 1, k - 1) * weight(k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+def sponsored_tree_count(m: int) -> int:
+    """Sponsored spanning trees of m agents: m**(m-2) trees, 2**(m-1) orientations each."""
+    return m ** max(m - 2, 0) << (m - 1)
 
 
 def spanning_trees(members: tuple[int, ...]):

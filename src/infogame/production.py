@@ -39,13 +39,10 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import TOL, subset_agents
-from .equilibrium import CHECK_BUDGET, CapExceededError
 from .formation_game import BenefitFunction, LinkProfile, component_masks, undirected_adjacency
-from .kernel import (compress_row, merged_table, orientations, profile_index, rows_from_indices,
-                     spanning_trees)
+from .kernel import (CHECK_BUDGET, compress_row, merged_table, orientations, profile_index,
+                     require_budget, rows_from_indices, spanning_trees)
 
-FULL_SCAN_CAP = 3
-CANDIDATE_CAP = 5
 # cells (profiles x compact rows x production candidates) per chunk of production_ne_mask
 CHECK_CHUNK = 1 << 13
 PRODUCER_EPS = 1e-12
@@ -460,35 +457,27 @@ def _candidate_batches(cfg: ProductionGameConfig):
         yield from _cross_batches(cfg, trees[rooted], prods)
 
 
-def enumerate_production_ne(cfg: ProductionGameConfig, max_n: int | None = None,
-                            method: str = "auto") -> list[ProductionProfile]:
+def enumerate_production_ne(cfg: ProductionGameConfig, method: str = "auto") -> list[ProductionProfile]:
     """Grid equilibria of the production game, deterministically ordered.
 
     ``full`` scans every link profile crossed with every grid production
-    vector (n <= 3). ``candidates`` generates the equilibrium shapes of the
-    characterizations' shapes (empty network at full production; production
-    splits on spanning trees for SUM; single producers on rooted trees for
-    MAX) and keeps the ones that verify, which covers n <= 5. Either way the
-    number of profiles to check is estimated first, and a scan of more than
-    ``CHECK_BUDGET`` raises :class:`CapExceededError` whatever ``max_n``.
+    vector; ``auto`` picks it up to 3 agents. ``candidates`` generates the
+    characterizations' equilibrium shapes (empty network at full production;
+    production splits on spanning trees for SUM; single producers on rooted
+    trees for MAX) and keeps the ones that verify. Either way the number of
+    profiles to check is counted first, and a scan of more than
+    ``CHECK_BUDGET`` raises :class:`~infogame.kernel.CapExceededError`.
     """
     n = cfg.n_agents
-    cap = max_n if max_n is not None else CANDIDATE_CAP
-    if n > cap:
-        raise CapExceededError(f"production enumeration capped at {cap} agents, got {n}")
     if method == "auto":
-        method = "full" if n <= FULL_SCAN_CAP else "candidates"
+        method = "full" if n <= 3 else "candidates"
     if method == "full":
-        if n > FULL_SCAN_CAP and (max_n is None or n > max_n):
-            raise CapExceededError(f"full production scan capped at {FULL_SCAN_CAP} agents")
         checks = (1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n
     elif method == "candidates":
         checks = _candidate_count(cfg)
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
-    if checks > CHECK_BUDGET:
-        raise CapExceededError(f"{method} production scan capped at {CHECK_BUDGET} checks, "
-                               f"got {n} agents: it would check {checks} profiles")
+    require_budget(checks, f"{method} production scan at {n} agents", "profiles")
     out = []
     links, prod_tuples = {}, {}  # equilibria share their link profiles and production tuples
     for rows, prods in grid_batches(cfg) if method == "full" else _candidate_batches(cfg):

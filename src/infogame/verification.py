@@ -29,7 +29,7 @@ from .formation_game import (
     components,
     is_minimally_connected,
 )
-from .kernel import rows_from_indices, set_partitions
+from .kernel import require_budget, rows_from_indices, set_partitions
 from .production import Aggregation, ProductionGameConfig, ProductionProfile
 
 
@@ -280,12 +280,22 @@ def _check_few_laws(benefit):
     return True, f"n in {n_list}: fractions 1, 1/n, 1 with totals n*h_bar, h_bar, h_bar"
 
 
+def _instance_profiles(n_agents: int, instances: int) -> int:
+    """Profiles of the games of one randomized check: instance t has m = 2 + t mod (n_agents - 1)
+    agents and 2**(m(m-1)) profiles, so each size counts once per full cycle plus the remainder."""
+    cycles, rest = divmod(instances, n_agents - 1)
+    return sum((cycles + (m - 2 < rest)) << (m * (m - 1)) for m in range(2, n_agents + 1))
+
+
 def run_verification(n_agents: int = 3, instances: int = 20, seed: int = 0) -> VerifyReport:
-    """Run every cross-validation suite; deterministic for a fixed seed."""
+    """Run every cross-validation suite; deterministic for a fixed seed. Refuses a
+    randomized check whose games have more than ``CHECK_BUDGET`` profiles in all."""
     if not 2 <= n_agents <= 4:
         raise ValueError("verification brute force supports 2..4 agents")
     if instances < 1:
         raise ValueError("need at least one instance")
+    require_budget(_instance_profiles(n_agents, instances),
+                   f"verify with {instances} instances of up to {n_agents} agents", "profiles")
     benefit = BenefitFunction.log1p(math.e)
     checks = []
 

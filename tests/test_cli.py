@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from infogame import analytic
+from infogame import analytic, equilibrium
 from infogame.cli import main
 from infogame.entropy import family_pair_redundancy
 from infogame.equilibrium import enumerate_nash
@@ -71,6 +71,8 @@ class TestRegions:
         head = text.splitlines()[0]
         assert head.startswith("# spec_sha256=")
         assert "seed=0" in head and "command=regions" in head
+        # saved outputs keep their bytes: the field of the retired agent-cap option stays
+        assert head.endswith(" seed=0 max_n=default command=regions")
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_cli(tmp_path, REGION_SPEC, name="a.yaml")
@@ -137,6 +139,11 @@ class TestEnumerate:
         code, _ = run_cli(tmp_path, spec)
         assert code == 3
 
+    def test_agent_cap_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, ENUM_SPEC, extra=["--max-n", "8"])
+        assert exc.value.code == 2
+
 
 PRODUCTION_SPEC = """\
 command: production
@@ -191,6 +198,16 @@ class TestVerify:
         code, text = run_cli(tmp_path, VERIFY_SPEC, extra=["--seed", "7"])
         assert code == 0
         assert "seed=7" in text.splitlines()[1]
+
+    def test_instances_over_budget_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verification started")
+        monkeypatch.setattr(equilibrium, "enumerate_nash", refuse)
+        # 252 cycles of 2-, 3- and 4-agent games, 4 + 64 + 4096 profiles each
+        spec = VERIFY_SPEC.replace("n_agents: 3, instances: 6", "n_agents: 4, instances: 756")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 3 and text == ""
+        assert "it would check 1049328 profiles" in capsys.readouterr().err
 
 
 class TestSpecValidation:
@@ -249,7 +266,28 @@ game:
         spec = REGION_SPEC.replace("points: 20", "points: 100000000000")
         code, text = run_cli(tmp_path, spec)
         assert code == 3 and text == ""
-        assert "it would evaluate 500000000000 grid points" in capsys.readouterr().err
+        assert "it would check 500000000000 grid points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        REGION_SPEC.replace("h: [5, 4, 4]", "h: 5"),
+        REGION_SPEC.replace("h: [5, 4, 4]", "h: [5, [4], 4]"),
+        PRODUCTION_SPEC.replace("k: 0.25", "k: [1]"),
+        PRODUCTION_SPEC.replace("n_agents: 2", "n_agents: {two: 2}"),
+        REGION_SPEC.replace("points: 20", "points: [3]"),
+        REGION_SPEC.replace("points: 20", "points: .inf"),
+        REGION_SPEC.replace("start: 0.02", "start: [0]"),
+        REGION_SPEC.replace("kl: [0, 1, 2, 3, 4]", "kl: [0, [1]]"),
+        VERIFY_SPEC.replace("n_agents: 3", "n_agents: [4]"),
+        VERIFY_SPEC.replace("instances: 6", "instances: [6]"),
+        VERIFY_SPEC.replace("seed: 0", "seed: [0]"),
+        PRODUCTION_SPEC.replace("command: production", "command: few-sweep") + "n_list: [2, [3]]\n",
+    ], ids=["sweep-h-scalar", "sweep-h-entry", "production-k", "production-n", "grid-points",
+            "grid-points-inf", "grid-start", "grid-value", "verify-n", "verify-instances", "seed",
+            "few-sweep-n"])
+    def test_wrong_typed_value_rejected(self, tmp_path, spec, capsys):
+        code, text = run_cli(tmp_path, spec)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_nan_cost_rejected(self, tmp_path):
         code, text = run_cli(tmp_path, ENUM_SPEC.replace("c: 0.3", "c: .nan"))

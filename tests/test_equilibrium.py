@@ -142,24 +142,40 @@ class TestEnumerate:
         with pytest.raises(CapExceededError, match="positive"):
             enumerate_nash(cfg, method="pruned")
 
-    def test_pruned_scan_refuses_indices_beyond_64_bits(self):
-        cfg = homog(family_independent([1] * 9), 0.5)
-        with pytest.raises(CapExceededError, match="64 bits"):
-            enumerate_nash(cfg, max_n=9, method="pruned")
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a scan started")
+        for name in ("_ne_scan_full", "_ne_scan_pruned", "_forest_candidates", "set_partitions"):
+            monkeypatch.setattr(equilibrium, name, never)
 
-    def test_cap(self):
-        cfg = homog(family_independent([1] * 7), 0.5)
-        with pytest.raises(CapExceededError):
-            enumerate_nash(cfg)
+    @pytest.mark.parametrize("n, method, forests", [
+        (7, "auto", 1598955), (8, "pruned", 49180113), (9, "pruned", 1773405649)])
+    def test_pruned_scan_refuses_more_forests_than_the_budget(self, no_scan, n, method, forests):
+        cfg = homog(family_independent([1] * n), 0.5)
+        with pytest.raises(CapExceededError, match=f"pruned scan at {n} agents capped at 1048576 "
+                                                   f"sponsored forests: it would check {forests} "):
+            enumerate_nash(cfg, method=method)
 
-    @pytest.mark.parametrize("max_n", [None, 6, 7])
-    def test_full_scan_refuses_six_agents_whatever_max_n(self, max_n, monkeypatch):
-        def never(cfg, tol):
-            raise AssertionError("the full scan started")
-        monkeypatch.setattr(equilibrium, "_ne_scan_full", never)
+    def test_full_scan_refuses_six_agents(self, no_scan):
         cfg = homog(family_independent([1] * 6), 0.5)
-        with pytest.raises(CapExceededError, match=r"capped at 5 agents, got 6: .* 2\*\*30 profiles"):
-            enumerate_nash(cfg, max_n=max_n, method="full")
+        with pytest.raises(CapExceededError, match=f"it would check {2 ** 30} profiles"):
+            enumerate_nash(cfg, method="full")
+
+    def test_auto_scans_in_full_up_to_the_budget(self, monkeypatch):
+        used = []
+        for name in ("_ne_scan_full", "_ne_scan_pruned"):
+            monkeypatch.setattr(equilibrium, name, lambda cfg, tol, name=name: used.append(name) or [])
+        monkeypatch.setattr(equilibrium, "social_optimum", lambda cfg: (0.0, None))
+        for n in (1, 5, 6):
+            enumerate_nash(homog(family_independent([1] * n), 0.5))
+        assert used == ["_ne_scan_full", "_ne_scan_full", "_ne_scan_pruned"]
+
+    def test_social_optimum_refuses_more_partitions_than_the_budget(self, no_scan):
+        cfg = homog(family_independent([1] * 12), 0.5)
+        with pytest.raises(CapExceededError, match="social optimum at 12 agents capped at 1048576 "
+                                                   "partitions: it would check 4213597 partitions"):
+            social_optimum(cfg)
 
     def test_single_agent_game(self):
         cfg = homog(family_independent([2.0]), 0.5)

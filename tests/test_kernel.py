@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infogame import equilibrium
 from infogame.entropy import family_independent
 from infogame.formation_game import (
     BenefitFunction,
@@ -19,16 +20,21 @@ from infogame.formation_game import (
     undirected_adjacency,
 )
 from infogame.kernel import (
+    CHECK_BUDGET,
+    CapExceededError,
     best_response_table,
     fh_table,
     merged_table,
     ne_status,
     orientations,
     profile_index,
+    require_budget,
     row_costs,
     rows_from_indices,
+    set_partition_count,
     set_partitions,
     spanning_trees,
+    sponsored_tree_count,
     welfare,
 )
 from infogame.verification import random_homogeneous_config, random_recipient_config
@@ -63,6 +69,30 @@ def test_set_partitions_count_bell_numbers(n, bell):
     assert len(parts) == len(set(parts)) == bell
     for p in parts:
         assert sorted(a for block in p for a in block) == list(range(n))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_set_partition_count_counts_set_partitions(n):
+    assert set_partition_count(n) == len(list(set_partitions(tuple(range(n)))))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weighted_partition_count_counts_sponsored_forests(n):
+    assert set_partition_count(n, sponsored_tree_count) == len(equilibrium._forest_candidates(n))
+
+
+def test_closed_form_counts():
+    assert [sponsored_tree_count(m) for m in range(1, 8)] == [1, 2, 12, 128, 2000, 41472, 1075648]
+    assert [set_partition_count(n, sponsored_tree_count) for n in range(4, 9)] == [
+        201, 3081, 62683, 1598955, 49180113]
+    assert set_partition_count(11) <= CHECK_BUDGET < set_partition_count(12) == 4213597
+
+
+def test_require_budget_names_the_count():
+    require_budget(CHECK_BUDGET, "a search", "profiles")
+    with pytest.raises(CapExceededError, match=r"^a search capped at 1048576 profiles: "
+                                               r"it would check 1048577 profiles$"):
+        require_budget(CHECK_BUDGET + 1, "a search", "profiles")
 
 
 def test_index_decoding_inverts_profile_index():

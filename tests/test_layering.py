@@ -4,7 +4,9 @@ No module imports a private name from another, no import hides inside a
 function body, every module can be the first one a fresh interpreter
 imports (so no import order is needed to break a cycle), and every public
 module-level function serves the package: something in ``src/`` uses it or
-``infogame`` exports it. Test-only helpers live under ``tests/``.
+``infogame`` exports it. Test-only helpers live under ``tests/``. The
+production game builds on the kernel alone, not on the formation game's
+equilibrium or analytic layers.
 """
 import ast
 import subprocess
@@ -31,6 +33,23 @@ def test_no_private_names_imported_across_modules(module):
            if isinstance(node, ast.ImportFrom) and node.level > 0
            for alias in node.names if alias.name.startswith("_")]
     assert bad == []
+
+
+def imported_modules(module):
+    """Sibling modules that ``module`` imports, relatively or as ``infogame.<name>``."""
+    paths = []
+    for node in ast.walk(parsed(module)):
+        if isinstance(node, ast.ImportFrom):
+            base = ("infogame." if node.level else "") + (node.module or "")
+            paths += [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+    return {path.split(".")[1] for path in paths if path.startswith("infogame.")}
+
+
+def test_production_builds_on_the_kernel_only():
+    assert imported_modules("production") & {"equilibrium", "analytic"} == set()
+    assert "kernel" in imported_modules("production")
 
 
 @pytest.mark.parametrize("module", MODULES)

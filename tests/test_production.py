@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogame import production
-from infogame.equilibrium import CapExceededError
+from infogame.kernel import CapExceededError
 from infogame.formation_game import BenefitFunction, LinkProfile
 from infogame.production import (
     Aggregation,

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from infogame import production
 from infogame.entropy import TOL
-from infogame.equilibrium import CapExceededError
 from infogame.formation_game import BenefitFunction, LinkProfile
-from infogame.kernel import orientations, rows_from_indices, spanning_trees
+from infogame.kernel import CapExceededError, orientations, rows_from_indices, spanning_trees
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -298,18 +297,44 @@ class TestWorkBudget:
     def never_scan(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the scan started")
-        monkeypatch.setattr(production, "production_ne_mask", refuse)
+        for name in ("production_ne_mask", "grid_batches", "_candidate_batches"):
+            monkeypatch.setattr(production, name, refuse)
 
-    def test_full_scan_at_five_agents_fails_fast(self, never_scan):
-        cfg = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
-        with pytest.raises(CapExceededError, match=f"it would check {2 ** 20 * 7 ** 5} profiles"):
-            enumerate_production_ne(cfg, max_n=5, method="full")
+    def test_auto_scans_the_full_grid_up_to_three_agents(self, monkeypatch):
+        used = []
+        for name in ("grid_batches", "_candidate_batches"):
+            monkeypatch.setattr(production, name, lambda cfg, name=name: used.append(name) or [])
+        for n in (3, 4):
+            enumerate_production_ne(ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM))
+        assert used == ["grid_batches", "_candidate_batches"]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_full_scan_past_three_agents_fails_fast(self, never_scan, n):
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        with pytest.raises(CapExceededError, match=f"full production scan at {n} agents capped at "
+                                                   f"1048576 profiles: it would check "
+                                                   f"{2 ** (n * (n - 1)) * 7 ** n} profiles"):
+            enumerate_production_ne(cfg, method="full")
 
     def test_fine_grid_candidates_fail_fast(self, never_scan):
         # 2000 sponsored trees times every split of h_bar into 0.01 steps
         cfg = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 0.01)
-        with pytest.raises(CapExceededError, match="candidates production scan capped"):
+        with pytest.raises(CapExceededError, match="candidates production scan at 5 agents capped at "
+                                                   "1048576 profiles: it would check 697763752001 "):
             enumerate_production_ne(cfg)
+
+    def test_six_agent_sum_candidates_fail_fast(self, never_scan):
+        cfg = ProductionGameConfig(6, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        with pytest.raises(CapExceededError, match="it would check 19160065 profiles"):
+            enumerate_production_ne(cfg)
+
+    def test_six_agent_max_candidates_run(self):
+        cfg = ProductionGameConfig(6, BENEFITS[1], 0.25, 0.2, Aggregation.MAX)
+        assert production._candidate_count(cfg) == 1 + 6 * 6 ** 4 == 7777
+        found = enumerate_production_ne(cfg)
+        # every tree rooted at each of the six producers
+        assert len(found) == 6 * 6 ** 4
+        assert all(check_max_equilibrium(cfg, s) for s in found)
 
     def test_fine_grid_full_scan_fails_fast(self, never_scan):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX, 1e-6)

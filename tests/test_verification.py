@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from infogame import verification
+from infogame import equilibrium, verification
 from infogame.analytic import poa_predict
 from infogame.entropy import EntropicVector, validate_shannon
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
+from infogame.kernel import CHECK_BUDGET, CapExceededError
 from infogame.verification import (
     random_entropic_vector,
     random_homogeneous_config,
@@ -72,6 +73,23 @@ class TestSuite:
             "production_max_characterization",
             "producer_fraction_laws",
         ]
+
+    @pytest.mark.parametrize("n_agents", [2, 3, 4])
+    @pytest.mark.parametrize("instances", [1, 2, 5, 60, 61, 62, 755, 756])
+    def test_instance_profiles_closed_form(self, n_agents, instances):
+        assert verification._instance_profiles(n_agents, instances) == sum(
+            1 << (m * (m - 1)) for m in (2 + t % (n_agents - 1) for t in range(instances)))
+
+    def test_instances_over_budget_refused_before_any_work(self, monkeypatch):
+        assert verification._instance_profiles(4, 60) == 83280
+        assert verification._instance_profiles(4, 755) <= CHECK_BUDGET
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an enumeration started")
+        monkeypatch.setattr(equilibrium, "enumerate_nash", fail)
+        with pytest.raises(CapExceededError, match="verify with 756 instances of up to 4 agents capped "
+                                                   "at 1048576 profiles: it would check 1049328 "):
+            run_verification(n_agents=4, instances=756)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
