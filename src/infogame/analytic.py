@@ -15,7 +15,6 @@ not). The cross-component condition of the component checker is oriented as
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -31,8 +30,7 @@ from .formation_game import (
     undirected_adjacency,
 )
 from .equilibrium import SCAN_CHUNK, social_optimum
-from .kernel import (fh_table, ne_status, orientations, require_budget, row_costs,
-                     spanning_trees, sponsored_tree_count)
+from .kernel import fh_table, ne_status, require_budget, row_costs, sponsored_tree_count, sponsored_trees
 
 K_C = "K_C"
 K_I = "K_I"
@@ -160,11 +158,9 @@ def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bo
         agents = subset_agents(om)
         for t in range(len(agents) - 1):
             filler[agents[t]] |= 1 << agents[t + 1]
-    trees = (rows for edges in spanning_trees(members) for rows in orientations(edges, tuple(filler)))
-    while batch := list(itertools.islice(trees, SCAN_CHUNK)):
-        if ne_status(n, np.array(batch, dtype=np.int64), members, fh, costs)[0].any():
-            return True
-    return False
+    trees = sponsored_trees(members, n) | np.array(filler, dtype=np.int64)
+    return any(ne_status(n, trees[start:start + SCAN_CHUNK], members, fh, costs)[0].any()
+               for start in range(0, len(trees), SCAN_CHUNK))
 
 
 def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[int]]) -> bool:

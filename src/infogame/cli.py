@@ -52,13 +52,16 @@ import numpy as np
 import yaml
 
 from . import analytic, equilibrium, production
-from .entropy import family_pair_redundancy
-from .formation_game import (
-    CostModel,
-    GameConfig,
-    benefit_from_config,
-    config_from_dict,
+from .entropy import (
+    EntropicVector,
+    family_independent,
+    family_max_correlated,
+    family_pair_redundancy,
+    from_records,
+    from_text,
+    validate_shannon,
 )
+from .formation_game import BenefitFunction, CostModel, GameConfig
 from .kernel import CapExceededError, require_budget
 from .production import Aggregation, ProductionGameConfig
 from .verification import run_verification
@@ -87,6 +90,13 @@ def _number(kind, value, what: str):
     return x
 
 
+def _floats(node, what: str) -> list[float]:
+    """Every entry of a list through :func:`_number`; anything but a list is a spec error."""
+    if not isinstance(node, list):
+        raise SpecError(f"{what} must be a list")
+    return [_number(float, v, what) for v in node]
+
+
 def _grid_size(node, what: str) -> int:
     """Number of values of a grid node, validated without building them."""
     if isinstance(node, (list, tuple)):
@@ -105,7 +115,7 @@ def _grid_values(node, what: str) -> list[float]:
     if isinstance(node, dict):
         start, stop = (_number(float, node[key], f"{what} grid {key}") for key in ("start", "stop"))
         return [float(v) for v in np.linspace(start, stop, int(node["points"]))]
-    return [_number(float, v, f"{what} grid value") for v in node]
+    return _floats(node, f"{what} grid value")
 
 
 def _require(spec: dict, key: str) -> dict:
@@ -122,11 +132,10 @@ def _sweep_family(spec: dict):
     ev_cfg = game.get("entropic_vector")
     if not isinstance(ev_cfg, dict) or ev_cfg.get("family") != "pair_redundancy":
         raise SpecError("region sweeps need entropic_vector family 'pair_redundancy'")
-    h = ev_cfg.get("h")
-    if not isinstance(h, list) or len(h) != 3:
+    h = _floats(ev_cfg.get("h"), "h")
+    if len(h) != 3:
         raise SpecError("pair_redundancy family needs h: [h1, h2, h3]")
-    benefit = benefit_from_config(_require(game, "benefit"))
-    return [_number(float, v, "h") for v in h], benefit
+    return h, _benefit(_require(game, "benefit"))
 
 
 def _sweep_rows(spec: dict):
@@ -163,11 +172,85 @@ def _run_enumerate(spec: dict) -> tuple[str, int]:
     return extra + body, 0
 
 
+def _benefit(node: dict) -> BenefitFunction:
+    """The benefit function of a {name: ..., params} mapping."""
+    name = node.get("name")
+    if name == "log1p":
+        base = node.get("base", 2)
+        return BenefitFunction.log1p(math.e if base in ("e", "E") else _number(float, base, "base"))
+    if name == "power":
+        if "alpha" not in node:
+            raise SpecError("power benefit needs 'alpha'")
+        return BenefitFunction.power(_number(float, node["alpha"], "alpha"))
+    if name == "linear":
+        return BenefitFunction.linear()
+    raise SpecError(f"unknown benefit function {name!r}")
+
+
+def _cost_model(node: dict) -> CostModel:
+    """The cost model of a {model: ..., c: ...} mapping."""
+    if "model" not in node or "c" not in node:
+        raise SpecError("cost config must be a mapping with 'model' and 'c' keys")
+    model, c = node["model"], node["c"]
+    if model == "homogeneous":
+        return CostModel.homogeneous(_number(float, c, "c"))
+    if model == "recipient":
+        return CostModel.recipient(_floats(c, "recipient costs c"))
+    if model == "matrix":
+        if not isinstance(c, list):
+            raise SpecError("cost matrix c must be a list of rows")
+        return CostModel.matrix([_floats(row, "cost matrix row") for row in c])
+    raise SpecError(f"unknown cost model {model!r}")
+
+
+def _entropic_vector(node: dict) -> EntropicVector:
+    """The entropic vector of a family, file or inline mapping (see the module docstring).
+
+    Vectors loaded from files or inline data are validated against the
+    Shannon inequalities and rejected if they violate any.
+    """
+    if "family" in node:
+        family, h = node["family"], node.get("h")
+        _floats(h, "h")
+        # h goes in as written, not as the checked floats: pair_redundancy keeps
+        # integer entries, and reports print them as integers
+        if family == "independent":
+            return family_independent(h)
+        if family == "max_correlated":
+            return family_max_correlated(h)
+        if family == "pair_redundancy":
+            if len(h) != 3:
+                raise SpecError("pair_redundancy takes exactly three entropies")
+            return family_pair_redundancy(h[0], h[1], h[2], _number(float, node.get("kl", 0.0), "kl"))
+        raise SpecError(f"unknown entropic-vector family {family!r}")
+    if "file" in node:
+        try:
+            with open(str(node["file"]), "r", encoding="utf-8") as fh:
+                ev = from_text(fh.read())
+        except OSError as e:
+            raise SpecError(f"cannot read the entropic-vector file: {e}") from None
+    elif "inline" in node:
+        inline = _require(node, "inline")
+        entries = inline.get("entries")
+        if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
+            raise SpecError("inline entries must be a list of [mask, entropy] pairs")
+        ev = from_records(_number(int, inline.get("n_agents"), "inline n_agents"),
+                          [(_number(int, mask, "inline mask"), _number(float, value, "inline entropy"))
+                           for mask, value in entries])
+    else:
+        raise SpecError("entropic-vector config needs 'family', 'file' or 'inline'")
+    report = validate_shannon(ev)
+    if not report.ok:
+        raise SpecError(f"entropic vector rejected: {report.describe()}")
+    return ev
+
+
 def _game_config(spec: dict) -> GameConfig:
-    try:
-        return config_from_dict(_require(spec, "game"))
-    except ValueError as e:
-        raise SpecError(str(e)) from None
+    game = _require(spec, "game")
+    ev = _entropic_vector(_require(game, "entropic_vector"))
+    if "n_agents" in game and _number(int, game["n_agents"], "n_agents") != ev.n_agents:
+        raise SpecError("n_agents does not match the entropic vector")
+    return GameConfig(ev, _benefit(_require(game, "benefit")), _cost_model(_require(game, "costs")))
 
 
 def _production_config(spec: dict) -> ProductionGameConfig:
@@ -179,7 +262,7 @@ def _production_config(spec: dict) -> ProductionGameConfig:
     try:
         return ProductionGameConfig(
             n_agents=_number(int, node.get("n_agents", 2), "n_agents"),
-            benefit=benefit_from_config(_require(node, "benefit")),
+            benefit=_benefit(_require(node, "benefit")),
             k=_number(float, node["k"], "k"),
             c=_number(float, node["c"], "c"),
             agg=agg,

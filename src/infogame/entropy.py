@@ -362,21 +362,28 @@ def from_text(text: str) -> EntropicVector:
     head = lines[0].split(",")
     if len(head) != 2 or head[0].strip() != "n_agents":
         raise ValueError("first line must be 'n_agents,<count>'")
-    n = int(head[1])
-    if not 1 <= n <= MAX_AGENTS:
+    return from_records(int(head[1]), map(_record, lines[1:]))
+
+
+def _record(line: str) -> tuple[int, float]:
+    cells = line.split(",")
+    if len(cells) != 2:
+        raise ValueError(f"bad record {line!r}, expected 'mask,entropy'")
+    return int(cells[0]), float(cells[1])
+
+
+def from_records(n_agents: int, records) -> EntropicVector:
+    """Build a vector from (mask, entropy) records, exactly one per nonempty subset."""
+    if not 1 <= n_agents <= MAX_AGENTS:
         raise ValueError(f"n_agents must be in 1..{MAX_AGENTS}")
-    entries = [None] * ((1 << n) - 1)
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 2:
-            raise ValueError(f"bad record {ln!r}, expected 'mask,entropy'")
-        mask = int(cells[0])
-        if not 1 <= mask <= full_mask(n):
+    entries = [None] * full_mask(n_agents)
+    for mask, value in records:
+        if not 1 <= mask <= full_mask(n_agents):
             raise ValueError(f"subset mask {mask} out of range")
         if entries[mask - 1] is not None:
             raise ValueError(f"duplicate record for mask {mask}")
-        entries[mask - 1] = float(cells[1])
+        entries[mask - 1] = value
     missing = [i + 1 for i, v in enumerate(entries) if v is None]
     if missing:
         raise ValueError(f"missing records for masks {missing}")
-    return EntropicVector(n, tuple(entries))
+    return EntropicVector(n_agents, tuple(entries))

@@ -46,14 +46,14 @@ from .kernel import (
     fh_table,
     field_compacts,
     ne_status,
-    profile_index,
+    profile_indices,
     require_budget,
     row_costs,
     rows_from_indices,
     set_partition_count,
     set_partitions,
-    spanning_trees,
     sponsored_tree_count,
+    sponsored_trees,
     welfare,
 )
 
@@ -165,26 +165,17 @@ def _ne_scan_full(cfg: GameConfig, tol: float):
 def _forest_candidates(n: int) -> np.ndarray:
     """Profile indices of every sponsored forest, ascending.
 
-    Each set partition is wired by a spanning tree per block, each edge
-    sponsored by one of its two ends in all ways, so there are
-    ``set_partition_count(n, sponsored_tree_count)`` of them.
+    Each set partition is wired by a sponsored spanning tree per block, so
+    there are ``set_partition_count(n, sponsored_tree_count)`` of them. Blocks
+    own disjoint links, so a forest's index is the sum of its trees' indices.
     """
-    bit = np.array([[profile_index(tuple(1 << j if a == i else 0 for a in range(n)))
-                     if i != j else 0 for j in range(n)] for i in range(n)], dtype=np.int64)
-    shapes, trees = {}, {}  # tree edges per block size; sponsored-tree indices per block
+    trees = {}  # sponsored-tree indices per block
     parts = []
     for part in set_partitions(tuple(range(n))):
         idx = np.zeros(1, dtype=np.int64)
         for block in map(tuple, part):
             if block not in trees:
-                k = len(block) - 1
-                if k not in shapes:
-                    edges = list(spanning_trees(tuple(range(k + 1))))
-                    shapes[k] = np.array(edges, dtype=np.intp).reshape(len(edges), k, 2)
-                ends = np.array(block)[shapes[k]]
-                flip = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
-                trees[block] = np.where(flip, bit[ends[..., 1], ends[..., 0]][:, None, :],
-                                        bit[ends[..., 0], ends[..., 1]][:, None, :]).sum(axis=2).ravel()
+                trees[block] = profile_indices(sponsored_trees(block, n))
             idx = (idx[:, None] + trees[block]).ravel()
         parts.append(idx)
     return np.sort(np.concatenate(parts))
@@ -271,27 +262,21 @@ def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
     return best_value, LinkProfile.from_links(n, best_links)
 
 
-def enumerate_nash(cfg: GameConfig, method: str = "auto", tol: float = TOL) -> EquilibriumReport:
+def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
     """Enumerate all Nash equilibria and summarize efficiency.
 
-    ``method`` is ``"full"`` (every profile), ``"pruned"`` (sponsored
-    forests, positive costs) or ``"auto"``: full while its 2**(n(n-1))
-    profiles fit ``CHECK_BUDGET`` (n <= 5), else pruned (refused past 6
-    agents). Results are ordered by the profile index regardless of method.
+    Scans every profile while the 2**(n(n-1)) of them fit ``CHECK_BUDGET``
+    (n <= 5), and only the sponsored forests past that (they need positive
+    link costs, and more than 6 agents are refused). Results are ordered by
+    the profile index either way.
     """
     n = cfg.n_agents
-    profiles = 1 << (n * (n - 1))
-    if method == "auto":
-        method = "full" if profiles <= CHECK_BUDGET else "pruned"
-    if method == "full":
-        require_budget(profiles, f"full scan at {n} agents", "profiles")
+    if 1 << (n * (n - 1)) <= CHECK_BUDGET:
         found = _ne_scan_full(cfg, tol)
-    elif method == "pruned":
+    else:
         require_budget(set_partition_count(n, sponsored_tree_count),
                        f"pruned scan at {n} agents", "sponsored forests")
         found = _ne_scan_pruned(cfg, tol)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
 
     fh = fh_table(cfg)
     ne_profiles = []

@@ -14,17 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entropy import (
-    EntropicVector,
-    MAX_AGENTS,
-    from_text as entropic_vector_from_text,
-    family_pair_redundancy,
-    family_independent,
-    family_max_correlated,
-    subset_agents,
-    subset_mask,
-    validate_shannon,
-)
+from .entropy import EntropicVector, MAX_AGENTS, subset_agents, subset_mask
 
 _SHAPE_GRID_MAX = 64.0
 _SHAPE_GRID_POINTS = 129
@@ -184,8 +174,8 @@ class LinkProfile:
     """One strategy profile: row i is the bitmask of agents that i links to.
 
     The diagonal is forbidden (no self links). Profiles are hashable;
-    enumerations order them by :func:`~infogame.kernel.profile_index` of
-    their rows, the rank of the row-major link matrix without its diagonal.
+    enumerations order them by their profile index (see :mod:`infogame.kernel`),
+    the rank of the row-major link matrix without its diagonal.
     """
 
     n_agents: int
@@ -364,96 +354,3 @@ def utility(cfg: GameConfig, profile: LinkProfile, i: int) -> float:
 def social_welfare(cfg: GameConfig, profile: LinkProfile) -> float:
     """Sum of all agents' utilities."""
     return sum(utility(cfg, profile, i) for i in range(cfg.n_agents))
-
-
-# -- config documents --------------------------------------------------------
-
-def benefit_from_config(d: dict) -> BenefitFunction:
-    """Build a benefit function from a config mapping: {name: ..., params}."""
-    if not isinstance(d, dict) or "name" not in d:
-        raise ValueError("benefit config must be a mapping with a 'name' key")
-    name = d["name"]
-    if name == "log1p":
-        base = d.get("base", 2)
-        if base in ("e", "E"):
-            base = math.e
-        return BenefitFunction.log1p(float(base))
-    if name == "power":
-        if "alpha" not in d:
-            raise ValueError("power benefit needs 'alpha'")
-        return BenefitFunction.power(float(d["alpha"]))
-    if name == "linear":
-        return BenefitFunction.linear()
-    raise ValueError(f"unknown benefit function {name!r}")
-
-
-def costs_from_config(d: dict) -> CostModel:
-    """Build a cost model from a config mapping: {model: ..., c: ...}."""
-    if not isinstance(d, dict) or "model" not in d or "c" not in d:
-        raise ValueError("cost config must be a mapping with 'model' and 'c' keys")
-    model = d["model"]
-    if model == "homogeneous":
-        return CostModel.homogeneous(float(d["c"]))
-    if model == "recipient":
-        return CostModel.recipient(d["c"])
-    if model == "matrix":
-        return CostModel.matrix(d["c"])
-    raise ValueError(f"unknown cost model {model!r}")
-
-
-def entropic_vector_from_config(d: dict) -> EntropicVector:
-    """Build an entropic vector from a config mapping.
-
-    Sources: ``{family: independent|max_correlated, h: [...]}``,
-    ``{family: pair_redundancy, h: [h1, h2, h3], kl: r}``, ``{file: path}`` or
-    ``{inline: {n_agents: n, entries: [[mask, H], ...]}}``. Vectors loaded
-    from files or inline data are validated against the Shannon inequalities
-    and rejected if they violate any.
-    """
-    if not isinstance(d, dict):
-        raise ValueError("entropic-vector config must be a mapping")
-    if "family" in d:
-        family = d["family"]
-        h = d.get("h")
-        if h is None:
-            raise ValueError("family vectors need an 'h' list")
-        if family == "independent":
-            return family_independent(h)
-        if family == "max_correlated":
-            return family_max_correlated(h)
-        if family == "pair_redundancy":
-            if len(h) != 3:
-                raise ValueError("pair_redundancy takes exactly three entropies")
-            return family_pair_redundancy(h[0], h[1], h[2], float(d.get("kl", 0.0)))
-        raise ValueError(f"unknown entropic-vector family {family!r}")
-    if "file" in d:
-        with open(d["file"], "r", encoding="utf-8") as fh:
-            ev = entropic_vector_from_text(fh.read())
-    elif "inline" in d:
-        inner = d["inline"]
-        n = int(inner["n_agents"])
-        entries = [None] * ((1 << n) - 1)
-        for mask, value in inner["entries"]:
-            entries[int(mask) - 1] = float(value)
-        if any(v is None for v in entries):
-            raise ValueError("inline entropic vector is missing subset entries")
-        ev = EntropicVector(n, tuple(entries))
-    else:
-        raise ValueError("entropic-vector config needs 'family', 'file' or 'inline'")
-    report = validate_shannon(ev)
-    if not report.ok:
-        raise ValueError(f"entropic vector rejected: {report.describe()}")
-    return ev
-
-
-def config_from_dict(d: dict) -> GameConfig:
-    """Assemble a :class:`GameConfig` from a structured config mapping."""
-    if not isinstance(d, dict):
-        raise ValueError("game config must be a mapping")
-    for key in ("entropic_vector", "benefit", "costs"):
-        if key not in d:
-            raise ValueError(f"game config is missing {key!r}")
-    ev = entropic_vector_from_config(d["entropic_vector"])
-    if "n_agents" in d and int(d["n_agents"]) != ev.n_agents:
-        raise ValueError("n_agents does not match the entropic vector")
-    return GameConfig(ev, benefit_from_config(d["benefit"]), costs_from_config(d["costs"]))

@@ -7,20 +7,25 @@ with bit i removed, so its 2**(n-1) candidate rows are 0 .. 2**(n-1) - 1.
 The *profile index* ranks the 2**(n(n-1)) profiles by their flattened link
 matrix with the diagonal left out: row i is the (n-1)-bit field starting at
 bit (n-1)(n-1-i), and inside a field the most significant bit is the lowest
-target, the reverse of the compact-row order.
+target, the reverse of the compact-row order. :func:`rows_from_indices` and
+:func:`profile_indices` convert whole batches between the two forms.
+
+Every search over sponsored trees (each edge of a tree linked by exactly one
+of its ends) takes its rows from :func:`sponsored_trees`, the one place that
+turns :func:`spanning_trees` into profiles: the pruned NE scan's forests, the
+component checker's blocks and the production game's tree shapes.
 
 One path evaluates best responses: :func:`best_response_table` takes a
 batch of profiles as an int64 array, and :func:`ne_status` judges a batch
 with it, so a single profile is a batch of one. Its component walk,
 :func:`merged_table`, is shared with the production game's equilibrium
-check. A scalar, per-profile form of the same walk lives under ``tests/``
-as the oracle the array form is compared against. Every brute-force search
-counts its work in closed form first and passes it to :func:`require_budget`.
+check. Scalar forms of the walk, of the profile index, of the Pruefer
+decoder and of the tree orientations live under ``tests/`` as the oracles
+the array forms are compared against. Every brute-force search counts its work in closed
+form first and passes it to :func:`require_budget`.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 
 import numpy as np
@@ -62,17 +67,6 @@ def compress_row(row: int, i: int) -> int:
     return low | ((row >> (i + 1)) << i)
 
 
-def profile_index(rows) -> int:
-    """Profile index of a tuple of rows; the inverse of :func:`rows_from_indices`."""
-    n = len(rows)
-    idx = 0
-    for i, row in enumerate(rows):
-        for j in range(n):
-            if j != i:
-                idx = idx << 1 | (row >> j & 1)
-    return idx
-
-
 def field_compacts(n: int) -> np.ndarray:
     """Compact row of every value of an (n-1)-bit row field of the profile index.
 
@@ -95,6 +89,17 @@ def rows_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
         field = (idx >> (width * (n - 1 - i))) & ((1 << width) - 1)
         out[:, i] = expand_row(compacts, i)[field]
     return out
+
+
+def profile_indices(rows: np.ndarray) -> np.ndarray:
+    """Profile index of every row of an int64 array of shape (batch, n); the inverse
+    of :func:`rows_from_indices`."""
+    n = rows.shape[1]
+    compacts = field_compacts(n)  # a bit reversal, so its own inverse
+    idx = np.zeros(len(rows), dtype=np.int64)
+    for i in range(n):
+        idx = idx << (n - 1) | compacts[compress_row(rows[:, i], i)]
+    return idx
 
 
 # -- combinatorics ----------------------------------------------------------------
@@ -128,50 +133,55 @@ def sponsored_tree_count(m: int) -> int:
     return m ** max(m - 2, 0) << (m - 1)
 
 
-def spanning_trees(members: tuple[int, ...]):
-    """Spanning trees of a labelled vertex set, as edge lists (Pruefer decode).
+def spanning_trees(members: tuple[int, ...]) -> np.ndarray:
+    """Spanning trees of a labelled vertex set, by Pruefer decoding.
 
-    Each edge is (smaller member, larger member); a single member yields the
-    empty tree.
+    Returns an int64 array of shape (m**(m-2), m-1, 2), one tree per Pruefer
+    sequence in lexicographic order; each edge is (smaller member, larger
+    member) in decoding order. A single member has one tree, with no edges.
     """
     m = len(members)
     if m == 1:
-        yield []
-        return
-    for seq in itertools.product(range(m), repeat=m - 2):
-        degree = [1] * m
-        for v in seq:
-            degree[v] += 1
-        heap = [v for v in range(m) if degree[v] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            edges.append((members[min(leaf, v)], members[max(leaf, v)]))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(heap, v)
-        u = heapq.heappop(heap)
-        v = heapq.heappop(heap)
-        edges.append((members[min(u, v)], members[max(u, v)]))
-        yield edges
+        return np.zeros((1, 0, 2), dtype=np.int64)
+    count = m ** (m - 2)
+    seqs = np.indices((m,) * (m - 2)).reshape(m - 2, count).T
+    tree = np.arange(count)
+    degree = np.ones((count, m), dtype=np.int64)
+    for s in range(m - 2):
+        degree[tree, seqs[:, s]] += 1
+    ends = np.empty((count, m - 1, 2), dtype=np.int64)
+    for s in range(m - 2):
+        # the smallest leaf joins the next vertex of the sequence and leaves
+        v = seqs[:, s]
+        leaf = np.argmax(degree == 1, axis=1)
+        ends[:, s, 0], ends[:, s, 1] = np.minimum(leaf, v), np.maximum(leaf, v)
+        degree[tree, leaf] = 0
+        degree[tree, v] -= 1
+    ends[:, m - 2] = np.nonzero(degree == 1)[1].reshape(count, 2)
+    return np.array(members, dtype=np.int64)[ends]
 
 
-def orientations(edges, base: tuple[int, ...]):
-    """Every way to sponsor each edge once, added on top of the rows ``base``.
+def sponsored_trees(members: tuple[int, ...], n: int) -> np.ndarray:
+    """Rows of every sponsored spanning tree of ``members`` among n agents.
 
-    Yields 2**len(edges) row tuples. Bit b of the orientation number decides
-    who sponsors edge b = (i, j): set means j links to i, clear means i
-    links to j.
+    Returns a read-only int64 array of shape (sponsored_tree_count(len(members)), n):
+    the trees in :func:`spanning_trees` order, each in every orientation, by
+    ascending orientation number. Bit b of that number decides who sponsors
+    edge b = (i, j): set means j links to i, clear means i links to j.
     """
-    for orient in range(1 << len(edges)):
-        rows = list(base)
-        for b, (i, j) in enumerate(edges):
-            if orient >> b & 1:
-                rows[j] |= 1 << i
-            else:
-                rows[i] |= 1 << j
-        yield tuple(rows)
+    ends = spanning_trees(members)
+    trees, m = len(ends), len(members)
+    tree = np.arange(trees)
+    out = np.zeros((trees, 1 << (m - 1), n), dtype=np.int64)
+    for b in range(m - 1):
+        i, j = ends[:, b, 0], ends[:, b, 1]
+        # orientation number = (high, bit b, low) with 2**b low values
+        split = out.reshape(trees, -1, 2, 1 << b, n)
+        split[tree, :, 0, :, i] |= (1 << j)[:, None, None]
+        split[tree, :, 1, :, j] |= (1 << i)[:, None, None]
+    out = out.reshape(-1, n)
+    out.flags.writeable = False
+    return out
 
 
 # -- payoffs ------------------------------------------------------------------------

@@ -40,8 +40,8 @@ import numpy as np
 
 from .entropy import TOL, subset_agents
 from .formation_game import BenefitFunction, LinkProfile, component_masks, undirected_adjacency
-from .kernel import (CHECK_BUDGET, compress_row, merged_table, orientations, profile_index,
-                     require_budget, rows_from_indices, spanning_trees)
+from .kernel import (CHECK_BUDGET, compress_row, merged_table, profile_indices, require_budget,
+                     rows_from_indices, sponsored_tree_count, sponsored_trees)
 
 # cells (profiles x compact rows x production candidates) per chunk of production_ne_mask
 CHECK_CHUNK = 1 << 13
@@ -404,12 +404,11 @@ def _candidate_count(cfg: ProductionGameConfig) -> int:
     n = cfg.n_agents
     if cfg.high_cost() or n < 2:
         return 1
-    trees = n ** (n - 2)
     if cfg.agg is Aggregation.MAX:
-        return 1 + n * trees
+        return 1 + n ** (n - 1)  # labelled trees, each rooted at one of its n agents
     checks, top = 1, _grid_top(cfg)
     for t in _split_totals(cfg):
-        checks += trees * (1 << (n - 1)) * _composition_count(t, n, top)
+        checks += sponsored_tree_count(n) * _composition_count(t, n, top)
         if checks > CHECK_BUDGET:
             break  # over budget already, the rest of the count changes nothing
     return checks
@@ -443,8 +442,7 @@ def _candidate_batches(cfg: ProductionGameConfig):
     yield np.zeros((1, n), dtype=np.int64), np.full((1, n), hb)
     if cfg.high_cost() or n < 2:
         return
-    trees = np.array([rows for edges in spanning_trees(tuple(range(n)))
-                      for rows in orientations(edges, (0,) * n)], dtype=np.int64)
+    trees = sponsored_trees(tuple(range(n)), n)
     if cfg.agg is Aggregation.SUM:
         yield from _cross_batches(cfg, trees, _splits(cfg))
         return
@@ -457,37 +455,41 @@ def _candidate_batches(cfg: ProductionGameConfig):
         yield from _cross_batches(cfg, trees[rooted], prods)
 
 
-def enumerate_production_ne(cfg: ProductionGameConfig, method: str = "auto") -> list[ProductionProfile]:
+def enumerate_production_ne(cfg: ProductionGameConfig) -> list[ProductionProfile]:
     """Grid equilibria of the production game, deterministically ordered.
 
-    ``full`` scans every link profile crossed with every grid production
-    vector; ``auto`` picks it up to 3 agents. ``candidates`` generates the
-    characterizations' equilibrium shapes (empty network at full production;
-    production splits on spanning trees for SUM; single producers on rooted
-    trees for MAX) and keeps the ones that verify. Either way the number of
-    profiles to check is counted first, and a scan of more than
-    ``CHECK_BUDGET`` raises :class:`~infogame.kernel.CapExceededError`.
+    Up to 3 agents every link profile is crossed with every grid production
+    vector. Past that only the characterizations' equilibrium shapes are
+    generated (empty network at full production; production splits on
+    spanning trees for SUM; single producers on rooted trees for MAX), and
+    the ones that verify are kept. Either way the number of profiles to
+    check is counted first, and a scan of more than ``CHECK_BUDGET`` raises
+    :class:`~infogame.kernel.CapExceededError`.
     """
     n = cfg.n_agents
-    if method == "auto":
-        method = "full" if n <= 3 else "candidates"
-    if method == "full":
-        checks = (1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n
-    elif method == "candidates":
-        checks = _candidate_count(cfg)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-    require_budget(checks, f"{method} production scan at {n} agents", "profiles")
-    out = []
+    if n <= 3:
+        require_budget((1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n,
+                       f"full production scan at {n} agents", "profiles")
+        return _equilibria(cfg, grid_batches(cfg))
+    require_budget(_candidate_count(cfg), f"candidates production scan at {n} agents", "profiles")
+    return _equilibria(cfg, _candidate_batches(cfg))
+
+
+def _equilibria(cfg: ProductionGameConfig, batches) -> list[ProductionProfile]:
+    """The profiles of the (rows, prods) ``batches`` that are equilibria, ordered by
+    link profile index, then production vector."""
+    n = cfg.n_agents
+    found = []
     links, prod_tuples = {}, {}  # equilibria share their link profiles and production tuples
-    for rows, prods in grid_batches(cfg) if method == "full" else _candidate_batches(cfg):
+    for rows, prods in batches:
         keep = production_ne_mask(cfg, rows, prods)
-        for r, p in zip(map(tuple, rows[keep].tolist()), map(tuple, prods[keep].tolist())):
-            if r not in links:
-                links[r] = LinkProfile(n, r)
-            out.append(ProductionProfile(prod_tuples.setdefault(p, p), links[r]))
-    out.sort(key=lambda s: (profile_index(s.links.rows), s.productions))
-    return out
+        for idx, r, p in zip(profile_indices(rows[keep]).tolist(), map(tuple, rows[keep].tolist()),
+                             map(tuple, prods[keep].tolist())):
+            if idx not in links:
+                links[idx] = LinkProfile(n, r)
+            found.append((idx, prod_tuples.setdefault(p, p)))
+    found.sort()
+    return [ProductionProfile(p, links[idx]) for idx, p in found]
 
 
 # -- law-of-the-few metrics ------------------------------------------------------

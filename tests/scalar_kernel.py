@@ -4,10 +4,16 @@ These are the per-profile, Python-int forms of :mod:`infogame.kernel`'s
 batch functions. ``merged_components`` is one row of ``merged_table``,
 ``row_utilities`` one row of the utilities behind ``best_response_table``,
 ``ne_status`` one profile of the batch ``ne_status``,
-``profile_from_index`` one row of ``rows_from_indices``, and
+``profile_from_index`` one row of ``rows_from_indices`` and ``profile_index``
+one entry of ``profile_indices``, ``spanning_trees`` the trees of the
+kernel's array decoder, ``orientations`` of each of them the rows of
+``sponsored_trees``, and
 ``production_utility`` one utility behind ``production.production_ne_mask``.
 The tests compare the two forms; nothing in the package uses these.
 """
+import heapq
+import itertools
+
 from infogame import formation_game
 from infogame.entropy import TOL
 from infogame.formation_game import component_masks, undirected_adjacency
@@ -34,6 +40,63 @@ def profile_from_index(idx: int, n: int) -> tuple[int, ...]:
             pos -= 1
         rows.append(row)
     return tuple(rows)
+
+
+def profile_index(rows) -> int:
+    """Profile index of a tuple of rows; the inverse of :func:`rows_from_indices`."""
+    n = len(rows)
+    idx = 0
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if j != i:
+                idx = idx << 1 | (row >> j & 1)
+    return idx
+
+
+def spanning_trees(members: tuple[int, ...]):
+    """Spanning trees of a labelled vertex set, as edge lists (Pruefer decode).
+
+    Each edge is (smaller member, larger member); a single member yields the
+    empty tree.
+    """
+    m = len(members)
+    if m == 1:
+        yield []
+        return
+    for seq in itertools.product(range(m), repeat=m - 2):
+        degree = [1] * m
+        for v in seq:
+            degree[v] += 1
+        heap = [v for v in range(m) if degree[v] == 1]
+        heapq.heapify(heap)
+        edges = []
+        for v in seq:
+            leaf = heapq.heappop(heap)
+            edges.append((members[min(leaf, v)], members[max(leaf, v)]))
+            degree[v] -= 1
+            if degree[v] == 1:
+                heapq.heappush(heap, v)
+        u = heapq.heappop(heap)
+        v = heapq.heappop(heap)
+        edges.append((members[min(u, v)], members[max(u, v)]))
+        yield edges
+
+
+def orientations(edges, base: tuple[int, ...]):
+    """Every way to sponsor each edge once, added on top of the rows ``base``.
+
+    Yields 2**len(edges) row tuples. Bit b of the orientation number decides
+    who sponsors edge b = (i, j): set means j links to i, clear means i
+    links to j.
+    """
+    for orient in range(1 << len(edges)):
+        rows = list(base)
+        for b, (i, j) in enumerate(edges):
+            if orient >> b & 1:
+                rows[j] |= 1 << i
+            else:
+                rows[i] |= 1 << j
+        yield tuple(rows)
 
 
 def merged_components(n: int, rows, i: int) -> list[int]:

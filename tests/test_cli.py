@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from infogame import analytic, equilibrium
+from infogame import analytic, cli, equilibrium
 from infogame.cli import main
 from infogame.entropy import family_pair_redundancy
 from infogame.equilibrium import enumerate_nash
@@ -302,3 +302,79 @@ game:
         spec.write_text(ENUM_SPEC + f"output: {target}\n")
         assert main(["--spec", str(spec)]) == 0
         assert target.exists()
+
+
+INLINE_SPEC = ENUM_SPEC.replace("{family: independent, h: [1, 1]}",
+                                "{inline: {n_agents: 2, entries: [[1, 1.0], [2, 1.0], [3, 1.5]]}}")
+
+
+class TestGameSection:
+    def test_benefit_parsing(self):
+        assert cli._benefit({"name": "log1p", "base": "e"}) == LN
+        assert cli._benefit({"name": "power", "alpha": 0.5}).name == "power"
+        with pytest.raises(ValueError):
+            cli._benefit({"name": "cubic"})
+
+    def test_costs_parsing(self):
+        assert cli._cost_model({"model": "homogeneous", "c": 0.5}).kind == "homogeneous"
+        assert cli._cost_model({"model": "recipient", "c": [1, 2]}).values == (1.0, 2.0)
+        assert cli._cost_model({"model": "matrix", "c": [[0, 1], [2, 0]]}).values == ((0.0, 1.0), (2.0, 0.0))
+        with pytest.raises(ValueError):
+            cli._cost_model({"model": "exotic", "c": 1})
+
+    def test_vector_families(self):
+        ev = cli._entropic_vector({"family": "pair_redundancy", "h": [5, 4, 4], "kl": 2})
+        assert ev.joint_entropy == 11.0
+        ev = cli._entropic_vector({"family": "independent", "h": [1, 1]})
+        assert ev.joint_entropy == 2.0
+
+    def test_inline_vector_validated(self):
+        good = {"inline": {"n_agents": 2, "entries": [[1, 1.0], [2, 1.0], [3, 1.5]]}}
+        assert cli._entropic_vector(good).joint_entropy == 1.5
+        bad = {"inline": {"n_agents": 2, "entries": [[1, 1.0], [2, 1.0], [3, 3.0]]}}
+        with pytest.raises(ValueError, match="rejected"):
+            cli._entropic_vector(bad)
+
+    def test_full_game_config(self):
+        cfg = cli._game_config({"game": {
+            "entropic_vector": {"family": "independent", "h": [1, 1]},
+            "benefit": {"name": "log1p", "base": 2},
+            "costs": {"model": "homogeneous", "c": 0.3},
+        }})
+        assert cfg.n_agents == 2
+        with pytest.raises(ValueError, match="missing"):
+            cli._game_config({"game": {"benefit": {"name": "linear"}}})
+
+    def test_inline_spec_runs(self, tmp_path):
+        code, text = run_cli(tmp_path, INLINE_SPEC)
+        assert code == 0 and parse_csv(text)
+
+    @pytest.mark.parametrize("spec, message", [
+        (ENUM_SPEC.replace("c: 0.3", "c: [1]"), "c must be a finite number"),
+        (ENUM_SPEC.replace("{model: homogeneous, c: 0.3}", "{model: recipient, c: 5}"),
+         "recipient costs c must be a list"),
+        (ENUM_SPEC.replace("h: [1, 1]", "h: 5"), "h must be a list"),
+        (ENUM_SPEC.replace("{family: independent, h: [1, 1]}",
+                           "{family: pair_redundancy, h: [5, 4, 4], kl: [1]}"), "kl must be a finite number"),
+        (ENUM_SPEC.replace("{name: log1p, base: 2}", "{name: power, alpha: [1]}"),
+         "alpha must be a finite number"),
+        (INLINE_SPEC.replace("n_agents: 2", "n_agents: [2]"), "inline n_agents must be a finite number"),
+        (ENUM_SPEC.replace("game:\n", "game:\n  n_agents: [3]\n"), "n_agents must be a finite number"),
+        (INLINE_SPEC.replace("[3, 1.5]", "[7, 1.5]"), "subset mask 7 out of range"),
+        (INLINE_SPEC.replace("[3, 1.5]", "[3, 1.5], [0, 1.5]"), "subset mask 0 out of range"),
+        (INLINE_SPEC.replace("[3, 1.5]", "[3, 2.0], [3, 1.5]"), "duplicate record for mask 3"),
+        (INLINE_SPEC.replace("[[1, 1.0],", "[1, [1, 1.0],"), "inline entries must be a list of"),
+    ], ids=["homogeneous-c-list", "recipient-c-scalar", "family-h-scalar", "pair-redundancy-kl-list",
+            "power-alpha-list", "inline-n-agents-list", "game-n-agents-list", "inline-mask-too-large",
+            "inline-mask-zero", "inline-mask-duplicate", "inline-entry-scalar"])
+    def test_bad_game_value_exits_2(self, tmp_path, capsys, spec, message):
+        code, text = run_cli(tmp_path, spec)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("name", ["none.txt", "."], ids=["missing", "directory"])
+    def test_unreadable_vector_file_exits_2(self, tmp_path, capsys, name):
+        spec = ENUM_SPEC.replace("{family: independent, h: [1, 1]}", f"{{file: {tmp_path / name}}}")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: cannot read the entropic-vector file")

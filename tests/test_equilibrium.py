@@ -33,9 +33,9 @@ from infogame.formation_game import (
     social_welfare,
     undirected_adjacency,
 )
-from infogame.kernel import expand_row, fh_table, profile_index, row_costs, welfare
+from infogame.kernel import expand_row, fh_table, row_costs, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
-from scalar_kernel import ne_status, profile_from_index, row_utilities
+from scalar_kernel import ne_status, profile_from_index, profile_index, row_utilities
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)
@@ -131,16 +131,15 @@ class TestEnumerate:
         for cfg in games:
             if cfg.costs.min_cost(cfg.n_agents) <= 1e-9:
                 continue
-            full = enumerate_nash(cfg, method="full")
-            pruned = enumerate_nash(cfg, method="pruned")
-            assert [p.rows for p in full.ne_profiles] == [p.rows for p in pruned.ne_profiles]
-            assert ([p.rows for p in full.strict_ne_profiles]
-                    == [p.rows for p in pruned.strict_ne_profiles])
+            assert equilibrium._ne_scan_pruned(cfg, TOL) == equilibrium._ne_scan_full(cfg, TOL)
 
-    def test_pruned_requires_positive_costs(self):
-        cfg = homog(family_independent([1, 1, 1]), 0.0)
+    def test_pruned_requires_positive_costs(self, monkeypatch):
+        def never(n):
+            raise AssertionError("forests were generated")
+        monkeypatch.setattr(equilibrium, "_forest_candidates", never)
+        cfg = homog(family_independent([1] * 6), 0.0)
         with pytest.raises(CapExceededError, match="positive"):
-            enumerate_nash(cfg, method="pruned")
+            enumerate_nash(cfg)
 
     @pytest.fixture
     def no_scan(self, monkeypatch):
@@ -149,18 +148,12 @@ class TestEnumerate:
         for name in ("_ne_scan_full", "_ne_scan_pruned", "_forest_candidates", "set_partitions"):
             monkeypatch.setattr(equilibrium, name, never)
 
-    @pytest.mark.parametrize("n, method, forests", [
-        (7, "auto", 1598955), (8, "pruned", 49180113), (9, "pruned", 1773405649)])
-    def test_pruned_scan_refuses_more_forests_than_the_budget(self, no_scan, n, method, forests):
+    @pytest.mark.parametrize("n, forests", [(7, 1598955), (8, 49180113), (9, 1773405649)])
+    def test_pruned_scan_refuses_more_forests_than_the_budget(self, no_scan, n, forests):
         cfg = homog(family_independent([1] * n), 0.5)
         with pytest.raises(CapExceededError, match=f"pruned scan at {n} agents capped at 1048576 "
                                                    f"sponsored forests: it would check {forests} "):
-            enumerate_nash(cfg, method=method)
-
-    def test_full_scan_refuses_six_agents(self, no_scan):
-        cfg = homog(family_independent([1] * 6), 0.5)
-        with pytest.raises(CapExceededError, match=f"it would check {2 ** 30} profiles"):
-            enumerate_nash(cfg, method="full")
+            enumerate_nash(cfg)
 
     def test_auto_scans_in_full_up_to_the_budget(self, monkeypatch):
         used = []
@@ -230,7 +223,7 @@ def scalar_status(cfg, indices, tol=TOL):
 
 def kernel_sets(cfg, tol=TOL):
     """(NE indices, strict indices) from the full scan."""
-    report = enumerate_nash(cfg, method="full", tol=tol)
+    report = enumerate_nash(cfg, tol=tol)
     return ({profile_index(p.rows) for p in report.ne_profiles},
             {profile_index(p.rows) for p in report.strict_ne_profiles})
 

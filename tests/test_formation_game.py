@@ -12,17 +12,13 @@ from infogame.formation_game import (
     CostModel,
     GameConfig,
     LinkProfile,
-    benefit_from_config,
     components,
-    config_from_dict,
-    costs_from_config,
-    entropic_vector_from_config,
     is_minimally_connected,
     social_welfare,
     topology,
     utility,
 )
-from infogame.kernel import profile_index
+from scalar_kernel import profile_index
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)
@@ -262,41 +258,6 @@ class TestPayoffs:
 
 
 class TestConfigDocuments:
-    def test_benefit_parsing(self):
-        assert benefit_from_config({"name": "log1p", "base": "e"}) == LN
-        assert benefit_from_config({"name": "power", "alpha": 0.5}).name == "power"
-        with pytest.raises(ValueError):
-            benefit_from_config({"name": "cubic"})
-
-    def test_costs_parsing(self):
-        assert costs_from_config({"model": "homogeneous", "c": 0.5}).kind == "homogeneous"
-        assert costs_from_config({"model": "recipient", "c": [1, 2]}).values == (1.0, 2.0)
-        with pytest.raises(ValueError):
-            costs_from_config({"model": "exotic", "c": 1})
-
-    def test_vector_families(self):
-        ev = entropic_vector_from_config({"family": "pair_redundancy", "h": [5, 4, 4], "kl": 2})
-        assert ev.joint_entropy == 11.0
-        ev = entropic_vector_from_config({"family": "independent", "h": [1, 1]})
-        assert ev.joint_entropy == 2.0
-
-    def test_inline_vector_validated(self):
-        good = {"inline": {"n_agents": 2, "entries": [[1, 1.0], [2, 1.0], [3, 1.5]]}}
-        assert entropic_vector_from_config(good).joint_entropy == 1.5
-        bad = {"inline": {"n_agents": 2, "entries": [[1, 1.0], [2, 1.0], [3, 3.0]]}}
-        with pytest.raises(ValueError, match="rejected"):
-            entropic_vector_from_config(bad)
-
-    def test_full_game_config(self):
-        cfg = config_from_dict({
-            "entropic_vector": {"family": "independent", "h": [1, 1]},
-            "benefit": {"name": "log1p", "base": 2},
-            "costs": {"model": "homogeneous", "c": 0.3},
-        })
-        assert cfg.n_agents == 2
-        with pytest.raises(ValueError, match="missing"):
-            config_from_dict({"benefit": {"name": "linear"}})
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             GameConfig(family_independent([1, 1]), LOG2, CostModel.recipient([1, 2, 3]))

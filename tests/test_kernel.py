@@ -26,8 +26,7 @@ from infogame.kernel import (
     fh_table,
     merged_table,
     ne_status,
-    orientations,
-    profile_index,
+    profile_indices,
     require_budget,
     row_costs,
     rows_from_indices,
@@ -35,18 +34,20 @@ from infogame.kernel import (
     set_partitions,
     spanning_trees,
     sponsored_tree_count,
+    sponsored_trees,
     welfare,
 )
 from infogame.verification import random_homogeneous_config, random_recipient_config
-from scalar_kernel import merged_components, profile_from_index, row_utilities
+from scalar_kernel import merged_components, orientations, profile_from_index, profile_index, row_utilities
 from scalar_kernel import ne_status as scalar_ne_status
+from scalar_kernel import spanning_trees as scalar_spanning_trees
 
 LN = BenefitFunction.log1p(math.e)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_spanning_tree_count_is_cayley(m):
-    trees = [frozenset(edges) for edges in spanning_trees(tuple(range(m)))]
+    trees = [frozenset(map(tuple, edges)) for edges in spanning_trees(tuple(range(m))).tolist()]
     assert len(trees) == len(set(trees)) == round(m ** (m - 2))
     for tree in trees:
         assert len(tree) == m - 1
@@ -59,8 +60,55 @@ def test_spanning_tree_count_is_cayley(m):
 
 
 def test_spanning_trees_keep_member_labels():
-    assert list(spanning_trees((2, 5))) == [[(2, 5)]]
-    assert all(set(e) <= {1, 3, 4} for tree in spanning_trees((1, 3, 4)) for e in tree)
+    assert spanning_trees((2, 5)).tolist() == [[[2, 5]]]
+    assert set(spanning_trees((1, 3, 4)).ravel().tolist()) == {1, 3, 4}
+
+
+@pytest.mark.parametrize("members", [tuple(range(m)) for m in range(1, 8)] + [(0, 2, 3, 6, 7), (1, 4, 5, 9)])
+def test_spanning_trees_match_the_scalar_decoder(members):
+    trees = spanning_trees(members)
+    assert trees.dtype == np.int64 and trees.shape == (len(members) ** (len(members) - 2), len(members) - 1, 2)
+    assert trees.tolist() == [[list(e) for e in edges] for edges in scalar_spanning_trees(members)]
+
+
+def oracle_trees(members, n):
+    """Rows of every sponsored spanning tree of ``members``, from the scalar generators."""
+    return [list(rows) for edges in scalar_spanning_trees(members) for rows in orientations(edges, (0,) * n)]
+
+
+@pytest.mark.parametrize("members, n", [(members, n) for n in range(1, 6) for m in range(1, n + 1)
+                                        for members in itertools.combinations(range(n), m)]
+                         + [(tuple(range(6)), 6)])
+def test_sponsored_trees_match_the_scalar_generators(members, n):
+    trees = sponsored_trees(members, n)
+    assert trees.dtype == np.int64 and not trees.flags.writeable
+    assert trees.shape == (sponsored_tree_count(len(members)), n)
+    assert trees.tolist() == oracle_trees(members, n)
+    mask = sum(1 << a for a in members)
+    for rows in trees.tolist():
+        assert sum(r.bit_count() for r in rows) == len(members) - 1
+        assert all(r & ~mask == 0 for r in rows)
+        assert all(rows[a] == 0 for a in range(n) if not mask >> a & 1)
+        assert component_masks(undirected_adjacency(LinkProfile(n, tuple(rows))))[members[0]] == mask
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_forest_candidates_are_the_scalar_forests(n):
+    want = set()
+    for part in set_partitions(tuple(range(n))):
+        for trees in itertools.product(*(oracle_trees(tuple(block), n) for block in part)):
+            want.add(profile_index(tuple(map(sum, zip(*trees)))))
+    assert equilibrium._forest_candidates(n).tolist() == sorted(want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_profile_indices_invert_rows_from_indices(n):
+    size = 1 << (n * (n - 1))
+    idx = (np.arange(size) if n <= 4
+           else np.random.default_rng(n).integers(0, size, 5000)).astype(np.int64)
+    rows = rows_from_indices(idx, n)
+    assert np.array_equal(profile_indices(rows), idx)
+    assert profile_indices(rows[:50]).tolist() == [profile_index(r) for r in map(tuple, rows[:50].tolist())]
 
 
 @pytest.mark.parametrize("n, bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
@@ -106,13 +154,13 @@ def test_index_decoding_inverts_profile_index():
         assert profile_from_index(idx, n) == p.rows
 
 
-profile_indices = st.integers(2, 6).flatmap(
+index_pairs = st.integers(2, 6).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1))) - 1),
                         st.integers(0, (1 << (n * (n - 1))) - 1)))
 
 
 @settings(max_examples=300)
-@given(profile_indices)
+@given(index_pairs)
 def test_profile_index_round_trip(case):
     n, k, other = case
     rows = profile_from_index(k, n)

@@ -6,7 +6,8 @@ imports (so no import order is needed to break a cycle), and every public
 module-level function serves the package: something in ``src/`` uses it or
 ``infogame`` exports it. Test-only helpers live under ``tests/``. The
 production game builds on the kernel alone, not on the formation game's
-equilibrium or analytic layers.
+equilibrium or analytic layers, and the kernel alone turns spanning trees
+into profiles: every other module takes its sponsored trees from it.
 """
 import ast
 import subprocess
@@ -50,6 +51,14 @@ def imported_modules(module):
 def test_production_builds_on_the_kernel_only():
     assert imported_modules("production") & {"equilibrium", "analytic"} == set()
     assert "kernel" in imported_modules("production")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "kernel"])
+def test_only_the_kernel_names_spanning_trees(module):
+    names = [node.lineno for node in ast.walk(parsed(module))
+             if getattr(node, "id", None) == "spanning_trees" or getattr(node, "attr", None) == "spanning_trees"
+             or isinstance(node, ast.alias) and node.name == "spanning_trees"]
+    assert names == []
 
 
 @pytest.mark.parametrize("module", MODULES)

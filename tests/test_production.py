@@ -231,8 +231,8 @@ class TestEnumeration:
 
     def test_candidate_generator_matches_full_scan(self):
         cfg = make_cfg(n=3, c=0.2, agg=Aggregation.MAX)
-        full = enumerate_production_ne(cfg, method="full")
-        cand = enumerate_production_ne(cfg, method="candidates")
+        full = production._equilibria(cfg, production.grid_batches(cfg))
+        cand = production._equilibria(cfg, production._candidate_batches(cfg))
         assert [(s.links.rows, s.productions) for s in full] == \
                [(s.links.rows, s.productions) for s in cand]
 

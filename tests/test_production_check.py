@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from infogame import production
 from infogame.entropy import TOL
 from infogame.formation_game import BenefitFunction, LinkProfile
-from infogame.kernel import CapExceededError, orientations, rows_from_indices, spanning_trees
+from infogame.kernel import CapExceededError, rows_from_indices, sponsored_trees
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -203,6 +203,20 @@ class TestMaskMatchesScalar:
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
         assert production_ne_mask(cfg, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
 
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    def test_a_deviation_gaining_exactly_tol_does_not_count(self, agg):
+        # both produce h_bar alone; linking to the other saves k * h_bar - c, and at
+        # this c that saving is TOL exactly in float64: the knife edge of the strict test
+        c = 0.7499999989927241
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, agg)
+        hb = cfg.h_bar()
+        assert cfg.benefit(hb) - c == (cfg.benefit(hb) - 0.25 * hb) + TOL
+        empty = ProductionProfile((hb, hb), LinkProfile.empty(2))
+        assert is_production_ne(cfg, empty) and scalar_is_production_ne(cfg, empty)
+        # one ulp cheaper and the link gains more than TOL
+        cheaper = ProductionGameConfig(2, BENEFITS[1], 0.25, math.nextafter(c, 0.0), agg)
+        assert not is_production_ne(cheaper, empty) and not scalar_is_production_ne(cheaper, empty)
+
 
 class TestShapeCheckers:
     # k * h_bar = 0.75 with h_bar = 3: the first three costs are low, 1.0 is high
@@ -216,9 +230,8 @@ class TestShapeCheckers:
         rng = np.random.default_rng([n, round(100 * c), agg is Aggregation.SUM])
         single = [tuple(hb if a == p else 0.0 for a in range(n)) for p in range(n)]
         cases = [((0,) * n, (hb,) * n)]  # the high-cost equilibrium
-        for edges in spanning_trees(tuple(range(n))):
-            for rows in orientations(edges, (0,) * n):
-                cases += [(rows, tuple(hb * rng.dirichlet(np.ones(n))))] + [(rows, p) for p in single]
+        for rows in map(tuple, sponsored_trees(tuple(range(n)), n).tolist()):
+            cases += [(rows, tuple(hb * rng.dirichlet(np.ones(n))))] + [(rows, p) for p in single]
         for _ in range(100):
             rows = tuple(int(r) & ~(1 << i) for i, r in enumerate(rng.integers(0, 1 << n, n)))
             for p in (tuple(hb * rng.dirichlet(np.ones(n))), single[int(rng.integers(n))],
@@ -238,17 +251,23 @@ class TestShapeCheckers:
             few_sweep(cfg, [17])
 
 
+def scan(cfg, batches):
+    """The equilibria that one of the two production scans, named by its batch
+    generator, finds at any agent count."""
+    return production._equilibria(cfg, getattr(production, batches)(cfg))
+
+
 class TestEnumeration:
     # 1 and 7 cells leave one profile per chunk, 250 a few with ragged ends
     @pytest.mark.parametrize("chunk", [1, 7, 250])
-    @pytest.mark.parametrize("n, agg, c, method", [
-        (2, Aggregation.SUM, 0.2, "full"), (2, Aggregation.MAX, 1.0, "full"),
-        (3, Aggregation.SUM, 0.2, "candidates"), (4, Aggregation.MAX, 0.2, "candidates")])
-    def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk, n, agg, c, method):
+    @pytest.mark.parametrize("n, agg, c, batches", [
+        (2, Aggregation.SUM, 0.2, "grid_batches"), (2, Aggregation.MAX, 1.0, "grid_batches"),
+        (3, Aggregation.SUM, 0.2, "_candidate_batches"), (4, Aggregation.MAX, 0.2, "_candidate_batches")])
+    def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk, n, agg, c, batches):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
-        want = enumerate_production_ne(cfg, method=method)
+        want = scan(cfg, batches)
         monkeypatch.setattr(production, "CHECK_CHUNK", chunk)
-        assert enumerate_production_ne(cfg, method=method) == want
+        assert scan(cfg, batches) == want
 
     @pytest.mark.parametrize("chunk", [250, 1000])
     @pytest.mark.parametrize("agg, c", [(Aggregation.SUM, 0.2), (Aggregation.MAX, 1.0)])
@@ -258,14 +277,14 @@ class TestEnumeration:
         monkeypatch.setattr(production, "CHECK_CHUNK", chunk)
         assert enumerate_production_ne(cfg) == want
 
-    @pytest.mark.parametrize("n, agg, c, method", [
-        (2, Aggregation.SUM, 0.2, "full"), (2, Aggregation.MAX, 1.0, "full"),
-        (3, Aggregation.SUM, 0.2, "candidates"), (3, Aggregation.MAX, 0.2, "candidates")])
-    def test_matches_scalar_oracle(self, n, agg, c, method):
+    @pytest.mark.parametrize("n, agg, c, batches", [
+        (2, Aggregation.SUM, 0.2, "grid_batches"), (2, Aggregation.MAX, 1.0, "grid_batches"),
+        (3, Aggregation.SUM, 0.2, "_candidate_batches"), (3, Aggregation.MAX, 0.2, "_candidate_batches")])
+    def test_matches_scalar_oracle(self, n, agg, c, batches):
         cfg = ProductionGameConfig(n, BENEFITS[0], 0.25 / math.log(2.0), c, agg)
-        found = enumerate_production_ne(cfg, method=method)
+        found = scan(cfg, batches)
         assert found and all(scalar_is_production_ne(cfg, s) for s in found)
-        if method == "full":
+        if batches == "grid_batches":
             n_grid = 0
             for rows, prods in production.grid_batches(cfg):
                 for r, p in zip(rows.tolist(), prods.tolist()):
@@ -308,14 +327,6 @@ class TestWorkBudget:
             enumerate_production_ne(ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM))
         assert used == ["grid_batches", "_candidate_batches"]
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_full_scan_past_three_agents_fails_fast(self, never_scan, n):
-        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
-        with pytest.raises(CapExceededError, match=f"full production scan at {n} agents capped at "
-                                                   f"1048576 profiles: it would check "
-                                                   f"{2 ** (n * (n - 1)) * 7 ** n} profiles"):
-            enumerate_production_ne(cfg, method="full")
-
     def test_fine_grid_candidates_fail_fast(self, never_scan):
         # 2000 sponsored trees times every split of h_bar into 0.01 steps
         cfg = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 0.01)
@@ -338,7 +349,10 @@ class TestWorkBudget:
 
     def test_fine_grid_full_scan_fails_fast(self, never_scan):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX, 1e-6)
-        with pytest.raises(CapExceededError, match="it would check"):
+        levels = production._grid_top(cfg) + 1
+        assert levels == 3000001
+        with pytest.raises(CapExceededError, match="full production scan at 3 agents capped at 1048576 "
+                                                   f"profiles: it would check {64 * levels ** 3} profiles"):
             enumerate_production_ne(cfg)
 
     def test_budget_covers_the_largest_default_scans(self):
