@@ -30,7 +30,7 @@ from .formation_game import (
     undirected_adjacency,
 )
 from .equilibrium import SCAN_CHUNK, social_optimum
-from .kernel import fh_table, ne_status, require_budget, row_costs, sponsored_tree_count, sponsored_trees
+from .kernel import ne_status, require_budget, sponsored_tree_count, sponsored_trees
 
 K_C = "K_C"
 K_I = "K_I"
@@ -150,8 +150,6 @@ def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bo
     """
     n = cfg.n_agents
     members = subset_agents(mask)
-    fh = np.asarray(fh_table(cfg))
-    costs = row_costs(cfg)
     # index-order paths inside the other blocks; shape is irrelevant to this block
     filler = [0] * n
     for om in other_masks:
@@ -159,7 +157,7 @@ def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bo
         for t in range(len(agents) - 1):
             filler[agents[t]] |= 1 << agents[t + 1]
     trees = sponsored_trees(members, n) | np.array(filler, dtype=np.int64)
-    return any(ne_status(n, trees[start:start + SCAN_CHUNK], members, fh, costs)[0].any()
+    return any(ne_status(n, trees[start:start + SCAN_CHUNK], members, cfg.fh, cfg.row_costs)[0].any()
                for start in range(0, len(trees), SCAN_CHUNK))
 
 

@@ -80,13 +80,16 @@ def _fmt(x) -> str:
 
 
 def _number(kind, value, what: str):
-    """``kind(value)`` for kind int or float; a wrong-typed or non-finite value is a spec error."""
+    """``kind(value)`` for kind int or float; a wrong-typed or non-finite value is a spec
+    error, and so is a non-integral value for kind int."""
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
         raise SpecError(f"{what} must be a finite number, got {value!r}")
+    if isinstance(value, float) and x != value:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
     return x
 
 
@@ -210,10 +213,7 @@ def _entropic_vector(node: dict) -> EntropicVector:
     Shannon inequalities and rejected if they violate any.
     """
     if "family" in node:
-        family, h = node["family"], node.get("h")
-        _floats(h, "h")
-        # h goes in as written, not as the checked floats: pair_redundancy keeps
-        # integer entries, and reports print them as integers
+        family, h = node["family"], _floats(node.get("h"), "h")
         if family == "independent":
             return family_independent(h)
         if family == "max_correlated":

@@ -330,7 +330,7 @@ def family_pair_redundancy(h1: float, h2: float, h3: float, kl: float) -> Entrop
     H(012)=h1+h2+h3-kl; total redundancy equals kl. Requires
     0 <= kl <= min(h2, h3).
     """
-    _check_nonnegative((h1, h2, h3))
+    h1, h2, h3 = _check_nonnegative((h1, h2, h3))
     if not -1e-12 <= kl <= min(h2, h3) + 1e-12:
         raise ValueError(f"kl={kl} outside [0, min(h2, h3)={min(h2, h3)}]")
     kl = min(max(kl, 0.0), min(h2, h3))

@@ -24,6 +24,9 @@ so only sponsored forests are generated, as profile indices, and verified by
 :func:`~infogame.kernel.ne_status`, which drops a profile at its first
 failing agent. The pruned path refuses cost models with a link cost at or
 below tolerance.
+
+Both scans return int64 rows (ne, n) and strict flags, and the report is
+built from those arrays with the kernel's ``components`` and ``welfare``.
 """
 from __future__ import annotations
 
@@ -32,23 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import TOL, subset_mask
-from .formation_game import (
-    GameConfig,
-    LinkProfile,
-    component_masks,
-    undirected_adjacency,
-)
+from .formation_game import GameConfig, LinkProfile
 from .kernel import (
     CHECK_BUDGET,
     CapExceededError,
     best_response_table,
+    components,
     expand_row,
-    fh_table,
     field_compacts,
     ne_status,
     profile_indices,
     require_budget,
-    row_costs,
     rows_from_indices,
     set_partition_count,
     set_partitions,
@@ -104,7 +101,7 @@ def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TO
     if others.n_agents != n:
         raise ValueError("profile size does not match the game")
     rows = np.array([others.rows], dtype=np.int64)
-    table = best_response_table(n, rows, i, np.asarray(fh_table(cfg)), row_costs(cfg)[i], tol)
+    table = best_response_table(n, rows, i, cfg.fh, cfg.row_costs[i], tol)
     return frozenset(expand_row(c, i) for c in np.flatnonzero(table[0]).tolist())
 
 
@@ -113,7 +110,7 @@ def _profile_status(cfg: GameConfig, profile: LinkProfile, tol: float) -> tuple[
     if profile.n_agents != n:
         raise ValueError("profile size does not match the game")
     is_ne, strict = ne_status(n, np.array([profile.rows], dtype=np.int64), range(n),
-                              np.asarray(fh_table(cfg)), row_costs(cfg), tol)
+                              cfg.fh, cfg.row_costs, tol)
     return bool(is_ne[0]), bool(strict[0])
 
 
@@ -129,18 +126,12 @@ def is_strict_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> b
 
 # -- enumeration --------------------------------------------------------------
 
-def _found(idx: np.ndarray, strict: np.ndarray, n: int):
-    """(rows, strict) pairs of the profiles with the given indices."""
-    return [(tuple(rows), bool(st))
-            for rows, st in zip(rows_from_indices(idx, n).tolist(), strict)]
-
-
-def _ne_scan_full(cfg: GameConfig, tol: float):
-    """Exhaustive scan; (rows, strict) for every NE in profile-index order."""
+def _ne_scan_full(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive scan; the rows (int64, (ne, n)) and strict flags of every NE,
+    in profile-index order."""
     n = cfg.n_agents
     w = n - 1
-    fh = np.asarray(fh_table(cfg))
-    costs = row_costs(cfg)
+    fh, costs = cfg.fh, cfg.row_costs
     ne = np.ones(1 << (n * w), dtype=bool)
     strict = np.ones(1 << (n * w), dtype=bool)
     n_others = 1 << (w * w)
@@ -159,7 +150,7 @@ def _ne_scan_full(cfg: GameConfig, tol: float):
         ne &= own.reshape(-1)
         strict &= (own & unique).reshape(-1)
     idx = np.flatnonzero(ne)
-    return _found(idx, strict[idx], n)
+    return rows_from_indices(idx, n), strict[idx]
 
 
 def _forest_candidates(n: int) -> np.ndarray:
@@ -181,22 +172,22 @@ def _forest_candidates(n: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _ne_scan_pruned(cfg: GameConfig, tol: float):
-    """Forest-candidate scan for n >= 6. Needs every link cost above tolerance."""
+def _ne_scan_pruned(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forest-candidate scan for n >= 6, returning as :func:`_ne_scan_full` does.
+    Needs every link cost above tolerance."""
     n = cfg.n_agents
     if cfg.costs.min_cost(n) <= tol:
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
-    fh = np.asarray(fh_table(cfg))
-    costs = row_costs(cfg)
     candidates = _forest_candidates(n)
-    found = []
+    rows, strict = [], []
     for start in range(0, len(candidates), SCAN_CHUNK):
-        idx = candidates[start:start + SCAN_CHUNK]
-        ne, strict = ne_status(n, rows_from_indices(idx, n), range(n), fh, costs, tol)
-        found += _found(idx[ne], strict[ne], n)
-    return found
+        chunk = rows_from_indices(candidates[start:start + SCAN_CHUNK], n)
+        ne, st = ne_status(n, chunk, range(n), cfg.fh, cfg.row_costs, tol)
+        rows.append(chunk[ne])
+        strict.append(st[ne])
+    return np.concatenate(rows), np.concatenate(strict)
 
 
 def _mst(block: tuple[int, ...], weight):
@@ -236,7 +227,7 @@ def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
     """
     n = cfg.n_agents
     require_budget(set_partition_count(n), f"social optimum at {n} agents", "partitions")
-    fh = fh_table(cfg)
+    fh = cfg.fh.tolist()
 
     def edge_weight(i, j):
         return min(cfg.link_cost(i, j), cfg.link_cost(j, i))
@@ -272,40 +263,29 @@ def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
     """
     n = cfg.n_agents
     if 1 << (n * (n - 1)) <= CHECK_BUDGET:
-        found = _ne_scan_full(cfg, tol)
+        rows, strict = _ne_scan_full(cfg, tol)
     else:
         require_budget(set_partition_count(n, sponsored_tree_count),
                        f"pruned scan at {n} agents", "sponsored forests")
-        found = _ne_scan_pruned(cfg, tol)
+        rows, strict = _ne_scan_pruned(cfg, tol)
 
-    fh = fh_table(cfg)
-    ne_profiles = []
-    strict_profiles = []
-    welfares = []
-    infos = []
-    for rows, strict in found:
-        p = LinkProfile(n, rows)
-        comp = component_masks(undirected_adjacency(p))
-        w = welfare(cfg, rows, comp, fh)
-        ne_profiles.append(p)
-        welfares.append(w)
-        infos.append(tuple(cfg.ev.h(comp[i]) for i in range(n)))
-        if strict:
-            strict_profiles.append(p)
+    comp = components(rows)
+    welfares = welfare(rows, comp, cfg.fh, cfg.row_costs).tolist()
+    # the vector's own floats, looked up by component mask, so reports print them as given
+    h = (0.0,) + cfg.ev.entries
+    info_columns = [[h[c] for c in column] for column in comp.tolist()]
+    ne_profiles = [LinkProfile(n, r) for r in zip(*rows.T.tolist())]
+    strict_profiles = [p for p, st in zip(ne_profiles, strict.tolist()) if st]
 
     opt_value, opt_profile = social_optimum(cfg)
     worst = min(welfares) if welfares else float("nan")
     poa = (opt_value / worst) if welfares and worst > 0.0 else None
-    mil = 0.0
-    if infos:
-        for i in range(n):
-            vals = [info[i] for info in infos]
-            mil = max(mil, max(vals) - min(vals))
+    mil = max((max(column) - min(column) for column in info_columns if column), default=0.0)
     return EquilibriumReport(
         ne_profiles=tuple(ne_profiles),
         strict_ne_profiles=tuple(strict_profiles),
         ne_welfares=tuple(welfares),
-        ne_agent_info=tuple(infos),
+        ne_agent_info=tuple(zip(*info_columns)),
         social_optimum_value=opt_value,
         social_optimum_profile=opt_profile,
         worst_ne_welfare=worst,

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .entropy import EntropicVector, MAX_AGENTS, subset_agents, subset_mask
 
@@ -239,7 +242,10 @@ class LinkProfile:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """A fully specified formation game: information, benefit, and costs."""
+    """A fully specified formation game: information, benefit, and costs.
+
+    Its payoff tables :attr:`fh` and :attr:`row_costs` are built on first use.
+    """
 
     ev: EntropicVector
     benefit: BenefitFunction
@@ -256,6 +262,28 @@ class GameConfig:
 
     def link_cost(self, i: int, j: int) -> float:
         return self.costs.link_cost(i, j)
+
+    @cached_property
+    def fh(self) -> np.ndarray:
+        """Benefit of the joint entropy of every subset mask, as a read-only
+        float64 array of length 2**n; index 0 is f(0) = 0."""
+        table = np.array([0.0] + [self.benefit(h) for h in self.ev.entries])
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def row_costs(self) -> np.ndarray:
+        """Link cost of every compact row (see :mod:`infogame.kernel`), per agent, as
+        a read-only float64 array of shape (n, 2**(n-1)); ``[i, c]`` is agent i's."""
+        n = self.n_agents
+        table = np.zeros((n, 1 << (n - 1)))
+        for i in range(n):
+            targets = [j for j in range(n) if j != i]
+            for compact in range(1, 1 << (n - 1)):
+                j = targets[(compact & -compact).bit_length() - 1]
+                table[i, compact] = table[i, compact & (compact - 1)] + self.link_cost(i, j)
+        table.flags.writeable = False
+        return table
 
 
 # -- topology ---------------------------------------------------------------

@@ -17,12 +17,16 @@ component checker's blocks and the production game's tree shapes.
 
 One path evaluates best responses: :func:`best_response_table` takes a
 batch of profiles as an int64 array, and :func:`ne_status` judges a batch
-with it, so a single profile is a batch of one. Its component walk,
-:func:`merged_table`, is shared with the production game's equilibrium
-check. Scalar forms of the walk, of the profile index, of the Pruefer
-decoder and of the tree orientations live under ``tests/`` as the oracles
-the array forms are compared against. Every brute-force search counts its work in closed
-form first and passes it to :func:`require_budget`.
+with it, so a single profile is a batch of one. It reads the payoff tables
+that each ``GameConfig`` builds once and owns (``fh`` and ``row_costs``).
+Its component walk, :func:`merged_table`, is shared with the production
+game's equilibrium check and closes the graph with :func:`components`, which
+also gives equilibrium reports their components; :func:`welfare` sums the
+tables in a fixed order. Scalar forms of the walk, of the welfare sum, of
+the profile index, of the Pruefer decoder and of the tree orientations live
+under ``tests/`` as the oracles the array forms are compared against. Every
+brute-force search counts its work in closed form first and passes it to
+:func:`require_budget`.
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ import math
 
 import numpy as np
 
-from . import formation_game
 from .entropy import TOL
 
 # profiles, sponsored trees, partitions or grid points one brute-force search may visit
@@ -184,31 +187,24 @@ def sponsored_trees(members: tuple[int, ...], n: int) -> np.ndarray:
     return out
 
 
-# -- payoffs ------------------------------------------------------------------------
+# -- components and payoffs ----------------------------------------------------------
 
-def fh_table(cfg: formation_game.GameConfig) -> list[float]:
-    """Benefit of the joint entropy of every subset mask; index 0 is f(0) = 0."""
-    n = cfg.n_agents
-    table = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = cfg.benefit(cfg.ev.h(mask))
-    return table
+def components(rows: np.ndarray) -> np.ndarray:
+    """Component mask of every agent in every profile of a batch.
 
-
-def row_costs(cfg: formation_game.GameConfig) -> np.ndarray:
-    """Link cost of every compact row, per agent, as a float64 array of shape
-    (n, 2**(n-1)): ``[i, compact]`` is what agent i pays for the links of its
-    compact row ``compact``."""
-    n = cfg.n_agents
-    tables = []
-    for i in range(n):
-        targets = [j for j in range(n) if j != i]
-        table = [0.0] * (1 << (n - 1))
-        for compact in range(1, len(table)):
-            j = targets[(compact & -compact).bit_length() - 1]
-            table[compact] = table[compact & (compact - 1)] + cfg.link_cost(i, j)
-        tables.append(table)
-    return np.array(tables)
+    ``rows`` is an int64 array of shape (batch, n); entry [a, b] of the int64
+    result, of shape (n, batch), is agent a's component in profile b."""
+    n = rows.shape[1]
+    agent = np.arange(n, dtype=np.int64)[:, None]
+    links = np.ascontiguousarray(rows.T)
+    # reach[a]: agent a's neighbours, then its component
+    reach = links | 1 << agent
+    for a in range(n):
+        reach |= (links[a] >> agent & 1) << a
+    # Warshall closure: whoever reaches k reaches all that k reaches
+    for k in range(n):
+        reach |= reach[k] & -(reach >> k & 1)
+    return reach
 
 
 def merged_table(n: int, rows: np.ndarray, i: int) -> np.ndarray:
@@ -220,16 +216,9 @@ def merged_table(n: int, rows: np.ndarray, i: int) -> np.ndarray:
     linking to agent j merges in j's whole component of the graph without
     i's sponsored links.
     """
-    agent = np.arange(n, dtype=np.int64)[:, None]
-    out = rows.T.copy()
-    out[i] = 0
-    # reach[a]: agent a's neighbours (then its component) without i's links
-    reach = out | 1 << agent
-    for a in range(n):
-        reach |= (out[a] >> agent & 1) << a
-    # Warshall closure: whoever reaches k reaches all that k reaches
-    for k in range(n):
-        reach |= reach[k] & -(reach >> k & 1)
+    others = rows.copy()
+    others[:, i] = 0  # the graph without i's sponsored links
+    reach = components(others)
     # the OR over compact rows, one target bit at a time
     merged = np.empty((len(rows), 1 << (n - 1)), dtype=np.int64)
     merged[:, 0] = reach[i]
@@ -246,8 +235,8 @@ def best_response_table(n: int, rows: np.ndarray, i: int, fh: np.ndarray,
     ``rows`` is an int64 array of shape (batch, n); column i is ignored.
     Returns a bool array of shape (batch, 2**(n-1)) whose entry [b, c] is set
     when compact row c is within ``tol`` of agent i's best utility against
-    the other rows of profile b. ``fh`` is :func:`fh_table` as a float64
-    array and ``row_cost`` is agent i's row of :func:`row_costs`.
+    the other rows of profile b. ``fh`` and ``row_cost`` are ``GameConfig.fh``
+    and agent i's row of ``GameConfig.row_costs``.
     """
     u = fh[merged_table(n, rows, i)] - row_cost
     return u >= u.max(axis=1, keepdims=True) - tol
@@ -278,17 +267,19 @@ def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarra
     return is_ne, is_strict
 
 
-def welfare(cfg: formation_game.GameConfig, rows, comp: list[int], fh: list[float]) -> float:
-    """Sum of utilities given each agent's component mask ``comp``.
+def welfare(rows: np.ndarray, comp: np.ndarray, fh: np.ndarray, row_costs: np.ndarray) -> np.ndarray:
+    """Sum of utilities of every profile of a batch, given its :func:`components`.
 
     Adds every agent's benefit first and then subtracts each agent's link
-    costs in agent order; reports print this float, so the order is fixed.
+    costs in agent-then-target order; reports print these floats, so the
+    order is fixed.
     """
-    w = sum(fh[c] for c in comp)
-    for i, row in enumerate(rows):
-        t = row
-        while t:
-            low = t & -t
-            w -= cfg.link_cost(i, low.bit_length() - 1)
-            t ^= low
+    n = rows.shape[1]
+    w = np.zeros(len(rows))
+    for c in comp:
+        w = w + fh[c]
+    for i in range(n):
+        compact = compress_row(rows[:, i], i)
+        for k in range(n - 1):
+            w = w - np.where(compact >> k & 1, row_costs[i, 1 << k], 0.0)
     return w

@@ -3,13 +3,16 @@
 These are the per-profile, Python-int forms of :mod:`infogame.kernel`'s
 batch functions. ``merged_components`` is one row of ``merged_table``,
 ``row_utilities`` one row of the utilities behind ``best_response_table``,
-``ne_status`` one profile of the batch ``ne_status``,
-``profile_from_index`` one row of ``rows_from_indices`` and ``profile_index``
-one entry of ``profile_indices``, ``spanning_trees`` the trees of the
-kernel's array decoder, ``orientations`` of each of them the rows of
-``sponsored_trees``, and
-``production_utility`` one utility behind ``production.production_ne_mask``.
-The tests compare the two forms; nothing in the package uses these.
+``ne_status`` one profile of the batch ``ne_status``, ``welfare`` one entry
+of the batch ``welfare`` (summed in the same order, so the two agree bit for
+bit), ``profile_from_index`` one row of ``rows_from_indices`` and
+``profile_index`` one entry of ``profile_indices``, ``spanning_trees`` the
+trees of the kernel's array decoder, ``orientations`` of each of them the
+rows of ``sponsored_trees``, and ``production_utility`` one utility behind
+``production.production_ne_mask``. The tests compare the two forms; nothing
+in the package uses these. The payoff tables they take, ``fh`` and
+``costs`` / ``row_cost``, are the game's own ``GameConfig.fh`` and
+``GameConfig.row_costs``.
 """
 import heapq
 import itertools
@@ -127,7 +130,7 @@ def merged_components(n: int, rows, i: int) -> list[int]:
 def row_utilities(n: int, rows, i: int, fh: list[float], row_cost: list[float]) -> list[float]:
     """Utility of every compact row for agent i, holding the others fixed.
 
-    ``row_cost`` is agent i's table from :func:`row_costs`.
+    ``row_cost`` is agent i's row of ``GameConfig.row_costs``.
     """
     return [fh[m] - c for m, c in zip(merged_components(n, rows, i), row_cost)]
 
@@ -136,7 +139,7 @@ def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
               tol: float = TOL) -> tuple[bool, bool]:
     """(is_ne, is_strict) of a profile, judged over the given agents only.
 
-    ``costs`` holds the per-agent tables of :func:`row_costs`. An agent
+    ``costs`` holds the per-agent tables of ``GameConfig.row_costs``. An agent
     fails when some row beats its current one by more than ``tol``; it is
     strict when every other row is worse by more than ``tol``. The test
     stops at the first failing agent and then returns (False, False).
@@ -152,6 +155,22 @@ def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
             floor = u_cur - tol
             strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
     return True, strict
+
+
+def welfare(cfg: formation_game.GameConfig, rows, comp: list[int], fh: list[float]) -> float:
+    """Sum of utilities given each agent's component mask ``comp``.
+
+    Adds every agent's benefit first and then subtracts each agent's link
+    costs in agent order; reports print this float, so the order is fixed.
+    """
+    w = sum(fh[c] for c in comp)
+    for i, row in enumerate(rows):
+        t = row
+        while t:
+            low = t & -t
+            w -= cfg.link_cost(i, low.bit_length() - 1)
+            t ^= low
+    return w
 
 
 def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) -> float:

@@ -1,4 +1,5 @@
 """The batch front end: spec documents, CSV schemas, exit codes, determinism."""
+import hashlib
 import math
 
 import numpy as np
@@ -123,6 +124,32 @@ game:
   costs: {model: homogeneous, c: 0.3}
 """
 
+# a 4-agent weighted coverage vector (agents hold {a,b}, {b,c}, {c}, {a,d} of
+# independent parts weighing 1, 0.5, 0.75 and 1.25 bits) with per-pair costs:
+# three equilibria, one strict, two of them leaving two pairs apart
+GOLDEN_MATRIX_SPEC = """\
+command: enumerate
+game:
+  entropic_vector:
+    inline:
+      n_agents: 4
+      entries: [[1, 1.5], [2, 1.25], [3, 2.25], [4, 0.75], [5, 2.25], [6, 1.25], [7, 2.25],
+                [8, 2.25], [9, 2.75], [10, 3.5], [11, 3.5], [12, 3.0], [13, 3.5], [14, 3.5], [15, 3.5]]
+  benefit: {name: log1p, base: 2}
+  costs:
+    model: matrix
+    c: [[0, 0.72, 0.67, 1.01], [0.35, 0, 0.22, 0.54], [0.15, 1.06, 0, 0.76], [0.34, 0.34, 0.79, 0]]
+"""
+
+# every sponsored spanning tree is an equilibrium: 2,000 rows
+GOLDEN_CHEAP_SPEC = """\
+command: enumerate
+game:
+  entropic_vector: {family: independent, h: [1, 1.5, 2, 1.25, 0.75]}
+  benefit: {name: log1p, base: e}
+  costs: {model: homogeneous, c: 0.05}
+"""
+
 
 class TestEnumerate:
     def test_two_agent_equilibria(self, tmp_path):
@@ -143,6 +170,30 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as exc:
             run_cli(tmp_path, ENUM_SPEC, extra=["--max-n", "8"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("spec, digest", [
+        (GOLDEN_MATRIX_SPEC, "39690967859fd4e952a7a5870f2e239170aed4b0a32415db860bda71bc3b9cf8"),
+        (GOLDEN_CHEAP_SPEC, "6a5c3f4e0d26912845d9fb44942c5977130227f9cc500ce3754b9f4d25d96431"),
+    ], ids=["n4-inline-matrix", "n5-independent-cheap"])
+    def test_golden_bytes(self, tmp_path, spec, digest):
+        # pinned output of two fixed games: a change to the report phase may not move a byte
+        code, text = run_cli(tmp_path, spec)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_integer_entropies_print_as_floats(self, tmp_path):
+        spec = """\
+command: enumerate
+game:
+  entropic_vector: {family: pair_redundancy, h: [5, 4, 4], kl: 1}
+  benefit: {name: log1p, base: e}
+  costs: {model: homogeneous, c: 5.0}
+"""
+        _, ints = run_cli(tmp_path, spec, name="ints.yaml")
+        _, floats = run_cli(tmp_path, spec.replace("[5, 4, 4]", "[5.0, 4.0, 4.0]"), name="floats.yaml")
+        body = ints.split("\n", 1)[1]  # after the line carrying the spec's hash
+        assert body == floats.split("\n", 1)[1]
+        assert "5.0,4.0,4.0" in body
 
 
 PRODUCTION_SPEC = """\
@@ -208,6 +259,10 @@ class TestVerify:
         code, text = run_cli(tmp_path, spec)
         assert code == 3 and text == ""
         assert "it would check 1049328 profiles" in capsys.readouterr().err
+
+
+INLINE_SPEC = ENUM_SPEC.replace("{family: independent, h: [1, 1]}",
+                                "{inline: {n_agents: 2, entries: [[1, 1.0], [2, 1.0], [3, 1.5]]}}")
 
 
 class TestSpecValidation:
@@ -289,6 +344,27 @@ game:
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("spec, value", [
+        (PRODUCTION_SPEC.replace("n_agents: 2", "n_agents: {}"), 2),
+        (VERIFY_SPEC.replace("n_agents: 3", "n_agents: {}"), 3),
+        (VERIFY_SPEC.replace("instances: 6", "instances: {}"), 6),
+        (VERIFY_SPEC.replace("seed: 0", "seed: {}"), 0),
+        (REGION_SPEC.replace("points: 20", "points: {}"), 20),
+        (PRODUCTION_SPEC.replace("command: production", "command: few-sweep") + "n_list: [2, {}]\n", 3),
+        (INLINE_SPEC.replace("n_agents: 2", "n_agents: {}"), 2),
+        (INLINE_SPEC.replace("[3, 1.5]", "[{}, 1.5]"), 3),
+    ], ids=["production-n", "verify-n", "verify-instances", "seed", "grid-points", "few-sweep-n",
+            "inline-n-agents", "inline-mask"])
+    def test_non_integral_count_rejected(self, tmp_path, capsys, spec, value):
+        # a count written as a float is accepted when it is whole, and refused, not truncated, when not
+        code, text = run_cli(tmp_path, spec.replace("{}", f"{value}.9"), name="frac.yaml")
+        assert code == 2 and text == ""
+        assert "must be an integer, got " in capsys.readouterr().err
+        code, whole = run_cli(tmp_path, spec.replace("{}", f"{value}.0"), name="whole.yaml")
+        expect, same = run_cli(tmp_path, spec.replace("{}", f"{value}"), name="int.yaml")
+        assert code == expect == 0
+        assert whole.split("\n", 1)[1] == same.split("\n", 1)[1]
+
     def test_nan_cost_rejected(self, tmp_path):
         code, text = run_cli(tmp_path, ENUM_SPEC.replace("c: 0.3", "c: .nan"))
         assert code == 2 and text == ""
@@ -302,10 +378,6 @@ game:
         spec.write_text(ENUM_SPEC + f"output: {target}\n")
         assert main(["--spec", str(spec)]) == 0
         assert target.exists()
-
-
-INLINE_SPEC = ENUM_SPEC.replace("{family: independent, h: [1, 1]}",
-                                "{inline: {n_agents: 2, entries: [[1, 1.0], [2, 1.0], [3, 1.5]]}}")
 
 
 class TestGameSection:

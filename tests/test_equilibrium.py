@@ -33,9 +33,11 @@ from infogame.formation_game import (
     social_welfare,
     undirected_adjacency,
 )
-from infogame.kernel import expand_row, fh_table, row_costs, welfare
+from infogame.kernel import components as kernel_components
+from infogame.kernel import expand_row, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
 from scalar_kernel import ne_status, profile_from_index, profile_index, row_utilities
+from scalar_kernel import welfare as scalar_welfare
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)
@@ -131,7 +133,8 @@ class TestEnumerate:
         for cfg in games:
             if cfg.costs.min_cost(cfg.n_agents) <= 1e-9:
                 continue
-            assert equilibrium._ne_scan_pruned(cfg, TOL) == equilibrium._ne_scan_full(cfg, TOL)
+            pruned, full = equilibrium._ne_scan_pruned(cfg, TOL), equilibrium._ne_scan_full(cfg, TOL)
+            assert [a.tolist() for a in pruned] == [a.tolist() for a in full]
 
     def test_pruned_requires_positive_costs(self, monkeypatch):
         def never(n):
@@ -158,7 +161,8 @@ class TestEnumerate:
     def test_auto_scans_in_full_up_to_the_budget(self, monkeypatch):
         used = []
         for name in ("_ne_scan_full", "_ne_scan_pruned"):
-            monkeypatch.setattr(equilibrium, name, lambda cfg, tol, name=name: used.append(name) or [])
+            monkeypatch.setattr(equilibrium, name, lambda cfg, tol, name=name: used.append(name) or (
+                np.zeros((0, cfg.n_agents), dtype=np.int64), np.zeros(0, dtype=bool)))
         monkeypatch.setattr(equilibrium, "social_optimum", lambda cfg: (0.0, None))
         for n in (1, 5, 6):
             enumerate_nash(homog(family_independent([1] * n), 0.5))
@@ -197,6 +201,32 @@ class TestEnumerate:
         assert all(len(components(p)) == 1 for p in report.ne_profiles)
         assert report.poa == pytest.approx(1.0, abs=1e-9)
 
+    def test_pruned_report_matches_per_equilibrium_scalar_walk(self):
+        """Each field of a six-agent report against the scalar per-NE computation,
+        with the types the CSV prints: Python floats taken from the vector itself."""
+        cfg = random_homogeneous_config(np.random.default_rng(3), 6, LN)  # 431 NE, 1 strict
+        report = enumerate_nash(cfg)
+        rows, strict = equilibrium._ne_scan_pruned(cfg, TOL)
+        assert len(report.ne_profiles) == len(rows) > 1
+        fh = cfg.fh.tolist()
+        welfares, infos = [], []
+        for r in map(tuple, rows.tolist()):
+            comp = component_masks(undirected_adjacency(LinkProfile(6, r)))
+            welfares.append(scalar_welfare(cfg, r, comp, fh))
+            infos.append(tuple(cfg.ev.h(c) for c in comp))
+        assert [p.rows for p in report.ne_profiles] == list(map(tuple, rows.tolist()))
+        assert report.strict_ne_profiles == tuple(p for p, st in zip(report.ne_profiles, strict) if st)
+        assert report.ne_welfares == tuple(welfares)
+        assert report.ne_agent_info == tuple(infos)
+        assert all(type(w) is float for w in report.ne_welfares)
+        assert all(type(v) is float and any(v is e for e in cfg.ev.entries)
+                   for info in report.ne_agent_info for v in info)
+        assert len(set(report.ne_agent_info)) > 1  # some equilibria leave agents apart
+        assert report.worst_ne_welfare == min(welfares)
+        assert report.mil == max(max(col) - min(col) for col in zip(*infos))
+        assert all(type(x) is float for x in (report.social_optimum_value, report.worst_ne_welfare,
+                                              report.poa, report.mil))
+
     def test_strict_set_stable_under_tolerance_halving(self):
         for seed in range(15):
             rng = np.random.default_rng(300 + seed)
@@ -217,7 +247,7 @@ def best_welfare(cfg):
 def scalar_status(cfg, indices, tol=TOL):
     """{index: (is_ne, is_strict)} from the per-profile scalar test."""
     n = cfg.n_agents
-    fh, costs = fh_table(cfg), row_costs(cfg)
+    fh, costs = cfg.fh, cfg.row_costs
     return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs, tol) for k in indices}
 
 
@@ -309,7 +339,7 @@ class TestPredicatesMatchScalar:
     @staticmethod
     def check_every_profile(cfg):
         n = cfg.n_agents
-        fh, costs = fh_table(cfg), row_costs(cfg)
+        fh, costs = cfg.fh, cfg.row_costs
         for k in range(1 << (n * (n - 1))):
             rows = profile_from_index(k, n)
             p = LinkProfile(n, rows)
@@ -342,14 +372,14 @@ def test_kernel_welfare_matches_social_welfare(case):
     """Within 1e-12 of the sum of the terms' magnitudes: the two sum in different orders."""
     cfg, indices = case
     n = cfg.n_agents
-    fh = fh_table(cfg)
-    for k in indices:
-        rows = profile_from_index(k, n)
-        p = LinkProfile(n, rows)
-        comp = component_masks(undirected_adjacency(p))
-        scale = sum(fh[c] for c in comp) + sum(
-            cfg.link_cost(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1)
-        assert abs(welfare(cfg, rows, comp, fh) - social_welfare(cfg, p)) <= 1e-12 * scale
+    rows = np.array([profile_from_index(k, n) for k in indices], dtype=np.int64)
+    comp = kernel_components(rows)
+    got = welfare(rows, comp, cfg.fh, cfg.row_costs).tolist()
+    for w, r, c in zip(got, rows.tolist(), comp.T.tolist()):
+        p = LinkProfile(n, tuple(r))
+        scale = sum(cfg.fh[m] for m in c) + sum(
+            cfg.link_cost(i, j) for i in range(n) for j in range(n) if r[i] >> j & 1)
+        assert abs(w - social_welfare(cfg, p)) <= 1e-12 * scale
 
 
 class TestSocialOptimum:

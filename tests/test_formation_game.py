@@ -257,6 +257,31 @@ class TestPayoffs:
         assert social_welfare(cfg, cycle) < social_welfare(cfg, tree)
 
 
+class TestPayoffTables:
+    def game(self):
+        costs = [[0.0, 0.3, 0.7, 0.1], [0.2, 0.0, 0.5, 0.9], [0.4, 0.6, 0.0, 0.8], [1.1, 0.05, 0.25, 0.0]]
+        return GameConfig(family_independent([1.0, 2.5, 0.5, 1.5]), LN, CostModel.matrix(costs))
+
+    def test_tables_hold_each_payoff(self):
+        cfg = self.game()
+        assert cfg.fh.dtype == cfg.row_costs.dtype == np.float64
+        assert cfg.fh.tolist() == [0.0] + [LN(cfg.ev.h(mask)) for mask in range(1, 16)]
+        assert cfg.row_costs.shape == (4, 8)
+        for i in range(4):
+            targets = [j for j in range(4) if j != i]
+            for compact in range(8):
+                paid = sum(cfg.link_cost(i, targets[k]) for k in range(3) if compact >> k & 1)
+                assert cfg.row_costs[i, compact] == pytest.approx(paid, abs=1e-12)
+
+    def test_tables_are_built_once_and_read_only(self):
+        cfg = self.game()
+        assert cfg.fh is cfg.fh
+        assert cfg.row_costs is cfg.row_costs
+        for table in (cfg.fh, cfg.row_costs):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+
+
 class TestConfigDocuments:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -23,12 +23,11 @@ from infogame.kernel import (
     CHECK_BUDGET,
     CapExceededError,
     best_response_table,
-    fh_table,
+    components,
     merged_table,
     ne_status,
     profile_indices,
     require_budget,
-    row_costs,
     rows_from_indices,
     set_partition_count,
     set_partitions,
@@ -39,6 +38,7 @@ from infogame.kernel import (
 )
 from infogame.verification import random_homogeneous_config, random_recipient_config
 from scalar_kernel import merged_components, orientations, profile_from_index, profile_index, row_utilities
+from scalar_kernel import welfare as scalar_welfare
 from scalar_kernel import ne_status as scalar_ne_status
 from scalar_kernel import spanning_trees as scalar_spanning_trees
 
@@ -179,11 +179,11 @@ def test_best_response_table_matches_row_utilities(n):
     rng = np.random.default_rng(40 + n)
     make = random_recipient_config if n % 2 else random_homogeneous_config
     cfg = make(rng, n, LN)
-    fh, costs = fh_table(cfg), row_costs(cfg)
+    fh, costs = cfg.fh, cfg.row_costs
     idx = rng.integers(0, 1 << (n * (n - 1)), size=200)
     rows = rows_from_indices(idx, n)
     for i in range(n):
-        table = best_response_table(n, rows, i, np.asarray(fh), np.asarray(costs[i]))
+        table = best_response_table(n, rows, i, fh, costs[i])
         for b, k in enumerate(idx):
             utils = row_utilities(n, profile_from_index(int(k), n), i, fh, costs[i])
             assert table[b].tolist() == [u >= max(utils) - 1e-9 for u in utils]
@@ -211,12 +211,12 @@ def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
                          CostModel.homogeneous(1.0))
     else:
         cfg = (random_recipient_config if n % 2 else random_homogeneous_config)(rng, n, LN)
-    fh, costs = fh_table(cfg), row_costs(cfg)
+    fh, costs = cfg.fh, cfg.row_costs
     idx = rng.integers(0, 1 << (n * (n - 1)), size=300)
     rows = rows_from_indices(idx, n)
     for mask in range(1, 1 << n):
         agents = [a for a in range(n) if mask >> a & 1]
-        is_ne, strict = ne_status(n, rows, agents, np.asarray(fh), costs)
+        is_ne, strict = ne_status(n, rows, agents, fh, costs)
         expect = [scalar_ne_status(n, r, agents, fh, costs) for r in map(tuple, rows.tolist())]
         assert list(zip(is_ne.tolist(), strict.tolist())) == expect
 
@@ -238,12 +238,54 @@ def test_orientations_add_to_base_rows():
         assert rows[2] == 1 << 3
 
 
+def every_profile(n):
+    """Rows of every profile of n agents, as an int64 array."""
+    return rows_from_indices(np.arange(1 << (n * (n - 1)), dtype=np.int64), n)
+
+
+def scalar_components(rows):
+    return [component_masks(undirected_adjacency(LinkProfile(len(r), tuple(r)))) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_components_match_component_masks_on_every_profile(n):
+    rows = every_profile(n)
+    assert components(rows).T.tolist() == scalar_components(rows)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_components_match_component_masks_on_random_profiles(n):
+    rng = np.random.default_rng(50 + n)
+    rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=2000), n)
+    assert components(rows).T.tolist() == scalar_components(rows)
+
+
+def cost_models(rng, n):
+    yield CostModel.homogeneous(float(rng.uniform(0.05, 1.5)))
+    yield CostModel.recipient(rng.uniform(0.05, 1.5, size=n))
+    yield CostModel.matrix(rng.uniform(0.05, 1.5, size=(n, n)))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_welfare_bit_identical_to_scalar_on_every_profile(n):
+    """The array sum takes the scalar sum's steps in the same order, so ``==`` holds."""
+    rng = np.random.default_rng(60 + n)
+    rows = every_profile(n)
+    comp = components(rows)
+    h = rng.integers(1, 25, size=n) / 7.0
+    for costs in cost_models(rng, n):
+        cfg = GameConfig(family_independent(h), LN, costs)
+        got = welfare(rows, comp, cfg.fh, cfg.row_costs).tolist()
+        fh = cfg.fh.tolist()
+        assert got == [scalar_welfare(cfg, r, c, fh) for r, c in zip(rows.tolist(), comp.T.tolist())]
+
+
 def test_welfare_matches_social_welfare():
     rng = np.random.default_rng(3)
     cfg = random_recipient_config(rng, 3, LN)
-    fh = fh_table(cfg)
+    fh = cfg.fh.tolist()
     for idx in range(1 << 6):
         rows = profile_from_index(idx, 3)
         p = LinkProfile(3, rows)
         comp = component_masks(undirected_adjacency(p))
-        assert welfare(cfg, rows, comp, fh) == pytest.approx(social_welfare(cfg, p), abs=1e-12)
+        assert scalar_welfare(cfg, rows, comp, fh) == pytest.approx(social_welfare(cfg, p), abs=1e-12)

@@ -6,8 +6,9 @@ imports (so no import order is needed to break a cycle), and every public
 module-level function serves the package: something in ``src/`` uses it or
 ``infogame`` exports it. Test-only helpers live under ``tests/``. The
 production game builds on the kernel alone, not on the formation game's
-equilibrium or analytic layers, and the kernel alone turns spanning trees
-into profiles: every other module takes its sponsored trees from it.
+equilibrium or analytic layers, the kernel builds on the entropy module
+alone, and the kernel alone turns spanning trees into profiles: every other
+module takes its sponsored trees from it.
 """
 import ast
 import subprocess
@@ -46,6 +47,11 @@ def imported_modules(module):
         elif isinstance(node, ast.Import):
             paths += [alias.name for alias in node.names]
     return {path.split(".")[1] for path in paths if path.startswith("infogame.")}
+
+
+def test_kernel_builds_on_entropy_only():
+    # the payoff tables it reads belong to the game, so the kernel never sees a GameConfig
+    assert imported_modules("kernel") <= {"entropy"}
 
 
 def test_production_builds_on_the_kernel_only():
