@@ -1,9 +1,11 @@
 """Closed-form predictors for equilibrium structure and efficiency.
 
 Every function here has a brute-force counterpart in :mod:`infogame.equilibrium`
-against which it can be cross-validated. Cost-model coverage follows the
-available theory: homogeneous and recipient-dependent costs are supported,
-general cost matrices are rejected.
+against which it can be cross-validated. The strict-equilibrium structure is
+judged a batch at a time by :func:`strict_structure_mask`, on the kernel's
+components; :func:`check_strict_ne_structure` is its batch of one.
+Cost-model coverage follows the available theory: homogeneous and
+recipient-dependent costs are supported, general cost matrices are rejected.
 
 Boundary conventions. Homogeneous classification puts c = c_l in the
 connected region and c = c_u in the isolated region; when c_l = c_u the
@@ -21,16 +23,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
-from .formation_game import (
-    BenefitFunction,
-    CostModel,
-    GameConfig,
-    LinkProfile,
-    component_masks,
-    undirected_adjacency,
-)
+from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from .equilibrium import SCAN_CHUNK, social_optimum
-from .kernel import ne_status, require_budget, sponsored_tree_count, sponsored_trees
+from .kernel import components, ne_status, require_budget, sponsored_tree_count, sponsored_trees
 
 K_C = "K_C"
 K_I = "K_I"
@@ -195,45 +190,50 @@ def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[i
     return True
 
 
-def check_strict_ne_structure(cfg: GameConfig, profile: LinkProfile) -> bool:
-    """Is ``profile`` shaped like a strict equilibrium?
+def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
+    """Which profiles of a batch are shaped like a strict equilibrium?
 
-    Requires homogeneous costs. The profile's partition must pass
-    :func:`check_component_structure_ne`, every non-singleton component must
-    be a star whose core sponsors all of its links, and each periphery agent
-    j must make the core's link to it strictly worthwhile:
-    f(H(C)) - f(H(C\\{j})) > c. At least M - 1 members of an M-agent
-    component must clear that bar.
+    Requires homogeneous costs. ``rows`` holds link rows, shape (batch, n).
+    A profile passes when its partition passes
+    :func:`check_component_structure_ne`, every non-singleton component is a
+    star whose core sponsors all of its links, and each periphery agent j
+    makes the core's link to it strictly worthwhile:
+    f(H(C)) - f(H(C\\{j})) > c. A component with a single sponsor is such
+    a star, since each of its links has the sponsor at one end. The usual
+    statement also asks at least M - 1 members of an M-agent component to
+    clear the bar; the M - 1 periphery agents do, so that follows. Each
+    distinct partition of the batch's star-shaped profiles is checked once.
+    Returns a bool array of length batch.
     """
     if cfg.costs.kind != "homogeneous":
         raise ValueError("strict-structure checker supports homogeneous costs only")
     n = cfg.n_agents
-    if profile.n_agents != n:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("profile size does not match the game")
-    c = cfg.costs.values[0]
-    f = cfg.benefit
-    h = cfg.ev.h
-    comp_of = component_masks(undirected_adjacency(profile))
-    masks = sorted({comp_of[i] for i in range(n)})
-    for mask in masks:
-        members = subset_agents(mask)
-        if len(members) < 2:
-            continue
-        sponsors = [i for i in members if profile.rows[i] & mask]
-        if len(sponsors) != 1:
-            return False
-        core = sponsors[0]
-        periphery = mask ^ (1 << core)
-        if profile.rows[core] & mask != periphery:
-            return False
-        fc = f(h(mask))
-        zeta = {j for j in members if fc - f(h(mask ^ (1 << j))) > c + TOL}
-        if len(zeta) < len(members) - 1:
-            return False
-        for j in subset_agents(periphery):
-            if j not in zeta:
-                return False
-    return check_component_structure_ne(cfg, [subset_agents(m) for m in masks])
+    comp = components(rows)
+    sponsors = sum((rows[:, i] != 0).astype(np.int64) << i for i in range(n))
+    masks = np.arange(1 << n)
+    ok = np.ones(len(rows), dtype=bool)
+    for j in range(n):
+        bit = 1 << j
+        own = sponsors & comp[j]  # the sponsors of j's component, one bit each
+        # zeta[C]: the link from C's core to j is strictly worth its cost
+        zeta = cfg.fh - cfg.fh[masks & ~bit] > cfg.costs.values[0] + TOL
+        # a single sponsor (a linked component has at least one), and j is it or in zeta
+        ok &= (comp[j] == bit) | (own & (own - 1) == 0) & ((own == bit) | zeta[comp[j]])
+    partitions = {}
+    for b, key in zip(np.flatnonzero(ok).tolist(), map(tuple, comp.T[ok].tolist())):
+        if key not in partitions:
+            partitions[key] = check_component_structure_ne(cfg, [subset_agents(m) for m in sorted(set(key))])
+        ok[b] = partitions[key]
+    return ok
+
+
+def check_strict_ne_structure(cfg: GameConfig, profile: LinkProfile) -> bool:
+    """Is ``profile`` shaped like a strict equilibrium? :func:`strict_structure_mask`
+    of the batch of one."""
+    return bool(strict_structure_mask(cfg, [profile.rows])[0])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ and unilaterally sponsor directed links. The undirected topology contains edge
 each connected component, and the sponsor alone pays the link cost. Agent i's
 payoff is ``f(H(component of i)) - sum of costs of links i sponsors``.
 
+A single profile is a batch of one for the kernel: components come from
+:func:`infogame.kernel.components`, the package's one component walk, and
+social welfare from :func:`infogame.kernel.welfare`.
+
 Everything here is immutable and side-effect free; profiles can be evaluated
 concurrently from any number of workers.
 """
@@ -17,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernel
 from .entropy import EntropicVector, MAX_AGENTS, subset_agents, subset_mask
 
 _SHAPE_GRID_MAX = 64.0
@@ -288,47 +293,9 @@ class GameConfig:
 
 # -- topology ---------------------------------------------------------------
 
-def undirected_adjacency(profile: LinkProfile, skip_row: int | None = None) -> list[int]:
-    """Neighbor bitmask per agent; ``skip_row`` drops one agent's sponsored links."""
-    n = profile.n_agents
-    adj = [0] * n
-    for i in range(n):
-        row = profile.rows[i] if i != skip_row else 0
-        adj[i] |= row
-        t = row
-        while t:
-            low = t & -t
-            adj[low.bit_length() - 1] |= 1 << i
-            t ^= low
-    return adj
-
-
-def component_masks(adj: list[int]) -> list[int]:
-    """Connected-component bitmask per agent, from a neighbor-mask adjacency."""
-    n = len(adj)
-    comp = [0] * n
-    seen = 0
-    for s in range(n):
-        if seen >> s & 1:
-            continue
-        cm = 1 << s
-        frontier = cm
-        while frontier:
-            nxt = 0
-            t = frontier
-            while t:
-                low = t & -t
-                nxt |= adj[low.bit_length() - 1]
-                t ^= low
-            frontier = nxt & ~cm
-            cm |= frontier
-        t = cm
-        while t:
-            low = t & -t
-            comp[low.bit_length() - 1] = cm
-            t ^= low
-        seen |= cm
-    return comp
+def _component_masks(profile: LinkProfile) -> list[int]:
+    """Every agent's component mask, from :func:`infogame.kernel.components` of a batch of one."""
+    return kernel.components(np.array([profile.rows], dtype=np.int64))[:, 0].tolist()
 
 
 def topology(profile: LinkProfile) -> tuple[tuple[int, int], ...]:
@@ -344,7 +311,7 @@ def topology(profile: LinkProfile) -> tuple[tuple[int, int], ...]:
 
 def components(profile: LinkProfile) -> tuple[frozenset[int], ...]:
     """Partition of the agents into connected components, ordered by least member."""
-    comp = component_masks(undirected_adjacency(profile))
+    comp = _component_masks(profile)
     seen = set()
     out = []
     for i in range(profile.n_agents):
@@ -360,7 +327,7 @@ def is_minimally_connected(profile: LinkProfile, component) -> bool:
     ``component`` must be one of the profile's components.
     """
     comp_mask = subset_mask(component)
-    masks = component_masks(undirected_adjacency(profile))
+    masks = _component_masks(profile)
     agents = subset_agents(comp_mask)
     if not agents or any(masks[a] != comp_mask for a in agents):
         raise ValueError("argument is not a component of the profile")
@@ -374,11 +341,14 @@ def utility(cfg: GameConfig, profile: LinkProfile, i: int) -> float:
     """Benefit of the information in i's component minus i's sponsored link costs."""
     if profile.n_agents != cfg.n_agents:
         raise ValueError("profile size does not match the game")
-    comp = component_masks(undirected_adjacency(profile))[i]
+    comp = _component_masks(profile)[i]
     benefit = cfg.benefit(cfg.ev.h(comp))
     return benefit - sum(cfg.link_cost(i, j) for j in subset_agents(profile.rows[i]))
 
 
 def social_welfare(cfg: GameConfig, profile: LinkProfile) -> float:
-    """Sum of all agents' utilities."""
-    return sum(utility(cfg, profile, i) for i in range(cfg.n_agents))
+    """Sum of all agents' utilities: :func:`infogame.kernel.welfare` of a batch of one."""
+    if profile.n_agents != cfg.n_agents:
+        raise ValueError("profile size does not match the game")
+    rows = np.array([profile.rows], dtype=np.int64)
+    return float(kernel.welfare(rows, kernel.components(rows), cfg.fh, cfg.row_costs)[0])

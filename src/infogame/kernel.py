@@ -19,14 +19,16 @@ One path evaluates best responses: :func:`best_response_table` takes a
 batch of profiles as an int64 array, and :func:`ne_status` judges a batch
 with it, so a single profile is a batch of one. It reads the payoff tables
 that each ``GameConfig`` builds once and owns (``fh`` and ``row_costs``).
-Its component walk, :func:`merged_table`, is shared with the production
-game's equilibrium check and closes the graph with :func:`components`, which
-also gives equilibrium reports their components; :func:`welfare` sums the
-tables in a fixed order. Scalar forms of the walk, of the welfare sum, of
-the profile index, of the Pruefer decoder and of the tree orientations live
-under ``tests/`` as the oracles the array forms are compared against. Every
-brute-force search counts its work in closed form first and passes it to
-:func:`require_budget`.
+:func:`components` is the package's one component walk. Through
+:func:`merged_table` it serves the best responses and the production game's
+equilibrium check; it also gives equilibrium reports their components, the
+characterization masks (strict-equilibrium stars, production trees and their
+cuts) their shapes, and the formation game's per-profile topology, as a batch
+of one. :func:`welfare` sums the tables in a fixed order. Scalar forms of the
+walk, of the welfare sum, of the profile index, of the Pruefer decoder and of
+the tree orientations live under ``tests/`` as the oracles the array forms
+are compared against. Every brute-force search counts its work in closed
+form first and passes it to :func:`require_budget`.
 """
 from __future__ import annotations
 

@@ -23,9 +23,13 @@ utility is the float that the per-profile utility under ``tests/`` (the
 oracle the check is compared against) computes. Enumerations estimate their
 checks first and refuse more than ``CHECK_BUDGET``.
 
-The characterization checkers assume a strictly positive link cost; with
-free links a duplicate-sponsored edge can sit in an equilibrium that the
-checkers reject. The knife edge c = k * h_bar is classified with the
+The equilibrium shapes of the characterizations are judged a batch at a time
+by :func:`shape_mask` on ``kernel.components``: a spanning tree, and for SUM
+each link's cut, the component its target keeps without the sponsor's
+links. :func:`check_sum_equilibrium` and :func:`check_max_equilibrium` are
+its batch of one. The characterizations assume a strictly positive link
+cost; with free links a duplicate-sponsored edge can sit in an equilibrium
+that they reject. The knife edge c = k * h_bar is classified with the
 high-cost branch.
 """
 from __future__ import annotations
@@ -38,9 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import TOL, subset_agents
-from .formation_game import BenefitFunction, LinkProfile, component_masks, undirected_adjacency
-from .kernel import (CHECK_BUDGET, compress_row, merged_table, profile_indices, require_budget,
+from .entropy import MAX_AGENTS, TOL
+from .formation_game import BenefitFunction, LinkProfile
+from .kernel import (CHECK_BUDGET, components, compress_row, merged_table, profile_indices, require_budget,
                      rows_from_indices, sponsored_tree_count, sponsored_trees)
 
 # cells (profiles x compact rows x production candidates) per chunk of production_ne_mask
@@ -125,6 +129,8 @@ class ProductionGameConfig:
     def __post_init__(self):
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
+        if self.n_agents > MAX_AGENTS:
+            raise ValueError(f"n_agents must be in 1..{MAX_AGENTS}")
         if not (math.isfinite(self.k) and self.k > 0):
             raise ValueError("production cost k must be finite and positive")
         if not (math.isfinite(self.c) and self.c >= 0):
@@ -217,6 +223,21 @@ def _chunk_profiles(cfg: ProductionGameConfig) -> int:
     return max(1, CHECK_CHUNK // (width << (cfg.n_agents - 1)))
 
 
+def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of (links, productions) profiles as int64 and float64 arrays of shape
+    (batch, n), refused unless every row is a profile of the game."""
+    n = cfg.n_agents
+    rows = np.asarray(rows, dtype=np.int64)
+    prods = np.asarray(prods, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != n or prods.shape != rows.shape:
+        raise ValueError("profile size does not match the game")
+    if ((rows < 0) | (rows >> n != 0) | (rows >> np.arange(n) & 1 != 0)).any():
+        raise ValueError("link rows must be n-bit masks without self links")
+    if not (np.isfinite(prods) & (prods >= 0)).all():
+        raise ValueError("production levels must be finite and nonnegative")
+    return rows, prods
+
+
 def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     """Which profiles of a batch are equilibria: no unilateral (links, production)
     deviation gains more than 1e-9.
@@ -228,14 +249,7 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     length batch.
     """
     n = cfg.n_agents
-    rows = np.asarray(rows, dtype=np.int64)
-    prods = np.asarray(prods, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != n or prods.shape != rows.shape:
-        raise ValueError("profile size does not match the game")
-    if ((rows < 0) | (rows >> n != 0) | (rows >> np.arange(n) & 1 != 0)).any():
-        raise ValueError("link rows must be n-bit masks without self links")
-    if not (np.isfinite(prods) & (prods >= 0)).all():
-        raise ValueError("production levels must be finite and nonnegative")
+    rows, prods = _profile_arrays(cfg, rows, prods)
     f, k, c, hb = cfg.benefit, cfg.k, cfg.c, cfg.h_bar()
     is_sum = cfg.agg is Aggregation.SUM
     levels = np.array(grid_levels(cfg) + [hb])
@@ -289,6 +303,40 @@ def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
 
 # -- equilibrium-shape characterizations --------------------------------------
 
+def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
+    """Which profiles of a batch have an equilibrium shape of the characterizations
+    (see :func:`check_sum_equilibrium` and :func:`check_max_equilibrium`).
+
+    ``rows`` and ``prods`` are as in :func:`production_ne_mask`. A cut of
+    link i -> j is j's component with i's links removed, and its production
+    is added in the order :func:`aggregate` uses. Returns a bool array of
+    length batch.
+    """
+    rows, prods = _profile_arrays(cfg, rows, prods)
+    n, hb = cfg.n_agents, cfg.h_bar()
+    at_hb = np.abs(prods - hb) <= TOL
+    if cfg.high_cost():
+        return (rows == 0).all(axis=1) & at_hb.all(axis=1)
+    if n == 1:  # at h_bar, even one below PRODUCER_EPS
+        return at_hb[:, 0]
+    # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
+    links = (rows[:, :, None] >> np.arange(n) & 1).sum(axis=(1, 2))
+    ok = (links == n - 1) & (components(rows)[0] == (1 << n) - 1)
+    if cfg.agg is Aggregation.SUM:
+        ok &= np.abs(_aggregate_masks(cfg.agg, prods, np.full(len(rows), (1 << n) - 1)) - hb) <= TOL
+        for i in range(n):
+            # without i's links each target j keeps the subtree that the link i -> j reaches
+            others = rows.copy()
+            others[:, i] = 0
+            cut = _aggregate_masks(cfg.agg, prods, components(others).T)
+            linked = (rows[:, i, None] >> np.arange(n) & 1).astype(bool)
+            ok &= ~(linked & (cfg.c > cfg.k * cut + TOL)).any(axis=1)
+        return ok
+    producer = prods > PRODUCER_EPS
+    one_link = (rows != 0) & (rows & (rows - 1) == 0)
+    return ok & (producer.sum(axis=1) == 1) & (producer & at_hb).any(axis=1) & (producer | one_link).all(axis=1)
+
+
 def check_sum_equilibrium(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
     """Equilibrium characterization under SUM aggregation.
 
@@ -297,11 +345,12 @@ def check_sum_equilibrium(cfg: ProductionGameConfig, s: ProductionProfile) -> bo
     tree with single-sponsored edges, total production equals h_bar, and
     every sponsored link must be worth keeping: its cost can not exceed the
     production cost of the information reached only through it,
-    c <= k * (production cut off by removing the link).
+    c <= k * (production cut off by removing the link). :func:`shape_mask`
+    of the batch of one.
     """
     if cfg.agg is not Aggregation.SUM:
         raise ValueError("this characterization applies to SUM aggregation")
-    return _check_production_shape(cfg, s)
+    return bool(shape_mask(cfg, [s.links.rows], [s.productions])[0])
 
 
 def check_max_equilibrium(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
@@ -310,50 +359,11 @@ def check_max_equilibrium(cfg: ProductionGameConfig, s: ProductionProfile) -> bo
     High cost: as in the SUM case. Low cost: one spanning tree with
     single-sponsored edges, exactly one agent producing h_bar with the rest
     at zero, and every non-producer sponsoring exactly one link.
+    :func:`shape_mask` of the batch of one.
     """
     if cfg.agg is not Aggregation.MAX:
         raise ValueError("this characterization applies to MAX aggregation")
-    return _check_production_shape(cfg, s)
-
-
-def _check_production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
-    if s.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    n = cfg.n_agents
-    hb = cfg.h_bar()
-    prods = s.productions
-    if cfg.high_cost():
-        if any(s.links.rows):
-            return False
-        return all(abs(p - hb) <= TOL for p in prods)
-    if n == 1:
-        return abs(prods[0] - hb) <= TOL
-    rows = s.links.rows
-    # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
-    if (sum(r.bit_count() for r in rows) != n - 1
-            or component_masks(undirected_adjacency(s.links))[0] != (1 << n) - 1):
-        return False
-    if cfg.agg is Aggregation.SUM:
-        if abs(sum(prods) - hb) > TOL:
-            return False
-        for i in range(n):
-            # without i's links each target j keeps the subtree that the link i -> j reaches
-            cut = component_masks(undirected_adjacency(s.links, skip_row=i))
-            for j in subset_agents(rows[i]):
-                if cfg.c > cfg.k * aggregate(cfg.agg, prods, cut[j]) + TOL:
-                    return False
-        return True
-    producers = [i for i in range(n) if prods[i] > PRODUCER_EPS]
-    if len(producers) != 1:
-        return False
-    if abs(prods[producers[0]] - hb) > TOL:
-        return False
-    for i in range(n):
-        if i == producers[0]:
-            continue
-        if rows[i].bit_count() != 1:
-            return False
-    return True
+    return bool(shape_mask(cfg, [s.links.rows], [s.productions])[0])
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from .formation_game import (
     components,
     is_minimally_connected,
 )
-from .kernel import require_budget, rows_from_indices, set_partitions
+from .kernel import profile_indices, require_budget, rows_from_indices, set_partitions
 from .production import Aggregation, ProductionGameConfig, ProductionProfile
 
 
@@ -161,12 +161,15 @@ def _check_strict_equivalence(rng, n_agents, instances, benefit):
     for t in range(instances):
         cfg = random_homogeneous_config(rng, 2 + t % (n_agents - 1), benefit)
         report = equilibrium.enumerate_nash(cfg)
-        strict = {p.rows for p in report.strict_ne_profiles}
         n = cfg.n_agents
-        for rows in map(tuple, rows_from_indices(np.arange(1 << (n * (n - 1))), n).tolist()):
-            p = LinkProfile(n, rows)
-            if analytic.check_strict_ne_structure(cfg, p) != (rows in strict):
-                return False, f"instance {t}: profile {p.bitstring()} misclassified"
+        rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n)
+        strict_rows = np.array([p.rows for p in report.strict_ne_profiles], dtype=np.int64).reshape(-1, n)
+        strict = np.zeros(len(rows), dtype=bool)
+        strict[profile_indices(strict_rows)] = True
+        wrong = np.flatnonzero(analytic.strict_structure_mask(cfg, rows) != strict)
+        if len(wrong):
+            p = LinkProfile(n, tuple(rows[wrong[0]].tolist()))
+            return False, f"instance {t}: profile {p.bitstring()} misclassified"
     return True, f"{instances} instances, strict sets identical"
 
 
@@ -235,14 +238,13 @@ def _check_poa_monotonicity(benefit):
 
 
 def _production_scan_matches(cfg: ProductionGameConfig):
-    checker = production.check_sum_equilibrium if cfg.agg is Aggregation.SUM else production.check_max_equilibrium
-    n = cfg.n_agents
     for rows, prods in production.grid_batches(cfg):
-        ne = production.production_ne_mask(cfg, rows, prods)
-        for r, p, is_ne in zip(rows.tolist(), prods.tolist(), ne.tolist()):
-            s = ProductionProfile(tuple(p), LinkProfile(n, tuple(r)))
-            if is_ne != checker(cfg, s):
-                return False, f"profile {s.to_text().strip()} misclassified"
+        wrong = np.flatnonzero(production.production_ne_mask(cfg, rows, prods)
+                               != production.shape_mask(cfg, rows, prods))
+        if len(wrong):
+            s = ProductionProfile(tuple(prods[wrong[0]].tolist()),
+                                  LinkProfile(cfg.n_agents, tuple(rows[wrong[0]].tolist())))
+            return False, f"profile {s.to_text().strip()} misclassified"
     return True, "scan agrees with the characterization"
 
 

@@ -9,8 +9,11 @@ bit), ``profile_from_index`` one row of ``rows_from_indices`` and
 ``profile_index`` one entry of ``profile_indices``, ``spanning_trees`` the
 trees of the kernel's array decoder, ``orientations`` of each of them the
 rows of ``sponsored_trees``, and ``production_utility`` one utility behind
-``production.production_ne_mask``. The tests compare the two forms; nothing
-in the package uses these. The payoff tables they take, ``fh`` and
+``production.production_ne_mask``. ``component_masks`` of
+``undirected_adjacency`` is one column of ``components``, and
+``strict_ne_structure`` and ``production_shape`` are one profile of
+``analytic.strict_structure_mask`` and ``production.shape_mask``. The tests
+compare the two forms; nothing in the package uses these. The payoff tables they take, ``fh`` and
 ``costs`` / ``row_cost``, are the game's own ``GameConfig.fh`` and
 ``GameConfig.row_costs``.
 """
@@ -18,10 +21,54 @@ import heapq
 import itertools
 
 from infogame import formation_game
-from infogame.entropy import TOL
-from infogame.formation_game import component_masks, undirected_adjacency
+from infogame.analytic import check_component_structure_ne
+from infogame.entropy import TOL, subset_agents
+from infogame.formation_game import LinkProfile
 from infogame.kernel import compress_row
-from infogame.production import ProductionGameConfig, ProductionProfile, aggregate
+from infogame.production import PRODUCER_EPS, Aggregation, ProductionGameConfig, ProductionProfile, aggregate
+
+
+def undirected_adjacency(profile: LinkProfile, skip_row: int | None = None) -> list[int]:
+    """Neighbor bitmask per agent; ``skip_row`` drops one agent's sponsored links."""
+    n = profile.n_agents
+    adj = [0] * n
+    for i in range(n):
+        row = profile.rows[i] if i != skip_row else 0
+        adj[i] |= row
+        t = row
+        while t:
+            low = t & -t
+            adj[low.bit_length() - 1] |= 1 << i
+            t ^= low
+    return adj
+
+
+def component_masks(adj: list[int]) -> list[int]:
+    """Connected-component bitmask per agent, from a neighbor-mask adjacency."""
+    n = len(adj)
+    comp = [0] * n
+    seen = 0
+    for s in range(n):
+        if seen >> s & 1:
+            continue
+        cm = 1 << s
+        frontier = cm
+        while frontier:
+            nxt = 0
+            t = frontier
+            while t:
+                low = t & -t
+                nxt |= adj[low.bit_length() - 1]
+                t ^= low
+            frontier = nxt & ~cm
+            cm |= frontier
+        t = cm
+        while t:
+            low = t & -t
+            comp[low.bit_length() - 1] = cm
+            t ^= low
+        seen |= cm
+    return comp
 
 
 def profile_from_index(idx: int, n: int) -> tuple[int, ...]:
@@ -117,7 +164,7 @@ def merged_components(n: int, rows, i: int) -> list[int]:
             low = t & -t
             adj[low.bit_length() - 1] |= 1 << a
             t ^= low
-    comp = formation_game.component_masks(adj)
+    comp = component_masks(adj)
     targets = [j for j in range(n) if j != i]
     merged = [0] * (1 << (n - 1))
     merged[0] = comp[i]
@@ -180,3 +227,79 @@ def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) 
     comp = component_masks(undirected_adjacency(s.links))[i]
     info = aggregate(cfg.agg, s.productions, comp)
     return cfg.benefit(info) - cfg.k * s.productions[i] - cfg.c * s.links.rows[i].bit_count()
+
+
+def strict_ne_structure(cfg: formation_game.GameConfig, profile: LinkProfile) -> bool:
+    """Is ``profile`` shaped like a strict equilibrium? One profile of
+    ``analytic.strict_structure_mask``."""
+    if cfg.costs.kind != "homogeneous":
+        raise ValueError("strict-structure checker supports homogeneous costs only")
+    n = cfg.n_agents
+    if profile.n_agents != n:
+        raise ValueError("profile size does not match the game")
+    c = cfg.costs.values[0]
+    f = cfg.benefit
+    h = cfg.ev.h
+    comp_of = component_masks(undirected_adjacency(profile))
+    masks = sorted({comp_of[i] for i in range(n)})
+    for mask in masks:
+        members = subset_agents(mask)
+        if len(members) < 2:
+            continue
+        sponsors = [i for i in members if profile.rows[i] & mask]
+        if len(sponsors) != 1:
+            return False
+        core = sponsors[0]
+        periphery = mask ^ (1 << core)
+        if profile.rows[core] & mask != periphery:
+            return False
+        fc = f(h(mask))
+        zeta = {j for j in members if fc - f(h(mask ^ (1 << j))) > c + TOL}
+        if len(zeta) < len(members) - 1:
+            return False
+        for j in subset_agents(periphery):
+            if j not in zeta:
+                return False
+    return check_component_structure_ne(cfg, [subset_agents(m) for m in masks])
+
+
+def production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
+    """Does ``s`` have an equilibrium shape of the production characterizations?
+    One profile of ``production.shape_mask``."""
+    if s.n_agents != cfg.n_agents:
+        raise ValueError("profile size does not match the game")
+    n = cfg.n_agents
+    hb = cfg.h_bar()
+    prods = s.productions
+    if cfg.high_cost():
+        if any(s.links.rows):
+            return False
+        return all(abs(p - hb) <= TOL for p in prods)
+    if n == 1:
+        return abs(prods[0] - hb) <= TOL
+    rows = s.links.rows
+    # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
+    if (sum(r.bit_count() for r in rows) != n - 1
+            or component_masks(undirected_adjacency(s.links))[0] != (1 << n) - 1):
+        return False
+    if cfg.agg is Aggregation.SUM:
+        if abs(sum(prods) - hb) > TOL:
+            return False
+        for i in range(n):
+            # without i's links each target j keeps the subtree that the link i -> j reaches
+            cut = component_masks(undirected_adjacency(s.links, skip_row=i))
+            for j in subset_agents(rows[i]):
+                if cfg.c > cfg.k * aggregate(cfg.agg, prods, cut[j]) + TOL:
+                    return False
+        return True
+    producers = [i for i in range(n) if prods[i] > PRODUCER_EPS]
+    if len(producers) != 1:
+        return False
+    if abs(prods[producers[0]] - hb) > TOL:
+        return False
+    for i in range(n):
+        if i == producers[0]:
+            continue
+        if rows[i].bit_count() != 1:
+            return False
+    return True

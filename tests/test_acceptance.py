@@ -18,12 +18,12 @@ from infogame.analytic import (
     K_I,
     K_M,
     check_component_structure_ne,
-    check_strict_ne_structure,
     classify_homogeneous,
     mil_predict,
     poa_monotonicity_sweep,
     poa_predict,
     region_heterogeneous,
+    strict_structure_mask,
     thresholds_homogeneous,
 )
 from infogame.cli import main
@@ -33,7 +33,6 @@ from infogame.formation_game import (
     BenefitFunction,
     CostModel,
     GameConfig,
-    LinkProfile,
     components,
     is_minimally_connected,
 )
@@ -41,12 +40,10 @@ from infogame.kernel import set_partitions
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
-    ProductionProfile,
-    check_sum_equilibrium,
-    check_max_equilibrium,
     enumerate_production_ne,
     few_sweep,
     production_ne_mask,
+    shape_mask,
 )
 from infogame.verification import (
     random_entropic_vector,
@@ -135,10 +132,8 @@ def test_criterion_4_structure_oracle_equivalence():
                         if check_component_structure_ne(cfg, part)}
             assert realized == accepted
             strict = {p.rows for p in report.strict_ne_profiles}
-            for idx in range(1 << (n * (n - 1))):
-                rows = profile_from_index(idx, n)
-                assert check_strict_ne_structure(cfg, LinkProfile(n, rows)) \
-                    == (rows in strict)
+            rows = [profile_from_index(idx, n) for idx in range(1 << (n * (n - 1)))]
+            assert strict_structure_mask(cfg, rows).tolist() == [r in strict for r in rows]
             for p in report.strict_ne_profiles:
                 for comp in components(p):
                     if len(comp) == 1:
@@ -274,7 +269,6 @@ def test_criterion_8_production_characterizations():
                       "both cost regimes; high cost gives one full-production "
                       "equilibrium"):
         for agg in (Aggregation.SUM, Aggregation.MAX):
-            checker = check_sum_equilibrium if agg is Aggregation.SUM else check_max_equilibrium
             for c in (0.2, 1.0):
                 cfg = ProductionGameConfig(3, LN, 0.25, c, agg)
                 grid = production.grid_levels(cfg)
@@ -282,8 +276,7 @@ def test_criterion_8_production_characterizations():
                 judged = ne_found = 0
                 for rows, prods in production.grid_batches(cfg):
                     ne = production_ne_mask(cfg, rows, prods)
-                    for r, p, is_ne in zip(rows.tolist(), prods.tolist(), ne.tolist()):
-                        assert is_ne == checker(cfg, ProductionProfile(tuple(p), LinkProfile(3, tuple(r))))
+                    assert ne.tolist() == shape_mask(cfg, rows, prods).tolist()
                     judged += len(ne)
                     ne_found += int(ne.sum())
                 assert judged == (1 << 6) * len(grid) ** 3

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infogame import analytic
 from infogame.analytic import (
@@ -16,14 +18,16 @@ from infogame.analytic import (
     poa_monotonicity_sweep,
     poa_predict,
     region_heterogeneous,
+    strict_structure_mask,
     thresholds_homogeneous,
 )
-from infogame.entropy import family_pair_redundancy, family_independent, family_max_correlated
+from infogame.entropy import TOL, family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
 from infogame.equilibrium import CapExceededError, enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
-from infogame.kernel import set_partitions
-from infogame.verification import random_homogeneous_config
+from infogame.kernel import rows_from_indices, set_partitions
+from infogame.verification import random_homogeneous_config, random_joint_pmf
 from scalar_kernel import profile_from_index
+from scalar_kernel import strict_ne_structure as scalar_strict_ne_structure
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -186,10 +190,66 @@ class TestStrictStructure:
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             n = cfg.n_agents
             strict = {p.rows for p in enumerate_nash(cfg).strict_ne_profiles}
-            for idx in range(1 << (n * (n - 1))):
-                rows = profile_from_index(idx, n)
-                p = LinkProfile(n, rows)
-                assert check_strict_ne_structure(cfg, p) == (rows in strict)
+            rows = [profile_from_index(idx, n) for idx in range(1 << (n * (n - 1)))]
+            assert strict_structure_mask(cfg, rows).tolist() == [r in strict for r in rows]
+
+    def test_a_link_gaining_exactly_its_cost_plus_tol_is_not_strict(self):
+        # the core's link gains f(2) - f(1) = 1, and at this cost 1 == c + TOL in float64
+        c = 1.0 - TOL
+        assert 1.0 == c + TOL
+        cfg = GameConfig(family_independent([1, 1]), BenefitFunction.linear(), CostModel.homogeneous(c))
+        star = LinkProfile.from_links(2, [(0, 1)])
+        assert strict_structure_mask(cfg, [star.rows]).tolist() == [False]
+        assert not scalar_strict_ne_structure(cfg, star)
+        assert enumerate_nash(cfg).strict_ne_profiles == ()
+
+    def test_mask_refuses_what_the_checker_refuses(self):
+        cfg = GameConfig(family_independent([1, 1]), LN, CostModel.recipient([0.3, 0.3]))
+        with pytest.raises(ValueError, match="homogeneous costs only"):
+            strict_structure_mask(cfg, [(0, 0)])
+        cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
+        with pytest.raises(ValueError, match="profile size"):
+            strict_structure_mask(cfg, [(0, 0, 0)])
+        with pytest.raises(ValueError, match="profile size"):
+            check_strict_ne_structure(cfg, LinkProfile.empty(3))
+
+    def test_each_partition_is_checked_once(self, monkeypatch):
+        # the three 3-agent stars, each core-sponsored, share one partition
+        cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
+        calls = []
+
+        def count(cfg, partition):
+            calls.append(partition)
+            return True
+        monkeypatch.setattr(analytic, "check_component_structure_ne", count)
+        stars = [(0b110, 0, 0), (0, 0b101, 0), (0, 0, 0b011)]
+        assert strict_structure_mask(cfg, stars + [(0, 0, 0)]).tolist() == [True] * 4
+        assert calls == [[(0, 1, 2)], [(0,), (1,), (2,)]]
+
+
+@st.composite
+def strict_games(draw, n):
+    """Homogeneous games: pmf-realized information at a random or zero link cost, or
+    tie-heavy ones with linear benefit, integer entropies and the cost at a marginal
+    gain nudged by half or twice the tolerance."""
+    kind = draw(st.sampled_from(["random", "zero", "tie"]))
+    if kind == "tie":
+        h = [float(x) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        ev = draw(st.sampled_from([family_independent, family_max_correlated]))(h)
+        c = max(0.0, draw(st.sampled_from(h)) + draw(st.sampled_from([0.0, TOL / 2, -TOL / 2, 2 * TOL, -2 * TOL])))
+        return GameConfig(ev, BenefitFunction.linear(), CostModel.homogeneous(c))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = 0.0 if kind == "zero" else float(rng.uniform(0.0, 1.0))
+    return GameConfig(from_joint_pmf(random_joint_pmf(rng, n)), LN, CostModel.homogeneous(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(strict_games))
+def test_strict_mask_matches_the_scalar_checker_on_every_profile(cfg):
+    n = cfg.n_agents
+    rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n)
+    want = [scalar_strict_ne_structure(cfg, LinkProfile(n, tuple(r))) for r in rows.tolist()]
+    assert strict_structure_mask(cfg, rows).tolist() == want
 
 
 class TestPredictions:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from infogame import analytic, cli, equilibrium
+from infogame import analytic, cli, equilibrium, production
 from infogame.cli import main
 from infogame.entropy import family_pair_redundancy
 from infogame.equilibrium import enumerate_nash
@@ -216,6 +216,15 @@ class TestProduction:
         assert rows[0]["links"] == "0000"
         assert float(rows[0]["prod_0"]) == pytest.approx(3.0, abs=1e-9)
 
+    def test_too_many_agents_refused_before_any_check(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a profile was checked")
+        monkeypatch.setattr(production, "production_ne_mask", fail)
+        code, text = run_cli(tmp_path, PRODUCTION_SPEC.replace("n_agents: 2", "n_agents: 40")
+                             .replace("c: 1.0", "c: 5.0"))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: n_agents must be in 1..16\n"
+
     def test_few_sweep_columns(self, tmp_path):
         spec = PRODUCTION_SPEC.replace("command: production", "command: few-sweep") \
             .replace("c: 1.0", "c: 0.2").replace("aggregation: sum", "aggregation: max")
@@ -336,9 +345,17 @@ game:
         VERIFY_SPEC.replace("instances: 6", "instances: [6]"),
         VERIFY_SPEC.replace("seed: 0", "seed: [0]"),
         PRODUCTION_SPEC.replace("command: production", "command: few-sweep") + "n_list: [2, [3]]\n",
+        # YAML booleans, which int() and float() would read as 1
+        PRODUCTION_SPEC.replace("k: 0.25", "k: true"),
+        PRODUCTION_SPEC.replace("c: 1.0", "c: yes"),
+        ENUM_SPEC.replace("c: 0.3", "c: yes"),
+        REGION_SPEC.replace("kl: [0, 1, 2, 3, 4]", "kl: [0, true]"),
+        REGION_SPEC.replace("start: 0.02", "start: true"),
+        INLINE_SPEC.replace("[3, 1.5]", "[3, yes]"),
     ], ids=["sweep-h-scalar", "sweep-h-entry", "production-k", "production-n", "grid-points",
             "grid-points-inf", "grid-start", "grid-value", "verify-n", "verify-instances", "seed",
-            "few-sweep-n"])
+            "few-sweep-n", "production-k-bool", "production-c-bool", "enumerate-c-bool", "grid-value-bool",
+            "grid-start-bool", "inline-entropy-bool"])
     def test_wrong_typed_value_rejected(self, tmp_path, spec, capsys):
         code, text = run_cli(tmp_path, spec)
         assert code == 2 and text == ""
@@ -360,6 +377,9 @@ game:
         code, text = run_cli(tmp_path, spec.replace("{}", f"{value}.9"), name="frac.yaml")
         assert code == 2 and text == ""
         assert "must be an integer, got " in capsys.readouterr().err
+        code, text = run_cli(tmp_path, spec.replace("{}", "true"), name="bool.yaml")
+        assert code == 2 and text == ""
+        assert "must be a number, got True" in capsys.readouterr().err
         code, whole = run_cli(tmp_path, spec.replace("{}", f"{value}.0"), name="whole.yaml")
         expect, same = run_cli(tmp_path, spec.replace("{}", f"{value}"), name="int.yaml")
         assert code == expect == 0

@@ -27,16 +27,15 @@ from infogame.formation_game import (
     CostModel,
     GameConfig,
     LinkProfile,
-    component_masks,
     components,
     is_minimally_connected,
-    social_welfare,
-    undirected_adjacency,
+    utility,
 )
 from infogame.kernel import components as kernel_components
 from infogame.kernel import expand_row, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
-from scalar_kernel import ne_status, profile_from_index, profile_index, row_utilities
+from scalar_kernel import (component_masks, ne_status, profile_from_index, profile_index, row_utilities,
+                           undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 
 LOG2 = BenefitFunction.log1p(2.0)
@@ -198,7 +197,8 @@ class TestEnumerate:
         report = enumerate_nash(cfg)
         assert report.ne_profiles
         # cheap links connect everyone
-        assert all(len(components(p)) == 1 for p in report.ne_profiles)
+        rows = np.array([p.rows for p in report.ne_profiles], dtype=np.int64)
+        assert (kernel_components(rows) == (1 << 6) - 1).all()
         assert report.poa == pytest.approx(1.0, abs=1e-9)
 
     def test_pruned_report_matches_per_equilibrium_scalar_walk(self):
@@ -240,8 +240,8 @@ class TestEnumerate:
 def best_welfare(cfg):
     """Largest social welfare over every profile, by exhaustive scan (n <= 4)."""
     n = cfg.n_agents
-    return max(social_welfare(cfg, LinkProfile(n, profile_from_index(k, n)))
-               for k in range(1 << (n * (n - 1))))
+    rows = np.array([profile_from_index(k, n) for k in range(1 << (n * (n - 1)))], dtype=np.int64)
+    return float(welfare(rows, kernel_components(rows), cfg.fh, cfg.row_costs).max())
 
 
 def scalar_status(cfg, indices, tol=TOL):
@@ -368,7 +368,7 @@ profile_samples = st.integers(1, 5).flatmap(lambda n: st.tuples(
 
 @settings(max_examples=60, deadline=None)
 @given(profile_samples)
-def test_kernel_welfare_matches_social_welfare(case):
+def test_kernel_welfare_matches_the_sum_of_utilities(case):
     """Within 1e-12 of the sum of the terms' magnitudes: the two sum in different orders."""
     cfg, indices = case
     n = cfg.n_agents
@@ -379,7 +379,7 @@ def test_kernel_welfare_matches_social_welfare(case):
         p = LinkProfile(n, tuple(r))
         scale = sum(cfg.fh[m] for m in c) + sum(
             cfg.link_cost(i, j) for i in range(n) for j in range(n) if r[i] >> j & 1)
-        assert abs(w - social_welfare(cfg, p)) <= 1e-12 * scale
+        assert abs(w - sum(utility(cfg, p, i) for i in range(n))) <= 1e-12 * scale
 
 
 class TestSocialOptimum:

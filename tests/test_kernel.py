@@ -14,10 +14,8 @@ from infogame.formation_game import (
     CostModel,
     GameConfig,
     LinkProfile,
-    component_masks,
     social_welfare,
     topology,
-    undirected_adjacency,
 )
 from infogame.kernel import (
     CHECK_BUDGET,
@@ -37,7 +35,8 @@ from infogame.kernel import (
     welfare,
 )
 from infogame.verification import random_homogeneous_config, random_recipient_config
-from scalar_kernel import merged_components, orientations, profile_from_index, profile_index, row_utilities
+from scalar_kernel import (component_masks, merged_components, orientations, profile_from_index, profile_index,
+                           row_utilities, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 from scalar_kernel import ne_status as scalar_ne_status
 from scalar_kernel import spanning_trees as scalar_spanning_trees

@@ -8,7 +8,8 @@ module-level function serves the package: something in ``src/`` uses it or
 production game builds on the kernel alone, not on the formation game's
 equilibrium or analytic layers, the kernel builds on the entropy module
 alone, and the kernel alone turns spanning trees into profiles: every other
-module takes its sponsored trees from it.
+module takes its sponsored trees from it. ``kernel.components`` is the one
+component walk; no module defines or names the scalar one.
 """
 import ast
 import subprocess
@@ -21,6 +22,7 @@ import infogame
 
 SRC = Path(infogame.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+SCALAR_WALK = {"component_masks", "undirected_adjacency"}
 
 
 def parsed(module):
@@ -64,6 +66,15 @@ def test_only_the_kernel_names_spanning_trees(module):
     names = [node.lineno for node in ast.walk(parsed(module))
              if getattr(node, "id", None) == "spanning_trees" or getattr(node, "attr", None) == "spanning_trees"
              or isinstance(node, ast.alias) and node.name == "spanning_trees"]
+    assert names == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_the_kernel_walk_is_the_only_component_walk(module):
+    # the scalar walk lives under tests/ as the oracle of kernel.components
+    names = [node.lineno for node in ast.walk(parsed(module))
+             if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in SCALAR_WALK
+             or getattr(node, "id", None) in SCALAR_WALK or getattr(node, "attr", None) in SCALAR_WALK]
     assert names == []
 
 

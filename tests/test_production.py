@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             ProductionGameConfig(**fields)
 
+    @pytest.mark.parametrize("n", [17, 18, 40])
+    def test_more_agents_than_a_link_profile_holds_rejected(self, n):
+        with pytest.raises(ValueError, match="n_agents must be in 1..16"):
+            ProductionGameConfig(n, LN, 0.25, 5.0, Aggregation.SUM)
+        assert ProductionGameConfig(16, LN, 0.25, 5.0, Aggregation.SUM).n_agents == 16
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_production_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

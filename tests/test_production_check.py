@@ -2,8 +2,9 @@
 
 ``scalar_is_production_ne`` is the check as a plain loop over agents, compact
 rows and production candidates; it is the oracle for
-:func:`production_ne_mask` and for everything built on it. The shape
-checkers are compared with the batched check off the production grid.
+:func:`production_ne_mask` and for everything built on it. The batched
+shape test :func:`shape_mask` is compared with its per-profile form under
+``tests/`` on the production grid and, with the batched check, off it.
 """
 import itertools
 import math
@@ -29,8 +30,10 @@ from infogame.production import (
     grid_levels,
     is_production_ne,
     production_ne_mask,
+    shape_mask,
 )
 from scalar_kernel import merged_components, production_utility
+from scalar_kernel import production_shape as scalar_shape
 
 BENEFITS = [BenefitFunction.log1p(2.0), BenefitFunction.log1p(math.e),
             BenefitFunction.power(0.5), BenefitFunction.power(0.3)]
@@ -180,12 +183,13 @@ class TestMaskMatchesScalar:
         profiles_ = [ProductionProfile((p,), LinkProfile.empty(1)) for p in (2.9, cfg.h_bar())]
         assert assert_mask_matches_scalar(cfg, profiles_) == [False, True]
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("mask", [production_ne_mask, shape_mask])
+    def test_shape_mismatch_rejected(self, mask):
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
         with pytest.raises(ValueError):
-            production_ne_mask(cfg, [[0, 0, 0]], [[0.0, 0.0, 0.0]])
+            mask(cfg, [[0, 0, 0]], [[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
-            production_ne_mask(cfg, [[0, 0]], [[0.0, 0.0], [1.0, 1.0]])
+            mask(cfg, [[0, 0]], [[0.0, 0.0], [1.0, 1.0]])
 
     @pytest.mark.parametrize("rows, prods", [
         ([[1, 0]], [[0.0, 0.0]]),          # agent 0 links to itself
@@ -194,10 +198,11 @@ class TestMaskMatchesScalar:
         ([[2, 0]], [[math.nan, 0.0]]),
         ([[2, 0]], [[math.inf, 0.0]]),
         ([[2, 0]], [[-1.0, 0.0]])])
-    def test_profiles_outside_the_model_rejected(self, rows, prods):
+    @pytest.mark.parametrize("mask", [production_ne_mask, shape_mask])
+    def test_profiles_outside_the_model_rejected(self, mask, rows, prods):
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
         with pytest.raises(ValueError):
-            production_ne_mask(cfg, rows, prods)
+            mask(cfg, rows, prods)
 
     def test_empty_batch(self):
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
@@ -237,10 +242,42 @@ class TestShapeCheckers:
             for p in (tuple(hb * rng.dirichlet(np.ones(n))), single[int(rng.integers(n))],
                       tuple(rng.uniform(0.0, 1.5 * hb, n))):
                 cases.append((rows, p))
-        ne = production_ne_mask(cfg, [r for r, _ in cases], [p for _, p in cases])
-        got = [checker(cfg, ProductionProfile(p, LinkProfile(n, r))) for r, p in cases]
-        assert got == ne.tolist()
+        rows, prods = [r for r, _ in cases], [p for _, p in cases]
+        got = shape_mask(cfg, rows, prods).tolist()
+        assert got == production_ne_mask(cfg, rows, prods).tolist()
+        assert got == [scalar_shape(cfg, ProductionProfile(p, LinkProfile(n, r))) for r, p in cases]
         assert any(got)
+        # the public checkers are batches of one
+        assert [checker(cfg, ProductionProfile(p, LinkProfile(n, r))) for r, p in cases[::10]] == got[::10]
+
+    @pytest.mark.parametrize("c", [0.05, 0.2, 0.4, 0.75, 1.0])
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mask_matches_the_scalar_shape_on_every_grid_profile(self, n, agg, c):
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
+        for rows, prods in production.grid_batches(cfg):
+            want = [scalar_shape(cfg, ProductionProfile(tuple(p), LinkProfile(n, tuple(r))))
+                    for r, p in zip(rows.tolist(), prods.tolist())]
+            assert shape_mask(cfg, rows, prods).tolist() == want
+
+    def test_a_link_cutting_off_exactly_its_cost_minus_tol_is_kept(self):
+        # agent 1's link to agent 0 cuts off 2 units: worth k * 2 = 0.5, its cost less TOL
+        hb = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM).h_bar()
+        rows, prods = [(0, 1)], [(2.0, hb - 2.0)]
+        for c, want in ((0.25 * 2.0 + TOL, True), (math.nextafter(0.25 * 2.0 + TOL, 1.0), False)):
+            cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, Aggregation.SUM)
+            s = ProductionProfile(prods[0], LinkProfile(2, rows[0]))
+            assert shape_mask(cfg, rows, prods).tolist() == [want] == [scalar_shape(cfg, s)]
+            assert production_ne_mask(cfg, rows, prods).tolist() == [want]
+
+    def test_a_lone_agent_at_a_vanishing_h_bar(self):
+        # h_bar is below TOL here, so producing nothing is within TOL of it: an equilibrium
+        # although no agent produces more than PRODUCER_EPS
+        cfg = ProductionGameConfig(1, BENEFITS[1], 1.0 - 1e-10, 0.0, Aggregation.MAX)
+        assert 0.0 < cfg.h_bar() < TOL and not cfg.high_cost()
+        s = ProductionProfile((0.0,), LinkProfile.empty(1))
+        assert shape_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True] == [scalar_shape(cfg, s)]
+        assert production_ne_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True]
 
     @pytest.mark.parametrize("agg, c, fraction", [
         (Aggregation.SUM, 1.0, 1.0), (Aggregation.MAX, 0.2, 1 / 16), (Aggregation.SUM, 0.2, 1.0)])
@@ -345,7 +382,7 @@ class TestWorkBudget:
         found = enumerate_production_ne(cfg)
         # every tree rooted at each of the six producers
         assert len(found) == 6 * 6 ** 4
-        assert all(check_max_equilibrium(cfg, s) for s in found)
+        assert shape_mask(cfg, [s.links.rows for s in found], [s.productions for s in found]).all()
 
     def test_fine_grid_full_scan_fails_fast(self, never_scan):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX, 1e-6)

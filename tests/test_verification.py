@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from infogame import equilibrium, verification
+from infogame import analytic, equilibrium, production, verification
 from infogame.analytic import poa_predict
 from infogame.entropy import EntropicVector, validate_shannon
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
-from infogame.kernel import CHECK_BUDGET, CapExceededError
+from infogame.kernel import CHECK_BUDGET, CapExceededError, rows_from_indices
+from infogame.production import Aggregation, ProductionGameConfig
 from infogame.verification import (
     random_entropic_vector,
     random_homogeneous_config,
@@ -120,3 +121,39 @@ class TestPoaCheck:
         passed, detail = verification._check_poa(
             np.random.default_rng(0), 3, 4, LN, random_homogeneous_config, "claim")
         assert passed and detail == "4 instances, claim"
+
+
+class TestMismatchNamesTheFirstProfile:
+    """Flipped mask entries make a check fail; the FAIL detail names the first in
+    index order, in the words the per-profile loops used (the strings below are
+    what those loops printed for the same flipped profiles)."""
+
+    @staticmethod
+    def rows_of(index, n=3):
+        return tuple(rows_from_indices(np.array([index]), n)[0].tolist())
+
+    def test_strict_structure(self, monkeypatch):
+        flipped = {self.rows_of(50), self.rows_of(12)}
+        mask = analytic.strict_structure_mask
+
+        def flip(cfg, rows):
+            return mask(cfg, rows) != np.array([tuple(r) in flipped for r in rows.tolist()], dtype=bool)
+        monkeypatch.setattr(analytic, "strict_structure_mask", flip)
+        assert verification._check_strict_equivalence(np.random.default_rng(0), 3, 2, LN) == (
+            False, "instance 1: profile 000101000 misclassified")
+
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    def test_production_shapes(self, monkeypatch, agg):
+        levels = production.grid_levels(ProductionGameConfig(3, LN, 0.25, 0.2, agg))
+        # two flips on one link row, so in one batch, and one on a later row
+        flipped = {(self.rows_of(9), (levels[2], levels[1], levels[3])),
+                   (self.rows_of(9), (levels[0], levels[6], levels[0])),
+                   (self.rows_of(37), (levels[1], levels[1], levels[1]))}
+        mask = production.shape_mask
+
+        def flip(cfg, rows, prods):
+            hit = [(tuple(r), tuple(p)) in flipped for r, p in zip(rows.tolist(), prods.tolist())]
+            return mask(cfg, rows, prods) != np.array(hit, dtype=bool)
+        monkeypatch.setattr(production, "shape_mask", flip)
+        assert verification._check_production(agg, LN) == (
+            False, "c=0.2: profile 000100010 0,2.9999999999708962,0 misclassified")
