@@ -11,13 +11,10 @@ from .entropy import (
     JointPmf,
     ShannonReport,
     ShannonViolation,
-    cond_entropy,
     family_pair_redundancy,
     family_independent,
     family_max_correlated,
     from_joint_pmf,
-    kl_total,
-    mutual_info,
     subset_mask,
     validate_shannon,
 )
@@ -27,9 +24,6 @@ from .formation_game import (
     GameConfig,
     LinkProfile,
     components,
-    is_minimally_connected,
-    social_welfare,
-    topology,
     utility,
 )
 from .equilibrium import (
@@ -97,7 +91,6 @@ __all__ = [
     "check_max_equilibrium",
     "classify_homogeneous",
     "components",
-    "cond_entropy",
     "enumerate_nash",
     "enumerate_production_ne",
     "family_pair_redundancy",
@@ -107,22 +100,17 @@ __all__ = [
     "few_sweep",
     "from_joint_pmf",
     "h_bar",
-    "is_minimally_connected",
     "is_nash",
     "is_production_ne",
     "is_strict_nash",
-    "kl_total",
     "mil_predict",
-    "mutual_info",
     "poa_monotonicity_sweep",
     "poa_predict",
     "region_heterogeneous",
     "run_verification",
     "social_optimum",
-    "social_welfare",
     "subset_mask",
     "thresholds_homogeneous",
-    "topology",
     "utility",
     "validate_shannon",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from .entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
 from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from .equilibrium import SCAN_CHUNK, social_optimum
-from .kernel import components, ne_status, require_budget, sponsored_tree_count, sponsored_trees
+from .kernel import components, compress_row, ne_status, require_budget, sponsored_tree_count, sponsored_trees
 
 K_C = "K_C"
 K_I = "K_I"
@@ -196,14 +196,18 @@ def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
     Requires homogeneous costs. ``rows`` holds link rows, shape (batch, n).
     A profile passes when its partition passes
     :func:`check_component_structure_ne`, every non-singleton component is a
-    star whose core sponsors all of its links, and each periphery agent j
-    makes the core's link to it strictly worthwhile:
-    f(H(C)) - f(H(C\\{j})) > c. A component with a single sponsor is such
-    a star, since each of its links has the sponsor at one end. The usual
-    statement also asks at least M - 1 members of an M-agent component to
-    clear the bar; the M - 1 periphery agents do, so that follows. Each
-    distinct partition of the batch's star-shaped profiles is checked once.
-    Returns a bool array of length batch.
+    star whose core sponsors all of its links, and no agent comes within
+    ``TOL`` of its current utility by flipping one link: dropping the core's
+    link to a periphery agent j cuts j off, so it must cost more than
+    f(H(C)) - f(H(C\\{j})) - c, and adding a link must gain less than its
+    cost. These margins are computed from the payoff tables in the order
+    :func:`~infogame.kernel.ne_status` uses, so a cost on the knife edge of
+    a marginal gain is judged as brute force judges it. A component with a
+    single sponsor is such a star, since each of its links has the sponsor
+    at one end. The usual statement also asks at least M - 1 members of an
+    M-agent component to clear the bar; the M - 1 periphery agents do, so
+    that follows. Each distinct partition of the batch's star-shaped
+    profiles is checked once. Returns a bool array of length batch.
     """
     if cfg.costs.kind != "homogeneous":
         raise ValueError("strict-structure checker supports homogeneous costs only")
@@ -213,15 +217,19 @@ def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
         raise ValueError("profile size does not match the game")
     comp = components(rows)
     sponsors = sum((rows[:, i] != 0).astype(np.int64) << i for i in range(n))
-    masks = np.arange(1 << n)
+    fh, row_costs = cfg.fh, cfg.row_costs
     ok = np.ones(len(rows), dtype=bool)
-    for j in range(n):
-        bit = 1 << j
-        own = sponsors & comp[j]  # the sponsors of j's component, one bit each
-        # zeta[C]: the link from C's core to j is strictly worth its cost
-        zeta = cfg.fh - cfg.fh[masks & ~bit] > cfg.costs.values[0] + TOL
-        # a single sponsor (a linked component has at least one), and j is it or in zeta
-        ok &= (comp[j] == bit) | (own & (own - 1) == 0) & ((own == bit) | zeta[comp[j]])
+    for i in range(n):
+        own = sponsors & comp[i]  # the sponsors of i's component, one bit each
+        # a single sponsor (a linked component has at least one)
+        ok &= (comp[i] == 1 << i) | (own & (own - 1) == 0)
+        row = rows[:, i]
+        u = fh[comp[i]] - row_costs[i, compress_row(row, i)]
+        for j in range(n):
+            if j != i:
+                # in such a star, the core's link to j is j's only one
+                merged = np.where(row >> j & 1 == 1, comp[i] & ~(1 << j), comp[i] | comp[j])
+                ok &= fh[merged] - row_costs[i, compress_row(row ^ 1 << j, i)] < u - TOL
     partitions = {}
     for b, key in zip(np.flatnonzero(ok).tolist(), map(tuple, comp.T[ok].tolist())):
         if key not in partitions:

@@ -38,8 +38,11 @@ the remaining sections configure it:
 
 Sweep rows are emitted redundancy-major, then cost. Every CSV starts with a
 comment line recording the sha256 of the experiment document and the seed,
-so identical inputs produce byte-identical files. Exit codes: 0 success, 1
-verification failure, 2 invalid spec, 3 work budget (2**20) exceeded.
+so identical inputs produce byte-identical files. Every result is computed
+before the output is opened, so a failed run leaves no file; CSV rows are
+then formatted from arrays and written in chunks by :mod:`infogame.csvtable`.
+Exit codes: 0 success, 1 verification failure, 2 invalid spec, 3 work
+budget (2**20) exceeded.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ import sys
 import numpy as np
 import yaml
 
-from . import analytic, equilibrium, production
+from . import analytic, csvtable, equilibrium, production
 from .entropy import (
     EntropicVector,
     family_independent,
@@ -71,12 +74,6 @@ COMMANDS = ("enumerate", "regions", "poa-sweep", "mil-sweep", "production", "few
 
 class SpecError(ValueError):
     """The experiment document is malformed or inconsistent."""
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _number(kind, value, what: str):
@@ -143,7 +140,7 @@ def _sweep_family(spec: dict):
     return h, _benefit(_require(game, "benefit"))
 
 
-def _sweep_rows(spec: dict):
+def _run_sweep(spec: dict):
     h, benefit = _sweep_family(spec)
     grid = _require(spec, "grid")
     kl_node, c_node = grid.get("kl", [0.0]), grid.get("c")
@@ -161,20 +158,27 @@ def _sweep_rows(spec: dict):
         mil = analytic.mil_predict(cfg).value
         return (c, kl, region.label, region.c_l, region.c_u, poa, mil)
 
-    rows = [one(kl, c) for kl in kl_values for c in c_values]
-    columns = ["c", "kl", "region", "c_l", "c_u", "poa_or_bound", "mil_or_bound"]
-    return columns, rows
+    points = [one(kl, c) for kl in kl_values for c in c_values]
+    header = ["c", "kl", "region", "c_l", "c_u", "poa_or_bound", "mil_or_bound"]
+    columns = [_texts(column) if k == 2 else csvtable.floats(column) for k, column in enumerate(zip(*points))]
+    return lambda out: csvtable.write_csv(out, header, columns)
 
 
-def _run_enumerate(spec: dict) -> tuple[str, int]:
-    cfg = _game_config(spec)
-    report = equilibrium.enumerate_nash(cfg)
-    body = report.to_csv()
-    extra = (f"# social_optimum={_fmt(report.social_optimum_value)}"
-             f" worst_ne_welfare={_fmt(report.worst_ne_welfare)}"
-             f" poa={'undefined' if report.poa is None else _fmt(report.poa)}"
-             f" mil={_fmt(report.mil)}\n")
-    return extra + body, 0
+def _texts(values) -> tuple[np.ndarray, np.ndarray]:
+    """A CSV column of the given strings (see :mod:`infogame.csvtable`)."""
+    return np.array(values, dtype=object), np.arange(len(values))
+
+
+def _run_enumerate(spec: dict):
+    report = equilibrium.enumerate_nash(_game_config(spec))
+    poa = "undefined" if report.poa is None else repr(report.poa)
+    extra = (f"# social_optimum={report.social_optimum_value!r}"
+             f" worst_ne_welfare={report.worst_ne_welfare!r} poa={poa} mil={report.mil!r}\n")
+
+    def emit(out):
+        out.write(extra)
+        report.write_csv(out)
+    return emit
 
 
 def _benefit(node: dict) -> BenefitFunction:
@@ -276,26 +280,28 @@ def _production_config(spec: dict) -> ProductionGameConfig:
         raise SpecError(str(e)) from None
 
 
-def _run_production(spec: dict) -> tuple[str, int]:
+def _run_production(spec: dict):
     cfg = _production_config(spec)
-    found = production.enumerate_production_ne(cfg)
-    columns = ["links"] + [f"prod_{i}" for i in range(cfg.n_agents)]
-    return _csv(columns, [(s.links.bitstring(),) + s.productions for s in found]), 0
+    rows, prods = production.production_equilibria(cfg)
+    header = ["links"] + [f"prod_{i}" for i in range(cfg.n_agents)]
+    strings, codes = csvtable.floats(prods)
+    columns = [(csvtable.row_strings(cfg.n_agents), rows)] + [(strings, column) for column in codes.T]
+    return lambda out: csvtable.write_csv(out, header, columns)
 
 
-def _run_few_sweep(spec: dict) -> tuple[str, int]:
+def _run_few_sweep(spec: dict):
     cfg = _production_config(spec)
     n_list = spec.get("n_list", [2, 3, 4, 5, 6, 7, 8])
     if not isinstance(n_list, (list, tuple)) or not n_list:
         raise SpecError("few-sweep needs a nonempty n_list")
     points = production.few_sweep(cfg, [_number(int, n, "n_list entry") for n in n_list])
-    columns = ["n", "agg", "c", "k", "h_bar", "producer_fraction", "total_information_bits"]
-    rows = [(pt.n, pt.agg.value, pt.c, pt.k, pt.h_bar, pt.producer_fraction, pt.total_information_bits)
-            for pt in points]
-    return _csv(columns, rows), 0
+    header = ["n", "agg", "c", "k", "h_bar", "producer_fraction", "total_information_bits"]
+    columns = [_texts([str(pt.n) for pt in points]), _texts([pt.agg.value for pt in points])]
+    columns += [csvtable.floats([getattr(pt, name) for pt in points]) for name in header[2:]]
+    return lambda out: csvtable.write_csv(out, header, columns)
 
 
-def _run_verify(spec: dict, seed: int) -> tuple[str, int]:
+def _run_verify(spec: dict, seed: int):
     node = spec.get("verify", {})
     if not isinstance(node, dict):
         raise SpecError("verify section must be a mapping")
@@ -307,18 +313,13 @@ def _run_verify(spec: dict, seed: int) -> tuple[str, int]:
         )
     except ValueError as e:
         raise SpecError(str(e)) from None
-    return report.to_text(), 0 if report.ok else 1
+    return (lambda out: out.write(report.to_text())), 0 if report.ok else 1
 
 
-def _csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def run_spec(spec: dict, spec_bytes: bytes, seed: int | None) -> tuple[str, int]:
-    """Execute one experiment document; returns (output text, exit code)."""
+def run_spec(spec: dict, spec_bytes: bytes, seed: int | None):
+    """Execute one experiment document; returns (write, exit code), where ``write(out)``
+    writes the output to the text file ``out``. Every result is computed before this
+    returns, so a failed run writes nothing."""
     if not isinstance(spec, dict):
         raise SpecError("experiment document must be a mapping")
     command = spec.get("command")
@@ -328,19 +329,24 @@ def run_spec(spec: dict, spec_bytes: bytes, seed: int | None) -> tuple[str, int]
     digest = hashlib.sha256(spec_bytes).hexdigest()
     # the field before "command" names an agent-cap option that no longer exists; it stays
     # so that output bytes do not change (bench/workloads.py expects this exact header)
-    comment = f"spec_sha256={digest} seed={effective_seed} max_n=default command={command}"
+    comment = f"# spec_sha256={digest} seed={effective_seed} max_n=default command={command}\n"
 
+    code = 0
     if command in ("regions", "poa-sweep", "mil-sweep"):
-        body, code = _csv(*_sweep_rows(spec)), 0
+        body = _run_sweep(spec)
     elif command == "enumerate":
-        body, code = _run_enumerate(spec)
+        body = _run_enumerate(spec)
     elif command == "production":
-        body, code = _run_production(spec)
+        body = _run_production(spec)
     elif command == "few-sweep":
-        body, code = _run_few_sweep(spec)
+        body = _run_few_sweep(spec)
     else:
         body, code = _run_verify(spec, effective_seed)
-    return f"# {comment}\n" + body, code
+
+    def write(out):
+        out.write(comment)
+        body(out)
+    return write, code
 
 
 def main(argv=None) -> int:
@@ -362,7 +368,7 @@ def main(argv=None) -> int:
         print(f"error: spec is not valid YAML: {e}", file=sys.stderr)
         return 2
     try:
-        text, code = run_spec(spec, spec_bytes, args.seed)
+        write, code = run_spec(spec, spec_bytes, args.seed)
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -372,9 +378,9 @@ def main(argv=None) -> int:
     out_path = args.out or (spec.get("output") if isinstance(spec, dict) else None)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return code
 
 

@@ -1,0 +1,41 @@
+"""CSV tables written from arrays, ``CHUNK_ROWS`` rows at a time.
+
+A column is a (strings, codes) pair: an object array of cell texts and an
+int array indexing it, one code per row, or one per row and part when a
+cell is the concatenation of parts. A link profile prints as the strings
+of :func:`row_strings` indexed by its rows, and :func:`floats` calls
+``repr`` once per distinct value.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+# rows per chunk: the formatted text held in memory at once is one chunk's
+CHUNK_ROWS = 4096
+
+
+def row_strings(n: int) -> np.ndarray:
+    """'0'/'1' text of every n-bit row mask, bit j at position j, as an object array."""
+    masks = np.arange(1 << n)
+    return np.add.reduce([np.where(masks >> j & 1, "1", "0").astype(object) for j in range(n)])
+
+
+def floats(values) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of every float of an array, as strings and codes of the array's shape.
+    Values are told apart by bit pattern, so 0.0 and -0.0 keep their own texts."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    strings = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return strings, codes.reshape(values.shape)
+
+
+def write_csv(out, header, columns) -> None:
+    """Write ``header`` and the rows of ``columns`` to the text file ``out``, each line
+    ending in a newline."""
+    out.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0][1]), CHUNK_ROWS):
+        cells = []
+        for strings, codes in columns:
+            part = strings[codes[start:start + CHUNK_ROWS]]
+            cells.append((np.add.reduce(part, axis=1) if part.ndim == 2 else part).tolist())
+        out.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -260,42 +260,6 @@ def validate_shannon(ev: EntropicVector) -> ShannonReport:
     return ShannonReport(n, tuple(out))
 
 
-def _check_disjoint(ev: EntropicVector, a: int, b: int) -> None:
-    if a <= 0 or b <= 0:
-        raise ValueError("subsets must be nonempty")
-    top = full_mask(ev.n_agents)
-    if a > top or b > top:
-        raise ValueError("subset mask out of range")
-    if a & b:
-        raise ValueError(f"subsets overlap: {_mask_str(a)} and {_mask_str(b)}")
-
-
-def cond_entropy(ev: EntropicVector, a: int, b: int) -> float:
-    """H(a | b) = H(a+b) - H(b) for disjoint nonempty subsets; small negatives clamp to 0."""
-    _check_disjoint(ev, a, b)
-    value = ev.h(a | b) - ev.h(b)
-    if -TOL <= value < 0.0:
-        return 0.0
-    return value
-
-
-def mutual_info(ev: EntropicVector, a: int, b: int) -> float:
-    """I(a; b) = H(a) + H(b) - H(a+b) for disjoint nonempty subsets; small negatives clamp to 0."""
-    _check_disjoint(ev, a, b)
-    value = ev.h(a) + ev.h(b) - ev.h(a | b)
-    if -TOL <= value < 0.0:
-        return 0.0
-    return value
-
-
-def kl_total(ev: EntropicVector) -> float:
-    """Total redundancy: sum of singleton entropies minus the joint entropy.
-
-    Zero exactly when the agents' variables are mutually independent.
-    """
-    return sum(ev.singletons) - ev.joint_entropy
-
-
 def _check_nonnegative(h) -> tuple[float, ...]:
     vals = tuple(float(v) for v in h)
     if any(v < 0 for v in vals):

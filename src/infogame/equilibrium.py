@@ -25,15 +25,20 @@ so only sponsored forests are generated, as profile indices, and verified by
 failing agent. The pruned path refuses cost models with a link cost at or
 below tolerance.
 
-Both scans return int64 rows (ne, n) and strict flags, and the report is
-built from those arrays with the kernel's ``components`` and ``welfare``.
+Both scans return int64 rows (ne, n) and strict flags. The report keeps
+them, with the kernel's ``components`` and ``welfare`` of them, builds
+``LinkProfile`` objects only when asked, and streams its CSV from the arrays
+through :mod:`infogame.csvtable`.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import csvtable
 from .entropy import TOL, subset_mask
 from .formation_game import GameConfig, LinkProfile
 from .kernel import (
@@ -58,35 +63,61 @@ from .kernel import (
 SCAN_CHUNK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumReport:
     """Everything the enumeration learned about a game's equilibria.
 
-    ``poa`` is None when the worst equilibrium welfare is not positive, in
-    which case the optimum/worst ratio has no meaningful sign.
+    The arrays are in profile-index order: int64 ``rows`` (ne, n), ``strict``
+    flags, ``welfare`` and the ``components`` masks (n, ne). ``info_values``
+    maps a component mask to the vector's own entropy float. The tuple views
+    are built on first use. ``poa`` is None when the worst equilibrium
+    welfare is not positive, in which case the optimum/worst ratio has no
+    meaningful sign.
     """
 
-    ne_profiles: tuple[LinkProfile, ...]
-    strict_ne_profiles: tuple[LinkProfile, ...]
-    ne_welfares: tuple[float, ...]
-    ne_agent_info: tuple[tuple[float, ...], ...]
+    rows: np.ndarray
+    strict: np.ndarray
+    welfare: np.ndarray
+    components: np.ndarray
+    info_values: tuple[float, ...]
     social_optimum_value: float
     social_optimum_profile: LinkProfile
     worst_ne_welfare: float
     poa: float | None
     mil: float
 
-    def to_csv(self) -> str:
-        n = self.social_optimum_profile.n_agents
-        strict = {p.rows for p in self.strict_ne_profiles}
+    @cached_property
+    def ne_profiles(self) -> tuple[LinkProfile, ...]:
+        n = self.rows.shape[1]
+        return tuple(LinkProfile(n, r) for r in map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def strict_ne_profiles(self) -> tuple[LinkProfile, ...]:
+        return tuple(p for p, st in zip(self.ne_profiles, self.strict.tolist()) if st)
+
+    @cached_property
+    def ne_welfares(self) -> tuple[float, ...]:
+        return tuple(self.welfare.tolist())
+
+    @cached_property
+    def ne_agent_info(self) -> tuple[tuple[float, ...], ...]:
+        h = self.info_values
+        return tuple(zip(*([h[c] for c in column] for column in self.components.tolist())))
+
+    def write_csv(self, out) -> None:
+        """Write one CSV line per equilibrium to the text file ``out``."""
+        n = self.rows.shape[1]
         header = ["profile", "welfare"] + [f"info_{i}" for i in range(n)] + ["strict"]
-        lines = [",".join(header)]
-        for p, w, info in zip(self.ne_profiles, self.ne_welfares, self.ne_agent_info):
-            cells = [p.bitstring(), repr(w)]
-            cells += [repr(v) for v in info]
-            cells.append("1" if p.rows in strict else "0")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        info = np.array([repr(v) for v in self.info_values], dtype=object)
+        columns = [(csvtable.row_strings(n), self.rows), csvtable.floats(self.welfare)]
+        columns += [(info, column) for column in self.components]
+        columns.append((np.array(["0", "1"], dtype=object), self.strict.astype(np.int64)))
+        csvtable.write_csv(out, header, columns)
+
+    def to_csv(self) -> str:
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
 
 
 def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TOL) -> frozenset[int]:
@@ -270,25 +301,21 @@ def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
         rows, strict = _ne_scan_pruned(cfg, tol)
 
     comp = components(rows)
-    welfares = welfare(rows, comp, cfg.fh, cfg.row_costs).tolist()
+    w = welfare(rows, comp, cfg.fh, cfg.row_costs)
     # the vector's own floats, looked up by component mask, so reports print them as given
     h = (0.0,) + cfg.ev.entries
-    info_columns = [[h[c] for c in column] for column in comp.tolist()]
-    ne_profiles = [LinkProfile(n, r) for r in zip(*rows.T.tolist())]
-    strict_profiles = [p for p, st in zip(ne_profiles, strict.tolist()) if st]
-
+    info = np.array(h)[comp]
     opt_value, opt_profile = social_optimum(cfg)
-    worst = min(welfares) if welfares else float("nan")
-    poa = (opt_value / worst) if welfares and worst > 0.0 else None
-    mil = max((max(column) - min(column) for column in info_columns if column), default=0.0)
+    worst = float(w.min()) if len(w) else float("nan")
     return EquilibriumReport(
-        ne_profiles=tuple(ne_profiles),
-        strict_ne_profiles=tuple(strict_profiles),
-        ne_welfares=tuple(welfares),
-        ne_agent_info=tuple(zip(*info_columns)),
+        rows=rows,
+        strict=strict,
+        welfare=w,
+        components=comp,
+        info_values=h,
         social_optimum_value=opt_value,
         social_optimum_profile=opt_profile,
         worst_ne_welfare=worst,
-        poa=poa,
-        mil=mil,
+        poa=opt_value / worst if len(w) and worst > 0.0 else None,
+        mil=float((info.max(axis=1) - info.min(axis=1)).max()) if len(w) else 0.0,
     )

@@ -1,4 +1,4 @@
-"""The link formation game: strategies, induced topology, utilities, welfare.
+"""The link formation game: strategies, induced topology and utilities.
 
 Agents hold random variables described by an :class:`~infogame.entropy.EntropicVector`
 and unilaterally sponsor directed links. The undirected topology contains edge
@@ -7,8 +7,8 @@ each connected component, and the sponsor alone pays the link cost. Agent i's
 payoff is ``f(H(component of i)) - sum of costs of links i sponsors``.
 
 A single profile is a batch of one for the kernel: components come from
-:func:`infogame.kernel.components`, the package's one component walk, and
-social welfare from :func:`infogame.kernel.welfare`.
+:func:`infogame.kernel.components`, the package's one component walk.
+Social welfare is :func:`infogame.kernel.welfare` of a batch.
 
 Everything here is immutable and side-effect free; profiles can be evaluated
 concurrently from any number of workers.
@@ -298,17 +298,6 @@ def _component_masks(profile: LinkProfile) -> list[int]:
     return kernel.components(np.array([profile.rows], dtype=np.int64))[:, 0].tolist()
 
 
-def topology(profile: LinkProfile) -> tuple[tuple[int, int], ...]:
-    """Undirected edge set: {i, j} present when either direction is sponsored."""
-    n = profile.n_agents
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if profile.rows[i] >> j & 1 or profile.rows[j] >> i & 1:
-                edges.append((i, j))
-    return tuple(edges)
-
-
 def components(profile: LinkProfile) -> tuple[frozenset[int], ...]:
     """Partition of the agents into connected components, ordered by least member."""
     comp = _component_masks(profile)
@@ -321,20 +310,6 @@ def components(profile: LinkProfile) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-def is_minimally_connected(profile: LinkProfile, component) -> bool:
-    """True when the given component is a tree (edge count = size - 1).
-
-    ``component`` must be one of the profile's components.
-    """
-    comp_mask = subset_mask(component)
-    masks = _component_masks(profile)
-    agents = subset_agents(comp_mask)
-    if not agents or any(masks[a] != comp_mask for a in agents):
-        raise ValueError("argument is not a component of the profile")
-    edges = sum(1 for (i, j) in topology(profile) if comp_mask >> i & 1 and comp_mask >> j & 1)
-    return edges == len(agents) - 1
-
-
 # -- payoffs ----------------------------------------------------------------
 
 def utility(cfg: GameConfig, profile: LinkProfile, i: int) -> float:
@@ -344,11 +319,3 @@ def utility(cfg: GameConfig, profile: LinkProfile, i: int) -> float:
     comp = _component_masks(profile)[i]
     benefit = cfg.benefit(cfg.ev.h(comp))
     return benefit - sum(cfg.link_cost(i, j) for j in subset_agents(profile.rows[i]))
-
-
-def social_welfare(cfg: GameConfig, profile: LinkProfile) -> float:
-    """Sum of all agents' utilities: :func:`infogame.kernel.welfare` of a batch of one."""
-    if profile.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    rows = np.array([profile.rows], dtype=np.int64)
-    return float(kernel.welfare(rows, kernel.components(rows), cfg.fh, cfg.row_costs)[0])

@@ -465,8 +465,9 @@ def _candidate_batches(cfg: ProductionGameConfig):
         yield from _cross_batches(cfg, trees[rooted], prods)
 
 
-def enumerate_production_ne(cfg: ProductionGameConfig) -> list[ProductionProfile]:
-    """Grid equilibria of the production game, deterministically ordered.
+def production_equilibria(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Grid equilibria of the production game as int64 link rows and float64
+    productions, both (found, n), ordered by link profile index, then production vector.
 
     Up to 3 agents every link profile is crossed with every grid production
     vector. Past that only the characterizations' equilibrium shapes are
@@ -485,21 +486,26 @@ def enumerate_production_ne(cfg: ProductionGameConfig) -> list[ProductionProfile
     return _equilibria(cfg, _candidate_batches(cfg))
 
 
-def _equilibria(cfg: ProductionGameConfig, batches) -> list[ProductionProfile]:
-    """The profiles of the (rows, prods) ``batches`` that are equilibria, ordered by
-    link profile index, then production vector."""
+def enumerate_production_ne(cfg: ProductionGameConfig) -> list[ProductionProfile]:
+    """:func:`production_equilibria` as profiles."""
+    rows, prods = production_equilibria(cfg)
+    return [ProductionProfile(p, LinkProfile(cfg.n_agents, r))
+            for r, p in zip(map(tuple, rows.tolist()), map(tuple, prods.tolist()))]
+
+
+def _equilibria(cfg: ProductionGameConfig, batches) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, prods) of the ``batches`` that are equilibria, ordered by link
+    profile index, then production vector."""
     n = cfg.n_agents
-    found = []
-    links, prod_tuples = {}, {}  # equilibria share their link profiles and production tuples
-    for rows, prods in batches:
-        keep = production_ne_mask(cfg, rows, prods)
-        for idx, r, p in zip(profile_indices(rows[keep]).tolist(), map(tuple, rows[keep].tolist()),
-                             map(tuple, prods[keep].tolist())):
-            if idx not in links:
-                links[idx] = LinkProfile(n, r)
-            found.append((idx, prod_tuples.setdefault(p, p)))
-    found.sort()
-    return [ProductionProfile(p, links[idx]) for idx, p in found]
+    rows, prods = [np.empty((0, n), dtype=np.int64)], [np.empty((0, n))]
+    for r, p in batches:
+        keep = production_ne_mask(cfg, r, p)
+        rows.append(r[keep])
+        prods.append(p[keep])
+    rows, prods = np.concatenate(rows), np.concatenate(prods)
+    # lexsort's last key is the primary one
+    order = np.lexsort((*prods.T[::-1], profile_indices(rows)))
+    return rows[order], prods[order]
 
 
 # -- law-of-the-few metrics ------------------------------------------------------

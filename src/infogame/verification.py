@@ -15,20 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, equilibrium, production
-from .entropy import (
-    EntropicVector,
-    JointPmf,
-    family_pair_redundancy,
-    from_joint_pmf,
-)
-from .formation_game import (
-    BenefitFunction,
-    CostModel,
-    GameConfig,
-    LinkProfile,
-    components,
-    is_minimally_connected,
-)
+from .csvtable import row_strings
+from .entropy import EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmf, subset_agents
+from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from .kernel import profile_indices, require_budget, rows_from_indices, set_partitions
 from .production import Aggregation, ProductionGameConfig, ProductionProfile
 
@@ -88,10 +77,14 @@ def random_recipient_config(rng: np.random.Generator, n_agents: int,
 
 
 def _realized_partitions(report: equilibrium.EquilibriumReport) -> set[frozenset[frozenset[int]]]:
-    out = set()
-    for p in report.ne_profiles:
-        out.add(frozenset(components(p)))
-    return out
+    return {frozenset(frozenset(subset_agents(m)) for m in column)
+            for column in set(map(tuple, report.components.T.tolist()))}
+
+
+def _all_connected(report: equilibrium.EquilibriumReport, ev: EntropicVector) -> bool:
+    """Does every agent of every equilibrium hold the joint entropy, within 1e-9?"""
+    info = np.array(report.info_values)[report.components]
+    return bool((np.abs(info - ev.joint_entropy) <= 1e-9).all())
 
 
 def _accepted_partitions(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
@@ -110,20 +103,21 @@ def _check_existence_minimality(rng, n_agents, instances, benefit):
     for t in range(instances):
         cfg = random_homogeneous_config(rng, 2 + t % (n_agents - 1), benefit)
         report = equilibrium.enumerate_nash(cfg)
-        if not report.ne_profiles:
+        rows, n = report.rows, cfg.n_agents
+        if not len(rows):
             bad += 1
             witness = f"instance {t} has no equilibrium"
             continue
-        for p in report.ne_profiles:
-            if any(p.rows[i] >> j & 1 and p.rows[j] >> i & 1
-                   for i in range(cfg.n_agents) for j in range(i + 1, cfg.n_agents)):
-                bad += 1
-                witness = f"instance {t} equilibrium {p.bitstring()} has a duplicate link"
-                break
-            if not all(is_minimally_connected(p, comp) for comp in components(p)):
-                bad += 1
-                witness = f"instance {t} equilibrium {p.bitstring()} has a cycle"
-                break
+        # a forest without duplicate links has n - (number of components) links
+        links = (rows[:, :, None] >> np.arange(n) & 1).sum(axis=(1, 2))
+        roots = report.components & -report.components == 1 << np.arange(n)[:, None]
+        wrong = np.flatnonzero(links > n - roots.sum(axis=0))
+        if len(wrong):
+            r = rows[wrong[0]]
+            bad += 1
+            duplicate = any(r[i] >> j & r[j] >> i & 1 for i in range(n) for j in range(i))
+            witness = (f"instance {t} equilibrium {''.join(row_strings(n)[r])} has "
+                       + ("a duplicate link" if duplicate else "a cycle"))
     detail = f"{instances} instances" + (f"; {witness}" if bad else ", all equilibria exist and are forests")
     return bad == 0, detail
 
@@ -138,11 +132,10 @@ def _check_region_soundness(rng, benefit):
             cfg = GameConfig(ev, benefit, CostModel.homogeneous(float(c)))
             report = equilibrium.enumerate_nash(cfg)
             if c < c_l - 1e-9:
-                joint = ev.joint_entropy
-                if not all(all(abs(v - joint) <= 1e-9 for v in info) for info in report.ne_agent_info):
+                if not _all_connected(report, ev):
                     failures.append(f"kl={kl} c={c:.4f}: disconnected equilibrium below c_l")
             elif c > c_u + 1e-9:
-                if len(report.ne_profiles) != 1 or any(report.ne_profiles[0].rows):
+                if len(report.rows) != 1 or report.rows.any():  # not the empty network alone
                     failures.append(f"kl={kl} c={c:.4f}: non-empty equilibrium above c_u")
     return not failures, failures[0] if failures else "connected below c_l, unique empty above c_u"
 
@@ -163,13 +156,11 @@ def _check_strict_equivalence(rng, n_agents, instances, benefit):
         report = equilibrium.enumerate_nash(cfg)
         n = cfg.n_agents
         rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n)
-        strict_rows = np.array([p.rows for p in report.strict_ne_profiles], dtype=np.int64).reshape(-1, n)
         strict = np.zeros(len(rows), dtype=bool)
-        strict[profile_indices(strict_rows)] = True
+        strict[profile_indices(report.rows[report.strict])] = True
         wrong = np.flatnonzero(analytic.strict_structure_mask(cfg, rows) != strict)
         if len(wrong):
-            p = LinkProfile(n, tuple(rows[wrong[0]].tolist()))
-            return False, f"instance {t}: profile {p.bitstring()} misclassified"
+            return False, f"instance {t}: profile {''.join(row_strings(n)[rows[wrong[0]]])} misclassified"
     return True, f"{instances} instances, strict sets identical"
 
 
@@ -184,7 +175,7 @@ def _check_poa(rng, n_agents, instances, benefit, random_config, claim):
         report = equilibrium.enumerate_nash(cfg)
         poa = report.poa
         if poa is None:
-            if pred.is_bound and not report.ne_profiles:
+            if pred.is_bound and not len(report.rows):
                 without_ne += 1
                 continue
             return False, f"instance {t}: undefined brute-force PoA"
@@ -217,12 +208,11 @@ def _check_heterogeneous_regions(rng, n_agents, instances, benefit):
         cfg = random_recipient_config(rng, 2 + t % (n_agents - 1), benefit)
         region = analytic.region_heterogeneous(cfg.ev, benefit, cfg.costs)
         report = equilibrium.enumerate_nash(cfg)
-        joint = cfg.ev.joint_entropy
         if region.label == analytic.K_C:
-            if not all(all(abs(v - joint) <= 1e-9 for v in info) for info in report.ne_agent_info):
+            if not _all_connected(report, cfg.ev):
                 return False, f"instance {t}: disconnected equilibrium inside K_C"
         elif region.label == analytic.K_I:
-            if len(report.ne_profiles) != 1 or any(report.ne_profiles[0].rows):
+            if len(report.rows) != 1 or report.rows.any():  # not the empty network alone
                 return False, f"instance {t}: K_I equilibrium is not the unique empty network"
     return True, f"{instances} instances, K_C all-connected and K_I unique-empty"
 

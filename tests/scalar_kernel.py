@@ -12,17 +12,25 @@ rows of ``sponsored_trees``, and ``production_utility`` one utility behind
 ``production.production_ne_mask``. ``component_masks`` of
 ``undirected_adjacency`` is one column of ``components``, and
 ``strict_ne_structure`` and ``production_shape`` are one profile of
-``analytic.strict_structure_mask`` and ``production.shape_mask``. The tests
-compare the two forms; nothing in the package uses these. The payoff tables they take, ``fh`` and
-``costs`` / ``row_cost``, are the game's own ``GameConfig.fh`` and
+``analytic.strict_structure_mask`` and ``production.shape_mask``.
+``report_csv`` and ``csv_text`` are the per-profile and per-cell CSV
+formatters that ``infogame.csvtable`` replaced, and ``cond_entropy``,
+``mutual_info``, ``kl_total``, ``social_welfare``, ``topology`` and
+``is_minimally_connected`` the information measures, the single-profile
+welfare and the edge count that the tests check vectors, the kernel and
+equilibria with. The tests compare the two forms; nothing in the package
+uses these. The payoff tables they take, ``fh`` and ``costs`` /
+``row_cost``, are the game's own ``GameConfig.fh`` and
 ``GameConfig.row_costs``.
 """
 import heapq
 import itertools
 
-from infogame import formation_game
+import numpy as np
+
+from infogame import formation_game, kernel
 from infogame.analytic import check_component_structure_ne
-from infogame.entropy import TOL, subset_agents
+from infogame.entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
 from infogame.formation_game import LinkProfile
 from infogame.kernel import compress_row
 from infogame.production import PRODUCER_EPS, Aggregation, ProductionGameConfig, ProductionProfile, aggregate
@@ -237,28 +245,27 @@ def strict_ne_structure(cfg: formation_game.GameConfig, profile: LinkProfile) ->
     n = cfg.n_agents
     if profile.n_agents != n:
         raise ValueError("profile size does not match the game")
-    c = cfg.costs.values[0]
-    f = cfg.benefit
-    h = cfg.ev.h
+    fh, row_costs, rows = cfg.fh.tolist(), cfg.row_costs.tolist(), profile.rows
     comp_of = component_masks(undirected_adjacency(profile))
-    masks = sorted({comp_of[i] for i in range(n)})
+    masks = sorted(set(comp_of))
     for mask in masks:
         members = subset_agents(mask)
         if len(members) < 2:
             continue
-        sponsors = [i for i in members if profile.rows[i] & mask]
+        sponsors = [i for i in members if rows[i] & mask]
         if len(sponsors) != 1:
             return False
         core = sponsors[0]
-        periphery = mask ^ (1 << core)
-        if profile.rows[core] & mask != periphery:
+        if rows[core] & mask != mask ^ (1 << core):
             return False
-        fc = f(h(mask))
-        zeta = {j for j in members if fc - f(h(mask ^ (1 << j))) > c + TOL}
-        if len(zeta) < len(members) - 1:
-            return False
-        for j in subset_agents(periphery):
-            if j not in zeta:
+    # no single link flip comes within TOL: dropping the core's link to j cuts j off
+    for i in range(n):
+        u = fh[comp_of[i]] - row_costs[i][compress_row(rows[i], i)]
+        for j in range(n):
+            if j == i:
+                continue
+            merged = comp_of[i] & ~(1 << j) if rows[i] >> j & 1 else comp_of[i] | comp_of[j]
+            if not fh[merged] - row_costs[i][compress_row(rows[i] ^ (1 << j), i)] < u - TOL:
                 return False
     return check_component_structure_ne(cfg, [subset_agents(m) for m in masks])
 
@@ -303,3 +310,94 @@ def production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
         if rows[i].bit_count() != 1:
             return False
     return True
+
+
+def csv_text(columns, rows) -> str:
+    """A CSV of one line per row: each float by ``repr``, anything else by ``str``."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def report_csv(report) -> str:
+    """``EquilibriumReport.to_csv`` one equilibrium at a time, from the report's tuples."""
+    n = report.social_optimum_profile.n_agents
+    strict = {p.rows for p in report.strict_ne_profiles}
+    header = ["profile", "welfare"] + [f"info_{i}" for i in range(n)] + ["strict"]
+    lines = [",".join(header)]
+    for p, w, info in zip(report.ne_profiles, report.ne_welfares, report.ne_agent_info):
+        cells = [p.bitstring(), repr(w)]
+        cells += [repr(v) for v in info]
+        cells.append("1" if p.rows in strict else "0")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _check_disjoint(ev: EntropicVector, a: int, b: int) -> None:
+    if a <= 0 or b <= 0:
+        raise ValueError("subsets must be nonempty")
+    top = full_mask(ev.n_agents)
+    if a > top or b > top:
+        raise ValueError("subset mask out of range")
+    if a & b:
+        raise ValueError(f"subsets overlap: {a:b} and {b:b}")
+
+
+def cond_entropy(ev: EntropicVector, a: int, b: int) -> float:
+    """H(a | b) = H(a+b) - H(b) for disjoint nonempty subsets; small negatives clamp to 0."""
+    _check_disjoint(ev, a, b)
+    value = ev.h(a | b) - ev.h(b)
+    if -TOL <= value < 0.0:
+        return 0.0
+    return value
+
+
+def mutual_info(ev: EntropicVector, a: int, b: int) -> float:
+    """I(a; b) = H(a) + H(b) - H(a+b) for disjoint nonempty subsets; small negatives clamp to 0."""
+    _check_disjoint(ev, a, b)
+    value = ev.h(a) + ev.h(b) - ev.h(a | b)
+    if -TOL <= value < 0.0:
+        return 0.0
+    return value
+
+
+def kl_total(ev: EntropicVector) -> float:
+    """Total redundancy: sum of singleton entropies minus the joint entropy.
+
+    Zero exactly when the agents' variables are mutually independent.
+    """
+    return sum(ev.singletons) - ev.joint_entropy
+
+
+def social_welfare(cfg: formation_game.GameConfig, profile: LinkProfile) -> float:
+    """Sum of all agents' utilities: ``kernel.welfare`` of a batch of one."""
+    if profile.n_agents != cfg.n_agents:
+        raise ValueError("profile size does not match the game")
+    rows = np.array([profile.rows], dtype=np.int64)
+    return float(kernel.welfare(rows, kernel.components(rows), cfg.fh, cfg.row_costs)[0])
+
+
+def topology(profile: LinkProfile) -> tuple[tuple[int, int], ...]:
+    """Undirected edge set: {i, j} present when either direction is sponsored."""
+    n = profile.n_agents
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if profile.rows[i] >> j & 1 or profile.rows[j] >> i & 1:
+                edges.append((i, j))
+    return tuple(edges)
+
+
+def is_minimally_connected(profile: LinkProfile, component) -> bool:
+    """True when the given component is a tree (edge count = size - 1).
+
+    ``component`` must be one of the profile's components.
+    """
+    comp_mask = subset_mask(component)
+    masks = component_masks(undirected_adjacency(profile))
+    agents = subset_agents(comp_mask)
+    if not agents or any(masks[a] != comp_mask for a in agents):
+        raise ValueError("argument is not a component of the profile")
+    edges = sum(1 for (i, j) in topology(profile) if comp_mask >> i & 1 and comp_mask >> j & 1)
+    return edges == len(agents) - 1

@@ -34,7 +34,6 @@ from infogame.formation_game import (
     CostModel,
     GameConfig,
     components,
-    is_minimally_connected,
 )
 from infogame.kernel import set_partitions
 from infogame.production import (
@@ -49,7 +48,7 @@ from infogame.verification import (
     random_entropic_vector,
     random_homogeneous_config,
 )
-from scalar_kernel import profile_from_index
+from scalar_kernel import is_minimally_connected, profile_from_index
 
 LN = BenefitFunction.log1p(math.e)
 

@@ -1,15 +1,21 @@
 """The batch front end: spec documents, CSV schemas, exit codes, determinism."""
 import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infogame import analytic, cli, equilibrium, production
+from infogame import analytic, cli, csvtable, equilibrium, production
 from infogame.cli import main
-from infogame.entropy import family_pair_redundancy
+from infogame.entropy import family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
+from infogame.verification import random_joint_pmf
+from scalar_kernel import csv_text, report_csv
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -150,6 +156,37 @@ game:
   costs: {model: homogeneous, c: 0.05}
 """
 
+# every sponsored spanning tree of six agents is an equilibrium: 41,472 rows from the
+# pruned scan, across many chunks of the writer
+GOLDEN_N6_SPEC = """\
+command: enumerate
+game:
+  entropic_vector: {family: independent, h: [1, 1.5, 2, 1.25, 0.75, 0.5]}
+  benefit: {name: log1p, base: e}
+  costs: {model: homogeneous, c: 0.03}
+"""
+
+GOLDEN_PRODUCTION_N3_SUM_SPEC = """\
+command: production
+production:
+  n_agents: 3
+  benefit: {name: log1p, base: e}
+  k: 0.25
+  c: 0.2
+  aggregation: sum
+"""
+
+GOLDEN_PRODUCTION_N5_MAX_SPEC = GOLDEN_PRODUCTION_N3_SUM_SPEC.replace("n_agents: 3", "n_agents: 5").replace(
+    "aggregation: sum", "aggregation: max")
+
+INTEGER_ENTROPY_SPEC = """\
+command: enumerate
+game:
+  entropic_vector: {family: pair_redundancy, h: [5, 4, 4], kl: 1}
+  benefit: {name: log1p, base: e}
+  costs: {model: homogeneous, c: 5.0}
+"""
+
 
 class TestEnumerate:
     def test_two_agent_equilibria(self, tmp_path):
@@ -174,21 +211,19 @@ class TestEnumerate:
     @pytest.mark.parametrize("spec, digest", [
         (GOLDEN_MATRIX_SPEC, "39690967859fd4e952a7a5870f2e239170aed4b0a32415db860bda71bc3b9cf8"),
         (GOLDEN_CHEAP_SPEC, "6a5c3f4e0d26912845d9fb44942c5977130227f9cc500ce3754b9f4d25d96431"),
-    ], ids=["n4-inline-matrix", "n5-independent-cheap"])
+        (GOLDEN_N6_SPEC, "35cc538638b444a404145420330ed8da1fee2f94faadbc9247da0a4bcdd1b674"),
+        (GOLDEN_PRODUCTION_N3_SUM_SPEC, "28f52b718881d617bb70da76c384cff845cfc91f20eb9f912c653a177f96e3c9"),
+        (GOLDEN_PRODUCTION_N5_MAX_SPEC, "00a8ecbaa240adae5d3582b6e33def8fd8b263fe84282bf9123c2e837c67c5f6"),
+    ], ids=["n4-inline-matrix", "n5-independent-cheap", "n6-independent-cheap-pruned",
+            "production-n3-sum-full-grid", "production-n5-max-candidates"])
     def test_golden_bytes(self, tmp_path, spec, digest):
-        # pinned output of two fixed games: a change to the report phase may not move a byte
+        # pinned output of fixed games: a change to the report phase or the writer may not move a byte
         code, text = run_cli(tmp_path, spec)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_integer_entropies_print_as_floats(self, tmp_path):
-        spec = """\
-command: enumerate
-game:
-  entropic_vector: {family: pair_redundancy, h: [5, 4, 4], kl: 1}
-  benefit: {name: log1p, base: e}
-  costs: {model: homogeneous, c: 5.0}
-"""
+        spec = INTEGER_ENTROPY_SPEC
         _, ints = run_cli(tmp_path, spec, name="ints.yaml")
         _, floats = run_cli(tmp_path, spec.replace("[5, 4, 4]", "[5.0, 4.0, 4.0]"), name="floats.yaml")
         body = ints.split("\n", 1)[1]  # after the line carrying the spec's hash
@@ -470,3 +505,113 @@ class TestGameSection:
         code, text = run_cli(tmp_path, spec)
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: cannot read the entropic-vector file")
+
+
+FEW_SWEEP_SPEC = PRODUCTION_SPEC.replace("command: production", "command: few-sweep") + "n_list: [2, 3, 5]\n"
+
+
+def written(write) -> str:
+    """What a writer returned by ``run_spec`` or a command puts in a text file."""
+    out = io.StringIO()
+    write(out)
+    return out.getvalue()
+
+
+@st.composite
+def small_games(draw):
+    """Games of 1 to 4 agents: pmf-realized or integer information, each benefit, and
+    homogeneous or recipient costs, some of them zero."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ev = from_joint_pmf(random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n))
+    else:
+        h = [float(x) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        ev = draw(st.sampled_from([family_independent, family_max_correlated]))(h)
+    f = draw(st.sampled_from([LN, BenefitFunction.linear(), BenefitFunction.power(0.5)]))
+    cost = st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5])
+    if draw(st.booleans()):
+        return GameConfig(ev, f, CostModel.homogeneous(draw(cost)))
+    return GameConfig(ev, f, CostModel.recipient(draw(st.lists(cost, min_size=n, max_size=n))))
+
+
+class TestCsvWriter:
+    """The array writer against the per-profile and per-cell formatters it replaced."""
+
+    @pytest.mark.parametrize("spec", [ENUM_SPEC, GOLDEN_MATRIX_SPEC, GOLDEN_CHEAP_SPEC, GOLDEN_N6_SPEC, INLINE_SPEC,
+                                      INTEGER_ENTROPY_SPEC],
+                             ids=["n2", "n4-inline-matrix", "n5-cheap", "n6-cheap-pruned", "inline", "integer"])
+    def test_report_matches_per_profile_oracle(self, spec):
+        report = enumerate_nash(cli._game_config(yaml.safe_load(spec)))
+        assert report.to_csv() == report_csv(report)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_games())
+    def test_small_games_match_per_profile_oracle(self, cfg):
+        report = enumerate_nash(cfg)
+        assert report.to_csv() == report_csv(report)
+
+    @pytest.mark.parametrize("n, agg, c", [(2, "sum", 0.2), (2, "max", 1.0), (3, "sum", 0.2), (3, "max", 0.2),
+                                           (4, "sum", 0.2), (5, "max", 0.2)])
+    def test_production_matches_per_cell_oracle(self, n, agg, c):
+        spec = yaml.safe_load(PRODUCTION_SPEC.replace("n_agents: 2", f"n_agents: {n}")
+                              .replace("aggregation: sum", f"aggregation: {agg}").replace("c: 1.0", f"c: {c}"))
+        found = production.enumerate_production_ne(cli._production_config(spec))
+        want = csv_text(["links"] + [f"prod_{i}" for i in range(n)],
+                        [(s.links.bitstring(),) + s.productions for s in found])
+        assert written(cli._run_production(spec)) == want
+
+    @pytest.mark.parametrize("command", ["regions", "poa-sweep", "mil-sweep"])
+    def test_sweeps_match_per_cell_oracle(self, command):
+        spec = yaml.safe_load(REGION_SPEC.replace("command: regions", f"command: {command}"))
+        rows = []
+        for kl in [0.0, 1.0, 2.0, 3.0, 4.0]:
+            for c in np.linspace(0.02, 1.4, 20).tolist():
+                cfg = GameConfig(family_pair_redundancy(5.0, 4.0, 4.0, kl), LN, CostModel.homogeneous(c))
+                region = analytic.classify_homogeneous(cfg.ev, LN, c)
+                rows.append((c, kl, region.label, region.c_l, region.c_u, analytic.poa_predict(cfg).value,
+                             analytic.mil_predict(cfg).value))
+        want = csv_text(["c", "kl", "region", "c_l", "c_u", "poa_or_bound", "mil_or_bound"], rows)
+        assert written(cli._run_sweep(spec)) == want
+
+    def test_few_sweep_matches_per_cell_oracle(self):
+        spec = yaml.safe_load(FEW_SWEEP_SPEC)
+        points = production.few_sweep(cli._production_config(spec), [2, 3, 5])
+        want = csv_text(["n", "agg", "c", "k", "h_bar", "producer_fraction", "total_information_bits"],
+                        [(pt.n, pt.agg.value, pt.c, pt.k, pt.h_bar, pt.producer_fraction,
+                          pt.total_information_bits) for pt in points])
+        assert written(cli._run_few_sweep(spec)) == want
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10**9])
+    @pytest.mark.parametrize("spec", [GOLDEN_CHEAP_SPEC, GOLDEN_PRODUCTION_N3_SUM_SPEC, REGION_SPEC],
+                             ids=["enumerate", "production", "regions"])
+    def test_chunk_size_does_not_move_a_byte(self, tmp_path, monkeypatch, spec, chunk):
+        _, want = run_cli(tmp_path, spec, name="default.yaml")
+        monkeypatch.setattr(csvtable, "CHUNK_ROWS", chunk)
+        _, got = run_cli(tmp_path, spec, name="default.yaml")
+        assert got == want and len(want.splitlines()) > 3
+
+    @pytest.mark.parametrize("spec", [ENUM_SPEC, GOLDEN_MATRIX_SPEC, PRODUCTION_SPEC, REGION_SPEC, FEW_SWEEP_SPEC,
+                                      VERIFY_SPEC],
+                             ids=["enumerate", "matrix", "production", "regions", "few-sweep", "verify"])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsys, spec):
+        code, text = run_cli(tmp_path, spec)
+        assert main(["--spec", str(tmp_path / "exp.yaml")]) == code == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("spec, want", [
+        (ENUM_SPEC.replace("c: 0.3", "c: .nan"), 2),
+        (ENUM_SPEC.replace("[1, 1]", "[1, 1, 1, 1, 1, 1, 1]"), 3),
+        (PRODUCTION_SPEC.replace("n_agents: 2", "n_agents: 6").replace("c: 1.0", "c: 0.2"), 3),
+    ], ids=["spec-error", "enumerate-over-budget", "production-over-budget"])
+    def test_a_failed_run_leaves_no_output_file(self, tmp_path, spec, want):
+        (tmp_path / "exp.yaml").write_text(spec)
+        out = tmp_path / "out.csv"
+        assert main(["--spec", str(tmp_path / "exp.yaml"), "--out", str(out)]) == want
+        assert not out.exists()
+
+    def test_floats_keep_the_sign_of_zero(self):
+        strings, codes = csvtable.floats([0.0, -0.0, 1.5, 0.0])
+        assert strings[codes].tolist() == ["0.0", "-0.0", "1.5", "0.0"]
+
+    def test_row_strings_put_bit_j_at_position_j(self):
+        assert csvtable.row_strings(3).tolist() == ["000", "100", "010", "110", "001", "101", "011", "111"]

@@ -28,14 +28,13 @@ from infogame.formation_game import (
     GameConfig,
     LinkProfile,
     components,
-    is_minimally_connected,
     utility,
 )
 from infogame.kernel import components as kernel_components
 from infogame.kernel import expand_row, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
-from scalar_kernel import (component_masks, ne_status, profile_from_index, profile_index, row_utilities,
-                           undirected_adjacency)
+from scalar_kernel import (component_masks, is_minimally_connected, ne_status, profile_from_index, profile_index,
+                           row_utilities, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 
 LOG2 = BenefitFunction.log1p(2.0)
@@ -226,6 +225,15 @@ class TestEnumerate:
         assert report.mil == max(max(col) - min(col) for col in zip(*infos))
         assert all(type(x) is float for x in (report.social_optimum_value, report.worst_ne_welfare,
                                               report.poa, report.mil))
+
+    def test_profiles_are_built_only_when_asked_for(self, monkeypatch):
+        built = []
+        check = LinkProfile.__post_init__
+        monkeypatch.setattr(LinkProfile, "__post_init__", lambda self: built.append(self.rows) or check(self))
+        report = enumerate_nash(homog(family_independent([1, 1.5, 2, 1.25, 0.75]), 0.05, LN))
+        assert built == [report.social_optimum_profile.rows]  # the optimum alone
+        assert len(report.ne_profiles) == len(report.rows) == 2000
+        assert len(built) == 2001
 
     def test_strict_set_stable_under_tolerance_halving(self):
         for seed in range(15):

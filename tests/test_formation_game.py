@@ -13,12 +13,9 @@ from infogame.formation_game import (
     GameConfig,
     LinkProfile,
     components,
-    is_minimally_connected,
-    social_welfare,
-    topology,
     utility,
 )
-from scalar_kernel import profile_index
+from scalar_kernel import is_minimally_connected, profile_index, social_welfare, topology
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)

@@ -14,8 +14,6 @@ from infogame.formation_game import (
     CostModel,
     GameConfig,
     LinkProfile,
-    social_welfare,
-    topology,
 )
 from infogame.kernel import (
     CHECK_BUDGET,
@@ -36,7 +34,7 @@ from infogame.kernel import (
 )
 from infogame.verification import random_homogeneous_config, random_recipient_config
 from scalar_kernel import (component_masks, merged_components, orientations, profile_from_index, profile_index,
-                           row_utilities, undirected_adjacency)
+                           row_utilities, social_welfare, topology, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 from scalar_kernel import ne_status as scalar_ne_status
 from scalar_kernel import spanning_trees as scalar_spanning_trees

@@ -9,7 +9,8 @@ production game builds on the kernel alone, not on the formation game's
 equilibrium or analytic layers, the kernel builds on the entropy module
 alone, and the kernel alone turns spanning trees into profiles: every other
 module takes its sponsored trees from it. ``kernel.components`` is the one
-component walk; no module defines or names the scalar one.
+component walk; no module defines or names the scalar one. ``enumerate_nash``
+builds no ``LinkProfile``.
 """
 import ast
 import subprocess
@@ -114,3 +115,10 @@ def test_every_public_function_is_used_or_exported():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
               and node.name not in used and node.name not in infogame.__all__]
     assert unused == []
+
+
+def test_enumerate_nash_builds_no_link_profile():
+    # the report keeps the scan's arrays; profiles are built only when a caller asks for them
+    (fn,) = [node for node in parsed("equilibrium").body
+             if isinstance(node, ast.FunctionDef) and node.name == "enumerate_nash"]
+    assert [node.lineno for node in ast.walk(fn) if getattr(node, "id", None) == "LinkProfile"] == []

@@ -290,8 +290,10 @@ class TestShapeCheckers:
 
 def scan(cfg, batches):
     """The equilibria that one of the two production scans, named by its batch
-    generator, finds at any agent count."""
-    return production._equilibria(cfg, getattr(production, batches)(cfg))
+    generator, finds at any agent count, as profiles."""
+    rows, prods = production._equilibria(cfg, getattr(production, batches)(cfg))
+    return [ProductionProfile(tuple(p), LinkProfile(cfg.n_agents, tuple(r)))
+            for r, p in zip(rows.tolist(), prods.tolist())]
 
 
 class TestEnumeration:

@@ -1,4 +1,5 @@
 """The cross-validation harness itself."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 from infogame import analytic, equilibrium, production, verification
 from infogame.analytic import poa_predict
-from infogame.entropy import EntropicVector, validate_shannon
+from infogame.entropy import TOL, EntropicVector, validate_shannon
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
-from infogame.kernel import CHECK_BUDGET, CapExceededError, rows_from_indices
+from infogame.kernel import CHECK_BUDGET, CapExceededError, components, profile_indices, rows_from_indices
 from infogame.production import Aggregation, ProductionGameConfig
 from infogame.verification import (
     random_entropic_vector,
@@ -141,6 +142,25 @@ class TestMismatchNamesTheFirstProfile:
         monkeypatch.setattr(analytic, "strict_structure_mask", flip)
         assert verification._check_strict_equivalence(np.random.default_rng(0), 3, 2, LN) == (
             False, "instance 1: profile 000101000 misclassified")
+
+    @pytest.mark.parametrize("extra, witness", [
+        ([(2, 1, 0)], "010100000 has a duplicate link"),
+        ([(2, 1, 0), (2, 4, 1)], "010001100 has a cycle"),  # the cycle comes first in index order
+        ([(6, 5, 0)], "011101000 has a duplicate link"),  # and a cycle: the duplicate is named
+    ], ids=["duplicate", "first-of-two", "both"])
+    def test_existence_and_minimality(self, monkeypatch, extra, witness):
+        real = equilibrium.enumerate_nash
+
+        def with_extra(cfg, tol=TOL):
+            report = real(cfg, tol)
+            if cfg.n_agents < 3:
+                return report
+            rows = np.concatenate([report.rows, np.array(extra, dtype=np.int64)])
+            rows = rows[np.argsort(profile_indices(rows))]
+            return dataclasses.replace(report, rows=rows, components=components(rows))
+        monkeypatch.setattr(equilibrium, "enumerate_nash", with_extra)
+        assert verification._check_existence_minimality(np.random.default_rng(0), 3, 2, LN) == (
+            False, f"2 instances; instance 1 equilibrium {witness}")
 
     @pytest.mark.parametrize("agg", list(Aggregation))
     def test_production_shapes(self, monkeypatch, agg):
