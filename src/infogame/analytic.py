@@ -2,8 +2,9 @@
 
 Every function here has a brute-force counterpart in :mod:`infogame.equilibrium`
 against which it can be cross-validated. The strict-equilibrium structure is
-judged a batch at a time by :func:`strict_structure_mask`, on the kernel's
-components; :func:`check_strict_ne_structure` is its batch of one.
+judged a batch at a time by :func:`strict_structure_mask`: a star test on the
+kernel's components, then the kernel's own strict test on the stars;
+:func:`check_strict_ne_structure` is its batch of one.
 Cost-model coverage follows the available theory: homogeneous and
 recipient-dependent costs are supported, general cost matrices are rejected.
 
@@ -25,7 +26,7 @@ import numpy as np
 from .entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
 from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from .equilibrium import SCAN_CHUNK, social_optimum
-from .kernel import components, compress_row, ne_status, require_budget, sponsored_tree_count, sponsored_trees
+from .kernel import components, ne_status, require_budget, sponsored_tree_count, sponsored_trees
 
 K_C = "K_C"
 K_I = "K_I"
@@ -191,23 +192,17 @@ def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[i
 
 
 def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
-    """Which profiles of a batch are shaped like a strict equilibrium?
+    """Which profiles of a batch are strict equilibria of the star shape?
 
     Requires homogeneous costs. ``rows`` holds link rows, shape (batch, n).
-    A profile passes when its partition passes
-    :func:`check_component_structure_ne`, every non-singleton component is a
-    star whose core sponsors all of its links, and no agent comes within
-    ``TOL`` of its current utility by flipping one link: dropping the core's
-    link to a periphery agent j cuts j off, so it must cost more than
-    f(H(C)) - f(H(C\\{j})) - c, and adding a link must gain less than its
-    cost. These margins are computed from the payoff tables in the order
-    :func:`~infogame.kernel.ne_status` uses, so a cost on the knife edge of
-    a marginal gain is judged as brute force judges it. A component with a
-    single sponsor is such a star, since each of its links has the sponsor
-    at one end. The usual statement also asks at least M - 1 members of an
-    M-agent component to clear the bar; the M - 1 periphery agents do, so
-    that follows. Each distinct partition of the batch's star-shaped
-    profiles is checked once. Returns a bool array of length batch.
+    A profile passes when every non-singleton component is a star whose core
+    sponsors all of its links, and :func:`~infogame.kernel.ne_status`, the
+    test brute force uses, finds it strict. A component with a single
+    sponsor is such a star, since each of its links has the sponsor at one
+    end. Only star-shaped profiles reach the strict test, so a strict
+    equilibrium of another shape would be a disagreement that the
+    verifier's comparison with brute force reports. Returns a bool array of
+    length batch.
     """
     if cfg.costs.kind != "homogeneous":
         raise ValueError("strict-structure checker supports homogeneous costs only")
@@ -217,29 +212,18 @@ def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
         raise ValueError("profile size does not match the game")
     comp = components(rows)
     sponsors = sum((rows[:, i] != 0).astype(np.int64) << i for i in range(n))
-    fh, row_costs = cfg.fh, cfg.row_costs
-    ok = np.ones(len(rows), dtype=bool)
+    stars = np.ones(len(rows), dtype=bool)
     for i in range(n):
         own = sponsors & comp[i]  # the sponsors of i's component, one bit each
         # a single sponsor (a linked component has at least one)
-        ok &= (comp[i] == 1 << i) | (own & (own - 1) == 0)
-        row = rows[:, i]
-        u = fh[comp[i]] - row_costs[i, compress_row(row, i)]
-        for j in range(n):
-            if j != i:
-                # in such a star, the core's link to j is j's only one
-                merged = np.where(row >> j & 1 == 1, comp[i] & ~(1 << j), comp[i] | comp[j])
-                ok &= fh[merged] - row_costs[i, compress_row(row ^ 1 << j, i)] < u - TOL
-    partitions = {}
-    for b, key in zip(np.flatnonzero(ok).tolist(), map(tuple, comp.T[ok].tolist())):
-        if key not in partitions:
-            partitions[key] = check_component_structure_ne(cfg, [subset_agents(m) for m in sorted(set(key))])
-        ok[b] = partitions[key]
+        stars &= (comp[i] == 1 << i) | (own & (own - 1) == 0)
+    ok = np.zeros(len(rows), dtype=bool)
+    ok[stars] = ne_status(n, rows[stars], range(n), cfg.fh, cfg.row_costs)[1]
     return ok
 
 
 def check_strict_ne_structure(cfg: GameConfig, profile: LinkProfile) -> bool:
-    """Is ``profile`` shaped like a strict equilibrium? :func:`strict_structure_mask`
+    """Is ``profile`` a star-shaped strict equilibrium? :func:`strict_structure_mask`
     of the batch of one."""
     return bool(strict_structure_mask(cfg, [profile.rows])[0])
 
@@ -273,11 +257,15 @@ def poa_predict(cfg: GameConfig) -> Prediction:
     optimum internalizes both endpoints' benefits and need not itself be
     empty for costs just above the isolation threshold, in which case the
     value exceeds 1; it collapses to 1 once links are socially unaffordable.
+    Outside K_C both values divide by sum_i f(H({i})), so a game where that
+    is 0 raises ``ValueError``: its PoA is undefined.
     """
     label = _region(cfg, "PoA").label
     f = cfg.benefit
     ev = cfg.ev
     empty_welfare = sum(f(v) for v in ev.singletons)
+    if label != K_C and empty_welfare == 0.0:
+        raise ValueError("the price of anarchy is undefined: the empty network has zero welfare")
     if label == K_I:
         return Prediction(social_optimum(cfg)[0] / empty_welfare, False, K_I)
     if label == K_M:

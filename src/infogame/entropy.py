@@ -262,6 +262,9 @@ def validate_shannon(ev: EntropicVector) -> ShannonReport:
 
 def _check_nonnegative(h) -> tuple[float, ...]:
     vals = tuple(float(v) for v in h)
+    # before any of the 2**n - 1 entries is built
+    if len(vals) > MAX_AGENTS:
+        raise ValueError(f"n_agents must be in 1..{MAX_AGENTS}, got {len(vals)}")
     if any(v < 0 for v in vals):
         raise ValueError("per-agent entropies must be nonnegative")
     return vals

@@ -17,7 +17,9 @@ component checker's blocks and the production game's tree shapes.
 
 One path evaluates best responses: :func:`best_response_table` takes a
 batch of profiles as an int64 array, and :func:`ne_status` judges a batch
-with it, so a single profile is a batch of one. It reads the payoff tables
+with it, so a single profile is a batch of one. The strict-equilibrium
+characterization takes its strict flag from :func:`ne_status` too, on the
+profiles its star test keeps. It reads the payoff tables
 that each ``GameConfig`` builds once and owns (``fh`` and ``row_costs``).
 :func:`components` is the package's one component walk. Through
 :func:`merged_table` it serves the best responses and the production game's

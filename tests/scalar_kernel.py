@@ -29,7 +29,6 @@ import itertools
 import numpy as np
 
 from infogame import formation_game, kernel
-from infogame.analytic import check_component_structure_ne
 from infogame.entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
 from infogame.formation_game import LinkProfile
 from infogame.kernel import compress_row
@@ -238,17 +237,15 @@ def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) 
 
 
 def strict_ne_structure(cfg: formation_game.GameConfig, profile: LinkProfile) -> bool:
-    """Is ``profile`` shaped like a strict equilibrium? One profile of
-    ``analytic.strict_structure_mask``."""
+    """Is ``profile`` a star-shaped strict equilibrium? One profile of
+    ``analytic.strict_structure_mask``: the star test, then :func:`ne_status`."""
     if cfg.costs.kind != "homogeneous":
         raise ValueError("strict-structure checker supports homogeneous costs only")
     n = cfg.n_agents
     if profile.n_agents != n:
         raise ValueError("profile size does not match the game")
     fh, row_costs, rows = cfg.fh.tolist(), cfg.row_costs.tolist(), profile.rows
-    comp_of = component_masks(undirected_adjacency(profile))
-    masks = sorted(set(comp_of))
-    for mask in masks:
+    for mask in set(component_masks(undirected_adjacency(profile))):
         members = subset_agents(mask)
         if len(members) < 2:
             continue
@@ -258,16 +255,7 @@ def strict_ne_structure(cfg: formation_game.GameConfig, profile: LinkProfile) ->
         core = sponsors[0]
         if rows[core] & mask != mask ^ (1 << core):
             return False
-    # no single link flip comes within TOL: dropping the core's link to j cuts j off
-    for i in range(n):
-        u = fh[comp_of[i]] - row_costs[i][compress_row(rows[i], i)]
-        for j in range(n):
-            if j == i:
-                continue
-            merged = comp_of[i] & ~(1 << j) if rows[i] >> j & 1 else comp_of[i] | comp_of[j]
-            if not fh[merged] - row_costs[i][compress_row(rows[i] ^ (1 << j), i)] < u - TOL:
-                return False
-    return check_component_structure_ne(cfg, [subset_agents(m) for m in masks])
+    return ne_status(n, rows, range(n), fh, row_costs)[1]
 
 
 def production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:

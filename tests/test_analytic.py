@@ -22,7 +22,7 @@ from infogame.analytic import (
     thresholds_homogeneous,
 )
 from infogame.entropy import TOL, EntropicVector, family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
-from infogame.equilibrium import CapExceededError, enumerate_nash
+from infogame.equilibrium import CapExceededError, enumerate_nash, is_strict_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
 from infogame.kernel import profile_indices, rows_from_indices, set_partitions
 from infogame.verification import random_homogeneous_config, random_joint_pmf
@@ -149,13 +149,6 @@ class TestComponentCheckerBudget:
         with pytest.raises(CapExceededError, match="it would check 1075649 sponsored trees"):
             check_component_structure_ne(cfg, [range(7), [7]])
 
-    def test_strict_checker_refused_on_a_seven_agent_star(self, no_checks):
-        # each periphery link gains ln(8/7) > c, so the star passes the shape test
-        cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
-        star = LinkProfile.from_links(7, [(0, j) for j in range(1, 7)])
-        with pytest.raises(CapExceededError, match="1075648"):
-            check_strict_ne_structure(cfg, star)
-
     def test_six_agent_block_checked(self):
         # cheap links: every sponsored spanning tree is an equilibrium
         cfg = GameConfig(family_independent([1.0] * 6), LN, CostModel.homogeneous(0.1))
@@ -179,6 +172,13 @@ class TestStrictStructure:
         cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
         star = LinkProfile.from_links(3, [(1, 0), (2, 0)])
         assert not check_strict_ne_structure(cfg, star)
+
+    def test_seven_agent_star_judged_past_the_component_checker_budget(self):
+        # each periphery link gains ln(8/7) > c; the block has 1075648 sponsored trees
+        cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
+        star = LinkProfile.from_links(7, [(0, j) for j in range(1, 7)])
+        assert check_strict_ne_structure(cfg, star)
+        assert is_strict_nash(cfg, star)
 
     def test_non_equilibrium_rejected(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
@@ -212,20 +212,6 @@ class TestStrictStructure:
             strict_structure_mask(cfg, [(0, 0, 0)])
         with pytest.raises(ValueError, match="profile size"):
             check_strict_ne_structure(cfg, LinkProfile.empty(3))
-
-    def test_each_partition_is_checked_once(self, monkeypatch):
-        # the three 3-agent stars, each core-sponsored, share one partition
-        cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
-        calls = []
-
-        def count(cfg, partition):
-            calls.append(partition)
-            return True
-        monkeypatch.setattr(analytic, "check_component_structure_ne", count)
-        stars = [(0b110, 0, 0), (0, 0b101, 0), (0, 0, 0b011)]
-        # a cheap link is worth adding to the empty network, so its partition is never asked about
-        assert strict_structure_mask(cfg, stars + [(0, 0, 0)]).tolist() == [True] * 3 + [False]
-        assert calls == [[(0, 1, 2)]]
 
 
 @st.composite
@@ -296,14 +282,19 @@ class TestStrictKnifeEdge:
     def test_costs_around_the_marginal_gain(self, c):
         assert_mask_is_brute_force(GameConfig(self.LINEAR_PAIR, BenefitFunction.linear(), CostModel.homogeneous(c)))
 
-    # the mask tests one-link flips and the partition; a star's core that would rather
-    # swap its link for one to the agent left apart escapes both
-    @pytest.mark.xfail(strict=True, reason="the core ties by swapping to an equally informed agent")
+    FOUR_MAX_CORRELATED = family_max_correlated([0, 1, 3, 3])
+
+    # a star's core can swap its link between the two equally informed agents
+    @pytest.mark.parametrize("c", knife_edge_costs(FOUR_MAX_CORRELATED, BenefitFunction.linear()))
+    def test_four_agents_around_every_marginal_gain(self, c):
+        assert_mask_is_brute_force(GameConfig(self.FOUR_MAX_CORRELATED, BenefitFunction.linear(),
+                                              CostModel.homogeneous(c)))
+
+    # a star's core that would rather swap its link for one to the agent left apart
     def test_swap_to_an_equally_informed_agent_is_a_tie(self):
         cfg = GameConfig(family_max_correlated([1, 3, 3]), BenefitFunction.linear(), CostModel.homogeneous(1.0))
         assert_mask_is_brute_force(cfg)
 
-    @pytest.mark.xfail(strict=True, reason="the core of star (0, 0, 1) gains by swapping its link to agent 1")
     def test_swap_that_pays_is_not_an_equilibrium(self):
         ev = EntropicVector(3, (0.997507021886628, 1.5352109312624336, 1.9457784378865872, 0.9999806433818881,
                                 1.9701640009564494, 2.3243096282181517, 2.6307805699734454))
@@ -312,13 +303,10 @@ class TestStrictKnifeEdge:
 
 
 @st.composite
-def knife_edge_games(draw):
-    """Games at a cost on the knife edge of one of their marginal gains. At 2 agents, where
-    one-link flips are every deviation: linear benefit with integer independent or
-    max-correlated entropies, or pmf-realized information. At 3: integer independent
-    entropies, where no star sits beside a component its core would rather link to."""
-    n = draw(st.integers(2, 3))
-    kind = draw(st.sampled_from(["independent", "max_correlated", "pmf"] if n == 2 else ["independent"]))
+def knife_edge_games(draw, n):
+    """Games of n agents at a cost on the knife edge of one of their marginal gains: linear
+    benefit with integer independent or max-correlated entropies, or pmf-realized information."""
+    kind = draw(st.sampled_from(["independent", "max_correlated", "pmf"]))
     if kind == "pmf":
         ev, f = from_joint_pmf(random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)), LN
     else:
@@ -328,8 +316,8 @@ def knife_edge_games(draw):
     return GameConfig(ev, f, CostModel.homogeneous(draw(st.sampled_from(knife_edge_costs(ev, f)))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(knife_edge_games())
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(knife_edge_games))
 def test_strict_mask_matches_brute_force_on_knife_edges(cfg):
     assert_mask_is_brute_force(cfg)
 
@@ -373,6 +361,14 @@ class TestPredictions:
         assert [p.rows for p in report.ne_profiles] == [(0, 0, 0)]
         assert pred.value == pytest.approx(report.poa, abs=1e-9)
         assert pred.value > 1.0
+
+    @pytest.mark.parametrize("costs", [CostModel.homogeneous(0.5), CostModel.recipient([0.5, 0.5, 0.5])])
+    def test_zero_information_is_undefined_outside_the_connected_region(self, costs):
+        # every link is worthless, so the game sits in K_I and the empty network has welfare 0
+        cfg = GameConfig(family_independent([0, 0, 0]), LN, costs)
+        assert enumerate_nash(cfg).poa is None
+        with pytest.raises(ValueError, match="undefined"):
+            poa_predict(cfg)
 
     def test_matrix_costs_rejected(self):
         cfg = GameConfig(family_independent([1, 1]), LN,

@@ -122,6 +122,16 @@ class TestSweeps:
             assert float(r["mil_or_bound"]) == pytest.approx(expect, abs=1e-9)
 
 
+    @pytest.mark.parametrize("command", ["regions", "poa-sweep", "mil-sweep"])
+    def test_zero_information_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        spec = REGION_SPEC.replace("command: regions", f"command: {command}").replace(
+            "h: [5, 4, 4]", "h: [0, 0, 0]").replace("kl: [0, 1, 2, 3, 4]", "kl: [0]")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 2 and text == ""
+        assert not (tmp_path / "exp.yaml.csv").exists()
+        assert "price of anarchy is undefined" in capsys.readouterr().err
+
+
 ENUM_SPEC = """\
 command: enumerate
 game:
@@ -288,6 +298,17 @@ class TestVerify:
         assert code1 == 0 and code2 == 0
         assert text1 == text2
         assert "OK (13/13 passed)" in text1
+
+    @pytest.mark.parametrize("n, digest", [
+        (3, "2dc0772ddf5736018835db994cd404108e91a36649e16cab6e719e62095c128e"),
+        (4, "661eaf1c8ad49ef805276219bac7556be906de127f3b2f8424ad807d5d0357d7"),
+    ], ids=["n3", "n4"])
+    def test_golden_bytes(self, tmp_path, n, digest):
+        # pinned report of every check at seed 0: a rewrite of a checker may not move a byte
+        spec = VERIFY_SPEC.replace("n_agents: 3, instances: 6", f"n_agents: {n}, instances: 20")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_seed_override_changes_instances_not_structure(self, tmp_path):
         code, text = run_cli(tmp_path, VERIFY_SPEC, extra=["--seed", "7"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infogame import entropy
 from infogame.entropy import (
     EntropicVector,
     JointPmf,
@@ -182,6 +183,14 @@ class TestFamilies:
         for fam in (family_independent, family_max_correlated):
             with pytest.raises(ValueError, match="nonnegative"):
                 fam([1, -1])
+
+    @pytest.mark.parametrize("family", [family_independent, family_max_correlated])
+    def test_too_many_agents_rejected_before_any_entry_is_built(self, monkeypatch, family):
+        def fail(mask):
+            raise AssertionError("an entry was built")
+        monkeypatch.setattr(entropy, "subset_agents", fail)
+        with pytest.raises(ValueError, match=r"1\.\.16, got 17"):
+            family([1.0] * 17)
 
     @given(st.lists(st.floats(0, 16), min_size=1, max_size=4),
            st.floats(0, 1))
