@@ -38,9 +38,9 @@ from .equilibrium import (
 from .analytic import (
     ConnectivityRegion,
     Prediction,
-    check_component_structure_ne,
     check_strict_ne_structure,
     classify_homogeneous,
+    component_structures,
     mil_predict,
     poa_monotonicity_sweep,
     poa_predict,
@@ -85,11 +85,11 @@ __all__ = [
     "VerifyReport",
     "aggregate",
     "best_responses",
-    "check_component_structure_ne",
     "check_strict_ne_structure",
     "check_sum_equilibrium",
     "check_max_equilibrium",
     "classify_homogeneous",
+    "component_structures",
     "components",
     "enumerate_nash",
     "enumerate_production_ne",

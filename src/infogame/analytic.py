@@ -1,10 +1,11 @@
 """Closed-form predictors for equilibrium structure and efficiency.
 
 Every function here has a brute-force counterpart in :mod:`infogame.equilibrium`
-against which it can be cross-validated. The strict-equilibrium structure is
-judged a batch at a time by :func:`strict_structure_mask`: a star test on the
-kernel's components, then the kernel's own strict test on the stars;
-:func:`check_strict_ne_structure` is its batch of one.
+against which it can be cross-validated. :func:`component_structures` judges
+every partition of a game's agents in one batch. The strict-equilibrium
+structure is judged a batch at a time by :func:`strict_structure_mask`: a
+star test on the kernel's components, then the kernel's own strict test on
+the stars; :func:`check_strict_ne_structure` is its batch of one.
 Cost-model coverage follows the available theory: homogeneous and
 recipient-dependent costs are supported, general cost matrices are rejected.
 
@@ -13,20 +14,23 @@ connected region and c = c_u in the isolated region; when c_l = c_u the
 connected label wins. Recipient-dependent membership in the connected region
 quantifies its per-agent inequality over every agent, which is what actually
 guarantees that all equilibria are connected (the argmin-only variant does
-not). The cross-component condition of the component checker is oriented as
-"a strictly profitable cross link refutes equilibrium" for both cost models.
+not). The cross-component condition of :func:`component_structures` is
+oriented as "a strictly profitable cross link refutes equilibrium" for both
+cost models.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
+from .entropy import TOL, EntropicVector, full_mask, subset_mask
 from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
-from .equilibrium import SCAN_CHUNK, social_optimum
-from .kernel import components, ne_status, require_budget, sponsored_tree_count, sponsored_trees
+from .equilibrium import social_optimum
+from .kernel import (best_response_table, components, compress_row, ne_status, require_budget,
+                     set_partition_count, set_partitions, sponsored_tree_count, sponsored_trees)
 
 K_C = "K_C"
 K_I = "K_I"
@@ -117,78 +121,53 @@ def region_heterogeneous(ev: EntropicVector, f: BenefitFunction, costs: CostMode
     return ConnectivityRegion(label, kc_margins=margins, ki_margin=ki_margin)
 
 
-def _partition_masks(n: int, partition: Iterable[Iterable[int]]) -> list[int]:
-    masks = []
-    covered = 0
-    for block in partition:
-        mask = subset_mask(block)
-        if mask == 0:
-            raise ValueError("partition blocks must be nonempty")
-        if mask & covered:
-            raise ValueError("partition blocks overlap")
-        covered |= mask
-        masks.append(mask)
-    if covered != full_mask(n):
-        raise ValueError("partition does not cover all agents")
-    return masks
+def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
+    """Every partition of the agents that is the component structure of some equilibrium.
 
+    A partition is accepted when each block supports a sponsored spanning
+    tree in which no member gains more than 1e-9 from any rewiring, given
+    the other blocks. Those enter a member's payoffs only through their
+    joint entropies, so they are wired as index-order paths. The
+    certification is exact: viable trees for each block combine into an
+    equilibrium realizing the partition, and any equilibrium restricts to
+    viable trees blockwise. A singleton block is the cross-component test
+    that no outgoing link is strictly profitable. (A per-member test, where
+    each member profits from staying connected or makes the rest profit from
+    reaching it, is necessary only for stars: a chain routing information
+    through a member whose information is jointly redundant escapes it.)
 
-def _block_supports_ne(cfg: GameConfig, mask: int, other_masks: list[int]) -> bool:
-    """Does some sponsored spanning tree of the block survive its members' best
-    responses, with the other blocks abstracted to their information masks?
-
-    An agent's deviation payoffs depend on the other components only through
-    their joint entropies, so blocks can be certified independently: wire the
-    other blocks as arbitrary trees, try every sponsored spanning tree of this
-    block, and demand that every member's current row stays within tolerance
-    of its best response. The trees are judged in batches of ``SCAN_CHUNK``,
-    and the search stops at the first batch holding a viable tree.
-    """
-    n = cfg.n_agents
-    members = subset_agents(mask)
-    # index-order paths inside the other blocks; shape is irrelevant to this block
-    filler = [0] * n
-    for om in other_masks:
-        agents = subset_agents(om)
-        for t in range(len(agents) - 1):
-            filler[agents[t]] |= 1 << agents[t + 1]
-    trees = sponsored_trees(members, n) | np.array(filler, dtype=np.int64)
-    return any(ne_status(n, trees[start:start + SCAN_CHUNK], members, cfg.fh, cfg.row_costs)[0].any()
-               for start in range(0, len(trees), SCAN_CHUNK))
-
-
-def check_component_structure_ne(cfg: GameConfig, partition: Iterable[Iterable[int]]) -> bool:
-    """Can a network whose components are exactly ``partition`` arise in equilibrium?
-
-    True when every block supports a sponsored spanning tree in which no
-    member gains more than 1e-9 from any rewiring, given the information held
-    by the other blocks. Singleton blocks reduce to the cross-component test
-    that no outgoing link is strictly profitable. The certification is exact:
-    viable trees for each block combine into an equilibrium realizing the
-    partition, and any equilibrium restricts to viable trees blockwise.
-
-    A simpler per-member test (each member either profits from staying
-    connected or makes the rest profit from reaching it) is necessary only
-    for star-shaped components; chains routing information through a member
-    whose information is jointly redundant escape it, so the constructive
-    characterization is used instead. Supports homogeneous and
-    recipient-dependent costs; general cost matrices are rejected. A
-    partition whose blocks have more than ``CHECK_BUDGET`` sponsored trees
-    in all raises :class:`~infogame.kernel.CapExceededError` before any is
-    checked.
+    Every block of every partition is judged in one batch of sponsored
+    trees, with one :func:`~infogame.kernel.best_response_table` call per
+    agent. The batch holds sum_m C(n, m) sponsored_tree_count(m) Bell(n - m)
+    rows; past ``CHECK_BUDGET`` (from 7 agents on) it raises
+    :class:`~infogame.kernel.CapExceededError` before any is built.
+    Homogeneous and recipient-dependent costs only.
     """
     if cfg.costs.kind not in ("homogeneous", "recipient"):
-        raise ValueError("component checker supports homogeneous or recipient costs only")
+        raise ValueError("component structures support homogeneous or recipient costs only")
     n = cfg.n_agents
-    masks = _partition_masks(n, partition)
-    require_budget(sum(sponsored_tree_count(mask.bit_count()) for mask in masks),
-                   f"component checker on blocks of {sorted(m.bit_count() for m in masks)} agents",
-                   "sponsored trees")
-    for mask in masks:
-        others = [m for m in masks if m != mask]
-        if not _block_supports_ne(cfg, mask, others):
-            return False
-    return True
+    require_budget(sum(math.comb(n, m) * sponsored_tree_count(m) * set_partition_count(n - m)
+                       for m in range(1, n + 1)), f"component structures of {n} agents", "sponsored trees")
+    partitions = [list(map(tuple, part)) for part in set_partitions(tuple(range(n)))]
+    batch, inside = [], []
+    for part in partitions:
+        paths = np.zeros(n, dtype=np.int64)  # index-order paths inside every block
+        for block in part:
+            paths[list(block[:-1])] = 1 << np.array(block[1:], dtype=np.int64)
+        for block in part:
+            mask = subset_mask(block)
+            batch.append(np.where(mask >> np.arange(n) & 1, sponsored_trees(block, n), paths))
+            inside.append(mask)
+    sizes = [len(b) for b in batch]
+    rows, inside = np.concatenate(batch), np.repeat(inside, sizes)
+    viable = np.ones(len(rows), dtype=bool)
+    for i in range(n):
+        own = np.flatnonzero(inside >> i & 1)  # the rows of the blocks holding agent i
+        table = best_response_table(n, rows[own], i, cfg.fh, cfg.row_costs[i])
+        viable[own] &= table[np.arange(len(own)), compress_row(rows[own, i], i)]
+    supported = np.logical_or.reduceat(viable, np.cumsum([0] + sizes[:-1]))
+    accepted = np.logical_and.reduceat(supported, np.cumsum([0] + [len(p) for p in partitions[:-1]]))
+    return {frozenset(map(frozenset, part)) for part, ok in zip(partitions, accepted) if ok}
 
 
 def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
@@ -257,14 +236,15 @@ def poa_predict(cfg: GameConfig) -> Prediction:
     optimum internalizes both endpoints' benefits and need not itself be
     empty for costs just above the isolation threshold, in which case the
     value exceeds 1; it collapses to 1 once links are socially unaffordable.
-    Outside K_C both values divide by sum_i f(H({i})), so a game where that
-    is 0 raises ``ValueError``: its PoA is undefined.
+    A game where sum_i f(H({i})) is 0 raises ``ValueError`` in every region:
+    its PoA is undefined. For a Shannon vector that sum is 0 only when
+    H(all) is 0 too, so no network has positive welfare.
     """
     label = _region(cfg, "PoA").label
     f = cfg.benefit
     ev = cfg.ev
     empty_welfare = sum(f(v) for v in ev.singletons)
-    if label != K_C and empty_welfare == 0.0:
+    if empty_welfare == 0.0:
         raise ValueError("the price of anarchy is undefined: the empty network has zero welfare")
     if label == K_I:
         return Prediction(social_optimum(cfg)[0] / empty_welfare, False, K_I)

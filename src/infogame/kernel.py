@@ -13,7 +13,8 @@ target, the reverse of the compact-row order. :func:`rows_from_indices` and
 Every search over sponsored trees (each edge of a tree linked by exactly one
 of its ends) takes its rows from :func:`sponsored_trees`, the one place that
 turns :func:`spanning_trees` into profiles: the pruned NE scan's forests, the
-component checker's blocks and the production game's tree shapes.
+blocks of every partition that the component structures judge, and the
+production game's tree shapes.
 
 One path evaluates best responses: :func:`best_response_table` takes a
 batch of profiles as an int64 array, and :func:`ne_status` judges a batch

@@ -18,7 +18,7 @@ from . import analytic, equilibrium, production
 from .csvtable import row_strings
 from .entropy import EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmf, subset_agents
 from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
-from .kernel import profile_indices, require_budget, rows_from_indices, set_partitions
+from .kernel import profile_indices, require_budget, rows_from_indices
 from .production import Aggregation, ProductionGameConfig, ProductionProfile
 
 
@@ -87,14 +87,6 @@ def _all_connected(report: equilibrium.EquilibriumReport, ev: EntropicVector) ->
     return bool((np.abs(info - ev.joint_entropy) <= 1e-9).all())
 
 
-def _accepted_partitions(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
-    out = set()
-    for part in set_partitions(tuple(range(cfg.n_agents))):
-        if analytic.check_component_structure_ne(cfg, part):
-            out.add(frozenset(frozenset(b) for b in part))
-    return out
-
-
 # -- individual checks ----------------------------------------------------------
 
 def _check_existence_minimality(rng, n_agents, instances, benefit):
@@ -144,7 +136,7 @@ def _check_partitions(rng, n_agents, instances, benefit, random_config):
     for t in range(instances):
         cfg = random_config(rng, 2 + t % (n_agents - 1), benefit)
         realized = _realized_partitions(equilibrium.enumerate_nash(cfg))
-        accepted = _accepted_partitions(cfg)
+        accepted = analytic.component_structures(cfg)
         if realized != accepted:
             return False, f"instance {t}: realized {len(realized)} vs accepted {len(accepted)} partitions"
     return True, f"{instances} instances, partition sets identical"

@@ -17,8 +17,8 @@ from infogame.analytic import (
     K_C,
     K_I,
     K_M,
-    check_component_structure_ne,
     classify_homogeneous,
+    component_structures,
     mil_predict,
     poa_monotonicity_sweep,
     poa_predict,
@@ -35,7 +35,6 @@ from infogame.formation_game import (
     GameConfig,
     components,
 )
-from infogame.kernel import set_partitions
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -126,10 +125,7 @@ def test_criterion_4_structure_oracle_equivalence():
             n = cfg.n_agents
             report = enumerate_nash(cfg)
             realized = {frozenset(components(p)) for p in report.ne_profiles}
-            accepted = {frozenset(frozenset(b) for b in part)
-                        for part in set_partitions(tuple(range(n)))
-                        if check_component_structure_ne(cfg, part)}
-            assert realized == accepted
+            assert realized == component_structures(cfg)
             strict = {p.rows for p in report.strict_ne_profiles}
             rows = [profile_from_index(idx, n) for idx in range(1 << (n * (n - 1)))]
             assert strict_structure_mask(cfg, rows).tolist() == [r in strict for r in rows]

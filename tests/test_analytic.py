@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogame import analytic
+from infogame import analytic, kernel
 from infogame.analytic import (
     K_C,
     K_I,
     K_M,
-    check_component_structure_ne,
     check_strict_ne_structure,
     classify_homogeneous,
+    component_structures,
     mil_predict,
     poa_monotonicity_sweep,
     poa_predict,
@@ -24,7 +24,7 @@ from infogame.analytic import (
 from infogame.entropy import TOL, EntropicVector, family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
 from infogame.equilibrium import CapExceededError, enumerate_nash, is_strict_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
-from infogame.kernel import profile_indices, rows_from_indices, set_partitions
+from infogame.kernel import best_response_table, profile_indices, rows_from_indices, set_partition_count
 from infogame.verification import random_homogeneous_config, random_joint_pmf
 from scalar_kernel import profile_from_index
 from scalar_kernel import strict_ne_structure as scalar_strict_ne_structure
@@ -78,82 +78,79 @@ class TestHeterogeneousRegion:
             region_heterogeneous(ev, LN, CostModel.homogeneous(0.3))
 
 
+def realized_partitions(cfg):
+    """Component structures of every equilibrium of a game, from ``enumerate_nash``."""
+    return {frozenset(components(p)) for p in enumerate_nash(cfg).ne_profiles}
+
+
 class TestComponentStructure:
     def test_pair_supported_at_low_cost(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
-        assert check_component_structure_ne(cfg, [{0, 1}])
+        assert frozenset({frozenset({0, 1})}) in component_structures(cfg)
 
     def test_split_rejected_when_cross_link_profitable(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
-        assert not check_component_structure_ne(cfg, [{0}, {1}])
+        assert frozenset({frozenset({0}), frozenset({1})}) not in component_structures(cfg)
 
     def test_split_supported_at_high_cost(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(2.0))
-        assert check_component_structure_ne(cfg, [{0}, {1}])
-
-    def test_bad_partition_rejected(self):
-        cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
-        with pytest.raises(ValueError):
-            check_component_structure_ne(cfg, [{0}])
-        with pytest.raises(ValueError):
-            check_component_structure_ne(cfg, [{0, 1}, {1}])
+        assert frozenset({frozenset({0}), frozenset({1})}) in component_structures(cfg)
 
     def test_matrix_costs_rejected(self):
         cfg = GameConfig(family_independent([1, 1]), LN,
                          CostModel.matrix([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
-            check_component_structure_ne(cfg, [{0, 1}])
+            component_structures(cfg)
 
     def test_matches_enumeration_partitions(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
-            realized = {frozenset(components(p))
-                        for p in enumerate_nash(cfg).ne_profiles}
-            accepted = {frozenset(frozenset(b) for b in part)
-                        for part in set_partitions(tuple(range(cfg.n_agents)))
-                        if check_component_structure_ne(cfg, part)}
-            assert realized == accepted
+            assert component_structures(cfg) == realized_partitions(cfg)
 
-    @pytest.mark.parametrize("chunk", [1, 5])
-    def test_tree_batch_size_does_not_change_the_answer(self, monkeypatch, chunk):
-        # four agents: a block's viable tree can sit in any batch, not only the first
-        monkeypatch.setattr(analytic, "SCAN_CHUNK", chunk)
-        for seed in (1, 4, 7, 10):
-            cfg = random_homogeneous_config(np.random.default_rng(seed), 4, LN)
-            realized = {frozenset(components(p))
-                        for p in enumerate_nash(cfg).ne_profiles}
-            accepted = {frozenset(frozenset(b) for b in part)
-                        for part in set_partitions(tuple(range(4)))
-                        if check_component_structure_ne(cfg, part)}
-            assert realized == accepted
+    def test_one_best_response_table_per_agent(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return best_response_table(*args, **kwargs)
+        monkeypatch.setattr(analytic, "best_response_table", counted)
+        for n in (2, 3, 4):
+            calls.clear()
+            component_structures(random_homogeneous_config(np.random.default_rng(n), n, LN))
+            assert calls == list(range(n))
 
 
 class TestComponentCheckerBudget:
-    """Partitions with more than 2**20 sponsored trees are refused before any is checked."""
+    """Games with more than 2**20 sponsored trees over all blocks of all partitions are
+    refused before any tree is built."""
 
-    @pytest.fixture
-    def no_checks(self, monkeypatch):
+    def test_seven_agents_refused(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("a sponsored tree was checked")
-        monkeypatch.setattr(analytic, "ne_status", fail)
-
-    def test_seven_agent_block_refused(self, no_checks):
+            raise AssertionError("a sponsored tree was built or checked")
+        monkeypatch.setattr(analytic, "sponsored_trees", fail)
+        monkeypatch.setattr(analytic, "best_response_table", fail)
         cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
-        # 7**5 trees, 2**6 orientations each
-        with pytest.raises(CapExceededError, match="it would check 1075648 sponsored trees"):
-            check_component_structure_ne(cfg, [range(7)])
+        # sum over block sizes m of C(7, m) * m**(m-2) * 2**(m-1) * Bell(7 - m)
+        with pytest.raises(CapExceededError, match="it would check 1482257 sponsored trees"):
+            component_structures(cfg)
 
-    def test_budget_sums_over_blocks(self, no_checks):
-        cfg = GameConfig(family_independent([1.0] * 8), LN, CostModel.homogeneous(0.1))
-        with pytest.raises(CapExceededError, match="it would check 1075649 sponsored trees"):
-            check_component_structure_ne(cfg, [range(7), [7]])
+    @pytest.mark.parametrize("n, count", [(4, 220), (5, 3055), (6, 59274)])
+    def test_count_is_taken_before_any_tree_is_built(self, monkeypatch, n, count):
+        assert count == sum(math.comb(n, m) * m ** max(m - 2, 0) * 2 ** (m - 1) * set_partition_count(n - m)
+                            for m in range(1, n + 1))
+        monkeypatch.setattr(kernel, "CHECK_BUDGET", count - 1)
+        monkeypatch.setattr(analytic, "sponsored_trees", None)
+        cfg = GameConfig(family_independent([1.0] * n), LN, CostModel.homogeneous(0.1))
+        with pytest.raises(CapExceededError, match=f"it would check {count} sponsored trees"):
+            component_structures(cfg)
 
-    def test_six_agent_block_checked(self):
+    def test_six_agents_checked(self):
         # cheap links: every sponsored spanning tree is an equilibrium
         cfg = GameConfig(family_independent([1.0] * 6), LN, CostModel.homogeneous(0.1))
-        assert check_component_structure_ne(cfg, [range(6)])
-        assert not check_component_structure_ne(cfg, [[a] for a in range(6)])
+        accepted = component_structures(cfg)
+        assert frozenset({frozenset(range(6))}) in accepted
+        assert frozenset(frozenset({a}) for a in range(6)) not in accepted
 
 
 class TestStrictStructure:
@@ -322,6 +319,40 @@ def test_strict_mask_matches_brute_force_on_knife_edges(cfg):
     assert_mask_is_brute_force(cfg)
 
 
+@st.composite
+def knife_edge_structure_games(draw, n):
+    """Games of n agents under a log1p, linear or power benefit, with homogeneous or
+    recipient costs each on the knife edge of a marginal gain, at 0 or at 5e-10: integer
+    independent or max-correlated entropies, or pmf-realized information."""
+    kind = draw(st.sampled_from(["independent", "max_correlated", "pmf"]))
+    f = draw(st.sampled_from([LN, BenefitFunction.linear(), BenefitFunction.power(0.5)]))
+    if kind == "pmf":
+        ev = from_joint_pmf(random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n))
+    else:
+        h = [float(x) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        ev = (family_independent if kind == "independent" else family_max_correlated)(h)
+    costs = st.sampled_from(knife_edge_costs(ev, f) + [0.0, 5e-10])
+    if draw(st.booleans()):
+        return GameConfig(ev, f, CostModel.homogeneous(draw(costs)))
+    return GameConfig(ev, f, CostModel.recipient(draw(st.lists(costs, min_size=n, max_size=n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(knife_edge_structure_games))
+def test_component_structures_match_brute_force_on_knife_edges(cfg):
+    assert component_structures(cfg) == realized_partitions(cfg)
+
+
+@pytest.mark.parametrize("f", [LN, BenefitFunction.linear(), BenefitFunction.power(0.5)], ids=lambda f: f.name)
+def test_component_structures_of_a_pair_at_every_knife_edge(f):
+    ev = family_independent([1, 1])
+    costs = knife_edge_costs(ev, f) + [0.0, 5e-10]
+    for c, d in zip(costs, reversed(costs)):
+        for costs in (CostModel.homogeneous(c), CostModel.recipient([c, d])):
+            cfg = GameConfig(ev, f, costs)
+            assert component_structures(cfg) == realized_partitions(cfg), (c, costs.kind)
+
+
 class TestPredictions:
     def test_homogeneous_connected_poa_exact_one(self):
         cfg = GameConfig(family_pair_redundancy(5, 4, 4, 0), LN, CostModel.homogeneous(0.3))
@@ -362,9 +393,11 @@ class TestPredictions:
         assert pred.value == pytest.approx(report.poa, abs=1e-9)
         assert pred.value > 1.0
 
-    @pytest.mark.parametrize("costs", [CostModel.homogeneous(0.5), CostModel.recipient([0.5, 0.5, 0.5])])
-    def test_zero_information_is_undefined_outside_the_connected_region(self, costs):
-        # every link is worthless, so the game sits in K_I and the empty network has welfare 0
+    @pytest.mark.parametrize("costs", [CostModel.homogeneous(0.5), CostModel.recipient([0.5, 0.5, 0.5]),
+                                       CostModel.homogeneous(0.0)])
+    def test_zero_information_is_undefined_in_every_region(self, costs):
+        # every link is worthless, so every network has welfare 0: at c = 0 the game
+        # sits in K_C, at a positive cost in K_I
         cfg = GameConfig(family_independent([0, 0, 0]), LN, costs)
         assert enumerate_nash(cfg).poa is None
         with pytest.raises(ValueError, match="undefined"):

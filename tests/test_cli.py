@@ -122,10 +122,12 @@ class TestSweeps:
             assert float(r["mil_or_bound"]) == pytest.approx(expect, abs=1e-9)
 
 
+    @pytest.mark.parametrize("c", ["{start: 0.02, stop: 1.4, points: 20}", "[0]"])
     @pytest.mark.parametrize("command", ["regions", "poa-sweep", "mil-sweep"])
-    def test_zero_information_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+    def test_zero_information_exits_2_and_writes_nothing(self, tmp_path, capsys, command, c):
         spec = REGION_SPEC.replace("command: regions", f"command: {command}").replace(
-            "h: [5, 4, 4]", "h: [0, 0, 0]").replace("kl: [0, 1, 2, 3, 4]", "kl: [0]")
+            "h: [5, 4, 4]", "h: [0, 0, 0]").replace("kl: [0, 1, 2, 3, 4]", "kl: [0]").replace(
+            "{start: 0.02, stop: 1.4, points: 20}", c)
         code, text = run_cli(tmp_path, spec)
         assert code == 2 and text == ""
         assert not (tmp_path / "exp.yaml.csv").exists()

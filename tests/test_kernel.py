@@ -200,7 +200,7 @@ def test_merged_table_matches_merged_components(n, batch):
 @pytest.mark.parametrize("ties", [False, True])
 @pytest.mark.parametrize("n", range(2, 7))
 def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
-    # agent subsets in ascending order, as the component checker passes a block's members
+    # agent subsets in ascending order, as the component structures pass a block's members
     rng = np.random.default_rng(70 + n)
     if ties:
         # a link to a one-bit agent gains exactly its price: equilibria that are not strict

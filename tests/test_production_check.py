@@ -279,6 +279,17 @@ class TestShapeCheckers:
         assert shape_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True] == [scalar_shape(cfg, s)]
         assert production_ne_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True]
 
+    # open defect: the whole stand-alone payoff (h_bar ~ 8.7e-11) is below TOL, so the empty
+    # network at zero production is an equilibrium within TOL that the shapes reject; at the
+    # time of writing 98 of 196 SUM and 184 of 196 MAX grid profiles disagree
+    @pytest.mark.xfail(strict=True, reason="shape_mask rejects ties that a payoff below TOL makes")
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    def test_shapes_match_the_mask_when_the_whole_payoff_is_below_tol(self, agg):
+        cfg = ProductionGameConfig(2, BENEFITS[1], 1.0 - 1e-10, 1e-11, agg)
+        assert 0.0 < cfg.h_bar() < TOL and not cfg.high_cost()
+        for rows, prods in production.grid_batches(cfg):
+            assert shape_mask(cfg, rows, prods).tolist() == production_ne_mask(cfg, rows, prods).tolist()
+
     @pytest.mark.parametrize("agg, c, fraction", [
         (Aggregation.SUM, 1.0, 1.0), (Aggregation.MAX, 0.2, 1 / 16), (Aggregation.SUM, 0.2, 1.0)])
     def test_few_sweep_runs_to_sixteen_agents(self, agg, c, fraction):
