@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,8 +30,8 @@ import numpy as np
 from .entropy import TOL, EntropicVector, full_mask, subset_mask
 from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from .equilibrium import social_optimum
-from .kernel import (best_response_table, components, compress_row, ne_status, require_budget,
-                     set_partition_count, set_partitions, sponsored_tree_count, sponsored_trees)
+from .kernel import (TABLE_AGENTS, best_response_table, components, compress_row, merged_table, ne_status,
+                     require_budget, set_partition_count, set_partitions, sponsored_tree_count, sponsored_trees)
 
 K_C = "K_C"
 K_I = "K_I"
@@ -148,6 +149,19 @@ def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
     n = cfg.n_agents
     require_budget(sum(math.comb(n, m) * sponsored_tree_count(m) * set_partition_count(n - m)
                        for m in range(1, n + 1)), f"component structures of {n} agents", "sponsored trees")
+    partitions, count, agents, blocks, parts = (
+        _partition_batch if n <= TABLE_AGENTS else _partition_batch.__wrapped__)(n)
+    viable = np.ones(count, dtype=bool)
+    for i, (own, merged, compact) in enumerate(agents):
+        viable[own] &= best_response_table(merged, cfg.fh, cfg.row_costs[i])[np.arange(len(own)), compact]
+    accepted = np.logical_and.reduceat(np.logical_or.reduceat(viable, blocks), parts)
+    return {part for part, ok in zip(partitions, accepted) if ok}
+
+
+@cache
+def _partition_batch(n: int):
+    """The game-independent half of :func:`component_structures`, its arrays read-only: the partitions,
+    the batch size, per agent (its blocks' rows, their merged tables, its compact rows), the bounds."""
     partitions = [list(map(tuple, part)) for part in set_partitions(tuple(range(n)))]
     batch, inside = [], []
     for part in partitions:
@@ -160,14 +174,13 @@ def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
             inside.append(mask)
     sizes = [len(b) for b in batch]
     rows, inside = np.concatenate(batch), np.repeat(inside, sizes)
-    viable = np.ones(len(rows), dtype=bool)
-    for i in range(n):
-        own = np.flatnonzero(inside >> i & 1)  # the rows of the blocks holding agent i
-        table = best_response_table(n, rows[own], i, cfg.fh, cfg.row_costs[i])
-        viable[own] &= table[np.arange(len(own)), compress_row(rows[own, i], i)]
-    supported = np.logical_or.reduceat(viable, np.cumsum([0] + sizes[:-1]))
-    accepted = np.logical_and.reduceat(supported, np.cumsum([0] + [len(p) for p in partitions[:-1]]))
-    return {frozenset(map(frozenset, part)) for part, ok in zip(partitions, accepted) if ok}
+    owns = [np.flatnonzero(inside >> i & 1) for i in range(n)]  # the rows of the blocks holding agent i
+    agents = tuple((own, merged_table(n, rows[own], i).astype(np.uint8), compress_row(rows[own, i], i))
+                   for i, own in enumerate(owns))
+    bounds = np.cumsum([0] + sizes[:-1]), np.cumsum([0] + [len(p) for p in partitions[:-1]])
+    for a in bounds + sum(agents, ()):
+        a.flags.writeable = False
+    return (tuple(frozenset(map(frozenset, p)) for p in partitions), len(rows), agents) + bounds
 
 
 def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:

@@ -9,12 +9,12 @@ the game, and :func:`is_nash`, :func:`is_strict_nash` and
 maximum information loss are fields of :class:`EquilibriumReport`.
 
 The full scan covers every profile. Agent i's best responses depend on the
-others' rows only, so its table is built once per others configuration
-(2**((n-1)**2) of them) and then reshaped to (2**(w*i), 2**w, rest), w = n-1,
-putting agent i's own row field in the middle axis: in the profile index
-that field is contiguous, so one gather tests agent i's row in every profile
-at once. A profile is an NE when every agent's own row is set in its table,
-and strict when that row is the only one set.
+others' rows only: its merged table, once per others configuration (2**((n-1)**2)),
+is kept per agent count up to ``TABLE_AGENTS`` agents and streamed past that,
+and a game scores it, then reshapes it to (2**(w*i), 2**w, rest), w = n-1, with
+agent i's own row field, contiguous in the profile index, in the middle axis,
+so one gather tests agent i's row in every profile. A profile is an NE when
+every agent's own row is set in its table, and strict when it is the only one.
 
 Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
 have 2**30 profiles) and the scan switches to candidate pruning: every NE
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,11 +43,13 @@ from .entropy import TOL, subset_mask
 from .formation_game import GameConfig, LinkProfile
 from .kernel import (
     CHECK_BUDGET,
+    TABLE_AGENTS,
     CapExceededError,
     best_response_table,
     components,
     expand_row,
     field_compacts,
+    merged_table,
     ne_status,
     profile_indices,
     require_budget,
@@ -132,7 +134,7 @@ def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TO
     if others.n_agents != n:
         raise ValueError("profile size does not match the game")
     rows = np.array([others.rows], dtype=np.int64)
-    table = best_response_table(n, rows, i, cfg.fh, cfg.row_costs[i], tol)
+    table = best_response_table(merged_table(n, rows, i), cfg.fh, cfg.row_costs[i], tol)
     return frozenset(expand_row(c, i) for c in np.flatnonzero(table[0]).tolist())
 
 
@@ -157,6 +159,17 @@ def is_strict_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> b
 
 # -- enumeration --------------------------------------------------------------
 
+@cache
+def _others_merged(n: int, i: int, start: int) -> np.ndarray:
+    """Agent i's read-only uint8 merged table for the ``SCAN_CHUNK`` others configurations from ``start``."""
+    w, low = n - 1, (n - 1) * (n - 1 - i)
+    others = np.arange(start, min(start + SCAN_CHUNK, 1 << (w * w)), dtype=np.int64)
+    idx = (others >> low << (low + w)) | (others & ((1 << low) - 1))  # the others' fields, own field empty
+    merged = merged_table(n, rows_from_indices(idx, n), i).astype(np.uint8)
+    merged.flags.writeable = False
+    return merged
+
+
 def _ne_scan_full(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive scan; the rows (int64, (ne, n)) and strict flags of every NE,
     in profile-index order."""
@@ -169,12 +182,9 @@ def _ne_scan_full(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
     for i in range(n):
         low = w * (n - 1 - i)
         table = np.empty((n_others, 1 << w), dtype=bool)
-        for start in range(0, n_others, SCAN_CHUNK):
-            others = np.arange(start, min(start + SCAN_CHUNK, n_others), dtype=np.int64)
-            # the others' fields around an empty own field
-            idx = (others >> low << (low + w)) | (others & ((1 << low) - 1))
-            table[start:start + len(others)] = best_response_table(
-                n, rows_from_indices(idx, n), i, fh, costs[i], tol)
+        for start in range(0, n_others, SCAN_CHUNK):  # tables kept up to TABLE_AGENTS agents
+            merged = (_others_merged if n <= TABLE_AGENTS else _others_merged.__wrapped__)(n, i, start)
+            table[start:start + len(merged)] = best_response_table(merged, fh, costs[i], tol)
         unique = (table.sum(axis=1) == 1).reshape(1 << (w * i), 1, 1 << low)
         own = table[:, field_compacts(n)].reshape(1 << (w * i), 1 << low, 1 << w)
         own = own.transpose(0, 2, 1)

@@ -16,12 +16,12 @@ turns :func:`spanning_trees` into profiles: the pruned NE scan's forests, the
 blocks of every partition that the component structures judge, and the
 production game's tree shapes.
 
-One path evaluates best responses: :func:`best_response_table` takes a
-batch of profiles as an int64 array, and :func:`ne_status` judges a batch
-with it, so a single profile is a batch of one. The strict-equilibrium
-characterization takes its strict flag from :func:`ne_status` too, on the
-profiles its star test keeps. It reads the payoff tables
-that each ``GameConfig`` builds once and owns (``fh`` and ``row_costs``).
+One path evaluates best responses: :func:`best_response_table` scores a batch's
+:func:`merged_table`, the game-independent half that the full scan and the
+partition judgement keep per agent count up to ``TABLE_AGENTS``, with the payoff
+tables each ``GameConfig`` owns (``fh``, ``row_costs``); :func:`ne_status`
+judges a batch with it, a single profile being a batch of one, and gives the
+strict-equilibrium characterization its strict flag on the stars it keeps.
 :func:`components` is the package's one component walk. Through
 :func:`merged_table` it serves the best responses and the production game's
 equilibrium check; it also gives equilibrium reports their components, the
@@ -43,6 +43,8 @@ from .entropy import TOL
 
 # profiles, sponsored trees, partitions or grid points one brute-force search may visit
 CHECK_BUDGET = 1 << 20
+# agent counts whose game-independent scan and partition tables are kept across games
+TABLE_AGENTS = 4
 
 
 class CapExceededError(RuntimeError):
@@ -233,17 +235,19 @@ def merged_table(n: int, rows: np.ndarray, i: int) -> np.ndarray:
     return merged
 
 
-def best_response_table(n: int, rows: np.ndarray, i: int, fh: np.ndarray,
-                        row_cost: np.ndarray, tol: float = TOL) -> np.ndarray:
+def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray,
+                        tol: float = TOL) -> np.ndarray:
     """Agent i's within-tolerance best responses for a batch of profiles.
 
-    ``rows`` is an int64 array of shape (batch, n); column i is ignored.
-    Returns a bool array of shape (batch, 2**(n-1)) whose entry [b, c] is set
-    when compact row c is within ``tol`` of agent i's best utility against
-    the other rows of profile b. ``fh`` and ``row_cost`` are ``GameConfig.fh``
+    ``merged`` is agent i's :func:`merged_table` of the batch, in any integer
+    dtype: the game-independent half, which callers may keep across games.
+    Returns a bool array of the same shape whose entry [b, c] is set when
+    compact row c is within ``tol`` of agent i's best utility against the
+    other rows of profile b. ``fh`` and ``row_cost`` are ``GameConfig.fh``
     and agent i's row of ``GameConfig.row_costs``.
     """
-    u = fh[merged_table(n, rows, i)] - row_cost
+    u = fh[merged]
+    u -= row_cost  # in place: the caller's merged table may still be alive
     return u >= u.max(axis=1, keepdims=True) - tol
 
 
@@ -263,7 +267,7 @@ def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarra
     alive = np.arange(len(rows))
     strict = np.ones(len(rows), dtype=bool)
     for i in agents:
-        table = best_response_table(n, rows, i, fh, costs[i], tol)
+        table = best_response_table(merged_table(n, rows, i), fh, costs[i], tol)
         keep = table[np.arange(len(rows)), compress_row(rows[:, i], i)]
         strict = strict[keep] & (table[keep].sum(axis=1) == 1)
         alive, rows = alive[keep], rows[keep]

@@ -14,14 +14,14 @@ the inner optimum is max(0, h_bar - acquired), for MAX it is 0 or h_bar.
 h_bar, the stand-alone optimal production, solves f'(h) = k.
 
 One check, :func:`production_ne_mask`, judges a batch of profiles given as
-arrays: for each agent, ``kernel.merged_table`` gives its component under
-every compact row, and every (row, production) deviation of every profile is
-scored at once, in chunks of ``CHECK_CHUNK`` cells. The aggregates are
-accumulated one agent at a time in ascending order, and f is evaluated by
-the scalar :class:`BenefitFunction` on the distinct values only, so every
-utility is the float that the per-profile utility under ``tests/`` (the
-oracle the check is compared against) computes. Enumerations estimate their
-checks first and refuse more than ``CHECK_BUDGET``.
+arrays, in chunks of about ``CHECK_BYTES``. Agent i's best deviation depends
+on the others' rows and productions only, so it is scored once per distinct
+pair: ``kernel.merged_table`` gives i's component under every compact row, and
+each production candidate is scored once per distinct amount a row acquires.
+Aggregates are accumulated one agent at a time in ascending order, and f is
+evaluated by the scalar :class:`BenefitFunction` on distinct values only, so
+every utility is the float of the per-profile oracle under ``tests/``.
+Enumerations estimate their checks first and refuse more than ``CHECK_BUDGET``.
 
 The equilibrium shapes of the characterizations are judged a batch at a time
 by :func:`shape_mask` on ``kernel.components``: a spanning tree, and for SUM
@@ -47,8 +47,8 @@ from .formation_game import BenefitFunction, LinkProfile
 from .kernel import (CHECK_BUDGET, components, compress_row, merged_table, profile_indices, require_budget,
                      rows_from_indices, sponsored_tree_count, sponsored_trees)
 
-# cells (profiles x compact rows x production candidates) per chunk of production_ne_mask
-CHECK_CHUNK = 1 << 13
+# working memory of one chunk of production_ne_mask, in bytes
+CHECK_BYTES = 1 << 18
 PRODUCER_EPS = 1e-12
 
 
@@ -58,26 +58,13 @@ class Aggregation(enum.Enum):
 
 
 def aggregate(agg: Aggregation, productions, mask: int) -> float:
-    """Joint information of the agents in ``mask`` given their production levels."""
-    if mask == 0:
-        return 0.0
-    if agg is Aggregation.SUM:
-        total = 0.0
-        t = mask
-        while t:
-            low = t & -t
-            total += productions[low.bit_length() - 1]
-            t ^= low
-        return total
-    best = 0.0
-    t = mask
-    while t:
-        low = t & -t
-        v = productions[low.bit_length() - 1]
-        if v > best:
-            best = v
-        t ^= low
-    return best
+    """Joint information of the agents in ``mask`` given their production levels: from 0.0,
+    their sum (SUM) or maximum (MAX), taken in ascending agent order."""
+    total = 0.0
+    for j, p in enumerate(productions):
+        if mask >> j & 1:
+            total = total + p if agg is Aggregation.SUM else max(total, p)
+    return total
 
 
 @dataclass(frozen=True)
@@ -204,13 +191,10 @@ def grid_levels(cfg: ProductionGameConfig) -> list[float]:
 
 
 def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """:func:`aggregate` of every entry of ``masks``, row b over the productions ``prods[b]``.
-
-    SUM adds the members' productions one agent at a time in ascending
-    order, as :func:`aggregate` does, so each value is the same float.
-    """
+    """:func:`aggregate` of every entry of ``masks``, row b over the productions ``prods[b]``: the
+    same float, as SUM adds the members' productions one agent at a time in ascending order."""
     n = prods.shape[1]
-    member = (masks[..., None] >> np.arange(n) & 1).astype(bool)
+    member = masks[..., None] >> np.arange(n) & 1
     terms = np.where(member, prods.reshape((len(prods),) + (1,) * (masks.ndim - 1) + (n,)), 0.0)
     if agg is Aggregation.SUM:
         return np.add.accumulate(terms, axis=-1)[..., -1]
@@ -218,9 +202,8 @@ def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks: np.ndarray) -> 
 
 
 def _chunk_profiles(cfg: ProductionGameConfig) -> int:
-    """Profiles per chunk: ``CHECK_CHUNK`` cells of compact rows x production candidates."""
-    width = len(grid_levels(cfg)) + 1 + (cfg.agg is Aggregation.SUM)
-    return max(1, CHECK_CHUNK // (width << (cfg.n_agents - 1)))
+    """Profiles per ``CHECK_BYTES``: a profile takes about three float64 (compact rows, agents) arrays."""
+    return max(1, CHECK_BYTES // (24 * cfg.n_agents << (cfg.n_agents - 1)))
 
 
 def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:
@@ -253,30 +236,40 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     f, k, c, hb = cfg.benefit, cfg.k, cfg.c, cfg.h_bar()
     is_sum = cfg.agg is Aggregation.SUM
     levels = np.array(grid_levels(cfg) + [hb])
-    n_links = np.array([m.bit_count() for m in range(1 << n)], dtype=np.float64)  # per row mask
-    link_cost = c * n_links[:1 << (n - 1), None]
+    n_links = sum(np.arange(1 << n) >> b & 1 for b in range(n))  # per row mask
+    link_cost = c * n_links[:1 << (n - 1)]
 
     def deviates(rows, prods, i):
         """Per profile: can agent i gain more than TOL by a (links, production) deviation?"""
-        merged = merged_table(n, rows, i)
-        own = merged[np.arange(len(rows)), compress_row(rows[:, i], i)]
-        # column 0: i's component; then what each compact row acquires from others
-        info = _aggregate_masks(cfg.agg, prods, np.hstack([own[:, None], merged & ~(1 << i)]))
-        acquired = info[:, 1:, None]
-        h = np.empty(acquired.shape[:2] + (len(levels) + is_sum,))
-        h[..., :len(levels)] = levels
-        if is_sum:
-            h[..., -1:] = np.maximum(0.0, hb - acquired)
-            gained = acquired + h
+        # the best deviation depends on the others' (rows, productions) only: score it once per
+        # group of equal ones, from its first profile; bytes compare, so -0.0 and 0.0 split a group
+        if len(rows) == 1 or n == 1:
+            first, key = np.zeros(1, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
         else:
-            gained = np.maximum(acquired, h)
+            keys = np.delete(np.hstack([rows, prods.view(np.int64)]), [i, n + i], axis=1).copy()
+            keys = keys.view(f"V{keys.strides[0]}")[:, 0]
+            _, first, key = np.unique(keys, return_index=True, return_inverse=True)
+        merged = merged_table(n, rows[first], i)
+        own = merged[key, compress_row(rows[:, i], i)]
+        # and each production candidate once per distinct amount that a row acquires
+        acquired = _aggregate_masks(cfg.agg, prods[first], merged & ~(1 << i))
+        acquired, at = np.unique(acquired, return_inverse=True)
+        acquired = acquired[:, None]
+        h = np.empty((len(acquired), len(levels) + is_sum))
+        h[:, :len(levels)] = levels
+        if is_sum:
+            h[:, -1:] = np.maximum(0.0, hb - acquired)
+        gained = acquired + h if is_sum else np.maximum(acquired, h)
         # f by the scalar BenefitFunction, once per distinct value: numpy's log1p and
         # power differ from math's in the last bit on some inputs
-        values, inverse = np.unique(np.concatenate([info[:, 0], gained.ravel()]), return_inverse=True)
+        info = _aggregate_masks(cfg.agg, prods, own)
+        values, inverse = np.unique(np.concatenate([info, gained.ravel()]), return_inverse=True)
         fv = np.array([f(v) for v in values.tolist()])[inverse]
         current = fv[:len(rows)] - k * prods[:, i] - c * n_links[rows[:, i]]
-        u = fv[len(rows):].reshape(h.shape) - k * h - link_cost
-        return (u > (current + TOL)[:, None, None]).any(axis=(1, 2))
+        # a row's link cost is subtracted after the max over its candidates: rounding
+        # is monotone, so the best utility is the same float
+        best = (fv[len(rows):].reshape(h.shape) - k * h).max(axis=1)[at.reshape(merged.shape)] - link_cost
+        return best.max(axis=1)[key] > current + TOL
 
     per = _chunk_profiles(cfg)
     ne = np.zeros(len(rows), dtype=bool)

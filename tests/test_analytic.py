@@ -24,8 +24,8 @@ from infogame.analytic import (
 from infogame.entropy import TOL, EntropicVector, family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
 from infogame.equilibrium import CapExceededError, enumerate_nash, is_strict_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
-from infogame.kernel import best_response_table, profile_indices, rows_from_indices, set_partition_count
-from infogame.verification import random_homogeneous_config, random_joint_pmf
+from infogame.kernel import profile_indices, rows_from_indices, set_partition_count
+from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
 from scalar_kernel import profile_from_index
 from scalar_kernel import strict_ne_structure as scalar_strict_ne_structure
 
@@ -108,17 +108,23 @@ class TestComponentStructure:
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             assert component_structures(cfg) == realized_partitions(cfg)
 
-    def test_one_best_response_table_per_agent(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_second_game_builds_no_table(self, monkeypatch, n):
+        analytic._partition_batch.cache_clear()
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args[2])
-            return best_response_table(*args, **kwargs)
-        monkeypatch.setattr(analytic, "best_response_table", counted)
-        for n in (2, 3, 4):
-            calls.clear()
-            component_structures(random_homogeneous_config(np.random.default_rng(n), n, LN))
-            assert calls == list(range(n))
+            return kernel.merged_table(*args)
+        monkeypatch.setattr(analytic, "merged_table", counted)
+        component_structures(random_homogeneous_config(np.random.default_rng(n), n, LN))
+        assert calls == list(range(n))  # one table per agent for the first game
+
+        def fail(*args):
+            raise AssertionError("a table was built for a second game")
+        monkeypatch.setattr(analytic, "merged_table", fail)
+        cfg = random_recipient_config(np.random.default_rng(10 + n), n, LN)
+        assert component_structures(cfg) == realized_partitions(cfg)
 
 
 class TestComponentCheckerBudget:

@@ -180,7 +180,7 @@ def test_best_response_table_matches_row_utilities(n):
     idx = rng.integers(0, 1 << (n * (n - 1)), size=200)
     rows = rows_from_indices(idx, n)
     for i in range(n):
-        table = best_response_table(n, rows, i, fh, costs[i])
+        table = best_response_table(merged_table(n, rows, i), fh, costs[i])
         for b, k in enumerate(idx):
             utils = row_utilities(n, profile_from_index(int(k), n), i, fh, costs[i])
             assert table[b].tolist() == [u >= max(utils) - 1e-9 for u in utils]

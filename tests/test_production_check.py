@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from infogame import production
 from infogame.entropy import TOL
 from infogame.formation_game import BenefitFunction, LinkProfile
-from infogame.kernel import CapExceededError, rows_from_indices, sponsored_trees
+from infogame.kernel import CapExceededError, merged_table, rows_from_indices, sponsored_trees
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -223,6 +223,47 @@ class TestMaskMatchesScalar:
         assert not is_production_ne(cheaper, empty) and not scalar_is_production_ne(cheaper, empty)
 
 
+class TestDeduplicatedCheck:
+    """The check scores agent i's deviations once per distinct (others' rows, others'
+    productions) of a batch, whatever the order, repetition or split of the batch."""
+
+    @pytest.mark.parametrize("cost", ["low", "high"])
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("f, k, step", [
+        (BENEFITS[1], 0.25, None), (BENEFITS[2], 0.3, None), (BenefitFunction.linear(), 1.25, 0.5)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_grid_profile_matches_the_scalar_oracle(self, n, f, k, step, agg, cost):
+        hb = production.h_bar(f, k)
+        c = 0.4 * k * hb if cost == "low" else 1.5 * k * hb + 0.1
+        TestMaskMatchesScalar.check_grid(ProductionGameConfig(n, f, k, c, agg, step))
+
+    @pytest.mark.parametrize("n, agg, batches", [
+        (2, Aggregation.SUM, "grid_batches"), (3, Aggregation.MAX, "grid_batches"),
+        (3, Aggregation.SUM, "grid_batches"), (4, Aggregation.SUM, "_candidate_batches")])
+    def test_repeats_shuffles_and_splits_keep_the_mask(self, n, agg, batches):
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg)
+        rows, prods = map(np.concatenate, zip(*getattr(production, batches)(cfg)))
+        want = production_ne_mask(cfg, rows, prods)
+        assert want.any() and not want.all()
+        rng = np.random.default_rng(n)
+        pick = rng.integers(0, len(rows), size=2 * len(rows))  # shuffled, with repeats
+        cuts = np.sort(rng.choice(np.arange(1, len(pick)), size=6, replace=False))
+        got = [production_ne_mask(cfg, rows[part], prods[part]) for part in np.split(pick, cuts)]
+        assert np.concatenate(got).tolist() == want[pick].tolist()
+
+    def test_one_merged_table_row_per_distinct_opponents(self, monkeypatch):
+        cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
+        prods = np.array(list(itertools.product(grid_levels(cfg), repeat=3)))
+        sizes = []
+
+        def counted(n, rows, i):
+            sizes.append(len(rows))
+            return merged_table(n, rows, i)
+        monkeypatch.setattr(production, "merged_table", counted)
+        production_ne_mask(cfg, np.zeros((2 * len(prods), 3), dtype=np.int64), np.vstack([prods, prods]))
+        assert sizes[0] == len(grid_levels(cfg)) ** 2  # agent 0 meets 7 x 7 opponents' productions
+
+
 class TestShapeCheckers:
     # k * h_bar = 0.75 with h_bar = 3: the first three costs are low, 1.0 is high
     @pytest.mark.parametrize("c", [0.05, 0.2, 0.4, 1.0])
@@ -308,7 +349,8 @@ def scan(cfg, batches):
 
 
 class TestEnumeration:
-    # 1 and 7 cells leave one profile per chunk, 250 a few with ragged ends
+    # chunks of 10 * chunk bytes: 10 and 70 leave one profile per chunk, 2,500 a few
+    # with ragged ends (a profile of n agents takes 24 n 2**(n-1) bytes)
     @pytest.mark.parametrize("chunk", [1, 7, 250])
     @pytest.mark.parametrize("n, agg, c, batches", [
         (2, Aggregation.SUM, 0.2, "grid_batches"), (2, Aggregation.MAX, 1.0, "grid_batches"),
@@ -316,7 +358,7 @@ class TestEnumeration:
     def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk, n, agg, c, batches):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
         want = scan(cfg, batches)
-        monkeypatch.setattr(production, "CHECK_CHUNK", chunk)
+        monkeypatch.setattr(production, "CHECK_BYTES", 10 * chunk)
         assert scan(cfg, batches) == want
 
     @pytest.mark.parametrize("chunk", [250, 1000])
@@ -324,7 +366,7 @@ class TestEnumeration:
     def test_chunk_size_does_not_change_the_three_agent_grid(self, monkeypatch, chunk, agg, c):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, c, agg)
         want = enumerate_production_ne(cfg)
-        monkeypatch.setattr(production, "CHECK_CHUNK", chunk)
+        monkeypatch.setattr(production, "CHECK_BYTES", 10 * chunk)
         assert enumerate_production_ne(cfg) == want
 
     @pytest.mark.parametrize("n, agg, c, batches", [

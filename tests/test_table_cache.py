@@ -1,0 +1,94 @@
+"""The game-independent tables that the full scan and the partition judgement keep
+per agent count: they never leak one game into the next, cannot be written, and
+stay small.
+
+The full scan (``equilibrium._others_merged``) and ``analytic.component_structures``
+(``analytic._partition_batch``) keep their merged component tables for up to
+``kernel.TABLE_AGENTS`` agents; larger games rebuild or stream them on every call.
+"""
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from infogame import analytic, equilibrium
+from infogame.analytic import component_structures
+from infogame.entropy import family_independent
+from infogame.equilibrium import enumerate_nash
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig
+from infogame.kernel import TABLE_AGENTS
+from infogame.verification import random_homogeneous_config, random_recipient_config, run_verification
+
+LN = BenefitFunction.log1p(math.e)
+CACHES = (equilibrium._others_merged, analytic._partition_batch)
+# bench cross-check's verify-n4 report: 4 agents, 60 instances, seed 0
+VERIFY_N4_SHA256 = "942d8566669cd354f858223d9519890c0fa13cc457119179dfc81360d2eea62a"
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def arrays(value):
+    """Every numpy array inside a cached value of nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays(item)
+
+
+def cached_arrays():
+    for n in range(1, TABLE_AGENTS + 1):
+        for i in range(n):
+            yield equilibrium._others_merged(n, i, 0)
+        yield from arrays(analytic._partition_batch(n))
+
+
+def report_state(report):
+    return (report.rows.tolist(), report.strict.tolist(), report.welfare.tolist(),
+            report.components.tolist(), report.social_optimum_value, report.poa, report.mil)
+
+
+def games(n):
+    rng = np.random.default_rng(100 + n)
+    return [random_homogeneous_config(rng, n, LN), random_recipient_config(rng, n, LN),
+            random_homogeneous_config(rng, n, LN)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_game_after_another_matches_a_fresh_state(n):
+    first, *rest = games(n)
+    for cfg in rest:
+        clear_caches()
+        fresh = report_state(enumerate_nash(cfg)), component_structures(cfg)
+        clear_caches()
+        enumerate_nash(first), component_structures(first)
+        assert (report_state(enumerate_nash(cfg)), component_structures(cfg)) == fresh
+
+
+def test_every_cached_array_is_read_only():
+    found = list(cached_arrays())
+    assert found and not any(a.flags.writeable for a in found)
+    with pytest.raises(ValueError):
+        equilibrium._others_merged(3, 0, 0)[0, 0] = 0
+
+
+def test_verify_bytes_are_repeatable_and_the_tables_stay_small():
+    clear_caches()
+    texts = [run_verification(4, 60, 0).to_text() for _ in range(2)]
+    assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == VERIFY_N4_SHA256
+    # one table per agent of 2, 3 and 4 agents, one batch per agent count
+    assert [cache.cache_info().currsize for cache in CACHES] == [2 + 3 + 4, 3]
+    assert sum(a.nbytes for a in cached_arrays()) < 64 * 1024
+
+
+def test_five_agents_keep_nothing():
+    clear_caches()
+    cfg = GameConfig(family_independent([1.0] * 5), LN, CostModel.homogeneous(0.1))
+    assert len(enumerate_nash(cfg).rows) == 5 ** 3 * 2 ** 4  # every sponsored spanning tree
+    assert frozenset({frozenset(range(5))}) in component_structures(cfg)
+    assert [cache.cache_info().currsize for cache in CACHES] == [0, 0]
