@@ -152,8 +152,8 @@ def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
     partitions, count, agents, blocks, parts = (
         _partition_batch if n <= TABLE_AGENTS else _partition_batch.__wrapped__)(n)
     viable = np.ones(count, dtype=bool)
-    for i, (own, merged, compact) in enumerate(agents):
-        viable[own] &= best_response_table(merged, cfg.fh, cfg.row_costs[i])[np.arange(len(own)), compact]
+    for i, (own, merged, part, compact) in enumerate(agents):
+        viable[own] &= best_response_table(merged, cfg.fh, cfg.row_costs[i])[part, compact]
     accepted = np.logical_and.reduceat(np.logical_or.reduceat(viable, blocks), parts)
     return {part for part, ok in zip(partitions, accepted) if ok}
 
@@ -161,7 +161,7 @@ def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
 @cache
 def _partition_batch(n: int):
     """The game-independent half of :func:`component_structures`, its arrays read-only: the partitions,
-    the batch size, per agent (its blocks' rows, their merged tables, its compact rows), the bounds."""
+    the batch size, per agent (its blocks' rows, their merged table and partitions, its compact rows), the bounds."""
     partitions = [list(map(tuple, part)) for part in set_partitions(tuple(range(n)))]
     batch, inside = [], []
     for part in partitions:
@@ -175,8 +175,7 @@ def _partition_batch(n: int):
     sizes = [len(b) for b in batch]
     rows, inside = np.concatenate(batch), np.repeat(inside, sizes)
     owns = [np.flatnonzero(inside >> i & 1) for i in range(n)]  # the rows of the blocks holding agent i
-    agents = tuple((own, merged_table(n, rows[own], i).astype(np.uint8), compress_row(rows[own, i], i))
-                   for i, own in enumerate(owns))
+    agents = tuple((own, *merged_table(n, rows[own], i), compress_row(rows[own, i], i)) for i, own in enumerate(owns))
     bounds = np.cumsum([0] + sizes[:-1]), np.cumsum([0] + [len(p) for p in partitions[:-1]])
     for a in bounds + sum(agents, ()):
         a.flags.writeable = False

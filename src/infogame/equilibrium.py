@@ -8,13 +8,15 @@ the game, and :func:`is_nash`, :func:`is_strict_nash` and
 :func:`best_responses` are batches of one. The price of anarchy and the
 maximum information loss are fields of :class:`EquilibriumReport`.
 
-The full scan covers every profile. Agent i's best responses depend on the
-others' rows only: its merged table, once per others configuration (2**((n-1)**2)),
-is kept per agent count up to ``TABLE_AGENTS`` agents and streamed past that,
-and a game scores it, then reshapes it to (2**(w*i), 2**w, rest), w = n-1, with
-agent i's own row field, contiguous in the profile index, in the middle axis,
-so one gather tests agent i's row in every profile. A profile is an NE when
-every agent's own row is set in its table, and strict when it is the only one.
+The full scan covers every profile. Agent i's best responses see the others'
+rows only through the partition of the graph without i's links: per
+``SCAN_CHUNK`` of the 2**((n-1)**2) others configurations, its merged table has
+a row per partition, kept up to ``TABLE_AGENTS`` agents and streamed past that.
+A game scores the rows, reads them per configuration and reshapes them to
+(2**(w*i), 2**w, rest), w = n-1, with agent i's own row field, contiguous in the
+profile index, in the middle axis, so one gather tests agent i's row in every
+profile. A profile is an NE when every agent's own row is set in its table, and
+strict when it is the only one.
 
 Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
 have 2**30 profiles) and the scan switches to candidate pruning: every NE
@@ -133,8 +135,8 @@ def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TO
         raise ValueError(f"agent {i} out of range")
     if others.n_agents != n:
         raise ValueError("profile size does not match the game")
-    rows = np.array([others.rows], dtype=np.int64)
-    table = best_response_table(merged_table(n, rows, i), cfg.fh, cfg.row_costs[i], tol)
+    merged, _ = merged_table(n, np.array([others.rows], dtype=np.int64), i)
+    table = best_response_table(merged, cfg.fh, cfg.row_costs[i], tol)
     return frozenset(expand_row(c, i) for c in np.flatnonzero(table[0]).tolist())
 
 
@@ -160,14 +162,14 @@ def is_strict_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> b
 # -- enumeration --------------------------------------------------------------
 
 @cache
-def _others_merged(n: int, i: int, start: int) -> np.ndarray:
-    """Agent i's read-only uint8 merged table for the ``SCAN_CHUNK`` others configurations from ``start``."""
+def _others_merged(n: int, i: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Agent i's read-only ``merged_table`` pair for the ``SCAN_CHUNK`` others configurations from ``start``."""
     w, low = n - 1, (n - 1) * (n - 1 - i)
     others = np.arange(start, min(start + SCAN_CHUNK, 1 << (w * w)), dtype=np.int64)
     idx = (others >> low << (low + w)) | (others & ((1 << low) - 1))  # the others' fields, own field empty
-    merged = merged_table(n, rows_from_indices(idx, n), i).astype(np.uint8)
-    merged.flags.writeable = False
-    return merged
+    merged, part = merged_table(n, rows_from_indices(idx, n), i)
+    merged.flags.writeable = part.flags.writeable = False
+    return merged, part
 
 
 def _ne_scan_full(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,20 +178,22 @@ def _ne_scan_full(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
     n = cfg.n_agents
     w = n - 1
     fh, costs = cfg.fh, cfg.row_costs
+    compacts = field_compacts(n)
     ne = np.ones(1 << (n * w), dtype=bool)
     strict = np.ones(1 << (n * w), dtype=bool)
     n_others = 1 << (w * w)
     for i in range(n):
         low = w * (n - 1 - i)
-        table = np.empty((n_others, 1 << w), dtype=bool)
+        own = np.empty((n_others, 1 << w), dtype=bool)
+        unique = np.empty(n_others, dtype=bool)
         for start in range(0, n_others, SCAN_CHUNK):  # tables kept up to TABLE_AGENTS agents
-            merged = (_others_merged if n <= TABLE_AGENTS else _others_merged.__wrapped__)(n, i, start)
-            table[start:start + len(merged)] = best_response_table(merged, fh, costs[i], tol)
-        unique = (table.sum(axis=1) == 1).reshape(1 << (w * i), 1, 1 << low)
-        own = table[:, field_compacts(n)].reshape(1 << (w * i), 1 << low, 1 << w)
-        own = own.transpose(0, 2, 1)
-        ne &= own.reshape(-1)
-        strict &= (own & unique).reshape(-1)
+            merged, part = (_others_merged if n <= TABLE_AGENTS else _others_merged.__wrapped__)(n, i, start)
+            table = best_response_table(merged, fh, costs[i], tol)
+            own[start:start + len(part)] = table[:, compacts][part]
+            unique[start:start + len(part)] = (table.sum(axis=1) == 1)[part]
+        own = own.reshape(1 << (w * i), 1 << low, 1 << w).transpose(0, 2, 1)
+        ne.reshape(own.shape)[...] &= own
+        strict.reshape(own.shape)[...] &= unique.reshape(1 << (w * i), 1, 1 << low)  # read where ne is set
     idx = np.flatnonzero(ne)
     return rows_from_indices(idx, n), strict[idx]
 

@@ -16,13 +16,17 @@ turns :func:`spanning_trees` into profiles: the pruned NE scan's forests, the
 blocks of every partition that the component structures judge, and the
 production game's tree shapes.
 
-One path evaluates best responses: :func:`best_response_table` scores a batch's
-:func:`merged_table`, the game-independent half that the full scan and the
-partition judgement keep per agent count up to ``TABLE_AGENTS``, with the payoff
-tables each ``GameConfig`` owns (``fh``, ``row_costs``); :func:`ne_status`
-judges a batch with it, a single profile being a batch of one, and gives the
-strict-equilibrium characterization its strict flag on the stars it keeps.
-:func:`components` is the package's one component walk. Through
+One path evaluates best responses. Agent i's payoffs see the others' rows
+only through the partition of the agents into components of the graph
+without i's links, so :func:`merged_table` gives i's merged components once
+per distinct partition of a batch (at most Bell(n) rows) and each profile's
+partition: the game-independent half, which the full scan and the partition
+judgement keep per agent count up to ``TABLE_AGENTS``. :func:`best_response_table`
+scores those rows with the payoff tables each ``GameConfig`` owns (``fh``,
+``row_costs``); :func:`ne_status` judges a batch with it, a single profile
+being a batch of one, and gives the strict-equilibrium characterization its
+strict flag on the stars it keeps. :func:`components` is the package's one
+component walk, run in the narrowest unsigned dtype of an n-bit mask. Through
 :func:`merged_table` it serves the best responses and the production game's
 equilibrium check; it also gives equilibrium reports their components, the
 characterization masks (strict-equilibrium stars, production trees and their
@@ -62,7 +66,7 @@ def require_budget(count: int, what: str, unit: str) -> None:
 def expand_row(compact: int, i: int) -> int:
     """Insert a zero bit at position i, mapping a compact row to a real row.
 
-    Works elementwise on int arrays too.
+    Works elementwise on int arrays too, keeping their dtype.
     """
     low = compact & ((1 << i) - 1)
     return low | ((compact >> i) << (i + 1))
@@ -71,14 +75,14 @@ def expand_row(compact: int, i: int) -> int:
 def compress_row(row: int, i: int) -> int:
     """Drop bit i (which must be zero) from a row mask.
 
-    Works elementwise on int arrays too.
+    Works elementwise on int arrays too, keeping their dtype.
     """
     low = row & ((1 << i) - 1)
     return low | ((row >> (i + 1)) << i)
 
 
 def field_compacts(n: int) -> np.ndarray:
-    """Compact row of every value of an (n-1)-bit row field of the profile index.
+    """Compact row of every value of an (n-1)-bit row field of the profile index, as int64.
 
     The field reverses the compact bit order, so this is a bit reversal.
     """
@@ -102,8 +106,8 @@ def rows_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def profile_indices(rows: np.ndarray) -> np.ndarray:
-    """Profile index of every row of an int64 array of shape (batch, n); the inverse
-    of :func:`rows_from_indices`."""
+    """Profile index (int64) of every row of an int64 array of shape (batch, n); the
+    inverse of :func:`rows_from_indices`."""
     n = rows.shape[1]
     compacts = field_compacts(n)  # a bit reversal, so its own inverse
     idx = np.zeros(len(rows), dtype=np.int64)
@@ -196,55 +200,67 @@ def sponsored_trees(members: tuple[int, ...], n: int) -> np.ndarray:
 
 # -- components and payoffs ----------------------------------------------------------
 
-def components(rows: np.ndarray) -> np.ndarray:
-    """Component mask of every agent in every profile of a batch.
-
-    ``rows`` is an int64 array of shape (batch, n); entry [a, b] of the int64
-    result, of shape (n, batch), is agent a's component in profile b."""
+def _reach(rows: np.ndarray) -> np.ndarray:
+    """:func:`components` in the narrowest unsigned dtype of an n-bit mask: uint8 up to 8 agents, else uint16."""
     n = rows.shape[1]
-    agent = np.arange(n, dtype=np.int64)[:, None]
-    links = np.ascontiguousarray(rows.T)
+    dtype = np.uint8 if n <= 8 else np.uint16
+    agent = np.arange(n, dtype=dtype)[:, None]
+    links = np.ascontiguousarray(rows.T, dtype=dtype)
     # reach[a]: agent a's neighbours, then its component
     reach = links | 1 << agent
     for a in range(n):
         reach |= (links[a] >> agent & 1) << a
     # Warshall closure: whoever reaches k reaches all that k reaches
     for k in range(n):
-        reach |= reach[k] & -(reach >> k & 1)
+        reach |= reach[k] * (reach >> k & 1)
     return reach
 
 
-def merged_table(n: int, rows: np.ndarray, i: int) -> np.ndarray:
-    """Agent i's component mask for every compact row, for a batch of profiles.
+def components(rows: np.ndarray) -> np.ndarray:
+    """Agent a's component in profile b at [a, b] of an int64 (n, batch) array, for int64 ``rows`` (batch, n)."""
+    return _reach(rows).astype(np.int64)
+
+
+def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Agent i's component mask for every compact row, once per partition of the others.
 
     ``rows`` is an int64 array of shape (batch, n); column i is ignored.
-    Returns an int64 array of shape (batch, 2**(n-1)) whose entry [b, c] is
-    the component agent i joins in profile b by playing compact row c:
-    linking to agent j merges in j's whole component of the graph without
-    i's sponsored links.
+    Linking to agent j merges in j's whole component of the graph without
+    i's sponsored links, so only the partition of that graph matters.
+    Returns (merged, part): ``merged`` (:func:`_reach`'s dtype, a row per
+    partition) holds at [p, c] the component agent i joins by playing
+    compact row c against partition p; the int64 ``part`` gives each
+    profile's row, so ``merged[part]`` is the per-profile table.
     """
     others = rows.copy()
     others[:, i] = 0  # the graph without i's sponsored links
-    reach = components(others)
+    reach = _reach(others)
+    first = part = np.zeros(1, dtype=np.int64)  # a batch of one has one partition
+    if len(rows) != 1:
+        # key: sum of (l_a + 1) a!, unique as a's lowest member l_a <= a; l_a + 1 is its lowest bit's exponent
+        exponent = np.frexp((reach & -reach).astype(np.float32))[1]
+        key = (exponent * np.array([math.factorial(a) for a in range(n)])[:, None]).sum(axis=0)
+        _, first, part = np.unique(key, return_index=True, return_inverse=True)
+    reach = reach[:, first]
     # the OR over compact rows, one target bit at a time
-    merged = np.empty((len(rows), 1 << (n - 1)), dtype=np.int64)
+    merged = np.empty((len(first), 1 << (n - 1)), dtype=reach.dtype)
     merged[:, 0] = reach[i]
     for k, j in enumerate(t for t in range(n) if t != i):
         half = 1 << k
         np.bitwise_or(merged[:, :half], reach[j][:, None], out=merged[:, half:2 * half])
-    return merged
+    return merged, part
 
 
 def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray,
                         tol: float = TOL) -> np.ndarray:
-    """Agent i's within-tolerance best responses for a batch of profiles.
+    """Agent i's within-tolerance best responses against each row of its merged table.
 
-    ``merged`` is agent i's :func:`merged_table` of the batch, in any integer
-    dtype: the game-independent half, which callers may keep across games.
-    Returns a bool array of the same shape whose entry [b, c] is set when
-    compact row c is within ``tol`` of agent i's best utility against the
-    other rows of profile b. ``fh`` and ``row_cost`` are ``GameConfig.fh``
-    and agent i's row of ``GameConfig.row_costs``.
+    ``merged`` is agent i's :func:`merged_table` rows, in any integer dtype:
+    the game-independent half, which callers may keep across games. Returns
+    a bool array of the same shape whose entry [p, c] is set when compact
+    row c is within ``tol`` of agent i's best utility against row p. ``fh``
+    and ``row_cost`` are ``GameConfig.fh`` and agent i's row of
+    ``GameConfig.row_costs``.
     """
     u = fh[merged]
     u -= row_cost  # in place: the caller's merged table may still be alive
@@ -267,9 +283,10 @@ def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarra
     alive = np.arange(len(rows))
     strict = np.ones(len(rows), dtype=bool)
     for i in agents:
-        table = best_response_table(merged_table(n, rows, i), fh, costs[i], tol)
-        keep = table[np.arange(len(rows)), compress_row(rows[:, i], i)]
-        strict = strict[keep] & (table[keep].sum(axis=1) == 1)
+        merged, part = merged_table(n, rows, i)
+        table = best_response_table(merged, fh, costs[i], tol)
+        keep = table[part, compress_row(rows[:, i], i)]
+        strict = strict[keep] & (table.sum(axis=1) == 1)[part[keep]]
         alive, rows = alive[keep], rows[keep]
     is_ne[alive] = True
     is_strict[alive] = strict
@@ -277,7 +294,7 @@ def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarra
 
 
 def welfare(rows: np.ndarray, comp: np.ndarray, fh: np.ndarray, row_costs: np.ndarray) -> np.ndarray:
-    """Sum of utilities of every profile of a batch, given its :func:`components`.
+    """Sum of utilities (float64) of every profile of a batch, given its :func:`components`.
 
     Adds every agent's benefit first and then subtracts each agent's link
     costs in agent-then-target order; reports print these floats, so the

@@ -249,10 +249,10 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
             keys = np.delete(np.hstack([rows, prods.view(np.int64)]), [i, n + i], axis=1).copy()
             keys = keys.view(f"V{keys.strides[0]}")[:, 0]
             _, first, key = np.unique(keys, return_index=True, return_inverse=True)
-        merged = merged_table(n, rows[first], i)
+        merged = np.take(*merged_table(n, rows[first], i), axis=0)  # one row per first profile
         own = merged[key, compress_row(rows[:, i], i)]
-        # and each production candidate once per distinct amount that a row acquires
-        acquired = _aggregate_masks(cfg.agg, prods[first], merged & ~(1 << i))
+        # and each production candidate once per distinct amount that a row acquires (merged is unsigned)
+        acquired = _aggregate_masks(cfg.agg, prods[first], merged & (((1 << n) - 1) ^ (1 << i)))
         acquired, at = np.unique(acquired, return_inverse=True)
         acquired = acquired[:, None]
         h = np.empty((len(acquired), len(levels) + is_sum))

@@ -178,6 +178,16 @@ game:
   costs: {model: homogeneous, c: 0.03}
 """
 
+# six agents with recipient costs in the mixed region: 31 equilibria, all connected; six in
+# ten sponsored forests of the pruned scan fail at their first agent
+GOLDEN_N6_MIXED_SPEC = """\
+command: enumerate
+game:
+  entropic_vector: {family: independent, h: [1, 1.5, 2, 1.25, 0.75, 0.5]}
+  benefit: {name: log1p, base: e}
+  costs: {model: recipient, c: [0.3, 0.2, 0.15, 0.25, 0.4, 0.1]}
+"""
+
 GOLDEN_PRODUCTION_N3_SUM_SPEC = """\
 command: production
 production:
@@ -224,9 +234,10 @@ class TestEnumerate:
         (GOLDEN_MATRIX_SPEC, "39690967859fd4e952a7a5870f2e239170aed4b0a32415db860bda71bc3b9cf8"),
         (GOLDEN_CHEAP_SPEC, "6a5c3f4e0d26912845d9fb44942c5977130227f9cc500ce3754b9f4d25d96431"),
         (GOLDEN_N6_SPEC, "35cc538638b444a404145420330ed8da1fee2f94faadbc9247da0a4bcdd1b674"),
+        (GOLDEN_N6_MIXED_SPEC, "f735f71ad464bfd74d76c16d0cb8453ee362a763280c2bf6864423d22a9a0e0a"),
         (GOLDEN_PRODUCTION_N3_SUM_SPEC, "28f52b718881d617bb70da76c384cff845cfc91f20eb9f912c653a177f96e3c9"),
         (GOLDEN_PRODUCTION_N5_MAX_SPEC, "00a8ecbaa240adae5d3582b6e33def8fd8b263fe84282bf9123c2e837c67c5f6"),
-    ], ids=["n4-inline-matrix", "n5-independent-cheap", "n6-independent-cheap-pruned",
+    ], ids=["n4-inline-matrix", "n5-independent-cheap", "n6-independent-cheap-pruned", "n6-recipient-mixed-pruned",
             "production-n3-sum-full-grid", "production-n5-max-candidates"])
     def test_golden_bytes(self, tmp_path, spec, digest):
         # pinned output of fixed games: a change to the report phase or the writer may not move a byte

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogame import equilibrium
+from infogame import equilibrium, kernel
 from infogame.entropy import (
     TOL,
     family_independent,
@@ -31,7 +31,7 @@ from infogame.formation_game import (
     utility,
 )
 from infogame.kernel import components as kernel_components
-from infogame.kernel import expand_row, welfare
+from infogame.kernel import expand_row, rows_from_indices, set_partition_count, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
 from scalar_kernel import (component_masks, is_minimally_connected, ne_status, profile_from_index, profile_index,
                            row_utilities, undirected_adjacency)
@@ -234,6 +234,23 @@ class TestEnumerate:
         assert built == [report.social_optimum_profile.rows]  # the optimum alone
         assert len(report.ne_profiles) == len(report.rows) == 2000
         assert len(built) == 2001
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_best_responses_are_scored_once_per_partition(self, monkeypatch, n):
+        """An agent's payoffs see the others' links only through the partition of the graph
+        without its own links, so no scored table has more rows than the Bell number of n."""
+        score, rows_scored = kernel.best_response_table, {"full scan": [], "ne_status": []}
+        for module, path in ((equilibrium, "full scan"), (kernel, "ne_status")):
+            monkeypatch.setattr(module, "best_response_table", lambda merged, *args, path=path: (
+                rows_scored[path].append(len(merged)) or score(merged, *args)))
+        cfg = homog(family_independent([1, 1.5, 2, 1.25, 0.75, 0.5][:n]), 0.05, LN)
+        enumerate_nash(cfg)  # the full scan up to 5 agents, ne_status on the forests at 6
+        rows = rows_from_indices(np.random.default_rng(n).integers(0, 1 << (n * (n - 1)), size=4096), n)
+        kernel.ne_status(n, rows, range(n), cfg.fh, cfg.row_costs)
+        chunks = max(1, (1 << (n - 1) ** 2) // equilibrium.SCAN_CHUNK)  # per agent, of the others' configurations
+        assert len(rows_scored["full scan"]) == (0 if n == 6 else n * chunks)
+        assert rows_scored["ne_status"]
+        assert max(sum(rows_scored.values(), [])) <= set_partition_count(n)
 
     def test_strict_set_stable_under_tolerance_halving(self):
         for seed in range(15):

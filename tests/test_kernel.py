@@ -180,25 +180,51 @@ def test_best_response_table_matches_row_utilities(n):
     idx = rng.integers(0, 1 << (n * (n - 1)), size=200)
     rows = rows_from_indices(idx, n)
     for i in range(n):
-        table = best_response_table(merged_table(n, rows, i), fh, costs[i])
+        merged, part = merged_table(n, rows, i)
+        table = best_response_table(merged, fh, costs[i])[part]
         for b, k in enumerate(idx):
             utils = row_utilities(n, profile_from_index(int(k), n), i, fh, costs[i])
             assert table[b].tolist() == [u >= max(utils) - 1e-9 for u in utils]
 
 
-@pytest.mark.parametrize("batch", [1, 2, 7, 4096])
-@pytest.mark.parametrize("n", range(1, 7))
+def sparse_rows(rng, n, size):
+    """Rows of ``size`` random profiles of n agents, from isolated agents to one component.
+
+    Each odd profile is the one before it with one agent's row redrawn, so the
+    two give that agent the same partition of the others.
+    """
+    density = rng.uniform(0.0, 2.0 / n, size=(size, 1, 1))
+    links = (rng.random((size, n, n)) < density) & ~np.eye(n, dtype=bool)
+    rows = (links.astype(np.int64) << np.arange(n)).sum(axis=2)
+    pairs = size // 2
+    agent = rng.integers(0, n, size=pairs)
+    redrawn = rows[1:2 * pairs:2, :].copy()
+    rows[1:2 * pairs:2] = rows[0:2 * pairs:2]
+    rows[2 * np.arange(pairs) + 1, agent] = redrawn[np.arange(pairs), agent]
+    return rows
+
+
+# wide masks: the top bit of uint8 (8 agents), the switch to uint16 (9) and MAX_AGENTS (16)
+WIDE = (7, 8, 9, 16)
+
+
+@pytest.mark.parametrize("n, batch", [(n, b) for n in range(1, 7) for b in (1, 2, 7, 4096)]
+                         + [(n, b) for n in WIDE[:3] for b in (1, 2, 7, 256)] + [(16, 1), (16, 2), (3, 0), (9, 0)])
 def test_merged_table_matches_merged_components(n, batch):
     rng = np.random.default_rng(10 * n + batch)
-    idx = rng.integers(0, 1 << (n * (n - 1)), size=batch)
-    rows = rows_from_indices(idx, n)
+    if n in WIDE:
+        rows = sparse_rows(rng, n, batch)
+    else:
+        rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=batch), n)
     for i in range(n):
-        table = merged_table(n, rows, i).tolist()
-        assert table == [merged_components(n, r, i) for r in rows.tolist()]
+        merged, part = merged_table(n, rows, i)
+        assert merged.dtype == (np.uint8 if n <= 8 else np.uint16) and part.dtype == np.int64
+        assert len(merged) == len(set(part.tolist())) <= set_partition_count(n)
+        assert merged[part].tolist() == [merged_components(n, r, i) for r in rows.tolist()]
 
 
 @pytest.mark.parametrize("ties", [False, True])
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", list(range(2, 7)) + list(WIDE))
 def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
     # agent subsets in ascending order, as the component structures pass a block's members
     rng = np.random.default_rng(70 + n)
@@ -206,12 +232,20 @@ def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
         # a link to a one-bit agent gains exactly its price: equilibria that are not strict
         cfg = GameConfig(family_independent([1.0] * (n - 1) + [2.0]), BenefitFunction.linear(),
                          CostModel.homogeneous(1.0))
+    elif n in WIDE:
+        cfg = GameConfig(family_independent(rng.uniform(0.5, 2.0, size=n)), LN,
+                         CostModel.recipient(rng.uniform(0.05, 1.0, size=n)))
     else:
         cfg = (random_recipient_config if n % 2 else random_homogeneous_config)(rng, n, LN)
     fh, costs = cfg.fh, cfg.row_costs
-    idx = rng.integers(0, 1 << (n * (n - 1)), size=300)
-    rows = rows_from_indices(idx, n)
-    for mask in range(1, 1 << n):
+    if n in WIDE:
+        # every single agent, every agent, and a few random subsets
+        rows = sparse_rows(rng, n, 4 if n == 16 else 100)
+        masks = [1 << a for a in range(n)] + [(1 << n) - 1] + rng.integers(1, 1 << n, size=6).tolist()
+    else:
+        rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=300), n)
+        masks = range(1, 1 << n)
+    for mask in masks:
         agents = [a for a in range(n) if mask >> a & 1]
         is_ne, strict = ne_status(n, rows, agents, fh, costs)
         expect = [scalar_ne_status(n, r, agents, fh, costs) for r in map(tuple, rows.tolist())]
@@ -250,11 +284,15 @@ def test_components_match_component_masks_on_every_profile(n):
     assert components(rows).T.tolist() == scalar_components(rows)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, *WIDE])
 def test_components_match_component_masks_on_random_profiles(n):
     rng = np.random.default_rng(50 + n)
-    rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=2000), n)
-    assert components(rows).T.tolist() == scalar_components(rows)
+    if n in WIDE:
+        rows = sparse_rows(rng, n, 2000)
+    else:
+        rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=2000), n)
+    comp = components(rows)
+    assert comp.dtype == np.int64 and comp.T.tolist() == scalar_components(rows)
 
 
 def cost_models(rng, n):

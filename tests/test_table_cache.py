@@ -43,7 +43,7 @@ def arrays(value):
 def cached_arrays():
     for n in range(1, TABLE_AGENTS + 1):
         for i in range(n):
-            yield equilibrium._others_merged(n, i, 0)
+            yield from arrays(equilibrium._others_merged(n, i, 0))
         yield from arrays(analytic._partition_batch(n))
 
 
@@ -72,8 +72,10 @@ def test_a_game_after_another_matches_a_fresh_state(n):
 def test_every_cached_array_is_read_only():
     found = list(cached_arrays())
     assert found and not any(a.flags.writeable for a in found)
-    with pytest.raises(ValueError):
-        equilibrium._others_merged(3, 0, 0)[0, 0] = 0
+    merged, part = equilibrium._others_merged(3, 0, 0)
+    for a in (merged, part):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_verify_bytes_are_repeatable_and_the_tables_stay_small():
