@@ -23,22 +23,16 @@ from .formation_game import (
     CostModel,
     GameConfig,
     LinkProfile,
-    components,
-    utility,
 )
 from .equilibrium import (
     CapExceededError,
     EquilibriumReport,
-    best_responses,
     enumerate_nash,
-    is_nash,
-    is_strict_nash,
     social_optimum,
 )
 from .analytic import (
     ConnectivityRegion,
     Prediction,
-    check_strict_ne_structure,
     classify_homogeneous,
     component_structures,
     mil_predict,
@@ -53,9 +47,6 @@ from .production import (
     ProductionGameConfig,
     ProductionProfile,
     aggregate,
-    check_sum_equilibrium,
-    check_max_equilibrium,
-    enumerate_production_ne,
     few_metrics,
     few_sweep,
     h_bar,
@@ -84,15 +75,9 @@ __all__ = [
     "ShannonViolation",
     "VerifyReport",
     "aggregate",
-    "best_responses",
-    "check_strict_ne_structure",
-    "check_sum_equilibrium",
-    "check_max_equilibrium",
     "classify_homogeneous",
     "component_structures",
-    "components",
     "enumerate_nash",
-    "enumerate_production_ne",
     "family_pair_redundancy",
     "family_independent",
     "family_max_correlated",
@@ -100,9 +85,7 @@ __all__ = [
     "few_sweep",
     "from_joint_pmf",
     "h_bar",
-    "is_nash",
     "is_production_ne",
-    "is_strict_nash",
     "mil_predict",
     "poa_monotonicity_sweep",
     "poa_predict",
@@ -111,6 +94,5 @@ __all__ = [
     "social_optimum",
     "subset_mask",
     "thresholds_homogeneous",
-    "utility",
     "validate_shannon",
 ]

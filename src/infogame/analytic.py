@@ -5,7 +5,7 @@ against which it can be cross-validated. :func:`component_structures` judges
 every partition of a game's agents in one batch. The strict-equilibrium
 structure is judged a batch at a time by :func:`strict_structure_mask`: a
 star test on the kernel's components, then the kernel's own strict test on
-the stars; :func:`check_strict_ne_structure` is its batch of one.
+the stars.
 Cost-model coverage follows the available theory: homogeneous and
 recipient-dependent costs are supported, general cost matrices are rejected.
 
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .entropy import TOL, EntropicVector, full_mask, subset_mask
-from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from .formation_game import BenefitFunction, CostModel, GameConfig
 from .equilibrium import social_optimum
 from .kernel import (TABLE_AGENTS, best_response_table, components, compress_row, merged_table, ne_status,
                      require_budget, set_partition_count, set_partitions, sponsored_tree_count, sponsored_trees)
@@ -211,12 +211,6 @@ def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
     ok = np.zeros(len(rows), dtype=bool)
     ok[stars] = ne_status(n, rows[stars], range(n), cfg.fh, cfg.row_costs)[1]
     return ok
-
-
-def check_strict_ne_structure(cfg: GameConfig, profile: LinkProfile) -> bool:
-    """Is ``profile`` a star-shaped strict equilibrium? :func:`strict_structure_mask`
-    of the batch of one."""
-    return bool(strict_structure_mask(cfg, [profile.rows])[0])
 
 
 @dataclass(frozen=True)

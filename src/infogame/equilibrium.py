@@ -4,9 +4,8 @@ Every equilibrium test here goes through
 :func:`~infogame.kernel.best_response_table`, which gives agent i's
 within-tolerance best-response rows for a batch of profiles at once: the two
 scans evaluate it in fixed-size chunks so that memory stays bounded whatever
-the game, and :func:`is_nash`, :func:`is_strict_nash` and
-:func:`best_responses` are batches of one. The price of anarchy and the
-maximum information loss are fields of :class:`EquilibriumReport`.
+the game. The price of anarchy and the maximum information loss are fields
+of :class:`EquilibriumReport`.
 
 The full scan covers every profile. Agent i's best responses see the others'
 rows only through the partition of the graph without i's links: per
@@ -30,7 +29,9 @@ below tolerance.
 Both scans return int64 rows (ne, n) and strict flags. The report keeps
 them, with the kernel's ``components`` and ``welfare`` of them, builds
 ``LinkProfile`` objects only when asked, and streams its CSV from the arrays
-through :mod:`infogame.csvtable`.
+through :mod:`infogame.csvtable`. The social optimum is a welfare of the same
+routine: the first maximum of ``welfare`` over the optimal forest of every
+set partition, which the report scores in the equilibria's own batch.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import csvtable
-from .entropy import TOL, subset_mask
+from .entropy import TOL
 from .formation_game import GameConfig, LinkProfile
 from .kernel import (
     CHECK_BUDGET,
@@ -49,7 +50,6 @@ from .kernel import (
     CapExceededError,
     best_response_table,
     components,
-    expand_row,
     field_compacts,
     merged_table,
     ne_status,
@@ -122,41 +122,6 @@ class EquilibriumReport:
         out = io.StringIO()
         self.write_csv(out)
         return out.getvalue()
-
-
-def best_responses(cfg: GameConfig, i: int, others: LinkProfile, tol: float = TOL) -> frozenset[int]:
-    """Agent i's best-response rows (as link bitmasks) against ``others``.
-
-    Row i of ``others`` is ignored. Ties within ``tol`` of the maximum are
-    all included.
-    """
-    n = cfg.n_agents
-    if not 0 <= i < n:
-        raise ValueError(f"agent {i} out of range")
-    if others.n_agents != n:
-        raise ValueError("profile size does not match the game")
-    merged, _ = merged_table(n, np.array([others.rows], dtype=np.int64), i)
-    table = best_response_table(merged, cfg.fh, cfg.row_costs[i], tol)
-    return frozenset(expand_row(c, i) for c in np.flatnonzero(table[0]).tolist())
-
-
-def _profile_status(cfg: GameConfig, profile: LinkProfile, tol: float) -> tuple[bool, bool]:
-    n = cfg.n_agents
-    if profile.n_agents != n:
-        raise ValueError("profile size does not match the game")
-    is_ne, strict = ne_status(n, np.array([profile.rows], dtype=np.int64), range(n),
-                              cfg.fh, cfg.row_costs, tol)
-    return bool(is_ne[0]), bool(strict[0])
-
-
-def is_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> bool:
-    """True when no agent can gain more than ``tol`` by changing its row."""
-    return _profile_status(cfg, profile, tol)[0]
-
-
-def is_strict_nash(cfg: GameConfig, profile: LinkProfile, tol: float = TOL) -> bool:
-    """True when each agent's row beats every alternative by more than ``tol``."""
-    return _profile_status(cfg, profile, tol)[1]
 
 
 # -- enumeration --------------------------------------------------------------
@@ -235,11 +200,10 @@ def _ne_scan_pruned(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(rows), np.concatenate(strict)
 
 
-def _mst(block: tuple[int, ...], weight):
-    """Kruskal on a block; returns (cost, edges) deterministically."""
+def _mst(block: tuple[int, ...], links: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Kruskal on a block: the links, taken in the given order, that join two of its trees."""
     if len(block) < 2:
-        return 0.0, []
-    pairs = sorted((weight(i, j), i, j) for ai, i in enumerate(block) for j in block[ai + 1:])
+        return []
     parent = {a: a for a in block}
 
     def find(a):
@@ -248,54 +212,61 @@ def _mst(block: tuple[int, ...], weight):
             a = parent[a]
         return a
 
-    cost = 0.0
     edges = []
-    for w, i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            cost += w
-            edges.append((i, j))
-            if len(edges) == len(block) - 1:
-                break
-    return cost, edges
+    for i, j in links:
+        if i in parent and j in parent:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                edges.append((i, j))
+                if len(edges) == len(block) - 1:
+                    break
+    return edges
 
 
-def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
-    """Welfare-maximal profile and its value.
+def _optimal_forests(cfg: GameConfig) -> np.ndarray:
+    """One candidate optimum per set partition, as int64 rows (Bell(n), n) in
+    ``set_partitions`` order.
 
     Adding a link never raises welfare of other components and a cycle edge
-    only adds cost, so the search ranges over partitions of the agents, each
-    block wired as a minimum-cost spanning tree with every edge sponsored in
-    its cheaper direction. More than ``CHECK_BUDGET`` partitions (the Bell
-    number of n, past 11 agents) raises :class:`CapExceededError`.
+    only adds cost, so some welfare-maximal profile is among these: each block
+    wired as a minimum-cost spanning tree with every edge sponsored in its
+    cheaper direction. More than ``CHECK_BUDGET`` partitions (the Bell number
+    of n, past 11 agents) raises :class:`CapExceededError`.
     """
     n = cfg.n_agents
     require_budget(set_partition_count(n), f"social optimum at {n} agents", "partitions")
-    fh = cfg.fh.tolist()
-
-    def edge_weight(i, j):
-        return min(cfg.link_cost(i, j), cfg.link_cost(j, i))
-
-    best_value = None
-    best_links = None
+    cost = cfg.link_cost
+    # every edge once, sponsored in its cheaper direction, in Kruskal's order: cost, then agents
+    edges = sorted((min(cost(i, j), cost(j, i)), i, j) for i in range(n) for j in range(i + 1, n))
+    links = [(i, j) if cost(i, j) <= cost(j, i) else (j, i) for _, i, j in edges]
+    wired = {}  # the links of each block's tree
+    forests = []
     for part in set_partitions(tuple(range(n))):
-        value = 0.0
-        links = []
-        for block in part:
-            mask = subset_mask(block)
-            value += len(block) * fh[mask]
-            cost, edges = _mst(tuple(block), edge_weight)
-            value -= cost
-            for i, j in edges:
-                if cfg.link_cost(i, j) <= cfg.link_cost(j, i):
-                    links.append((i, j))
-                else:
-                    links.append((j, i))
-        if best_value is None or value > best_value + 1e-15:
-            best_value = value
-            best_links = links
-    return best_value, LinkProfile.from_links(n, best_links)
+        rows = [0] * n
+        for block in map(tuple, part):
+            if block not in wired:
+                wired[block] = _mst(block, links)
+            for i, j in wired[block]:
+                rows[i] |= 1 << j
+        forests.append(rows)
+    return np.array(forests, dtype=np.int64)
+
+
+def _optimum(cfg: GameConfig, stack: np.ndarray):
+    """``components`` and ``welfare`` of a batch of rows that starts with the optimal forests,
+    then the first maximum of its welfare and that row's profile: the social optimum, never
+    below the welfare of a row of the batch."""
+    comp = components(stack)
+    w = welfare(stack, comp, cfg.fh, cfg.row_costs)
+    best = int(np.argmax(w))
+    return comp, w, float(w[best]), LinkProfile(cfg.n_agents, tuple(stack[best].tolist()))
+
+
+def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
+    """Welfare-maximal profile and its value: the first maximum of
+    :func:`~infogame.kernel.welfare` over the optimal forests."""
+    return _optimum(cfg, _optimal_forests(cfg))[2:]
 
 
 def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
@@ -304,7 +275,9 @@ def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
     Scans every profile while the 2**(n(n-1)) of them fit ``CHECK_BUDGET``
     (n <= 5), and only the sponsored forests past that (they need positive
     link costs, and more than 6 agents are refused). Results are ordered by
-    the profile index either way.
+    the profile index either way. The equilibria share one ``components``
+    and one ``welfare`` call with the optimal forests, so the optimum is
+    never below an equilibrium's welfare and the PoA never below 1.
     """
     n = cfg.n_agents
     if 1 << (n * (n - 1)) <= CHECK_BUDGET:
@@ -313,13 +286,15 @@ def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
         require_budget(set_partition_count(n, sponsored_tree_count),
                        f"pruned scan at {n} agents", "sponsored forests")
         rows, strict = _ne_scan_pruned(cfg, tol)
-
-    comp = components(rows)
-    w = welfare(rows, comp, cfg.fh, cfg.row_costs)
+    forests = _optimal_forests(cfg)
+    stack = np.concatenate([forests, rows])
+    del rows  # released before the stack is scored; the report keeps views of the stack
+    comp, w, opt_value, opt_profile = _optimum(cfg, stack)
+    k = len(forests)
+    rows, comp, w = stack[k:], comp[:, k:], w[k:]
     # the vector's own floats, looked up by component mask, so reports print them as given
     h = (0.0,) + cfg.ev.entries
     info = np.array(h)[comp]
-    opt_value, opt_profile = social_optimum(cfg)
     worst = float(w.min()) if len(w) else float("nan")
     return EquilibriumReport(
         rows=rows,

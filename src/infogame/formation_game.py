@@ -6,9 +6,10 @@ and unilaterally sponsor directed links. The undirected topology contains edge
 each connected component, and the sponsor alone pays the link cost. Agent i's
 payoff is ``f(H(component of i)) - sum of costs of links i sponsors``.
 
-A single profile is a batch of one for the kernel: components come from
-:func:`infogame.kernel.components`, the package's one component walk.
-Social welfare is :func:`infogame.kernel.welfare` of a batch.
+Topology and payoffs are computed on batches of profiles by the kernel:
+:func:`infogame.kernel.components` is the package's one component walk and
+:func:`infogame.kernel.welfare` its one welfare routine, the social optimum
+included.
 
 Everything here is immutable and side-effect free; profiles can be evaluated
 concurrently from any number of workers.
@@ -21,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernel
-from .entropy import EntropicVector, MAX_AGENTS, subset_agents, subset_mask
+from .entropy import EntropicVector, MAX_AGENTS, subset_mask
 
 _SHAPE_GRID_MAX = 64.0
 _SHAPE_GRID_POINTS = 129
@@ -289,33 +289,3 @@ class GameConfig:
                 table[i, compact] = table[i, compact & (compact - 1)] + self.link_cost(i, j)
         table.flags.writeable = False
         return table
-
-
-# -- topology ---------------------------------------------------------------
-
-def _component_masks(profile: LinkProfile) -> list[int]:
-    """Every agent's component mask, from :func:`infogame.kernel.components` of a batch of one."""
-    return kernel.components(np.array([profile.rows], dtype=np.int64))[:, 0].tolist()
-
-
-def components(profile: LinkProfile) -> tuple[frozenset[int], ...]:
-    """Partition of the agents into connected components, ordered by least member."""
-    comp = _component_masks(profile)
-    seen = set()
-    out = []
-    for i in range(profile.n_agents):
-        if comp[i] not in seen:
-            seen.add(comp[i])
-            out.append(frozenset(subset_agents(comp[i])))
-    return tuple(out)
-
-
-# -- payoffs ----------------------------------------------------------------
-
-def utility(cfg: GameConfig, profile: LinkProfile, i: int) -> float:
-    """Benefit of the information in i's component minus i's sponsored link costs."""
-    if profile.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    comp = _component_masks(profile)[i]
-    benefit = cfg.benefit(cfg.ev.h(comp))
-    return benefit - sum(cfg.link_cost(i, j) for j in subset_agents(profile.rows[i]))

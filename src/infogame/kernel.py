@@ -23,19 +23,19 @@ per distinct partition of a batch (at most Bell(n) rows) and each profile's
 partition: the game-independent half, which the full scan and the partition
 judgement keep per agent count up to ``TABLE_AGENTS``. :func:`best_response_table`
 scores those rows with the payoff tables each ``GameConfig`` owns (``fh``,
-``row_costs``); :func:`ne_status` judges a batch with it, a single profile
-being a batch of one, and gives the strict-equilibrium characterization its
-strict flag on the stars it keeps. :func:`components` is the package's one
-component walk, run in the narrowest unsigned dtype of an n-bit mask. Through
-:func:`merged_table` it serves the best responses and the production game's
-equilibrium check; it also gives equilibrium reports their components, the
+``row_costs``); :func:`ne_status` judges a batch with it, and gives the
+strict-equilibrium characterization its strict flag on the stars it keeps.
+:func:`components` is the package's one component walk, run in the narrowest
+unsigned dtype of an n-bit mask. Through :func:`merged_table` it serves the
+best responses and the production game's equilibrium check; it also gives
+equilibrium reports and the social optimum their components, and the
 characterization masks (strict-equilibrium stars, production trees and their
-cuts) their shapes, and the formation game's per-profile topology, as a batch
-of one. :func:`welfare` sums the tables in a fixed order. Scalar forms of the
-walk, of the welfare sum, of the profile index, of the Pruefer decoder and of
-the tree orientations live under ``tests/`` as the oracles the array forms
-are compared against. Every brute-force search counts its work in closed
-form first and passes it to :func:`require_budget`.
+cuts) their shapes. :func:`welfare` is the package's one welfare routine, for
+the equilibria and the social optimum alike, and sums the tables in a fixed
+order. Scalar forms of the walk, of the welfare sum, of the profile index, of
+the Pruefer decoder and of the tree orientations live under ``tests/`` as the
+oracles the array forms are compared against. Every brute-force search counts
+its work in closed form first and passes it to :func:`require_budget`.
 """
 from __future__ import annotations
 

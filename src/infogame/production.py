@@ -26,11 +26,10 @@ Enumerations estimate their checks first and refuse more than ``CHECK_BUDGET``.
 The equilibrium shapes of the characterizations are judged a batch at a time
 by :func:`shape_mask` on ``kernel.components``: a spanning tree, and for SUM
 each link's cut, the component its target keeps without the sponsor's
-links. :func:`check_sum_equilibrium` and :func:`check_max_equilibrium` are
-its batch of one. The characterizations assume a strictly positive link
-cost; with free links a duplicate-sponsored edge can sit in an equilibrium
-that they reject. The knife edge c = k * h_bar is classified with the
-high-cost branch.
+links. The characterizations assume a strictly positive link cost; with
+free links a duplicate-sponsored edge can sit in an equilibrium that they
+reject. The knife edge c = k * h_bar is classified with the high-cost
+branch.
 """
 from __future__ import annotations
 
@@ -297,8 +296,15 @@ def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
 # -- equilibrium-shape characterizations --------------------------------------
 
 def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
-    """Which profiles of a batch have an equilibrium shape of the characterizations
-    (see :func:`check_sum_equilibrium` and :func:`check_max_equilibrium`).
+    """Which profiles of a batch have an equilibrium shape of the characterizations.
+
+    High cost (c >= k h_bar): the unique equilibrium is the empty network
+    with every agent producing h_bar. Low cost: the network is one spanning
+    tree with single-sponsored edges, and
+    - under SUM, total production equals h_bar and every sponsored link is
+      worth keeping: c <= k * (production of its cut);
+    - under MAX, exactly one agent produces h_bar, the rest zero, and every
+      non-producer sponsors exactly one link.
 
     ``rows`` and ``prods`` are as in :func:`production_ne_mask`. A cut of
     link i -> j is j's component with i's links removed, and its production
@@ -328,35 +334,6 @@ def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     producer = prods > PRODUCER_EPS
     one_link = (rows != 0) & (rows & (rows - 1) == 0)
     return ok & (producer.sum(axis=1) == 1) & (producer & at_hb).any(axis=1) & (producer | one_link).all(axis=1)
-
-
-def check_sum_equilibrium(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
-    """Equilibrium characterization under SUM aggregation.
-
-    High cost (c >= k h_bar): the unique equilibrium is the empty network
-    with every agent producing h_bar. Low cost: the network is one spanning
-    tree with single-sponsored edges, total production equals h_bar, and
-    every sponsored link must be worth keeping: its cost can not exceed the
-    production cost of the information reached only through it,
-    c <= k * (production cut off by removing the link). :func:`shape_mask`
-    of the batch of one.
-    """
-    if cfg.agg is not Aggregation.SUM:
-        raise ValueError("this characterization applies to SUM aggregation")
-    return bool(shape_mask(cfg, [s.links.rows], [s.productions])[0])
-
-
-def check_max_equilibrium(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
-    """Equilibrium characterization under MAX aggregation.
-
-    High cost: as in the SUM case. Low cost: one spanning tree with
-    single-sponsored edges, exactly one agent producing h_bar with the rest
-    at zero, and every non-producer sponsoring exactly one link.
-    :func:`shape_mask` of the batch of one.
-    """
-    if cfg.agg is not Aggregation.MAX:
-        raise ValueError("this characterization applies to MAX aggregation")
-    return bool(shape_mask(cfg, [s.links.rows], [s.productions])[0])
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -477,13 +454,6 @@ def production_equilibria(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.nda
         return _equilibria(cfg, grid_batches(cfg))
     require_budget(_candidate_count(cfg), f"candidates production scan at {n} agents", "profiles")
     return _equilibria(cfg, _candidate_batches(cfg))
-
-
-def enumerate_production_ne(cfg: ProductionGameConfig) -> list[ProductionProfile]:
-    """:func:`production_equilibria` as profiles."""
-    rows, prods = production_equilibria(cfg)
-    return [ProductionProfile(p, LinkProfile(cfg.n_agents, r))
-            for r, p in zip(map(tuple, rows.tolist()), map(tuple, prods.tolist()))]
 
 
 def _equilibria(cfg: ProductionGameConfig, batches) -> tuple[np.ndarray, np.ndarray]:

@@ -238,10 +238,8 @@ def _check_production(agg: Aggregation, benefit):
         if not ok:
             return False, f"c={c}: {detail}"
         if cfg.high_cost():
-            found = production.enumerate_production_ne(cfg)
-            hb = cfg.h_bar()
-            if len(found) != 1 or any(found[0].links.rows) or any(
-                    abs(p - hb) > 1e-9 for p in found[0].productions):
+            rows, prods = production.production_equilibria(cfg)
+            if len(rows) != 1 or rows.any() or (np.abs(prods - cfg.h_bar()) > 1e-9).any():
                 return False, f"c={c}: high-cost equilibrium not unique full production"
     return True, "grid scan matches on both sides of k*h_bar"
 

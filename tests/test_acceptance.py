@@ -29,17 +29,17 @@ from infogame.analytic import (
 from infogame.cli import main
 from infogame.entropy import family_pair_redundancy
 from infogame.equilibrium import enumerate_nash
+from infogame.entropy import subset_agents
 from infogame.formation_game import (
     BenefitFunction,
     CostModel,
     GameConfig,
-    components,
 )
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
-    enumerate_production_ne,
     few_sweep,
+    production_equilibria,
     production_ne_mask,
     shape_mask,
 )
@@ -89,8 +89,8 @@ def test_criterion_2_equilibrium_minimality(random_batch):
     batch, _ = random_batch
     with criterion(2, "every component of every enumerated equilibrium is a tree"):
         for cfg, report in batch:
-            for p in report.ne_profiles:
-                assert all(is_minimally_connected(p, comp) for comp in components(p))
+            for p, comp in zip(report.ne_profiles, report.components.T.tolist()):
+                assert all(is_minimally_connected(p, subset_agents(m)) for m in set(comp))
 
 
 def test_criterion_3_connectivity_thresholds():
@@ -124,13 +124,16 @@ def test_criterion_4_structure_oracle_equivalence():
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             n = cfg.n_agents
             report = enumerate_nash(cfg)
-            realized = {frozenset(components(p)) for p in report.ne_profiles}
+            partitions = [[subset_agents(m) for m in set(comp)] for comp in report.components.T.tolist()]
+            realized = {frozenset(map(frozenset, part)) for part in partitions}
             assert realized == component_structures(cfg)
             strict = {p.rows for p in report.strict_ne_profiles}
             rows = [profile_from_index(idx, n) for idx in range(1 << (n * (n - 1)))]
             assert strict_structure_mask(cfg, rows).tolist() == [r in strict for r in rows]
-            for p in report.strict_ne_profiles:
-                for comp in components(p):
+            for p, part, strict_ne in zip(report.ne_profiles, partitions, report.strict.tolist()):
+                if not strict_ne:
+                    continue
+                for comp in part:
                     if len(comp) == 1:
                         continue
                     sponsors = [i for i in comp if p.rows[i]]
@@ -277,11 +280,9 @@ def test_criterion_8_production_characterizations():
                 assert judged == (1 << 6) * len(grid) ** 3
                 assert ne_found > 0
                 if c > 0.25 * cfg.h_bar():
-                    found = enumerate_production_ne(cfg)
-                    assert len(found) == 1
-                    assert found[0].links.rows == (0, 0, 0)
-                    assert all(abs(p - cfg.h_bar()) <= 1e-9
-                               for p in found[0].productions)
+                    rows, prods = production_equilibria(cfg)
+                    assert rows.tolist() == [[0, 0, 0]]
+                    assert (np.abs(prods - cfg.h_bar()) <= 1e-9).all()
 
 
 def test_criterion_9_law_of_the_few():

@@ -11,7 +11,6 @@ from infogame.analytic import (
     K_C,
     K_I,
     K_M,
-    check_strict_ne_structure,
     classify_homogeneous,
     component_structures,
     mil_predict,
@@ -21,9 +20,10 @@ from infogame.analytic import (
     strict_structure_mask,
     thresholds_homogeneous,
 )
-from infogame.entropy import TOL, EntropicVector, family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
-from infogame.equilibrium import CapExceededError, enumerate_nash, is_strict_nash
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile, components
+from infogame.entropy import (TOL, EntropicVector, family_independent, family_max_correlated, family_pair_redundancy,
+                              from_joint_pmf, subset_agents)
+from infogame.equilibrium import CapExceededError, enumerate_nash
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from infogame.kernel import profile_indices, rows_from_indices, set_partition_count
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
 from scalar_kernel import profile_from_index
@@ -80,7 +80,8 @@ class TestHeterogeneousRegion:
 
 def realized_partitions(cfg):
     """Component structures of every equilibrium of a game, from ``enumerate_nash``."""
-    return {frozenset(components(p)) for p in enumerate_nash(cfg).ne_profiles}
+    return {frozenset(frozenset(subset_agents(m)) for m in column)
+            for column in enumerate_nash(cfg).components.T.tolist()}
 
 
 class TestComponentStructure:
@@ -163,29 +164,29 @@ class TestStrictStructure:
     def test_core_sponsored_star_accepted(self):
         cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
         star = LinkProfile.from_links(3, [(0, 1), (0, 2)])
-        assert check_strict_ne_structure(cfg, star)
+        assert strict_structure_mask(cfg, [star.rows]).tolist() == [True]
 
     def test_line_rejected(self):
         cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
         line = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        assert not check_strict_ne_structure(cfg, line)
+        assert strict_structure_mask(cfg, [line.rows]).tolist() == [False]
 
     def test_periphery_sponsored_star_rejected(self):
         # periphery agents could swap link targets at equal utility
         cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
         star = LinkProfile.from_links(3, [(1, 0), (2, 0)])
-        assert not check_strict_ne_structure(cfg, star)
+        assert strict_structure_mask(cfg, [star.rows]).tolist() == [False]
 
     def test_seven_agent_star_judged_past_the_component_checker_budget(self):
         # each periphery link gains ln(8/7) > c; the block has 1075648 sponsored trees
         cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
         star = LinkProfile.from_links(7, [(0, j) for j in range(1, 7)])
-        assert check_strict_ne_structure(cfg, star)
-        assert is_strict_nash(cfg, star)
+        assert strict_structure_mask(cfg, [star.rows]).tolist() == [True]
+        assert kernel.ne_status(7, np.array([star.rows]), range(7), cfg.fh, cfg.row_costs)[1].tolist() == [True]
 
     def test_non_equilibrium_rejected(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
-        assert not check_strict_ne_structure(cfg, LinkProfile.empty(2))
+        assert strict_structure_mask(cfg, [LinkProfile.empty(2).rows]).tolist() == [False]
 
     def test_matches_enumeration(self):
         for seed in range(12):
@@ -213,8 +214,6 @@ class TestStrictStructure:
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
         with pytest.raises(ValueError, match="profile size"):
             strict_structure_mask(cfg, [(0, 0, 0)])
-        with pytest.raises(ValueError, match="profile size"):
-            check_strict_ne_structure(cfg, LinkProfile.empty(3))
 
 
 @st.composite
@@ -278,7 +277,7 @@ class TestStrictKnifeEdge:
         c = math.nextafter(1 - 1e-9, 0)
         cfg = GameConfig(self.LINEAR_PAIR, BenefitFunction.linear(), CostModel.homogeneous(c))
         assert enumerate_nash(cfg).strict_ne_profiles == ()
-        assert not check_strict_ne_structure(cfg, LinkProfile(2, (2, 0)))
+        assert strict_structure_mask(cfg, [(2, 0)]).tolist() == [False]
         assert_mask_is_brute_force(cfg)
 
     @pytest.mark.parametrize("c", knife_edge_costs(LINEAR_PAIR, BenefitFunction.linear()))

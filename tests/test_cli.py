@@ -13,7 +13,7 @@ from infogame import analytic, cli, csvtable, equilibrium, production
 from infogame.cli import main
 from infogame.entropy import family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
 from infogame.equilibrium import enumerate_nash
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from infogame.verification import random_joint_pmf
 from scalar_kernel import csv_text, report_csv
 
@@ -231,10 +231,10 @@ class TestEnumerate:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("spec, digest", [
-        (GOLDEN_MATRIX_SPEC, "39690967859fd4e952a7a5870f2e239170aed4b0a32415db860bda71bc3b9cf8"),
-        (GOLDEN_CHEAP_SPEC, "6a5c3f4e0d26912845d9fb44942c5977130227f9cc500ce3754b9f4d25d96431"),
-        (GOLDEN_N6_SPEC, "35cc538638b444a404145420330ed8da1fee2f94faadbc9247da0a4bcdd1b674"),
-        (GOLDEN_N6_MIXED_SPEC, "f735f71ad464bfd74d76c16d0cb8453ee362a763280c2bf6864423d22a9a0e0a"),
+        (GOLDEN_MATRIX_SPEC, "730c7a3a5413dfc92d067173055e52388eed0b85d6d2b36a83ce36033c0f5e0d"),
+        (GOLDEN_CHEAP_SPEC, "dc25f881ad8066ecaebe4ee63fa5232d2c6c0f194504919ea8c9c855ad7af93c"),
+        (GOLDEN_N6_SPEC, "9fee49a476f30d67c8b358cd0ac973d51585316f5c4ec3db40560f318392c517"),
+        (GOLDEN_N6_MIXED_SPEC, "11f8e7bb58183b0d9b2bfaa2aab34aa90e3f663f2886ef876be312cf0b9c8422"),
         (GOLDEN_PRODUCTION_N3_SUM_SPEC, "28f52b718881d617bb70da76c384cff845cfc91f20eb9f912c653a177f96e3c9"),
         (GOLDEN_PRODUCTION_N5_MAX_SPEC, "00a8ecbaa240adae5d3582b6e33def8fd8b263fe84282bf9123c2e837c67c5f6"),
     ], ids=["n4-inline-matrix", "n5-independent-cheap", "n6-independent-cheap-pruned", "n6-recipient-mixed-pruned",
@@ -244,6 +244,15 @@ class TestEnumerate:
         code, text = run_cli(tmp_path, spec)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_price_of_anarchy_is_never_below_one(self, tmp_path):
+        # the optimum is kernel.welfare of its own forest, as every equilibrium welfare is: summed
+        # in another order it read 5.8 here, below the worst equilibrium, and the PoA read 0.9999999999999999
+        spec = ENUM_SPEC.replace("[1, 1]", "[1, 1, 1]").replace("c: 0.3", "c: 0.1")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 0
+        assert text.splitlines()[1] == ("# social_optimum=5.800000000000001 worst_ne_welfare=5.800000000000001"
+                                        " poa=1.0 mil=0.0")
 
     def test_integer_entropies_print_as_floats(self, tmp_path):
         spec = INTEGER_ENTROPY_SPEC
@@ -589,9 +598,10 @@ class TestCsvWriter:
     def test_production_matches_per_cell_oracle(self, n, agg, c):
         spec = yaml.safe_load(PRODUCTION_SPEC.replace("n_agents: 2", f"n_agents: {n}")
                               .replace("aggregation: sum", f"aggregation: {agg}").replace("c: 1.0", f"c: {c}"))
-        found = production.enumerate_production_ne(cli._production_config(spec))
+        rows, prods = production.production_equilibria(cli._production_config(spec))
         want = csv_text(["links"] + [f"prod_{i}" for i in range(n)],
-                        [(s.links.bitstring(),) + s.productions for s in found])
+                        [(LinkProfile(n, tuple(r)).bitstring(),) + tuple(p)
+                         for r, p in zip(rows.tolist(), prods.tolist())])
         assert written(cli._run_production(spec)) == want
 
     @pytest.mark.parametrize("command", ["regions", "poa-sweep", "mil-sweep"])

@@ -13,25 +13,12 @@ from infogame.entropy import (
     family_max_correlated,
     family_pair_redundancy,
     from_joint_pmf,
+    subset_agents,
 )
-from infogame.equilibrium import (
-    CapExceededError,
-    best_responses,
-    enumerate_nash,
-    is_nash,
-    is_strict_nash,
-    social_optimum,
-)
-from infogame.formation_game import (
-    BenefitFunction,
-    CostModel,
-    GameConfig,
-    LinkProfile,
-    components,
-    utility,
-)
+from infogame.equilibrium import CapExceededError, enumerate_nash, social_optimum
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from infogame.kernel import components as kernel_components
-from infogame.kernel import expand_row, rows_from_indices, set_partition_count, welfare
+from infogame.kernel import expand_row, merged_table, rows_from_indices, set_partition_count, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
 from scalar_kernel import (component_masks, is_minimally_connected, ne_status, profile_from_index, profile_index,
                            row_utilities, undirected_adjacency)
@@ -45,46 +32,63 @@ def homog(ev, c, f=LOG2):
     return GameConfig(ev, f, CostModel.homogeneous(c))
 
 
+def best_rows(cfg, rows, i, tol=TOL):
+    """Agent i's within-tolerance best rows against each profile of a batch, from the
+    kernel's table, as sets of link masks."""
+    merged, part = merged_table(cfg.n_agents, rows, i)
+    table = kernel.best_response_table(merged, cfg.fh, cfg.row_costs[i], tol)[part]
+    return [{expand_row(c, i) for c in np.flatnonzero(t).tolist()} for t in table]
+
+
+def status(cfg, *profiles):
+    """(is_ne, is_strict) of each profile, from one ``kernel.ne_status`` batch."""
+    n = cfg.n_agents
+    is_ne, strict = kernel.ne_status(n, np.array([p.rows for p in profiles], dtype=np.int64), range(n),
+                                     cfg.fh, cfg.row_costs)
+    return list(zip(is_ne.tolist(), strict.tolist()))
+
+
 class TestBestResponses:
+    """Agent 0's best rows against the empty network."""
+
     def test_cheap_link_worth_taking(self):
         cfg = homog(family_independent([1, 1]), 0.3)
         # log2(3) - 0.3 beats log2(2)
-        assert best_responses(cfg, 0, LinkProfile.empty(2)) == frozenset({0b10})
+        assert best_rows(cfg, np.zeros((1, 2), dtype=np.int64), 0) == [{0b10}]
 
     def test_expensive_link_declined(self):
         cfg = homog(family_independent([1, 1]), 2.0)
-        assert best_responses(cfg, 0, LinkProfile.empty(2)) == frozenset({0})
+        assert best_rows(cfg, np.zeros((1, 2), dtype=np.int64), 0) == [{0}]
 
     def test_redundant_information_never_bought(self):
         cfg = homog(family_max_correlated([1, 1]), 0.1)
-        assert best_responses(cfg, 0, LinkProfile.empty(2)) == frozenset({0})
+        assert best_rows(cfg, np.zeros((1, 2), dtype=np.int64), 0) == [{0}]
 
     def test_tie_includes_both(self):
         # fully redundant targets: linking to either one is equally good
         cfg = homog(family_pair_redundancy(0, 1, 1, 1), 0.2, LN)
-        brs = best_responses(cfg, 0, LinkProfile.empty(3))
-        assert brs == frozenset({0b010, 0b100})
+        assert best_rows(cfg, np.zeros((1, 3), dtype=np.int64), 0) == [{0b010, 0b100}]
 
 
 class TestNashPredicates:
     def test_single_link_profile_is_ne(self):
         cfg = homog(family_independent([1, 1]), 0.3)
-        assert is_nash(cfg, LinkProfile.from_links(2, [(0, 1)]))
+        assert status(cfg, LinkProfile.from_links(2, [(0, 1)])) == [(True, True)]
 
     def test_duplicate_link_never_ne(self):
         cfg = homog(family_independent([1, 1]), 0.3)
-        assert not is_nash(cfg, LinkProfile.from_links(2, [(0, 1), (1, 0)]))
+        assert status(cfg, LinkProfile.from_links(2, [(0, 1), (1, 0)])) == [(False, False)]
 
     def test_empty_profile_strict_at_high_cost(self):
         cfg = homog(family_independent([1, 1]), 2.0)
-        assert is_strict_nash(cfg, LinkProfile.empty(2))
+        assert status(cfg, LinkProfile.empty(2)) == [(True, True)]
 
     def test_strict_fails_on_tie(self):
         # identical sources make link targets interchangeable
         cfg = homog(family_pair_redundancy(0, 1, 1, 0), 0.2, LN)
-        p = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        if is_nash(cfg, p):
-            assert not is_strict_nash(cfg, p)
+        (is_ne, strict), = status(cfg, LinkProfile.from_links(3, [(0, 1), (1, 2)]))
+        if is_ne:
+            assert not strict
 
 
 class TestEnumerate:
@@ -116,8 +120,9 @@ class TestEnumerate:
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
-            for p in enumerate_nash(cfg).ne_profiles:
-                assert all(is_minimally_connected(p, comp) for comp in components(p))
+            report = enumerate_nash(cfg)
+            for p, comp in zip(report.ne_profiles, report.components.T.tolist()):
+                assert all(is_minimally_connected(p, subset_agents(m)) for m in set(comp))
                 n = cfg.n_agents
                 assert not any(p.rows[i] >> j & 1 and p.rows[j] >> i & 1
                                for i in range(n) for j in range(i + 1, n))
@@ -161,7 +166,6 @@ class TestEnumerate:
         for name in ("_ne_scan_full", "_ne_scan_pruned"):
             monkeypatch.setattr(equilibrium, name, lambda cfg, tol, name=name: used.append(name) or (
                 np.zeros((0, cfg.n_agents), dtype=np.int64), np.zeros(0, dtype=bool)))
-        monkeypatch.setattr(equilibrium, "social_optimum", lambda cfg: (0.0, None))
         for n in (1, 5, 6):
             enumerate_nash(homog(family_independent([1] * n), 0.5))
         assert used == ["_ne_scan_full", "_ne_scan_full", "_ne_scan_pruned"]
@@ -359,22 +363,20 @@ class TestArrayKernelMatchesScalar:
 
 
 class TestPredicatesMatchScalar:
-    """``is_nash``, ``is_strict_nash`` and ``best_responses`` against the scalar walk."""
+    """``kernel.ne_status`` and the best-response table of every profile at once
+    against the scalar walk."""
 
     @staticmethod
     def check_every_profile(cfg):
         n = cfg.n_agents
         fh, costs = cfg.fh, cfg.row_costs
-        for k in range(1 << (n * (n - 1))):
-            rows = profile_from_index(k, n)
-            p = LinkProfile(n, rows)
-            assert (is_nash(cfg, p), is_strict_nash(cfg, p)) == ne_status(n, rows, range(n), fh, costs)
-            for i in range(n):
-                utils = row_utilities(n, rows, i, fh, costs[i])
-                best = frozenset(expand_row(c, i) for c, u in enumerate(utils) if u >= max(utils) - TOL)
-                got = best_responses(cfg, i, p)
-                assert got == best
-                assert all(type(r) is int for r in got)
+        profiles = [LinkProfile(n, profile_from_index(k, n)) for k in range(1 << (n * (n - 1)))]
+        assert status(cfg, *profiles) == [ne_status(n, p.rows, range(n), fh, costs) for p in profiles]
+        for i in range(n):
+            got = best_rows(cfg, np.array([p.rows for p in profiles], dtype=np.int64), i)
+            for p, best in zip(profiles, got):
+                utils = row_utilities(n, p.rows, i, fh, costs[i])
+                assert best == {expand_row(c, i) for c, u in enumerate(utils) if u >= max(utils) - TOL}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 3).flatmap(games))
@@ -401,10 +403,36 @@ def test_kernel_welfare_matches_the_sum_of_utilities(case):
     comp = kernel_components(rows)
     got = welfare(rows, comp, cfg.fh, cfg.row_costs).tolist()
     for w, r, c in zip(got, rows.tolist(), comp.T.tolist()):
-        p = LinkProfile(n, tuple(r))
         scale = sum(cfg.fh[m] for m in c) + sum(
             cfg.link_cost(i, j) for i in range(n) for j in range(n) if r[i] >> j & 1)
-        assert abs(w - sum(utility(cfg, p, i) for i in range(n))) <= 1e-12 * scale
+        # each agent's utility: the benefit of its component's information minus its links' costs
+        masks = component_masks(undirected_adjacency(LinkProfile(n, tuple(r))))
+        utilities = [cfg.benefit(cfg.ev.h(masks[i])) - sum(cfg.link_cost(i, j) for j in subset_agents(r[i]))
+                     for i in range(n)]
+        assert abs(w - sum(utilities)) <= 1e-12 * scale
+
+
+@st.composite
+def verify_games(draw):
+    """Games of 2 to 4 agents from ``verify``'s random configs: homogeneous or recipient costs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([random_homogeneous_config, random_recipient_config]))
+    return make(rng, draw(st.integers(2, 4)), draw(st.sampled_from([LN, LOG2])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_games())
+def test_optimum_is_a_kernel_welfare_and_never_below_an_equilibrium(cfg):
+    """Exactly, without a tolerance: the optimum is ``kernel.welfare`` of its own profile."""
+    report = enumerate_nash(cfg)
+    value, profile = social_optimum(cfg)
+    for v, p in ((report.social_optimum_value, report.social_optimum_profile), (value, profile)):
+        rows = np.array([p.rows], dtype=np.int64)
+        assert v == welfare(rows, kernel_components(rows), cfg.fh, cfg.row_costs)[0]
+    assert report.social_optimum_value >= value
+    if len(report.welfare):
+        assert report.social_optimum_value >= report.welfare.max()
+    assert report.poa is None or report.poa >= 1.0
 
 
 class TestSocialOptimum:
@@ -414,7 +442,7 @@ class TestSocialOptimum:
         value, profile = social_optimum(cfg)
         assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         assert value == pytest.approx(3 * LN(13) - 2 * 0.3, abs=1e-9)
-        assert len(components(profile)) == 1
+        assert set(component_masks(undirected_adjacency(profile))) == {0b111}
 
     def test_isolated_region_empty(self):
         cfg = homog(family_independent([1, 1]), 3.0)
@@ -456,7 +484,7 @@ class TestEfficiencyMetrics:
         cfg = homog(ev, 0.75, LN)  # strictly between the thresholds
         bound = 3 * math.log(14) / (math.log(6) + 2 * math.log(5))
         poa = enumerate_nash(cfg).poa
-        assert 1.0 - 1e-9 <= poa < bound
+        assert 1.0 <= poa < bound
 
     def test_mil_zero_in_connected_region(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.3, LN)
@@ -467,7 +495,7 @@ class TestEfficiencyMetrics:
         report = enumerate_nash(cfg)
         rows = {p.rows for p in report.ne_profiles}
         assert (0, 0, 0) in rows
-        assert any(len(components(p)) == 1 for p in report.ne_profiles)
+        assert (report.components == 0b111).all(axis=0).any()
         assert report.mil == pytest.approx(9.0, abs=1e-12)
 
     def test_mil_zero_for_unique_equilibrium(self):
@@ -479,14 +507,14 @@ class TestEfficiencyMetrics:
                 assert report.mil == 0.0
             assert report.mil >= 0.0
             if report.poa is not None:
-                assert report.poa >= 1.0 - 1e-9
+                assert report.poa >= 1.0
 
     def test_report_invariants_and_serialization(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.75, LN)
         report = enumerate_nash(cfg)
         strict_rows = {p.rows for p in report.strict_ne_profiles}
         assert strict_rows <= {p.rows for p in report.ne_profiles}
-        assert report.worst_ne_welfare <= report.social_optimum_value + 1e-9
+        assert report.worst_ne_welfare <= report.social_optimum_value
         csv_text = report.to_csv()
         header = csv_text.splitlines()[0].split(",")
         assert header == ["profile", "welfare", "info_0", "info_1", "info_2", "strict"]

@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogame.entropy import EntropicVector, JointPmf, family_independent, from_joint_pmf
-from infogame.formation_game import (
-    BenefitFunction,
-    CostModel,
-    GameConfig,
-    LinkProfile,
-    components,
-    utility,
-)
-from scalar_kernel import is_minimally_connected, profile_index, social_welfare, topology
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from infogame.kernel import components, compress_row
+from scalar_kernel import is_minimally_connected, profile_index, row_utilities, social_welfare, topology
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)
@@ -141,15 +135,14 @@ class TestTopologyOps:
 
     def test_components_chain(self):
         p = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        assert components(p) == (frozenset({0, 1, 2}),)
+        assert components(np.array([p.rows])).T.tolist() == [[0b111, 0b111, 0b111]]
 
     def test_components_split(self):
         p = LinkProfile.from_links(3, [(0, 1)])
-        assert components(p) == (frozenset({0, 1}), frozenset({2}))
+        assert components(np.array([p.rows])).T.tolist() == [[0b011, 0b011, 0b100]]
 
     def test_components_empty(self):
-        assert components(LinkProfile.empty(3)) == (
-            frozenset({0}), frozenset({1}), frozenset({2}))
+        assert components(np.array([LinkProfile.empty(3).rows])).T.tolist() == [[0b001, 0b010, 0b100]]
 
     def test_minimally_connected_star(self):
         p = LinkProfile.from_links(4, [(0, 1), (0, 2), (0, 3)])
@@ -168,18 +161,23 @@ class TestTopologyOps:
             is_minimally_connected(p, {0, 1})
 
 
+def own_row_utility(cfg, p, i):
+    """Agent i's utility in profile p: the scalar oracle's utility of its own row."""
+    return row_utilities(p.n_agents, p.rows, i, cfg.fh, cfg.row_costs[i])[compress_row(p.rows[i], i)]
+
+
 class TestPayoffs:
     def test_sponsor_pays(self):
         cfg = GameConfig(family_independent([1, 1]), LOG2, CostModel.homogeneous(0.3))
         p = LinkProfile.from_links(2, [(0, 1)])
-        assert utility(cfg, p, 0) == pytest.approx(math.log2(3) - 0.3, abs=1e-12)
-        assert utility(cfg, p, 1) == pytest.approx(math.log2(3), abs=1e-12)
+        assert own_row_utility(cfg, p, 0) == pytest.approx(math.log2(3) - 0.3, abs=1e-12)
+        assert own_row_utility(cfg, p, 1) == pytest.approx(math.log2(3), abs=1e-12)
 
     def test_isolated_agent_keeps_own_information(self):
         cfg = GameConfig(family_independent([5, 4, 4]), LOG2, CostModel.homogeneous(0.3))
         p = LinkProfile.empty(3)
         for i, h in enumerate((5, 4, 4)):
-            assert utility(cfg, p, i) == pytest.approx(math.log2(1 + h), abs=1e-12)
+            assert own_row_utility(cfg, p, i) == pytest.approx(math.log2(1 + h), abs=1e-12)
 
     def test_welfare_single_link(self):
         cfg = GameConfig(family_independent([1, 1]), LOG2, CostModel.homogeneous(0.3))
@@ -204,7 +202,7 @@ class TestPayoffs:
         cfg = GameConfig(ev, LN, CostModel.homogeneous(0.1))
         p = LinkProfile.from_links(3, [(1, 0), (1, 2)])
         for i in range(3):
-            benefit = utility(cfg, p, i) + 0.1 * bin(p.rows[i]).count("1")
+            benefit = own_row_utility(cfg, p, i) + 0.1 * bin(p.rows[i]).count("1")
             assert benefit == pytest.approx(LN(ev.joint_entropy), abs=1e-12)
 
     @given(st.integers(0, 5000))
@@ -217,7 +215,7 @@ class TestPayoffs:
         base = LinkProfile.from_links(3, [(0, 1)])
         more = LinkProfile.from_links(3, [(0, 1), (1, 2)])
         for i in range(3):
-            assert utility(cfg, more, i) >= utility(cfg, base, i) - 1e-12
+            assert own_row_utility(cfg, more, i) >= own_row_utility(cfg, base, i) - 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -244,13 +242,14 @@ class TestPayoffs:
         p = LinkProfile.from_links(3, [(0, 2), (1, 2)])
         pp = LinkProfile.from_links(3, [(inv[0], inv[2]), (inv[1], inv[2])])
         for i in range(3):
-            assert utility(cfg, p, i) == pytest.approx(utility(pcfg, pp, inv[i]), abs=1e-12)
+            assert own_row_utility(cfg, p, i) == pytest.approx(own_row_utility(pcfg, pp, inv[i]), abs=1e-12)
 
     def test_cycle_welfare_below_spanning_tree(self):
         cfg = GameConfig(family_independent([2, 1, 1]), LN, CostModel.homogeneous(0.2))
         cycle = LinkProfile.from_links(3, [(0, 1), (1, 2), (2, 0)])
         tree = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        assert components(cycle) == components(tree)
+        comp = components(np.array([cycle.rows, tree.rows]))
+        assert (comp[:, 0] == comp[:, 1]).all()
         assert social_welfare(cfg, cycle) < social_welfare(cfg, tree)
 
 

@@ -15,14 +15,13 @@ from infogame.production import (
     ProductionGameConfig,
     ProductionProfile,
     aggregate,
-    check_sum_equilibrium,
-    check_max_equilibrium,
-    enumerate_production_ne,
     few_metrics,
     few_sweep,
     grid_levels,
     h_bar,
     is_production_ne,
+    production_equilibria,
+    shape_mask,
 )
 from scalar_kernel import production_utility
 
@@ -89,8 +88,8 @@ class TestConfig:
         monkeypatch.setattr(production, "h_bar", counting)
         cfg = make_cfg(n=3, c=0.2)
         assert calls == []
-        found = enumerate_production_ne(cfg)
-        assert found and cfg.step() == pytest.approx(0.5) and not cfg.high_cost()
+        rows, _ = production_equilibria(cfg)
+        assert len(rows) and cfg.step() == pytest.approx(0.5) and not cfg.high_cost()
         assert calls == [0.25]
 
     def test_missing_optimum_raises_on_first_use(self):
@@ -126,10 +125,9 @@ class TestEquilibriumCheck:
         cfg = make_cfg(c=1.0)
         s = ProductionProfile((3.0, 3.0), LinkProfile.empty(2))
         assert is_production_ne(cfg, s)
-        found = enumerate_production_ne(cfg)
-        assert len(found) == 1
-        assert found[0].links.rows == (0, 0)
-        assert found[0].productions == pytest.approx((3.0, 3.0), abs=1e-9)
+        rows, prods = production_equilibria(cfg)
+        assert rows.tolist() == [[0, 0]]
+        assert prods.tolist() == [pytest.approx([3.0, 3.0], abs=1e-9)]
 
     def test_low_cost_single_producer_sum(self):
         cfg = make_cfg(c=0.2)
@@ -158,19 +156,19 @@ class TestCharacterizations:
         cfg = make_cfg(n=3, c=0.2)
         s = ProductionProfile((3.0, 0.0, 0.0),
                               LinkProfile.from_links(3, [(1, 0), (2, 0)]))
-        assert check_sum_equilibrium(cfg, s)
+        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [True]
         assert is_production_ne(cfg, s)
 
     def test_overproduction_rejected(self):
         cfg = make_cfg(n=2, c=0.2)
         s = ProductionProfile((3.0, 0.5), LinkProfile.from_links(2, [(1, 0)]))
-        assert not check_sum_equilibrium(cfg, s)
+        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [False]
         assert not is_production_ne(cfg, s)
 
     def test_two_producers_under_max_rejected(self):
         cfg = make_cfg(n=2, c=0.2, agg=Aggregation.MAX)
         s = ProductionProfile((3.0, 3.0), LinkProfile.from_links(2, [(1, 0)]))
-        assert not check_max_equilibrium(cfg, s)
+        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [False]
 
     def test_chain_needs_per_link_cut_condition(self):
         # c exceeds k times the production behind the middle agent's link, so
@@ -179,39 +177,27 @@ class TestCharacterizations:
         links = LinkProfile.from_links(3, [(0, 1), (1, 2)])
         s = ProductionProfile((1.0, 1.0, 1.0), links)
         assert not is_production_ne(cfg, s)
-        assert not check_sum_equilibrium(cfg, s)
+        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [False]
         # a cheaper link keeps the chain in equilibrium
         cheap = make_cfg(n=3, c=0.2)
         assert is_production_ne(cheap, s)
-        assert check_sum_equilibrium(cheap, s)
-
-    def test_wrong_aggregation_rejected(self):
-        cfg = make_cfg(agg=Aggregation.MAX)
-        s = ProductionProfile((3.0, 0.0), LinkProfile.from_links(2, [(1, 0)]))
-        with pytest.raises(ValueError):
-            check_sum_equilibrium(cfg, s)
-        with pytest.raises(ValueError):
-            check_max_equilibrium(make_cfg(), s)
+        assert shape_mask(cheap, [s.links.rows], [s.productions]).tolist() == [True]
 
     @pytest.mark.parametrize("agg", [Aggregation.SUM, Aggregation.MAX])
     @pytest.mark.parametrize("c", [0.2, 1.0])
     def test_grid_scan_equivalence_two_agents(self, agg, c):
         cfg = make_cfg(n=2, c=c, agg=agg)
-        checker = check_sum_equilibrium if agg is Aggregation.SUM else check_max_equilibrium
-        grid = grid_levels(cfg)
-        for rows in itertools.product((0, 2), (0, 1)):
-            links = LinkProfile(2, rows)
-            for prods in itertools.product(grid, repeat=2):
-                s = ProductionProfile(prods, links)
-                assert is_production_ne(cfg, s) == checker(cfg, s)
+        cases = list(itertools.product(itertools.product((0, 2), (0, 1)),
+                                       itertools.product(grid_levels(cfg), repeat=2)))
+        shapes = shape_mask(cfg, [r for r, _ in cases], [p for _, p in cases]).tolist()
+        assert shapes == [is_production_ne(cfg, ProductionProfile(p, LinkProfile(2, r))) for r, p in cases]
 
 
 class TestEnumeration:
     def test_sum_low_cost_splits(self):
         cfg = make_cfg(c=0.2)
-        found = enumerate_production_ne(cfg)
-        got = {(s.links.rows, tuple(round(p, 9) for p in s.productions))
-               for s in found}
+        rows, prods = production_equilibria(cfg)
+        got = {(tuple(r), tuple(round(p, 9) for p in ps)) for r, ps in zip(rows.tolist(), prods.tolist())}
         # exactly the grid splits of h_bar with one link whose sponsor could
         # not produce the acquired information more cheaply: p_sponsor <= 2.2
         expect = set()
@@ -223,18 +209,18 @@ class TestEnumeration:
             if p1 <= 3.0 - cfg.c / cfg.k + 1e-9:
                 expect.add(((0, 0b01), (p0, p1)))  # 1 -> 0
         assert got == expect
-        assert len(found) == 10
+        assert len(rows) == 10
 
     def test_max_low_cost_single_producers(self):
         cfg = make_cfg(c=0.2, agg=Aggregation.MAX)
-        found = enumerate_production_ne(cfg)
-        assert found
-        for s in found:
-            producers = [i for i, p in enumerate(s.productions) if p > 1e-12]
+        rows, prods = production_equilibria(cfg)
+        assert len(rows)
+        for r, ps in zip(rows.tolist(), prods.tolist()):
+            producers = [i for i, p in enumerate(ps) if p > 1e-12]
             assert len(producers) == 1
-            assert s.productions[producers[0]] == pytest.approx(3.0, abs=1e-9)
+            assert ps[producers[0]] == pytest.approx(3.0, abs=1e-9)
             other = 1 - producers[0]
-            assert s.links.rows[other].bit_count() == 1
+            assert r[other].bit_count() == 1
 
     def test_candidate_generator_matches_full_scan(self):
         cfg = make_cfg(n=3, c=0.2, agg=Aggregation.MAX)
@@ -244,7 +230,7 @@ class TestEnumeration:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            enumerate_production_ne(make_cfg(n=6))
+            production_equilibria(make_cfg(n=6))
 
 
 class TestFewMetrics:
@@ -300,8 +286,8 @@ class TestFewSweep:
         assert cfg.h_bar() == 0.0
         s = ProductionProfile((0.0, 0.0), LinkProfile.empty(2))
         assert is_production_ne(cfg, s)
-        found = enumerate_production_ne(cfg)
-        assert [(x.links.rows, x.productions) for x in found] == [((0, 0), (0.0, 0.0))]
+        rows, prods = production_equilibria(cfg)
+        assert (rows.tolist(), prods.tolist()) == ([[0, 0]], [[0.0, 0.0]])
         points = few_sweep(cfg, [2, 3])
         assert all(pt.producer_fraction == 0.0 for pt in points)
         assert all(pt.total_information_bits == 0.0 for pt in points)

@@ -23,12 +23,10 @@ from infogame.production import (
     ProductionGameConfig,
     ProductionProfile,
     aggregate,
-    check_max_equilibrium,
-    check_sum_equilibrium,
-    enumerate_production_ne,
     few_sweep,
     grid_levels,
     is_production_ne,
+    production_equilibria,
     production_ne_mask,
     shape_mask,
 )
@@ -271,7 +269,6 @@ class TestShapeCheckers:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_match_the_mask_off_the_grid(self, n, agg, c):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
-        checker = check_sum_equilibrium if agg is Aggregation.SUM else check_max_equilibrium
         hb = cfg.h_bar()
         rng = np.random.default_rng([n, round(100 * c), agg is Aggregation.SUM])
         single = [tuple(hb if a == p else 0.0 for a in range(n)) for p in range(n)]
@@ -288,8 +285,6 @@ class TestShapeCheckers:
         assert got == production_ne_mask(cfg, rows, prods).tolist()
         assert got == [scalar_shape(cfg, ProductionProfile(p, LinkProfile(n, r))) for r, p in cases]
         assert any(got)
-        # the public checkers are batches of one
-        assert [checker(cfg, ProductionProfile(p, LinkProfile(n, r))) for r, p in cases[::10]] == got[::10]
 
     @pytest.mark.parametrize("c", [0.05, 0.2, 0.4, 0.75, 1.0])
     @pytest.mark.parametrize("agg", list(Aggregation))
@@ -365,9 +360,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("agg, c", [(Aggregation.SUM, 0.2), (Aggregation.MAX, 1.0)])
     def test_chunk_size_does_not_change_the_three_agent_grid(self, monkeypatch, chunk, agg, c):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, c, agg)
-        want = enumerate_production_ne(cfg)
+        want = [a.tolist() for a in production_equilibria(cfg)]
         monkeypatch.setattr(production, "CHECK_BYTES", 10 * chunk)
-        assert enumerate_production_ne(cfg) == want
+        assert [a.tolist() for a in production_equilibria(cfg)] == want
 
     @pytest.mark.parametrize("n, agg, c, batches", [
         (2, Aggregation.SUM, 0.2, "grid_batches"), (2, Aggregation.MAX, 1.0, "grid_batches"),
@@ -416,7 +411,7 @@ class TestWorkBudget:
         for name in ("grid_batches", "_candidate_batches"):
             monkeypatch.setattr(production, name, lambda cfg, name=name: used.append(name) or [])
         for n in (3, 4):
-            enumerate_production_ne(ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM))
+            production_equilibria(ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM))
         assert used == ["grid_batches", "_candidate_batches"]
 
     def test_fine_grid_candidates_fail_fast(self, never_scan):
@@ -424,20 +419,20 @@ class TestWorkBudget:
         cfg = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 0.01)
         with pytest.raises(CapExceededError, match="candidates production scan at 5 agents capped at "
                                                    "1048576 profiles: it would check 697763752001 "):
-            enumerate_production_ne(cfg)
+            production_equilibria(cfg)
 
     def test_six_agent_sum_candidates_fail_fast(self, never_scan):
         cfg = ProductionGameConfig(6, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
         with pytest.raises(CapExceededError, match="it would check 19160065 profiles"):
-            enumerate_production_ne(cfg)
+            production_equilibria(cfg)
 
     def test_six_agent_max_candidates_run(self):
         cfg = ProductionGameConfig(6, BENEFITS[1], 0.25, 0.2, Aggregation.MAX)
         assert production._candidate_count(cfg) == 1 + 6 * 6 ** 4 == 7777
-        found = enumerate_production_ne(cfg)
+        rows, prods = production_equilibria(cfg)
         # every tree rooted at each of the six producers
-        assert len(found) == 6 * 6 ** 4
-        assert shape_mask(cfg, [s.links.rows for s in found], [s.productions for s in found]).all()
+        assert len(rows) == 6 * 6 ** 4
+        assert shape_mask(cfg, rows, prods).all()
 
     def test_fine_grid_full_scan_fails_fast(self, never_scan):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX, 1e-6)
@@ -445,7 +440,7 @@ class TestWorkBudget:
         assert levels == 3000001
         with pytest.raises(CapExceededError, match="full production scan at 3 agents capped at 1048576 "
                                                    f"profiles: it would check {64 * levels ** 3} profiles"):
-            enumerate_production_ne(cfg)
+            production_equilibria(cfg)
 
     def test_budget_covers_the_largest_default_scans(self):
         sum4 = ProductionGameConfig(4, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
