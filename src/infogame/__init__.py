@@ -27,6 +27,7 @@ from .formation_game import (
 from .equilibrium import (
     CapExceededError,
     EquilibriumReport,
+    enumerate_games,
     enumerate_nash,
     social_optimum,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "aggregate",
     "classify_homogeneous",
     "component_structures",
+    "enumerate_games",
     "enumerate_nash",
     "family_pair_redundancy",
     "family_independent",

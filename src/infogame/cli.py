@@ -47,6 +47,7 @@ budget (2**20) exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import math
 import sys
@@ -385,4 +386,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()  # the import's objects live to the end: leave them out of every collection, the one at exit too
     sys.exit(main())

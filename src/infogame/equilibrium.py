@@ -7,15 +7,20 @@ scans evaluate it in fixed-size chunks so that memory stays bounded whatever
 the game. The price of anarchy and the maximum information loss are fields
 of :class:`EquilibriumReport`.
 
-The full scan covers every profile. Agent i's best responses see the others'
-rows only through the partition of the graph without i's links: per
-``SCAN_CHUNK`` of the 2**((n-1)**2) others configurations, its merged table has
-a row per partition, kept up to ``TABLE_AGENTS`` agents and streamed past that.
-A game scores the rows, reads them per configuration and reshapes them to
-(2**(w*i), 2**w, rest), w = n-1, with agent i's own row field, contiguous in the
-profile index, in the middle axis, so one gather tests agent i's row in every
-profile. A profile is an NE when every agent's own row is set in its table, and
-strict when it is the only one.
+The full scan covers every profile of a chunk of same-size games at once.
+Agent i's best responses see the others' rows only through the partition of
+the graph without i's links: per ``SCAN_CHUNK`` of the 2**((n-1)**2) others
+configurations, its merged table has a row per partition, kept up to
+``TABLE_AGENTS`` agents and streamed past that. The games' payoff tables,
+stacked on a leading game axis, score the rows together; each game reads them
+per configuration and reshapes them to (2**(w*i), 2**w, rest), w = n-1, with
+agent i's own row field, contiguous in the profile index, in the middle axis,
+so one gather tests agent i's row in every profile of every game. A profile is
+an NE when every agent's own row is set in its table, and strict when it is
+the only one. :func:`enumerate_games` groups its games by size and scans at
+most ``SCAN_CHUNK`` others configurations times games at a time: 2,048
+two-agent games, 256 three-agent or 8 four-agent games, one five-agent game
+in ``SCAN_CHUNK`` pieces. :func:`enumerate_nash` is its batch of one game.
 
 Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
 have 2**30 profiles) and the scan switches to candidate pruning: every NE
@@ -31,7 +36,9 @@ them, with the kernel's ``components`` and ``welfare`` of them, builds
 ``LinkProfile`` objects only when asked, and streams its CSV from the arrays
 through :mod:`infogame.csvtable`. The social optimum is a welfare of the same
 routine: the first maximum of ``welfare`` over the optimal forest of every
-set partition, which the report scores in the equilibria's own batch.
+set partition, which the report scores in the equilibria's own batch. A
+chunk's games share that batch, each row indexing its game's tables, and
+games with the same Kruskal link order share their forests.
 """
 from __future__ import annotations
 
@@ -137,30 +144,34 @@ def _others_merged(n: int, i: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     return merged, part
 
 
-def _ne_scan_full(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive scan; the rows (int64, (ne, n)) and strict flags of every NE,
-    in profile-index order."""
-    n = cfg.n_agents
-    w = n - 1
-    fh, costs = cfg.fh, cfg.row_costs
+def _ne_scan_full(cfgs: list[GameConfig], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exhaustive scan of a chunk of same-size games; the rows (int64, (ne, n)) and
+    strict flags of every NE, game by game and in profile-index order within a
+    game, and each game's count of them."""
+    n = cfgs[0].n_agents
+    w, g = n - 1, len(cfgs)
+    fh = np.stack([cfg.fh for cfg in cfgs])
+    costs = np.stack([cfg.row_costs for cfg in cfgs])
     compacts = field_compacts(n)
-    ne = np.ones(1 << (n * w), dtype=bool)
-    strict = np.ones(1 << (n * w), dtype=bool)
+    ne = np.ones((g, 1 << (n * w)), dtype=bool)
+    strict = np.ones((g, 1 << (n * w)), dtype=bool)
     n_others = 1 << (w * w)
     for i in range(n):
         low = w * (n - 1 - i)
-        own = np.empty((n_others, 1 << w), dtype=bool)
-        unique = np.empty(n_others, dtype=bool)
+        own = np.empty((g, n_others, 1 << w), dtype=bool)
+        unique = np.empty((g, n_others), dtype=bool)
         for start in range(0, n_others, SCAN_CHUNK):  # tables kept up to TABLE_AGENTS agents
             merged, part = (_others_merged if n <= TABLE_AGENTS else _others_merged.__wrapped__)(n, i, start)
-            table = best_response_table(merged, fh, costs[i], tol)
-            own[start:start + len(part)] = table[:, compacts][part]
-            unique[start:start + len(part)] = (table.sum(axis=1) == 1)[part]
-        own = own.reshape(1 << (w * i), 1 << low, 1 << w).transpose(0, 2, 1)
+            table = best_response_table(merged, fh, costs[:, i], tol)
+            own[:, start:start + len(part)] = np.take(np.take(table, compacts, axis=-1), part, axis=1)
+            unique[:, start:start + len(part)] = np.take(table.sum(axis=-1) == 1, part, axis=1)
+        own = own.reshape(g, 1 << (w * i), 1 << low, 1 << w).transpose(0, 1, 3, 2)
         ne.reshape(own.shape)[...] &= own
-        strict.reshape(own.shape)[...] &= unique.reshape(1 << (w * i), 1, 1 << low)  # read where ne is set
-    idx = np.flatnonzero(ne)
-    return rows_from_indices(idx, n), strict[idx]
+        strict.reshape(own.shape)[...] &= unique.reshape(g, 1 << (w * i), 1, 1 << low)  # read where ne is set
+    idx = np.flatnonzero(ne)  # the game above the profile index
+    strict = strict.ravel()[idx]
+    idx &= (1 << (n * w)) - 1
+    return rows_from_indices(idx, n), strict, ne.sum(axis=1)
 
 
 def _forest_candidates(n: int) -> np.ndarray:
@@ -200,33 +211,28 @@ def _ne_scan_pruned(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(rows), np.concatenate(strict)
 
 
-def _mst(block: tuple[int, ...], links: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _mst(block: tuple[int, ...], links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Kruskal on a block: the links, taken in the given order, that join two of its trees."""
-    if len(block) < 2:
-        return []
-    parent = {a: a for a in block}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    tree = {a: {a} for a in block}  # each member's tree
     edges = []
     for i, j in links:
-        if i in parent and j in parent:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                edges.append((i, j))
-                if len(edges) == len(block) - 1:
-                    break
+        if i in tree and j in tree and tree[i] is not tree[j]:
+            joined = tree[i] | tree[j]
+            tree.update(dict.fromkeys(joined, joined))
+            edges.append((i, j))
     return edges
 
 
-def _optimal_forests(cfg: GameConfig) -> np.ndarray:
+def _kruskal_links(cfg: GameConfig) -> tuple[tuple[int, int], ...]:
+    """Every link once, sponsored in its cheaper direction, in Kruskal's order: cost, then agents."""
+    n, cost = cfg.n_agents, cfg.link_cost
+    edges = sorted((min(cost(i, j), cost(j, i)), i, j) for i in range(n) for j in range(i + 1, n))
+    return tuple((i, j) if cost(i, j) <= cost(j, i) else (j, i) for _, i, j in edges)
+
+
+def _optimal_forests(n: int, links: tuple[tuple[int, int], ...]) -> np.ndarray:
     """One candidate optimum per set partition, as int64 rows (Bell(n), n) in
-    ``set_partitions`` order.
+    ``set_partitions`` order, from a game's :func:`_kruskal_links`.
 
     Adding a link never raises welfare of other components and a cycle edge
     only adds cost, so some welfare-maximal profile is among these: each block
@@ -234,12 +240,7 @@ def _optimal_forests(cfg: GameConfig) -> np.ndarray:
     cheaper direction. More than ``CHECK_BUDGET`` partitions (the Bell number
     of n, past 11 agents) raises :class:`CapExceededError`.
     """
-    n = cfg.n_agents
     require_budget(set_partition_count(n), f"social optimum at {n} agents", "partitions")
-    cost = cfg.link_cost
-    # every edge once, sponsored in its cheaper direction, in Kruskal's order: cost, then agents
-    edges = sorted((min(cost(i, j), cost(j, i)), i, j) for i in range(n) for j in range(i + 1, n))
-    links = [(i, j) if cost(i, j) <= cost(j, i) else (j, i) for _, i, j in edges]
     wired = {}  # the links of each block's tree
     forests = []
     for part in set_partitions(tuple(range(n))):
@@ -253,58 +254,83 @@ def _optimal_forests(cfg: GameConfig) -> np.ndarray:
     return np.array(forests, dtype=np.int64)
 
 
-def _optimum(cfg: GameConfig, stack: np.ndarray):
-    """``components`` and ``welfare`` of a batch of rows that starts with the optimal forests,
-    then the first maximum of its welfare and that row's profile: the social optimum, never
-    below the welfare of a row of the batch."""
-    comp = components(stack)
-    w = welfare(stack, comp, cfg.fh, cfg.row_costs)
-    best = int(np.argmax(w))
-    return comp, w, float(w[best]), LinkProfile(cfg.n_agents, tuple(stack[best].tolist()))
-
-
 def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
     """Welfare-maximal profile and its value: the first maximum of
     :func:`~infogame.kernel.welfare` over the optimal forests."""
-    return _optimum(cfg, _optimal_forests(cfg))[2:]
+    forests = _optimal_forests(cfg.n_agents, _kruskal_links(cfg))
+    w = welfare(forests, components(forests), cfg.fh, cfg.row_costs)
+    best = int(np.argmax(w))
+    return float(w[best]), LinkProfile(cfg.n_agents, tuple(forests[best].tolist()))
 
 
-def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
-    """Enumerate all Nash equilibria and summarize efficiency.
+def _reports(cfgs: list[GameConfig], tol: float, forests: dict) -> list[EquilibriumReport]:
+    """Reports of a chunk of same-size games: one scan, then every game's optimal forests
+    (from ``forests``, one array per Kruskal link order) and every game's equilibria
+    scored in one ``components`` and one ``welfare`` batch."""
+    n, g = cfgs[0].n_agents, len(cfgs)
+    if 1 << (n * (n - 1)) <= CHECK_BUDGET:
+        rows, strict, counts = _ne_scan_full(cfgs, tol)
+    else:
+        rows, strict = _ne_scan_pruned(cfgs[0], tol)
+        counts = np.array([len(rows)])
+    opt = [forests[links] if links in forests else forests.setdefault(links, _optimal_forests(n, links))
+           for links in map(_kruskal_links, cfgs)]
+    stack = np.concatenate(opt + [rows])  # every game's forests, then every game's equilibria
+    del rows  # released before the stack is scored; the reports keep views of the stack
+    game = np.concatenate([np.arange(g).repeat(len(opt[0])), np.arange(g).repeat(counts)])
+    comp = components(stack)
+    w = welfare(stack, comp, np.stack([c.fh for c in cfgs]), np.stack([c.row_costs for c in cfgs]), game)
+    k = g * len(opt[0])
+    tops = w[:k].reshape(g, -1).argmax(axis=1) + np.arange(0, k, len(opt[0]))
+    reports, hi = [], k
+    for cfg, top, count in zip(cfgs, tops.tolist(), counts.tolist()):
+        lo, hi = hi, hi + count
+        ws, h = w[lo:hi], (0.0,) + cfg.ev.entries  # the vector's own floats, so reports print them as given
+        if count and ws.max() > w[top]:  # the optimum: the first maximum over forests, then equilibria
+            top = lo + int(np.argmax(ws))
+        info = np.array(h)[comp[:, lo:hi]]
+        worst = float(ws.min()) if count else float("nan")
+        reports.append(EquilibriumReport(
+            rows=stack[lo:hi], strict=strict[lo - k:hi - k], welfare=ws, components=comp[:, lo:hi],
+            info_values=h, social_optimum_value=float(w[top]),
+            social_optimum_profile=LinkProfile(n, tuple(stack[top].tolist())), worst_ne_welfare=worst,
+            poa=float(w[top]) / worst if count and worst > 0.0 else None,
+            mil=float((info.max(axis=1) - info.min(axis=1)).max()) if count else 0.0))
+    return reports
+
+
+def enumerate_games(cfgs, tol: float = TOL) -> list[EquilibriumReport]:
+    """Enumerate all Nash equilibria of every game and summarize efficiency; the
+    reports in input order.
 
     Scans every profile while the 2**(n(n-1)) of them fit ``CHECK_BUDGET``
     (n <= 5), and only the sponsored forests past that (they need positive
-    link costs, and more than 6 agents are refused). Results are ordered by
-    the profile index either way. The equilibria share one ``components``
-    and one ``welfare`` call with the optimal forests, so the optimum is
-    never below an equilibrium's welfare and the PoA never below 1.
+    link costs, and more than 6 agents are refused before any work). Results
+    are ordered by the profile index either way. The full scan takes games of
+    one size together, at most ``SCAN_CHUNK`` others configurations times
+    games at a time; the pruned scan takes one game at a time. Each chunk's
+    equilibria share one ``components`` and one ``welfare`` call with its
+    games' optimal forests, so the optimum is never below an equilibrium's
+    welfare and the PoA never below 1.
     """
-    n = cfg.n_agents
-    if 1 << (n * (n - 1)) <= CHECK_BUDGET:
-        rows, strict = _ne_scan_full(cfg, tol)
-    else:
-        require_budget(set_partition_count(n, sponsored_tree_count),
-                       f"pruned scan at {n} agents", "sponsored forests")
-        rows, strict = _ne_scan_pruned(cfg, tol)
-    forests = _optimal_forests(cfg)
-    stack = np.concatenate([forests, rows])
-    del rows  # released before the stack is scored; the report keeps views of the stack
-    comp, w, opt_value, opt_profile = _optimum(cfg, stack)
-    k = len(forests)
-    rows, comp, w = stack[k:], comp[:, k:], w[k:]
-    # the vector's own floats, looked up by component mask, so reports print them as given
-    h = (0.0,) + cfg.ev.entries
-    info = np.array(h)[comp]
-    worst = float(w.min()) if len(w) else float("nan")
-    return EquilibriumReport(
-        rows=rows,
-        strict=strict,
-        welfare=w,
-        components=comp,
-        info_values=h,
-        social_optimum_value=opt_value,
-        social_optimum_profile=opt_profile,
-        worst_ne_welfare=worst,
-        poa=opt_value / worst if len(w) and worst > 0.0 else None,
-        mil=float((info.max(axis=1) - info.min(axis=1)).max()) if len(w) else 0.0,
-    )
+    cfgs = list(cfgs)
+    sizes = {}
+    for k, cfg in enumerate(cfgs):
+        sizes.setdefault(cfg.n_agents, []).append(k)
+    for n in sizes:  # refused before any scan; up to 6 agents the sponsored forests fit the budget
+        require_budget(set_partition_count(n, sponsored_tree_count), f"pruned scan at {n} agents",
+                       "sponsored forests")
+    reports = [None] * len(cfgs)
+    forests = {}
+    for n, ks in sorted(sizes.items(), reverse=True):  # the largest scans while few reports are kept
+        per = max(1, SCAN_CHUNK >> (n - 1) ** 2)  # games per chunk: one from 5 agents on
+        for start in range(0, len(ks), per):
+            chunk = ks[start:start + per]
+            for k, report in zip(chunk, _reports([cfgs[k] for k in chunk], tol, forests)):
+                reports[k] = report
+    return reports
+
+
+def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
+    """:func:`enumerate_games` of one game."""
+    return enumerate_games([cfg], tol)[0]

@@ -23,18 +23,21 @@ per distinct partition of a batch (at most Bell(n) rows) and each profile's
 partition: the game-independent half, which the full scan and the partition
 judgement keep per agent count up to ``TABLE_AGENTS``. :func:`best_response_table`
 scores those rows with the payoff tables each ``GameConfig`` owns (``fh``,
-``row_costs``); :func:`ne_status` judges a batch with it, and gives the
-strict-equilibrium characterization its strict flag on the stars it keeps.
+``row_costs``), one game's or several games' stacked on a leading game axis,
+so that the full scan scores a chunk of games at once; :func:`ne_status`
+judges a batch with it, and gives the strict-equilibrium characterization its
+strict flag on the stars it keeps.
 :func:`components` is the package's one component walk, run in the narrowest
 unsigned dtype of an n-bit mask. Through :func:`merged_table` it serves the
 best responses and the production game's equilibrium check; it also gives
 equilibrium reports and the social optimum their components, and the
 characterization masks (strict-equilibrium stars, production trees and their
 cuts) their shapes. :func:`welfare` is the package's one welfare routine, for
-the equilibria and the social optimum alike, and sums the tables in a fixed
-order. Scalar forms of the walk, of the welfare sum, of the profile index, of
-the Pruefer decoder and of the tree orientations live under ``tests/`` as the
-oracles the array forms are compared against. Every brute-force search counts
+the equilibria and the social optimum alike, of one game or, through a
+per-profile game index, of many, and sums the tables in a fixed order. Scalar
+forms of the walk, of the welfare sum, of the profile index, of the Pruefer
+decoder and of the tree orientations live under ``tests/`` as the oracles the
+array forms are compared against. Every brute-force search counts
 its work in closed form first and passes it to :func:`require_budget`.
 """
 from __future__ import annotations
@@ -260,11 +263,12 @@ def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray
     a bool array of the same shape whose entry [p, c] is set when compact
     row c is within ``tol`` of agent i's best utility against row p. ``fh``
     and ``row_cost`` are ``GameConfig.fh`` and agent i's row of
-    ``GameConfig.row_costs``.
+    ``GameConfig.row_costs``, or G games' of them stacked on a leading game
+    axis, (G, 2**n) and (G, 2**(n-1)); the result is then (G, *merged.shape).
     """
-    u = fh[merged]
-    u -= row_cost  # in place: the caller's merged table may still be alive
-    return u >= u.max(axis=1, keepdims=True) - tol
+    u = fh[..., merged]
+    u -= row_cost[..., None, :]  # in place: the caller's merged table may still be alive
+    return u >= u.max(axis=-1, keepdims=True) - tol
 
 
 def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarray,
@@ -293,19 +297,22 @@ def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarra
     return is_ne, is_strict
 
 
-def welfare(rows: np.ndarray, comp: np.ndarray, fh: np.ndarray, row_costs: np.ndarray) -> np.ndarray:
+def welfare(rows: np.ndarray, comp: np.ndarray, fh: np.ndarray, row_costs: np.ndarray,
+            game=...) -> np.ndarray:
     """Sum of utilities (float64) of every profile of a batch, given its :func:`components`.
 
-    Adds every agent's benefit first and then subtracts each agent's link
-    costs in agent-then-target order; reports print these floats, so the
-    order is fixed.
+    ``fh`` and ``row_costs`` are one game's tables, or G games' stacked on a
+    leading game axis, (G, 2**n) and (G, n, 2**(n-1)), with ``game`` giving
+    each profile's game. Adds every agent's benefit first and then subtracts
+    each agent's link costs in agent-then-target order; reports print these
+    floats, so the order of each profile's sum is fixed, batched or not.
     """
     n = rows.shape[1]
     w = np.zeros(len(rows))
     for c in comp:
-        w = w + fh[c]
+        w = w + fh[game, c]
     for i in range(n):
         compact = compress_row(rows[:, i], i)
         for k in range(n - 1):
-            w = w - np.where(compact >> k & 1, row_costs[i, 1 << k], 0.0)
+            w = w - np.where(compact >> k & 1, row_costs[game, i, 1 << k], 0.0)
     return w

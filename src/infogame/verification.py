@@ -6,6 +6,12 @@ bounds, production-game characterizations, producer-fraction laws) against
 exhaustive enumeration on randomized small instances plus the derived
 three-agent families. The report is plain text, one PASS/FAIL line per
 check, and is byte-identical across runs for a fixed seed.
+
+A randomized check draws all its games, enumerates them in one
+:func:`~infogame.equilibrium.enumerate_games` call and judges them in order.
+One that stops at instance t leaves the generator as it stood after drawing
+instance t, so later checks draw what they would if each game were drawn and
+judged in turn.
 """
 from __future__ import annotations
 
@@ -87,14 +93,25 @@ def _all_connected(report: equilibrium.EquilibriumReport, ev: EntropicVector) ->
     return bool((np.abs(info - ev.joint_entropy) <= 1e-9).all())
 
 
+def _games(rng, n_agents, instances, benefit, random_config=random_homogeneous_config):
+    """A check's instances, t with 2 + t mod (n_agents - 1) agents, as (t, cfg, report), all
+    drawn, then enumerated in one batch; each comes with ``rng`` back at its state right after
+    that instance was drawn, so a check that stops at instance t leaves it there."""
+    cfgs, states = [], []
+    for t in range(instances):
+        cfgs.append(random_config(rng, 2 + t % (n_agents - 1), benefit))
+        states.append(rng.bit_generator.state)
+    for t, (cfg, report) in enumerate(zip(cfgs, equilibrium.enumerate_games(cfgs))):
+        rng.bit_generator.state = states[t]
+        yield t, cfg, report
+
+
 # -- individual checks ----------------------------------------------------------
 
 def _check_existence_minimality(rng, n_agents, instances, benefit):
     bad = 0
     witness = ""
-    for t in range(instances):
-        cfg = random_homogeneous_config(rng, 2 + t % (n_agents - 1), benefit)
-        report = equilibrium.enumerate_nash(cfg)
+    for t, cfg, report in _games(rng, n_agents, instances, benefit):
         rows, n = report.rows, cfg.n_agents
         if not len(rows):
             bad += 1
@@ -115,27 +132,27 @@ def _check_existence_minimality(rng, n_agents, instances, benefit):
 
 
 def _check_region_soundness(rng, benefit):
-    kl_grid = [0.0, 1.0, 2.0, 3.0, 4.0]
-    failures = []
-    for kl in kl_grid:
+    games = []  # (kl, c, vector, c_l, c_u), enumerated in one batch
+    for kl in [0.0, 1.0, 2.0, 3.0, 4.0]:
         ev = family_pair_redundancy(5.0, 4.0, 4.0, kl)
         c_l, c_u = analytic.thresholds_homogeneous(ev, benefit)
-        for c in np.linspace(0.02, 1.4, 15):
-            cfg = GameConfig(ev, benefit, CostModel.homogeneous(float(c)))
-            report = equilibrium.enumerate_nash(cfg)
-            if c < c_l - 1e-9:
-                if not _all_connected(report, ev):
-                    failures.append(f"kl={kl} c={c:.4f}: disconnected equilibrium below c_l")
-            elif c > c_u + 1e-9:
-                if len(report.rows) != 1 or report.rows.any():  # not the empty network alone
-                    failures.append(f"kl={kl} c={c:.4f}: non-empty equilibrium above c_u")
+        games += [(kl, float(c), ev, c_l, c_u) for c in np.linspace(0.02, 1.4, 15)]
+    reports = equilibrium.enumerate_games(GameConfig(ev, benefit, CostModel.homogeneous(c))
+                                          for _, c, ev, _, _ in games)
+    failures = []
+    for (kl, c, ev, c_l, c_u), report in zip(games, reports):
+        if c < c_l - 1e-9:
+            if not _all_connected(report, ev):
+                failures.append(f"kl={kl} c={c:.4f}: disconnected equilibrium below c_l")
+        elif c > c_u + 1e-9:
+            if len(report.rows) != 1 or report.rows.any():  # not the empty network alone
+                failures.append(f"kl={kl} c={c:.4f}: non-empty equilibrium above c_u")
     return not failures, failures[0] if failures else "connected below c_l, unique empty above c_u"
 
 
 def _check_partitions(rng, n_agents, instances, benefit, random_config):
-    for t in range(instances):
-        cfg = random_config(rng, 2 + t % (n_agents - 1), benefit)
-        realized = _realized_partitions(equilibrium.enumerate_nash(cfg))
+    for t, cfg, report in _games(rng, n_agents, instances, benefit, random_config):
+        realized = _realized_partitions(report)
         accepted = analytic.component_structures(cfg)
         if realized != accepted:
             return False, f"instance {t}: realized {len(realized)} vs accepted {len(accepted)} partitions"
@@ -143,9 +160,7 @@ def _check_partitions(rng, n_agents, instances, benefit, random_config):
 
 
 def _check_strict_equivalence(rng, n_agents, instances, benefit):
-    for t in range(instances):
-        cfg = random_homogeneous_config(rng, 2 + t % (n_agents - 1), benefit)
-        report = equilibrium.enumerate_nash(cfg)
+    for t, cfg, report in _games(rng, n_agents, instances, benefit):
         n = cfg.n_agents
         rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n)
         strict = np.zeros(len(rows), dtype=bool)
@@ -161,10 +176,8 @@ def _check_poa(rng, n_agents, instances, benefit, random_config, claim):
     it where it is a bound. A bound holds vacuously for a game without a pure
     equilibrium; such games are counted, and fail an exact prediction."""
     without_ne = 0
-    for t in range(instances):
-        cfg = random_config(rng, 2 + t % (n_agents - 1), benefit)
+    for t, cfg, report in _games(rng, n_agents, instances, benefit, random_config):
         pred = analytic.poa_predict(cfg)
-        report = equilibrium.enumerate_nash(cfg)
         poa = report.poa
         if poa is None:
             if pred.is_bound and not len(report.rows):
@@ -183,10 +196,9 @@ def _check_poa(rng, n_agents, instances, benefit, random_config, claim):
 
 
 def _check_mil(rng, n_agents, instances, benefit):
-    for t in range(instances):
-        cfg = random_homogeneous_config(rng, 2 + t % (n_agents - 1), benefit)
+    for t, cfg, report in _games(rng, n_agents, instances, benefit):
         pred = analytic.mil_predict(cfg)
-        mil = equilibrium.enumerate_nash(cfg).mil
+        mil = report.mil
         if pred.is_bound:
             if mil > pred.value + 1e-9:
                 return False, f"instance {t}: MIL {mil} above bound {pred.value}"
@@ -196,10 +208,8 @@ def _check_mil(rng, n_agents, instances, benefit):
 
 
 def _check_heterogeneous_regions(rng, n_agents, instances, benefit):
-    for t in range(instances):
-        cfg = random_recipient_config(rng, 2 + t % (n_agents - 1), benefit)
+    for t, cfg, report in _games(rng, n_agents, instances, benefit, random_recipient_config):
         region = analytic.region_heterogeneous(cfg.ev, benefit, cfg.costs)
-        report = equilibrium.enumerate_nash(cfg)
         if region.label == analytic.K_C:
             if not _all_connected(report, cfg.ev):
                 return False, f"instance {t}: disconnected equilibrium inside K_C"
@@ -220,25 +230,29 @@ def _check_poa_monotonicity(benefit):
 
 
 def _production_scan_matches(cfg: ProductionGameConfig):
+    """Compare the grid scan with the characterization; (True, the scan's equilibria as
+    (rows, prods)) when they agree, else (False, the first misclassified profile)."""
+    found = []
     for rows, prods in production.grid_batches(cfg):
-        wrong = np.flatnonzero(production.production_ne_mask(cfg, rows, prods)
-                               != production.shape_mask(cfg, rows, prods))
+        ne = production.production_ne_mask(cfg, rows, prods)
+        wrong = np.flatnonzero(ne != production.shape_mask(cfg, rows, prods))
         if len(wrong):
             s = ProductionProfile(tuple(prods[wrong[0]].tolist()),
                                   LinkProfile(cfg.n_agents, tuple(rows[wrong[0]].tolist())))
             return False, f"profile {s.to_text().strip()} misclassified"
-    return True, "scan agrees with the characterization"
+        found.append((rows[ne], prods[ne]))
+    return True, tuple(map(np.concatenate, zip(*found)))
 
 
 def _check_production(agg: Aggregation, benefit):
     base = dict(n_agents=3, benefit=benefit, k=0.25, agg=agg)
     for c in (0.2, 1.0):
         cfg = ProductionGameConfig(c=c, **base)
-        ok, detail = _production_scan_matches(cfg)
+        ok, found = _production_scan_matches(cfg)
         if not ok:
-            return False, f"c={c}: {detail}"
+            return False, f"c={c}: {found}"
         if cfg.high_cost():
-            rows, prods = production.production_equilibria(cfg)
+            rows, prods = found
             if len(rows) != 1 or rows.any() or (np.abs(prods - cfg.h_bar()) > 1e-9).any():
                 return False, f"c={c}: high-cost equilibrium not unique full production"
     return True, "grid scan matches on both sides of k*h_bar"

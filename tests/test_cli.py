@@ -2,6 +2,10 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +318,19 @@ verify: {n_agents: 3, instances: 6}
 
 
 class TestVerify:
+    @pytest.mark.parametrize("spec", [VERIFY_SPEC, ENUM_SPEC], ids=["verify", "enumerate"])
+    def test_module_entry_point_writes_what_main_writes(self, tmp_path, spec):
+        """``python -m infogame.cli`` freezes the import's objects out of the collector before it
+        runs ``main``; the bytes and the exit code are those of ``main`` called in-process."""
+        code, _ = run_cli(tmp_path, spec)
+        out = tmp_path / "module.csv"
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "infogame.cli", "--spec", str(tmp_path / "exp.yaml"),
+                               "--out", str(out)], env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        assert out.read_bytes() == (tmp_path / "exp.yaml.csv").read_bytes()
+
     def test_passes_and_is_deterministic(self, tmp_path):
         code1, text1 = run_cli(tmp_path, VERIFY_SPEC, name="v1.yaml")
         code2, text2 = run_cli(tmp_path, VERIFY_SPEC, name="v2.yaml")
@@ -340,7 +357,7 @@ class TestVerify:
     def test_instances_over_budget_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("the verification started")
-        monkeypatch.setattr(equilibrium, "enumerate_nash", refuse)
+        monkeypatch.setattr(equilibrium, "enumerate_games", refuse)
         # 252 cycles of 2-, 3- and 4-agent games, 4 + 64 + 4096 profiles each
         spec = VERIFY_SPEC.replace("n_agents: 3, instances: 6", "n_agents: 4, instances: 756")
         code, text = run_cli(tmp_path, spec)

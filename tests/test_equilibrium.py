@@ -136,8 +136,9 @@ class TestEnumerate:
         for cfg in games:
             if cfg.costs.min_cost(cfg.n_agents) <= 1e-9:
                 continue
-            pruned, full = equilibrium._ne_scan_pruned(cfg, TOL), equilibrium._ne_scan_full(cfg, TOL)
-            assert [a.tolist() for a in pruned] == [a.tolist() for a in full]
+            pruned, full = equilibrium._ne_scan_pruned(cfg, TOL), equilibrium._ne_scan_full([cfg], TOL)
+            assert [a.tolist() for a in pruned] == [a.tolist() for a in full[:2]]
+            assert full[2].tolist() == [len(pruned[0])]
 
     def test_pruned_requires_positive_costs(self, monkeypatch):
         def never(n):
@@ -163,9 +164,10 @@ class TestEnumerate:
 
     def test_auto_scans_in_full_up_to_the_budget(self, monkeypatch):
         used = []
-        for name in ("_ne_scan_full", "_ne_scan_pruned"):
-            monkeypatch.setattr(equilibrium, name, lambda cfg, tol, name=name: used.append(name) or (
-                np.zeros((0, cfg.n_agents), dtype=np.int64), np.zeros(0, dtype=bool)))
+        monkeypatch.setattr(equilibrium, "_ne_scan_full", lambda cfgs, tol: used.append("_ne_scan_full") or (
+            np.zeros((0, cfgs[0].n_agents), dtype=np.int64), np.zeros(0, dtype=bool), np.zeros(len(cfgs), dtype=int)))
+        monkeypatch.setattr(equilibrium, "_ne_scan_pruned", lambda cfg, tol: used.append("_ne_scan_pruned") or (
+            np.zeros((0, cfg.n_agents), dtype=np.int64), np.zeros(0, dtype=bool)))
         for n in (1, 5, 6):
             enumerate_nash(homog(family_independent([1] * n), 0.5))
         assert used == ["_ne_scan_full", "_ne_scan_full", "_ne_scan_pruned"]
@@ -308,6 +310,40 @@ def games(draw, n):
     else:
         costs = CostModel.matrix(rng.uniform(0.0, 2.0, size=(n, n)))
     return GameConfig(ev, draw(st.sampled_from(BENEFITS)), costs)
+
+
+@st.composite
+def game_lists(draw):
+    """Mixed lists of 2- to 4-agent games, half of them with one 5-agent game among them."""
+    cfgs = draw(st.lists(st.integers(2, 4).flatmap(games), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        cfgs.insert(draw(st.integers(0, len(cfgs))), draw(games(5)))
+    return cfgs
+
+
+def report_text(report):
+    """What a report holds and prints, as text, so that a nan compares equal to itself."""
+    return repr((report.to_csv(), report.strict.tolist(), report.welfare.tolist(), report.components.tolist(),
+                 report.info_values, report.social_optimum_value, report.social_optimum_profile,
+                 report.worst_ne_welfare, report.poa, report.mil))
+
+
+@settings(max_examples=12, deadline=None)
+@given(game_lists(), st.sampled_from([None, 256, 32]))
+def test_a_batch_of_games_reports_what_each_game_alone_does(cfgs, chunk):
+    """``enumerate_games`` groups games by size and scans them in chunks of at most ``SCAN_CHUNK``
+    others configurations times games; a smaller ``SCAN_CHUNK`` splits both the games and each
+    game's others configurations, and no byte of any report moves."""
+    alone = [report_text(enumerate_nash(cfg)) for cfg in cfgs]
+    default = equilibrium.SCAN_CHUNK
+    equilibrium._others_merged.cache_clear()  # its tables are SCAN_CHUNK configurations each
+    equilibrium.SCAN_CHUNK = chunk or default
+    try:
+        batch = [report_text(r) for r in equilibrium.enumerate_games(cfgs)]
+    finally:
+        equilibrium.SCAN_CHUNK = default
+        equilibrium._others_merged.cache_clear()
+    assert batch == alone
 
 
 @st.composite

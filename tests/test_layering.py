@@ -10,7 +10,7 @@ equilibrium or analytic layers, the kernel builds on the entropy module
 alone, and the kernel alone turns spanning trees into profiles: every other
 module takes its sponsored trees from it. ``kernel.components`` is the one
 component walk; no module defines or names the scalar one. ``enumerate_nash``
-builds no ``LinkProfile``.
+and ``enumerate_games`` build no ``LinkProfile``.
 """
 import ast
 import subprocess
@@ -119,6 +119,7 @@ def test_every_public_function_is_used_or_exported():
 
 def test_enumerate_nash_builds_no_link_profile():
     # the report keeps the scan's arrays; profiles are built only when a caller asks for them
-    (fn,) = [node for node in parsed("equilibrium").body
-             if isinstance(node, ast.FunctionDef) and node.name == "enumerate_nash"]
-    assert [node.lineno for node in ast.walk(fn) if getattr(node, "id", None) == "LinkProfile"] == []
+    fns = [node for node in parsed("equilibrium").body
+           if isinstance(node, ast.FunctionDef) and node.name in ("enumerate_nash", "enumerate_games")]
+    assert len(fns) == 2
+    assert [node.lineno for fn in fns for node in ast.walk(fn) if getattr(node, "id", None) == "LinkProfile"] == []

@@ -1,5 +1,6 @@
 """The cross-validation harness itself."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -88,10 +89,28 @@ class TestSuite:
 
         def fail(*args, **kwargs):
             raise AssertionError("an enumeration started")
-        monkeypatch.setattr(equilibrium, "enumerate_nash", fail)
+        monkeypatch.setattr(equilibrium, "enumerate_games", fail)
         with pytest.raises(CapExceededError, match="verify with 756 instances of up to 4 agents capped "
                                                    "at 1048576 profiles: it would check 1049328 "):
             run_verification(n_agents=4, instances=756)
+
+    def test_a_check_stopped_mid_way_leaves_later_checks_their_games(self, monkeypatch):
+        """Each check draws all its games before it judges any; one that stops at instance t
+        puts the generator back to its state after instance t. The digest is that of the report
+        when each game was drawn and judged in turn. The predictor prints each failing game's
+        joint entropy, so a later check that drew other games would print another number."""
+        real = analytic.poa_predict
+
+        def wrong_at_three_agents(cfg):
+            pred = real(cfg)
+            return dataclasses.replace(pred, value=-cfg.ev.joint_entropy, is_bound=False) \
+                if cfg.n_agents == 3 else pred
+        monkeypatch.setattr(analytic, "poa_predict", wrong_at_three_agents)
+        text = run_verification(n_agents=4, instances=20, seed=0).to_text()
+        assert "FAIL poa_homogeneous: instance 1: PoA 1.0 vs exact -4.118122952583705 in K_I" in text
+        assert "FAIL poa_heterogeneous: instance 1: PoA 1.0 vs exact -3.8037420975803276 in K_M" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5073ffdb147de5e7ce2c073989790250d5f175e586099508b47fbe728d5956cc")
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -149,16 +168,16 @@ class TestMismatchNamesTheFirstProfile:
         ([(6, 5, 0)], "011101000 has a duplicate link"),  # and a cycle: the duplicate is named
     ], ids=["duplicate", "first-of-two", "both"])
     def test_existence_and_minimality(self, monkeypatch, extra, witness):
-        real = equilibrium.enumerate_nash
+        real = equilibrium.enumerate_games
 
-        def with_extra(cfg, tol=TOL):
-            report = real(cfg, tol)
-            if cfg.n_agents < 3:
+        def with_extra(report):
+            if report.rows.shape[1] < 3:
                 return report
             rows = np.concatenate([report.rows, np.array(extra, dtype=np.int64)])
             rows = rows[np.argsort(profile_indices(rows))]
             return dataclasses.replace(report, rows=rows, components=components(rows))
-        monkeypatch.setattr(equilibrium, "enumerate_nash", with_extra)
+        monkeypatch.setattr(equilibrium, "enumerate_games",
+                            lambda cfgs, tol=TOL: [with_extra(r) for r in real(cfgs, tol)])
         assert verification._check_existence_minimality(np.random.default_rng(0), 3, 2, LN) == (
             False, f"2 instances; instance 1 equilibrium {witness}")
 
