@@ -46,9 +46,6 @@ from .production import (
     Aggregation,
     FewSweepPoint,
     ProductionGameConfig,
-    ProductionProfile,
-    aggregate,
-    few_metrics,
     few_sweep,
     h_bar,
     is_production_ne,
@@ -71,11 +68,9 @@ __all__ = [
     "LinkProfile",
     "Prediction",
     "ProductionGameConfig",
-    "ProductionProfile",
     "ShannonReport",
     "ShannonViolation",
     "VerifyReport",
-    "aggregate",
     "classify_homogeneous",
     "component_structures",
     "enumerate_games",
@@ -83,7 +78,6 @@ __all__ = [
     "family_pair_redundancy",
     "family_independent",
     "family_max_correlated",
-    "few_metrics",
     "few_sweep",
     "from_joint_pmf",
     "h_bar",

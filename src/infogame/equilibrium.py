@@ -42,7 +42,6 @@ games with the same Kruskal link order share their forests.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -80,10 +79,10 @@ class EquilibriumReport:
 
     The arrays are in profile-index order: int64 ``rows`` (ne, n), ``strict``
     flags, ``welfare`` and the ``components`` masks (n, ne). ``info_values``
-    maps a component mask to the vector's own entropy float. The tuple views
-    are built on first use. ``poa`` is None when the worst equilibrium
-    welfare is not positive, in which case the optimum/worst ratio has no
-    meaningful sign.
+    maps a component mask to the vector's own entropy float. ``ne_profiles``,
+    the rows as ``LinkProfile`` objects, is built on first use. ``poa`` is
+    None when the worst equilibrium welfare is not positive, in which case
+    the optimum/worst ratio has no meaningful sign.
     """
 
     rows: np.ndarray
@@ -102,19 +101,6 @@ class EquilibriumReport:
         n = self.rows.shape[1]
         return tuple(LinkProfile(n, r) for r in map(tuple, self.rows.tolist()))
 
-    @cached_property
-    def strict_ne_profiles(self) -> tuple[LinkProfile, ...]:
-        return tuple(p for p, st in zip(self.ne_profiles, self.strict.tolist()) if st)
-
-    @cached_property
-    def ne_welfares(self) -> tuple[float, ...]:
-        return tuple(self.welfare.tolist())
-
-    @cached_property
-    def ne_agent_info(self) -> tuple[tuple[float, ...], ...]:
-        h = self.info_values
-        return tuple(zip(*([h[c] for c in column] for column in self.components.tolist())))
-
     def write_csv(self, out) -> None:
         """Write one CSV line per equilibrium to the text file ``out``."""
         n = self.rows.shape[1]
@@ -124,11 +110,6 @@ class EquilibriumReport:
         columns += [(info, column) for column in self.components]
         columns.append((np.array(["0", "1"], dtype=object), self.strict.astype(np.int64)))
         csvtable.write_csv(out, header, columns)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        self.write_csv(out)
-        return out.getvalue()
 
 
 # -- enumeration --------------------------------------------------------------
@@ -144,7 +125,7 @@ def _others_merged(n: int, i: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     return merged, part
 
 
-def _ne_scan_full(cfgs: list[GameConfig], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ne_scan_full(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exhaustive scan of a chunk of same-size games; the rows (int64, (ne, n)) and
     strict flags of every NE, game by game and in profile-index order within a
     game, and each game's count of them."""
@@ -162,7 +143,7 @@ def _ne_scan_full(cfgs: list[GameConfig], tol: float) -> tuple[np.ndarray, np.nd
         unique = np.empty((g, n_others), dtype=bool)
         for start in range(0, n_others, SCAN_CHUNK):  # tables kept up to TABLE_AGENTS agents
             merged, part = (_others_merged if n <= TABLE_AGENTS else _others_merged.__wrapped__)(n, i, start)
-            table = best_response_table(merged, fh, costs[:, i], tol)
+            table = best_response_table(merged, fh, costs[:, i])
             own[:, start:start + len(part)] = np.take(np.take(table, compacts, axis=-1), part, axis=1)
             unique[:, start:start + len(part)] = np.take(table.sum(axis=-1) == 1, part, axis=1)
         own = own.reshape(g, 1 << (w * i), 1 << low, 1 << w).transpose(0, 1, 3, 2)
@@ -193,11 +174,11 @@ def _forest_candidates(n: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _ne_scan_pruned(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Forest-candidate scan for n >= 6, returning as :func:`_ne_scan_full` does.
     Needs every link cost above tolerance."""
     n = cfg.n_agents
-    if cfg.costs.min_cost(n) <= tol:
+    if cfg.costs.min_cost(n) <= TOL:
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
@@ -205,7 +186,7 @@ def _ne_scan_pruned(cfg: GameConfig, tol: float) -> tuple[np.ndarray, np.ndarray
     rows, strict = [], []
     for start in range(0, len(candidates), SCAN_CHUNK):
         chunk = rows_from_indices(candidates[start:start + SCAN_CHUNK], n)
-        ne, st = ne_status(n, chunk, range(n), cfg.fh, cfg.row_costs, tol)
+        ne, st = ne_status(n, chunk, range(n), cfg.fh, cfg.row_costs)
         rows.append(chunk[ne])
         strict.append(st[ne])
     return np.concatenate(rows), np.concatenate(strict)
@@ -263,15 +244,15 @@ def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
     return float(w[best]), LinkProfile(cfg.n_agents, tuple(forests[best].tolist()))
 
 
-def _reports(cfgs: list[GameConfig], tol: float, forests: dict) -> list[EquilibriumReport]:
+def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
     """Reports of a chunk of same-size games: one scan, then every game's optimal forests
     (from ``forests``, one array per Kruskal link order) and every game's equilibria
     scored in one ``components`` and one ``welfare`` batch."""
     n, g = cfgs[0].n_agents, len(cfgs)
     if 1 << (n * (n - 1)) <= CHECK_BUDGET:
-        rows, strict, counts = _ne_scan_full(cfgs, tol)
+        rows, strict, counts = _ne_scan_full(cfgs)
     else:
-        rows, strict = _ne_scan_pruned(cfgs[0], tol)
+        rows, strict = _ne_scan_pruned(cfgs[0])
         counts = np.array([len(rows)])
     opt = [forests[links] if links in forests else forests.setdefault(links, _optimal_forests(n, links))
            for links in map(_kruskal_links, cfgs)]
@@ -299,7 +280,7 @@ def _reports(cfgs: list[GameConfig], tol: float, forests: dict) -> list[Equilibr
     return reports
 
 
-def enumerate_games(cfgs, tol: float = TOL) -> list[EquilibriumReport]:
+def enumerate_games(cfgs) -> list[EquilibriumReport]:
     """Enumerate all Nash equilibria of every game and summarize efficiency; the
     reports in input order.
 
@@ -326,11 +307,11 @@ def enumerate_games(cfgs, tol: float = TOL) -> list[EquilibriumReport]:
         per = max(1, SCAN_CHUNK >> (n - 1) ** 2)  # games per chunk: one from 5 agents on
         for start in range(0, len(ks), per):
             chunk = ks[start:start + per]
-            for k, report in zip(chunk, _reports([cfgs[k] for k in chunk], tol, forests)):
+            for k, report in zip(chunk, _reports([cfgs[k] for k in chunk], forests)):
                 reports[k] = report
     return reports
 
 
-def enumerate_nash(cfg: GameConfig, tol: float = TOL) -> EquilibriumReport:
+def enumerate_nash(cfg: GameConfig) -> EquilibriumReport:
     """:func:`enumerate_games` of one game."""
-    return enumerate_games([cfg], tol)[0]
+    return enumerate_games([cfg])[0]

@@ -169,13 +169,6 @@ class CostModel:
     def min_cost(self, n_agents: int) -> float:
         return min(self.link_cost(i, j) for i in range(n_agents) for j in range(n_agents) if i != j)
 
-    def describe(self) -> str:
-        if self.kind == "homogeneous":
-            return f"homogeneous[c={self.values[0]:g}]"
-        if self.kind == "recipient":
-            return "recipient[" + ",".join(f"{c:g}" for c in self.values) + "]"
-        return "matrix"
-
 
 @dataclass(frozen=True)
 class LinkProfile:

@@ -254,31 +254,29 @@ def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarr
     return merged, part
 
 
-def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray,
-                        tol: float = TOL) -> np.ndarray:
+def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray) -> np.ndarray:
     """Agent i's within-tolerance best responses against each row of its merged table.
 
     ``merged`` is agent i's :func:`merged_table` rows, in any integer dtype:
     the game-independent half, which callers may keep across games. Returns
     a bool array of the same shape whose entry [p, c] is set when compact
-    row c is within ``tol`` of agent i's best utility against row p. ``fh``
+    row c is within ``TOL`` of agent i's best utility against row p. ``fh``
     and ``row_cost`` are ``GameConfig.fh`` and agent i's row of
     ``GameConfig.row_costs``, or G games' of them stacked on a leading game
     axis, (G, 2**n) and (G, 2**(n-1)); the result is then (G, *merged.shape).
     """
     u = fh[..., merged]
     u -= row_cost[..., None, :]  # in place: the caller's merged table may still be alive
-    return u >= u.max(axis=-1, keepdims=True) - tol
+    return u >= u.max(axis=-1, keepdims=True) - TOL
 
 
-def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarray,
-              tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(is_ne, is_strict) of every profile of a batch, judged over the given agents only.
 
     ``rows`` is an int64 array of shape (batch, n); ``fh`` and ``costs`` are
     as in :func:`best_response_table`, with ``costs`` holding every agent's
     table. An agent fails when some row beats its current one by more than
-    ``tol``; it is strict when its current row is its only within-tolerance
+    ``TOL``; it is strict when its current row is its only within-tolerance
     best response. A profile is dropped at its first failing agent. Returns
     two bool arrays of length batch.
     """
@@ -288,7 +286,7 @@ def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarra
     strict = np.ones(len(rows), dtype=bool)
     for i in agents:
         merged, part = merged_table(n, rows, i)
-        table = best_response_table(merged, fh, costs[i], tol)
+        table = best_response_table(merged, fh, costs[i])
         keep = table[part, compress_row(rows[:, i], i)]
         strict = strict[keep] & (table.sum(axis=1) == 1)[part[keep]]
         alive, rows = alive[keep], rows[keep]

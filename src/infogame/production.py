@@ -13,11 +13,13 @@ production for each link choice, which covers the continuous axis: for SUM
 the inner optimum is max(0, h_bar - acquired), for MAX it is 0 or h_bar.
 h_bar, the stand-alone optimal production, solves f'(h) = k.
 
-One check, :func:`production_ne_mask`, judges a batch of profiles given as
-arrays, in chunks of about ``CHECK_BYTES``. Agent i's best deviation depends
-on the others' rows and productions only, so it is scored once per distinct
-pair: ``kernel.merged_table`` gives i's component under every compact row, and
-each production candidate is scored once per distinct amount a row acquires.
+A profile is a pair of arrays, int64 link rows and float64 production
+levels, one entry per agent. One check, :func:`production_ne_mask`, judges a
+batch of them, in chunks of about ``CHECK_BYTES``. Agent i's best deviation
+depends on the others' rows and productions only, so it is scored once per
+distinct pair: ``kernel.merged_table`` gives i's component under every
+compact row, and each production candidate is scored once per distinct
+amount a row acquires.
 Aggregates are accumulated one agent at a time in ascending order, and f is
 evaluated by the scalar :class:`BenefitFunction` on distinct values only, so
 every utility is the float of the per-profile oracle under ``tests/``.
@@ -42,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import MAX_AGENTS, TOL
-from .formation_game import BenefitFunction, LinkProfile
+from .formation_game import BenefitFunction
 from .kernel import (CHECK_BUDGET, components, compress_row, merged_table, profile_indices, require_budget,
                      rows_from_indices, sponsored_tree_count, sponsored_trees)
 
@@ -54,50 +56,6 @@ PRODUCER_EPS = 1e-12
 class Aggregation(enum.Enum):
     SUM = "sum"
     MAX = "max"
-
-
-def aggregate(agg: Aggregation, productions, mask: int) -> float:
-    """Joint information of the agents in ``mask`` given their production levels: from 0.0,
-    their sum (SUM) or maximum (MAX), taken in ascending agent order."""
-    total = 0.0
-    for j, p in enumerate(productions):
-        if mask >> j & 1:
-            total = total + p if agg is Aggregation.SUM else max(total, p)
-    return total
-
-
-@dataclass(frozen=True)
-class ProductionProfile:
-    """A joint strategy: per-agent production levels plus a link profile."""
-
-    productions: tuple[float, ...]
-    links: LinkProfile
-
-    def __post_init__(self):
-        if len(self.productions) != self.links.n_agents:
-            raise ValueError("production vector length does not match the link profile")
-        if not all(math.isfinite(p) and p >= 0 for p in self.productions):
-            raise ValueError("production levels must be finite and nonnegative")
-
-    @property
-    def n_agents(self) -> int:
-        return self.links.n_agents
-
-    def to_text(self) -> str:
-        prods = ",".join(f"{p:.17g}" for p in self.productions)
-        return f"{self.links.bitstring()} {prods}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ProductionProfile":
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValueError("expected '<linkbits> <p0,p1,...>'")
-        bits, prods = parts
-        n = math.isqrt(len(bits))
-        if n * n != len(bits):
-            raise ValueError("link bitstring length must be a perfect square")
-        links = LinkProfile.from_text("\n".join(bits[i * n:(i + 1) * n] for i in range(n)))
-        return cls(tuple(float(x) for x in prods.split(",")), links)
 
 
 @dataclass(frozen=True)
@@ -190,8 +148,8 @@ def grid_levels(cfg: ProductionGameConfig) -> list[float]:
 
 
 def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """:func:`aggregate` of every entry of ``masks``, row b over the productions ``prods[b]``: the
-    same float, as SUM adds the members' productions one agent at a time in ascending order."""
+    """Joint information of every entry of ``masks``, row b over the productions ``prods[b]``: the
+    members' sum (SUM), added one agent at a time in ascending order, or maximum (MAX)."""
     n = prods.shape[1]
     member = masks[..., None] >> np.arange(n) & 1
     terms = np.where(member, prods.reshape((len(prods),) + (1,) * (masks.ndim - 1) + (n,)), 0.0)
@@ -283,14 +241,10 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     return ne
 
 
-def is_production_ne(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
-    """True when no unilateral (links, production) deviation gains more than 1e-9.
-
-    :func:`production_ne_mask` of the batch of one.
-    """
-    if s.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    return bool(production_ne_mask(cfg, [s.links.rows], [s.productions])[0])
+def is_production_ne(cfg: ProductionGameConfig, rows, prods) -> bool:
+    """True when no unilateral (links, production) deviation from one profile's link
+    rows and productions gains more than 1e-9: :func:`production_ne_mask` of the batch of one."""
+    return bool(production_ne_mask(cfg, [rows], [prods])[0])
 
 
 # -- equilibrium-shape characterizations --------------------------------------
@@ -308,8 +262,7 @@ def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
 
     ``rows`` and ``prods`` are as in :func:`production_ne_mask`. A cut of
     link i -> j is j's component with i's links removed, and its production
-    is added in the order :func:`aggregate` uses. Returns a bool array of
-    length batch.
+    is added in ascending agent order. Returns a bool array of length batch.
     """
     rows, prods = _profile_arrays(cfg, rows, prods)
     n, hb = cfg.n_agents, cfg.h_bar()
@@ -473,15 +426,6 @@ def _equilibria(cfg: ProductionGameConfig, batches) -> tuple[np.ndarray, np.ndar
 
 # -- law-of-the-few metrics ------------------------------------------------------
 
-def few_metrics(cfg: ProductionGameConfig, s: ProductionProfile) -> tuple[float, float]:
-    """(fraction of agents producing anything, total information in the network)."""
-    if s.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    producers = sum(1 for p in s.productions if p > PRODUCER_EPS)
-    total = aggregate(cfg.agg, s.productions, (1 << cfg.n_agents) - 1)
-    return producers / cfg.n_agents, total
-
-
 @dataclass(frozen=True)
 class FewSweepPoint:
     n: int
@@ -508,29 +452,29 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
     for n in n_list:
         point_cfg = replace(cfg, n_agents=int(n))
         hb = point_cfg.h_bar()
-        star = LinkProfile(n, tuple(0 if i == 0 else 1 for i in range(n)))
+        star = (0,) + (1,) * (n - 1)  # everyone else sponsors a link to agent 0
         if point_cfg.high_cost() or n == 1:
-            witness = ProductionProfile((hb,) * n, LinkProfile.empty(n))
+            rows, prods = (0,) * n, (hb,) * n
         elif point_cfg.agg is Aggregation.MAX:
-            witness = ProductionProfile(tuple(hb if i == 0 else 0.0 for i in range(n)), star)
+            rows, prods = star, (hb,) + (0.0,) * (n - 1)
         else:
             share = min(hb / n, hb - point_cfg.c / point_cfg.k)
-            witness = ProductionProfile((hb - (n - 1) * share,) + (share,) * (n - 1), star)
-        if not is_production_ne(point_cfg, witness):
+            rows, prods = star, (hb - (n - 1) * share,) + (share,) * (n - 1)
+        if not is_production_ne(point_cfg, rows, prods):
             raise RuntimeError(
                 f"witness profile failed equilibrium verification at n={n}; "
                 "the characterization shapes and the game disagree")
+        total = _aggregate_masks(point_cfg.agg, np.array([prods]), np.array([(1 << n) - 1]))
         # the witness's own fraction is the supremum: the high-cost
         # equilibrium is unique, every MAX equilibrium has exactly one
         # producer, and no fraction can exceed the SUM witness's 1
-        fraction, total = few_metrics(point_cfg, witness)
         out.append(FewSweepPoint(
             n=int(n),
             agg=point_cfg.agg,
             c=point_cfg.c,
             k=point_cfg.k,
             h_bar=hb,
-            producer_fraction=fraction,
-            total_information_bits=total,
+            producer_fraction=sum(p > PRODUCER_EPS for p in prods) / n,
+            total_information_bits=float(total[0]),
         ))
     return out

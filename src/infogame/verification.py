@@ -23,9 +23,9 @@ import numpy as np
 from . import analytic, equilibrium, production
 from .csvtable import row_strings
 from .entropy import EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmf, subset_agents
-from .formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from .formation_game import BenefitFunction, CostModel, GameConfig
 from .kernel import profile_indices, require_budget, rows_from_indices
-from .production import Aggregation, ProductionGameConfig, ProductionProfile
+from .production import Aggregation, ProductionGameConfig
 
 
 @dataclass(frozen=True)
@@ -237,9 +237,10 @@ def _production_scan_matches(cfg: ProductionGameConfig):
         ne = production.production_ne_mask(cfg, rows, prods)
         wrong = np.flatnonzero(ne != production.shape_mask(cfg, rows, prods))
         if len(wrong):
-            s = ProductionProfile(tuple(prods[wrong[0]].tolist()),
-                                  LinkProfile(cfg.n_agents, tuple(rows[wrong[0]].tolist())))
-            return False, f"profile {s.to_text().strip()} misclassified"
+            w = wrong[0]
+            links = "".join(row_strings(cfg.n_agents)[rows[w]])
+            levels = ",".join(f"{p:.17g}" for p in prods[w].tolist())
+            return False, f"profile {links} {levels} misclassified"
         found.append((rows[ne], prods[ne]))
     return True, tuple(map(np.concatenate, zip(*found)))
 

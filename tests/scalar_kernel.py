@@ -8,13 +8,16 @@ of the batch ``welfare`` (summed in the same order, so the two agree bit for
 bit), ``profile_from_index`` one row of ``rows_from_indices`` and
 ``profile_index`` one entry of ``profile_indices``, ``spanning_trees`` the
 trees of the kernel's array decoder, ``orientations`` of each of them the
-rows of ``sponsored_trees``, and ``production_utility`` one utility behind
+rows of ``sponsored_trees``, ``aggregate`` one entry of
+``production._aggregate_masks`` and ``production_utility`` one utility behind
 ``production.production_ne_mask``. ``component_masks`` of
 ``undirected_adjacency`` is one column of ``components``, and
 ``strict_ne_structure`` and ``production_shape`` are one profile of
-``analytic.strict_structure_mask`` and ``production.shape_mask``.
+``analytic.strict_structure_mask`` and ``production.shape_mask``; a
+production profile is a tuple of link rows and a tuple of production levels.
 ``report_csv`` and ``csv_text`` are the per-profile and per-cell CSV
-formatters that ``infogame.csvtable`` replaced, and ``cond_entropy``,
+formatters that ``infogame.csvtable`` replaced, ``csv_of`` an equilibrium
+report's CSV as one string, and ``cond_entropy``,
 ``mutual_info``, ``kl_total``, ``social_welfare``, ``topology`` and
 ``is_minimally_connected`` the information measures, the single-profile
 welfare and the edge count that the tests check vectors, the kernel and
@@ -24,6 +27,7 @@ uses these. The payoff tables they take, ``fh`` and ``costs`` /
 ``GameConfig.row_costs``.
 """
 import heapq
+import io
 import itertools
 
 import numpy as np
@@ -32,7 +36,7 @@ from infogame import formation_game, kernel
 from infogame.entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
 from infogame.formation_game import LinkProfile
 from infogame.kernel import compress_row
-from infogame.production import PRODUCER_EPS, Aggregation, ProductionGameConfig, ProductionProfile, aggregate
+from infogame.production import PRODUCER_EPS, Aggregation, ProductionGameConfig
 
 
 def undirected_adjacency(profile: LinkProfile, skip_row: int | None = None) -> list[int]:
@@ -189,13 +193,12 @@ def row_utilities(n: int, rows, i: int, fh: list[float], row_cost: list[float]) 
     return [fh[m] - c for m, c in zip(merged_components(n, rows, i), row_cost)]
 
 
-def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
-              tol: float = TOL) -> tuple[bool, bool]:
+def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]]) -> tuple[bool, bool]:
     """(is_ne, is_strict) of a profile, judged over the given agents only.
 
     ``costs`` holds the per-agent tables of ``GameConfig.row_costs``. An agent
-    fails when some row beats its current one by more than ``tol``; it is
-    strict when every other row is worse by more than ``tol``. The test
+    fails when some row beats its current one by more than ``TOL``; it is
+    strict when every other row is worse by more than ``TOL``. The test
     stops at the first failing agent and then returns (False, False).
     """
     strict = True
@@ -203,10 +206,10 @@ def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]],
         utils = row_utilities(n, rows, i, fh, costs[i])
         current = compress_row(rows[i], i)
         u_cur = utils[current]
-        if u_cur < max(utils) - tol:
+        if u_cur < max(utils) - TOL:
             return False, False
         if strict:
-            floor = u_cur - tol
+            floor = u_cur - TOL
             strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
     return True, strict
 
@@ -227,13 +230,23 @@ def welfare(cfg: formation_game.GameConfig, rows, comp: list[int], fh: list[floa
     return w
 
 
-def production_utility(cfg: ProductionGameConfig, s: ProductionProfile, i: int) -> float:
+def aggregate(agg: Aggregation, productions, mask: int) -> float:
+    """Joint information of the agents in ``mask`` given their production levels: from 0.0,
+    their sum (SUM) or maximum (MAX), taken in ascending agent order."""
+    total = 0.0
+    for j, p in enumerate(productions):
+        if mask >> j & 1:
+            total = total + p if agg is Aggregation.SUM else max(total, p)
+    return total
+
+
+def production_utility(cfg: ProductionGameConfig, rows, prods, i: int) -> float:
     """f(aggregate over i's component) - k * own production - c * sponsored links."""
-    if s.n_agents != cfg.n_agents:
+    if not len(rows) == len(prods) == cfg.n_agents:
         raise ValueError("profile size does not match the game")
-    comp = component_masks(undirected_adjacency(s.links))[i]
-    info = aggregate(cfg.agg, s.productions, comp)
-    return cfg.benefit(info) - cfg.k * s.productions[i] - cfg.c * s.links.rows[i].bit_count()
+    comp = component_masks(undirected_adjacency(LinkProfile(len(rows), tuple(rows))))[i]
+    info = aggregate(cfg.agg, prods, comp)
+    return cfg.benefit(info) - cfg.k * prods[i] - cfg.c * rows[i].bit_count()
 
 
 def strict_ne_structure(cfg: formation_game.GameConfig, profile: LinkProfile) -> bool:
@@ -258,31 +271,30 @@ def strict_ne_structure(cfg: formation_game.GameConfig, profile: LinkProfile) ->
     return ne_status(n, rows, range(n), fh, row_costs)[1]
 
 
-def production_shape(cfg: ProductionGameConfig, s: ProductionProfile) -> bool:
-    """Does ``s`` have an equilibrium shape of the production characterizations?
-    One profile of ``production.shape_mask``."""
-    if s.n_agents != cfg.n_agents:
+def production_shape(cfg: ProductionGameConfig, rows, prods) -> bool:
+    """Do the link ``rows`` and productions ``prods`` have an equilibrium shape of the
+    production characterizations? One profile of ``production.shape_mask``."""
+    if not len(rows) == len(prods) == cfg.n_agents:
         raise ValueError("profile size does not match the game")
     n = cfg.n_agents
     hb = cfg.h_bar()
-    prods = s.productions
     if cfg.high_cost():
-        if any(s.links.rows):
+        if any(rows):
             return False
         return all(abs(p - hb) <= TOL for p in prods)
     if n == 1:
         return abs(prods[0] - hb) <= TOL
-    rows = s.links.rows
+    links = LinkProfile(n, tuple(rows))
     # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
     if (sum(r.bit_count() for r in rows) != n - 1
-            or component_masks(undirected_adjacency(s.links))[0] != (1 << n) - 1):
+            or component_masks(undirected_adjacency(links))[0] != (1 << n) - 1):
         return False
     if cfg.agg is Aggregation.SUM:
         if abs(sum(prods) - hb) > TOL:
             return False
         for i in range(n):
             # without i's links each target j keeps the subtree that the link i -> j reaches
-            cut = component_masks(undirected_adjacency(s.links, skip_row=i))
+            cut = component_masks(undirected_adjacency(links, skip_row=i))
             for j in subset_agents(rows[i]):
                 if cfg.c > cfg.k * aggregate(cfg.agg, prods, cut[j]) + TOL:
                     return False
@@ -308,16 +320,23 @@ def csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_of(report) -> str:
+    """What ``EquilibriumReport.write_csv`` writes, as one string."""
+    out = io.StringIO()
+    report.write_csv(out)
+    return out.getvalue()
+
+
 def report_csv(report) -> str:
-    """``EquilibriumReport.to_csv`` one equilibrium at a time, from the report's tuples."""
+    """``EquilibriumReport.write_csv`` one equilibrium at a time, from the report's
+    profiles and its arrays read one entry at a time."""
     n = report.social_optimum_profile.n_agents
-    strict = {p.rows for p in report.strict_ne_profiles}
     header = ["profile", "welfare"] + [f"info_{i}" for i in range(n)] + ["strict"]
     lines = [",".join(header)]
-    for p, w, info in zip(report.ne_profiles, report.ne_welfares, report.ne_agent_info):
-        cells = [p.bitstring(), repr(w)]
-        cells += [repr(v) for v in info]
-        cells.append("1" if p.rows in strict else "0")
+    for t, p in enumerate(report.ne_profiles):
+        cells = [p.bitstring(), repr(float(report.welfare[t]))]
+        cells += [repr(report.info_values[int(c)]) for c in report.components[:, t]]
+        cells.append("1" if report.strict[t] else "0")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -108,8 +108,8 @@ def test_criterion_3_connectivity_thresholds():
                 cfg = GameConfig(ev, LN, CostModel.homogeneous(float(c)))
                 report = enumerate_nash(cfg)
                 if c < c_l - 1e-9:
-                    for info in report.ne_agent_info:
-                        assert all(abs(v - joint) <= 1e-9 for v in info)
+                    info = np.array(report.info_values)[report.components]
+                    assert (np.abs(info - joint) <= 1e-9).all()
                 elif c > c_u + 1e-9:
                     assert len(report.ne_profiles) == 1
                     assert report.ne_profiles[0].rows == (0, 0, 0)
@@ -127,7 +127,7 @@ def test_criterion_4_structure_oracle_equivalence():
             partitions = [[subset_agents(m) for m in set(comp)] for comp in report.components.T.tolist()]
             realized = {frozenset(map(frozenset, part)) for part in partitions}
             assert realized == component_structures(cfg)
-            strict = {p.rows for p in report.strict_ne_profiles}
+            strict = set(map(tuple, report.rows[report.strict].tolist()))
             rows = [profile_from_index(idx, n) for idx in range(1 << (n * (n - 1)))]
             assert strict_structure_mask(cfg, rows).tolist() == [r in strict for r in rows]
             for p, part, strict_ne in zip(report.ne_profiles, partitions, report.strict.tolist()):

@@ -193,7 +193,8 @@ class TestStrictStructure:
             rng = np.random.default_rng(50 + seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             n = cfg.n_agents
-            strict = {p.rows for p in enumerate_nash(cfg).strict_ne_profiles}
+            report = enumerate_nash(cfg)
+            strict = set(map(tuple, report.rows[report.strict].tolist()))
             rows = [profile_from_index(idx, n) for idx in range(1 << (n * (n - 1)))]
             assert strict_structure_mask(cfg, rows).tolist() == [r in strict for r in rows]
 
@@ -205,7 +206,7 @@ class TestStrictStructure:
         star = LinkProfile.from_links(2, [(0, 1)])
         assert strict_structure_mask(cfg, [star.rows]).tolist() == [False]
         assert not scalar_strict_ne_structure(cfg, star)
-        assert enumerate_nash(cfg).strict_ne_profiles == ()
+        assert not enumerate_nash(cfg).strict.any()
 
     def test_mask_refuses_what_the_checker_refuses(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.recipient([0.3, 0.3]))
@@ -276,7 +277,7 @@ class TestStrictKnifeEdge:
         # the core's link gains 1, which is c + TOL to within one ulp: brute force sees a tie
         c = math.nextafter(1 - 1e-9, 0)
         cfg = GameConfig(self.LINEAR_PAIR, BenefitFunction.linear(), CostModel.homogeneous(c))
-        assert enumerate_nash(cfg).strict_ne_profiles == ()
+        assert not enumerate_nash(cfg).strict.any()
         assert strict_structure_mask(cfg, [(2, 0)]).tolist() == [False]
         assert_mask_is_brute_force(cfg)
 

@@ -19,7 +19,7 @@ from infogame.entropy import family_independent, family_max_correlated, family_p
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
 from infogame.verification import random_joint_pmf
-from scalar_kernel import csv_text, report_csv
+from scalar_kernel import csv_of, csv_text, report_csv
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -308,6 +308,19 @@ class TestProduction:
         assert all(float(r["total_information_bits"]) == pytest.approx(3.0, abs=1e-9)
                    for r in rows)
         assert all(r["agg"] == "max" for r in rows)
+
+    @pytest.mark.parametrize("agg, c, digest", [
+        ("sum", 0.2, "511b62281ad0ef6820de0321e8067370622cd791a55da6491b3e1d8722a64f33"),
+        ("max", 0.2, "8299ae0e015d6aca9b50b3a1cbe49eb991c180d3eb0e146b42c9fa84f8fe7b57"),
+        ("sum", 1.0, "da63bf3fd715f8b6484618729519f63e9963d028f59a7e7d40209f310fac38b2"),
+    ], ids=["sum-low-cost", "max-low-cost", "sum-high-cost"])
+    def test_few_sweep_golden_bytes(self, tmp_path, agg, c, digest):
+        # pinned witnesses from 1 to 16 agents: a rewrite of few_sweep may not move a byte
+        spec = PRODUCTION_SPEC.replace("command: production", "command: few-sweep") \
+            .replace("c: 1.0", f"c: {c}").replace("aggregation: sum", f"aggregation: {agg}")
+        code, text = run_cli(tmp_path, spec + "n_list: [1, 2, 3, 5, 8, 16]\n")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 VERIFY_SPEC = """\
@@ -602,13 +615,13 @@ class TestCsvWriter:
                              ids=["n2", "n4-inline-matrix", "n5-cheap", "n6-cheap-pruned", "inline", "integer"])
     def test_report_matches_per_profile_oracle(self, spec):
         report = enumerate_nash(cli._game_config(yaml.safe_load(spec)))
-        assert report.to_csv() == report_csv(report)
+        assert csv_of(report) == report_csv(report)
 
     @settings(max_examples=40, deadline=None)
     @given(small_games())
     def test_small_games_match_per_profile_oracle(self, cfg):
         report = enumerate_nash(cfg)
-        assert report.to_csv() == report_csv(report)
+        assert csv_of(report) == report_csv(report)
 
     @pytest.mark.parametrize("n, agg, c", [(2, "sum", 0.2), (2, "max", 1.0), (3, "sum", 0.2), (3, "max", 0.2),
                                            (4, "sum", 0.2), (5, "max", 0.2)])

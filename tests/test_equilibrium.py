@@ -20,7 +20,7 @@ from infogame.formation_game import BenefitFunction, CostModel, GameConfig, Link
 from infogame.kernel import components as kernel_components
 from infogame.kernel import expand_row, merged_table, rows_from_indices, set_partition_count, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
-from scalar_kernel import (component_masks, is_minimally_connected, ne_status, profile_from_index, profile_index,
+from scalar_kernel import (component_masks, csv_of, is_minimally_connected, ne_status, profile_from_index, profile_index,
                            row_utilities, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 
@@ -32,11 +32,11 @@ def homog(ev, c, f=LOG2):
     return GameConfig(ev, f, CostModel.homogeneous(c))
 
 
-def best_rows(cfg, rows, i, tol=TOL):
+def best_rows(cfg, rows, i):
     """Agent i's within-tolerance best rows against each profile of a batch, from the
     kernel's table, as sets of link masks."""
     merged, part = merged_table(cfg.n_agents, rows, i)
-    table = kernel.best_response_table(merged, cfg.fh, cfg.row_costs[i], tol)[part]
+    table = kernel.best_response_table(merged, cfg.fh, cfg.row_costs[i])[part]
     return [{expand_row(c, i) for c in np.flatnonzero(t).tolist()} for t in table]
 
 
@@ -96,7 +96,7 @@ class TestEnumerate:
         cfg = homog(family_independent([1, 1]), 0.3)
         report = enumerate_nash(cfg)
         assert [p.bitstring() for p in report.ne_profiles] == ["0010", "0100"]
-        assert len(report.strict_ne_profiles) == 2
+        assert report.strict.tolist() == [True, True]
 
     def test_unique_equilibrium_mid_cost(self):
         # H0 > H1: only the low-entropy agent still buys
@@ -108,7 +108,7 @@ class TestEnumerate:
         cfg = homog(family_independent([1, 1]), 2.0)
         report = enumerate_nash(cfg)
         assert [p.rows for p in report.ne_profiles] == [(0, 0)]
-        assert report.strict_ne_profiles == report.ne_profiles
+        assert report.strict.all()
 
     def test_every_random_instance_has_an_equilibrium(self):
         for seed in range(30):
@@ -136,7 +136,7 @@ class TestEnumerate:
         for cfg in games:
             if cfg.costs.min_cost(cfg.n_agents) <= 1e-9:
                 continue
-            pruned, full = equilibrium._ne_scan_pruned(cfg, TOL), equilibrium._ne_scan_full([cfg], TOL)
+            pruned, full = equilibrium._ne_scan_pruned(cfg), equilibrium._ne_scan_full([cfg])
             assert [a.tolist() for a in pruned] == [a.tolist() for a in full[:2]]
             assert full[2].tolist() == [len(pruned[0])]
 
@@ -164,9 +164,9 @@ class TestEnumerate:
 
     def test_auto_scans_in_full_up_to_the_budget(self, monkeypatch):
         used = []
-        monkeypatch.setattr(equilibrium, "_ne_scan_full", lambda cfgs, tol: used.append("_ne_scan_full") or (
+        monkeypatch.setattr(equilibrium, "_ne_scan_full", lambda cfgs: used.append("_ne_scan_full") or (
             np.zeros((0, cfgs[0].n_agents), dtype=np.int64), np.zeros(0, dtype=bool), np.zeros(len(cfgs), dtype=int)))
-        monkeypatch.setattr(equilibrium, "_ne_scan_pruned", lambda cfg, tol: used.append("_ne_scan_pruned") or (
+        monkeypatch.setattr(equilibrium, "_ne_scan_pruned", lambda cfg: used.append("_ne_scan_pruned") or (
             np.zeros((0, cfg.n_agents), dtype=np.int64), np.zeros(0, dtype=bool)))
         for n in (1, 5, 6):
             enumerate_nash(homog(family_independent([1] * n), 0.5))
@@ -211,7 +211,7 @@ class TestEnumerate:
         with the types the CSV prints: Python floats taken from the vector itself."""
         cfg = random_homogeneous_config(np.random.default_rng(3), 6, LN)  # 431 NE, 1 strict
         report = enumerate_nash(cfg)
-        rows, strict = equilibrium._ne_scan_pruned(cfg, TOL)
+        rows, strict = equilibrium._ne_scan_pruned(cfg)
         assert len(report.ne_profiles) == len(rows) > 1
         fh = cfg.fh.tolist()
         welfares, infos = [], []
@@ -220,13 +220,13 @@ class TestEnumerate:
             welfares.append(scalar_welfare(cfg, r, comp, fh))
             infos.append(tuple(cfg.ev.h(c) for c in comp))
         assert [p.rows for p in report.ne_profiles] == list(map(tuple, rows.tolist()))
-        assert report.strict_ne_profiles == tuple(p for p, st in zip(report.ne_profiles, strict) if st)
-        assert report.ne_welfares == tuple(welfares)
-        assert report.ne_agent_info == tuple(infos)
-        assert all(type(w) is float for w in report.ne_welfares)
-        assert all(type(v) is float and any(v is e for e in cfg.ev.entries)
-                   for info in report.ne_agent_info for v in info)
-        assert len(set(report.ne_agent_info)) > 1  # some equilibria leave agents apart
+        assert report.strict.tolist() == strict.tolist()
+        assert report.welfare.tolist() == welfares
+        h = report.info_values
+        got_infos = [tuple(h[c] for c in column) for column in report.components.T.tolist()]
+        assert got_infos == infos
+        assert all(type(v) is float and any(v is e for e in cfg.ev.entries) for v in h[1:])
+        assert len(set(got_infos)) > 1  # some equilibria leave agents apart
         assert report.worst_ne_welfare == min(welfares)
         assert report.mil == max(max(col) - min(col) for col in zip(*infos))
         assert all(type(x) is float for x in (report.social_optimum_value, report.worst_ne_welfare,
@@ -258,14 +258,14 @@ class TestEnumerate:
         assert rows_scored["ne_status"]
         assert max(sum(rows_scored.values(), [])) <= set_partition_count(n)
 
-    def test_strict_set_stable_under_tolerance_halving(self):
-        for seed in range(15):
-            rng = np.random.default_rng(300 + seed)
-            cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
-            a = enumerate_nash(cfg, tol=1e-9)
-            b = enumerate_nash(cfg, tol=5e-10)
-            assert ([p.rows for p in a.strict_ne_profiles]
-                    == [p.rows for p in b.strict_ne_profiles])
+    def test_strict_set_stable_under_tolerance_halving(self, monkeypatch):
+        configs = [random_homogeneous_config(np.random.default_rng(300 + seed), 2 + seed % 3, LN)
+                   for seed in range(15)]
+        a = [enumerate_nash(cfg) for cfg in configs]
+        monkeypatch.setattr(kernel, "TOL", 5e-10)
+        b = [enumerate_nash(cfg) for cfg in configs]
+        for x, y in zip(a, b):
+            assert x.rows[x.strict].tolist() == y.rows[y.strict].tolist()
 
 
 def best_welfare(cfg):
@@ -275,18 +275,18 @@ def best_welfare(cfg):
     return float(welfare(rows, kernel_components(rows), cfg.fh, cfg.row_costs).max())
 
 
-def scalar_status(cfg, indices, tol=TOL):
+def scalar_status(cfg, indices):
     """{index: (is_ne, is_strict)} from the per-profile scalar test."""
     n = cfg.n_agents
     fh, costs = cfg.fh, cfg.row_costs
-    return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs, tol) for k in indices}
+    return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs) for k in indices}
 
 
-def kernel_sets(cfg, tol=TOL):
+def kernel_sets(cfg):
     """(NE indices, strict indices) from the full scan."""
-    report = enumerate_nash(cfg, tol=tol)
+    report = enumerate_nash(cfg)
     return ({profile_index(p.rows) for p in report.ne_profiles},
-            {profile_index(p.rows) for p in report.strict_ne_profiles})
+            {profile_index(r) for r in map(tuple, report.rows[report.strict].tolist())})
 
 
 BENEFITS = [LOG2, LN, BenefitFunction.power(0.5), BenefitFunction.linear()]
@@ -323,7 +323,7 @@ def game_lists(draw):
 
 def report_text(report):
     """What a report holds and prints, as text, so that a nan compares equal to itself."""
-    return repr((report.to_csv(), report.strict.tolist(), report.welfare.tolist(), report.components.tolist(),
+    return repr((csv_of(report), report.strict.tolist(), report.welfare.tolist(), report.components.tolist(),
                  report.info_values, report.social_optimum_value, report.social_optimum_profile,
                  report.worst_ne_welfare, report.poa, report.mil))
 
@@ -548,10 +548,9 @@ class TestEfficiencyMetrics:
     def test_report_invariants_and_serialization(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.75, LN)
         report = enumerate_nash(cfg)
-        strict_rows = {p.rows for p in report.strict_ne_profiles}
-        assert strict_rows <= {p.rows for p in report.ne_profiles}
+        assert report.strict.shape == (len(report.ne_profiles),)
         assert report.worst_ne_welfare <= report.social_optimum_value
-        csv_text = report.to_csv()
+        csv_text = csv_of(report)
         header = csv_text.splitlines()[0].split(",")
         assert header == ["profile", "welfare", "info_0", "info_1", "info_2", "strict"]
         assert len(csv_text.splitlines()) == 1 + len(report.ne_profiles)

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from infogame import production
 from infogame.kernel import CapExceededError
@@ -13,9 +11,6 @@ from infogame.formation_game import BenefitFunction, LinkProfile
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
-    ProductionProfile,
-    aggregate,
-    few_metrics,
     few_sweep,
     grid_levels,
     h_bar,
@@ -23,7 +18,7 @@ from infogame.production import (
     production_equilibria,
     shape_mask,
 )
-from scalar_kernel import production_utility
+from scalar_kernel import aggregate, production_utility
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -73,10 +68,15 @@ class TestConfig:
             ProductionGameConfig(n, LN, 0.25, 5.0, Aggregation.SUM)
         assert ProductionGameConfig(16, LN, 0.25, 5.0, Aggregation.SUM).n_agents == 16
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_production_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            ProductionProfile((bad, 0.0), LinkProfile.empty(2))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_production_outside_the_model_rejected(self, bad):
+        with pytest.raises(ValueError, match="production levels must be finite and nonnegative"):
+            is_production_ne(make_cfg(), (0, 0), (bad, 0.0))
+
+    @pytest.mark.parametrize("rows, prods", [((0, 0), (3.0,)), ((0, 0), (3.0, 3.0, 3.0)), ((0,), (3.0, 3.0))])
+    def test_profile_of_another_size_rejected(self, rows, prods):
+        with pytest.raises(ValueError, match="profile size does not match the game"):
+            is_production_ne(make_cfg(), rows, prods)
 
     def test_h_bar_solved_once_per_config(self, monkeypatch):
         calls = []
@@ -106,82 +106,84 @@ class TestAggregate:
         assert aggregate(Aggregation.SUM, prods, 0b110) == 3.0
         assert aggregate(Aggregation.MAX, prods, 0b000) == 0.0
 
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    def test_batched_form_matches_the_scalar_one(self, agg):
+        rng = np.random.default_rng(4)
+        prods = rng.uniform(0.0, 3.0, (20, 4))
+        masks = rng.integers(0, 16, (20, 3))
+        want = [[aggregate(agg, p, m) for m in row] for p, row in zip(prods.tolist(), masks.tolist())]
+        assert production._aggregate_masks(agg, prods, masks).tolist() == want
+
 
 class TestUtility:
     def test_linked_pair(self):
         cfg = make_cfg()
-        s = ProductionProfile((3.0, 0.0), LinkProfile.from_links(2, [(1, 0)]))
-        assert production_utility(cfg, s, 1) == pytest.approx(math.log(4) - 0.2, abs=1e-12)
-        assert production_utility(cfg, s, 0) == pytest.approx(math.log(4) - 0.75, abs=1e-12)
+        rows = LinkProfile.from_links(2, [(1, 0)]).rows
+        assert production_utility(cfg, rows, (3.0, 0.0), 1) == pytest.approx(math.log(4) - 0.2, abs=1e-12)
+        assert production_utility(cfg, rows, (3.0, 0.0), 0) == pytest.approx(math.log(4) - 0.75, abs=1e-12)
 
     def test_isolated_producer(self):
         cfg = make_cfg()
-        s = ProductionProfile((3.0, 0.0), LinkProfile.empty(2))
-        assert production_utility(cfg, s, 0) == pytest.approx(math.log(4) - 0.75, abs=1e-12)
+        assert production_utility(cfg, (0, 0), (3.0, 0.0), 0) == pytest.approx(math.log(4) - 0.75, abs=1e-12)
 
 
 class TestEquilibriumCheck:
     def test_high_cost_empty_full_production(self):
         cfg = make_cfg(c=1.0)
-        s = ProductionProfile((3.0, 3.0), LinkProfile.empty(2))
-        assert is_production_ne(cfg, s)
+        assert is_production_ne(cfg, (0, 0), (3.0, 3.0))
         rows, prods = production_equilibria(cfg)
         assert rows.tolist() == [[0, 0]]
         assert prods.tolist() == [pytest.approx([3.0, 3.0], abs=1e-9)]
 
     def test_low_cost_single_producer_sum(self):
         cfg = make_cfg(c=0.2)
-        s = ProductionProfile((3.0, 0.0), LinkProfile.from_links(2, [(1, 0)]))
-        assert is_production_ne(cfg, s)
+        assert is_production_ne(cfg, LinkProfile.from_links(2, [(1, 0)]).rows, (3.0, 0.0))
 
     def test_low_cost_shared_production_max_rejected(self):
         cfg = make_cfg(c=0.2, agg=Aggregation.MAX)
         for links in (LinkProfile.from_links(2, [(1, 0)]), LinkProfile.empty(2)):
-            assert not is_production_ne(cfg, ProductionProfile((1.5, 1.5), links))
+            assert not is_production_ne(cfg, links.rows, (1.5, 1.5))
 
     def test_producer_sponsoring_useless_link_rejected(self):
         cfg = make_cfg(c=0.2)
-        s = ProductionProfile((3.0, 0.0), LinkProfile.from_links(2, [(0, 1)]))
-        assert not is_production_ne(cfg, s)
+        assert not is_production_ne(cfg, LinkProfile.from_links(2, [(0, 1)]).rows, (3.0, 0.0))
 
     def test_twelve_agents_checked(self):
-        # no agent cap of its own: any profile LinkProfile accepts is judged
+        # no agent cap of its own: any profile of the game is judged
         cfg = make_cfg(n=12, c=1.0)
-        assert is_production_ne(cfg, ProductionProfile((3.0,) * 12, LinkProfile.empty(12)))
-        assert not is_production_ne(cfg, ProductionProfile((0.0,) * 12, LinkProfile.empty(12)))
+        assert is_production_ne(cfg, (0,) * 12, (3.0,) * 12)
+        assert not is_production_ne(cfg, (0,) * 12, (0.0,) * 12)
 
 
 class TestCharacterizations:
     def test_star_with_producing_core(self):
         cfg = make_cfg(n=3, c=0.2)
-        s = ProductionProfile((3.0, 0.0, 0.0),
-                              LinkProfile.from_links(3, [(1, 0), (2, 0)]))
-        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [True]
-        assert is_production_ne(cfg, s)
+        rows, prods = LinkProfile.from_links(3, [(1, 0), (2, 0)]).rows, (3.0, 0.0, 0.0)
+        assert shape_mask(cfg, [rows], [prods]).tolist() == [True]
+        assert is_production_ne(cfg, rows, prods)
 
     def test_overproduction_rejected(self):
         cfg = make_cfg(n=2, c=0.2)
-        s = ProductionProfile((3.0, 0.5), LinkProfile.from_links(2, [(1, 0)]))
-        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [False]
-        assert not is_production_ne(cfg, s)
+        rows, prods = LinkProfile.from_links(2, [(1, 0)]).rows, (3.0, 0.5)
+        assert shape_mask(cfg, [rows], [prods]).tolist() == [False]
+        assert not is_production_ne(cfg, rows, prods)
 
     def test_two_producers_under_max_rejected(self):
         cfg = make_cfg(n=2, c=0.2, agg=Aggregation.MAX)
-        s = ProductionProfile((3.0, 3.0), LinkProfile.from_links(2, [(1, 0)]))
-        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [False]
+        rows = LinkProfile.from_links(2, [(1, 0)]).rows
+        assert shape_mask(cfg, [rows], [(3.0, 3.0)]).tolist() == [False]
 
     def test_chain_needs_per_link_cut_condition(self):
         # c exceeds k times the production behind the middle agent's link, so
         # dropping that one link and producing the difference is profitable
         cfg = make_cfg(n=3, c=0.3)
-        links = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        s = ProductionProfile((1.0, 1.0, 1.0), links)
-        assert not is_production_ne(cfg, s)
-        assert shape_mask(cfg, [s.links.rows], [s.productions]).tolist() == [False]
+        rows, prods = LinkProfile.from_links(3, [(0, 1), (1, 2)]).rows, (1.0, 1.0, 1.0)
+        assert not is_production_ne(cfg, rows, prods)
+        assert shape_mask(cfg, [rows], [prods]).tolist() == [False]
         # a cheaper link keeps the chain in equilibrium
         cheap = make_cfg(n=3, c=0.2)
-        assert is_production_ne(cheap, s)
-        assert shape_mask(cheap, [s.links.rows], [s.productions]).tolist() == [True]
+        assert is_production_ne(cheap, rows, prods)
+        assert shape_mask(cheap, [rows], [prods]).tolist() == [True]
 
     @pytest.mark.parametrize("agg", [Aggregation.SUM, Aggregation.MAX])
     @pytest.mark.parametrize("c", [0.2, 1.0])
@@ -190,7 +192,7 @@ class TestCharacterizations:
         cases = list(itertools.product(itertools.product((0, 2), (0, 1)),
                                        itertools.product(grid_levels(cfg), repeat=2)))
         shapes = shape_mask(cfg, [r for r, _ in cases], [p for _, p in cases]).tolist()
-        assert shapes == [is_production_ne(cfg, ProductionProfile(p, LinkProfile(2, r))) for r, p in cases]
+        assert shapes == [is_production_ne(cfg, r, p) for r, p in cases]
 
 
 class TestEnumeration:
@@ -233,29 +235,6 @@ class TestEnumeration:
             production_equilibria(make_cfg(n=6))
 
 
-class TestFewMetrics:
-    def test_high_cost_everyone_produces(self):
-        cfg = make_cfg(n=4, c=1.0)
-        s = ProductionProfile((3.0,) * 4, LinkProfile.empty(4))
-        fraction, total = few_metrics(cfg, s)
-        assert fraction == 1.0
-        assert total == pytest.approx(12.0, abs=1e-9)
-
-    def test_max_single_producer(self):
-        cfg = make_cfg(n=4, c=0.2, agg=Aggregation.MAX)
-        s = ProductionProfile((3.0, 0, 0, 0), LinkProfile.from_links(4, [(1, 0), (2, 0), (3, 0)]))
-        fraction, total = few_metrics(cfg, s)
-        assert fraction == 0.25
-        assert total == pytest.approx(3.0, abs=1e-9)
-
-    def test_sum_shared_star(self):
-        cfg = make_cfg(n=3, c=0.2)
-        s = ProductionProfile((1.0, 1.0, 1.0), LinkProfile.from_links(3, [(1, 0), (2, 0)]))
-        fraction, total = few_metrics(cfg, s)
-        assert fraction == 1.0
-        assert total == pytest.approx(3.0, abs=1e-9)
-
-
 class TestFewSweep:
     N_LIST = [2, 3, 4, 5, 6, 7, 8]
 
@@ -284,35 +263,10 @@ class TestFewSweep:
         # k at or above f'(0): producing anything is a loss, h_bar is 0
         cfg = make_cfg(n=2, c=0.1, k=1.5)
         assert cfg.h_bar() == 0.0
-        s = ProductionProfile((0.0, 0.0), LinkProfile.empty(2))
-        assert is_production_ne(cfg, s)
+        assert is_production_ne(cfg, (0, 0), (0.0, 0.0))
         rows, prods = production_equilibria(cfg)
         assert (rows.tolist(), prods.tolist()) == ([[0, 0]], [[0.0, 0.0]])
         points = few_sweep(cfg, [2, 3])
         assert all(pt.producer_fraction == 0.0 for pt in points)
         assert all(pt.total_information_bits == 0.0 for pt in points)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        s = ProductionProfile((3.0, 0.25), LinkProfile.from_links(2, [(1, 0)]))
-        text = s.to_text()
-        assert text == "0010 3,0.25\n"
-        back = ProductionProfile.from_text(text)
-        assert back == s
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-        st.tuples(*[st.integers(0, (1 << n) - 1).map(lambda r, i=i: r & ~(1 << i)) for i in range(n)]),
-        st.tuples(*[st.floats(0.0, 1e300) for _ in range(n)]))))
-    def test_round_trip_property(self, drawn):
-        rows, prods = drawn
-        s = ProductionProfile(prods, LinkProfile(len(rows), rows))
-        back = ProductionProfile.from_text(s.to_text())
-        assert back == s
-        assert [math.copysign(1.0, p) for p in back.productions] == \
-               [math.copysign(1.0, p) for p in s.productions]
-
-    def test_negative_production_rejected(self):
-        with pytest.raises(ValueError):
-            ProductionProfile((-1.0, 0.0), LinkProfile.empty(2))

@@ -21,8 +21,6 @@ from infogame.kernel import CapExceededError, merged_table, rows_from_indices, s
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
-    ProductionProfile,
-    aggregate,
     few_sweep,
     grid_levels,
     is_production_ne,
@@ -30,24 +28,24 @@ from infogame.production import (
     production_ne_mask,
     shape_mask,
 )
-from scalar_kernel import merged_components, production_utility
+from scalar_kernel import aggregate, merged_components, production_utility
 from scalar_kernel import production_shape as scalar_shape
 
 BENEFITS = [BenefitFunction.log1p(2.0), BenefitFunction.log1p(math.e),
             BenefitFunction.power(0.5), BenefitFunction.power(0.3)]
 
 
-def scalar_is_production_ne(cfg, s):
+def scalar_is_production_ne(cfg, rows, prods):
     """Every agent, every compact row, every production candidate, one at a time."""
     n = cfg.n_agents
     hb = cfg.h_bar()
     grid = grid_levels(cfg)
     is_sum = cfg.agg is Aggregation.SUM
     for i in range(n):
-        current = production_utility(cfg, s, i)
-        for compact, mask in enumerate(merged_components(n, s.links.rows, i)):
+        current = production_utility(cfg, rows, prods, i)
+        for compact, mask in enumerate(merged_components(n, rows, i)):
             link_cost = cfg.c * compact.bit_count()
-            acquired = aggregate(cfg.agg, s.productions, mask & ~(1 << i))
+            acquired = aggregate(cfg.agg, prods, mask & ~(1 << i))
             for h in grid + [hb] + ([max(0.0, hb - acquired)] if is_sum else []):
                 info = acquired + h if is_sum else max(acquired, h)
                 if cfg.benefit(info) - cfg.k * h - link_cost > current + TOL:
@@ -56,10 +54,9 @@ def scalar_is_production_ne(cfg, s):
 
 
 def assert_mask_matches_scalar(cfg, profiles):
-    rows = [s.links.rows for s in profiles]
-    prods = [s.productions for s in profiles]
-    got = production_ne_mask(cfg, rows, prods).tolist()
-    assert got == [scalar_is_production_ne(cfg, s) for s in profiles]
+    """``profiles`` is a list of (link rows, productions) tuple pairs."""
+    got = production_ne_mask(cfg, [r for r, _ in profiles], [p for _, p in profiles]).tolist()
+    assert got == [scalar_is_production_ne(cfg, r, p) for r, p in profiles]
     return got
 
 
@@ -87,7 +84,7 @@ def profiles(draw, cfg, count):
             prods = tuple(draw(st.sampled_from(grid)) for _ in range(n))
         else:
             prods = tuple(draw(st.floats(0.0, 1.5 * cfg.h_bar())) for _ in range(n))
-        out.append(ProductionProfile(prods, LinkProfile(n, rows)))
+        out.append((rows, prods))
     return out
 
 
@@ -113,10 +110,7 @@ class TestMaskMatchesScalar:
         batches = list(production.grid_batches(cfg))
         rows = np.concatenate([r for r, _ in batches])
         prods = np.concatenate([p for _, p in batches])
-        n = cfg.n_agents
-        profiles_ = [ProductionProfile(tuple(p), LinkProfile(n, tuple(r)))
-                     for r, p in zip(rows.tolist(), prods.tolist())]
-        assert_mask_matches_scalar(cfg, profiles_)
+        assert_mask_matches_scalar(cfg, list(zip(map(tuple, rows.tolist()), map(tuple, prods.tolist()))))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -130,7 +124,7 @@ class TestMaskMatchesScalar:
         j = data.draw(st.integers(1, n - 1))
         c = cfg.k * aggregate(cfg.agg, prods, ((1 << n) - 1) & ~(1 << j))
         cfg = ProductionGameConfig(n, cfg.benefit, cfg.k, c, cfg.agg)
-        star = ProductionProfile(prods, LinkProfile(n, tuple(0 if i == 0 else 1 for i in range(n))))
+        star = (0,) + (1,) * (n - 1), prods
         assert_mask_matches_scalar(cfg, [star] + data.draw(profiles(cfg, 10)))
 
     @pytest.mark.parametrize("agg", list(Aggregation))
@@ -143,8 +137,7 @@ class TestMaskMatchesScalar:
             cfg = ProductionGameConfig(n, f, k, k * hb, agg)
             assert cfg.high_cost()
             rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n).tolist()
-            cands = [ProductionProfile(p, LinkProfile(n, tuple(r)))
-                     for r in rows for p in ((hb,) * n, (0.0,) * n, (hb,) + (0.0,) * (n - 1))]
+            cands = [(tuple(r), p) for r in rows for p in ((hb,) * n, (0.0,) * n, (hb,) + (0.0,) * (n - 1))]
             got = assert_mask_matches_scalar(cfg, cands)
             assert got[0]  # the empty network at h_bar
 
@@ -157,28 +150,28 @@ class TestMaskMatchesScalar:
             n = pt.n
             point = ProductionGameConfig(n, cfg.benefit, cfg.k, cfg.c, cfg.agg)
             hb = point.h_bar()
-            star = LinkProfile(n, tuple(0 if i == 0 else 1 for i in range(n)))
+            star = (0,) + (1,) * (n - 1)
             if point.high_cost():
-                witness = ProductionProfile((hb,) * n, LinkProfile.empty(n))
+                witness = (0,) * n, (hb,) * n
             elif agg is Aggregation.MAX:
-                witness = ProductionProfile((hb,) + (0.0,) * (n - 1), star)
+                witness = star, (hb,) + (0.0,) * (n - 1)
             else:
                 share = min(hb / n, hb - point.c / point.k)
-                witness = ProductionProfile((hb - (n - 1) * share,) + (share,) * (n - 1), star)
-            assert scalar_is_production_ne(point, witness)
-            assert is_production_ne(point, witness)
+                witness = star, (hb - (n - 1) * share,) + (share,) * (n - 1)
+            assert scalar_is_production_ne(point, *witness)
+            assert is_production_ne(point, *witness)
 
     def test_sum_closed_form_is_a_candidate(self):
         # total 3.1 beats the grid totals 2.75 and 3.25 and the h_bar total 3.25;
         # only producing exactly h_bar - acquired (total 3.0) gains, for both agents
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.01, Aggregation.SUM)
-        s = ProductionProfile((2.85, 0.25), LinkProfile.from_links(2, [(0, 1)]))
+        s = LinkProfile.from_links(2, [(0, 1)]).rows, (2.85, 0.25)
         assert assert_mask_matches_scalar(cfg, [s]) == [False]
 
     def test_h_bar_is_a_candidate(self):
         # on the grid 0, 0.7, ..., 3.5 only producing h_bar = 3 itself beats 2.9
         cfg = ProductionGameConfig(1, BENEFITS[1], 0.25, 0.0, Aggregation.MAX, 0.7)
-        profiles_ = [ProductionProfile((p,), LinkProfile.empty(1)) for p in (2.9, cfg.h_bar())]
+        profiles_ = [((0,), (p,)) for p in (2.9, cfg.h_bar())]
         assert assert_mask_matches_scalar(cfg, profiles_) == [False, True]
 
     @pytest.mark.parametrize("mask", [production_ne_mask, shape_mask])
@@ -214,11 +207,11 @@ class TestMaskMatchesScalar:
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, agg)
         hb = cfg.h_bar()
         assert cfg.benefit(hb) - c == (cfg.benefit(hb) - 0.25 * hb) + TOL
-        empty = ProductionProfile((hb, hb), LinkProfile.empty(2))
-        assert is_production_ne(cfg, empty) and scalar_is_production_ne(cfg, empty)
+        empty = (0, 0), (hb, hb)
+        assert is_production_ne(cfg, *empty) and scalar_is_production_ne(cfg, *empty)
         # one ulp cheaper and the link gains more than TOL
         cheaper = ProductionGameConfig(2, BENEFITS[1], 0.25, math.nextafter(c, 0.0), agg)
-        assert not is_production_ne(cheaper, empty) and not scalar_is_production_ne(cheaper, empty)
+        assert not is_production_ne(cheaper, *empty) and not scalar_is_production_ne(cheaper, *empty)
 
 
 class TestDeduplicatedCheck:
@@ -283,7 +276,7 @@ class TestShapeCheckers:
         rows, prods = [r for r, _ in cases], [p for _, p in cases]
         got = shape_mask(cfg, rows, prods).tolist()
         assert got == production_ne_mask(cfg, rows, prods).tolist()
-        assert got == [scalar_shape(cfg, ProductionProfile(p, LinkProfile(n, r))) for r, p in cases]
+        assert got == [scalar_shape(cfg, r, p) for r, p in cases]
         assert any(got)
 
     @pytest.mark.parametrize("c", [0.05, 0.2, 0.4, 0.75, 1.0])
@@ -292,8 +285,7 @@ class TestShapeCheckers:
     def test_mask_matches_the_scalar_shape_on_every_grid_profile(self, n, agg, c):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
         for rows, prods in production.grid_batches(cfg):
-            want = [scalar_shape(cfg, ProductionProfile(tuple(p), LinkProfile(n, tuple(r))))
-                    for r, p in zip(rows.tolist(), prods.tolist())]
+            want = [scalar_shape(cfg, r, p) for r, p in zip(rows.tolist(), prods.tolist())]
             assert shape_mask(cfg, rows, prods).tolist() == want
 
     def test_a_link_cutting_off_exactly_its_cost_minus_tol_is_kept(self):
@@ -302,8 +294,7 @@ class TestShapeCheckers:
         rows, prods = [(0, 1)], [(2.0, hb - 2.0)]
         for c, want in ((0.25 * 2.0 + TOL, True), (math.nextafter(0.25 * 2.0 + TOL, 1.0), False)):
             cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, Aggregation.SUM)
-            s = ProductionProfile(prods[0], LinkProfile(2, rows[0]))
-            assert shape_mask(cfg, rows, prods).tolist() == [want] == [scalar_shape(cfg, s)]
+            assert shape_mask(cfg, rows, prods).tolist() == [want] == [scalar_shape(cfg, rows[0], prods[0])]
             assert production_ne_mask(cfg, rows, prods).tolist() == [want]
 
     def test_a_lone_agent_at_a_vanishing_h_bar(self):
@@ -311,8 +302,7 @@ class TestShapeCheckers:
         # although no agent produces more than PRODUCER_EPS
         cfg = ProductionGameConfig(1, BENEFITS[1], 1.0 - 1e-10, 0.0, Aggregation.MAX)
         assert 0.0 < cfg.h_bar() < TOL and not cfg.high_cost()
-        s = ProductionProfile((0.0,), LinkProfile.empty(1))
-        assert shape_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True] == [scalar_shape(cfg, s)]
+        assert shape_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True] == [scalar_shape(cfg, (0,), (0.0,))]
         assert production_ne_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True]
 
     # open defect: the whole stand-alone payoff (h_bar ~ 8.7e-11) is below TOL, so the empty
@@ -337,10 +327,9 @@ class TestShapeCheckers:
 
 def scan(cfg, batches):
     """The equilibria that one of the two production scans, named by its batch
-    generator, finds at any agent count, as profiles."""
+    generator, finds at any agent count, as (link rows, productions) tuple pairs."""
     rows, prods = production._equilibria(cfg, getattr(production, batches)(cfg))
-    return [ProductionProfile(tuple(p), LinkProfile(cfg.n_agents, tuple(r)))
-            for r, p in zip(rows.tolist(), prods.tolist())]
+    return list(zip(map(tuple, rows.tolist()), map(tuple, prods.tolist())))
 
 
 class TestEnumeration:
@@ -370,13 +359,12 @@ class TestEnumeration:
     def test_matches_scalar_oracle(self, n, agg, c, batches):
         cfg = ProductionGameConfig(n, BENEFITS[0], 0.25 / math.log(2.0), c, agg)
         found = scan(cfg, batches)
-        assert found and all(scalar_is_production_ne(cfg, s) for s in found)
+        assert found and all(scalar_is_production_ne(cfg, r, p) for r, p in found)
         if batches == "grid_batches":
             n_grid = 0
             for rows, prods in production.grid_batches(cfg):
                 for r, p in zip(rows.tolist(), prods.tolist()):
-                    s = ProductionProfile(tuple(p), LinkProfile(n, tuple(r)))
-                    n_grid += scalar_is_production_ne(cfg, s)
+                    n_grid += scalar_is_production_ne(cfg, r, p)
             assert n_grid == len(found)
 
     @pytest.mark.parametrize("agg", list(Aggregation))

@@ -8,7 +8,7 @@ import pytest
 
 from infogame import analytic, equilibrium, production, verification
 from infogame.analytic import poa_predict
-from infogame.entropy import TOL, EntropicVector, validate_shannon
+from infogame.entropy import EntropicVector, validate_shannon
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import CHECK_BUDGET, CapExceededError, components, profile_indices, rows_from_indices
@@ -177,7 +177,7 @@ class TestMismatchNamesTheFirstProfile:
             rows = rows[np.argsort(profile_indices(rows))]
             return dataclasses.replace(report, rows=rows, components=components(rows))
         monkeypatch.setattr(equilibrium, "enumerate_games",
-                            lambda cfgs, tol=TOL: [with_extra(r) for r in real(cfgs, tol)])
+                            lambda cfgs: [with_extra(r) for r in real(cfgs)])
         assert verification._check_existence_minimality(np.random.default_rng(0), 3, 2, LN) == (
             False, f"2 instances; instance 1 equilibrium {witness}")
 
