@@ -22,7 +22,6 @@ from .formation_game import (
     BenefitFunction,
     CostModel,
     GameConfig,
-    LinkProfile,
 )
 from .equilibrium import (
     CapExceededError,
@@ -65,7 +64,6 @@ __all__ = [
     "FewSweepPoint",
     "GameConfig",
     "JointPmf",
-    "LinkProfile",
     "Prediction",
     "ProductionGameConfig",
     "ShannonReport",

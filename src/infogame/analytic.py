@@ -30,8 +30,9 @@ import numpy as np
 from .entropy import TOL, EntropicVector, full_mask, subset_mask
 from .formation_game import BenefitFunction, CostModel, GameConfig
 from .equilibrium import social_optimum
-from .kernel import (TABLE_AGENTS, best_response_table, components, compress_row, merged_table, ne_status,
-                     require_budget, set_partition_count, set_partitions, sponsored_tree_count, sponsored_trees)
+from .kernel import (TABLE_AGENTS, best_response_table, components, compress_row, link_rows, merged_table,
+                     ne_status, require_budget, set_partition_count, set_partitions, sponsored_tree_count,
+                     sponsored_trees)
 
 K_C = "K_C"
 K_I = "K_I"
@@ -185,7 +186,8 @@ def _partition_batch(n: int):
 def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
     """Which profiles of a batch are strict equilibria of the star shape?
 
-    Requires homogeneous costs. ``rows`` holds link rows, shape (batch, n).
+    Requires homogeneous costs. ``rows`` holds link rows, shape (batch, n),
+    which :func:`~infogame.kernel.link_rows` checks.
     A profile passes when every non-singleton component is a star whose core
     sponsors all of its links, and :func:`~infogame.kernel.ne_status`, the
     test brute force uses, finds it strict. A component with a single
@@ -198,9 +200,7 @@ def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
     if cfg.costs.kind != "homogeneous":
         raise ValueError("strict-structure checker supports homogeneous costs only")
     n = cfg.n_agents
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError("profile size does not match the game")
+    rows = link_rows(n, rows)
     comp = components(rows)
     sponsors = sum((rows[:, i] != 0).astype(np.int64) << i for i in range(n))
     stars = np.ones(len(rows), dtype=bool)

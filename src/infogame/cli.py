@@ -326,6 +326,8 @@ def run_spec(spec: dict, spec_bytes: bytes, seed: int | None):
     command = spec.get("command")
     if command not in COMMANDS:
         raise SpecError(f"command must be one of {', '.join(COMMANDS)}; got {command!r}")
+    if not isinstance(spec.get("output", ""), str):  # open() takes an int or a bool for a file descriptor
+        raise SpecError(f"output must be a file path, got {spec['output']!r}")
     effective_seed = seed if seed is not None else _number(int, spec.get("seed", 0), "seed")
     digest = hashlib.sha256(spec_bytes).hexdigest()
     # the field before "command" names an agent-cap option that no longer exists; it stays
@@ -376,9 +378,14 @@ def main(argv=None) -> int:
     except ValueError as e:  # SpecError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out_path = args.out or (spec.get("output") if isinstance(spec, dict) else None)
+    out_path = args.out or spec.get("output")
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8", newline="\n")
+        except OSError as e:
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+            return 2
+        with fh:
             write(fh)
     else:
         write(sys.stdout)

@@ -13,8 +13,6 @@ is not possible in general for n >= 4.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -118,55 +116,11 @@ class JointPmf:
     def n_agents(self) -> int:
         return self.table.ndim
 
-    @property
-    def alphabet_sizes(self) -> tuple[int, ...]:
-        return self.table.shape
-
     def marginal(self, mask: int) -> np.ndarray:
         """Marginal table over the agents in ``mask``."""
         keep = set(subset_agents(mask))
         drop = tuple(i for i in range(self.n_agents) if i not in keep)
         return self.table.sum(axis=drop) if drop else self.table
-
-    @classmethod
-    def from_csv(cls, text: str) -> "JointPmf":
-        """Parse a pmf from CSV with columns x1,...,xN,prob (one outcome per row).
-
-        Outcome symbols are nonnegative integers; alphabet sizes are inferred
-        as max symbol + 1 per agent. Missing outcome tuples get probability 0.
-        """
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty pmf CSV") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[-1] != "prob":
-            raise ValueError("pmf CSV header must be x1,...,xN,prob")
-        n = len(header) - 1
-        if header[:n] != [f"x{i + 1}" for i in range(n)]:
-            raise ValueError("pmf CSV header must be x1,...,xN,prob")
-        rows = []
-        for line in reader:
-            if not line or all(not cell.strip() for cell in line):
-                continue
-            if len(line) != n + 1:
-                raise ValueError(f"pmf CSV row has {len(line)} cells, expected {n + 1}")
-            outcome = tuple(int(cell) for cell in line[:n])
-            if any(v < 0 for v in outcome):
-                raise ValueError("outcome symbols must be nonnegative integers")
-            rows.append((outcome, float(line[n])))
-        if not rows:
-            raise ValueError("pmf CSV has no data rows")
-        sizes = tuple(max(r[0][i] for r in rows) + 1 for i in range(n))
-        table = np.zeros(sizes, dtype=float)
-        seen = set()
-        for outcome, p in rows:
-            if outcome in seen:
-                raise ValueError(f"duplicate outcome row {outcome}")
-            seen.add(outcome)
-            table[outcome] = p
-        return cls(table)
 
 
 def _entropy_bits(table: np.ndarray) -> float:
@@ -312,16 +266,10 @@ def family_pair_redundancy(h1: float, h2: float, h3: float, kl: float) -> Entrop
     return EntropicVector(3, tuple(entries))
 
 
-def to_text(ev: EntropicVector) -> str:
-    """Serialize: one ``n_agents`` line, then ``mask,entropy`` per subset."""
-    lines = [f"n_agents,{ev.n_agents}"]
-    for mask in range(1, (1 << ev.n_agents)):
-        lines.append(f"{mask},{ev.entries[mask - 1]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def from_text(text: str) -> EntropicVector:
-    """Parse the :func:`to_text` format. Blank lines and ``#`` comments are ignored."""
+    """Parse an entropic-vector document: an ``n_agents,<count>`` line, then one
+    ``mask,entropy`` line per nonempty subset mask, in any order (see
+    :func:`from_records`). Blank lines and ``#`` comments are ignored."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -32,13 +32,13 @@ failing agent. The pruned path refuses cost models with a link cost at or
 below tolerance.
 
 Both scans return int64 rows (ne, n) and strict flags. The report keeps
-them, with the kernel's ``components`` and ``welfare`` of them, builds
-``LinkProfile`` objects only when asked, and streams its CSV from the arrays
-through :mod:`infogame.csvtable`. The social optimum is a welfare of the same
-routine: the first maximum of ``welfare`` over the optimal forest of every
-set partition, which the report scores in the equilibria's own batch. A
-chunk's games share that batch, each row indexing its game's tables, and
-games with the same Kruskal link order share their forests.
+them, with the kernel's ``components`` and ``welfare`` of them, and streams
+its CSV from the arrays through :mod:`infogame.csvtable`. The social
+optimum is a welfare of the same routine: the first maximum of ``welfare``
+over the optimal forest of every set partition, which the report scores in
+the equilibria's own batch. A chunk's games share that batch, each row
+indexing its game's tables, and games with the same Kruskal link order
+share their forests.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import csvtable
 from .entropy import TOL
-from .formation_game import GameConfig, LinkProfile
+from .formation_game import GameConfig
 from .kernel import (
     CHECK_BUDGET,
     TABLE_AGENTS,
@@ -79,10 +79,11 @@ class EquilibriumReport:
 
     The arrays are in profile-index order: int64 ``rows`` (ne, n), ``strict``
     flags, ``welfare`` and the ``components`` masks (n, ne). ``info_values``
-    maps a component mask to the vector's own entropy float. ``ne_profiles``,
-    the rows as ``LinkProfile`` objects, is built on first use. ``poa`` is
-    None when the worst equilibrium welfare is not positive, in which case
-    the optimum/worst ratio has no meaningful sign.
+    maps a component mask to the vector's own entropy float, and
+    ``social_optimum_rows`` is the optimum's int64 rows (n,). ``ne_profiles``,
+    the rows as hashable tuples, is built on first use. ``poa`` is None when
+    the worst equilibrium welfare is not positive, in which case the
+    optimum/worst ratio has no meaningful sign.
     """
 
     rows: np.ndarray
@@ -91,15 +92,14 @@ class EquilibriumReport:
     components: np.ndarray
     info_values: tuple[float, ...]
     social_optimum_value: float
-    social_optimum_profile: LinkProfile
+    social_optimum_rows: np.ndarray
     worst_ne_welfare: float
     poa: float | None
     mil: float
 
     @cached_property
-    def ne_profiles(self) -> tuple[LinkProfile, ...]:
-        n = self.rows.shape[1]
-        return tuple(LinkProfile(n, r) for r in map(tuple, self.rows.tolist()))
+    def ne_profiles(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
 
     def write_csv(self, out) -> None:
         """Write one CSV line per equilibrium to the text file ``out``."""
@@ -235,13 +235,13 @@ def _optimal_forests(n: int, links: tuple[tuple[int, int], ...]) -> np.ndarray:
     return np.array(forests, dtype=np.int64)
 
 
-def social_optimum(cfg: GameConfig) -> tuple[float, LinkProfile]:
-    """Welfare-maximal profile and its value: the first maximum of
-    :func:`~infogame.kernel.welfare` over the optimal forests."""
+def social_optimum(cfg: GameConfig) -> tuple[float, np.ndarray]:
+    """The maximal welfare and the int64 rows (n,) of a profile that reaches it: the
+    first maximum of :func:`~infogame.kernel.welfare` over the optimal forests."""
     forests = _optimal_forests(cfg.n_agents, _kruskal_links(cfg))
     w = welfare(forests, components(forests), cfg.fh, cfg.row_costs)
     best = int(np.argmax(w))
-    return float(w[best]), LinkProfile(cfg.n_agents, tuple(forests[best].tolist()))
+    return float(w[best]), forests[best]
 
 
 def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
@@ -274,7 +274,7 @@ def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
         reports.append(EquilibriumReport(
             rows=stack[lo:hi], strict=strict[lo - k:hi - k], welfare=ws, components=comp[:, lo:hi],
             info_values=h, social_optimum_value=float(w[top]),
-            social_optimum_profile=LinkProfile(n, tuple(stack[top].tolist())), worst_ne_welfare=worst,
+            social_optimum_rows=stack[top], worst_ne_welfare=worst,
             poa=float(w[top]) / worst if count and worst > 0.0 else None,
             mil=float((info.max(axis=1) - info.min(axis=1)).max()) if count else 0.0))
     return reports

@@ -1,4 +1,4 @@
-"""The link formation game: strategies, induced topology and utilities.
+"""The link formation game: benefit functions, cost models and the game they define.
 
 Agents hold random variables described by an :class:`~infogame.entropy.EntropicVector`
 and unilaterally sponsor directed links. The undirected topology contains edge
@@ -6,13 +6,14 @@ and unilaterally sponsor directed links. The undirected topology contains edge
 each connected component, and the sponsor alone pays the link cost. Agent i's
 payoff is ``f(H(component of i)) - sum of costs of links i sponsors``.
 
-Topology and payoffs are computed on batches of profiles by the kernel:
-:func:`infogame.kernel.components` is the package's one component walk and
-:func:`infogame.kernel.welfare` its one welfare routine, the social optimum
-included.
-
-Everything here is immutable and side-effect free; profiles can be evaluated
-concurrently from any number of workers.
+A batch of link profiles is an int64 array of shape (batch, n): entry [b, i]
+is the bitmask of agents that agent i links to in profile b, bit i clear.
+:func:`infogame.kernel.link_rows` refuses anything else, and the profile
+index that orders profiles is defined in :mod:`infogame.kernel`. The kernel computes
+topology and payoffs of such batches: :func:`infogame.kernel.components` is
+the package's one component walk and :func:`infogame.kernel.welfare` its one
+welfare routine, the social optimum included. They read the payoff tables
+that :class:`GameConfig` builds on first use.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import EntropicVector, MAX_AGENTS, subset_mask
+from .entropy import EntropicVector
 
 _SHAPE_GRID_MAX = 64.0
 _SHAPE_GRID_POINTS = 129
@@ -87,14 +88,6 @@ class BenefitFunction:
         if self.name == "linear":
             return 1.0
         raise ValueError(f"unknown benefit function {self.name!r}")
-
-    def describe(self) -> str:
-        if self.name == "log1p":
-            (base,) = self.params
-            return "log1p[base=e]" if base == math.e else f"log1p[base={base:g}]"
-        if self.name == "power":
-            return f"power[alpha={self.params[0]:g}]"
-        return self.name
 
     def _checked(self) -> "BenefitFunction":
         step = _SHAPE_GRID_MAX / (_SHAPE_GRID_POINTS - 1)
@@ -168,74 +161,6 @@ class CostModel:
 
     def min_cost(self, n_agents: int) -> float:
         return min(self.link_cost(i, j) for i in range(n_agents) for j in range(n_agents) if i != j)
-
-
-@dataclass(frozen=True)
-class LinkProfile:
-    """One strategy profile: row i is the bitmask of agents that i links to.
-
-    The diagonal is forbidden (no self links). Profiles are hashable;
-    enumerations order them by their profile index (see :mod:`infogame.kernel`),
-    the rank of the row-major link matrix without its diagonal.
-    """
-
-    n_agents: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.n_agents
-        if not 1 <= n <= MAX_AGENTS:
-            raise ValueError(f"n_agents must be in 1..{MAX_AGENTS}")
-        if len(self.rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(self.rows)}")
-        top = 1 << n
-        for i, row in enumerate(self.rows):
-            if not 0 <= row < top:
-                raise ValueError(f"row {i} out of range")
-            if row & (1 << i):
-                raise ValueError(f"agent {i} links to itself")
-
-    @classmethod
-    def empty(cls, n_agents: int) -> "LinkProfile":
-        return cls(n_agents, (0,) * n_agents)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "LinkProfile":
-        rows = []
-        n = len(matrix)
-        for row in matrix:
-            cells = list(row)
-            if len(cells) != n:
-                raise ValueError("link matrix must be square")
-            rows.append(subset_mask(j for j, v in enumerate(cells) if v))
-        return cls(n, tuple(rows))
-
-    @classmethod
-    def from_links(cls, n_agents: int, links) -> "LinkProfile":
-        """Build from directed (sponsor, target) pairs."""
-        rows = [0] * n_agents
-        for i, j in links:
-            rows[i] |= 1 << j
-        return cls(n_agents, tuple(rows))
-
-    @classmethod
-    def from_text(cls, text: str) -> "LinkProfile":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        n = len(lines)
-        if any(len(ln) != n for ln in lines):
-            raise ValueError("profile text must be n lines of n characters")
-        if any(ch not in "01" for ln in lines for ch in ln):
-            raise ValueError("profile characters must be 0 or 1")
-        return cls.from_matrix([[ch == "1" for ch in ln] for ln in lines])
-
-    def to_text(self) -> str:
-        return "\n".join(self.bitstring()[i * self.n_agents:(i + 1) * self.n_agents]
-                         for i in range(self.n_agents)) + "\n"
-
-    def bitstring(self) -> str:
-        """Row-major flattening, diagonal included as '0'."""
-        n = self.n_agents
-        return "".join("1" if self.rows[i] >> j & 1 else "0" for i in range(n) for j in range(n))
 
 
 @dataclass(frozen=True)

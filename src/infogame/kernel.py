@@ -1,8 +1,10 @@
 """Bitmask and combinatorics helpers shared by the brute-force layers.
 
-Here a link profile is a tuple of row bitmasks: row i holds the agents that
-i links to. Agent i's alternatives are indexed by *compact* rows, its row
-with bit i removed, so its 2**(n-1) candidate rows are 0 .. 2**(n-1) - 1.
+Here a link profile is n row bitmasks: row i holds the agents that i links
+to, bit i clear. A batch of profiles is an int64 array of shape (batch, n),
+and :func:`link_rows` is the package's one check that an input is one.
+Agent i's alternatives are indexed by *compact* rows, its row with bit i
+removed, so its 2**(n-1) candidate rows are 0 .. 2**(n-1) - 1.
 
 The *profile index* ranks the 2**(n(n-1)) profiles by their flattened link
 matrix with the diagonal left out: row i is the (n-1)-bit field starting at
@@ -82,6 +84,17 @@ def compress_row(row: int, i: int) -> int:
     """
     low = row & ((1 << i) - 1)
     return low | ((row >> (i + 1)) << i)
+
+
+def link_rows(n: int, rows) -> np.ndarray:
+    """``rows`` as an int64 array of shape (batch, n), refused with ``ValueError``
+    unless every entry is an n-bit mask without its own agent's bit."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError("profile size does not match the game")
+    if ((rows < 0) | (rows >> n != 0) | (rows >> np.arange(n) & 1 != 0)).any():
+        raise ValueError("link rows must be n-bit masks without self links")
+    return rows
 
 
 def field_compacts(n: int) -> np.ndarray:

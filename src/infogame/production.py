@@ -45,8 +45,8 @@ import numpy as np
 
 from .entropy import MAX_AGENTS, TOL
 from .formation_game import BenefitFunction
-from .kernel import (CHECK_BUDGET, components, compress_row, merged_table, profile_indices, require_budget,
-                     rows_from_indices, sponsored_tree_count, sponsored_trees)
+from .kernel import (CHECK_BUDGET, components, compress_row, link_rows, merged_table, profile_indices,
+                     require_budget, rows_from_indices, sponsored_tree_count, sponsored_trees)
 
 # working memory of one chunk of production_ne_mask, in bytes
 CHECK_BYTES = 1 << 18
@@ -166,13 +166,10 @@ def _chunk_profiles(cfg: ProductionGameConfig) -> int:
 def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:
     """A batch of (links, productions) profiles as int64 and float64 arrays of shape
     (batch, n), refused unless every row is a profile of the game."""
-    n = cfg.n_agents
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = link_rows(cfg.n_agents, rows)
     prods = np.asarray(prods, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != n or prods.shape != rows.shape:
+    if prods.shape != rows.shape:
         raise ValueError("profile size does not match the game")
-    if ((rows < 0) | (rows >> n != 0) | (rows >> np.arange(n) & 1 != 0)).any():
-        raise ValueError("link rows must be n-bit masks without self links")
     if not (np.isfinite(prods) & (prods >= 0)).all():
         raise ValueError("production levels must be finite and nonnegative")
     return rows, prods

@@ -13,8 +13,12 @@ rows of ``sponsored_trees``, ``aggregate`` one entry of
 ``production.production_ne_mask``. ``component_masks`` of
 ``undirected_adjacency`` is one column of ``components``, and
 ``strict_ne_structure`` and ``production_shape`` are one profile of
-``analytic.strict_structure_mask`` and ``production.shape_mask``; a
-production profile is a tuple of link rows and a tuple of production levels.
+``analytic.strict_structure_mask`` and ``production.shape_mask``. A link
+profile here is a tuple of link rows (row i the bitmask of agents that i
+links to, bit i clear). ``links`` builds one from directed (sponsor,
+target) pairs, and ``bitstring`` flattens one into the row-major link
+matrix, whose order as a binary number is the profile index order. A
+production profile adds a tuple of production levels.
 ``report_csv`` and ``csv_text`` are the per-profile and per-cell CSV
 formatters that ``infogame.csvtable`` replaced, ``csv_of`` an equilibrium
 report's CSV as one string, and ``cond_entropy``,
@@ -30,21 +34,32 @@ import heapq
 import io
 import itertools
 
-import numpy as np
-
 from infogame import formation_game, kernel
 from infogame.entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
-from infogame.formation_game import LinkProfile
 from infogame.kernel import compress_row
 from infogame.production import PRODUCER_EPS, Aggregation, ProductionGameConfig
 
 
-def undirected_adjacency(profile: LinkProfile, skip_row: int | None = None) -> list[int]:
+def links(n: int, pairs) -> tuple[int, ...]:
+    """The rows of n agents that sponsor the directed (sponsor, target) ``pairs``."""
+    rows = [0] * n
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def bitstring(rows) -> str:
+    """Row-major flattening of the link matrix, diagonal included as '0'."""
+    n = len(rows)
+    return "".join("1" if rows[i] >> j & 1 else "0" for i in range(n) for j in range(n))
+
+
+def undirected_adjacency(rows, skip_row: int | None = None) -> list[int]:
     """Neighbor bitmask per agent; ``skip_row`` drops one agent's sponsored links."""
-    n = profile.n_agents
+    n = len(rows)
     adj = [0] * n
     for i in range(n):
-        row = profile.rows[i] if i != skip_row else 0
+        row = rows[i] if i != skip_row else 0
         adj[i] |= row
         t = row
         while t:
@@ -244,21 +259,21 @@ def production_utility(cfg: ProductionGameConfig, rows, prods, i: int) -> float:
     """f(aggregate over i's component) - k * own production - c * sponsored links."""
     if not len(rows) == len(prods) == cfg.n_agents:
         raise ValueError("profile size does not match the game")
-    comp = component_masks(undirected_adjacency(LinkProfile(len(rows), tuple(rows))))[i]
+    comp = component_masks(undirected_adjacency(rows))[i]
     info = aggregate(cfg.agg, prods, comp)
     return cfg.benefit(info) - cfg.k * prods[i] - cfg.c * rows[i].bit_count()
 
 
-def strict_ne_structure(cfg: formation_game.GameConfig, profile: LinkProfile) -> bool:
-    """Is ``profile`` a star-shaped strict equilibrium? One profile of
+def strict_ne_structure(cfg: formation_game.GameConfig, rows) -> bool:
+    """Are the link ``rows`` a star-shaped strict equilibrium? One profile of
     ``analytic.strict_structure_mask``: the star test, then :func:`ne_status`."""
     if cfg.costs.kind != "homogeneous":
         raise ValueError("strict-structure checker supports homogeneous costs only")
     n = cfg.n_agents
-    if profile.n_agents != n:
+    if len(rows) != n:
         raise ValueError("profile size does not match the game")
-    fh, row_costs, rows = cfg.fh.tolist(), cfg.row_costs.tolist(), profile.rows
-    for mask in set(component_masks(undirected_adjacency(profile))):
+    fh, row_costs = cfg.fh.tolist(), cfg.row_costs.tolist()
+    for mask in set(component_masks(undirected_adjacency(rows))):
         members = subset_agents(mask)
         if len(members) < 2:
             continue
@@ -284,17 +299,16 @@ def production_shape(cfg: ProductionGameConfig, rows, prods) -> bool:
         return all(abs(p - hb) <= TOL for p in prods)
     if n == 1:
         return abs(prods[0] - hb) <= TOL
-    links = LinkProfile(n, tuple(rows))
     # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
     if (sum(r.bit_count() for r in rows) != n - 1
-            or component_masks(undirected_adjacency(links))[0] != (1 << n) - 1):
+            or component_masks(undirected_adjacency(rows))[0] != (1 << n) - 1):
         return False
     if cfg.agg is Aggregation.SUM:
         if abs(sum(prods) - hb) > TOL:
             return False
         for i in range(n):
             # without i's links each target j keeps the subtree that the link i -> j reaches
-            cut = component_masks(undirected_adjacency(links, skip_row=i))
+            cut = component_masks(undirected_adjacency(rows, skip_row=i))
             for j in subset_agents(rows[i]):
                 if cfg.c > cfg.k * aggregate(cfg.agg, prods, cut[j]) + TOL:
                     return False
@@ -329,12 +343,12 @@ def csv_of(report) -> str:
 
 def report_csv(report) -> str:
     """``EquilibriumReport.write_csv`` one equilibrium at a time, from the report's
-    profiles and its arrays read one entry at a time."""
-    n = report.social_optimum_profile.n_agents
+    rows and its arrays read one entry at a time."""
+    n = len(report.social_optimum_rows)
     header = ["profile", "welfare"] + [f"info_{i}" for i in range(n)] + ["strict"]
     lines = [",".join(header)]
-    for t, p in enumerate(report.ne_profiles):
-        cells = [p.bitstring(), repr(float(report.welfare[t]))]
+    for t, p in enumerate(report.rows.tolist()):
+        cells = [bitstring(p), repr(float(report.welfare[t]))]
         cells += [repr(report.info_values[int(c)]) for c in report.components[:, t]]
         cells.append("1" if report.strict[t] else "0")
         lines.append(",".join(cells))
@@ -377,34 +391,32 @@ def kl_total(ev: EntropicVector) -> float:
     return sum(ev.singletons) - ev.joint_entropy
 
 
-def social_welfare(cfg: formation_game.GameConfig, profile: LinkProfile) -> float:
+def social_welfare(cfg: formation_game.GameConfig, rows) -> float:
     """Sum of all agents' utilities: ``kernel.welfare`` of a batch of one."""
-    if profile.n_agents != cfg.n_agents:
-        raise ValueError("profile size does not match the game")
-    rows = np.array([profile.rows], dtype=np.int64)
-    return float(kernel.welfare(rows, kernel.components(rows), cfg.fh, cfg.row_costs)[0])
+    batch = kernel.link_rows(cfg.n_agents, [rows])
+    return float(kernel.welfare(batch, kernel.components(batch), cfg.fh, cfg.row_costs)[0])
 
 
-def topology(profile: LinkProfile) -> tuple[tuple[int, int], ...]:
+def topology(rows) -> tuple[tuple[int, int], ...]:
     """Undirected edge set: {i, j} present when either direction is sponsored."""
-    n = profile.n_agents
+    n = len(rows)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if profile.rows[i] >> j & 1 or profile.rows[j] >> i & 1:
+            if rows[i] >> j & 1 or rows[j] >> i & 1:
                 edges.append((i, j))
     return tuple(edges)
 
 
-def is_minimally_connected(profile: LinkProfile, component) -> bool:
+def is_minimally_connected(rows, component) -> bool:
     """True when the given component is a tree (edge count = size - 1).
 
     ``component`` must be one of the profile's components.
     """
     comp_mask = subset_mask(component)
-    masks = component_masks(undirected_adjacency(profile))
+    masks = component_masks(undirected_adjacency(rows))
     agents = subset_agents(comp_mask)
     if not agents or any(masks[a] != comp_mask for a in agents):
         raise ValueError("argument is not a component of the profile")
-    edges = sum(1 for (i, j) in topology(profile) if comp_mask >> i & 1 and comp_mask >> j & 1)
+    edges = sum(1 for (i, j) in topology(rows) if comp_mask >> i & 1 and comp_mask >> j & 1)
     return edges == len(agents) - 1

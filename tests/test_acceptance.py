@@ -81,7 +81,7 @@ def test_criterion_1_pure_ne_existence(random_batch):
                       f"enumerated in {elapsed:.1f}s"):
         assert len(batch) == 200
         for cfg, report in batch:
-            assert report.ne_profiles, "instance without equilibrium"
+            assert len(report.rows), "instance without equilibrium"
         assert elapsed < 60.0
 
 
@@ -89,7 +89,7 @@ def test_criterion_2_equilibrium_minimality(random_batch):
     batch, _ = random_batch
     with criterion(2, "every component of every enumerated equilibrium is a tree"):
         for cfg, report in batch:
-            for p, comp in zip(report.ne_profiles, report.components.T.tolist()):
+            for p, comp in zip(report.rows.tolist(), report.components.T.tolist()):
                 assert all(is_minimally_connected(p, subset_agents(m)) for m in set(comp))
 
 
@@ -111,8 +111,7 @@ def test_criterion_3_connectivity_thresholds():
                     info = np.array(report.info_values)[report.components]
                     assert (np.abs(info - joint) <= 1e-9).all()
                 elif c > c_u + 1e-9:
-                    assert len(report.ne_profiles) == 1
-                    assert report.ne_profiles[0].rows == (0, 0, 0)
+                    assert report.rows.tolist() == [[0, 0, 0]]
 
 
 def test_criterion_4_structure_oracle_equivalence():
@@ -130,16 +129,16 @@ def test_criterion_4_structure_oracle_equivalence():
             strict = set(map(tuple, report.rows[report.strict].tolist()))
             rows = [profile_from_index(idx, n) for idx in range(1 << (n * (n - 1)))]
             assert strict_structure_mask(cfg, rows).tolist() == [r in strict for r in rows]
-            for p, part, strict_ne in zip(report.ne_profiles, partitions, report.strict.tolist()):
+            for p, part, strict_ne in zip(report.rows.tolist(), partitions, report.strict.tolist()):
                 if not strict_ne:
                     continue
                 for comp in part:
                     if len(comp) == 1:
                         continue
-                    sponsors = [i for i in comp if p.rows[i]]
+                    sponsors = [i for i in comp if p[i]]
                     assert len(sponsors) == 1
                     core = sponsors[0]
-                    assert p.rows[core] == sum(1 << j for j in comp if j != core)
+                    assert p[core] == sum(1 << j for j in comp if j != core)
 
 
 def test_criterion_5_price_of_anarchy():

@@ -23,10 +23,10 @@ from infogame.analytic import (
 from infogame.entropy import (TOL, EntropicVector, family_independent, family_max_correlated, family_pair_redundancy,
                               from_joint_pmf, subset_agents)
 from infogame.equilibrium import CapExceededError, enumerate_nash
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import profile_indices, rows_from_indices, set_partition_count
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
-from scalar_kernel import profile_from_index
+from scalar_kernel import links, profile_from_index
 from scalar_kernel import strict_ne_structure as scalar_strict_ne_structure
 
 LN = BenefitFunction.log1p(math.e)
@@ -163,30 +163,30 @@ class TestComponentCheckerBudget:
 class TestStrictStructure:
     def test_core_sponsored_star_accepted(self):
         cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
-        star = LinkProfile.from_links(3, [(0, 1), (0, 2)])
-        assert strict_structure_mask(cfg, [star.rows]).tolist() == [True]
+        star = links(3, [(0, 1), (0, 2)])
+        assert strict_structure_mask(cfg, [star]).tolist() == [True]
 
     def test_line_rejected(self):
         cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
-        line = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        assert strict_structure_mask(cfg, [line.rows]).tolist() == [False]
+        line = links(3, [(0, 1), (1, 2)])
+        assert strict_structure_mask(cfg, [line]).tolist() == [False]
 
     def test_periphery_sponsored_star_rejected(self):
         # periphery agents could swap link targets at equal utility
         cfg = GameConfig(family_independent([5, 4, 4]), LN, CostModel.homogeneous(0.1))
-        star = LinkProfile.from_links(3, [(1, 0), (2, 0)])
-        assert strict_structure_mask(cfg, [star.rows]).tolist() == [False]
+        star = links(3, [(1, 0), (2, 0)])
+        assert strict_structure_mask(cfg, [star]).tolist() == [False]
 
     def test_seven_agent_star_judged_past_the_component_checker_budget(self):
         # each periphery link gains ln(8/7) > c; the block has 1075648 sponsored trees
         cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
-        star = LinkProfile.from_links(7, [(0, j) for j in range(1, 7)])
-        assert strict_structure_mask(cfg, [star.rows]).tolist() == [True]
-        assert kernel.ne_status(7, np.array([star.rows]), range(7), cfg.fh, cfg.row_costs)[1].tolist() == [True]
+        star = links(7, [(0, j) for j in range(1, 7)])
+        assert strict_structure_mask(cfg, [star]).tolist() == [True]
+        assert kernel.ne_status(7, np.array([star]), range(7), cfg.fh, cfg.row_costs)[1].tolist() == [True]
 
     def test_non_equilibrium_rejected(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
-        assert strict_structure_mask(cfg, [LinkProfile.empty(2).rows]).tolist() == [False]
+        assert strict_structure_mask(cfg, [links(2, [])]).tolist() == [False]
 
     def test_matches_enumeration(self):
         for seed in range(12):
@@ -203,8 +203,8 @@ class TestStrictStructure:
         c = 1.0 - TOL
         assert 1.0 == c + TOL
         cfg = GameConfig(family_independent([1, 1]), BenefitFunction.linear(), CostModel.homogeneous(c))
-        star = LinkProfile.from_links(2, [(0, 1)])
-        assert strict_structure_mask(cfg, [star.rows]).tolist() == [False]
+        star = links(2, [(0, 1)])
+        assert strict_structure_mask(cfg, [star]).tolist() == [False]
         assert not scalar_strict_ne_structure(cfg, star)
         assert not enumerate_nash(cfg).strict.any()
 
@@ -215,6 +215,12 @@ class TestStrictStructure:
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
         with pytest.raises(ValueError, match="profile size"):
             strict_structure_mask(cfg, [(0, 0, 0)])
+
+    @pytest.mark.parametrize("row", [(3, 0), (4, 0), (-1, 0)], ids=["self-link", "past-n-bits", "negative"])
+    def test_mask_refuses_rows_that_are_not_link_rows(self, row):
+        cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))
+        with pytest.raises(ValueError, match="n-bit masks without self links"):
+            strict_structure_mask(cfg, [row])
 
 
 @st.composite
@@ -238,7 +244,7 @@ def strict_games(draw, n):
 def test_strict_mask_matches_the_scalar_checker_on_every_profile(cfg):
     n = cfg.n_agents
     rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n)
-    want = [scalar_strict_ne_structure(cfg, LinkProfile(n, tuple(r))) for r in rows.tolist()]
+    want = [scalar_strict_ne_structure(cfg, r) for r in rows.tolist()]
     assert strict_structure_mask(cfg, rows).tolist() == want
 
 
@@ -395,7 +401,7 @@ class TestPredictions:
         cfg = GameConfig(ev, LN, CostModel.homogeneous(cu * 1.05))
         pred = poa_predict(cfg)
         report = enumerate_nash(cfg)
-        assert [p.rows for p in report.ne_profiles] == [(0, 0, 0)]
+        assert report.rows.tolist() == [[0, 0, 0]]
         assert pred.value == pytest.approx(report.poa, abs=1e-9)
         assert pred.value > 1.0
 

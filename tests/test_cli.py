@@ -17,9 +17,9 @@ from infogame import analytic, cli, csvtable, equilibrium, production
 from infogame.cli import main
 from infogame.entropy import family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
 from infogame.equilibrium import enumerate_nash
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.verification import random_joint_pmf
-from scalar_kernel import csv_of, csv_text, report_csv
+from scalar_kernel import bitstring, csv_of, csv_text, report_csv
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -507,6 +507,25 @@ game:
         assert main(["--spec", str(spec)]) == 0
         assert target.exists()
 
+    @pytest.mark.parametrize("output, extra", [
+        ("output: 7\n", []),
+        ("output: true\n", []),
+        ("", ["--out", "missing/out.csv"]),
+    ], ids=["output-int", "output-bool", "out-missing-directory"])
+    def test_output_errors_exit_2_without_a_traceback(self, tmp_path, output, extra):
+        """An int or a bool would be opened as a file descriptor (7 is not open, true is stdout,
+        which the run would close); a path under a missing directory cannot be created."""
+        spec = tmp_path / "exp.yaml"
+        spec.write_text(ENUM_SPEC + output)
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "infogame.cli", "--spec", str(spec)] + extra, cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: output must be a file path, got " if output else
+                                      "error: cannot write output: ")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestGameSection:
     def test_benefit_parsing(self):
@@ -630,7 +649,7 @@ class TestCsvWriter:
                               .replace("aggregation: sum", f"aggregation: {agg}").replace("c: 1.0", f"c: {c}"))
         rows, prods = production.production_equilibria(cli._production_config(spec))
         want = csv_text(["links"] + [f"prod_{i}" for i in range(n)],
-                        [(LinkProfile(n, tuple(r)).bitstring(),) + tuple(p)
+                        [(bitstring(r),) + tuple(p)
                          for r, p in zip(rows.tolist(), prods.tolist())])
         assert written(cli._run_production(spec)) == want
 

@@ -16,12 +16,12 @@ from infogame.entropy import (
     subset_agents,
 )
 from infogame.equilibrium import CapExceededError, enumerate_nash, social_optimum
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import components as kernel_components
 from infogame.kernel import expand_row, merged_table, rows_from_indices, set_partition_count, welfare
 from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
-from scalar_kernel import (component_masks, csv_of, is_minimally_connected, ne_status, profile_from_index, profile_index,
-                           row_utilities, undirected_adjacency)
+from scalar_kernel import (bitstring, component_masks, csv_of, is_minimally_connected, links, ne_status, profile_from_index,
+                           profile_index, row_utilities, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 
 LOG2 = BenefitFunction.log1p(2.0)
@@ -41,9 +41,9 @@ def best_rows(cfg, rows, i):
 
 
 def status(cfg, *profiles):
-    """(is_ne, is_strict) of each profile, from one ``kernel.ne_status`` batch."""
+    """(is_ne, is_strict) of each profile (a tuple of rows), from one ``kernel.ne_status`` batch."""
     n = cfg.n_agents
-    is_ne, strict = kernel.ne_status(n, np.array([p.rows for p in profiles], dtype=np.int64), range(n),
+    is_ne, strict = kernel.ne_status(n, np.array(profiles, dtype=np.int64), range(n),
                                      cfg.fh, cfg.row_costs)
     return list(zip(is_ne.tolist(), strict.tolist()))
 
@@ -73,20 +73,20 @@ class TestBestResponses:
 class TestNashPredicates:
     def test_single_link_profile_is_ne(self):
         cfg = homog(family_independent([1, 1]), 0.3)
-        assert status(cfg, LinkProfile.from_links(2, [(0, 1)])) == [(True, True)]
+        assert status(cfg, links(2, [(0, 1)])) == [(True, True)]
 
     def test_duplicate_link_never_ne(self):
         cfg = homog(family_independent([1, 1]), 0.3)
-        assert status(cfg, LinkProfile.from_links(2, [(0, 1), (1, 0)])) == [(False, False)]
+        assert status(cfg, links(2, [(0, 1), (1, 0)])) == [(False, False)]
 
     def test_empty_profile_strict_at_high_cost(self):
         cfg = homog(family_independent([1, 1]), 2.0)
-        assert status(cfg, LinkProfile.empty(2)) == [(True, True)]
+        assert status(cfg, links(2, [])) == [(True, True)]
 
     def test_strict_fails_on_tie(self):
         # identical sources make link targets interchangeable
         cfg = homog(family_pair_redundancy(0, 1, 1, 0), 0.2, LN)
-        (is_ne, strict), = status(cfg, LinkProfile.from_links(3, [(0, 1), (1, 2)]))
+        (is_ne, strict), = status(cfg, links(3, [(0, 1), (1, 2)]))
         if is_ne:
             assert not strict
 
@@ -95,36 +95,36 @@ class TestEnumerate:
     def test_two_sided_equilibria_cheap_link(self):
         cfg = homog(family_independent([1, 1]), 0.3)
         report = enumerate_nash(cfg)
-        assert [p.bitstring() for p in report.ne_profiles] == ["0010", "0100"]
+        assert [bitstring(p) for p in report.rows.tolist()] == ["0010", "0100"]
         assert report.strict.tolist() == [True, True]
 
     def test_unique_equilibrium_mid_cost(self):
         # H0 > H1: only the low-entropy agent still buys
         cfg = homog(family_independent([2, 1]), 0.7)
         report = enumerate_nash(cfg)
-        assert [p.rows for p in report.ne_profiles] == [(0, 1)]
+        assert report.rows.tolist() == [[0, 1]]
 
     def test_unique_empty_at_high_cost(self):
         cfg = homog(family_independent([1, 1]), 2.0)
         report = enumerate_nash(cfg)
-        assert [p.rows for p in report.ne_profiles] == [(0, 0)]
+        assert report.rows.tolist() == [[0, 0]]
         assert report.strict.all()
 
     def test_every_random_instance_has_an_equilibrium(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
-            assert enumerate_nash(cfg).ne_profiles
+            assert len(enumerate_nash(cfg).rows)
 
     def test_equilibria_are_forests_without_duplicates(self):
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             report = enumerate_nash(cfg)
-            for p, comp in zip(report.ne_profiles, report.components.T.tolist()):
+            for p, comp in zip(report.rows.tolist(), report.components.T.tolist()):
                 assert all(is_minimally_connected(p, subset_agents(m)) for m in set(comp))
                 n = cfg.n_agents
-                assert not any(p.rows[i] >> j & 1 and p.rows[j] >> i & 1
+                assert not any(p[i] >> j & 1 and p[j] >> i & 1
                                for i in range(n) for j in range(i + 1, n))
 
     def test_pruned_matches_full(self):
@@ -181,7 +181,7 @@ class TestEnumerate:
     def test_single_agent_game(self):
         cfg = homog(family_independent([2.0]), 0.5)
         report = enumerate_nash(cfg)
-        assert [p.rows for p in report.ne_profiles] == [(0,)]
+        assert report.rows.tolist() == [[0]]
         assert report.poa == pytest.approx(1.0)
         assert report.mil == 0.0
 
@@ -190,20 +190,19 @@ class TestEnumerate:
         cfg = GameConfig(family_independent([1, 1]), LOG2,
                          CostModel.matrix([[0.0, 5.0], [0.3, 0.0]]))
         report = enumerate_nash(cfg)
-        assert [p.rows for p in report.ne_profiles] == [(0, 1)]
+        assert report.rows.tolist() == [[0, 1]]
         value, profile = social_optimum(cfg)
         assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         # the optimum sponsors the cheap direction
-        assert profile.rows == (0, 1)
+        assert profile.tolist() == [0, 1]
         assert value == pytest.approx(2 * math.log2(3) - 0.3, abs=1e-12)
 
     def test_six_agents_pruned_path(self):
         cfg = homog(family_independent([3, 2, 2, 1, 1, 1]), 0.08, LN)
         report = enumerate_nash(cfg)
-        assert report.ne_profiles
+        assert len(report.rows)
         # cheap links connect everyone
-        rows = np.array([p.rows for p in report.ne_profiles], dtype=np.int64)
-        assert (kernel_components(rows) == (1 << 6) - 1).all()
+        assert (kernel_components(report.rows) == (1 << 6) - 1).all()
         assert report.poa == pytest.approx(1.0, abs=1e-9)
 
     def test_pruned_report_matches_per_equilibrium_scalar_walk(self):
@@ -212,14 +211,15 @@ class TestEnumerate:
         cfg = random_homogeneous_config(np.random.default_rng(3), 6, LN)  # 431 NE, 1 strict
         report = enumerate_nash(cfg)
         rows, strict = equilibrium._ne_scan_pruned(cfg)
-        assert len(report.ne_profiles) == len(rows) > 1
+        assert len(report.rows) == len(rows) > 1
         fh = cfg.fh.tolist()
         welfares, infos = [], []
         for r in map(tuple, rows.tolist()):
-            comp = component_masks(undirected_adjacency(LinkProfile(6, r)))
+            comp = component_masks(undirected_adjacency(r))
             welfares.append(scalar_welfare(cfg, r, comp, fh))
             infos.append(tuple(cfg.ev.h(c) for c in comp))
-        assert [p.rows for p in report.ne_profiles] == list(map(tuple, rows.tolist()))
+        assert report.rows.tolist() == rows.tolist()
+        assert report.ne_profiles == tuple(map(tuple, rows.tolist()))  # hashable, for sets of equilibria
         assert report.strict.tolist() == strict.tolist()
         assert report.welfare.tolist() == welfares
         h = report.info_values
@@ -231,15 +231,6 @@ class TestEnumerate:
         assert report.mil == max(max(col) - min(col) for col in zip(*infos))
         assert all(type(x) is float for x in (report.social_optimum_value, report.worst_ne_welfare,
                                               report.poa, report.mil))
-
-    def test_profiles_are_built_only_when_asked_for(self, monkeypatch):
-        built = []
-        check = LinkProfile.__post_init__
-        monkeypatch.setattr(LinkProfile, "__post_init__", lambda self: built.append(self.rows) or check(self))
-        report = enumerate_nash(homog(family_independent([1, 1.5, 2, 1.25, 0.75]), 0.05, LN))
-        assert built == [report.social_optimum_profile.rows]  # the optimum alone
-        assert len(report.ne_profiles) == len(report.rows) == 2000
-        assert len(built) == 2001
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_best_responses_are_scored_once_per_partition(self, monkeypatch, n):
@@ -285,8 +276,8 @@ def scalar_status(cfg, indices):
 def kernel_sets(cfg):
     """(NE indices, strict indices) from the full scan."""
     report = enumerate_nash(cfg)
-    return ({profile_index(p.rows) for p in report.ne_profiles},
-            {profile_index(r) for r in map(tuple, report.rows[report.strict].tolist())})
+    return ({profile_index(r) for r in report.rows.tolist()},
+            {profile_index(r) for r in report.rows[report.strict].tolist()})
 
 
 BENEFITS = [LOG2, LN, BenefitFunction.power(0.5), BenefitFunction.linear()]
@@ -324,7 +315,7 @@ def game_lists(draw):
 def report_text(report):
     """What a report holds and prints, as text, so that a nan compares equal to itself."""
     return repr((csv_of(report), report.strict.tolist(), report.welfare.tolist(), report.components.tolist(),
-                 report.info_values, report.social_optimum_value, report.social_optimum_profile,
+                 report.info_values, report.social_optimum_value, report.social_optimum_rows.tolist(),
                  report.worst_ne_welfare, report.poa, report.mil))
 
 
@@ -406,12 +397,12 @@ class TestPredicatesMatchScalar:
     def check_every_profile(cfg):
         n = cfg.n_agents
         fh, costs = cfg.fh, cfg.row_costs
-        profiles = [LinkProfile(n, profile_from_index(k, n)) for k in range(1 << (n * (n - 1)))]
-        assert status(cfg, *profiles) == [ne_status(n, p.rows, range(n), fh, costs) for p in profiles]
+        profiles = [profile_from_index(k, n) for k in range(1 << (n * (n - 1)))]
+        assert status(cfg, *profiles) == [ne_status(n, p, range(n), fh, costs) for p in profiles]
         for i in range(n):
-            got = best_rows(cfg, np.array([p.rows for p in profiles], dtype=np.int64), i)
+            got = best_rows(cfg, np.array(profiles, dtype=np.int64), i)
             for p, best in zip(profiles, got):
-                utils = row_utilities(n, p.rows, i, fh, costs[i])
+                utils = row_utilities(n, p, i, fh, costs[i])
                 assert best == {expand_row(c, i) for c, u in enumerate(utils) if u >= max(utils) - TOL}
 
     @settings(max_examples=30, deadline=None)
@@ -442,7 +433,7 @@ def test_kernel_welfare_matches_the_sum_of_utilities(case):
         scale = sum(cfg.fh[m] for m in c) + sum(
             cfg.link_cost(i, j) for i in range(n) for j in range(n) if r[i] >> j & 1)
         # each agent's utility: the benefit of its component's information minus its links' costs
-        masks = component_masks(undirected_adjacency(LinkProfile(n, tuple(r))))
+        masks = component_masks(undirected_adjacency(r))
         utilities = [cfg.benefit(cfg.ev.h(masks[i])) - sum(cfg.link_cost(i, j) for j in subset_agents(r[i]))
                      for i in range(n)]
         assert abs(w - sum(utilities)) <= 1e-12 * scale
@@ -462,9 +453,9 @@ def test_optimum_is_a_kernel_welfare_and_never_below_an_equilibrium(cfg):
     """Exactly, without a tolerance: the optimum is ``kernel.welfare`` of its own profile."""
     report = enumerate_nash(cfg)
     value, profile = social_optimum(cfg)
-    for v, p in ((report.social_optimum_value, report.social_optimum_profile), (value, profile)):
-        rows = np.array([p.rows], dtype=np.int64)
-        assert v == welfare(rows, kernel_components(rows), cfg.fh, cfg.row_costs)[0]
+    for v, p in ((report.social_optimum_value, report.social_optimum_rows), (value, profile)):
+        assert p.dtype == np.int64 and p.shape == (cfg.n_agents,)
+        assert v == welfare(p[None], kernel_components(p[None]), cfg.fh, cfg.row_costs)[0]
     assert report.social_optimum_value >= value
     if len(report.welfare):
         assert report.social_optimum_value >= report.welfare.max()
@@ -478,13 +469,13 @@ class TestSocialOptimum:
         value, profile = social_optimum(cfg)
         assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         assert value == pytest.approx(3 * LN(13) - 2 * 0.3, abs=1e-9)
-        assert set(component_masks(undirected_adjacency(profile))) == {0b111}
+        assert set(component_masks(undirected_adjacency(profile.tolist()))) == {0b111}
 
     def test_isolated_region_empty(self):
         cfg = homog(family_independent([1, 1]), 3.0)
         value, profile = social_optimum(cfg)
         assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
-        assert profile.rows == (0, 0)
+        assert profile.tolist() == [0, 0]
         assert value == pytest.approx(2 * math.log2(2), abs=1e-12)
 
     def test_heterogeneous_periphery_star_on_cheapest_core(self):
@@ -494,7 +485,7 @@ class TestSocialOptimum:
         assert value == pytest.approx(best_welfare(cfg), abs=1e-9)
         assert value == pytest.approx(3 * LN(13) - 2 * 0.1, abs=1e-9)
         # both links point at agent 0, the cheapest recipient
-        assert profile.rows == (0, 1, 1)
+        assert profile.tolist() == [0, 1, 1]
 
     def test_matches_full_scan_on_random_instances(self):
         for seed in range(10):
@@ -529,8 +520,7 @@ class TestEfficiencyMetrics:
     def test_mil_nine_bits_when_both_extremes_are_equilibria(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.75, LN)
         report = enumerate_nash(cfg)
-        rows = {p.rows for p in report.ne_profiles}
-        assert (0, 0, 0) in rows
+        assert [0, 0, 0] in report.rows.tolist()
         assert (report.components == 0b111).all(axis=0).any()
         assert report.mil == pytest.approx(9.0, abs=1e-12)
 
@@ -539,7 +529,7 @@ class TestEfficiencyMetrics:
             rng = np.random.default_rng(500 + seed)
             cfg = random_homogeneous_config(rng, 2 + seed % 3, LN)
             report = enumerate_nash(cfg)
-            if len(report.ne_profiles) == 1:
+            if len(report.rows) == 1:
                 assert report.mil == 0.0
             assert report.mil >= 0.0
             if report.poa is not None:
@@ -548,9 +538,9 @@ class TestEfficiencyMetrics:
     def test_report_invariants_and_serialization(self):
         cfg = homog(family_pair_redundancy(5, 4, 4, 0), 0.75, LN)
         report = enumerate_nash(cfg)
-        assert report.strict.shape == (len(report.ne_profiles),)
+        assert report.strict.shape == (len(report.rows),)
         assert report.worst_ne_welfare <= report.social_optimum_value
         csv_text = csv_of(report)
         header = csv_text.splitlines()[0].split(",")
         assert header == ["profile", "welfare", "info_0", "info_1", "info_2", "strict"]
-        assert len(csv_text.splitlines()) == 1 + len(report.ne_profiles)
+        assert len(csv_text.splitlines()) == 1 + len(report.rows)

@@ -1,4 +1,4 @@
-"""Link profiles, benefit and cost models, utilities, and welfare."""
+"""Benefit and cost models, topology, utilities, and welfare."""
 import math
 
 import numpy as np
@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogame.entropy import EntropicVector, JointPmf, family_independent, from_joint_pmf
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig, LinkProfile
+from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import components, compress_row
-from scalar_kernel import is_minimally_connected, profile_index, row_utilities, social_welfare, topology
+from scalar_kernel import is_minimally_connected, links, row_utilities, social_welfare, topology
 
 LOG2 = BenefitFunction.log1p(2.0)
 LN = BenefitFunction.log1p(math.e)
@@ -89,110 +89,78 @@ class TestCostModel:
             CostModel.homogeneous(1.0).link_cost(1, 1)
 
 
-class TestLinkProfile:
-    def test_diagonal_forbidden(self):
-        with pytest.raises(ValueError, match="itself"):
-            LinkProfile(2, (1, 0))
-
-    def test_text_round_trip(self):
-        p = LinkProfile.from_links(3, [(0, 1), (2, 0)])
-        assert p.to_text() == "010\n000\n100\n"
-        assert LinkProfile.from_text(p.to_text()) == p
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6).flatmap(
-        lambda n: st.tuples(*[st.integers(0, (1 << n) - 1).map(lambda r, i=i: r & ~(1 << i))
-                              for i in range(n)])))
-    def test_text_round_trip_property(self, rows):
-        p = LinkProfile(len(rows), rows)
-        assert LinkProfile.from_text(p.to_text()) == p
-
-    def test_bitstring_and_index_order(self):
-        # lexicographic order of the flattened matrix
-        a = LinkProfile.from_links(2, [(1, 0)])  # "0010"
-        b = LinkProfile.from_links(2, [(0, 1)])  # "0100"
-        assert a.bitstring() == "0010"
-        assert b.bitstring() == "0100"
-        assert profile_index(a.rows) < profile_index(b.rows)
-        assert int(a.bitstring(), 2) < int(b.bitstring(), 2)
-
-    def test_from_matrix(self):
-        p = LinkProfile.from_matrix([[0, 1], [0, 0]])
-        assert p.rows == (2, 0)
-
-
 class TestTopologyOps:
     def test_single_direction_gives_edge(self):
-        p = LinkProfile.from_links(2, [(0, 1)])
+        p = links(2, [(0, 1)])
         assert topology(p) == ((0, 1),)
 
     def test_symmetrization(self):
-        p = LinkProfile.from_links(2, [(0, 1), (1, 0)])
+        p = links(2, [(0, 1), (1, 0)])
         assert topology(p) == ((0, 1),)
 
     def test_empty(self):
-        assert topology(LinkProfile.empty(3)) == ()
+        assert topology(links(3, [])) == ()
 
     def test_components_chain(self):
-        p = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        assert components(np.array([p.rows])).T.tolist() == [[0b111, 0b111, 0b111]]
+        p = links(3, [(0, 1), (1, 2)])
+        assert components(np.array([p])).T.tolist() == [[0b111, 0b111, 0b111]]
 
     def test_components_split(self):
-        p = LinkProfile.from_links(3, [(0, 1)])
-        assert components(np.array([p.rows])).T.tolist() == [[0b011, 0b011, 0b100]]
+        p = links(3, [(0, 1)])
+        assert components(np.array([p])).T.tolist() == [[0b011, 0b011, 0b100]]
 
     def test_components_empty(self):
-        assert components(np.array([LinkProfile.empty(3).rows])).T.tolist() == [[0b001, 0b010, 0b100]]
+        assert components(np.array([links(3, [])])).T.tolist() == [[0b001, 0b010, 0b100]]
 
     def test_minimally_connected_star(self):
-        p = LinkProfile.from_links(4, [(0, 1), (0, 2), (0, 3)])
+        p = links(4, [(0, 1), (0, 2), (0, 3)])
         assert is_minimally_connected(p, {0, 1, 2, 3})
 
     def test_minimally_connected_triangle(self):
-        p = LinkProfile.from_links(3, [(0, 1), (1, 2), (2, 0)])
+        p = links(3, [(0, 1), (1, 2), (2, 0)])
         assert not is_minimally_connected(p, {0, 1, 2})
 
     def test_minimally_connected_singleton(self):
-        assert is_minimally_connected(LinkProfile.empty(2), {1})
+        assert is_minimally_connected(links(2, []), {1})
 
     def test_not_a_component_rejected(self):
-        p = LinkProfile.from_links(3, [(0, 1), (1, 2)])
+        p = links(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="component"):
             is_minimally_connected(p, {0, 1})
 
 
 def own_row_utility(cfg, p, i):
     """Agent i's utility in profile p: the scalar oracle's utility of its own row."""
-    return row_utilities(p.n_agents, p.rows, i, cfg.fh, cfg.row_costs[i])[compress_row(p.rows[i], i)]
+    return row_utilities(len(p), p, i, cfg.fh, cfg.row_costs[i])[compress_row(p[i], i)]
 
 
 class TestPayoffs:
     def test_sponsor_pays(self):
         cfg = GameConfig(family_independent([1, 1]), LOG2, CostModel.homogeneous(0.3))
-        p = LinkProfile.from_links(2, [(0, 1)])
+        p = links(2, [(0, 1)])
         assert own_row_utility(cfg, p, 0) == pytest.approx(math.log2(3) - 0.3, abs=1e-12)
         assert own_row_utility(cfg, p, 1) == pytest.approx(math.log2(3), abs=1e-12)
 
     def test_isolated_agent_keeps_own_information(self):
         cfg = GameConfig(family_independent([5, 4, 4]), LOG2, CostModel.homogeneous(0.3))
-        p = LinkProfile.empty(3)
+        p = links(3, [])
         for i, h in enumerate((5, 4, 4)):
             assert own_row_utility(cfg, p, i) == pytest.approx(math.log2(1 + h), abs=1e-12)
 
     def test_welfare_single_link(self):
         cfg = GameConfig(family_independent([1, 1]), LOG2, CostModel.homogeneous(0.3))
-        p = LinkProfile.from_links(2, [(0, 1)])
+        p = links(2, [(0, 1)])
         assert social_welfare(cfg, p) == pytest.approx(2 * math.log2(3) - 0.3, abs=1e-12)
 
     def test_welfare_empty_network(self):
         cfg = GameConfig(family_independent([5, 4, 4]), LOG2, CostModel.homogeneous(0.3))
         expect = math.log2(6) + 2 * math.log2(5)
-        assert social_welfare(cfg, LinkProfile.empty(3)) == pytest.approx(expect, abs=1e-12)
+        assert social_welfare(cfg, links(3, [])) == pytest.approx(expect, abs=1e-12)
 
     def test_duplicate_link_costs_exactly_c(self):
         cfg = GameConfig(family_independent([1, 1]), LOG2, CostModel.homogeneous(0.3))
-        single = LinkProfile.from_links(2, [(0, 1)])
-        double = LinkProfile.from_links(2, [(0, 1), (1, 0)])
+        single = links(2, [(0, 1)])
+        double = links(2, [(0, 1), (1, 0)])
         assert social_welfare(cfg, single) - social_welfare(cfg, double) == pytest.approx(0.3)
 
     def test_connected_profile_benefit_is_joint(self):
@@ -200,9 +168,9 @@ class TestPayoffs:
         raw = rng.random((2, 3, 2)) + 0.05
         ev = from_joint_pmf(JointPmf(raw / raw.sum()))
         cfg = GameConfig(ev, LN, CostModel.homogeneous(0.1))
-        p = LinkProfile.from_links(3, [(1, 0), (1, 2)])
+        p = links(3, [(1, 0), (1, 2)])
         for i in range(3):
-            benefit = own_row_utility(cfg, p, i) + 0.1 * bin(p.rows[i]).count("1")
+            benefit = own_row_utility(cfg, p, i) + 0.1 * bin(p[i]).count("1")
             assert benefit == pytest.approx(LN(ev.joint_entropy), abs=1e-12)
 
     @given(st.integers(0, 5000))
@@ -212,8 +180,8 @@ class TestPayoffs:
         raw = rng.random((2, 2, 2)) + 0.02
         ev = from_joint_pmf(JointPmf(raw / raw.sum()))
         cfg = GameConfig(ev, LN, CostModel.homogeneous(0.0))
-        base = LinkProfile.from_links(3, [(0, 1)])
-        more = LinkProfile.from_links(3, [(0, 1), (1, 2)])
+        base = links(3, [(0, 1)])
+        more = links(3, [(0, 1), (1, 2)])
         for i in range(3):
             assert own_row_utility(cfg, more, i) >= own_row_utility(cfg, base, i) - 1e-12
 
@@ -239,16 +207,16 @@ class TestPayoffs:
         pcfg = GameConfig(permute_vector(ev, perm), LN,
                           CostModel.recipient([costs[perm[i]] for i in range(3)]))
         inv = {perm[i]: i for i in range(3)}
-        p = LinkProfile.from_links(3, [(0, 2), (1, 2)])
-        pp = LinkProfile.from_links(3, [(inv[0], inv[2]), (inv[1], inv[2])])
+        p = links(3, [(0, 2), (1, 2)])
+        pp = links(3, [(inv[0], inv[2]), (inv[1], inv[2])])
         for i in range(3):
             assert own_row_utility(cfg, p, i) == pytest.approx(own_row_utility(pcfg, pp, inv[i]), abs=1e-12)
 
     def test_cycle_welfare_below_spanning_tree(self):
         cfg = GameConfig(family_independent([2, 1, 1]), LN, CostModel.homogeneous(0.2))
-        cycle = LinkProfile.from_links(3, [(0, 1), (1, 2), (2, 0)])
-        tree = LinkProfile.from_links(3, [(0, 1), (1, 2)])
-        comp = components(np.array([cycle.rows, tree.rows]))
+        cycle = links(3, [(0, 1), (1, 2), (2, 0)])
+        tree = links(3, [(0, 1), (1, 2)])
+        comp = components(np.array([cycle, tree]))
         assert (comp[:, 0] == comp[:, 1]).all()
         assert social_welfare(cfg, cycle) < social_welfare(cfg, tree)
 

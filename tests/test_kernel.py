@@ -13,7 +13,6 @@ from infogame.formation_game import (
     BenefitFunction,
     CostModel,
     GameConfig,
-    LinkProfile,
 )
 from infogame.kernel import (
     CHECK_BUDGET,
@@ -33,8 +32,8 @@ from infogame.kernel import (
     welfare,
 )
 from infogame.verification import random_homogeneous_config, random_recipient_config
-from scalar_kernel import (component_masks, merged_components, orientations, profile_from_index, profile_index,
-                           row_utilities, social_welfare, topology, undirected_adjacency)
+from scalar_kernel import (bitstring, component_masks, merged_components, orientations, profile_from_index,
+                           profile_index, row_utilities, social_welfare, topology, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 from scalar_kernel import ne_status as scalar_ne_status
 from scalar_kernel import spanning_trees as scalar_spanning_trees
@@ -86,7 +85,7 @@ def test_sponsored_trees_match_the_scalar_generators(members, n):
         assert sum(r.bit_count() for r in rows) == len(members) - 1
         assert all(r & ~mask == 0 for r in rows)
         assert all(rows[a] == 0 for a in range(n) if not mask >> a & 1)
-        assert component_masks(undirected_adjacency(LinkProfile(n, tuple(rows))))[members[0]] == mask
+        assert component_masks(undirected_adjacency(rows))[members[0]] == mask
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -144,11 +143,10 @@ def test_index_decoding_inverts_profile_index():
     # the compact index skips the diagonal, so it is a profile's rank in bitstring order
     n = 3
     choices = [[r for r in range(1 << n) if not r >> i & 1] for i in range(n)]
-    ranked = sorted((LinkProfile(n, rows) for rows in itertools.product(*choices)),
-                    key=lambda p: int(p.bitstring(), 2))
+    ranked = sorted(itertools.product(*choices), key=lambda rows: int(bitstring(rows), 2))
     assert len(ranked) == 1 << (n * (n - 1))
-    for idx, p in enumerate(ranked):
-        assert profile_from_index(idx, n) == p.rows
+    for idx, rows in enumerate(ranked):
+        assert profile_from_index(idx, n) == rows
 
 
 index_pairs = st.integers(2, 6).flatmap(
@@ -166,9 +164,9 @@ def test_profile_index_round_trip(case):
                                                                    list(profile_from_index(other, n))]
     # the bitstring is the same flattened matrix with its zero diagonal kept, so
     # read as an integer it differs from the profile index in value but not in order
-    p, q = LinkProfile(n, rows), LinkProfile(n, profile_from_index(other, n))
-    assert "".join(c for t, c in enumerate(p.bitstring()) if t % (n + 1)) == format(k, f"0{n * (n - 1)}b")
-    assert (int(p.bitstring(), 2) < int(q.bitstring(), 2)) == (k < other)
+    p, q = bitstring(rows), bitstring(profile_from_index(other, n))
+    assert "".join(c for t, c in enumerate(p) if t % (n + 1)) == format(k, f"0{n * (n - 1)}b")
+    assert (int(p, 2) < int(q, 2)) == (k < other)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -258,8 +256,7 @@ def test_orientations_sponsor_each_edge_once(edges):
     profiles = list(orientations(edges, (0,) * n))
     assert len(profiles) == len(set(profiles)) == 2 ** len(edges)
     for rows in profiles:
-        p = LinkProfile(n, rows)
-        assert topology(p) == tuple(sorted(edges))
+        assert topology(rows) == tuple(sorted(edges))
         assert sum(r.bit_count() for r in rows) == len(edges)
 
 
@@ -275,7 +272,7 @@ def every_profile(n):
 
 
 def scalar_components(rows):
-    return [component_masks(undirected_adjacency(LinkProfile(len(r), tuple(r)))) for r in rows.tolist()]
+    return [component_masks(undirected_adjacency(r)) for r in rows.tolist()]
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -321,6 +318,5 @@ def test_welfare_matches_social_welfare():
     fh = cfg.fh.tolist()
     for idx in range(1 << 6):
         rows = profile_from_index(idx, 3)
-        p = LinkProfile(3, rows)
-        comp = component_masks(undirected_adjacency(p))
-        assert scalar_welfare(cfg, rows, comp, fh) == pytest.approx(social_welfare(cfg, p), abs=1e-12)
+        comp = component_masks(undirected_adjacency(rows))
+        assert scalar_welfare(cfg, rows, comp, fh) == pytest.approx(social_welfare(cfg, rows), abs=1e-12)

@@ -9,8 +9,9 @@ production game builds on the kernel alone, not on the formation game's
 equilibrium or analytic layers, the kernel builds on the entropy module
 alone, and the kernel alone turns spanning trees into profiles: every other
 module takes its sponsored trees from it. ``kernel.components`` is the one
-component walk; no module defines or names the scalar one. ``enumerate_nash``
-and ``enumerate_games`` build no ``LinkProfile``.
+component walk; no module defines or names the scalar one. The package
+exports a fixed set of names: a link profile is an int64 row array, so no
+profile class is among them.
 """
 import ast
 import subprocess
@@ -117,9 +118,14 @@ def test_every_public_function_is_used_or_exported():
     assert unused == []
 
 
-def test_enumerate_nash_builds_no_link_profile():
-    # the report keeps the scan's arrays; profiles are built only when a caller asks for them
-    fns = [node for node in parsed("equilibrium").body
-           if isinstance(node, ast.FunctionDef) and node.name in ("enumerate_nash", "enumerate_games")]
-    assert len(fns) == 2
-    assert [node.lineno for fn in fns for node in ast.walk(fn) if getattr(node, "id", None) == "LinkProfile"] == []
+def test_the_public_surface_is_pinned():
+    assert set(infogame.__all__) == {
+        "Aggregation", "BenefitFunction", "CapExceededError", "ConnectivityRegion", "CostModel",
+        "EntropicVector", "EquilibriumReport", "FewSweepPoint", "GameConfig", "JointPmf", "Prediction",
+        "ProductionGameConfig", "ShannonReport", "ShannonViolation", "VerifyReport", "classify_homogeneous",
+        "component_structures", "enumerate_games", "enumerate_nash", "family_independent",
+        "family_max_correlated", "family_pair_redundancy", "few_sweep", "from_joint_pmf", "h_bar",
+        "is_production_ne", "mil_predict", "poa_monotonicity_sweep", "poa_predict", "region_heterogeneous",
+        "run_verification", "social_optimum", "subset_mask", "thresholds_homogeneous", "validate_shannon"}
+    assert len(infogame.__all__) == len(set(infogame.__all__))
+    assert all(hasattr(infogame, name) for name in infogame.__all__)

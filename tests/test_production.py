@@ -7,7 +7,7 @@ import pytest
 
 from infogame import production
 from infogame.kernel import CapExceededError
-from infogame.formation_game import BenefitFunction, LinkProfile
+from infogame.formation_game import BenefitFunction
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -18,7 +18,7 @@ from infogame.production import (
     production_equilibria,
     shape_mask,
 )
-from scalar_kernel import aggregate, production_utility
+from scalar_kernel import aggregate, links, production_utility
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -118,7 +118,7 @@ class TestAggregate:
 class TestUtility:
     def test_linked_pair(self):
         cfg = make_cfg()
-        rows = LinkProfile.from_links(2, [(1, 0)]).rows
+        rows = links(2, [(1, 0)])
         assert production_utility(cfg, rows, (3.0, 0.0), 1) == pytest.approx(math.log(4) - 0.2, abs=1e-12)
         assert production_utility(cfg, rows, (3.0, 0.0), 0) == pytest.approx(math.log(4) - 0.75, abs=1e-12)
 
@@ -137,16 +137,16 @@ class TestEquilibriumCheck:
 
     def test_low_cost_single_producer_sum(self):
         cfg = make_cfg(c=0.2)
-        assert is_production_ne(cfg, LinkProfile.from_links(2, [(1, 0)]).rows, (3.0, 0.0))
+        assert is_production_ne(cfg, links(2, [(1, 0)]), (3.0, 0.0))
 
     def test_low_cost_shared_production_max_rejected(self):
         cfg = make_cfg(c=0.2, agg=Aggregation.MAX)
-        for links in (LinkProfile.from_links(2, [(1, 0)]), LinkProfile.empty(2)):
-            assert not is_production_ne(cfg, links.rows, (1.5, 1.5))
+        for rows in (links(2, [(1, 0)]), links(2, [])):
+            assert not is_production_ne(cfg, rows, (1.5, 1.5))
 
     def test_producer_sponsoring_useless_link_rejected(self):
         cfg = make_cfg(c=0.2)
-        assert not is_production_ne(cfg, LinkProfile.from_links(2, [(0, 1)]).rows, (3.0, 0.0))
+        assert not is_production_ne(cfg, links(2, [(0, 1)]), (3.0, 0.0))
 
     def test_twelve_agents_checked(self):
         # no agent cap of its own: any profile of the game is judged
@@ -158,26 +158,26 @@ class TestEquilibriumCheck:
 class TestCharacterizations:
     def test_star_with_producing_core(self):
         cfg = make_cfg(n=3, c=0.2)
-        rows, prods = LinkProfile.from_links(3, [(1, 0), (2, 0)]).rows, (3.0, 0.0, 0.0)
+        rows, prods = links(3, [(1, 0), (2, 0)]), (3.0, 0.0, 0.0)
         assert shape_mask(cfg, [rows], [prods]).tolist() == [True]
         assert is_production_ne(cfg, rows, prods)
 
     def test_overproduction_rejected(self):
         cfg = make_cfg(n=2, c=0.2)
-        rows, prods = LinkProfile.from_links(2, [(1, 0)]).rows, (3.0, 0.5)
+        rows, prods = links(2, [(1, 0)]), (3.0, 0.5)
         assert shape_mask(cfg, [rows], [prods]).tolist() == [False]
         assert not is_production_ne(cfg, rows, prods)
 
     def test_two_producers_under_max_rejected(self):
         cfg = make_cfg(n=2, c=0.2, agg=Aggregation.MAX)
-        rows = LinkProfile.from_links(2, [(1, 0)]).rows
+        rows = links(2, [(1, 0)])
         assert shape_mask(cfg, [rows], [(3.0, 3.0)]).tolist() == [False]
 
     def test_chain_needs_per_link_cut_condition(self):
         # c exceeds k times the production behind the middle agent's link, so
         # dropping that one link and producing the difference is profitable
         cfg = make_cfg(n=3, c=0.3)
-        rows, prods = LinkProfile.from_links(3, [(0, 1), (1, 2)]).rows, (1.0, 1.0, 1.0)
+        rows, prods = links(3, [(0, 1), (1, 2)]), (1.0, 1.0, 1.0)
         assert not is_production_ne(cfg, rows, prods)
         assert shape_mask(cfg, [rows], [prods]).tolist() == [False]
         # a cheaper link keeps the chain in equilibrium

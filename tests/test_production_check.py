@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from infogame import production
 from infogame.entropy import TOL
-from infogame.formation_game import BenefitFunction, LinkProfile
+from infogame.formation_game import BenefitFunction
 from infogame.kernel import CapExceededError, merged_table, rows_from_indices, sponsored_trees
 from infogame.production import (
     Aggregation,
@@ -28,7 +28,7 @@ from infogame.production import (
     production_ne_mask,
     shape_mask,
 )
-from scalar_kernel import aggregate, merged_components, production_utility
+from scalar_kernel import aggregate, links, merged_components, production_utility
 from scalar_kernel import production_shape as scalar_shape
 
 BENEFITS = [BenefitFunction.log1p(2.0), BenefitFunction.log1p(math.e),
@@ -128,7 +128,7 @@ class TestMaskMatchesScalar:
         assert_mask_matches_scalar(cfg, [star] + data.draw(profiles(cfg, 10)))
 
     @pytest.mark.parametrize("agg", list(Aggregation))
-    @pytest.mark.parametrize("f", BENEFITS, ids=lambda f: f.describe())
+    @pytest.mark.parametrize("f", BENEFITS, ids=repr)
     def test_high_cost_knife_edge(self, agg, f):
         # c = k * h_bar is classified high cost: the empty network at h_bar
         k = 0.25 if f.name == "power" else f.deriv(0.0) / 4.0
@@ -143,7 +143,7 @@ class TestMaskMatchesScalar:
 
     @pytest.mark.parametrize("agg, c", [(Aggregation.MAX, 0.2), (Aggregation.SUM, 0.2),
                                         (Aggregation.SUM, 0.7), (Aggregation.SUM, 1.0)])
-    @pytest.mark.parametrize("f", BENEFITS[:2], ids=lambda f: f.describe())
+    @pytest.mark.parametrize("f", BENEFITS[:2], ids=repr)
     def test_few_sweep_witnesses(self, agg, c, f):
         cfg = ProductionGameConfig(2, f, 0.25 / math.log(f.params[0]), c, agg)
         for pt in few_sweep(cfg, range(2, 11)):
@@ -165,7 +165,7 @@ class TestMaskMatchesScalar:
         # total 3.1 beats the grid totals 2.75 and 3.25 and the h_bar total 3.25;
         # only producing exactly h_bar - acquired (total 3.0) gains, for both agents
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.01, Aggregation.SUM)
-        s = LinkProfile.from_links(2, [(0, 1)]).rows, (2.85, 0.25)
+        s = links(2, [(0, 1)]), (2.85, 0.25)
         assert assert_mask_matches_scalar(cfg, [s]) == [False]
 
     def test_h_bar_is_a_candidate(self):

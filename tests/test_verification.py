@@ -31,7 +31,7 @@ class TestGenerators:
             pmf = random_joint_pmf(rng, n)
             assert pmf.n_agents == n
             assert float(pmf.table.sum()) == pytest.approx(1.0, abs=1e-12)
-            assert all(2 <= s <= 3 for s in pmf.alphabet_sizes)
+            assert all(2 <= s <= 3 for s in pmf.table.shape)
 
     def test_random_vectors_are_shannon_valid(self):
         rng = np.random.default_rng(1)
@@ -130,7 +130,7 @@ class TestPoaCheck:
 
     def test_bound_holds_vacuously_without_pure_equilibrium(self):
         cfg = self.NO_PURE_NE
-        assert enumerate_nash(cfg).ne_profiles == ()
+        assert enumerate_nash(cfg).rows.shape == (0, 3)
         assert poa_predict(cfg).is_bound
         passed, detail = verification._check_poa(
             np.random.default_rng(0), 3, 2, LN, lambda rng, n, benefit: cfg, "claim")
