@@ -243,10 +243,14 @@ class TestProperties:
 
 class TestSerialization:
     def test_reads_the_documented_format(self):
-        # records in any order, each float parsed to the last of its 17 digits
+        # records in any order; blank lines and comments skipped
+        text = "# a comment\n\nn_agents,2\n3,2.5\n1,1.0\n  # another\n2,1.5\n"
+        assert from_text(text) == family_independent([1.0, 1.5])
+
+    def test_reads_seventeen_digit_precision(self):
         ev = family_independent([math.pi, math.e])
-        text = f"# a comment\n\nn_agents,2\n3,{ev.entries[2]!r}\n1,{math.pi!r}\n2,{math.e!r}\n"
-        assert from_text(text) == ev
+        text = f"n_agents,2\n1,{math.pi!r}\n2,{math.e!r}\n3,{ev.entries[2]!r}\n"
+        assert from_text(text).entries == ev.entries
 
     def test_missing_record_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -255,3 +259,15 @@ class TestSerialization:
     def test_duplicate_record_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             from_text("n_agents,1\n1,1.0\n1,2.0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty"),
+        ("# only a comment\n\n", "empty"),
+        ("agents,2\n1,1.0\n2,1.0\n3,2.0\n", "first line"),
+        ("n_agents,1\n1,1.0,2.0\n", "bad record"),
+        ("n_agents,1\n2,1.0\n", "out of range"),
+        ("n_agents,17\n", "n_agents must be in 1..16"),
+    ], ids=["empty", "comments-only", "bad-first-line", "bad-record", "mask-out-of-range", "too-many-agents"])
+    def test_malformed_document_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            from_text(text)

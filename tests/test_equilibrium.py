@@ -232,6 +232,12 @@ class TestEnumerate:
         assert all(type(x) is float for x in (report.social_optimum_value, report.worst_ne_welfare,
                                               report.poa, report.mil))
 
+    def test_profiles_are_built_only_when_asked_for(self):
+        report = enumerate_nash(homog(family_independent([1, 1.5, 2, 1.25, 0.75]), 0.05, LN))
+        assert "ne_profiles" not in vars(report)  # the scan keeps its arrays
+        assert report.ne_profiles == tuple(map(tuple, report.rows.tolist()))
+        assert len(report.ne_profiles) == 2000 and report.ne_profiles is report.ne_profiles
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_best_responses_are_scored_once_per_partition(self, monkeypatch, n):
         """An agent's payoffs see the others' links only through the partition of the graph

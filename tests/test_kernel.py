@@ -19,6 +19,7 @@ from infogame.kernel import (
     CapExceededError,
     best_response_table,
     components,
+    link_rows,
     merged_table,
     ne_status,
     profile_indices,
@@ -105,6 +106,26 @@ def test_profile_indices_invert_rows_from_indices(n):
     rows = rows_from_indices(idx, n)
     assert np.array_equal(profile_indices(rows), idx)
     assert profile_indices(rows[:50]).tolist() == [profile_index(r) for r in map(tuple, rows[:50].tolist())]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_link_rows_accepts_every_link_row(n):
+    rows = rows_from_indices(np.arange(min(1 << (n * (n - 1)), 4096)), n)
+    got = link_rows(n, rows.tolist())
+    assert got.dtype == np.int64 and np.array_equal(got, rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0]], "n-bit masks without self links"),
+    ([[0, 2]], "n-bit masks without self links"),
+    ([[4, 0]], "n-bit masks without self links"),
+    ([[-1, 0]], "n-bit masks without self links"),
+    ([[0, 0, 0]], "profile size does not match the game"),
+    ([0, 0], "profile size does not match the game"),
+], ids=["self-link-0", "self-link-1", "past-n-bits", "negative", "wrong-width", "not-a-batch"])
+def test_link_rows_refuses_what_is_not_a_link_row(rows, message):
+    with pytest.raises(ValueError, match=message):
+        link_rows(2, rows)
 
 
 @pytest.mark.parametrize("n, bell", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])

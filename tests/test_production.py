@@ -78,6 +78,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="profile size does not match the game"):
             is_production_ne(make_cfg(), rows, prods)
 
+    @pytest.mark.parametrize("rows", [(1, 0), (4, 0), (-1, 0)], ids=["self-link", "past-n-bits", "negative"])
+    def test_rows_that_are_not_link_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="n-bit masks without self links"):
+            is_production_ne(make_cfg(), rows, (3.0, 3.0))
+
     def test_h_bar_solved_once_per_config(self, monkeypatch):
         calls = []
 

@@ -35,6 +35,14 @@ BENEFITS = [BenefitFunction.log1p(2.0), BenefitFunction.log1p(math.e),
             BenefitFunction.power(0.5), BenefitFunction.power(0.3)]
 
 
+def label(f):
+    """A benefit function's pytest id: log1p[base=e], log1p[base=2], power[alpha=0.5]."""
+    (p,) = f.params
+    if f.name == "log1p":
+        return "log1p[base=e]" if p == math.e else f"log1p[base={p:g}]"
+    return f"{f.name}[alpha={p:g}]"
+
+
 def scalar_is_production_ne(cfg, rows, prods):
     """Every agent, every compact row, every production candidate, one at a time."""
     n = cfg.n_agents
@@ -128,7 +136,7 @@ class TestMaskMatchesScalar:
         assert_mask_matches_scalar(cfg, [star] + data.draw(profiles(cfg, 10)))
 
     @pytest.mark.parametrize("agg", list(Aggregation))
-    @pytest.mark.parametrize("f", BENEFITS, ids=repr)
+    @pytest.mark.parametrize("f", BENEFITS, ids=label)
     def test_high_cost_knife_edge(self, agg, f):
         # c = k * h_bar is classified high cost: the empty network at h_bar
         k = 0.25 if f.name == "power" else f.deriv(0.0) / 4.0
@@ -143,7 +151,7 @@ class TestMaskMatchesScalar:
 
     @pytest.mark.parametrize("agg, c", [(Aggregation.MAX, 0.2), (Aggregation.SUM, 0.2),
                                         (Aggregation.SUM, 0.7), (Aggregation.SUM, 1.0)])
-    @pytest.mark.parametrize("f", BENEFITS[:2], ids=repr)
+    @pytest.mark.parametrize("f", BENEFITS[:2], ids=label)
     def test_few_sweep_witnesses(self, agg, c, f):
         cfg = ProductionGameConfig(2, f, 0.25 / math.log(f.params[0]), c, agg)
         for pt in few_sweep(cfg, range(2, 11)):
