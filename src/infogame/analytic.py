@@ -209,7 +209,7 @@ def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:
         # a single sponsor (a linked component has at least one)
         stars &= (comp[i] == 1 << i) | (own & (own - 1) == 0)
     ok = np.zeros(len(rows), dtype=bool)
-    ok[stars] = ne_status(n, rows[stars], range(n), cfg.fh, cfg.row_costs)[1]
+    ok[stars] = ne_status(rows[stars], cfg.fh, cfg.row_costs)[1]
     return ok
 
 

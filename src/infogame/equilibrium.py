@@ -186,7 +186,7 @@ def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     rows, strict = [], []
     for start in range(0, len(candidates), SCAN_CHUNK):
         chunk = rows_from_indices(candidates[start:start + SCAN_CHUNK], n)
-        ne, st = ne_status(n, chunk, range(n), cfg.fh, cfg.row_costs)
+        ne, st = ne_status(chunk, cfg.fh, cfg.row_costs)
         rows.append(chunk[ne])
         strict.append(st[ne])
     return np.concatenate(rows), np.concatenate(strict)

@@ -88,11 +88,14 @@ def compress_row(row: int, i: int) -> int:
 
 def link_rows(n: int, rows) -> np.ndarray:
     """``rows`` as an int64 array of shape (batch, n), refused with ``ValueError``
-    unless every entry is an n-bit mask without its own agent's bit."""
-    rows = np.asarray(rows, dtype=np.int64)
+    unless every entry is a whole n-bit mask without its own agent's bit."""
+    rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("profile size does not match the game")
-    if ((rows < 0) | (rows >> n != 0) | (rows >> np.arange(n) & 1 != 0)).any():
+    # floats are judged before the cast, which would truncate them; ints past int64 make an object array
+    if rows.dtype.kind in "biu" or rows.dtype.kind == "f" and ((rows >= 0) & (rows < 1 << n) & (rows % 1 == 0)).all():
+        rows = rows.astype(np.int64, copy=False)
+    if rows.dtype != np.int64 or ((rows < 0) | (rows >> n != 0) | (rows >> np.arange(n) & 1 != 0)).any():
         raise ValueError("link rows must be n-bit masks without self links")
     return rows
 
@@ -251,12 +254,10 @@ def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarr
     others = rows.copy()
     others[:, i] = 0  # the graph without i's sponsored links
     reach = _reach(others)
-    first = part = np.zeros(1, dtype=np.int64)  # a batch of one has one partition
-    if len(rows) != 1:
-        # key: sum of (l_a + 1) a!, unique as a's lowest member l_a <= a; l_a + 1 is its lowest bit's exponent
-        exponent = np.frexp((reach & -reach).astype(np.float32))[1]
-        key = (exponent * np.array([math.factorial(a) for a in range(n)])[:, None]).sum(axis=0)
-        _, first, part = np.unique(key, return_index=True, return_inverse=True)
+    # key: sum of (l_a + 1) a!, unique as a's lowest member l_a <= a; l_a + 1 is its lowest bit's exponent
+    exponent = np.frexp((reach & -reach).astype(np.float32))[1]
+    key = (exponent * np.array([math.factorial(a) for a in range(n)])[:, None]).sum(axis=0)
+    _, first, part = np.unique(key, return_index=True, return_inverse=True)
     reach = reach[:, first]
     # the OR over compact rows, one target bit at a time
     merged = np.empty((len(first), 1 << (n - 1)), dtype=reach.dtype)
@@ -283,8 +284,8 @@ def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray
     return u >= u.max(axis=-1, keepdims=True) - TOL
 
 
-def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(is_ne, is_strict) of every profile of a batch, judged over the given agents only.
+def ne_status(rows: np.ndarray, fh: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(is_ne, is_strict) of every profile of a batch.
 
     ``rows`` is an int64 array of shape (batch, n); ``fh`` and ``costs`` are
     as in :func:`best_response_table`, with ``costs`` holding every agent's
@@ -293,11 +294,12 @@ def ne_status(n: int, rows: np.ndarray, agents, fh: np.ndarray, costs: np.ndarra
     best response. A profile is dropped at its first failing agent. Returns
     two bool arrays of length batch.
     """
+    n = rows.shape[1]
     is_ne = np.zeros(len(rows), dtype=bool)
     is_strict = np.zeros(len(rows), dtype=bool)
     alive = np.arange(len(rows))
     strict = np.ones(len(rows), dtype=bool)
-    for i in agents:
+    for i in range(n):
         merged, part = merged_table(n, rows, i)
         table = best_response_table(merged, fh, costs[i])
         keep = table[part, compress_row(rows[:, i], i)]

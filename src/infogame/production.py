@@ -15,11 +15,11 @@ h_bar, the stand-alone optimal production, solves f'(h) = k.
 
 A profile is a pair of arrays, int64 link rows and float64 production
 levels, one entry per agent. One check, :func:`production_ne_mask`, judges a
-batch of them, in chunks of about ``CHECK_BYTES``. Agent i's best deviation
-depends on the others' rows and productions only, so it is scored once per
-distinct pair: ``kernel.merged_table`` gives i's component under every
-compact row, and each production candidate is scored once per distinct
-amount a row acquires.
+batch of them, in chunks of about ``CHECK_BYTES``, and drops a profile at
+its first agent with a profitable deviation. Agent i's best deviation is
+scored for each profile of a chunk: ``kernel.merged_table`` gives i's
+component under every compact row, and each production candidate is scored
+once per distinct amount a row acquires.
 Aggregates are accumulated one agent at a time in ascending order, and f is
 evaluated by the scalar :class:`BenefitFunction` on distinct values only, so
 every utility is the float of the per-profile oracle under ``tests/``.
@@ -195,18 +195,11 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
 
     def deviates(rows, prods, i):
         """Per profile: can agent i gain more than TOL by a (links, production) deviation?"""
-        # the best deviation depends on the others' (rows, productions) only: score it once per
-        # group of equal ones, from its first profile; bytes compare, so -0.0 and 0.0 split a group
-        if len(rows) == 1 or n == 1:
-            first, key = np.zeros(1, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
-        else:
-            keys = np.delete(np.hstack([rows, prods.view(np.int64)]), [i, n + i], axis=1).copy()
-            keys = keys.view(f"V{keys.strides[0]}")[:, 0]
-            _, first, key = np.unique(keys, return_index=True, return_inverse=True)
-        merged = np.take(*merged_table(n, rows[first], i), axis=0)  # one row per first profile
-        own = merged[key, compress_row(rows[:, i], i)]
-        # and each production candidate once per distinct amount that a row acquires (merged is unsigned)
-        acquired = _aggregate_masks(cfg.agg, prods[first], merged & (((1 << n) - 1) ^ (1 << i)))
+        table, part = merged_table(n, rows, i)
+        own = table[part, compress_row(rows[:, i], i)]
+        merged = table[part]  # i's component under every compact row, per profile (unsigned)
+        # each production candidate is scored once per distinct amount that a row acquires
+        acquired = _aggregate_masks(cfg.agg, prods, merged & (((1 << n) - 1) ^ (1 << i)))
         acquired, at = np.unique(acquired, return_inverse=True)
         acquired = acquired[:, None]
         h = np.empty((len(acquired), len(levels) + is_sum))
@@ -223,7 +216,7 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
         # a row's link cost is subtracted after the max over its candidates: rounding
         # is monotone, so the best utility is the same float
         best = (fv[len(rows):].reshape(h.shape) - k * h).max(axis=1)[at.reshape(merged.shape)] - link_cost
-        return best.max(axis=1)[key] > current + TOL
+        return best.max(axis=1) > current + TOL
 
     per = _chunk_profiles(cfg)
     ne = np.zeros(len(rows), dtype=bool)

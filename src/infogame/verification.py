@@ -27,6 +27,9 @@ from .formation_game import BenefitFunction, CostModel, GameConfig
 from .kernel import profile_indices, require_budget, rows_from_indices
 from .production import Aggregation, ProductionGameConfig
 
+# each agent of a random joint pmf draws 2 .. MAX_ALPHABET outcomes
+MAX_ALPHABET = 3
+
 
 @dataclass(frozen=True)
 class VerifyCheck:
@@ -55,8 +58,8 @@ class VerifyReport:
 
 # -- randomized instances ------------------------------------------------------
 
-def random_joint_pmf(rng: np.random.Generator, n_agents: int, max_alphabet: int = 3) -> JointPmf:
-    sizes = tuple(int(rng.integers(2, max_alphabet + 1)) for _ in range(n_agents))
+def random_joint_pmf(rng: np.random.Generator, n_agents: int) -> JointPmf:
+    sizes = tuple(int(rng.integers(2, MAX_ALPHABET + 1)) for _ in range(n_agents))
     raw = rng.random(sizes) ** 2 + 1e-6
     return JointPmf(raw / raw.sum())
 

@@ -182,7 +182,7 @@ class TestStrictStructure:
         cfg = GameConfig(family_independent([1.0] * 7), LN, CostModel.homogeneous(0.1))
         star = links(7, [(0, j) for j in range(1, 7)])
         assert strict_structure_mask(cfg, [star]).tolist() == [True]
-        assert kernel.ne_status(7, np.array([star]), range(7), cfg.fh, cfg.row_costs)[1].tolist() == [True]
+        assert kernel.ne_status(np.array([star]), cfg.fh, cfg.row_costs)[1].tolist() == [True]
 
     def test_non_equilibrium_rejected(self):
         cfg = GameConfig(family_independent([1, 1]), LN, CostModel.homogeneous(0.3))

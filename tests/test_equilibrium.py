@@ -42,9 +42,7 @@ def best_rows(cfg, rows, i):
 
 def status(cfg, *profiles):
     """(is_ne, is_strict) of each profile (a tuple of rows), from one ``kernel.ne_status`` batch."""
-    n = cfg.n_agents
-    is_ne, strict = kernel.ne_status(n, np.array(profiles, dtype=np.int64), range(n),
-                                     cfg.fh, cfg.row_costs)
+    is_ne, strict = kernel.ne_status(np.array(profiles, dtype=np.int64), cfg.fh, cfg.row_costs)
     return list(zip(is_ne.tolist(), strict.tolist()))
 
 
@@ -249,7 +247,7 @@ class TestEnumerate:
         cfg = homog(family_independent([1, 1.5, 2, 1.25, 0.75, 0.5][:n]), 0.05, LN)
         enumerate_nash(cfg)  # the full scan up to 5 agents, ne_status on the forests at 6
         rows = rows_from_indices(np.random.default_rng(n).integers(0, 1 << (n * (n - 1)), size=4096), n)
-        kernel.ne_status(n, rows, range(n), cfg.fh, cfg.row_costs)
+        kernel.ne_status(rows, cfg.fh, cfg.row_costs)
         chunks = max(1, (1 << (n - 1) ** 2) // equilibrium.SCAN_CHUNK)  # per agent, of the others' configurations
         assert len(rows_scored["full scan"]) == (0 if n == 6 else n * chunks)
         assert rows_scored["ne_status"]

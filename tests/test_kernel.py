@@ -111,8 +111,10 @@ def test_profile_indices_invert_rows_from_indices(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_link_rows_accepts_every_link_row(n):
     rows = rows_from_indices(np.arange(min(1 << (n * (n - 1)), 4096)), n)
-    got = link_rows(n, rows.tolist())
-    assert got.dtype == np.int64 and np.array_equal(got, rows)
+    for given in (rows.tolist(), rows.astype(np.float64), rows.astype(np.uint16)):
+        got = link_rows(n, given)
+        assert got.dtype == np.int64 and np.array_equal(got, rows)
+    assert link_rows(n, np.zeros((0, n))).shape == (0, n)
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -122,7 +124,10 @@ def test_link_rows_accepts_every_link_row(n):
     ([[-1, 0]], "n-bit masks without self links"),
     ([[0, 0, 0]], "profile size does not match the game"),
     ([0, 0], "profile size does not match the game"),
-], ids=["self-link-0", "self-link-1", "past-n-bits", "negative", "wrong-width", "not-a-batch"])
+    ([[2.7, 0]], "n-bit masks without self links"),
+    ([[1 << 70, 0]], "n-bit masks without self links"),
+], ids=["self-link-0", "self-link-1", "past-n-bits", "negative", "wrong-width", "not-a-batch", "not-whole",
+        "past-int64"])
 def test_link_rows_refuses_what_is_not_a_link_row(rows, message):
     with pytest.raises(ValueError, match=message):
         link_rows(2, rows)
@@ -245,7 +250,8 @@ def test_merged_table_matches_merged_components(n, batch):
 @pytest.mark.parametrize("ties", [False, True])
 @pytest.mark.parametrize("n", list(range(2, 7)) + list(WIDE))
 def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
-    # agent subsets in ascending order, as the component structures pass a block's members
+    # the batch judges every agent: the scalar status over all of them, and the conjunction of
+    # the scalar's one-agent subsets, since a profile is an equilibrium (strict) when each agent is
     rng = np.random.default_rng(70 + n)
     if ties:
         # a link to a one-bit agent gains exactly its price: equilibria that are not strict
@@ -258,17 +264,15 @@ def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
         cfg = (random_recipient_config if n % 2 else random_homogeneous_config)(rng, n, LN)
     fh, costs = cfg.fh, cfg.row_costs
     if n in WIDE:
-        # every single agent, every agent, and a few random subsets
         rows = sparse_rows(rng, n, 4 if n == 16 else 100)
-        masks = [1 << a for a in range(n)] + [(1 << n) - 1] + rng.integers(1, 1 << n, size=6).tolist()
     else:
         rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=300), n)
-        masks = range(1, 1 << n)
-    for mask in masks:
-        agents = [a for a in range(n) if mask >> a & 1]
-        is_ne, strict = ne_status(n, rows, agents, fh, costs)
-        expect = [scalar_ne_status(n, r, agents, fh, costs) for r in map(tuple, rows.tolist())]
-        assert list(zip(is_ne.tolist(), strict.tolist())) == expect
+    is_ne, strict = ne_status(rows, fh, costs)
+    got = list(zip(is_ne.tolist(), strict.tolist()))
+    profiles = list(map(tuple, rows.tolist()))
+    assert got == [scalar_ne_status(n, r, range(n), fh, costs) for r in profiles]
+    each = [[scalar_ne_status(n, r, [a], fh, costs) for a in range(n)] for r in profiles]
+    assert got == [(all(ne for ne, _ in e), all(st for _, st in e)) for e in each]
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1)], [(0, 1), (1, 2)], [(0, 3), (1, 3), (2, 4), (3, 4)]])

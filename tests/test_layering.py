@@ -11,7 +11,8 @@ alone, and the kernel alone turns spanning trees into profiles: every other
 module takes its sponsored trees from it. ``kernel.components`` is the one
 component walk; no module defines or names the scalar one. The package
 exports a fixed set of names: a link profile is an int64 row array, so no
-profile class is among them.
+profile class is among them. The package's modules hold at most
+``SRC_LINES`` lines in all.
 """
 import ast
 import subprocess
@@ -25,6 +26,8 @@ import infogame
 SRC = Path(infogame.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 SCALAR_WALK = {"component_masks", "undirected_adjacency"}
+# the size gate of the whole package
+SRC_LINES = 3000
 
 
 def parsed(module):
@@ -129,3 +132,9 @@ def test_the_public_surface_is_pinned():
         "run_verification", "social_optimum", "subset_mask", "thresholds_homogeneous", "validate_shannon"}
     assert len(infogame.__all__) == len(set(infogame.__all__))
     assert all(hasattr(infogame, name) for name in infogame.__all__)
+
+
+def test_the_package_stays_within_its_line_gate():
+    # counted as the benchmark's src.lines metric counts them: splitlines of every module
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINES

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from infogame import production
 from infogame.entropy import TOL
 from infogame.formation_game import BenefitFunction
-from infogame.kernel import CapExceededError, merged_table, rows_from_indices, sponsored_trees
+from infogame.kernel import CapExceededError, rows_from_indices, sponsored_trees
 from infogame.production import (
     Aggregation,
     ProductionGameConfig,
@@ -101,7 +101,10 @@ class TestMaskMatchesScalar:
     @given(st.data())
     def test_random_rows_and_productions(self, data):
         cfg = data.draw(games())
-        assert_mask_matches_scalar(cfg, data.draw(profiles(cfg, 30)))
+        drawn = data.draw(profiles(cfg, 30))
+        got = assert_mask_matches_scalar(cfg, drawn)
+        # and each profile as a batch of one, which at 1 agent is also a 1-agent game
+        assert [is_production_ne(cfg, rows, prods) for rows, prods in drawn] == got
 
     @settings(max_examples=20, deadline=None)
     @given(games(sizes=(1, 2)))
@@ -223,8 +226,9 @@ class TestMaskMatchesScalar:
 
 
 class TestDeduplicatedCheck:
-    """The check scores agent i's deviations once per distinct (others' rows, others'
-    productions) of a batch, whatever the order, repetition or split of the batch."""
+    """The check scores each profile of a chunk on its own, and f once per distinct value
+    of the chunk, so a profile's verdict is the same whatever the order, repetition or
+    split of its batch."""
 
     @pytest.mark.parametrize("cost", ["low", "high"])
     @pytest.mark.parametrize("agg", list(Aggregation))
@@ -249,18 +253,6 @@ class TestDeduplicatedCheck:
         cuts = np.sort(rng.choice(np.arange(1, len(pick)), size=6, replace=False))
         got = [production_ne_mask(cfg, rows[part], prods[part]) for part in np.split(pick, cuts)]
         assert np.concatenate(got).tolist() == want[pick].tolist()
-
-    def test_one_merged_table_row_per_distinct_opponents(self, monkeypatch):
-        cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
-        prods = np.array(list(itertools.product(grid_levels(cfg), repeat=3)))
-        sizes = []
-
-        def counted(n, rows, i):
-            sizes.append(len(rows))
-            return merged_table(n, rows, i)
-        monkeypatch.setattr(production, "merged_table", counted)
-        production_ne_mask(cfg, np.zeros((2 * len(prods), 3), dtype=np.int64), np.vstack([prods, prods]))
-        assert sizes[0] == len(grid_levels(cfg)) ** 2  # agent 0 meets 7 x 7 opponents' productions
 
 
 class TestShapeCheckers:
