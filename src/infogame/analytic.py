@@ -30,9 +30,8 @@ import numpy as np
 from .entropy import TOL, EntropicVector, full_mask, subset_mask
 from .formation_game import BenefitFunction, CostModel, GameConfig
 from .equilibrium import social_optimum
-from .kernel import (TABLE_AGENTS, best_response_table, components, compress_row, link_rows, merged_table,
-                     ne_status, require_budget, set_partition_count, set_partitions, sponsored_tree_count,
-                     sponsored_trees)
+from .kernel import (best_response_table, components, compress_row, link_rows, merged_table, ne_status,
+                     require_budget, set_partition_count, set_partitions, sponsored_tree_count, sponsored_trees)
 
 K_C = "K_C"
 K_I = "K_I"
@@ -150,8 +149,7 @@ def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
     n = cfg.n_agents
     require_budget(sum(math.comb(n, m) * sponsored_tree_count(m) * set_partition_count(n - m)
                        for m in range(1, n + 1)), f"component structures of {n} agents", "sponsored trees")
-    partitions, count, agents, blocks, parts = (
-        _partition_batch if n <= TABLE_AGENTS else _partition_batch.__wrapped__)(n)
+    partitions, count, agents, blocks, parts = _partition_batch(n)
     viable = np.ones(count, dtype=bool)
     for i, (own, merged, part, compact) in enumerate(agents):
         viable[own] &= best_response_table(merged, cfg.fh, cfg.row_costs[i])[part, compact]

@@ -80,7 +80,7 @@ class SpecError(ValueError):
 def _number(kind, value, what: str):
     """``kind(value)`` for kind int or float; a wrong-typed or non-finite value is a spec
     error, and so is a non-integral value for kind int."""
-    if isinstance(value, bool):  # YAML true / yes, which int() and float() read as 1
+    if isinstance(value, (bool, str)):  # YAML true / yes, or quoted text, which int() and float() would read
         raise SpecError(f"{what} must be a number, got {value!r}")
     try:
         x = kind(value)

@@ -10,17 +10,17 @@ of :class:`EquilibriumReport`.
 The full scan covers every profile of a chunk of same-size games at once.
 Agent i's best responses see the others' rows only through the partition of
 the graph without i's links: per ``SCAN_CHUNK`` of the 2**((n-1)**2) others
-configurations, its merged table has a row per partition, kept up to
-``TABLE_AGENTS`` agents and streamed past that. The games' payoff tables,
-stacked on a leading game axis, score the rows together; each game reads them
-per configuration and reshapes them to (2**(w*i), 2**w, rest), w = n-1, with
-agent i's own row field, contiguous in the profile index, in the middle axis,
-so one gather tests agent i's row in every profile of every game. A profile is
-an NE when every agent's own row is set in its table, and strict when it is
-the only one. :func:`enumerate_games` groups its games by size and scans at
-most ``SCAN_CHUNK`` others configurations times games at a time: 2,048
-two-agent games, 256 three-agent or 8 four-agent games, one five-agent game
-in ``SCAN_CHUNK`` pieces. :func:`enumerate_nash` is its batch of one game.
+configurations, its merged table has a row per partition, kept read-only
+across games. The games' payoff tables, stacked on a leading game axis,
+score the rows together; each game reads them per configuration and reshapes
+them to (2**(w*i), 2**w, rest), w = n-1, with agent i's own row field,
+contiguous in the profile index, in the middle axis, so one gather tests
+agent i's row in every profile of every game. A profile is an NE when every
+agent's own row is set in its table, and strict when it is the only one.
+:func:`enumerate_games` groups its games by size and scans at most
+``SCAN_CHUNK`` others configurations times games at a time: 2,048 two-agent
+games, 256 three-agent or 8 four-agent games, one five-agent game in
+``SCAN_CHUNK`` pieces. :func:`enumerate_nash` is its batch of one game.
 
 Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
 have 2**30 profiles) and the scan switches to candidate pruning: every NE
@@ -52,7 +52,6 @@ from .entropy import TOL
 from .formation_game import GameConfig
 from .kernel import (
     CHECK_BUDGET,
-    TABLE_AGENTS,
     CapExceededError,
     best_response_table,
     components,
@@ -78,7 +77,8 @@ class EquilibriumReport:
     """Everything the enumeration learned about a game's equilibria.
 
     The arrays are in profile-index order: int64 ``rows`` (ne, n), ``strict``
-    flags, ``welfare`` and the ``components`` masks (n, ne). ``info_values``
+    flags, ``welfare`` and the ``components`` masks (n, ne), unsigned as
+    :func:`~infogame.kernel.components` gives them. ``info_values``
     maps a component mask to the vector's own entropy float, and
     ``social_optimum_rows`` is the optimum's int64 rows (n,). ``ne_profiles``,
     the rows as hashable tuples, is built on first use. ``poa`` is None when
@@ -141,8 +141,8 @@ def _ne_scan_full(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.nd
         low = w * (n - 1 - i)
         own = np.empty((g, n_others, 1 << w), dtype=bool)
         unique = np.empty((g, n_others), dtype=bool)
-        for start in range(0, n_others, SCAN_CHUNK):  # tables kept up to TABLE_AGENTS agents
-            merged, part = (_others_merged if n <= TABLE_AGENTS else _others_merged.__wrapped__)(n, i, start)
+        for start in range(0, n_others, SCAN_CHUNK):
+            merged, part = _others_merged(n, i, start)
             table = best_response_table(merged, fh, costs[:, i])
             own[:, start:start + len(part)] = np.take(np.take(table, compacts, axis=-1), part, axis=1)
             unique[:, start:start + len(part)] = np.take(table.sum(axis=-1) == 1, part, axis=1)

@@ -23,24 +23,25 @@ only through the partition of the agents into components of the graph
 without i's links, so :func:`merged_table` gives i's merged components once
 per distinct partition of a batch (at most Bell(n) rows) and each profile's
 partition: the game-independent half, which the full scan and the partition
-judgement keep per agent count up to ``TABLE_AGENTS``. :func:`best_response_table`
-scores those rows with the payoff tables each ``GameConfig`` owns (``fh``,
-``row_costs``), one game's or several games' stacked on a leading game axis,
-so that the full scan scores a chunk of games at once; :func:`ne_status`
-judges a batch with it, and gives the strict-equilibrium characterization its
-strict flag on the stars it keeps.
-:func:`components` is the package's one component walk, run in the narrowest
-unsigned dtype of an n-bit mask. Through :func:`merged_table` it serves the
-best responses and the production game's equilibrium check; it also gives
-equilibrium reports and the social optimum their components, and the
-characterization masks (strict-equilibrium stars, production trees and their
-cuts) their shapes. :func:`welfare` is the package's one welfare routine, for
-the equilibria and the social optimum alike, of one game or, through a
-per-profile game index, of many, and sums the tables in a fixed order. Scalar
-forms of the walk, of the welfare sum, of the profile index, of the Pruefer
-decoder and of the tree orientations live under ``tests/`` as the oracles the
-array forms are compared against. Every brute-force search counts
-its work in closed form first and passes it to :func:`require_budget`.
+judgement keep per agent count. :func:`best_response_table` scores those
+rows with the payoff tables each ``GameConfig`` owns (``fh``, ``row_costs``),
+one game's or several games' stacked on a leading game axis, so that the
+full scan scores a chunk of games at once; :func:`ne_status` judges a batch
+with it, and gives the strict-equilibrium characterization its strict flag
+on the stars it keeps.
+:func:`components` is the package's one component walk; its masks are in the
+narrowest unsigned dtype of an n-bit mask, and every caller reads them in
+that dtype. Through :func:`merged_table` it serves the best responses and
+the production game's equilibrium check; it also gives equilibrium reports
+and the social optimum their components, and the characterization masks
+(strict-equilibrium stars, production trees and their cuts) their shapes.
+:func:`welfare` is the package's one welfare routine, for the equilibria and
+the social optimum alike, of one game or, through a per-profile game index,
+of many, and sums the tables in a fixed order. Scalar forms of the walk, of
+the welfare sum, of the profile index, of the Pruefer decoder and of the tree
+orientations live under ``tests/`` as the oracles the array forms are
+compared against. Every brute-force search counts its work in closed form
+first and passes it to :func:`require_budget`.
 """
 from __future__ import annotations
 
@@ -52,8 +53,6 @@ from .entropy import TOL
 
 # profiles, sponsored trees, partitions or grid points one brute-force search may visit
 CHECK_BUDGET = 1 << 20
-# agent counts whose game-independent scan and partition tables are kept across games
-TABLE_AGENTS = 4
 
 
 class CapExceededError(RuntimeError):
@@ -219,8 +218,9 @@ def sponsored_trees(members: tuple[int, ...], n: int) -> np.ndarray:
 
 # -- components and payoffs ----------------------------------------------------------
 
-def _reach(rows: np.ndarray) -> np.ndarray:
-    """:func:`components` in the narrowest unsigned dtype of an n-bit mask: uint8 up to 8 agents, else uint16."""
+def components(rows: np.ndarray) -> np.ndarray:
+    """Agent a's component in profile b at [a, b] of an (n, batch) array, for int64 ``rows`` (batch, n),
+    in the narrowest unsigned dtype of an n-bit mask: uint8 up to 8 agents, else uint16."""
     n = rows.shape[1]
     dtype = np.uint8 if n <= 8 else np.uint16
     agent = np.arange(n, dtype=dtype)[:, None]
@@ -235,25 +235,20 @@ def _reach(rows: np.ndarray) -> np.ndarray:
     return reach
 
 
-def components(rows: np.ndarray) -> np.ndarray:
-    """Agent a's component in profile b at [a, b] of an int64 (n, batch) array, for int64 ``rows`` (batch, n)."""
-    return _reach(rows).astype(np.int64)
-
-
 def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Agent i's component mask for every compact row, once per partition of the others.
 
     ``rows`` is an int64 array of shape (batch, n); column i is ignored.
     Linking to agent j merges in j's whole component of the graph without
     i's sponsored links, so only the partition of that graph matters.
-    Returns (merged, part): ``merged`` (:func:`_reach`'s dtype, a row per
+    Returns (merged, part): ``merged`` (:func:`components`' dtype, a row per
     partition) holds at [p, c] the component agent i joins by playing
     compact row c against partition p; the int64 ``part`` gives each
     profile's row, so ``merged[part]`` is the per-profile table.
     """
     others = rows.copy()
     others[:, i] = 0  # the graph without i's sponsored links
-    reach = _reach(others)
+    reach = components(others)
     # key: sum of (l_a + 1) a!, unique as a's lowest member l_a <= a; l_a + 1 is its lowest bit's exponent
     exponent = np.frexp((reach & -reach).astype(np.float32))[1]
     key = (exponent * np.array([math.factorial(a) for a in range(n)])[:, None]).sum(axis=0)

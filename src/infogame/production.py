@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -71,9 +72,12 @@ class ProductionGameConfig:
     grid_step: float | None = None
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ValueError("need at least one agent")
-        if self.n_agents > MAX_AGENTS:
+        if isinstance(self.n_agents, bool) or not isinstance(self.n_agents, numbers.Integral):
+            raise ValueError(f"n_agents must be an integer, got {self.n_agents!r}")
+        object.__setattr__(self, "n_agents", int(self.n_agents))  # so counts like sponsored_tree_count(n) cannot wrap
+        if not isinstance(self.agg, Aggregation):
+            raise ValueError(f"aggregation must be an Aggregation, got {self.agg!r}")
+        if not 1 <= self.n_agents <= MAX_AGENTS:
             raise ValueError(f"n_agents must be in 1..{MAX_AGENTS}")
         if not (math.isfinite(self.k) and self.k > 0):
             raise ValueError("production cost k must be finite and positive")
@@ -167,12 +171,13 @@ def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray,
     """A batch of (links, productions) profiles as int64 and float64 arrays of shape
     (batch, n), refused unless every row is a profile of the game."""
     rows = link_rows(cfg.n_agents, rows)
-    prods = np.asarray(prods, dtype=np.float64)
+    prods = np.asarray(prods)
     if prods.shape != rows.shape:
         raise ValueError("profile size does not match the game")
-    if not (np.isfinite(prods) & (prods >= 0)).all():
+    # the dtype is judged before the cast, which would parse strings; ints past int64 make an object array
+    if prods.dtype.kind not in "biuf" or not (np.isfinite(prods) & (prods >= 0)).all():
         raise ValueError("production levels must be finite and nonnegative")
-    return rows, prods
+    return rows, prods.astype(np.float64, copy=False)
 
 
 def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
@@ -440,8 +445,8 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
     """
     out = []
     for n in n_list:
-        point_cfg = replace(cfg, n_agents=int(n))
-        hb = point_cfg.h_bar()
+        point_cfg = replace(cfg, n_agents=n)  # refuses a non-integral n
+        n, hb = point_cfg.n_agents, point_cfg.h_bar()
         star = (0,) + (1,) * (n - 1)  # everyone else sponsors a link to agent 0
         if point_cfg.high_cost() or n == 1:
             rows, prods = (0,) * n, (hb,) * n
@@ -459,7 +464,7 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
         # equilibrium is unique, every MAX equilibrium has exactly one
         # producer, and no fraction can exceed the SUM witness's 1
         out.append(FewSweepPoint(
-            n=int(n),
+            n=n,
             agg=point_cfg.agg,
             c=point_cfg.c,
             k=point_cfg.k,

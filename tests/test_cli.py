@@ -493,6 +493,19 @@ game:
         assert code == expect == 0
         assert whole.split("\n", 1)[1] == same.split("\n", 1)[1]
 
+    @pytest.mark.parametrize("spec, old, new", [
+        (VERIFY_SPEC, "n_agents: 3", 'n_agents: "3"'),
+        (VERIFY_SPEC, "seed: 0", "seed: '0'"),
+        (PRODUCTION_SPEC, "n_agents: 2", 'n_agents: "2"'),
+        (ENUM_SPEC, "c: 0.3", 'c: "0.3"'),
+        (REGION_SPEC, "points: 20", 'points: "20"'),
+    ], ids=["verify-n", "seed", "production-n", "cost", "grid-points"])
+    def test_quoted_number_rejected(self, tmp_path, capsys, spec, old, new):
+        assert old in spec
+        code, text = run_cli(tmp_path, spec.replace(old, new))
+        assert code == 2 and text == ""
+        assert "must be a number, got '" in capsys.readouterr().err
+
     def test_nan_cost_rejected(self, tmp_path):
         code, text = run_cli(tmp_path, ENUM_SPEC.replace("c: 0.3", "c: .nan"))
         assert code == 2 and text == ""

@@ -314,7 +314,7 @@ def test_components_match_component_masks_on_random_profiles(n):
     else:
         rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=2000), n)
     comp = components(rows)
-    assert comp.dtype == np.int64 and comp.T.tolist() == scalar_components(rows)
+    assert comp.dtype == (np.uint8 if n <= 8 else np.uint16) and comp.T.tolist() == scalar_components(rows)
 
 
 def cost_models(rng, n):

@@ -9,10 +9,12 @@ production game builds on the kernel alone, not on the formation game's
 equilibrium or analytic layers, the kernel builds on the entropy module
 alone, and the kernel alone turns spanning trees into profiles: every other
 module takes its sponsored trees from it. ``kernel.components`` is the one
-component walk; no module defines or names the scalar one. The package
-exports a fixed set of names: a link profile is an int64 row array, so no
-profile class is among them. The package's modules hold at most
-``SRC_LINES`` lines in all.
+component walk; no module defines or names the scalar one. Each kernel table
+has one form: no module names a per-size cache switch (``TABLE_AGENTS``), an
+uncached twin of a cached function (``__wrapped__``) or a second walk
+(``_reach``). The package exports a fixed set of names: a link profile is an
+int64 row array, so no profile class is among them. The package's modules
+hold at most ``SRC_LINES`` lines in all.
 """
 import ast
 import subprocess
@@ -26,6 +28,7 @@ import infogame
 SRC = Path(infogame.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 SCALAR_WALK = {"component_masks", "undirected_adjacency"}
+SECOND_FORMS = {"TABLE_AGENTS", "__wrapped__", "_reach"}
 # the size gate of the whole package
 SRC_LINES = 3000
 
@@ -80,6 +83,14 @@ def test_the_kernel_walk_is_the_only_component_walk(module):
     names = [node.lineno for node in ast.walk(parsed(module))
              if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in SCALAR_WALK
              or getattr(node, "id", None) in SCALAR_WALK or getattr(node, "attr", None) in SCALAR_WALK]
+    assert names == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_kernel_table_has_one_form(module):
+    names = [node.lineno for node in ast.walk(parsed(module))
+             if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in SECOND_FORMS
+             or getattr(node, "id", None) in SECOND_FORMS or getattr(node, "attr", None) in SECOND_FORMS]
     assert names == []
 
 

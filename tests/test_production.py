@@ -68,7 +68,24 @@ class TestConfig:
             ProductionGameConfig(n, LN, 0.25, 5.0, Aggregation.SUM)
         assert ProductionGameConfig(16, LN, 0.25, 5.0, Aggregation.SUM).n_agents == 16
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("field, bad", [("agg", "sum"), ("agg", None), ("n_agents", 2.5),
+                                            ("n_agents", 4.0), ("n_agents", "4"), ("n_agents", True)])
+    def test_wrong_typed_field_rejected(self, field, bad):
+        # "sum" is not Aggregation.SUM: the candidate count took it for SUM and the checks for MAX
+        fields = dict(n_agents=4, benefit=LN, k=0.25, c=0.2, agg=Aggregation.SUM)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=f"{'aggregation' if field == 'agg' else 'n_agents'} must be an"):
+            ProductionGameConfig(**fields)
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_agent_count_accepted(self, n):
+        cfg = ProductionGameConfig(n, LN, 0.25, 0.2, Aggregation.SUM)
+        assert type(cfg.n_agents) is int and cfg == make_cfg(n=3)
+        assert [pt.n for pt in few_sweep(make_cfg(), [n])] == [3]
+
+    # text was parsed by the float cast, and an int past the float range raised OverflowError
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, pytest.param("3", id="text"),
+                                     pytest.param("3.0", id="text-float"), pytest.param(10 ** 400, id="past-float")])
     def test_production_outside_the_model_rejected(self, bad):
         with pytest.raises(ValueError, match="production levels must be finite and nonnegative"):
             is_production_ne(make_cfg(), (0, 0), (bad, 0.0))
@@ -263,6 +280,11 @@ class TestFewSweep:
         # equal splits stop being equilibria at small n; the witness adapts
         points = few_sweep(make_cfg(c=0.7), [2, 3, 4])
         assert all(pt.producer_fraction == 1.0 for pt in points)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_non_integral_size_rejected(self, n):
+        with pytest.raises(ValueError, match="n_agents must be an integer"):
+            few_sweep(make_cfg(), [2, n])
 
     def test_degenerate_game_nobody_produces(self):
         # k at or above f'(0): producing anything is a loss, h_bar is 0

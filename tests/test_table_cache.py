@@ -2,9 +2,10 @@
 per agent count: they never leak one game into the next, cannot be written, and
 stay small.
 
-The full scan (``equilibrium._others_merged``) and ``analytic.component_structures``
-(``analytic._partition_batch``) keep their merged component tables for up to
-``kernel.TABLE_AGENTS`` agents; larger games rebuild or stream them on every call.
+The full scan (``equilibrium._others_merged``, one table per agent and ``SCAN_CHUNK``
+others configurations) and ``analytic.component_structures`` (``analytic._partition_batch``,
+one batch per agent count) keep their merged component tables at every agent count
+they accept; a second game of the same size only scores them.
 """
 import hashlib
 import math
@@ -17,7 +18,6 @@ from infogame.analytic import component_structures
 from infogame.entropy import family_independent
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
-from infogame.kernel import TABLE_AGENTS
 from infogame.verification import random_homogeneous_config, random_recipient_config, run_verification
 
 LN = BenefitFunction.log1p(math.e)
@@ -40,10 +40,12 @@ def arrays(value):
             yield from arrays(item)
 
 
-def cached_arrays():
-    for n in range(1, TABLE_AGENTS + 1):
+def cached_arrays(sizes=range(1, 5)):
+    """Every array of the tables of each agent count in ``sizes``, built on first use."""
+    for n in sizes:
         for i in range(n):
-            yield from arrays(equilibrium._others_merged(n, i, 0))
+            for start in range(0, 1 << (n - 1) ** 2, equilibrium.SCAN_CHUNK):
+                yield from arrays(equilibrium._others_merged(n, i, start))
         yield from arrays(analytic._partition_batch(n))
 
 
@@ -58,7 +60,7 @@ def games(n):
             random_homogeneous_config(rng, n, LN)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_game_after_another_matches_a_fresh_state(n):
     first, *rest = games(n)
     for cfg in rest:
@@ -88,9 +90,15 @@ def test_verify_bytes_are_repeatable_and_the_tables_stay_small():
     assert sum(a.nbytes for a in cached_arrays()) < 64 * 1024
 
 
-def test_five_agents_keep_nothing():
+def test_five_agent_tables_are_kept_read_only_and_small():
     clear_caches()
     cfg = GameConfig(family_independent([1.0] * 5), LN, CostModel.homogeneous(0.1))
-    assert len(enumerate_nash(cfg).rows) == 5 ** 3 * 2 ** 4  # every sponsored spanning tree
-    assert frozenset({frozenset(range(5))}) in component_structures(cfg)
-    assert [cache.cache_info().currsize for cache in CACHES] == [0, 0]
+    for _ in range(2):  # the second game only scores the kept tables
+        assert len(enumerate_nash(cfg).rows) == 5 ** 3 * 2 ** 4  # every sponsored spanning tree
+        assert frozenset({frozenset(range(5))}) in component_structures(cfg)
+        # one table per agent and SCAN_CHUNK of the 2**16 others configurations, one batch
+        assert [cache.cache_info().currsize for cache in CACHES] == [5 * 16, 1]
+    kept = list(cached_arrays([5]))
+    assert [cache.cache_info().currsize for cache in CACHES] == [5 * 16, 1]  # nothing new was built
+    assert not any(a.flags.writeable for a in kept)
+    assert sum(a.nbytes for a in kept) < 4 << 20
