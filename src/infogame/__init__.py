@@ -48,6 +48,7 @@ from .production import (
     few_sweep,
     h_bar,
     is_production_ne,
+    shape_mask,
 )
 from .verification import VerifyReport, run_verification
 
@@ -85,6 +86,7 @@ __all__ = [
     "poa_predict",
     "region_heterogeneous",
     "run_verification",
+    "shape_mask",
     "social_optimum",
     "subset_mask",
     "thresholds_homogeneous",

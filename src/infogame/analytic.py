@@ -78,13 +78,24 @@ def thresholds_homogeneous(ev: EntropicVector, f: BenefitFunction) -> tuple[floa
 def classify_homogeneous(ev: EntropicVector, f: BenefitFunction, c: float) -> ConnectivityRegion:
     """Label a homogeneous link cost as K_C (c <= c_l), K_I (c >= c_u) or K_M."""
     c_l, c_u = thresholds_homogeneous(ev, f)
-    if c <= c_l:
-        label = K_C
-    elif c >= c_u:
-        label = K_I
-    else:
-        label = K_M
-    return ConnectivityRegion(label, c_l=c_l, c_u=c_u)
+    return ConnectivityRegion(_label(c, c_l, c_u), c_l=c_l, c_u=c_u)
+
+
+def _label(c: float, c_l: float, c_u: float) -> str:
+    return K_C if c <= c_l else K_I if c >= c_u else K_M
+
+
+def homogeneous_sweep(ev: EntropicVector, f: BenefitFunction, c_values) -> list[tuple]:
+    """:func:`classify_homogeneous`'s (label, c_l, c_u) and the values of :func:`poa_predict`
+    and :func:`mil_predict` at every cost of ``c_values``, predicting once per region but K_I."""
+    c_l, c_u = thresholds_homogeneous(ev, f)
+    known, rows = {}, []
+    for c in c_values:
+        cfg, label = GameConfig(ev, f, CostModel.homogeneous(c)), _label(c, c_l, c_u)
+        if label == K_I or label not in known:
+            known[label] = (poa_predict(cfg).value, mil_predict(cfg).value)
+        rows.append((label, c_l, c_u) + known[label])
+    return rows
 
 
 def region_heterogeneous(ev: EntropicVector, f: BenefitFunction, costs: CostModel) -> ConnectivityRegion:

@@ -148,18 +148,13 @@ def _run_sweep(spec: dict):
     require_budget(_grid_size(kl_node, "kl") * _grid_size(c_node, "c"), "sweep grid", "grid points")
     kl_values, c_values = _grid_values(kl_node, "kl"), _grid_values(c_node, "c")
 
-    def one(kl, c):
+    points = []
+    for kl in kl_values:  # each kl row's vector and thresholds once
         try:
-            cfg = GameConfig(family_pair_redundancy(h[0], h[1], h[2], kl), benefit,
-                             CostModel.homogeneous(c))
+            ev = family_pair_redundancy(h[0], h[1], h[2], kl)
         except ValueError as e:
             raise SpecError(str(e)) from None
-        region = analytic.classify_homogeneous(cfg.ev, benefit, c)
-        poa = analytic.poa_predict(cfg).value
-        mil = analytic.mil_predict(cfg).value
-        return (c, kl, region.label, region.c_l, region.c_u, poa, mil)
-
-    points = [one(kl, c) for kl in kl_values for c in c_values]
+        points += [(c, kl) + row for c, row in zip(c_values, analytic.homogeneous_sweep(ev, benefit, c_values))]
     header = ["c", "kl", "region", "c_l", "c_u", "poa_or_bound", "mil_or_bound"]
     columns = [_texts(column) if k == 2 else csvtable.floats(column) for k, column in enumerate(zip(*points))]
     return lambda out: csvtable.write_csv(out, header, columns)

@@ -116,28 +116,29 @@ class JointPmf:
     def n_agents(self) -> int:
         return self.table.ndim
 
-    def marginal(self, mask: int) -> np.ndarray:
-        """Marginal table over the agents in ``mask``."""
-        keep = set(subset_agents(mask))
-        drop = tuple(i for i in range(self.n_agents) if i not in keep)
-        return self.table.sum(axis=drop) if drop else self.table
-
-
-def _entropy_bits(table: np.ndarray) -> float:
-    p = np.asarray(table, dtype=float).ravel()
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return float(-np.sum(p * np.log2(p)))
-
 
 def from_joint_pmf(pmf: JointPmf) -> EntropicVector:
     """Entropic vector realized by a joint pmf: H(S) of every marginal, in bits."""
-    n = pmf.n_agents
-    entries = [0.0] * ((1 << n) - 1)
-    for mask in range(1, 1 << n):
-        entries[mask - 1] = _entropy_bits(pmf.marginal(mask))
-    return EntropicVector(n, tuple(entries))
+    return from_joint_pmfs([pmf])[0]
+
+
+def from_joint_pmfs(pmfs) -> list[EntropicVector]:
+    """:func:`from_joint_pmf` of every pmf, computed in one batch per table shape: each mask's
+    marginals with one sum over the pmfs' stacked tables, and their entropies with one more."""
+    pmfs = list(pmfs)
+    out = [None] * len(pmfs)
+    groups = {}
+    for t, pmf in enumerate(pmfs):
+        groups.setdefault(pmf.table.shape, []).append(t)
+    for shape, group in groups.items():
+        n, tables = len(shape), np.stack([pmfs[t].table for t in group])
+        h = np.empty((len(group), (1 << n) - 1))
+        for mask in range(1, 1 << n):
+            m = tables.sum(axis=tuple(1 + i for i in range(n) if not mask >> i & 1)).reshape(len(group), -1)
+            h[:, mask - 1] = -np.sum(m * np.log2(m, out=np.zeros_like(m), where=m > 0.0), axis=1)
+        for t, entries in zip(group, h.tolist()):
+            out[t] = EntropicVector(n, tuple(entries))
+    return out
 
 
 @dataclass(frozen=True)

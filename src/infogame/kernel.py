@@ -34,7 +34,7 @@ narrowest unsigned dtype of an n-bit mask, and every caller reads them in
 that dtype. Through :func:`merged_table` it serves the best responses and
 the production game's equilibrium check; it also gives equilibrium reports
 and the social optimum their components, and the characterization masks
-(strict-equilibrium stars, production trees and their cuts) their shapes.
+(strict-equilibrium stars, production components and the parts links reach) their shapes.
 :func:`welfare` is the package's one welfare routine, for the equilibria and
 the social optimum alike, of one game or, through a per-profile game index,
 of many, and sums the tables in a fixed order. Scalar forms of the walk, of

@@ -11,27 +11,23 @@ Production levels are continuous. Equilibrium checks therefore scan all link
 deviations crossed with a production grid plus the closed-form best
 production for each link choice, which covers the continuous axis: for SUM
 the inner optimum is max(0, h_bar - acquired), for MAX it is 0 or h_bar.
-h_bar, the stand-alone optimal production, solves f'(h) = k.
+h_bar, the stand-alone optimal production, solves f'(h) = k. A game whose
+stand-alone payoff f(h_bar) - k h_bar is positive but at most TOL is outside
+the model (every production ties), and h_bar refuses it.
 
 A profile is a pair of arrays, int64 link rows and float64 production
-levels, one entry per agent. One check, :func:`production_ne_mask`, judges a
-batch of them, in chunks of about ``CHECK_BYTES``, and drops a profile at
-its first agent with a profitable deviation. Agent i's best deviation is
-scored for each profile of a chunk: ``kernel.merged_table`` gives i's
-component under every compact row, and each production candidate is scored
-once per distinct amount a row acquires.
-Aggregates are accumulated one agent at a time in ascending order, and f is
-evaluated by the scalar :class:`BenefitFunction` on distinct values only, so
-every utility is the float of the per-profile oracle under ``tests/``.
-Enumerations estimate their checks first and refuse more than ``CHECK_BUDGET``.
+levels. :func:`production_ne_mask` judges a batch in chunks of about
+``CHECK_BYTES``, dropping a profile at its first agent that can gain;
+:func:`grid_ne_mask` judges the full grid as a product. Agent i's component
+under every compact row comes from ``kernel.merged_table``, each production
+candidate is scored once per distinct amount a row acquires, aggregates are
+added one agent at a time in ascending order, and f is the scalar
+:class:`BenefitFunction` on distinct values, so every utility is the float
+of the per-profile oracle under ``tests/``. Enumerations count their checks
+first and refuse more than ``CHECK_BUDGET``.
 
-The equilibrium shapes of the characterizations are judged a batch at a time
-by :func:`shape_mask` on ``kernel.components``: a spanning tree, and for SUM
-each link's cut, the component its target keeps without the sponsor's
-links. The characterizations assume a strictly positive link cost; with
-free links a duplicate-sponsored edge can sit in an equilibrium that they
-reject. The knife edge c = k * h_bar is classified with the high-cost
-branch.
+:func:`shape_mask` judges the characterizations' shapes on
+``kernel.components``, taking the ties that TOL makes as the check does.
 """
 from __future__ import annotations
 
@@ -92,7 +88,10 @@ class ProductionGameConfig:
     @cached_property
     def _h_bar(self) -> float:
         # solved on first use, so a game without a finite optimum still constructs
-        return h_bar(self.benefit, self.k)
+        hb = h_bar(self.benefit, self.k)
+        if hb > 0 and self.benefit(hb) - self.k * hb <= TOL:
+            raise ValueError("the stand-alone payoff is within the tolerance 1e-9: every production level ties")
+        return hb
 
     def step(self) -> float:
         if self.grid_step is not None:
@@ -151,15 +150,46 @@ def grid_levels(cfg: ProductionGameConfig) -> list[float]:
     return [m * step for m in range(top + 1)]
 
 
-def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Joint information of every entry of ``masks``, row b over the productions ``prods[b]``: the
-    members' sum (SUM), added one agent at a time in ascending order, or maximum (MAX)."""
-    n = prods.shape[1]
-    member = masks[..., None] >> np.arange(n) & 1
-    terms = np.where(member, prods.reshape((len(prods),) + (1,) * (masks.ndim - 1) + (n,)), 0.0)
+def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks) -> np.ndarray:
+    """Joint information of the members of every mask over the productions ``prods`` (..., n), the
+    two broadcast as ``masks[..., None]`` against ``prods``: the members' sum (SUM), added one agent
+    at a time in ascending order, or maximum (MAX)."""
+    terms = np.where(np.asarray(masks)[..., None] >> np.arange(prods.shape[-1]) & 1, prods, 0.0)
     if agg is Aggregation.SUM:
         return np.add.accumulate(terms, axis=-1)[..., -1]
     return terms.max(axis=-1)
+
+
+def _benefits(cfg: ProductionGameConfig, x: np.ndarray) -> np.ndarray:
+    """f of every entry of ``x``, once per distinct value, by the scalar BenefitFunction: numpy's
+    log1p and power differ from math's in the last bit on some inputs."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([cfg.benefit(v) for v in values.tolist()])[inverse].reshape(x.shape)
+
+
+def _link_counts(n: int) -> np.ndarray:
+    """Links of every n-bit row mask, int64."""
+    return sum(np.arange(1 << n) >> b & 1 for b in range(n))
+
+
+def _best_deviations(cfg: ProductionGameConfig, merged: np.ndarray, prods: np.ndarray, i: int) -> np.ndarray:
+    """Agent i's best utility over all (links, production) deviations; ``merged[..., None]``
+    (i's component per compact row) broadcasts against ``prods[..., None, :]``."""
+    n, hb = cfg.n_agents, cfg.h_bar()
+    is_sum = cfg.agg is Aggregation.SUM
+    levels = grid_levels(cfg) + [hb]
+    acquired = _aggregate_masks(cfg.agg, prods[..., None, :], merged & (((1 << n) - 1) ^ (1 << i)))
+    # each production candidate is scored once per distinct amount that a row acquires
+    distinct, at = np.unique(acquired, return_inverse=True)
+    h = np.empty((len(distinct), len(levels) + is_sum))
+    h[:, :len(levels)] = levels
+    if is_sum:
+        h[:, -1] = np.maximum(0.0, hb - distinct)
+    gained = distinct[:, None] + h if is_sum else np.maximum(distinct[:, None], h)
+    # a row's link cost is subtracted after the max over its candidates: rounding
+    # is monotone, so the best utility is the same float
+    best = (_benefits(cfg, gained) - cfg.k * h).max(axis=1)[at.reshape(acquired.shape)]
+    return (best - cfg.c * _link_counts(n)[:1 << (n - 1)]).max(axis=-1)
 
 
 def _chunk_profiles(cfg: ProductionGameConfig) -> int:
@@ -190,50 +220,58 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     max(0, h_bar - acquired) for the deviated links. Returns a bool array of
     length batch.
     """
-    n = cfg.n_agents
+    n, k, c = cfg.n_agents, cfg.k, cfg.c
     rows, prods = _profile_arrays(cfg, rows, prods)
-    f, k, c, hb = cfg.benefit, cfg.k, cfg.c, cfg.h_bar()
-    is_sum = cfg.agg is Aggregation.SUM
-    levels = np.array(grid_levels(cfg) + [hb])
-    n_links = sum(np.arange(1 << n) >> b & 1 for b in range(n))  # per row mask
-    link_cost = c * n_links[:1 << (n - 1)]
-
-    def deviates(rows, prods, i):
-        """Per profile: can agent i gain more than TOL by a (links, production) deviation?"""
-        table, part = merged_table(n, rows, i)
-        own = table[part, compress_row(rows[:, i], i)]
-        merged = table[part]  # i's component under every compact row, per profile (unsigned)
-        # each production candidate is scored once per distinct amount that a row acquires
-        acquired = _aggregate_masks(cfg.agg, prods, merged & (((1 << n) - 1) ^ (1 << i)))
-        acquired, at = np.unique(acquired, return_inverse=True)
-        acquired = acquired[:, None]
-        h = np.empty((len(acquired), len(levels) + is_sum))
-        h[:, :len(levels)] = levels
-        if is_sum:
-            h[:, -1:] = np.maximum(0.0, hb - acquired)
-        gained = acquired + h if is_sum else np.maximum(acquired, h)
-        # f by the scalar BenefitFunction, once per distinct value: numpy's log1p and
-        # power differ from math's in the last bit on some inputs
-        info = _aggregate_masks(cfg.agg, prods, own)
-        values, inverse = np.unique(np.concatenate([info, gained.ravel()]), return_inverse=True)
-        fv = np.array([f(v) for v in values.tolist()])[inverse]
-        current = fv[:len(rows)] - k * prods[:, i] - c * n_links[rows[:, i]]
-        # a row's link cost is subtracted after the max over its candidates: rounding
-        # is monotone, so the best utility is the same float
-        best = (fv[len(rows):].reshape(h.shape) - k * h).max(axis=1)[at.reshape(merged.shape)] - link_cost
-        return best.max(axis=1) > current + TOL
-
+    n_links = _link_counts(n)
     per = _chunk_profiles(cfg)
     ne = np.zeros(len(rows), dtype=bool)
     for start in range(0, len(rows), per):
         alive = np.arange(start, min(start + per, len(rows)))
         for i in range(n):
+            r, p = rows[alive], prods[alive]
+            table, part = merged_table(n, r, i)
+            own = table[part, compress_row(r[:, i], i)]
+            current = _benefits(cfg, _aggregate_masks(cfg.agg, p, own)) - k * p[:, i] - c * n_links[r[:, i]]
             # a profile leaves at its first agent with a profitable deviation
-            alive = alive[~deviates(rows[alive], prods[alive], i)]
+            alive = alive[~(_best_deviations(cfg, table[part], p, i) > current + TOL)]
             if not len(alive):
                 break
         ne[alive] = True
     return ne
+
+
+def grid_profiles(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The full grid's factors: every link profile in index order and every grid production
+    vector in lexicographic order."""
+    n = cfg.n_agents
+    return (rows_from_indices(np.arange(1 << (n * (n - 1)), dtype=np.int64), n),
+            np.array(list(itertools.product(grid_levels(cfg), repeat=n))))
+
+
+def grid_ne_mask(cfg: ProductionGameConfig) -> np.ndarray:
+    """:func:`production_ne_mask` of every grid profile, bool (link profiles, production vectors)
+    over :func:`grid_profiles`: agent i's best deviation reads only the others' rows and levels,
+    so it is scored once per such key, with i linking nowhere and producing nothing."""
+    n, k, c = cfg.n_agents, cfg.k, cfg.c
+    rows, prods = grid_profiles(cfg)
+    axes = (1 << (n - 1),) * n + (len(grid_levels(cfg)),) * n  # one link field, then one level, per agent
+    comp, links = components(rows).reshape((n,) + axes[:n]), _link_counts(n)[rows.T].reshape((n,) + axes[:n])
+    info = _benefits(cfg, _aggregate_masks(cfg.agg, prods[:, None, :], np.arange(1 << n)))
+    ne = np.ones(axes, dtype=bool)
+    for i in range(n):
+        others = rows.reshape(axes[:n] + (n,)).take(0, axis=i).reshape(-1, n)
+        table, part = merged_table(n, others, i)
+        levels = prods.reshape(axes[n:] + (n,)).take(0, axis=i).reshape(-1, n)
+        best = _best_deviations(cfg, table, levels[:, None, :], i)[:, part].T
+        best = np.expand_dims(best.reshape(axes[1:n] + axes[n + 1:]), n - 1 + i)
+        own = (info - k * prods[:, i, None]).T  # before link costs, per component of i
+        for field in range(axes[i]):  # one own row at a time: no float array spans the grid
+            at = (slice(None),) * i + (field,)
+            current = own[comp[i][at]].reshape(best.shape[:n - 1] + axes[n:])
+            current -= c * links[i][at].flat[0]
+            current += TOL
+            ne[at] &= ~(best > current)
+    return ne.reshape(len(rows), len(prods))
 
 
 def is_production_ne(cfg: ProductionGameConfig, rows, prods) -> bool:
@@ -247,41 +285,55 @@ def is_production_ne(cfg: ProductionGameConfig, rows, prods) -> bool:
 def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     """Which profiles of a batch have an equilibrium shape of the characterizations.
 
-    High cost (c >= k h_bar): the unique equilibrium is the empty network
-    with every agent producing h_bar. Low cost: the network is one spanning
-    tree with single-sponsored edges, and
-    - under SUM, total production equals h_bar and every sponsored link is
-      worth keeping: c <= k * (production of its cut);
-    - under MAX, exactly one agent produces h_bar, the rest zero, and every
-      non-producer sponsors exactly one link.
-
-    ``rows`` and ``prods`` are as in :func:`production_ne_mask`. A cut of
-    link i -> j is j's component with i's links removed, and its production
-    is added in ascending agent order. Returns a bool array of length batch.
+    Every component holds h_bar: its total production under SUM, one producer
+    at h_bar under MAX. There is one component when c < k h_bar - TOL, every
+    agent is alone when c > k h_bar + TOL, and any number in between. No agent
+    gains more than TOL by dropping links: each saves c and loses the parts of
+    the rest of the network that only they reach, to be re-produced (SUM: their
+    production; MAX: h_bar, if they hold the producer and the agent is not it).
+    ``rows`` and ``prods`` are as in :func:`production_ne_mask`.
     """
-    rows, prods = _profile_arrays(cfg, rows, prods)
-    n, hb = cfg.n_agents, cfg.h_bar()
-    at_hb = np.abs(prods - hb) <= TOL
-    if cfg.high_cost():
-        return (rows == 0).all(axis=1) & at_hb.all(axis=1)
-    if n == 1:  # at h_bar, even one below PRODUCER_EPS
-        return at_hb[:, 0]
-    # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
-    links = (rows[:, :, None] >> np.arange(n) & 1).sum(axis=(1, 2))
-    ok = (links == n - 1) & (components(rows)[0] == (1 << n) - 1)
-    if cfg.agg is Aggregation.SUM:
-        ok &= np.abs(_aggregate_masks(cfg.agg, prods, np.full(len(rows), (1 << n) - 1)) - hb) <= TOL
-        for i in range(n):
-            # without i's links each target j keeps the subtree that the link i -> j reaches
-            others = rows.copy()
-            others[:, i] = 0
-            cut = _aggregate_masks(cfg.agg, prods, components(others).T)
-            linked = (rows[:, i, None] >> np.arange(n) & 1).astype(bool)
-            ok &= ~(linked & (cfg.c > cfg.k * cut + TOL)).any(axis=1)
-        return ok
-    producer = prods > PRODUCER_EPS
-    one_link = (rows != 0) & (rows & (rows - 1) == 0)
-    return ok & (producer.sum(axis=1) == 1) & (producer & at_hb).any(axis=1) & (producer | one_link).all(axis=1)
+    return _shapes(cfg, *_profile_arrays(cfg, rows, prods))
+
+
+def grid_shape_mask(cfg: ProductionGameConfig) -> np.ndarray:
+    """:func:`shape_mask` of every grid profile, as :func:`grid_ne_mask` gives it."""
+    rows, prods = grid_profiles(cfg)
+    # 16 link profiles at a time keeps the drop gains, a float per profile, small
+    return np.concatenate([_shapes(cfg, rows[s:s + 16, None], prods[None]) for s in range(0, len(rows), 16)])
+
+
+def _shapes(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """The shape test of rows (..., n) against productions (..., n), leading axes broadcast."""
+    n, hb, c, k = cfg.n_agents, cfg.h_bar(), cfg.c, cfg.k
+    lead, flat, producer = rows.shape[:-1], rows.reshape(-1, rows.shape[-1]), prods > PRODUCER_EPS
+    comp = components(flat)
+    parts = ((comp & -comp) == 1 << np.arange(n)[:, None].astype(comp.dtype)).sum(axis=0).reshape(lead)
+    # within TOL of c = k h_bar a link to a producer of h_bar ties with producing it
+    ok = parts == 1 if c < k * hb - TOL else parts == n if c > k * hb + TOL else parts > 0
+    for mask in sorted(set(comp.ravel().tolist())):  # each component holds h_bar: SUM in all, MAX in one producer
+        member = mask >> np.arange(n) & 1 == 1
+        if cfg.agg is Aggregation.SUM:
+            holds = np.abs(_aggregate_masks(cfg.agg, prods, mask) - hb) <= TOL
+        else:
+            inside = producer & member
+            holds = (inside.sum(axis=-1) == 1) & ~(inside & (np.abs(prods - hb) > TOL)).any(axis=-1)
+        ok = ok & ~((comp == mask).any(axis=0).reshape(lead) & ~holds)
+    n_links = _link_counts(n)
+    for i in range(n):
+        others = flat.copy()
+        others[:, i] = 0
+        reach = np.where(flat[:, i, None] >> np.arange(n) & 1, components(others).T, 0)
+        reach[reach >> i & 1 == 1] = 0  # a link into the part that reaches i anyway loses nothing
+        gain = c * n_links[flat[:, i]].reshape(lead)
+        for part in sorted(set(reach[reach != 0].tolist())):
+            if cfg.agg is Aggregation.SUM:
+                lost = k * _aggregate_masks(cfg.agg, prods, part)
+            else:
+                lost = k * hb * ((producer & (part >> np.arange(n) & 1 == 1)).any(axis=-1) & ~producer[..., i])
+            gain = gain - (reach == part).any(axis=1).reshape(lead) * np.minimum(c, lost)
+        ok = ok & (gain <= TOL)
+    return ok
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -353,15 +405,6 @@ def _cross_batches(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarra
         yield np.repeat(block, len(prods), axis=0), np.tile(prods, (len(block), 1))
 
 
-def grid_batches(cfg: ProductionGameConfig):
-    """Every link profile crossed with every grid production vector, as (rows, prods)
-    array batches in link-index order."""
-    n = cfg.n_agents
-    rows = rows_from_indices(np.arange(1 << (n * (n - 1)), dtype=np.int64), n)
-    prods = np.array(list(itertools.product(grid_levels(cfg), repeat=n)))
-    return _cross_batches(cfg, rows, prods)
-
-
 def _candidate_batches(cfg: ProductionGameConfig):
     """The characterizations' shapes: the empty network at h_bar; every sponsored
     spanning tree with every split of h_bar (SUM); every tree rooted at a single
@@ -399,7 +442,9 @@ def production_equilibria(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.nda
     if n <= 3:
         require_budget((1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n,
                        f"full production scan at {n} agents", "profiles")
-        return _equilibria(cfg, grid_batches(cfg))
+        rows, prods = grid_profiles(cfg)
+        at, level = np.nonzero(grid_ne_mask(cfg))
+        return rows[at], prods[level]
     require_budget(_candidate_count(cfg), f"candidates production scan at {n} agents", "profiles")
     return _equilibria(cfg, _candidate_batches(cfg))
 

@@ -7,11 +7,11 @@ exhaustive enumeration on randomized small instances plus the derived
 three-agent families. The report is plain text, one PASS/FAIL line per
 check, and is byte-identical across runs for a fixed seed.
 
-A randomized check draws all its games, enumerates them in one
-:func:`~infogame.equilibrium.enumerate_games` call and judges them in order.
-One that stops at instance t leaves the generator as it stood after drawing
-instance t, so later checks draw what they would if each game were drawn and
-judged in turn.
+A randomized check draws all its games, in the order of one game at a time,
+enumerates them in one :func:`~infogame.equilibrium.enumerate_games` call
+and judges them in order. One that stops at instance t leaves the generator
+as it stood after drawing instance t, so later checks draw what they would
+if each game were drawn and judged in turn.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analytic, equilibrium, production
 from .csvtable import row_strings
-from .entropy import EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmf, subset_agents
+from .entropy import EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmfs, subset_agents
 from .formation_game import BenefitFunction, CostModel, GameConfig
 from .kernel import profile_indices, require_budget, rows_from_indices
 from .production import Aggregation, ProductionGameConfig
@@ -64,25 +64,23 @@ def random_joint_pmf(rng: np.random.Generator, n_agents: int) -> JointPmf:
     return JointPmf(raw / raw.sum())
 
 
-def random_entropic_vector(rng: np.random.Generator, n_agents: int) -> EntropicVector:
-    return from_joint_pmf(random_joint_pmf(rng, n_agents))
-
-
-def random_homogeneous_config(rng: np.random.Generator, n_agents: int,
-                              benefit: BenefitFunction) -> GameConfig:
-    """Random pmf-derived vector with c drawn from [0, 2 c_u]."""
-    ev = random_entropic_vector(rng, n_agents)
-    _, c_u = analytic.thresholds_homogeneous(ev, benefit)
-    c = float(rng.uniform(0.0, 2.0 * max(c_u, 1e-6)))
-    return GameConfig(ev, benefit, CostModel.homogeneous(c))
-
-
-def random_recipient_config(rng: np.random.Generator, n_agents: int,
-                            benefit: BenefitFunction) -> GameConfig:
-    ev = random_entropic_vector(rng, n_agents)
-    _, c_u = analytic.thresholds_homogeneous(ev, benefit)
-    costs = [float(rng.uniform(0.0, 1.5 * max(c_u, 1e-6))) for _ in range(n_agents)]
-    return GameConfig(ev, benefit, CostModel.recipient(costs))
+def random_configs(rng: np.random.Generator, sizes, benefit: BenefitFunction, homogeneous: bool = True,
+                   states: list | None = None) -> list[GameConfig]:
+    """A random game per size, pmf-derived, with c drawn from [0, 2 c_u] or recipient costs from
+    [0, 1.5 c_u]: a pmf, then a variate u per cost, and cost hi * u, as rng.uniform(0, hi) gives.
+    The vectors are built in one batch per pmf shape; ``states`` gets the state after each game."""
+    pmfs, draws = [], []
+    for m in sizes:
+        pmfs.append(random_joint_pmf(rng, m))
+        draws.append(rng.random(1 if homogeneous else m).tolist())
+        if states is not None:
+            states.append(rng.bit_generator.state)
+    cfgs = []
+    for ev, u in zip(from_joint_pmfs(pmfs), draws):
+        hi = (2.0 if homogeneous else 1.5) * max(analytic.thresholds_homogeneous(ev, benefit)[1], 1e-6)
+        costs = CostModel.homogeneous(hi * u[0]) if homogeneous else CostModel.recipient([hi * x for x in u])
+        cfgs.append(GameConfig(ev, benefit, costs))
+    return cfgs
 
 
 def _realized_partitions(report: equilibrium.EquilibriumReport) -> set[frozenset[frozenset[int]]]:
@@ -96,14 +94,12 @@ def _all_connected(report: equilibrium.EquilibriumReport, ev: EntropicVector) ->
     return bool((np.abs(info - ev.joint_entropy) <= 1e-9).all())
 
 
-def _games(rng, n_agents, instances, benefit, random_config=random_homogeneous_config):
+def _games(rng, n_agents, instances, benefit, homogeneous=True):
     """A check's instances, t with 2 + t mod (n_agents - 1) agents, as (t, cfg, report), all
     drawn, then enumerated in one batch; each comes with ``rng`` back at its state right after
     that instance was drawn, so a check that stops at instance t leaves it there."""
-    cfgs, states = [], []
-    for t in range(instances):
-        cfgs.append(random_config(rng, 2 + t % (n_agents - 1), benefit))
-        states.append(rng.bit_generator.state)
+    states = []
+    cfgs = random_configs(rng, [2 + t % (n_agents - 1) for t in range(instances)], benefit, homogeneous, states)
     for t, (cfg, report) in enumerate(zip(cfgs, equilibrium.enumerate_games(cfgs))):
         rng.bit_generator.state = states[t]
         yield t, cfg, report
@@ -153,8 +149,8 @@ def _check_region_soundness(rng, benefit):
     return not failures, failures[0] if failures else "connected below c_l, unique empty above c_u"
 
 
-def _check_partitions(rng, n_agents, instances, benefit, random_config):
-    for t, cfg, report in _games(rng, n_agents, instances, benefit, random_config):
+def _check_partitions(rng, n_agents, instances, benefit, homogeneous):
+    for t, cfg, report in _games(rng, n_agents, instances, benefit, homogeneous):
         realized = _realized_partitions(report)
         accepted = analytic.component_structures(cfg)
         if realized != accepted:
@@ -174,12 +170,12 @@ def _check_strict_equivalence(rng, n_agents, instances, benefit):
     return True, f"{instances} instances, strict sets identical"
 
 
-def _check_poa(rng, n_agents, instances, benefit, random_config, claim):
+def _check_poa(rng, n_agents, instances, benefit, homogeneous, claim):
     """Brute-force PoA against the prediction: equal where it is exact, below
     it where it is a bound. A bound holds vacuously for a game without a pure
     equilibrium; such games are counted, and fail an exact prediction."""
     without_ne = 0
-    for t, cfg, report in _games(rng, n_agents, instances, benefit, random_config):
+    for t, cfg, report in _games(rng, n_agents, instances, benefit, homogeneous):
         pred = analytic.poa_predict(cfg)
         poa = report.poa
         if poa is None:
@@ -211,7 +207,7 @@ def _check_mil(rng, n_agents, instances, benefit):
 
 
 def _check_heterogeneous_regions(rng, n_agents, instances, benefit):
-    for t, cfg, report in _games(rng, n_agents, instances, benefit, random_recipient_config):
+    for t, cfg, report in _games(rng, n_agents, instances, benefit, False):
         region = analytic.region_heterogeneous(cfg.ev, benefit, cfg.costs)
         if region.label == analytic.K_C:
             if not _all_connected(report, cfg.ev):
@@ -235,17 +231,15 @@ def _check_poa_monotonicity(benefit):
 def _production_scan_matches(cfg: ProductionGameConfig):
     """Compare the grid scan with the characterization; (True, the scan's equilibria as
     (rows, prods)) when they agree, else (False, the first misclassified profile)."""
-    found = []
-    for rows, prods in production.grid_batches(cfg):
-        ne = production.production_ne_mask(cfg, rows, prods)
-        wrong = np.flatnonzero(ne != production.shape_mask(cfg, rows, prods))
-        if len(wrong):
-            w = wrong[0]
-            links = "".join(row_strings(cfg.n_agents)[rows[w]])
-            levels = ",".join(f"{p:.17g}" for p in prods[w].tolist())
-            return False, f"profile {links} {levels} misclassified"
-        found.append((rows[ne], prods[ne]))
-    return True, tuple(map(np.concatenate, zip(*found)))
+    rows, prods = production.grid_profiles(cfg)
+    ne = production.grid_ne_mask(cfg)
+    wrong = np.argwhere(ne != production.grid_shape_mask(cfg))
+    if len(wrong):
+        links = "".join(row_strings(cfg.n_agents)[rows[wrong[0, 0]]])
+        levels = ",".join(f"{p:.17g}" for p in prods[wrong[0, 1]].tolist())
+        return False, f"profile {links} {levels} misclassified"
+    at, level = np.nonzero(ne)
+    return True, (rows[at], prods[level])
 
 
 def _check_production(agg: Aggregation, benefit):
@@ -294,6 +288,8 @@ def run_verification(n_agents: int = 3, instances: int = 20, seed: int = 0) -> V
         raise ValueError("verification brute force supports 2..4 agents")
     if instances < 1:
         raise ValueError("need at least one instance")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     require_budget(_instance_profiles(n_agents, instances),
                    f"verify with {instances} instances of up to {n_agents} agents", "profiles")
     benefit = BenefitFunction.log1p(math.e)
@@ -306,17 +302,14 @@ def run_verification(n_agents: int = 3, instances: int = 20, seed: int = 0) -> V
     rng = np.random.default_rng(seed)
     run("existence_and_minimality", _check_existence_minimality, rng, n_agents, instances, benefit)
     run("connectivity_thresholds", _check_region_soundness, rng, benefit)
-    run("ne_partition_characterization", _check_partitions, rng, n_agents, instances, benefit,
-        random_homogeneous_config)
+    run("ne_partition_characterization", _check_partitions, rng, n_agents, instances, benefit, True)
     run("strict_ne_structure", _check_strict_equivalence, rng, n_agents, max(instances // 2, 5), benefit)
-    run("poa_homogeneous", _check_poa, rng, n_agents, instances, benefit,
-        random_homogeneous_config, "exact in K_C/K_I and bounded in K_M")
+    run("poa_homogeneous", _check_poa, rng, n_agents, instances, benefit, True, "exact in K_C/K_I and bounded in K_M")
     run("mil_bounds", _check_mil, rng, n_agents, instances, benefit)
     run("heterogeneous_regions", _check_heterogeneous_regions, rng, n_agents, instances, benefit)
-    run("heterogeneous_partition_characterization", _check_partitions, rng, n_agents, instances, benefit,
-        random_recipient_config)
-    run("poa_heterogeneous", _check_poa, rng, n_agents, instances, benefit,
-        random_recipient_config, "connected-region closed form matches brute force")
+    run("heterogeneous_partition_characterization", _check_partitions, rng, n_agents, instances, benefit, False)
+    run("poa_heterogeneous", _check_poa, rng, n_agents, instances, benefit, False,
+        "connected-region closed form matches brute force")
     run("poa_redundancy_monotonicity", _check_poa_monotonicity, benefit)
     run("production_sum_characterization", _check_production, Aggregation.SUM, benefit)
     run("production_max_characterization", _check_production, Aggregation.MAX, benefit)

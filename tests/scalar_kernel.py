@@ -38,6 +38,7 @@ from infogame import formation_game, kernel
 from infogame.entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
 from infogame.kernel import compress_row
 from infogame.production import PRODUCER_EPS, Aggregation, ProductionGameConfig
+from infogame.verification import random_configs
 
 
 def links(n: int, pairs) -> tuple[int, ...]:
@@ -288,40 +289,41 @@ def strict_ne_structure(cfg: formation_game.GameConfig, rows) -> bool:
 
 def production_shape(cfg: ProductionGameConfig, rows, prods) -> bool:
     """Do the link ``rows`` and productions ``prods`` have an equilibrium shape of the
-    production characterizations? One profile of ``production.shape_mask``."""
+    production characterizations? One profile of ``production.shape_mask``.
+
+    Every component holds h_bar: its members' sum under SUM, one producer at h_bar under
+    MAX. There is one component when c < k h_bar - TOL, every agent is alone when
+    c > k h_bar + TOL, and in between any number is. No agent gains more than TOL by
+    dropping links: each saves c, and the parts of the network without the agent's links
+    that only dropped links reach are lost, to be re-produced (SUM: their production;
+    MAX: h_bar, when they hold the producer and the agent is not it).
+    """
     if not len(rows) == len(prods) == cfg.n_agents:
         raise ValueError("profile size does not match the game")
-    n = cfg.n_agents
-    hb = cfg.h_bar()
-    if cfg.high_cost():
-        if any(rows):
-            return False
-        return all(abs(p - hb) <= TOL for p in prods)
-    if n == 1:
-        return abs(prods[0] - hb) <= TOL
-    # n - 1 links that connect everyone: a spanning tree, each edge sponsored once
-    if (sum(r.bit_count() for r in rows) != n - 1
-            or component_masks(undirected_adjacency(rows))[0] != (1 << n) - 1):
+    n, hb, c, k = cfg.n_agents, cfg.h_bar(), cfg.c, cfg.k
+    comps = set(component_masks(undirected_adjacency(rows)))
+    if (c < k * hb - TOL and len(comps) != 1) or (c > k * hb + TOL and len(comps) != n):
         return False
-    if cfg.agg is Aggregation.SUM:
-        if abs(sum(prods) - hb) > TOL:
-            return False
-        for i in range(n):
-            # without i's links each target j keeps the subtree that the link i -> j reaches
-            cut = component_masks(undirected_adjacency(rows, skip_row=i))
-            for j in subset_agents(rows[i]):
-                if cfg.c > cfg.k * aggregate(cfg.agg, prods, cut[j]) + TOL:
-                    return False
-        return True
     producers = [i for i in range(n) if prods[i] > PRODUCER_EPS]
-    if len(producers) != 1:
-        return False
-    if abs(prods[producers[0]] - hb) > TOL:
-        return False
+    for comp in comps:
+        if cfg.agg is Aggregation.SUM:
+            if abs(aggregate(cfg.agg, prods, comp) - hb) > TOL:
+                return False
+        else:
+            inside = [i for i in producers if comp >> i & 1]
+            if len(inside) != 1 or abs(prods[inside[0]] - hb) > TOL:
+                return False
     for i in range(n):
-        if i == producers[0]:
-            continue
-        if rows[i].bit_count() != 1:
+        part = component_masks(undirected_adjacency(rows, skip_row=i))
+        reached = {part[j] for j in subset_agents(rows[i]) if not part[j] >> i & 1}
+        gain = cfg.c * rows[i].bit_count()
+        for p in sorted(reached):
+            if cfg.agg is Aggregation.SUM:
+                lost = k * aggregate(cfg.agg, prods, p)
+            else:
+                lost = k * hb if i not in producers and any(p >> j & 1 for j in producers) else 0.0
+            gain -= min(c, lost)
+        if gain > TOL:
             return False
     return True
 
@@ -420,3 +422,13 @@ def is_minimally_connected(rows, component) -> bool:
         raise ValueError("argument is not a component of the profile")
     edges = sum(1 for (i, j) in topology(rows) if comp_mask >> i & 1 and comp_mask >> j & 1)
     return edges == len(agents) - 1
+
+
+def random_homogeneous_config(rng, n_agents: int, benefit):
+    """One random pmf-derived game with c drawn from [0, 2 c_u]: ``random_configs`` of one size."""
+    return random_configs(rng, [n_agents], benefit, True)[0]
+
+
+def random_recipient_config(rng, n_agents: int, benefit):
+    """One random pmf-derived game with recipient costs drawn from [0, 1.5 c_u]."""
+    return random_configs(rng, [n_agents], benefit, False)[0]

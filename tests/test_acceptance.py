@@ -27,7 +27,7 @@ from infogame.analytic import (
     thresholds_homogeneous,
 )
 from infogame.cli import main
-from infogame.entropy import family_pair_redundancy
+from infogame.entropy import family_pair_redundancy, from_joint_pmf
 from infogame.equilibrium import enumerate_nash
 from infogame.entropy import subset_agents
 from infogame.formation_game import (
@@ -43,11 +43,8 @@ from infogame.production import (
     production_ne_mask,
     shape_mask,
 )
-from infogame.verification import (
-    random_entropic_vector,
-    random_homogeneous_config,
-)
-from scalar_kernel import is_minimally_connected, profile_from_index
+from infogame.verification import random_joint_pmf
+from scalar_kernel import is_minimally_connected, profile_from_index, random_homogeneous_config
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -150,7 +147,7 @@ def test_criterion_5_price_of_anarchy():
         for seed in range(40):
             rng = np.random.default_rng(1_000 + seed)
             n = 2 + seed % 3
-            ev = random_entropic_vector(rng, n)
+            ev = from_joint_pmf(random_joint_pmf(rng, n))
             c_l, c_u = thresholds_homogeneous(ev, LN)
             if c_l <= 1e-6:
                 continue
@@ -167,7 +164,7 @@ def test_criterion_5_price_of_anarchy():
         for seed in range(40):
             rng = np.random.default_rng(2_000 + seed)
             n = 2 + seed % 3
-            ev = random_entropic_vector(rng, n)
+            ev = from_joint_pmf(random_joint_pmf(rng, n))
             _, c_u = thresholds_homogeneous(ev, LN)
             cfg = GameConfig(ev, LN, CostModel.homogeneous(float(rng.uniform(1.0, 2.2)) * c_u))
             pred = poa_predict(cfg)
@@ -195,7 +192,7 @@ def test_criterion_5_price_of_anarchy():
         for seed in range(60):
             rng = np.random.default_rng(3_000 + seed)
             n = 2 + seed % 3
-            ev = random_entropic_vector(rng, n)
+            ev = from_joint_pmf(random_joint_pmf(rng, n))
             top = (1 << n) - 1
             fj = LN(ev.joint_entropy)
             gaps = [fj - LN(ev.h(top ^ (1 << i))) for i in range(n)]
@@ -270,14 +267,15 @@ def test_criterion_8_production_characterizations():
                 cfg = ProductionGameConfig(3, LN, 0.25, c, agg)
                 grid = production.grid_levels(cfg)
                 assert len(grid) == 7  # step h_bar / 6
-                judged = ne_found = 0
-                for rows, prods in production.grid_batches(cfg):
-                    ne = production_ne_mask(cfg, rows, prods)
-                    assert ne.tolist() == shape_mask(cfg, rows, prods).tolist()
-                    judged += len(ne)
-                    ne_found += int(ne.sum())
-                assert judged == (1 << 6) * len(grid) ** 3
-                assert ne_found > 0
+                # the product scan and the per-profile check and shapes, on every grid profile
+                rows, prods = production.grid_profiles(cfg)
+                ne = production.grid_ne_mask(cfg)
+                assert ne.tolist() == production.grid_shape_mask(cfg).tolist()
+                rows, prods = np.repeat(rows, len(prods), axis=0), np.tile(prods, (len(rows), 1))
+                assert production_ne_mask(cfg, rows, prods).tolist() == ne.ravel().tolist()
+                assert shape_mask(cfg, rows, prods).tolist() == ne.ravel().tolist()
+                assert ne.size == (1 << 6) * len(grid) ** 3
+                assert ne.any()
                 if c > 0.25 * cfg.h_bar():
                     rows, prods = production_equilibria(cfg)
                     assert rows.tolist() == [[0, 0, 0]]

@@ -25,7 +25,8 @@ from infogame.entropy import (TOL, EntropicVector, family_independent, family_ma
 from infogame.equilibrium import CapExceededError, enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import profile_indices, rows_from_indices, set_partition_count
-from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
+from infogame.verification import random_joint_pmf
+from scalar_kernel import random_homogeneous_config, random_recipient_config
 from scalar_kernel import links, profile_from_index
 from scalar_kernel import strict_ne_structure as scalar_strict_ne_structure
 

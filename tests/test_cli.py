@@ -35,6 +35,11 @@ grid:
 """
 
 
+DENSE_KL = "{start: 0, stop: 4, points: 17}"
+DENSE_C = "{start: 0.0, stop: 1.0, points: 41}"
+ISOLATED_C = "{start: 1.04, stop: 1.5, points: 24}"
+
+
 def run_cli(tmp_path, spec_text, name="exp.yaml", extra=()):
     spec = tmp_path / name
     spec.write_text(spec_text)
@@ -126,6 +131,24 @@ class TestSweeps:
             assert float(r["mil_or_bound"]) == pytest.approx(expect, abs=1e-9)
 
 
+    @pytest.mark.parametrize("command, kl, c, digest", [
+        ("regions", DENSE_KL, DENSE_C, "46348dd4d1034bd17fc44f924448e72d2368aee622d9623f8323b9da9cf39d75"),
+        ("poa-sweep", DENSE_KL, DENSE_C, "22948a8226e88af0242059ef09ad2c4f89b0fc51ebdbe60f2023452e96b0a90d"),
+        ("mil-sweep", DENSE_KL, DENSE_C, "9666b230b31007c5438e5c14a693d97036ca03927d3b510f4a07ebb26e7d3893"),
+        ("regions", "[0, 1, 2]", ISOLATED_C, "41b4ff301339fdc39a832940101a1a2a25dd9e7fcde48a6692dce9736ce2c811"),
+        ("poa-sweep", "[0, 1, 2]", ISOLATED_C, "c8beefb14175144c958afb57a1b41e233a49c4b168ed167a932a7fb17f7dd950"),
+        ("mil-sweep", "[0, 1, 2]", ISOLATED_C, "3f460cae177bbc39afb6a849bb8a596fdf26f21343d708e31af1f1ee21f444ac"),
+    ], ids=["regions-dense", "poa-sweep-dense", "mil-sweep-dense", "regions-isolated", "poa-sweep-isolated",
+            "mil-sweep-isolated"])
+    def test_golden_bytes(self, tmp_path, command, kl, c, digest):
+        # pinned sweeps: 17 kl x 41 c across K_C, K_M and K_I, and a K_I-only grid; a rewrite of
+        # the sweeps or of the predictors may not move a byte
+        spec = REGION_SPEC.replace("command: regions", f"command: {command}").replace(
+            "kl: [0, 1, 2, 3, 4]", f"kl: {kl}").replace("c: {start: 0.02, stop: 1.4, points: 20}", f"c: {c}")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("c", ["{start: 0.02, stop: 1.4, points: 20}", "[0]"])
     @pytest.mark.parametrize("command", ["regions", "poa-sweep", "mil-sweep"])
     def test_zero_information_exits_2_and_writes_nothing(self, tmp_path, capsys, command, c):
@@ -202,6 +225,8 @@ production:
   aggregation: sum
 """
 
+GOLDEN_PRODUCTION_N3_MAX_SPEC = GOLDEN_PRODUCTION_N3_SUM_SPEC.replace("aggregation: sum", "aggregation: max")
+
 GOLDEN_PRODUCTION_N5_MAX_SPEC = GOLDEN_PRODUCTION_N3_SUM_SPEC.replace("n_agents: 3", "n_agents: 5").replace(
     "aggregation: sum", "aggregation: max")
 
@@ -240,9 +265,10 @@ class TestEnumerate:
         (GOLDEN_N6_SPEC, "9fee49a476f30d67c8b358cd0ac973d51585316f5c4ec3db40560f318392c517"),
         (GOLDEN_N6_MIXED_SPEC, "11f8e7bb58183b0d9b2bfaa2aab34aa90e3f663f2886ef876be312cf0b9c8422"),
         (GOLDEN_PRODUCTION_N3_SUM_SPEC, "28f52b718881d617bb70da76c384cff845cfc91f20eb9f912c653a177f96e3c9"),
+        (GOLDEN_PRODUCTION_N3_MAX_SPEC, "c3b7f5229028cd627d27d281c5ba42507578875ca395657264693c0ef6761a2b"),
         (GOLDEN_PRODUCTION_N5_MAX_SPEC, "00a8ecbaa240adae5d3582b6e33def8fd8b263fe84282bf9123c2e837c67c5f6"),
     ], ids=["n4-inline-matrix", "n5-independent-cheap", "n6-independent-cheap-pruned", "n6-recipient-mixed-pruned",
-            "production-n3-sum-full-grid", "production-n5-max-candidates"])
+            "production-n3-sum-full-grid", "production-n3-max-full-grid", "production-n5-max-candidates"])
     def test_golden_bytes(self, tmp_path, spec, digest):
         # pinned output of fixed games: a change to the report phase or the writer may not move a byte
         code, text = run_cli(tmp_path, spec)
@@ -295,6 +321,14 @@ class TestProduction:
                              .replace("c: 1.0", "c: 5.0"))
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: n_agents must be in 1..16\n"
+
+    @pytest.mark.parametrize("command", ["production", "few-sweep"])
+    def test_game_whose_whole_payoff_is_below_tol_exits_2(self, tmp_path, capsys, command):
+        spec = PRODUCTION_SPEC.replace("command: production", f"command: {command}").replace(
+            "k: 0.25", "k: 0.9999999999").replace("c: 1.0", "c: 1.0e-11")
+        code, text = run_cli(tmp_path, spec)
+        assert code == 2 and text == ""
+        assert "within the tolerance 1e-9" in capsys.readouterr().err
 
     def test_few_sweep_columns(self, tmp_path):
         spec = PRODUCTION_SPEC.replace("command: production", "command: few-sweep") \
@@ -361,6 +395,16 @@ class TestVerify:
         code, text = run_cli(tmp_path, spec)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("where", ["spec", "option"])
+    def test_negative_seed_refused_by_name(self, tmp_path, capsys, where):
+        if where == "spec":
+            spec, extra = VERIFY_SPEC.replace("seed: 0", "seed: -1"), ()
+        else:
+            spec, extra = VERIFY_SPEC, ("--seed", "-1")
+        code, text = run_cli(tmp_path, spec, extra=extra)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_seed_override_changes_instances_not_structure(self, tmp_path):
         code, text = run_cli(tmp_path, VERIFY_SPEC, extra=["--seed", "7"])

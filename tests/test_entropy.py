@@ -1,4 +1,5 @@
 """Entropic-vector construction, validation, queries, and the text format."""
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from infogame.entropy import (
     family_independent,
     family_max_correlated,
     from_joint_pmf,
+    from_joint_pmfs,
     from_text,
     subset_agents,
     validate_shannon,
@@ -68,6 +70,58 @@ class TestFromJointPmf:
         # NaN passed both the sign and the sum check, and read as probability 0
         with pytest.raises(ValueError, match="non-finite"):
             JointPmf([[bad, 0.5], [0.25, 0.25]])
+
+
+def per_marginal_entropies(pmf):
+    """The entries of a pmf's vector one marginal at a time: its table summed over the agents
+    outside the mask, then -sum p log2 p over the positive cells."""
+    n = pmf.n_agents
+    out = []
+    for mask in range(1, 1 << n):
+        p = pmf.table.sum(axis=tuple(i for i in range(n) if not mask >> i & 1)).ravel()
+        p = p[p > 0.0]
+        out.append(float(-np.sum(p * np.log2(p))))
+    return tuple(out)
+
+
+def drawn_pmfs(rng, zero_share=0.0, per_shape=4):
+    """``per_shape`` pmfs of every table shape of 2 to 4 agents with 2 or 3 outcomes each, drawn as
+    verify draws them, with about ``zero_share`` of the cells set to zero."""
+    pmfs = []
+    for n in (2, 3, 4):
+        for shape in itertools.product((2, 3), repeat=n):
+            for _ in range(per_shape):
+                raw = rng.random(shape) ** 2 + 1e-6
+                raw[rng.random(shape) < zero_share] = 0.0
+                raw.flat[0] += 1.0  # never all zero
+                pmfs.append(JointPmf(raw / raw.sum()))
+    rng.shuffle(pmfs)
+    return pmfs
+
+
+class TestBatchVectors:
+    """``from_joint_pmfs`` stacks the pmfs of one table shape and takes each mask's marginals and
+    entropies for all of them at once; ``from_joint_pmf`` is its batch of one."""
+
+    def test_drawn_pmfs_of_every_shape_match_per_marginal_sums_bit_for_bit(self):
+        pmfs = drawn_pmfs(np.random.default_rng(7))
+        assert len({p.table.shape for p in pmfs}) == 4 + 8 + 16
+        batch = from_joint_pmfs(pmfs)
+        assert [ev.entries for ev in batch] == [from_joint_pmf(p).entries for p in pmfs]
+        assert [ev.entries for ev in batch] == [per_marginal_entropies(p) for p in pmfs]
+        assert [ev.n_agents for ev in batch] == [p.n_agents for p in pmfs]
+
+    def test_pmfs_with_zero_cells(self):
+        pmfs = drawn_pmfs(np.random.default_rng(8), zero_share=0.4, per_shape=3)
+        assert sum(int((p.table == 0.0).sum()) for p in pmfs) > 100
+        batch = from_joint_pmfs(pmfs)
+        assert [ev.entries for ev in batch] == [from_joint_pmf(p).entries for p in pmfs]
+        for ev, pmf in zip(batch, pmfs):
+            assert ev.entries == pytest.approx(per_marginal_entropies(pmf), abs=1e-12)
+            assert all(math.isfinite(v) for v in ev.entries)
+
+    def test_empty_batch(self):
+        assert from_joint_pmfs([]) == []
 
 
 class TestValidateShannon:

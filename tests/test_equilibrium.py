@@ -19,7 +19,8 @@ from infogame.equilibrium import CapExceededError, enumerate_nash, social_optimu
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import components as kernel_components
 from infogame.kernel import expand_row, merged_table, rows_from_indices, set_partition_count, welfare
-from infogame.verification import random_homogeneous_config, random_joint_pmf, random_recipient_config
+from infogame.verification import random_joint_pmf
+from scalar_kernel import random_homogeneous_config, random_recipient_config
 from scalar_kernel import (bitstring, component_masks, csv_of, is_minimally_connected, links, ne_status, profile_from_index,
                            profile_index, row_utilities, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare

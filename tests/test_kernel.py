@@ -32,7 +32,7 @@ from infogame.kernel import (
     sponsored_trees,
     welfare,
 )
-from infogame.verification import random_homogeneous_config, random_recipient_config
+from scalar_kernel import random_homogeneous_config, random_recipient_config
 from scalar_kernel import (bitstring, component_masks, merged_components, orientations, profile_from_index,
                            profile_index, row_utilities, social_welfare, topology, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare

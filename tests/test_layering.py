@@ -140,7 +140,7 @@ def test_the_public_surface_is_pinned():
         "component_structures", "enumerate_games", "enumerate_nash", "family_independent",
         "family_max_correlated", "family_pair_redundancy", "few_sweep", "from_joint_pmf", "h_bar",
         "is_production_ne", "mil_predict", "poa_monotonicity_sweep", "poa_predict", "region_heterogeneous",
-        "run_verification", "social_optimum", "subset_mask", "thresholds_homogeneous", "validate_shannon"}
+        "run_verification", "shape_mask", "social_optimum", "subset_mask", "thresholds_homogeneous", "validate_shannon"}
     assert len(infogame.__all__) == len(set(infogame.__all__))
     assert all(hasattr(infogame, name) for name in infogame.__all__)
 

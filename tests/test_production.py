@@ -134,7 +134,7 @@ class TestAggregate:
         prods = rng.uniform(0.0, 3.0, (20, 4))
         masks = rng.integers(0, 16, (20, 3))
         want = [[aggregate(agg, p, m) for m in row] for p, row in zip(prods.tolist(), masks.tolist())]
-        assert production._aggregate_masks(agg, prods, masks).tolist() == want
+        assert production._aggregate_masks(agg, prods[:, None, :], masks).tolist() == want
 
 
 class TestUtility:
@@ -248,7 +248,7 @@ class TestEnumeration:
 
     def test_candidate_generator_matches_full_scan(self):
         cfg = make_cfg(n=3, c=0.2, agg=Aggregation.MAX)
-        full = production._equilibria(cfg, production.grid_batches(cfg))
+        full = production_equilibria(cfg)  # the full grid's product scan at 3 agents
         cand = production._equilibria(cfg, production._candidate_batches(cfg))
         assert all(np.array_equal(a, b) for a, b in zip(full, cand))
 

@@ -61,6 +61,18 @@ def scalar_is_production_ne(cfg, rows, prods):
     return True
 
 
+def grid(cfg):
+    """Every grid profile as one (link rows, productions) batch, in the product scan's order."""
+    rows, prods = production.grid_profiles(cfg)
+    return np.repeat(rows, len(prods), axis=0), np.tile(prods, (len(rows), 1))
+
+
+# the two scans' profiles, by the name of the generator that made them batches before the
+# full grid became a product scan
+BATCHES = {"grid_batches": lambda cfg: [grid(cfg)],
+           "_candidate_batches": lambda cfg: production._candidate_batches(cfg)}
+
+
 def assert_mask_matches_scalar(cfg, profiles):
     """``profiles`` is a list of (link rows, productions) tuple pairs."""
     got = production_ne_mask(cfg, [r for r, _ in profiles], [p for _, p in profiles]).tolist()
@@ -118,10 +130,9 @@ class TestMaskMatchesScalar:
 
     @staticmethod
     def check_grid(cfg):
-        batches = list(production.grid_batches(cfg))
-        rows = np.concatenate([r for r, _ in batches])
-        prods = np.concatenate([p for _, p in batches])
-        assert_mask_matches_scalar(cfg, list(zip(map(tuple, rows.tolist()), map(tuple, prods.tolist()))))
+        rows, prods = grid(cfg)
+        got = assert_mask_matches_scalar(cfg, list(zip(map(tuple, rows.tolist()), map(tuple, prods.tolist()))))
+        assert production.grid_ne_mask(cfg).ravel().tolist() == got
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -225,6 +236,30 @@ class TestMaskMatchesScalar:
         assert not is_production_ne(cheaper, *empty) and not scalar_is_production_ne(cheaper, *empty)
 
 
+class TestProductScan:
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_per_profile_check_at_every_cut_edge(self, n, agg):
+        # c at exactly k times each cut production +- TOL, where a link's worth ties with its cost
+        base = ProductionGameConfig(n, BENEFITS[2], 0.3, 0.0, agg)
+        levels = grid_levels(base)
+        cuts = sorted({0.0, base.h_bar()} | set(levels) | {a + b for a in levels for b in levels})
+        for cut in cuts[::3] if n == 3 else cuts:
+            for c in (0.3 * cut - TOL, 0.3 * cut + TOL):
+                if c >= 0.0:
+                    cfg = ProductionGameConfig(n, base.benefit, base.k, c, agg)
+                    rows, prods = grid(cfg)
+                    want = production_ne_mask(cfg, rows, prods)
+                    assert production.grid_ne_mask(cfg).ravel().tolist() == want.tolist()
+
+    def test_grid_profiles_are_the_product_in_index_order(self):
+        cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX)
+        rows, prods = production.grid_profiles(cfg)
+        assert rows.tolist() == rows_from_indices(np.arange(64), 3).tolist()
+        assert prods.tolist() == [list(p) for p in itertools.product(grid_levels(cfg), repeat=3)]
+        assert production.grid_ne_mask(cfg).shape == production.grid_shape_mask(cfg).shape == (64, 343)
+
+
 class TestDeduplicatedCheck:
     """The check scores each profile of a chunk on its own, and f once per distinct value
     of the chunk, so a profile's verdict is the same whatever the order, repetition or
@@ -245,7 +280,7 @@ class TestDeduplicatedCheck:
         (3, Aggregation.SUM, "grid_batches"), (4, Aggregation.SUM, "_candidate_batches")])
     def test_repeats_shuffles_and_splits_keep_the_mask(self, n, agg, batches):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg)
-        rows, prods = map(np.concatenate, zip(*getattr(production, batches)(cfg)))
+        rows, prods = map(np.concatenate, zip(*BATCHES[batches](cfg)))
         want = production_ne_mask(cfg, rows, prods)
         assert want.any() and not want.all()
         rng = np.random.default_rng(n)
@@ -284,9 +319,9 @@ class TestShapeCheckers:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mask_matches_the_scalar_shape_on_every_grid_profile(self, n, agg, c):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
-        for rows, prods in production.grid_batches(cfg):
-            want = [scalar_shape(cfg, r, p) for r, p in zip(rows.tolist(), prods.tolist())]
-            assert shape_mask(cfg, rows, prods).tolist() == want
+        rows, prods = grid(cfg)
+        want = [scalar_shape(cfg, r, p) for r, p in zip(rows.tolist(), prods.tolist())]
+        assert shape_mask(cfg, rows, prods).tolist() == want == production.grid_shape_mask(cfg).ravel().tolist()
 
     def test_a_link_cutting_off_exactly_its_cost_minus_tol_is_kept(self):
         # agent 1's link to agent 0 cuts off 2 units: worth k * 2 = 0.5, its cost less TOL
@@ -297,24 +332,38 @@ class TestShapeCheckers:
             assert shape_mask(cfg, rows, prods).tolist() == [want] == [scalar_shape(cfg, rows[0], prods[0])]
             assert production_ne_mask(cfg, rows, prods).tolist() == [want]
 
-    def test_a_lone_agent_at_a_vanishing_h_bar(self):
-        # h_bar is below TOL here, so producing nothing is within TOL of it: an equilibrium
-        # although no agent produces more than PRODUCER_EPS
-        cfg = ProductionGameConfig(1, BENEFITS[1], 1.0 - 1e-10, 0.0, Aggregation.MAX)
-        assert 0.0 < cfg.h_bar() < TOL and not cfg.high_cost()
-        assert shape_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True] == [scalar_shape(cfg, (0,), (0.0,))]
-        assert production_ne_mask(cfg, [(0,)], [(0.0,)]).tolist() == [True]
-
-    # open defect: the whole stand-alone payoff (h_bar ~ 8.7e-11) is below TOL, so the empty
-    # network at zero production is an equilibrium within TOL that the shapes reject; at the
-    # time of writing 98 of 196 SUM and 184 of 196 MAX grid profiles disagree
-    @pytest.mark.xfail(strict=True, reason="shape_mask rejects ties that a payoff below TOL makes")
     @pytest.mark.parametrize("agg", list(Aggregation))
-    def test_shapes_match_the_mask_when_the_whole_payoff_is_below_tol(self, agg):
-        cfg = ProductionGameConfig(2, BENEFITS[1], 1.0 - 1e-10, 1e-11, agg)
-        assert 0.0 < cfg.h_bar() < TOL and not cfg.high_cost()
-        for rows, prods in production.grid_batches(cfg):
-            assert shape_mask(cfg, rows, prods).tolist() == production_ne_mask(cfg, rows, prods).tolist()
+    def test_a_game_whose_whole_payoff_is_below_tol_is_refused(self, agg):
+        # h_bar ~ 8.7e-11 and f(h_bar) - k h_bar ~ 5e-21: every production ties within TOL, so all
+        # 196 grid profiles of the 2-agent game are equilibria of the check, a forest or not, with
+        # any number of producers; no characterization holds, and h_bar refuses the game on first use
+        assert 0.0 < production.h_bar(BENEFITS[1], 1.0 - 1e-10) < TOL
+        for n, c in ((2, 1e-11), (1, 0.0)):
+            cfg = ProductionGameConfig(n, BENEFITS[1], 1.0 - 1e-10, c, agg)
+            for use in (cfg.h_bar, lambda: production_equilibria(cfg), lambda: few_sweep(cfg, [2]),
+                        lambda: shape_mask(cfg, [(0,) * n], [(0.0,) * n]),
+                        lambda: production_ne_mask(cfg, [(0,) * n], [(0.0,) * n])):
+                with pytest.raises(ValueError, match="within the tolerance 1e-9: every production level ties"):
+                    use()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_shapes_match_the_check_on_every_knife_edge(self, data):
+        # c at k times a cut production that the grid can make (nothing, h_bar, a level, two levels),
+        # +- 1 ulp, where the link ties, and 1e-12 inside and outside TOL of it, where the tie ends
+        # (exactly at +- TOL the check's own rounding of f and k h, some 1e-16, decides)
+        game = data.draw(games(sizes=(1, 2, 3)))
+        levels = grid_levels(game)
+        x = game.k * data.draw(st.sampled_from([0.0, game.h_bar()] + levels + [a + b for a in levels for b in levels]))
+        edges = [math.nextafter(x, -1.0), math.nextafter(x, 1.0 + 2.0 * x)]
+        edges += [x + side * TOL * scale for side in (-1, 1) for scale in (0.999, 1.001)]
+        cfg = ProductionGameConfig(game.n_agents, game.benefit, game.k,
+                                   data.draw(st.sampled_from([c for c in edges if c >= 0.0])), game.agg)
+        want = production.grid_ne_mask(cfg)
+        assert production.grid_shape_mask(cfg).tolist() == want.tolist()
+        rows, prods = grid(cfg)
+        assert production_ne_mask(cfg, rows, prods).tolist() == want.ravel().tolist()
+        assert shape_mask(cfg, rows, prods).tolist() == want.ravel().tolist()
 
     @pytest.mark.parametrize("agg, c, fraction", [
         (Aggregation.SUM, 1.0, 1.0), (Aggregation.MAX, 0.2, 1 / 16), (Aggregation.SUM, 0.2, 1.0)])
@@ -328,7 +377,7 @@ class TestShapeCheckers:
 def scan(cfg, batches):
     """The equilibria that one of the two production scans, named by its batch
     generator, finds at any agent count, as (link rows, productions) tuple pairs."""
-    rows, prods = production._equilibria(cfg, getattr(production, batches)(cfg))
+    rows, prods = production._equilibria(cfg, BATCHES[batches](cfg))
     return list(zip(map(tuple, rows.tolist()), map(tuple, prods.tolist())))
 
 
@@ -348,10 +397,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("chunk", [250, 1000])
     @pytest.mark.parametrize("agg, c", [(Aggregation.SUM, 0.2), (Aggregation.MAX, 1.0)])
     def test_chunk_size_does_not_change_the_three_agent_grid(self, monkeypatch, chunk, agg, c):
+        # the product scan lists what the per-profile check, in chunks of any size, keeps of the grid
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, c, agg)
-        want = [a.tolist() for a in production_equilibria(cfg)]
+        got = [a.tolist() for a in production_equilibria(cfg)]
         monkeypatch.setattr(production, "CHECK_BYTES", 10 * chunk)
-        assert [a.tolist() for a in production_equilibria(cfg)] == want
+        assert scan(cfg, "grid_batches") == list(zip(map(tuple, got[0]), map(tuple, got[1])))
+        assert len(got[0]) and production.grid_ne_mask(cfg).sum() == len(got[0])
 
     @pytest.mark.parametrize("n, agg, c, batches", [
         (2, Aggregation.SUM, 0.2, "grid_batches"), (2, Aggregation.MAX, 1.0, "grid_batches"),
@@ -361,11 +412,8 @@ class TestEnumeration:
         found = scan(cfg, batches)
         assert found and all(scalar_is_production_ne(cfg, r, p) for r, p in found)
         if batches == "grid_batches":
-            n_grid = 0
-            for rows, prods in production.grid_batches(cfg):
-                for r, p in zip(rows.tolist(), prods.tolist()):
-                    n_grid += scalar_is_production_ne(cfg, r, p)
-            assert n_grid == len(found)
+            rows, prods = grid(cfg)
+            assert sum(scalar_is_production_ne(cfg, r, p) for r, p in zip(rows.tolist(), prods.tolist())) == len(found)
 
     @pytest.mark.parametrize("agg", list(Aggregation))
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -391,16 +439,16 @@ class TestWorkBudget:
     def never_scan(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the scan started")
-        for name in ("production_ne_mask", "grid_batches", "_candidate_batches"):
+        for name in ("production_ne_mask", "grid_ne_mask", "_candidate_batches"):
             monkeypatch.setattr(production, name, refuse)
 
     def test_auto_scans_the_full_grid_up_to_three_agents(self, monkeypatch):
         used = []
-        for name in ("grid_batches", "_candidate_batches"):
-            monkeypatch.setattr(production, name, lambda cfg, name=name: used.append(name) or [])
+        for name, found in (("grid_ne_mask", np.zeros((64, 343), dtype=bool)), ("_candidate_batches", [])):
+            monkeypatch.setattr(production, name, lambda cfg, name=name, found=found: used.append(name) or found)
         for n in (3, 4):
             production_equilibria(ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM))
-        assert used == ["grid_batches", "_candidate_batches"]
+        assert used == ["grid_ne_mask", "_candidate_batches"]
 
     def test_fine_grid_candidates_fail_fast(self, never_scan):
         # 2000 sponsored trees times every split of h_bar into 0.01 steps

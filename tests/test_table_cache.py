@@ -18,7 +18,8 @@ from infogame.analytic import component_structures
 from infogame.entropy import family_independent
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
-from infogame.verification import random_homogeneous_config, random_recipient_config, run_verification
+from infogame.verification import run_verification
+from scalar_kernel import random_homogeneous_config, random_recipient_config
 
 LN = BenefitFunction.log1p(math.e)
 CACHES = (equilibrium._others_merged, analytic._partition_batch)

@@ -8,18 +8,13 @@ import pytest
 
 from infogame import analytic, equilibrium, production, verification
 from infogame.analytic import poa_predict
-from infogame.entropy import EntropicVector, validate_shannon
+from infogame.entropy import EntropicVector, from_joint_pmf, validate_shannon
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import CHECK_BUDGET, CapExceededError, components, profile_indices, rows_from_indices
 from infogame.production import Aggregation, ProductionGameConfig
-from infogame.verification import (
-    random_entropic_vector,
-    random_homogeneous_config,
-    random_joint_pmf,
-    random_recipient_config,
-    run_verification,
-)
+from infogame.verification import random_configs, random_joint_pmf, run_verification
+from scalar_kernel import random_homogeneous_config, random_recipient_config
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -36,7 +31,22 @@ class TestGenerators:
     def test_random_vectors_are_shannon_valid(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            assert validate_shannon(random_entropic_vector(rng, 3)).ok
+            assert validate_shannon(from_joint_pmf(random_joint_pmf(rng, 3))).ok
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_a_batch_draws_the_games_of_one_at_a_time(self, homogeneous):
+        # the draws of one game at a time: a pmf, its vector, then rng.uniform per cost
+        def one_game(rng, m):
+            ev = from_joint_pmf(random_joint_pmf(rng, m))
+            hi = (2.0 if homogeneous else 1.5) * max(analytic.thresholds_homogeneous(ev, LN)[1], 1e-6)
+            return ev.entries, tuple(float(rng.uniform(0.0, hi)) for _ in range(1 if homogeneous else m))
+        sizes = [2, 3, 4] * 8
+        rng, states = np.random.default_rng(5), []
+        batch = random_configs(rng, sizes, LN, homogeneous, states)
+        rng = np.random.default_rng(5)
+        for m, cfg, state in zip(sizes, batch, states):
+            assert one_game(rng, m) == (cfg.ev.entries, tuple(cfg.costs.values))
+            assert rng.bit_generator.state == state
 
     def test_random_configs_have_matching_dimensions(self):
         rng = np.random.default_rng(2)
@@ -128,18 +138,22 @@ class TestPoaCheck:
         LN,
         CostModel.recipient([0.5641013053238928, 0.5537202169052128, 0.4688629228076661]))
 
-    def test_bound_holds_vacuously_without_pure_equilibrium(self):
+    def test_bound_holds_vacuously_without_pure_equilibrium(self, monkeypatch):
         cfg = self.NO_PURE_NE
         assert enumerate_nash(cfg).rows.shape == (0, 3)
         assert poa_predict(cfg).is_bound
-        passed, detail = verification._check_poa(
-            np.random.default_rng(0), 3, 2, LN, lambda rng, n, benefit: cfg, "claim")
+
+        def drawn(rng, sizes, benefit, homogeneous=True, states=None):
+            states.extend(rng.bit_generator.state for _ in sizes)
+            return [cfg for _ in sizes]
+        monkeypatch.setattr(verification, "random_configs", drawn)
+        passed, detail = verification._check_poa(np.random.default_rng(0), 3, 2, LN, False, "claim")
         assert passed
         assert detail == "2 instances, claim; 2 without a pure equilibrium"
 
     def test_detail_unchanged_when_every_game_has_an_equilibrium(self):
         passed, detail = verification._check_poa(
-            np.random.default_rng(0), 3, 4, LN, random_homogeneous_config, "claim")
+            np.random.default_rng(0), 3, 4, LN, True, "claim")
         assert passed and detail == "4 instances, claim"
 
 
@@ -184,15 +198,16 @@ class TestMismatchNamesTheFirstProfile:
     @pytest.mark.parametrize("agg", list(Aggregation))
     def test_production_shapes(self, monkeypatch, agg):
         levels = production.grid_levels(ProductionGameConfig(3, LN, 0.25, 0.2, agg))
-        # two flips on one link row, so in one batch, and one on a later row
+        # two flips on one link row and one on a later row: the first in grid order is named
         flipped = {(self.rows_of(9), (levels[2], levels[1], levels[3])),
                    (self.rows_of(9), (levels[0], levels[6], levels[0])),
                    (self.rows_of(37), (levels[1], levels[1], levels[1]))}
-        mask = production.shape_mask
+        mask = production.grid_shape_mask
 
-        def flip(cfg, rows, prods):
-            hit = [(tuple(r), tuple(p)) in flipped for r, p in zip(rows.tolist(), prods.tolist())]
-            return mask(cfg, rows, prods) != np.array(hit, dtype=bool)
-        monkeypatch.setattr(production, "shape_mask", flip)
+        def flip(cfg):
+            rows, prods = production.grid_profiles(cfg)
+            hit = [[(tuple(r), tuple(p)) in flipped for p in prods.tolist()] for r in rows.tolist()]
+            return mask(cfg) != np.array(hit, dtype=bool)
+        monkeypatch.setattr(production, "grid_shape_mask", flip)
         assert verification._check_production(agg, LN) == (
             False, "c=0.2: profile 000100010 0,2.9999999999708962,0 misclassified")
