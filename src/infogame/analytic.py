@@ -171,7 +171,8 @@ def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
 @cache
 def _partition_batch(n: int):
     """The game-independent half of :func:`component_structures`, its arrays read-only: the partitions,
-    the batch size, per agent (its blocks' rows, their merged table and partitions, its compact rows), the bounds."""
+    the batch size, per agent (its blocks' rows as int32, their merged table and partitions, its compact
+    rows in the table's dtype), the bounds."""
     partitions = [list(map(tuple, part)) for part in set_partitions(tuple(range(n)))]
     batch, inside = [], []
     for part in partitions:
@@ -184,12 +185,15 @@ def _partition_batch(n: int):
             inside.append(mask)
     sizes = [len(b) for b in batch]
     rows, inside = np.concatenate(batch), np.repeat(inside, sizes)
-    owns = [np.flatnonzero(inside >> i & 1) for i in range(n)]  # the rows of the blocks holding agent i
-    agents = tuple((own, *merged_table(n, rows[own], i), compress_row(rows[own, i], i)) for i, own in enumerate(owns))
+    agents = []
+    for i in range(n):
+        own = np.flatnonzero(inside >> i & 1).astype(np.int32)  # the rows of the blocks holding agent i
+        merged, part = merged_table(n, rows[own], i)
+        agents.append((own, merged, part, compress_row(rows[own, i].astype(merged.dtype), i)))
     bounds = np.cumsum([0] + sizes[:-1]), np.cumsum([0] + [len(p) for p in partitions[:-1]])
     for a in bounds + sum(agents, ()):
         a.flags.writeable = False
-    return (tuple(frozenset(map(frozenset, p)) for p in partitions), len(rows), agents) + bounds
+    return (tuple(frozenset(map(frozenset, p)) for p in partitions), len(rows), tuple(agents)) + bounds
 
 
 def strict_structure_mask(cfg: GameConfig, rows) -> np.ndarray:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# rows per chunk: the formatted text held in memory at once is one chunk's
-CHUNK_ROWS = 4096
+# rows per chunk: the formatted text held in memory at once is one chunk's, 0.2 MB for a 6-agent report
+CHUNK_ROWS = 512
 
 
 def row_strings(n: int) -> np.ndarray:

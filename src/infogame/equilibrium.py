@@ -26,17 +26,18 @@ Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
 have 2**30 profiles) and the scan switches to candidate pruning: every NE
 with strictly positive link costs is a forest in which each edge has exactly
 one sponsor (a duplicate or cycle link could be dropped for a strict gain),
-so only sponsored forests are generated, as profile indices, and verified by
-:func:`~infogame.kernel.ne_status`, which drops a profile at its first
-failing agent. The pruned path refuses cost models with a link cost at or
-below tolerance.
+so only :func:`~infogame.kernel.sponsored_forests` are generated, as profile
+indices, and verified by :func:`~infogame.kernel.ne_status`, which drops a
+profile at its first failing agent. The pruned path refuses cost models with
+a link cost at or below tolerance.
 
-Both scans return int64 rows (ne, n) and strict flags. The report keeps
-them, with the kernel's ``components`` and ``welfare`` of them, and streams
-its CSV from the arrays through :mod:`infogame.csvtable`. The social
-optimum is a welfare of the same routine: the first maximum of ``welfare``
-over the optimal forest of every set partition, which the report scores in
-the equilibria's own batch. A chunk's games share that batch, each row
+Both scans return the equilibria's profile indices and strict flags; the
+report builds their int64 rows (ne, n) once, behind its games' optimal
+forests, keeps them with the kernel's ``components`` and ``welfare`` of
+them, and streams its CSV from the arrays through :mod:`infogame.csvtable`.
+The social optimum is a welfare of the same routine: the first maximum of
+``welfare`` over the optimal forest of every set partition, which the report
+scores in the equilibria's own batch. A chunk's games share that batch, each row
 indexing its game's tables, and games with the same Kruskal link order
 share their forests.
 """
@@ -63,8 +64,8 @@ from .kernel import (
     rows_from_indices,
     set_partition_count,
     set_partitions,
+    sponsored_forests,
     sponsored_tree_count,
-    sponsored_trees,
     welfare,
 )
 
@@ -126,9 +127,9 @@ def _others_merged(n: int, i: int, start: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ne_scan_full(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exhaustive scan of a chunk of same-size games; the rows (int64, (ne, n)) and
-    strict flags of every NE, game by game and in profile-index order within a
-    game, and each game's count of them."""
+    """Exhaustive scan of a chunk of same-size games; the profile indices (int64) and
+    strict flags of every NE, game by game and ascending within a game, and
+    each game's count of them."""
     n = cfgs[0].n_agents
     w, g = n - 1, len(cfgs)
     fh = np.stack([cfg.fh for cfg in cfgs])
@@ -152,26 +153,7 @@ def _ne_scan_full(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.nd
     idx = np.flatnonzero(ne)  # the game above the profile index
     strict = strict.ravel()[idx]
     idx &= (1 << (n * w)) - 1
-    return rows_from_indices(idx, n), strict, ne.sum(axis=1)
-
-
-def _forest_candidates(n: int) -> np.ndarray:
-    """Profile indices of every sponsored forest, ascending.
-
-    Each set partition is wired by a sponsored spanning tree per block, so
-    there are ``set_partition_count(n, sponsored_tree_count)`` of them. Blocks
-    own disjoint links, so a forest's index is the sum of its trees' indices.
-    """
-    trees = {}  # sponsored-tree indices per block
-    parts = []
-    for part in set_partitions(tuple(range(n))):
-        idx = np.zeros(1, dtype=np.int64)
-        for block in map(tuple, part):
-            if block not in trees:
-                trees[block] = profile_indices(sponsored_trees(block, n))
-            idx = (idx[:, None] + trees[block]).ravel()
-        parts.append(idx)
-    return np.sort(np.concatenate(parts))
+    return idx, strict, ne.sum(axis=1)
 
 
 def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +164,12 @@ def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
-    candidates = _forest_candidates(n)
-    rows, strict = [], []
+    candidates = sponsored_forests(n)
+    ne, strict = np.zeros(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=bool)
     for start in range(0, len(candidates), SCAN_CHUNK):
-        chunk = rows_from_indices(candidates[start:start + SCAN_CHUNK], n)
-        ne, st = ne_status(chunk, cfg.fh, cfg.row_costs)
-        rows.append(chunk[ne])
-        strict.append(st[ne])
-    return np.concatenate(rows), np.concatenate(strict)
+        at = slice(start, start + SCAN_CHUNK)
+        ne[at], strict[at] = ne_status(rows_from_indices(candidates[at], n), cfg.fh, cfg.row_costs)
+    return candidates[ne], strict[ne]
 
 
 def _mst(block: tuple[int, ...], links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
@@ -250,14 +230,15 @@ def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
     scored in one ``components`` and one ``welfare`` batch."""
     n, g = cfgs[0].n_agents, len(cfgs)
     if 1 << (n * (n - 1)) <= CHECK_BUDGET:
-        rows, strict, counts = _ne_scan_full(cfgs)
+        idx, strict, counts = _ne_scan_full(cfgs)
     else:
-        rows, strict = _ne_scan_pruned(cfgs[0])
-        counts = np.array([len(rows)])
+        idx, strict = _ne_scan_pruned(cfgs[0])
+        counts = np.array([len(idx)])
     opt = [forests[links] if links in forests else forests.setdefault(links, _optimal_forests(n, links))
            for links in map(_kruskal_links, cfgs)]
-    stack = np.concatenate(opt + [rows])  # every game's forests, then every game's equilibria
-    del rows  # released before the stack is scored; the reports keep views of the stack
+    # every game's forests, then every game's equilibria: the one copy of the rows, which the reports view
+    stack = rows_from_indices(np.concatenate([profile_indices(np.concatenate(opt)), idx]), n)
+    del idx  # released before the stack is scored
     game = np.concatenate([np.arange(g).repeat(len(opt[0])), np.arange(g).repeat(counts)])
     comp = components(stack)
     w = welfare(stack, comp, np.stack([c.fh for c in cfgs]), np.stack([c.row_costs for c in cfgs]), game)
@@ -269,14 +250,14 @@ def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
         ws, h = w[lo:hi], (0.0,) + cfg.ev.entries  # the vector's own floats, so reports print them as given
         if count and ws.max() > w[top]:  # the optimum: the first maximum over forests, then equilibria
             top = lo + int(np.argmax(ws))
-        info = np.array(h)[comp[:, lo:hi]]
+        hv = np.array(h)  # agent a's information in every equilibrium is hv[comp[a]], taken one agent at a time
         worst = float(ws.min()) if count else float("nan")
         reports.append(EquilibriumReport(
             rows=stack[lo:hi], strict=strict[lo - k:hi - k], welfare=ws, components=comp[:, lo:hi],
             info_values=h, social_optimum_value=float(w[top]),
             social_optimum_rows=stack[top], worst_ne_welfare=worst,
             poa=float(w[top]) / worst if count and worst > 0.0 else None,
-            mil=float((info.max(axis=1) - info.min(axis=1)).max()) if count else 0.0))
+            mil=max(float(hv[c].max() - hv[c].min()) for c in comp[:, lo:hi]) if count else 0.0))
     return reports
 
 

@@ -13,20 +13,21 @@ target, the reverse of the compact-row order. :func:`rows_from_indices` and
 :func:`profile_indices` convert whole batches between the two forms.
 
 Every search over sponsored trees (each edge of a tree linked by exactly one
-of its ends) takes its rows from :func:`sponsored_trees`, the one place that
-turns :func:`spanning_trees` into profiles: the pruned NE scan's forests, the
-blocks of every partition that the component structures judge, and the
-production game's tree shapes.
+of its ends) takes its rows from the one place that turns
+:func:`spanning_trees` into profiles: :func:`sponsored_trees` for the blocks
+of every partition that the component structures judge and for the
+production game's tree shapes, and :func:`sponsored_forests`, a tree per
+block of every partition, for the pruned NE scan.
 
 One path evaluates best responses. Agent i's payoffs see the others' rows
 only through the partition of the agents into components of the graph
 without i's links, so :func:`merged_table` gives i's merged components once
 per distinct partition of a batch (at most Bell(n) rows) and each profile's
-partition: the game-independent half, which the full scan and the partition
-judgement keep per agent count. :func:`best_response_table` scores those
-rows with the payoff tables each ``GameConfig`` owns (``fh``, ``row_costs``),
-one game's or several games' stacked on a leading game axis, so that the
-full scan scores a chunk of games at once; :func:`ne_status` judges a batch
+partition, one byte each up to 256 partitions: the game-independent half,
+which the full scan and the partition judgement keep per agent count.
+:func:`best_response_table` scores those rows with the payoff tables each
+``GameConfig`` owns (``fh``, ``row_costs``), one game's or several games'
+stacked on a leading game axis, so that the full scan scores a chunk of games at once; :func:`ne_status` judges a batch
 with it, and gives the strict-equilibrium characterization its strict flag
 on the stars it keeps.
 :func:`components` is the package's one component walk; its masks are in the
@@ -53,6 +54,8 @@ from .entropy import TOL
 
 # profiles, sponsored trees, partitions or grid points one brute-force search may visit
 CHECK_BUDGET = 1 << 20
+# sponsored-tree rows that sponsored_forests builds at a time
+TREE_ROWS = 4096
 
 
 class CapExceededError(RuntimeError):
@@ -201,8 +204,14 @@ def sponsored_trees(members: tuple[int, ...], n: int) -> np.ndarray:
     ascending orientation number. Bit b of that number decides who sponsors
     edge b = (i, j): set means j links to i, clear means i links to j.
     """
-    ends = spanning_trees(members)
-    trees, m = len(ends), len(members)
+    out = _oriented(spanning_trees(members), n)
+    out.flags.writeable = False
+    return out
+
+
+def _oriented(ends: np.ndarray, n: int) -> np.ndarray:
+    """Rows (int64) of every orientation of each tree of a :func:`spanning_trees` array, as :func:`sponsored_trees`."""
+    trees, m = len(ends), ends.shape[1] + 1
     tree = np.arange(trees)
     out = np.zeros((trees, 1 << (m - 1), n), dtype=np.int64)
     for b in range(m - 1):
@@ -211,9 +220,32 @@ def sponsored_trees(members: tuple[int, ...], n: int) -> np.ndarray:
         split = out.reshape(trees, -1, 2, 1 << b, n)
         split[tree, :, 0, :, i] |= (1 << j)[:, None, None]
         split[tree, :, 1, :, j] |= (1 << i)[:, None, None]
-    out = out.reshape(-1, n)
-    out.flags.writeable = False
-    return out
+    return out.reshape(-1, n)
+
+
+def sponsored_forests(n: int) -> np.ndarray:
+    """Profile indices (int64) of every sponsored forest of n agents, ascending.
+
+    Each set partition is wired by a sponsored spanning tree per block, so
+    there are ``set_partition_count(n, sponsored_tree_count)`` of them. Blocks
+    own disjoint links, so a forest's index is the sum of its trees' indices.
+    A block's sponsored trees are built and indexed about ``TREE_ROWS`` rows
+    at a time, so no block's rows are held whole.
+    """
+    trees = {}  # sponsored-tree indices per block
+    parts = []
+    for part in set_partitions(tuple(range(n))):
+        idx = np.zeros(1, dtype=np.int64)
+        for block in map(tuple, part):
+            if block not in trees:
+                ends, step = spanning_trees(block), max(1, TREE_ROWS >> (len(block) - 1))
+                trees[block] = np.concatenate([profile_indices(_oriented(ends[s:s + step], n))
+                                               for s in range(0, len(ends), step)])
+            idx = (idx[:, None] + trees[block]).ravel()
+        parts.append(idx)
+    forests = np.concatenate(parts)
+    forests.sort()
+    return forests
 
 
 # -- components and payoffs ----------------------------------------------------------
@@ -243,8 +275,10 @@ def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarr
     i's sponsored links, so only the partition of that graph matters.
     Returns (merged, part): ``merged`` (:func:`components`' dtype, a row per
     partition) holds at [p, c] the component agent i joins by playing
-    compact row c against partition p; the int64 ``part`` gives each
-    profile's row, so ``merged[part]`` is the per-profile table.
+    compact row c against partition p; ``part`` gives each profile's row, in
+    the narrowest unsigned dtype that holds the batch's partition count
+    (uint8 up to 256 partitions, so up to 6 agents), and ``merged[part]`` is
+    the per-profile table.
     """
     others = rows.copy()
     others[:, i] = 0  # the graph without i's sponsored links
@@ -260,7 +294,7 @@ def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarr
     for k, j in enumerate(t for t in range(n) if t != i):
         half = 1 << k
         np.bitwise_or(merged[:, :half], reach[j][:, None], out=merged[:, half:2 * half])
-    return merged, part
+    return merged, part.astype(np.min_scalar_type(max(len(first) - 1, 0)))
 
 
 def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray) -> np.ndarray:
@@ -320,7 +354,7 @@ def welfare(rows: np.ndarray, comp: np.ndarray, fh: np.ndarray, row_costs: np.nd
     for c in comp:
         w = w + fh[game, c]
     for i in range(n):
-        compact = compress_row(rows[:, i], i)
+        compact = compress_row(rows[:, i].astype(comp.dtype), i)
         for k in range(n - 1):
             w = w - np.where(compact >> k & 1, row_costs[game, i, 1 << k], 0.0)
     return w

@@ -25,14 +25,15 @@ report's CSV as one string, and ``cond_entropy``,
 ``mutual_info``, ``kl_total``, ``social_welfare``, ``topology`` and
 ``is_minimally_connected`` the information measures, the single-profile
 welfare and the edge count that the tests check vectors, the kernel and
-equilibria with. The tests compare the two forms; nothing in the package
-uses these. The payoff tables they take, ``fh`` and ``costs`` /
-``row_cost``, are the game's own ``GameConfig.fh`` and
-``GameConfig.row_costs``.
+equilibria with, and ``NO_PURE_NE`` a game without a pure equilibrium. The
+tests compare the two forms; nothing in the package uses these. The payoff
+tables they take, ``fh`` and ``costs`` / ``row_cost``, are the game's own
+``GameConfig.fh`` and ``GameConfig.row_costs``.
 """
 import heapq
 import io
 import itertools
+import math
 
 from infogame import formation_game, kernel
 from infogame.entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
@@ -422,6 +423,15 @@ def is_minimally_connected(rows, component) -> bool:
         raise ValueError("argument is not a component of the profile")
     edges = sum(1 for (i, j) in topology(rows) if comp_mask >> i & 1 and comp_mask >> j & 1)
     return edges == len(agents) - 1
+
+
+# a three-agent recipient-cost game in K_M whose 64 profiles hold no pure equilibrium
+NO_PURE_NE = formation_game.GameConfig(
+    EntropicVector(3, (1.5548227125963834, 0.983362969163396, 2.308195877078754,
+                       0.8151197651989379, 2.2998198386772075, 1.7858666456580972,
+                       2.989872499621462)),
+    formation_game.BenefitFunction.log1p(math.e),
+    formation_game.CostModel.recipient([0.5641013053238928, 0.5537202169052128, 0.4688629228076661]))
 
 
 def random_homogeneous_config(rng, n_agents: int, benefit):

@@ -20,7 +20,7 @@ from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import components as kernel_components
 from infogame.kernel import expand_row, merged_table, rows_from_indices, set_partition_count, welfare
 from infogame.verification import random_joint_pmf
-from scalar_kernel import random_homogeneous_config, random_recipient_config
+from scalar_kernel import NO_PURE_NE, random_homogeneous_config, random_recipient_config
 from scalar_kernel import (bitstring, component_masks, csv_of, is_minimally_connected, links, ne_status, profile_from_index,
                            profile_index, row_utilities, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
@@ -142,7 +142,7 @@ class TestEnumerate:
     def test_pruned_requires_positive_costs(self, monkeypatch):
         def never(n):
             raise AssertionError("forests were generated")
-        monkeypatch.setattr(equilibrium, "_forest_candidates", never)
+        monkeypatch.setattr(equilibrium, "sponsored_forests", never)
         cfg = homog(family_independent([1] * 6), 0.0)
         with pytest.raises(CapExceededError, match="positive"):
             enumerate_nash(cfg)
@@ -151,7 +151,7 @@ class TestEnumerate:
     def no_scan(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a scan started")
-        for name in ("_ne_scan_full", "_ne_scan_pruned", "_forest_candidates", "set_partitions"):
+        for name in ("_ne_scan_full", "_ne_scan_pruned", "sponsored_forests", "set_partitions"):
             monkeypatch.setattr(equilibrium, name, never)
 
     @pytest.mark.parametrize("n, forests", [(7, 1598955), (8, 49180113), (9, 1773405649)])
@@ -164,9 +164,9 @@ class TestEnumerate:
     def test_auto_scans_in_full_up_to_the_budget(self, monkeypatch):
         used = []
         monkeypatch.setattr(equilibrium, "_ne_scan_full", lambda cfgs: used.append("_ne_scan_full") or (
-            np.zeros((0, cfgs[0].n_agents), dtype=np.int64), np.zeros(0, dtype=bool), np.zeros(len(cfgs), dtype=int)))
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), np.zeros(len(cfgs), dtype=int)))
         monkeypatch.setattr(equilibrium, "_ne_scan_pruned", lambda cfg: used.append("_ne_scan_pruned") or (
-            np.zeros((0, cfg.n_agents), dtype=np.int64), np.zeros(0, dtype=bool)))
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)))
         for n in (1, 5, 6):
             enumerate_nash(homog(family_independent([1] * n), 0.5))
         assert used == ["_ne_scan_full", "_ne_scan_full", "_ne_scan_pruned"]
@@ -209,7 +209,8 @@ class TestEnumerate:
         with the types the CSV prints: Python floats taken from the vector itself."""
         cfg = random_homogeneous_config(np.random.default_rng(3), 6, LN)  # 431 NE, 1 strict
         report = enumerate_nash(cfg)
-        rows, strict = equilibrium._ne_scan_pruned(cfg)
+        idx, strict = equilibrium._ne_scan_pruned(cfg)
+        rows = rows_from_indices(idx, 6)
         assert len(report.rows) == len(rows) > 1
         fh = cfg.fh.tolist()
         welfares, infos = [], []
@@ -528,6 +529,28 @@ class TestEfficiencyMetrics:
         assert [0, 0, 0] in report.rows.tolist()
         assert (report.components == 0b111).all(axis=0).any()
         assert report.mil == pytest.approx(9.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_mil_matches_its_scalar_definition(self, n):
+        # over agents, the largest spread of an agent's information across the equilibria,
+        # each agent's from the scalar walk of every equilibrium's rows
+        mils = []
+        for seed in range(6):
+            rng = np.random.default_rng([n, seed])
+            for cfg in (random_homogeneous_config(rng, n, LN), random_recipient_config(rng, n, LN)):
+                if n == 6 and cfg.costs.min_cost(n) <= 1e-9:
+                    continue  # the pruned scan refuses free links
+                report = enumerate_nash(cfg)
+                infos = [[cfg.ev.h(m) for m in component_masks(undirected_adjacency(r))]
+                         for r in report.rows.tolist()]
+                assert report.mil == max(max(info) - min(info) for info in zip(*infos))
+                mils.append(report.mil)
+        assert max(mils) > 0.0
+
+    def test_game_without_pure_equilibrium_reports_no_loss(self):
+        report = enumerate_nash(NO_PURE_NE)
+        assert report.rows.shape == (0, 3) and report.components.shape == (3, 0)
+        assert report.mil == 0.0 and report.poa is None and math.isnan(report.worst_ne_welfare)
 
     def test_mil_zero_for_unique_equilibrium(self):
         for seed in range(10):

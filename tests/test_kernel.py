@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogame import equilibrium
+from infogame import kernel
 from infogame.entropy import family_independent
 from infogame.formation_game import (
     BenefitFunction,
@@ -28,6 +28,7 @@ from infogame.kernel import (
     set_partition_count,
     set_partitions,
     spanning_trees,
+    sponsored_forests,
     sponsored_tree_count,
     sponsored_trees,
     welfare,
@@ -90,12 +91,20 @@ def test_sponsored_trees_match_the_scalar_generators(members, n):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_forest_candidates_are_the_scalar_forests(n):
+def test_sponsored_forests_are_the_scalar_forests(n):
     want = set()
     for part in set_partitions(tuple(range(n))):
         for trees in itertools.product(*(oracle_trees(tuple(block), n) for block in part)):
             want.add(profile_index(tuple(map(sum, zip(*trees)))))
-    assert equilibrium._forest_candidates(n).tolist() == sorted(want)
+    assert sponsored_forests(n).tolist() == sorted(want)
+
+
+@pytest.mark.parametrize("rows", [4, 1 << 20])
+def test_sponsored_forests_do_not_depend_on_the_slice(monkeypatch, rows):
+    # 6 agents: the default slice takes 128 of the 1,296 six-agent trees at a time
+    want = sponsored_forests(6)
+    monkeypatch.setattr(kernel, "TREE_ROWS", rows)
+    assert np.array_equal(sponsored_forests(6), want)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -148,7 +157,7 @@ def test_set_partition_count_counts_set_partitions(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_weighted_partition_count_counts_sponsored_forests(n):
-    assert set_partition_count(n, sponsored_tree_count) == len(equilibrium._forest_candidates(n))
+    assert set_partition_count(n, sponsored_tree_count) == len(sponsored_forests(n))
 
 
 def test_closed_form_counts():
@@ -233,7 +242,8 @@ WIDE = (7, 8, 9, 16)
 
 
 @pytest.mark.parametrize("n, batch", [(n, b) for n in range(1, 7) for b in (1, 2, 7, 4096)]
-                         + [(n, b) for n in WIDE[:3] for b in (1, 2, 7, 256)] + [(16, 1), (16, 2), (3, 0), (9, 0)])
+                         + [(n, b) for n in WIDE[:3] for b in (1, 2, 7, 256)] + [(16, 1), (16, 2), (3, 0), (9, 0)]
+                         + [(8, 1024)])  # past 256 partitions: uint16 indices
 def test_merged_table_matches_merged_components(n, batch):
     rng = np.random.default_rng(10 * n + batch)
     if n in WIDE:
@@ -242,7 +252,8 @@ def test_merged_table_matches_merged_components(n, batch):
         rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=batch), n)
     for i in range(n):
         merged, part = merged_table(n, rows, i)
-        assert merged.dtype == (np.uint8 if n <= 8 else np.uint16) and part.dtype == np.int64
+        assert merged.dtype == (np.uint8 if n <= 8 else np.uint16)
+        assert part.dtype == (np.uint8 if len(merged) <= 1 << 8 else np.uint16)  # the narrowest that indexes merged
         assert len(merged) == len(set(part.tolist())) <= set_partition_count(n)
         assert merged[part].tolist() == [merged_components(n, r, i) for r in rows.tolist()]
 

@@ -8,13 +8,13 @@ import pytest
 
 from infogame import analytic, equilibrium, production, verification
 from infogame.analytic import poa_predict
-from infogame.entropy import EntropicVector, from_joint_pmf, validate_shannon
+from infogame.entropy import from_joint_pmf, validate_shannon
 from infogame.equilibrium import enumerate_nash
-from infogame.formation_game import BenefitFunction, CostModel, GameConfig
+from infogame.formation_game import BenefitFunction
 from infogame.kernel import CHECK_BUDGET, CapExceededError, components, profile_indices, rows_from_indices
 from infogame.production import Aggregation, ProductionGameConfig
 from infogame.verification import random_configs, random_joint_pmf, run_verification
-from scalar_kernel import random_homogeneous_config, random_recipient_config
+from scalar_kernel import NO_PURE_NE, random_homogeneous_config, random_recipient_config
 
 LN = BenefitFunction.log1p(math.e)
 
@@ -130,16 +130,8 @@ class TestSuite:
 
 
 class TestPoaCheck:
-    # a three-agent recipient-cost game in K_M whose 64 profiles hold no pure equilibrium
-    NO_PURE_NE = GameConfig(
-        EntropicVector(3, (1.5548227125963834, 0.983362969163396, 2.308195877078754,
-                           0.8151197651989379, 2.2998198386772075, 1.7858666456580972,
-                           2.989872499621462)),
-        LN,
-        CostModel.recipient([0.5641013053238928, 0.5537202169052128, 0.4688629228076661]))
-
     def test_bound_holds_vacuously_without_pure_equilibrium(self, monkeypatch):
-        cfg = self.NO_PURE_NE
+        cfg = NO_PURE_NE
         assert enumerate_nash(cfg).rows.shape == (0, 3)
         assert poa_predict(cfg).is_bound
 
