@@ -48,9 +48,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import math
 import sys
+try:  # CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto (3.5 MB) for one small digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter with neither
+        from hashlib import sha256
 
 import numpy as np
 import yaml
@@ -80,12 +86,14 @@ class SpecError(ValueError):
 def _number(kind, value, what: str):
     """``kind(value)`` for kind int or float; a wrong-typed or non-finite value is a spec
     error, and so is a non-integral value for kind int."""
-    if isinstance(value, (bool, str)):  # YAML true / yes, or quoted text, which int() and float() would read
-        raise SpecError(f"{what} must be a number, got {value!r}")
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
+    if isinstance(value, (bool, str)):  # YAML true / yes, or quoted text, which int() and float() would read
+        text = repr(x) if "." in repr(x) else repr(x).replace("e", ".0e")  # YAML 1.1 reads 1e-9 as text
+        hint = f"; YAML reads it as text: write {text} unquoted" if isinstance(value, str) and math.isfinite(x) else ""
+        raise SpecError(f"{what} must be a number, got {value!r}{hint}")
     if not math.isfinite(x):
         raise SpecError(f"{what} must be a finite number, got {value!r}")
     if isinstance(value, float) and x != value:
@@ -324,7 +332,7 @@ def run_spec(spec: dict, spec_bytes: bytes, seed: int | None):
     if not isinstance(spec.get("output", ""), str):  # open() takes an int or a bool for a file descriptor
         raise SpecError(f"output must be a file path, got {spec['output']!r}")
     effective_seed = seed if seed is not None else _number(int, spec.get("seed", 0), "seed")
-    digest = hashlib.sha256(spec_bytes).hexdigest()
+    digest = sha256(spec_bytes).hexdigest()
     # the field before "command" names an agent-cap option that no longer exists; it stays
     # so that output bytes do not change (bench/workloads.py expects this exact header)
     comment = f"# spec_sha256={digest} seed={effective_seed} max_n=default command={command}\n"

@@ -109,7 +109,7 @@ class EquilibriumReport:
         info = np.array([repr(v) for v in self.info_values], dtype=object)
         columns = [(csvtable.row_strings(n), self.rows), csvtable.floats(self.welfare)]
         columns += [(info, column) for column in self.components]
-        columns.append((np.array(["0", "1"], dtype=object), self.strict.astype(np.int64)))
+        columns.append((np.array(["0", "1"], dtype=object), self.strict.view(np.uint8)))
         csvtable.write_csv(out, header, columns)
 
 

@@ -1,5 +1,6 @@
 """The batch front end: spec documents, CSV schemas, exit codes, determinism."""
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -371,6 +372,12 @@ class TestProduction:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def package_env() -> dict:
+    """This process's environment, with the package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 VERIFY_SPEC = """\
 command: verify
 seed: 0
@@ -385,10 +392,8 @@ class TestVerify:
         runs ``main``; the bytes and the exit code are those of ``main`` called in-process."""
         code, _ = run_cli(tmp_path, spec)
         out = tmp_path / "module.csv"
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "infogame.cli", "--spec", str(tmp_path / "exp.yaml"),
-                               "--out", str(out)], env=env, capture_output=True, timeout=120)
+                               "--out", str(out)], env=package_env(), capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (code, b"")
         assert out.read_bytes() == (tmp_path / "exp.yaml.csv").read_bytes()
 
@@ -434,6 +439,52 @@ class TestVerify:
         code, text = run_cli(tmp_path, spec)
         assert code == 3 and text == ""
         assert "it would check 1049328 profiles" in capsys.readouterr().err
+
+
+# CPython's own SHA-256 module (_sha2 from 3.12, _sha256 before), which the CLI hashes the spec with
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports the package from this checkout; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestSpecDigest:
+    """The header's digest comes from CPython's built-in SHA-256, so a run maps no OpenSSL
+    (``_hashlib``) unless it draws random numbers, as ``verify`` does through ``numpy.random``."""
+
+    def test_importing_the_cli_loads_neither_openssl_nor_numpy_random(self):
+        loaded = fresh_python("import sys, infogame.cli; print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
+        hashlib_loaded, random_loaded = loaded.split()
+        assert random_loaded == "False"
+        if BUILTIN_SHA256:
+            assert hashlib_loaded == "False"
+
+    @pytest.mark.skipif(not BUILTIN_SHA256, reason="the interpreter has no built-in SHA-256 module")
+    def test_runs_without_random_draws_load_no_openssl(self, tmp_path):
+        specs = [ENUM_SPEC, PRODUCTION_SPEC, GOLDEN_PRODUCTION_N5_MAX_SPEC, FEW_SWEEP_SPEC, REGION_SPEC]
+        paths = []
+        for k, spec in enumerate(specs):
+            paths.append(str(tmp_path / f"spec{k}.yaml"))
+            Path(paths[-1]).write_text(spec)
+        loaded = fresh_python("import sys\nfrom infogame.cli import main\n"
+                              "codes = [main(['--spec', p, '--out', p + '.csv']) for p in sys.argv[1:]]\n"
+                              "print(codes, '_hashlib' in sys.modules)", *paths)
+        assert loaded == f"{[0] * len(specs)} False\n"
+
+    def test_header_digest_is_the_sha256_of_the_spec_bytes(self, tmp_path):
+        # CRLF line endings, a UTF-8 comment and no final newline: the digest is of the bytes as read
+        text = "# coût du lien — c\n" + PRODUCTION_SPEC.rstrip("\n")
+        spec_bytes = text.replace("\n", "\r\n").encode("utf-8")
+        (tmp_path / "crlf.yaml").write_bytes(spec_bytes)
+        assert main(["--spec", str(tmp_path / "crlf.yaml"), "--out", str(tmp_path / "out.csv")]) == 0
+        head = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert head == (f"# spec_sha256={hashlib.sha256(spec_bytes).hexdigest()} seed=0 max_n=default"
+                        " command=production")
 
 
 INLINE_SPEC = ENUM_SPEC.replace("{family: independent, h: [1, 1]}",
@@ -563,6 +614,27 @@ game:
         code, text = run_cli(tmp_path, spec.replace(old, new))
         assert code == 2 and text == ""
         assert "must be a number, got '" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, hint", [
+        ("c: 1.0", "c: 1e-9", "1.0e-09"),
+        ("c: 1.0", "c: 1e-3", "0.001"),
+        ("k: 0.25", "k: 25E-2", "0.25"),
+        ("aggregation: sum", "aggregation: sum\n  grid_step: 5e-1", "0.5"),
+        ("c: 1.0", 'c: "1e-3"', "0.001"),
+        ("n_agents: 2", "n_agents: '2'", "2"),
+    ], ids=["c-tiny", "c", "k", "grid-step", "c-quoted", "n-quoted"])
+    def test_number_read_as_text_refused_with_a_hint(self, tmp_path, capsys, old, new, hint):
+        # YAML 1.1 reads a float only with a point and a signed exponent, so PyYAML takes 1e-9 for
+        # the text '1e-9'; the refusal names a way to write it that reads as the same number
+        key, value = new.rsplit("\n  ", 1)[-1].split(": ")
+        unquoted = value.strip("'\"")
+        code, text = run_cli(tmp_path, PRODUCTION_SPEC.replace(old, new), name="text.yaml")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (f"error: {key} must be a number, got '{unquoted}';"
+                                           f" YAML reads it as text: write {hint} unquoted\n")
+        assert yaml.safe_load(hint) == float(unquoted)
+        code, _ = run_cli(tmp_path, PRODUCTION_SPEC.replace(old, new.replace(value, hint)), name="hint.yaml")
+        assert code == 0
 
     def test_nan_cost_rejected(self, tmp_path):
         code, text = run_cli(tmp_path, ENUM_SPEC.replace("c: 0.3", "c: .nan"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from infogame import production
+from infogame.entropy import TOL
 from infogame.kernel import CapExceededError
 from infogame.formation_game import BenefitFunction
 from infogame.production import (
@@ -246,11 +247,20 @@ class TestEnumeration:
             other = 1 - producers[0]
             assert r[other].bit_count() == 1
 
-    def test_candidate_generator_matches_full_scan(self):
-        cfg = make_cfg(n=3, c=0.2, agg=Aggregation.MAX)
-        full = production_equilibria(cfg)  # the full grid's product scan at 3 agents
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("agg", list(Aggregation), ids=lambda a: a.value)
+    @pytest.mark.parametrize("where", ["c=0.2", "half-cut", "cut-2tol", "cut+2tol", "1.5cut"])
+    def test_candidate_generator_matches_full_scan(self, n, agg, where):
+        # the CLI prints the candidate path from 4 agents on, while verify checks the grid path (the
+        # full grid's product scan up to 3 agents); within TOL of the cut c = k h_bar the two may
+        # differ, so these costs stay 2 TOL or more off it
+        cut = 0.25 * h_bar(LN, 0.25)
+        c = {"c=0.2": 0.2, "half-cut": 0.5 * cut, "cut-2tol": cut - 2 * TOL, "cut+2tol": cut + 2 * TOL,
+             "1.5cut": 1.5 * cut}[where]
+        cfg = make_cfg(n=n, c=c, agg=agg)
+        full = production_equilibria(cfg)
         cand = production._equilibria(cfg, production._candidate_batches(cfg))
-        assert all(np.array_equal(a, b) for a, b in zip(full, cand))
+        assert len(full[0]) and all(np.array_equal(a, b) for a, b in zip(full, cand))
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
