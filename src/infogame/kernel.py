@@ -13,11 +13,13 @@ target, the reverse of the compact-row order. :func:`rows_from_indices` and
 :func:`profile_indices` convert whole batches between the two forms.
 
 Every search over sponsored trees (each edge of a tree linked by exactly one
-of its ends) takes its rows from the one place that turns
-:func:`spanning_trees` into profiles: :func:`sponsored_trees` for the blocks
-of every partition that the component structures judge and for the
-production game's tree shapes, and :func:`sponsored_forests`, a tree per
-block of every partition, for the pruned NE scan.
+of its ends) takes its rows from the one Pruefer decoder,
+:func:`spanning_trees`: :func:`sponsored_trees` orients each tree every way,
+for the blocks of every partition that the component structures judge and
+for the production game's SUM shapes; :func:`rooted_trees` orients each
+tree toward one agent, as the decoder hangs it from its last member, for
+the production game's MAX shapes; and :func:`sponsored_forests`, a tree per
+block of every partition, serves the pruned NE scan.
 
 One path evaluates best responses. Agent i's payoffs see the others' rows
 only through the partition of the agents into components of the graph
@@ -172,8 +174,10 @@ def spanning_trees(members: tuple[int, ...]) -> np.ndarray:
     """Spanning trees of a labelled vertex set, by Pruefer decoding.
 
     Returns an int64 array of shape (m**(m-2), m-1, 2), one tree per Pruefer
-    sequence in lexicographic order; each edge is (smaller member, larger
-    member) in decoding order. A single member has one tree, with no edges.
+    sequence in lexicographic order; each edge is (leaf, the member it joins)
+    in decoding order. The last member is never a removed leaf, so every edge
+    points from a member to its neighbour on the path to the last member. A
+    single member has one tree, with no edges.
     """
     m = len(members)
     if m == 1:
@@ -189,7 +193,7 @@ def spanning_trees(members: tuple[int, ...]) -> np.ndarray:
         # the smallest leaf joins the next vertex of the sequence and leaves
         v = seqs[:, s]
         leaf = np.argmax(degree == 1, axis=1)
-        ends[:, s, 0], ends[:, s, 1] = np.minimum(leaf, v), np.maximum(leaf, v)
+        ends[:, s, 0], ends[:, s, 1] = leaf, v
         degree[tree, leaf] = 0
         degree[tree, v] -= 1
     ends[:, m - 2] = np.nonzero(degree == 1)[1].reshape(count, 2)
@@ -202,7 +206,7 @@ def sponsored_trees(members: tuple[int, ...], n: int) -> np.ndarray:
     Returns a read-only int64 array of shape (sponsored_tree_count(len(members)), n):
     the trees in :func:`spanning_trees` order, each in every orientation, by
     ascending orientation number. Bit b of that number decides who sponsors
-    edge b = (i, j): set means j links to i, clear means i links to j.
+    edge b, between i < j: set means j links to i, clear means i links to j.
     """
     out = _oriented(spanning_trees(members), n)
     out.flags.writeable = False
@@ -215,12 +219,22 @@ def _oriented(ends: np.ndarray, n: int) -> np.ndarray:
     tree = np.arange(trees)
     out = np.zeros((trees, 1 << (m - 1), n), dtype=np.int64)
     for b in range(m - 1):
-        i, j = ends[:, b, 0], ends[:, b, 1]
+        i, j = np.minimum(ends[:, b, 0], ends[:, b, 1]), np.maximum(ends[:, b, 0], ends[:, b, 1])
         # orientation number = (high, bit b, low) with 2**b low values
         split = out.reshape(trees, -1, 2, 1 << b, n)
         split[tree, :, 0, :, i] |= (1 << j)[:, None, None]
         split[tree, :, 1, :, j] |= (1 << i)[:, None, None]
     return out.reshape(-1, n)
+
+
+def rooted_trees(n: int, root: int) -> np.ndarray:
+    """Rows (int64) of every spanning tree of n agents sponsored toward ``root``, shape (n**(n-2), n):
+    each other agent links to its neighbour on the path to ``root``, which links to no one. These
+    are the :func:`spanning_trees` of the agents with ``root`` last, each edge sponsored by its leaf."""
+    ends = spanning_trees(tuple(a for a in range(n) if a != root) + (root,))
+    rows = np.zeros((len(ends), n), dtype=np.int64)
+    rows[np.arange(len(ends))[:, None], ends[..., 0]] = 1 << ends[..., 1]
+    return rows
 
 
 def sponsored_forests(n: int) -> np.ndarray:

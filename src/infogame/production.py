@@ -15,19 +15,25 @@ h_bar, the stand-alone optimal production, solves f'(h) = k. A game whose
 stand-alone payoff f(h_bar) - k h_bar is positive but at most TOL is outside
 the model (every production ties), and h_bar refuses it.
 
-A profile is a pair of arrays, int64 link rows and float64 production
-levels. :func:`production_ne_mask` judges a batch in chunks of about
-``CHECK_BYTES``, dropping a profile at its first agent that can gain;
-:func:`grid_ne_mask` judges the full grid as a product. Agent i's component
-under every compact row comes from ``kernel.merged_table``, each production
+A profile is an int64 link row with a float64 production vector, and every
+set of profiles judged is a product: :func:`production_ne_mask` takes link
+rows (R, n) and production vectors (V, n) and judges all R x V profiles.
+The full grid is :func:`grid_profiles`; the candidates are sponsored trees
+with the splits of h_bar (SUM) or trees rooted at a producer with its one
+vector (MAX); a single profile is the 1 x 1 product. For each agent i,
+``kernel.merged_table`` gives i's component under every compact row once
+per partition of the others, i's best deviation is scored once per
+(partition, vector), about ``CHECK_BYTES`` of deviation terms at a time,
+and i's current utility once per (own component, vector). Each production
 candidate is scored once per distinct amount a row acquires, aggregates are
 added one agent at a time in ascending order, and f is the scalar
 :class:`BenefitFunction` on distinct values, so every utility is the float
 of the per-profile oracle under ``tests/``. Enumerations count their checks
 first and refuse more than ``CHECK_BUDGET``.
 
-:func:`shape_mask` judges the characterizations' shapes on
-``kernel.components``, taking the ties that TOL makes as the check does.
+:func:`shape_mask` judges the characterizations' shapes on the same
+products with ``kernel.components``, taking the ties that TOL makes as the
+check does.
 """
 from __future__ import annotations
 
@@ -43,10 +49,10 @@ import numpy as np
 from .entropy import MAX_AGENTS, TOL
 from .formation_game import BenefitFunction
 from .kernel import (CHECK_BUDGET, components, compress_row, link_rows, merged_table, profile_indices,
-                     require_budget, rows_from_indices, sponsored_tree_count, sponsored_trees)
+                     require_budget, rooted_trees, rows_from_indices, sponsored_tree_count, sponsored_trees)
 
-# working memory of one chunk of production_ne_mask, in bytes
-CHECK_BYTES = 1 << 18
+# deviation terms that one pass of production_ne_mask scores, in bytes
+CHECK_BYTES = 1 << 16
 PRODUCER_EPS = 1e-12
 
 
@@ -192,17 +198,12 @@ def _best_deviations(cfg: ProductionGameConfig, merged: np.ndarray, prods: np.nd
     return (best - cfg.c * _link_counts(n)[:1 << (n - 1)]).max(axis=-1)
 
 
-def _chunk_profiles(cfg: ProductionGameConfig) -> int:
-    """Profiles per ``CHECK_BYTES``: a profile takes about three float64 (compact rows, agents) arrays."""
-    return max(1, CHECK_BYTES // (24 * cfg.n_agents << (cfg.n_agents - 1)))
-
-
 def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of (links, productions) profiles as int64 and float64 arrays of shape
-    (batch, n), refused unless every row is a profile of the game."""
+    """Link rows (R, n) and production vectors (V, n) as int64 and float64 arrays,
+    refused unless every row and every vector is one of the game."""
     rows = link_rows(cfg.n_agents, rows)
     prods = np.asarray(prods)
-    if prods.shape != rows.shape:
+    if prods.ndim != 2 or prods.shape[1] != cfg.n_agents:
         raise ValueError("profile size does not match the game")
     # the dtype is judged before the cast, which would parse strings; ints past int64 make an object array
     if prods.dtype.kind not in "biuf" or not (np.isfinite(prods) & (prods >= 0)).all():
@@ -211,32 +212,37 @@ def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray,
 
 
 def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
-    """Which profiles of a batch are equilibria: no unilateral (links, production)
+    """Which profiles of a product are equilibria: no unilateral (links, production)
     deviation gains more than 1e-9.
 
-    ``rows`` holds link rows and ``prods`` production levels, both of shape
-    (batch, n). Deviations range over every link vector crossed with the
-    production grid, h_bar, and for SUM the closed-form best production
-    max(0, h_bar - acquired) for the deviated links. Returns a bool array of
-    length batch.
+    ``rows`` holds link rows (R, n) and ``prods`` production vectors (V, n);
+    entry [r, v] of the bool (R, V) result judges link row r played with
+    production vector v. Deviations range over every link vector crossed
+    with the production grid, h_bar, and for SUM the closed-form best
+    production max(0, h_bar - acquired) for the deviated links.
     """
-    n, k, c = cfg.n_agents, cfg.k, cfg.c
+    n, k = cfg.n_agents, cfg.k
     rows, prods = _profile_arrays(cfg, rows, prods)
-    n_links = _link_counts(n)
-    per = _chunk_profiles(cfg)
-    ne = np.zeros(len(rows), dtype=bool)
-    for start in range(0, len(rows), per):
-        alive = np.arange(start, min(start + per, len(rows)))
-        for i in range(n):
-            r, p = rows[alive], prods[alive]
-            table, part = merged_table(n, r, i)
-            own = table[part, compress_row(r[:, i], i)]
-            current = _benefits(cfg, _aggregate_masks(cfg.agg, p, own)) - k * p[:, i] - c * n_links[r[:, i]]
-            # a profile leaves at its first agent with a profitable deviation
-            alive = alive[~(_best_deviations(cfg, table[part], p, i) > current + TOL)]
-            if not len(alive):
-                break
-        ne[alive] = True
+    ne = np.ones((len(rows), len(prods)), dtype=bool)
+    if not ne.size:
+        return ne
+    link_costs = cfg.c * _link_counts(n)[rows]
+    cells = max(1, CHECK_BYTES // (8 * n << (n - 1)))  # (partition, vector) pairs of one pass
+    for i in range(n):
+        table, part = merged_table(n, rows, i)
+        # int64 with return_index, as merged_table sorts: numpy's other sorts map up to 192 KB more code
+        own, _, at = np.unique(table[part, compress_row(rows[:, i], i)].astype(np.int64),
+                               return_index=True, return_inverse=True)
+        per, step = max(1, cells // len(table)), min(cells, len(table))
+        for s in range(0, len(prods), per):
+            p = prods[s:s + per]
+            best = np.concatenate([_best_deviations(cfg, table[t:t + step, None], p, i)
+                                   for t in range(0, len(table), step)])
+            # ((f - k p_i) - c links) + TOL, the float order of the per-profile oracle
+            current = (_benefits(cfg, _aggregate_masks(cfg.agg, p[:, None, :], own)) - k * p[:, i, None]).T[at]
+            current -= link_costs[:, i, None]
+            current += TOL
+            ne[:, s:s + per] &= ~(best[part] > current)
     return ne
 
 
@@ -248,36 +254,10 @@ def grid_profiles(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.ndarray]:
             np.array(list(itertools.product(grid_levels(cfg), repeat=n))))
 
 
-def grid_ne_mask(cfg: ProductionGameConfig) -> np.ndarray:
-    """:func:`production_ne_mask` of every grid profile, bool (link profiles, production vectors)
-    over :func:`grid_profiles`: agent i's best deviation reads only the others' rows and levels,
-    so it is scored once per such key, with i linking nowhere and producing nothing."""
-    n, k, c = cfg.n_agents, cfg.k, cfg.c
-    rows, prods = grid_profiles(cfg)
-    axes = (1 << (n - 1),) * n + (len(grid_levels(cfg)),) * n  # one link field, then one level, per agent
-    comp, links = components(rows).reshape((n,) + axes[:n]), _link_counts(n)[rows.T].reshape((n,) + axes[:n])
-    info = _benefits(cfg, _aggregate_masks(cfg.agg, prods[:, None, :], np.arange(1 << n)))
-    ne = np.ones(axes, dtype=bool)
-    for i in range(n):
-        others = rows.reshape(axes[:n] + (n,)).take(0, axis=i).reshape(-1, n)
-        table, part = merged_table(n, others, i)
-        levels = prods.reshape(axes[n:] + (n,)).take(0, axis=i).reshape(-1, n)
-        best = _best_deviations(cfg, table, levels[:, None, :], i)[:, part].T
-        best = np.expand_dims(best.reshape(axes[1:n] + axes[n + 1:]), n - 1 + i)
-        own = (info - k * prods[:, i, None]).T  # before link costs, per component of i
-        for field in range(axes[i]):  # one own row at a time: no float array spans the grid
-            at = (slice(None),) * i + (field,)
-            current = own[comp[i][at]].reshape(best.shape[:n - 1] + axes[n:])
-            current -= c * links[i][at].flat[0]
-            current += TOL
-            ne[at] &= ~(best > current)
-    return ne.reshape(len(rows), len(prods))
-
-
 def is_production_ne(cfg: ProductionGameConfig, rows, prods) -> bool:
     """True when no unilateral (links, production) deviation from one profile's link
-    rows and productions gains more than 1e-9: :func:`production_ne_mask` of the batch of one."""
-    return bool(production_ne_mask(cfg, [rows], [prods])[0])
+    rows and productions gains more than 1e-9: :func:`production_ne_mask` of the 1 x 1 product."""
+    return bool(production_ne_mask(cfg, [rows], [prods])[0, 0])
 
 
 # -- equilibrium-shape characterizations --------------------------------------
@@ -291,16 +271,13 @@ def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     gains more than TOL by dropping links: each saves c and loses the parts of
     the rest of the network that only they reach, to be re-produced (SUM: their
     production; MAX: h_bar, if they hold the producer and the agent is not it).
-    ``rows`` and ``prods`` are as in :func:`production_ne_mask`.
+    ``rows`` and ``prods`` are as in :func:`production_ne_mask`, and so is the
+    bool (R, V) result.
     """
-    return _shapes(cfg, *_profile_arrays(cfg, rows, prods))
-
-
-def grid_shape_mask(cfg: ProductionGameConfig) -> np.ndarray:
-    """:func:`shape_mask` of every grid profile, as :func:`grid_ne_mask` gives it."""
-    rows, prods = grid_profiles(cfg)
-    # 16 link profiles at a time keeps the drop gains, a float per profile, small
-    return np.concatenate([_shapes(cfg, rows[s:s + 16, None], prods[None]) for s in range(0, len(rows), 16)])
+    rows, prods = _profile_arrays(cfg, rows, prods)
+    # 16 link rows at a time keeps the drop gains, a float per profile, small
+    return np.concatenate([np.zeros((0, len(prods)), dtype=bool)]
+                          + [_shapes(cfg, rows[s:s + 16, None], prods[None]) for s in range(0, len(rows), 16)])
 
 
 def _shapes(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarray) -> np.ndarray:
@@ -394,36 +371,19 @@ def _candidate_count(cfg: ProductionGameConfig) -> int:
     return checks
 
 
-def _cross_batches(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarray):
-    """Every link row of ``rows`` crossed with every production vector of ``prods``,
-    link rows major, as (rows, prods) batches of about one check chunk."""
-    if not len(prods):
-        return
-    per = max(1, _chunk_profiles(cfg) // len(prods))
-    for start in range(0, len(rows), per):
-        block = rows[start:start + per]
-        yield np.repeat(block, len(prods), axis=0), np.tile(prods, (len(block), 1))
-
-
-def _candidate_batches(cfg: ProductionGameConfig):
-    """The characterizations' shapes: the empty network at h_bar; every sponsored
-    spanning tree with every split of h_bar (SUM); every tree rooted at a single
-    producer of h_bar (MAX). Each profile is generated once."""
+def _candidates(cfg: ProductionGameConfig):
+    """The characterizations' shapes as (link rows, production vectors) products: the empty
+    network at h_bar; every sponsored spanning tree with every split of h_bar (SUM); for each
+    producer of h_bar, every tree rooted at it (MAX). Each profile is generated once."""
     n, hb = cfg.n_agents, cfg.h_bar()
     yield np.zeros((1, n), dtype=np.int64), np.full((1, n), hb)
     if cfg.high_cost() or n < 2:
         return
-    trees = sponsored_trees(tuple(range(n)), n)
     if cfg.agg is Aggregation.SUM:
-        yield from _cross_batches(cfg, trees, _splits(cfg))
+        yield sponsored_trees(tuple(range(n)), n), _splits(cfg)
         return
-    sponsors = trees != 0
     for producer in range(n):
-        # in a tree, the producer sponsoring nothing and everyone else a link is
-        # exactly the orientation toward the producer
-        rooted = ~sponsors[:, producer] & (sponsors.sum(axis=1) == n - 1)
-        prods = np.where(np.arange(n) == producer, hb, 0.0)[None, :]
-        yield from _cross_batches(cfg, trees[rooted], prods)
+        yield rooted_trees(n, producer), np.where(np.arange(n) == producer, hb, 0.0)[None, :]
 
 
 def production_equilibria(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -442,22 +402,20 @@ def production_equilibria(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.nda
     if n <= 3:
         require_budget((1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n,
                        f"full production scan at {n} agents", "profiles")
-        rows, prods = grid_profiles(cfg)
-        at, level = np.nonzero(grid_ne_mask(cfg))
-        return rows[at], prods[level]
+        return _equilibria(cfg, [grid_profiles(cfg)])
     require_budget(_candidate_count(cfg), f"candidates production scan at {n} agents", "profiles")
-    return _equilibria(cfg, _candidate_batches(cfg))
+    return _equilibria(cfg, _candidates(cfg))
 
 
-def _equilibria(cfg: ProductionGameConfig, batches) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, prods) of the ``batches`` that are equilibria, ordered by link
-    profile index, then production vector."""
+def _equilibria(cfg: ProductionGameConfig, products) -> tuple[np.ndarray, np.ndarray]:
+    """The equilibria of the (link rows, production vectors) ``products`` as (rows, prods),
+    ordered by link profile index, then production vector."""
     n = cfg.n_agents
     rows, prods = [np.empty((0, n), dtype=np.int64)], [np.empty((0, n))]
-    for r, p in batches:
-        keep = production_ne_mask(cfg, r, p)
-        rows.append(r[keep])
-        prods.append(p[keep])
+    for r, p in products:
+        at, level = np.nonzero(production_ne_mask(cfg, r, p))
+        rows.append(r[at])
+        prods.append(p[level])
     rows, prods = np.concatenate(rows), np.concatenate(prods)
     # lexsort's last key is the primary one
     order = np.lexsort((*prods.T[::-1], profile_indices(rows)))

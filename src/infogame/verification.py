@@ -232,8 +232,8 @@ def _production_scan_matches(cfg: ProductionGameConfig):
     """Compare the grid scan with the characterization; (True, the scan's equilibria as
     (rows, prods)) when they agree, else (False, the first misclassified profile)."""
     rows, prods = production.grid_profiles(cfg)
-    ne = production.grid_ne_mask(cfg)
-    wrong = np.argwhere(ne != production.grid_shape_mask(cfg))
+    ne = production.production_ne_mask(cfg, rows, prods)
+    wrong = np.argwhere(ne != production.shape_mask(cfg, rows, prods))
     if len(wrong):
         links = "".join(row_strings(cfg.n_agents)[rows[wrong[0, 0]]])
         levels = ",".join(f"{p:.17g}" for p in prods[wrong[0, 1]].tolist())

@@ -7,8 +7,8 @@ batch functions. ``merged_components`` is one row of ``merged_table``,
 of the batch ``welfare`` (summed in the same order, so the two agree bit for
 bit), ``profile_from_index`` one row of ``rows_from_indices`` and
 ``profile_index`` one entry of ``profile_indices``, ``spanning_trees`` the
-trees of the kernel's array decoder, ``orientations`` of each of them the
-rows of ``sponsored_trees``, ``aggregate`` one entry of
+trees of the kernel's array decoder, ``orientations`` of each of them, its
+edges' ends in ascending order, the rows of ``sponsored_trees``, ``aggregate`` one entry of
 ``production._aggregate_masks`` and ``production_utility`` one utility behind
 ``production.production_ne_mask``. ``component_masks`` of
 ``undirected_adjacency`` is one column of ``components``, and
@@ -134,8 +134,8 @@ def profile_index(rows) -> int:
 def spanning_trees(members: tuple[int, ...]):
     """Spanning trees of a labelled vertex set, as edge lists (Pruefer decode).
 
-    Each edge is (smaller member, larger member); a single member yields the
-    empty tree.
+    Each edge is (leaf, the member it joins), so every edge points toward the
+    last member; a single member yields the empty tree.
     """
     m = len(members)
     if m == 1:
@@ -150,13 +150,13 @@ def spanning_trees(members: tuple[int, ...]):
         edges = []
         for v in seq:
             leaf = heapq.heappop(heap)
-            edges.append((members[min(leaf, v)], members[max(leaf, v)]))
+            edges.append((members[leaf], members[v]))
             degree[v] -= 1
             if degree[v] == 1:
                 heapq.heappush(heap, v)
         u = heapq.heappop(heap)
         v = heapq.heappop(heap)
-        edges.append((members[min(u, v)], members[max(u, v)]))
+        edges.append((members[u], members[v]))
         yield edges
 
 

@@ -267,13 +267,10 @@ def test_criterion_8_production_characterizations():
                 cfg = ProductionGameConfig(3, LN, 0.25, c, agg)
                 grid = production.grid_levels(cfg)
                 assert len(grid) == 7  # step h_bar / 6
-                # the product scan and the per-profile check and shapes, on every grid profile
+                # the check and the shapes, on every grid profile
                 rows, prods = production.grid_profiles(cfg)
-                ne = production.grid_ne_mask(cfg)
-                assert ne.tolist() == production.grid_shape_mask(cfg).tolist()
-                rows, prods = np.repeat(rows, len(prods), axis=0), np.tile(prods, (len(rows), 1))
-                assert production_ne_mask(cfg, rows, prods).tolist() == ne.ravel().tolist()
-                assert shape_mask(cfg, rows, prods).tolist() == ne.ravel().tolist()
+                ne = production_ne_mask(cfg, rows, prods)
+                assert ne.tolist() == shape_mask(cfg, rows, prods).tolist()
                 assert ne.size == (1 << 6) * len(grid) ** 3
                 assert ne.any()
                 if c > 0.25 * cfg.h_bar():

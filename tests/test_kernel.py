@@ -24,6 +24,7 @@ from infogame.kernel import (
     ne_status,
     profile_indices,
     require_budget,
+    rooted_trees,
     rows_from_indices,
     set_partition_count,
     set_partitions,
@@ -49,9 +50,10 @@ def test_spanning_tree_count_is_cayley(m):
     assert len(trees) == len(set(trees)) == round(m ** (m - 2))
     for tree in trees:
         assert len(tree) == m - 1
+        # every member but the last is the leaf end of exactly one edge
+        assert sorted(i for i, _ in tree) == list(range(m - 1))
         adj = [0] * m
         for i, j in tree:
-            assert i < j
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         assert component_masks(adj)[0] == (1 << m) - 1
@@ -71,7 +73,21 @@ def test_spanning_trees_match_the_scalar_decoder(members):
 
 def oracle_trees(members, n):
     """Rows of every sponsored spanning tree of ``members``, from the scalar generators."""
-    return [list(rows) for edges in scalar_spanning_trees(members) for rows in orientations(edges, (0,) * n)]
+    return [list(rows) for edges in scalar_spanning_trees(members)
+            for rows in orientations([tuple(sorted(e)) for e in edges], (0,) * n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rooted_trees_are_the_rooted_orientations(n):
+    trees = sponsored_trees(tuple(range(n)), n)
+    sponsors = trees != 0
+    for root in range(n):
+        rooted = rooted_trees(n, root)
+        assert rooted.dtype == np.int64 and rooted.shape == (round(n ** (n - 2)), n)
+        # a tree in which the root sponsors nothing and everyone else one link is oriented toward the root
+        want = trees[~sponsors[:, root] & (sponsors.sum(axis=1) == n - 1)]
+        assert len(set(profile_indices(rooted).tolist())) == len(rooted)
+        assert set(profile_indices(rooted).tolist()) == set(profile_indices(want).tolist())
 
 
 @pytest.mark.parametrize("members, n", [(members, n) for n in range(1, 6) for m in range(1, n + 1)

@@ -17,6 +17,7 @@ from infogame.production import (
     h_bar,
     is_production_ne,
     production_equilibria,
+    production_ne_mask,
     shape_mask,
 )
 from scalar_kernel import aggregate, links, production_utility
@@ -182,19 +183,19 @@ class TestCharacterizations:
     def test_star_with_producing_core(self):
         cfg = make_cfg(n=3, c=0.2)
         rows, prods = links(3, [(1, 0), (2, 0)]), (3.0, 0.0, 0.0)
-        assert shape_mask(cfg, [rows], [prods]).tolist() == [True]
+        assert shape_mask(cfg, [rows], [prods]).tolist() == [[True]]
         assert is_production_ne(cfg, rows, prods)
 
     def test_overproduction_rejected(self):
         cfg = make_cfg(n=2, c=0.2)
         rows, prods = links(2, [(1, 0)]), (3.0, 0.5)
-        assert shape_mask(cfg, [rows], [prods]).tolist() == [False]
+        assert shape_mask(cfg, [rows], [prods]).tolist() == [[False]]
         assert not is_production_ne(cfg, rows, prods)
 
     def test_two_producers_under_max_rejected(self):
         cfg = make_cfg(n=2, c=0.2, agg=Aggregation.MAX)
         rows = links(2, [(1, 0)])
-        assert shape_mask(cfg, [rows], [(3.0, 3.0)]).tolist() == [False]
+        assert shape_mask(cfg, [rows], [(3.0, 3.0)]).tolist() == [[False]]
 
     def test_chain_needs_per_link_cut_condition(self):
         # c exceeds k times the production behind the middle agent's link, so
@@ -202,20 +203,21 @@ class TestCharacterizations:
         cfg = make_cfg(n=3, c=0.3)
         rows, prods = links(3, [(0, 1), (1, 2)]), (1.0, 1.0, 1.0)
         assert not is_production_ne(cfg, rows, prods)
-        assert shape_mask(cfg, [rows], [prods]).tolist() == [False]
+        assert shape_mask(cfg, [rows], [prods]).tolist() == [[False]]
         # a cheaper link keeps the chain in equilibrium
         cheap = make_cfg(n=3, c=0.2)
         assert is_production_ne(cheap, rows, prods)
-        assert shape_mask(cheap, [rows], [prods]).tolist() == [True]
+        assert shape_mask(cheap, [rows], [prods]).tolist() == [[True]]
 
     @pytest.mark.parametrize("agg", [Aggregation.SUM, Aggregation.MAX])
     @pytest.mark.parametrize("c", [0.2, 1.0])
     def test_grid_scan_equivalence_two_agents(self, agg, c):
         cfg = make_cfg(n=2, c=c, agg=agg)
-        cases = list(itertools.product(itertools.product((0, 2), (0, 1)),
-                                       itertools.product(grid_levels(cfg), repeat=2)))
-        shapes = shape_mask(cfg, [r for r, _ in cases], [p for _, p in cases]).tolist()
-        assert shapes == [is_production_ne(cfg, r, p) for r, p in cases]
+        rows = list(itertools.product((0, 2), (0, 1)))
+        prods = list(itertools.product(grid_levels(cfg), repeat=2))
+        shapes = shape_mask(cfg, rows, prods).tolist()
+        assert shapes == [[is_production_ne(cfg, r, p) for p in prods] for r in rows]
+        assert shapes == production_ne_mask(cfg, rows, prods).tolist()
 
 
 class TestEnumeration:
@@ -259,7 +261,7 @@ class TestEnumeration:
              "1.5cut": 1.5 * cut}[where]
         cfg = make_cfg(n=n, c=c, agg=agg)
         full = production_equilibria(cfg)
-        cand = production._equilibria(cfg, production._candidate_batches(cfg))
+        cand = production._equilibria(cfg, production._candidates(cfg))
         assert len(full[0]) and all(np.array_equal(a, b) for a, b in zip(full, cand))
 
     def test_cap(self):

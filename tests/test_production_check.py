@@ -1,13 +1,15 @@
-"""The batched production equilibrium check against the per-profile scalar loop.
+"""The product-form production equilibrium check against the per-profile scalar loop.
 
 ``scalar_is_production_ne`` is the check as a plain loop over agents, compact
-rows and production candidates; it is the oracle for
-:func:`production_ne_mask` and for everything built on it. The batched
-shape test :func:`shape_mask` is compared with its per-profile form under
-``tests/`` on the production grid and, with the batched check, off it.
+rows and production candidates; it is the oracle for every cell of
+:func:`production_ne_mask`, which judges link rows x production vectors, and
+for everything built on it. The shape test :func:`shape_mask` judges the
+same products; it is compared with its per-profile form under ``tests/`` on
+the production grid and, cell by cell with the check, off it.
 """
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,22 +63,17 @@ def scalar_is_production_ne(cfg, rows, prods):
     return True
 
 
-def grid(cfg):
-    """Every grid profile as one (link rows, productions) batch, in the product scan's order."""
-    rows, prods = production.grid_profiles(cfg)
-    return np.repeat(rows, len(prods), axis=0), np.tile(prods, (len(rows), 1))
+# the two scans' (link rows, production vectors) products
+PRODUCTS = {"grid": lambda cfg: [production.grid_profiles(cfg)],
+            "candidates": lambda cfg: production._candidates(cfg)}
 
 
-# the two scans' profiles, by the name of the generator that made them batches before the
-# full grid became a product scan
-BATCHES = {"grid_batches": lambda cfg: [grid(cfg)],
-           "_candidate_batches": lambda cfg: production._candidate_batches(cfg)}
-
-
-def assert_mask_matches_scalar(cfg, profiles):
-    """``profiles`` is a list of (link rows, productions) tuple pairs."""
-    got = production_ne_mask(cfg, [r for r, _ in profiles], [p for _, p in profiles]).tolist()
-    assert got == [scalar_is_production_ne(cfg, r, p) for r, p in profiles]
+def assert_mask_matches_scalar(cfg, rows, prods):
+    """Every cell of the product of link rows ``rows`` and production vectors ``prods``
+    (sequences of tuples or arrays) against the scalar check; returns the mask as lists."""
+    rows, prods = [tuple(r) for r in np.asarray(rows).tolist()], [tuple(p) for p in np.asarray(prods).tolist()]
+    got = production_ne_mask(cfg, rows, prods).tolist()
+    assert got == [[scalar_is_production_ne(cfg, r, p) for p in prods] for r in rows]
     return got
 
 
@@ -94,18 +91,27 @@ def games(draw, sizes=(1, 2, 3, 4)):
 
 
 @st.composite
-def profiles(draw, cfg, count):
+def products(draw, cfg, rows, vectors):
+    """``rows`` random link rows and ``vectors`` production vectors, on the grid or off it."""
     n = cfg.n_agents
     grid = grid_levels(cfg)
-    out = []
-    for _ in range(count):
-        rows = tuple(draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n))
+    links_ = [tuple(draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n)) for _ in range(rows)]
+    prods = []
+    for _ in range(vectors):
         if draw(st.booleans()):
-            prods = tuple(draw(st.sampled_from(grid)) for _ in range(n))
+            prods.append(tuple(draw(st.sampled_from(grid)) for _ in range(n)))
         else:
-            prods = tuple(draw(st.floats(0.0, 1.5 * cfg.h_bar())) for _ in range(n))
-        out.append((rows, prods))
-    return out
+            prods.append(tuple(draw(st.floats(0.0, 1.5 * cfg.h_bar())) for _ in range(n)))
+    return links_, prods
+
+
+def random_product(cfg, rng, rows, vectors):
+    """``rows`` random link rows and ``vectors`` production vectors, half on the grid, from ``rng``."""
+    n = cfg.n_agents
+    links_ = rng.integers(0, 1 << n, (rows, n)) & ~(1 << np.arange(n))
+    on = np.array(grid_levels(cfg))[rng.integers(0, len(grid_levels(cfg)), (vectors - vectors // 2, n))]
+    off = rng.uniform(0.0, 1.5 * cfg.h_bar(), (vectors // 2, n))
+    return links_, np.concatenate([on, off])
 
 
 class TestMaskMatchesScalar:
@@ -113,10 +119,10 @@ class TestMaskMatchesScalar:
     @given(st.data())
     def test_random_rows_and_productions(self, data):
         cfg = data.draw(games())
-        drawn = data.draw(profiles(cfg, 30))
-        got = assert_mask_matches_scalar(cfg, drawn)
-        # and each profile as a batch of one, which at 1 agent is also a 1-agent game
-        assert [is_production_ne(cfg, rows, prods) for rows, prods in drawn] == got
+        rows, prods = data.draw(products(cfg, 6, 5))
+        got = assert_mask_matches_scalar(cfg, rows, prods)
+        # and each profile as the 1 x 1 product, which at 1 agent is also a 1-agent game
+        assert [[is_production_ne(cfg, r, p) for p in prods] for r in rows] == got
 
     @settings(max_examples=20, deadline=None)
     @given(games(sizes=(1, 2)))
@@ -130,9 +136,7 @@ class TestMaskMatchesScalar:
 
     @staticmethod
     def check_grid(cfg):
-        rows, prods = grid(cfg)
-        got = assert_mask_matches_scalar(cfg, list(zip(map(tuple, rows.tolist()), map(tuple, prods.tolist()))))
-        assert production.grid_ne_mask(cfg).ravel().tolist() == got
+        assert_mask_matches_scalar(cfg, *production.grid_profiles(cfg))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -146,8 +150,8 @@ class TestMaskMatchesScalar:
         j = data.draw(st.integers(1, n - 1))
         c = cfg.k * aggregate(cfg.agg, prods, ((1 << n) - 1) & ~(1 << j))
         cfg = ProductionGameConfig(n, cfg.benefit, cfg.k, c, cfg.agg)
-        star = (0,) + (1,) * (n - 1), prods
-        assert_mask_matches_scalar(cfg, [star] + data.draw(profiles(cfg, 10)))
+        rows, vectors = data.draw(products(cfg, 4, 4))
+        assert_mask_matches_scalar(cfg, [(0,) + (1,) * (n - 1)] + rows, [prods] + vectors)
 
     @pytest.mark.parametrize("agg", list(Aggregation))
     @pytest.mark.parametrize("f", BENEFITS, ids=label)
@@ -158,10 +162,9 @@ class TestMaskMatchesScalar:
         for n in (1, 2, 3):
             cfg = ProductionGameConfig(n, f, k, k * hb, agg)
             assert cfg.high_cost()
-            rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n).tolist()
-            cands = [(tuple(r), p) for r in rows for p in ((hb,) * n, (0.0,) * n, (hb,) + (0.0,) * (n - 1))]
-            got = assert_mask_matches_scalar(cfg, cands)
-            assert got[0]  # the empty network at h_bar
+            rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n)
+            got = assert_mask_matches_scalar(cfg, rows, [(hb,) * n, (0.0,) * n, (hb,) + (0.0,) * (n - 1)])
+            assert got[0][0]  # the empty network at h_bar
 
     @pytest.mark.parametrize("agg, c", [(Aggregation.MAX, 0.2), (Aggregation.SUM, 0.2),
                                         (Aggregation.SUM, 0.7), (Aggregation.SUM, 1.0)])
@@ -187,22 +190,22 @@ class TestMaskMatchesScalar:
         # total 3.1 beats the grid totals 2.75 and 3.25 and the h_bar total 3.25;
         # only producing exactly h_bar - acquired (total 3.0) gains, for both agents
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.01, Aggregation.SUM)
-        s = links(2, [(0, 1)]), (2.85, 0.25)
-        assert assert_mask_matches_scalar(cfg, [s]) == [False]
+        assert assert_mask_matches_scalar(cfg, [links(2, [(0, 1)])], [(2.85, 0.25)]) == [[False]]
 
     def test_h_bar_is_a_candidate(self):
         # on the grid 0, 0.7, ..., 3.5 only producing h_bar = 3 itself beats 2.9
         cfg = ProductionGameConfig(1, BENEFITS[1], 0.25, 0.0, Aggregation.MAX, 0.7)
-        profiles_ = [((0,), (p,)) for p in (2.9, cfg.h_bar())]
-        assert assert_mask_matches_scalar(cfg, profiles_) == [False, True]
+        assert assert_mask_matches_scalar(cfg, [(0,)], [(2.9,), (cfg.h_bar(),)]) == [[False, True]]
 
     @pytest.mark.parametrize("mask", [production_ne_mask, shape_mask])
     def test_shape_mismatch_rejected(self, mask):
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
         with pytest.raises(ValueError):
             mask(cfg, [[0, 0, 0]], [[0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            mask(cfg, [[0, 0]], [[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="profile size does not match the game"):
+            mask(cfg, [[0, 0]], [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="profile size does not match the game"):
+            mask(cfg, [[0, 0]], [0.0, 0.0])  # a vector, not a batch of vectors
 
     @pytest.mark.parametrize("rows, prods", [
         ([[1, 0]], [[0.0, 0.0]]),          # agent 0 links to itself
@@ -217,9 +220,12 @@ class TestMaskMatchesScalar:
         with pytest.raises(ValueError):
             mask(cfg, rows, prods)
 
-    def test_empty_batch(self):
+    @pytest.mark.parametrize("mask", [production_ne_mask, shape_mask])
+    def test_empty_factors(self, mask):
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
-        assert production_ne_mask(cfg, np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+        for rows, vectors in ((0, 0), (0, 3), (2, 0)):
+            got = mask(cfg, np.zeros((rows, 2)), np.zeros((vectors, 2)))
+            assert got.shape == (rows, vectors) and got.dtype == bool
 
     @pytest.mark.parametrize("agg", list(Aggregation))
     def test_a_deviation_gaining_exactly_tol_does_not_count(self, agg):
@@ -238,32 +244,33 @@ class TestMaskMatchesScalar:
 
 class TestProductScan:
     @pytest.mark.parametrize("agg", list(Aggregation))
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_per_profile_check_at_every_cut_edge(self, n, agg):
-        # c at exactly k times each cut production +- TOL, where a link's worth ties with its cost
+        # c at exactly k times each cut production +- TOL, where a link's worth ties with its cost:
+        # the whole grid up to 2 agents, a random product of rows and vectors from 3 on
         base = ProductionGameConfig(n, BENEFITS[2], 0.3, 0.0, agg)
         levels = grid_levels(base)
         cuts = sorted({0.0, base.h_bar()} | set(levels) | {a + b for a in levels for b in levels})
-        for cut in cuts[::3] if n == 3 else cuts:
+        rng = np.random.default_rng([n, agg is Aggregation.SUM])
+        for cut in cuts:
             for c in (0.3 * cut - TOL, 0.3 * cut + TOL):
                 if c >= 0.0:
                     cfg = ProductionGameConfig(n, base.benefit, base.k, c, agg)
-                    rows, prods = grid(cfg)
-                    want = production_ne_mask(cfg, rows, prods)
-                    assert production.grid_ne_mask(cfg).ravel().tolist() == want.tolist()
+                    product = production.grid_profiles(cfg) if n <= 2 else random_product(cfg, rng, 6, 6)
+                    assert_mask_matches_scalar(cfg, *product)
 
     def test_grid_profiles_are_the_product_in_index_order(self):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX)
         rows, prods = production.grid_profiles(cfg)
         assert rows.tolist() == rows_from_indices(np.arange(64), 3).tolist()
         assert prods.tolist() == [list(p) for p in itertools.product(grid_levels(cfg), repeat=3)]
-        assert production.grid_ne_mask(cfg).shape == production.grid_shape_mask(cfg).shape == (64, 343)
+        assert production_ne_mask(cfg, rows, prods).shape == shape_mask(cfg, rows, prods).shape == (64, 343)
 
 
 class TestDeduplicatedCheck:
-    """The check scores each profile of a chunk on its own, and f once per distinct value
-    of the chunk, so a profile's verdict is the same whatever the order, repetition or
-    split of its batch."""
+    """The check scores each (partition, vector) and each (own component, vector) of a pass
+    on its own, and f once per distinct value of the pass, so a profile's verdict is the
+    same whatever the order, repetition or split of the product's rows and vectors."""
 
     @pytest.mark.parametrize("cost", ["low", "high"])
     @pytest.mark.parametrize("agg", list(Aggregation))
@@ -275,19 +282,21 @@ class TestDeduplicatedCheck:
         c = 0.4 * k * hb if cost == "low" else 1.5 * k * hb + 0.1
         TestMaskMatchesScalar.check_grid(ProductionGameConfig(n, f, k, c, agg, step))
 
-    @pytest.mark.parametrize("n, agg, batches", [
-        (2, Aggregation.SUM, "grid_batches"), (3, Aggregation.MAX, "grid_batches"),
-        (3, Aggregation.SUM, "grid_batches"), (4, Aggregation.SUM, "_candidate_batches")])
-    def test_repeats_shuffles_and_splits_keep_the_mask(self, n, agg, batches):
+    @pytest.mark.parametrize("n, agg, products", [
+        (2, Aggregation.SUM, "grid"), (3, Aggregation.MAX, "grid"),
+        (3, Aggregation.SUM, "grid"), (4, Aggregation.SUM, "candidates")])
+    def test_repeats_shuffles_and_splits_keep_the_mask(self, n, agg, products):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg)
-        rows, prods = map(np.concatenate, zip(*BATCHES[batches](cfg)))
+        rows, prods = list(PRODUCTS[products](cfg))[-1]  # the grid, or the trees x splits
         want = production_ne_mask(cfg, rows, prods)
         assert want.any() and not want.all()
         rng = np.random.default_rng(n)
-        pick = rng.integers(0, len(rows), size=2 * len(rows))  # shuffled, with repeats
-        cuts = np.sort(rng.choice(np.arange(1, len(pick)), size=6, replace=False))
-        got = [production_ne_mask(cfg, rows[part], prods[part]) for part in np.split(pick, cuts)]
-        assert np.concatenate(got).tolist() == want[pick].tolist()
+        # rows and vectors shuffled, with repeats, and each split in three
+        pick_rows, pick_prods = (rng.integers(0, size, size=2 * size) for size in want.shape)
+        row_parts, prod_parts = (np.split(pick, np.sort(rng.choice(np.arange(1, len(pick)), 2, replace=False)))
+                                 for pick in (pick_rows, pick_prods))
+        got = np.block([[production_ne_mask(cfg, rows[r], prods[p]) for p in prod_parts] for r in row_parts])
+        assert got.tolist() == want[np.ix_(pick_rows, pick_prods)].tolist()
 
 
 class TestShapeCheckers:
@@ -308,20 +317,22 @@ class TestShapeCheckers:
             for p in (tuple(hb * rng.dirichlet(np.ones(n))), single[int(rng.integers(n))],
                       tuple(rng.uniform(0.0, 1.5 * hb, n))):
                 cases.append((rows, p))
+        # every case's rows with every case's vector: the two masks on the whole product, the
+        # scalar shape on the cases themselves, its diagonal
         rows, prods = [r for r, _ in cases], [p for _, p in cases]
-        got = shape_mask(cfg, rows, prods).tolist()
-        assert got == production_ne_mask(cfg, rows, prods).tolist()
-        assert got == [scalar_shape(cfg, r, p) for r, p in cases]
-        assert any(got)
+        got = shape_mask(cfg, rows, prods)
+        assert got.tolist() == production_ne_mask(cfg, rows, prods).tolist()
+        assert np.diagonal(got).tolist() == [scalar_shape(cfg, r, p) for r, p in cases]
+        assert np.diagonal(got).any()
 
     @pytest.mark.parametrize("c", [0.05, 0.2, 0.4, 0.75, 1.0])
     @pytest.mark.parametrize("agg", list(Aggregation))
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mask_matches_the_scalar_shape_on_every_grid_profile(self, n, agg, c):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
-        rows, prods = grid(cfg)
-        want = [scalar_shape(cfg, r, p) for r, p in zip(rows.tolist(), prods.tolist())]
-        assert shape_mask(cfg, rows, prods).tolist() == want == production.grid_shape_mask(cfg).ravel().tolist()
+        rows, prods = production.grid_profiles(cfg)
+        want = [[scalar_shape(cfg, r, p) for p in prods.tolist()] for r in rows.tolist()]
+        assert shape_mask(cfg, rows, prods).tolist() == want
 
     def test_a_link_cutting_off_exactly_its_cost_minus_tol_is_kept(self):
         # agent 1's link to agent 0 cuts off 2 units: worth k * 2 = 0.5, its cost less TOL
@@ -329,8 +340,8 @@ class TestShapeCheckers:
         rows, prods = [(0, 1)], [(2.0, hb - 2.0)]
         for c, want in ((0.25 * 2.0 + TOL, True), (math.nextafter(0.25 * 2.0 + TOL, 1.0), False)):
             cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, Aggregation.SUM)
-            assert shape_mask(cfg, rows, prods).tolist() == [want] == [scalar_shape(cfg, rows[0], prods[0])]
-            assert production_ne_mask(cfg, rows, prods).tolist() == [want]
+            assert shape_mask(cfg, rows, prods).tolist() == [[want]] == [[scalar_shape(cfg, rows[0], prods[0])]]
+            assert production_ne_mask(cfg, rows, prods).tolist() == [[want]]
 
     @pytest.mark.parametrize("agg", list(Aggregation))
     def test_a_game_whose_whole_payoff_is_below_tol_is_refused(self, agg):
@@ -359,11 +370,8 @@ class TestShapeCheckers:
         edges += [x + side * TOL * scale for side in (-1, 1) for scale in (0.999, 1.001)]
         cfg = ProductionGameConfig(game.n_agents, game.benefit, game.k,
                                    data.draw(st.sampled_from([c for c in edges if c >= 0.0])), game.agg)
-        want = production.grid_ne_mask(cfg)
-        assert production.grid_shape_mask(cfg).tolist() == want.tolist()
-        rows, prods = grid(cfg)
-        assert production_ne_mask(cfg, rows, prods).tolist() == want.ravel().tolist()
-        assert shape_mask(cfg, rows, prods).tolist() == want.ravel().tolist()
+        rows, prods = production.grid_profiles(cfg)
+        assert shape_mask(cfg, rows, prods).tolist() == production_ne_mask(cfg, rows, prods).tolist()
 
     @pytest.mark.parametrize("agg, c, fraction", [
         (Aggregation.SUM, 1.0, 1.0), (Aggregation.MAX, 0.2, 1 / 16), (Aggregation.SUM, 0.2, 1.0)])
@@ -374,53 +382,45 @@ class TestShapeCheckers:
             few_sweep(cfg, [17])
 
 
-def scan(cfg, batches):
-    """The equilibria that one of the two production scans, named by its batch
-    generator, finds at any agent count, as (link rows, productions) tuple pairs."""
-    rows, prods = production._equilibria(cfg, BATCHES[batches](cfg))
+def scan(cfg, products):
+    """The equilibria that one of the two production scans, named by its products,
+    finds at any agent count, as (link rows, productions) tuple pairs."""
+    rows, prods = production._equilibria(cfg, PRODUCTS[products](cfg))
     return list(zip(map(tuple, rows.tolist()), map(tuple, prods.tolist())))
 
 
 class TestEnumeration:
-    # chunks of 10 * chunk bytes: 10 and 70 leave one profile per chunk, 2,500 a few
-    # with ragged ends (a profile of n agents takes 24 n 2**(n-1) bytes)
+    # passes of 10 * chunk bytes: 10 and 70 leave one (partition, vector) pair per pass,
+    # 2,500 a few with ragged ends (a pair of n agents takes 8 n 2**(n-1) bytes)
     @pytest.mark.parametrize("chunk", [1, 7, 250])
-    @pytest.mark.parametrize("n, agg, c, batches", [
-        (2, Aggregation.SUM, 0.2, "grid_batches"), (2, Aggregation.MAX, 1.0, "grid_batches"),
-        (3, Aggregation.SUM, 0.2, "_candidate_batches"), (4, Aggregation.MAX, 0.2, "_candidate_batches")])
-    def test_chunk_size_does_not_change_the_list(self, monkeypatch, chunk, n, agg, c, batches):
+    @pytest.mark.parametrize("n, agg, c, products", [
+        (2, Aggregation.SUM, 0.2, "grid"), (2, Aggregation.MAX, 1.0, "grid"), (3, Aggregation.SUM, 0.2, "grid"),
+        (3, Aggregation.MAX, 1.0, "grid"), (3, Aggregation.SUM, 0.2, "candidates"),
+        (4, Aggregation.MAX, 0.2, "candidates")])
+    def test_pass_size_does_not_change_the_list(self, monkeypatch, chunk, n, agg, c, products):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
-        want = scan(cfg, batches)
+        want = scan(cfg, products)
+        assert want
         monkeypatch.setattr(production, "CHECK_BYTES", 10 * chunk)
-        assert scan(cfg, batches) == want
+        assert scan(cfg, products) == want
 
-    @pytest.mark.parametrize("chunk", [250, 1000])
-    @pytest.mark.parametrize("agg, c", [(Aggregation.SUM, 0.2), (Aggregation.MAX, 1.0)])
-    def test_chunk_size_does_not_change_the_three_agent_grid(self, monkeypatch, chunk, agg, c):
-        # the product scan lists what the per-profile check, in chunks of any size, keeps of the grid
-        cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, c, agg)
-        got = [a.tolist() for a in production_equilibria(cfg)]
-        monkeypatch.setattr(production, "CHECK_BYTES", 10 * chunk)
-        assert scan(cfg, "grid_batches") == list(zip(map(tuple, got[0]), map(tuple, got[1])))
-        assert len(got[0]) and production.grid_ne_mask(cfg).sum() == len(got[0])
-
-    @pytest.mark.parametrize("n, agg, c, batches", [
-        (2, Aggregation.SUM, 0.2, "grid_batches"), (2, Aggregation.MAX, 1.0, "grid_batches"),
-        (3, Aggregation.SUM, 0.2, "_candidate_batches"), (3, Aggregation.MAX, 0.2, "_candidate_batches")])
-    def test_matches_scalar_oracle(self, n, agg, c, batches):
+    @pytest.mark.parametrize("n, agg, c, products", [
+        (2, Aggregation.SUM, 0.2, "grid"), (2, Aggregation.MAX, 1.0, "grid"),
+        (3, Aggregation.SUM, 0.2, "candidates"), (3, Aggregation.MAX, 0.2, "candidates")])
+    def test_matches_scalar_oracle(self, n, agg, c, products):
         cfg = ProductionGameConfig(n, BENEFITS[0], 0.25 / math.log(2.0), c, agg)
-        found = scan(cfg, batches)
+        found = scan(cfg, products)
         assert found and all(scalar_is_production_ne(cfg, r, p) for r, p in found)
-        if batches == "grid_batches":
-            rows, prods = grid(cfg)
-            assert sum(scalar_is_production_ne(cfg, r, p) for r, p in zip(rows.tolist(), prods.tolist())) == len(found)
+        if products == "grid":
+            rows, prods = production.grid_profiles(cfg)
+            assert sum(scalar_is_production_ne(cfg, r, p) for r in rows.tolist() for p in prods.tolist()) == len(found)
 
     @pytest.mark.parametrize("agg", list(Aggregation))
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_candidates_are_distinct(self, n, agg):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg)
-        batches = list(production._candidate_batches(cfg))
-        stacked = np.concatenate([np.hstack([r, p]) for r, p in batches])
+        stacked = np.concatenate([np.hstack([np.repeat(r, len(p), axis=0), np.tile(p, (len(r), 1))])
+                                  for r, p in production._candidates(cfg)])
         assert len(np.unique(stacked, axis=0)) == len(stacked)
         assert len(stacked) == production._candidate_count(cfg)
 
@@ -439,16 +439,17 @@ class TestWorkBudget:
     def never_scan(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the scan started")
-        for name in ("production_ne_mask", "grid_ne_mask", "_candidate_batches"):
+        for name in ("production_ne_mask", "grid_profiles", "_candidates"):
             monkeypatch.setattr(production, name, refuse)
 
     def test_auto_scans_the_full_grid_up_to_three_agents(self, monkeypatch):
         used = []
-        for name, found in (("grid_ne_mask", np.zeros((64, 343), dtype=bool)), ("_candidate_batches", [])):
+        empty = np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3))
+        for name, found in (("grid_profiles", empty), ("_candidates", [])):
             monkeypatch.setattr(production, name, lambda cfg, name=name, found=found: used.append(name) or found)
         for n in (3, 4):
             production_equilibria(ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM))
-        assert used == ["grid_ne_mask", "_candidate_batches"]
+        assert used == ["grid_profiles", "_candidates"]
 
     def test_fine_grid_candidates_fail_fast(self, never_scan):
         # 2000 sponsored trees times every split of h_bar into 0.01 steps
@@ -468,7 +469,8 @@ class TestWorkBudget:
         rows, prods = production_equilibria(cfg)
         # every tree rooted at each of the six producers
         assert len(rows) == 6 * 6 ** 4
-        assert shape_mask(cfg, rows, prods).all()
+        vectors, at = np.unique(prods, axis=0, return_inverse=True)
+        assert len(vectors) == 6 and shape_mask(cfg, rows, vectors)[np.arange(len(rows)), at].all()
 
     def test_fine_grid_full_scan_fails_fast(self, never_scan):
         cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.MAX, 1e-6)
@@ -484,3 +486,23 @@ class TestWorkBudget:
         sum5 = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
         assert production._candidate_count(sum5) == 1 + 125 * 16 * 210 <= production.CHECK_BUDGET
         assert 64 * 7 ** 3 <= production.CHECK_BUDGET
+
+
+class TestWorkingSet:
+    """The check holds about ``CHECK_BYTES`` of deviation terms per pass and a bool per
+    profile of the product, never a float array over the product; tracemalloc counts what
+    numpy allocates."""
+
+    @pytest.mark.parametrize("n, agg, steps, mib", [
+        (3, Aggregation.SUM, 24, 4),      # 64 link profiles x 25**3 vectors, about 10**6 profiles
+        (7, Aggregation.MAX, None, 40)])  # 117,649 equilibria: the result arrays alone take 12.6 MiB
+    def test_enumeration_peak(self, n, agg, steps, mib):
+        hb = production.h_bar(BENEFITS[1], 0.25)
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg, steps and hb / steps)
+        tracemalloc.start()
+        try:
+            rows, _ = production_equilibria(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) and peak < mib << 20

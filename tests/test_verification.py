@@ -194,12 +194,11 @@ class TestMismatchNamesTheFirstProfile:
         flipped = {(self.rows_of(9), (levels[2], levels[1], levels[3])),
                    (self.rows_of(9), (levels[0], levels[6], levels[0])),
                    (self.rows_of(37), (levels[1], levels[1], levels[1]))}
-        mask = production.grid_shape_mask
+        mask = production.shape_mask
 
-        def flip(cfg):
-            rows, prods = production.grid_profiles(cfg)
+        def flip(cfg, rows, prods):
             hit = [[(tuple(r), tuple(p)) in flipped for p in prods.tolist()] for r in rows.tolist()]
-            return mask(cfg) != np.array(hit, dtype=bool)
-        monkeypatch.setattr(production, "grid_shape_mask", flip)
+            return mask(cfg, rows, prods) != np.array(hit, dtype=bool)
+        monkeypatch.setattr(production, "shape_mask", flip)
         assert verification._check_production(agg, LN) == (
             False, "c=0.2: profile 000100010 0,2.9999999999708962,0 misclassified")
