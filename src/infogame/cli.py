@@ -158,10 +158,7 @@ def _run_sweep(spec: dict):
 
     points = []
     for kl in kl_values:  # each kl row's vector and thresholds once
-        try:
-            ev = family_pair_redundancy(h[0], h[1], h[2], kl)
-        except ValueError as e:
-            raise SpecError(str(e)) from None
+        ev = family_pair_redundancy(h[0], h[1], h[2], kl)
         points += [(c, kl) + row for c, row in zip(c_values, analytic.homogeneous_sweep(ev, benefit, c_values))]
     header = ["c", "kl", "region", "c_l", "c_u", "poa_or_bound", "mil_or_bound"]
     columns = [_texts(column) if k == 2 else csvtable.floats(column) for k, column in enumerate(zip(*points))]
@@ -280,8 +277,6 @@ def _production_config(spec: dict) -> ProductionGameConfig:
         )
     except KeyError as e:
         raise SpecError(f"the 'production' section is missing {e}") from None
-    except ValueError as e:
-        raise SpecError(str(e)) from None
 
 
 def _run_production(spec: dict):
@@ -309,14 +304,11 @@ def _run_verify(spec: dict, seed: int):
     node = spec.get("verify", {})
     if not isinstance(node, dict):
         raise SpecError("verify section must be a mapping")
-    try:
-        report = run_verification(
-            n_agents=_number(int, node.get("n_agents", 3), "n_agents"),
-            instances=_number(int, node.get("instances", 20), "instances"),
-            seed=seed,
-        )
-    except ValueError as e:
-        raise SpecError(str(e)) from None
+    report = run_verification(
+        n_agents=_number(int, node.get("n_agents", 3), "n_agents"),
+        instances=_number(int, node.get("instances", 20), "instances"),
+        seed=seed,
+    )
     return (lambda out: out.write(report.to_text())), 0 if report.ok else 1
 
 

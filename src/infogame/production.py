@@ -20,20 +20,20 @@ set of profiles judged is a product: :func:`production_ne_mask` takes link
 rows (R, n) and production vectors (V, n) and judges all R x V profiles.
 The full grid is :func:`grid_profiles`; the candidates are sponsored trees
 with the splits of h_bar (SUM) or trees rooted at a producer with its one
-vector (MAX); a single profile is the 1 x 1 product. For each agent i,
-``kernel.merged_table`` gives i's component under every compact row once
-per partition of the others, i's best deviation is scored once per
-(partition, vector), about ``CHECK_BYTES`` of deviation terms at a time,
-and i's current utility once per (own component, vector). Each production
-candidate is scored once per distinct amount a row acquires, aggregates are
-added one agent at a time in ascending order, and f is the scalar
-:class:`BenefitFunction` on distinct values, so every utility is the float
-of the per-profile oracle under ``tests/``. Enumerations count their checks
-first and refuse more than ``CHECK_BUDGET``.
+vector (MAX); a single profile is the 1 x 1 product. Agent i's best
+production deviations are a table per vector over its compact rows, read
+through ``kernel.merged_table`` (a row per partition of the others) as the
+link game reads ``fh``, in blocks of vectors whose arrays fit in
+``CHECK_BYTES``; i's current utility is scored once per (own component,
+vector). Each production candidate is scored once per distinct amount a row
+acquires, aggregates are added one agent at a time in ascending order, and f
+is the scalar :class:`BenefitFunction` on distinct values, so every utility
+is the float of the per-profile oracle under ``tests/``. Enumerations count
+their checks first and refuse more than ``CHECK_BUDGET``.
 
 :func:`shape_mask` judges the characterizations' shapes on the same
-products with ``kernel.components``, taking the ties that TOL makes as the
-check does.
+products with ``kernel.components``, in payoff terms, taking each tie that
+TOL makes as the check does.
 """
 from __future__ import annotations
 
@@ -48,10 +48,10 @@ import numpy as np
 
 from .entropy import MAX_AGENTS, TOL
 from .formation_game import BenefitFunction
-from .kernel import (CHECK_BUDGET, components, compress_row, link_rows, merged_table, profile_indices,
+from .kernel import (CHECK_BUDGET, components, compress_row, expand_row, link_rows, merged_table, profile_indices,
                      require_budget, rooted_trees, rows_from_indices, sponsored_tree_count, sponsored_trees)
 
-# deviation terms that one pass of production_ne_mask scores, in bytes
+# bytes that each array of one production_ne_mask pass may take
 CHECK_BYTES = 1 << 16
 PRODUCER_EPS = 1e-12
 
@@ -178,13 +178,14 @@ def _link_counts(n: int) -> np.ndarray:
     return sum(np.arange(1 << n) >> b & 1 for b in range(n))
 
 
-def _best_deviations(cfg: ProductionGameConfig, merged: np.ndarray, prods: np.ndarray, i: int) -> np.ndarray:
-    """Agent i's best utility over all (links, production) deviations; ``merged[..., None]``
-    (i's component per compact row) broadcasts against ``prods[..., None, :]``."""
+def _deviation_table(cfg: ProductionGameConfig, prods: np.ndarray, i: int) -> np.ndarray:
+    """Agent i's best utility over all production deviations, before link costs, when it joins the others
+    of each compact row: a (V, 2**(n-1)) table over the vectors ``prods`` (V, n), read as ``fh`` is."""
     n, hb = cfg.n_agents, cfg.h_bar()
     is_sum = cfg.agg is Aggregation.SUM
     levels = grid_levels(cfg) + [hb]
-    acquired = _aggregate_masks(cfg.agg, prods[..., None, :], merged & (((1 << n) - 1) ^ (1 << i)))
+    others = expand_row(np.arange(1 << (n - 1), dtype=np.min_scalar_type((1 << n) - 1)), i)
+    acquired = _aggregate_masks(cfg.agg, prods[:, None, :], others)
     # each production candidate is scored once per distinct amount that a row acquires
     distinct, at = np.unique(acquired, return_inverse=True)
     h = np.empty((len(distinct), len(levels) + is_sum))
@@ -192,10 +193,7 @@ def _best_deviations(cfg: ProductionGameConfig, merged: np.ndarray, prods: np.nd
     if is_sum:
         h[:, -1] = np.maximum(0.0, hb - distinct)
     gained = distinct[:, None] + h if is_sum else np.maximum(distinct[:, None], h)
-    # a row's link cost is subtracted after the max over its candidates: rounding
-    # is monotone, so the best utility is the same float
-    best = (_benefits(cfg, gained) - cfg.k * h).max(axis=1)[at.reshape(acquired.shape)]
-    return (best - cfg.c * _link_counts(n)[:1 << (n - 1)]).max(axis=-1)
+    return (_benefits(cfg, gained) - cfg.k * h).max(axis=1)[at.reshape(acquired.shape)]
 
 
 def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:
@@ -226,21 +224,24 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     ne = np.ones((len(rows), len(prods)), dtype=bool)
     if not ne.size:
         return ne
-    link_costs = cfg.c * _link_counts(n)[rows]
-    cells = max(1, CHECK_BYTES // (8 * n << (n - 1)))  # (partition, vector) pairs of one pass
+    costs = cfg.c * _link_counts(n)[:1 << (n - 1)]  # of every compact row
     for i in range(n):
         table, part = merged_table(n, rows, i)
+        compact, joined = compress_row(rows[:, i], i), compress_row(table, i)
         # int64 with return_index, as merged_table sorts: numpy's other sorts map up to 192 KB more code
-        own, _, at = np.unique(table[part, compress_row(rows[:, i], i)].astype(np.int64),
-                               return_index=True, return_inverse=True)
-        per, step = max(1, cells // len(table)), min(cells, len(table))
+        own, _, at = np.unique(table[part, compact].astype(np.int64), return_index=True, return_inverse=True)
+        # vectors of one pass: their aggregate terms, gathered deviations and current utilities
+        per = max(1, CHECK_BYTES // (8 * max(n << (n - 1), joined.size, len(rows))))
         for s in range(0, len(prods), per):
             p = prods[s:s + per]
-            best = np.concatenate([_best_deviations(cfg, table[t:t + step, None], p, i)
-                                   for t in range(0, len(table), step)])
+            best = _deviation_table(cfg, p, i)[:, joined]
+            # a row's link cost is subtracted after the max over its candidates: rounding
+            # is monotone, so the best utility is the same float
+            best -= costs
+            best = best.max(axis=-1).T  # drops the gathered table before the next pass
             # ((f - k p_i) - c links) + TOL, the float order of the per-profile oracle
             current = (_benefits(cfg, _aggregate_masks(cfg.agg, p[:, None, :], own)) - k * p[:, i, None]).T[at]
-            current -= link_costs[:, i, None]
+            current -= costs[compact, None]
             current += TOL
             ne[:, s:s + per] &= ~(best[part] > current)
     return ne
@@ -265,8 +266,9 @@ def is_production_ne(cfg: ProductionGameConfig, rows, prods) -> bool:
 def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     """Which profiles of a batch have an equilibrium shape of the characterizations.
 
-    Every component holds h_bar: its total production under SUM, one producer
-    at h_bar under MAX. There is one component when c < k h_bar - TOL, every
+    Every component holds h_bar: no member gains more than TOL by moving its
+    total (SUM) or its one producer's level (MAX) to h_bar, or as near as its
+    own production lets. There is one component when c < k h_bar - TOL, every
     agent is alone when c > k h_bar + TOL, and any number in between. No agent
     gains more than TOL by dropping links: each saves c and loses the parts of
     the rest of the network that only they reach, to be re-produced (SUM: their
@@ -288,13 +290,17 @@ def _shapes(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarray) -> n
     parts = ((comp & -comp) == 1 << np.arange(n)[:, None].astype(comp.dtype)).sum(axis=0).reshape(lead)
     # within TOL of c = k h_bar a link to a producer of h_bar ties with producing it
     ok = parts == 1 if c < k * hb - TOL else parts == n if c > k * hb + TOL else parts > 0
+    def payoff(x):  # of holding x, net of producing it
+        return _benefits(cfg, x) - k * x
     for mask in sorted(set(comp.ravel().tolist())):  # each component holds h_bar: SUM in all, MAX in one producer
         member = mask >> np.arange(n) & 1 == 1
-        if cfg.agg is Aggregation.SUM:
-            holds = np.abs(_aggregate_masks(cfg.agg, prods, mask) - hb) <= TOL
+        if cfg.agg is Aggregation.SUM:  # to h_bar, or as near as dropping a member's share gets
+            total = _aggregate_masks(cfg.agg, prods, mask)
+            nearest = np.maximum(hb, total - _aggregate_masks(Aggregation.MAX, prods, mask))
+            holds = payoff(nearest) - payoff(total) <= TOL
         else:
             inside = producer & member
-            holds = (inside.sum(axis=-1) == 1) & ~(inside & (np.abs(prods - hb) > TOL)).any(axis=-1)
+            holds = (inside.sum(axis=-1) == 1) & ~(inside & ((cfg.benefit(hb) - k * hb) - payoff(prods) > TOL)).any(-1)
         ok = ok & ~((comp == mask).any(axis=0).reshape(lead) & ~holds)
     n_links = _link_counts(n)
     for i in range(n):

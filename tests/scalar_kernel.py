@@ -292,8 +292,9 @@ def production_shape(cfg: ProductionGameConfig, rows, prods) -> bool:
     """Do the link ``rows`` and productions ``prods`` have an equilibrium shape of the
     production characterizations? One profile of ``production.shape_mask``.
 
-    Every component holds h_bar: its members' sum under SUM, one producer at h_bar under
-    MAX. There is one component when c < k h_bar - TOL, every agent is alone when
+    Every component holds h_bar: no member gains more than TOL by moving the members' sum
+    (SUM) or the one producer's level (MAX) to h_bar, or as near as its own production lets.
+    There is one component when c < k h_bar - TOL, every agent is alone when
     c > k h_bar + TOL, and in between any number is. No agent gains more than TOL by
     dropping links: each saves c, and the parts of the network without the agent's links
     that only dropped links reach are lost, to be re-produced (SUM: their production;
@@ -306,13 +307,19 @@ def production_shape(cfg: ProductionGameConfig, rows, prods) -> bool:
     if (c < k * hb - TOL and len(comps) != 1) or (c > k * hb + TOL and len(comps) != n):
         return False
     producers = [i for i in range(n) if prods[i] > PRODUCER_EPS]
+
+    def payoff(x):  # of holding x, net of producing it
+        return cfg.benefit(x) - k * x
+
     for comp in comps:
         if cfg.agg is Aggregation.SUM:
-            if abs(aggregate(cfg.agg, prods, comp) - hb) > TOL:
+            # a member's best production moves the total to h_bar, or as near as dropping its own share gets
+            total = aggregate(cfg.agg, prods, comp)
+            if payoff(max(hb, total - aggregate(Aggregation.MAX, prods, comp))) - payoff(total) > TOL:
                 return False
         else:
             inside = [i for i in producers if comp >> i & 1]
-            if len(inside) != 1 or abs(prods[inside[0]] - hb) > TOL:
+            if len(inside) != 1 or payoff(hb) - payoff(prods[inside[0]]) > TOL:
                 return False
     for i in range(n):
         part = component_masks(undirected_adjacency(rows, skip_row=i))

@@ -636,6 +636,17 @@ game:
         code, _ = run_cli(tmp_path, PRODUCTION_SPEC.replace(old, new.replace(value, hint)), name="hint.yaml")
         assert code == 0
 
+    @pytest.mark.parametrize("spec, old, new, message", [
+        (REGION_SPEC, "kl: [0, 1, 2, 3, 4]", "kl: [0, 4.5]", "kl=4.5 outside [0, min(h2, h3)=4.0]"),
+        (PRODUCTION_SPEC, "k: 0.25", "k: 0", "production cost k must be finite and positive"),
+        (VERIFY_SPEC, "n_agents: 3", "n_agents: 5", "verification brute force supports 2..4 agents"),
+    ], ids=["sweep-kl", "production-k", "verify-n"])
+    def test_model_refusal_exits_2_with_its_message(self, tmp_path, capsys, spec, old, new, message):
+        # the model's own ValueError reaches main, which prints it and exits 2, whatever raised it
+        assert old in spec
+        code, text = run_cli(tmp_path, spec.replace(old, new))
+        assert (code, text, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+
     def test_nan_cost_rejected(self, tmp_path):
         code, text = run_cli(tmp_path, ENUM_SPEC.replace("c: 0.3", "c: .nan"))
         assert code == 2 and text == ""
