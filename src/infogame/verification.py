@@ -12,6 +12,11 @@ enumerates them in one :func:`~infogame.equilibrium.enumerate_games` call
 and judges them in order. One that stops at instance t leaves the generator
 as it stood after drawing instance t, so later checks draw what they would
 if each game were drawn and judged in turn.
+
+The games come from :class:`~infogame.pcg64.Pcg64`, PCG64 drawn in pure
+Python exactly as numpy's ``default_rng(seed)`` draws it: saved reports keep
+their bytes, and no run loads numpy's random module or the OpenSSL library
+that it maps.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .csvtable import row_strings
 from .entropy import EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmfs, subset_agents
 from .formation_game import BenefitFunction, CostModel, GameConfig
 from .kernel import profile_indices, require_budget, rows_from_indices
+from .pcg64 import Pcg64
 from .production import Aggregation, ProductionGameConfig
 
 # each agent of a random joint pmf draws 2 .. MAX_ALPHABET outcomes
@@ -58,17 +64,20 @@ class VerifyReport:
 
 # -- randomized instances ------------------------------------------------------
 
-def random_joint_pmf(rng: np.random.Generator, n_agents: int) -> JointPmf:
+def random_joint_pmf(rng, n_agents: int) -> JointPmf:
+    """A random pmf of ``n_agents`` agents with 2 .. MAX_ALPHABET outcomes each; ``rng`` is a numpy
+    ``Generator`` or a :class:`~infogame.pcg64.Pcg64`, which draw the same pmf from one state."""
     sizes = tuple(int(rng.integers(2, MAX_ALPHABET + 1)) for _ in range(n_agents))
     raw = rng.random(sizes) ** 2 + 1e-6
     return JointPmf(raw / raw.sum())
 
 
-def random_configs(rng: np.random.Generator, sizes, benefit: BenefitFunction, homogeneous: bool = True,
+def random_configs(rng, sizes, benefit: BenefitFunction, homogeneous: bool = True,
                    states: list | None = None) -> list[GameConfig]:
     """A random game per size, pmf-derived, with c drawn from [0, 2 c_u] or recipient costs from
     [0, 1.5 c_u]: a pmf, then a variate u per cost, and cost hi * u, as rng.uniform(0, hi) gives.
-    The vectors are built in one batch per pmf shape; ``states`` gets the state after each game."""
+    The vectors are built in one batch per pmf shape; ``states`` gets the state after each game.
+    ``rng`` is a numpy ``Generator`` or a :class:`~infogame.pcg64.Pcg64`."""
     pmfs, draws = [], []
     for m in sizes:
         pmfs.append(random_joint_pmf(rng, m))
@@ -283,7 +292,12 @@ def _instance_profiles(n_agents: int, instances: int) -> int:
 
 def run_verification(n_agents: int = 3, instances: int = 20, seed: int = 0) -> VerifyReport:
     """Run every cross-validation suite; deterministic for a fixed seed. Refuses a
-    randomized check whose games have more than ``CHECK_BUDGET`` profiles in all."""
+    randomized check whose games have more than ``CHECK_BUDGET`` profiles in all, and any
+    argument that is not an integer (a bool included); numpy integers count as ints."""
+    for name, value in (("n_agents", n_agents), ("instances", instances), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n_agents, instances, seed = int(n_agents), int(instances), int(seed)
     if not 2 <= n_agents <= 4:
         raise ValueError("verification brute force supports 2..4 agents")
     if instances < 1:
@@ -299,7 +313,7 @@ def run_verification(n_agents: int = 3, instances: int = 20, seed: int = 0) -> V
         passed, detail = fn(*args)
         checks.append(VerifyCheck(name, bool(passed), detail))
 
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     run("existence_and_minimality", _check_existence_minimality, rng, n_agents, instances, benefit)
     run("connectivity_thresholds", _check_region_soundness, rng, benefit)
     run("ne_partition_characterization", _check_partitions, rng, n_agents, instances, benefit, True)

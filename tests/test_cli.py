@@ -454,8 +454,9 @@ def fresh_python(code, *args):
 
 
 class TestSpecDigest:
-    """The header's digest comes from CPython's built-in SHA-256, so a run maps no OpenSSL
-    (``_hashlib``) unless it draws random numbers, as ``verify`` does through ``numpy.random``."""
+    """The header's digest comes from CPython's built-in SHA-256, and ``verify`` draws its games
+    from a pure-Python PCG64 stream, so no command loads numpy's random module or maps OpenSSL
+    (``_hashlib``), which that module imports."""
 
     def test_importing_the_cli_loads_neither_openssl_nor_numpy_random(self):
         loaded = fresh_python("import sys, infogame.cli; print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
@@ -464,17 +465,19 @@ class TestSpecDigest:
         if BUILTIN_SHA256:
             assert hashlib_loaded == "False"
 
-    @pytest.mark.skipif(not BUILTIN_SHA256, reason="the interpreter has no built-in SHA-256 module")
-    def test_runs_without_random_draws_load_no_openssl(self, tmp_path):
-        specs = [ENUM_SPEC, PRODUCTION_SPEC, GOLDEN_PRODUCTION_N5_MAX_SPEC, FEW_SWEEP_SPEC, REGION_SPEC]
+    def test_no_command_loads_openssl_or_numpy_random(self, tmp_path):
+        specs = [ENUM_SPEC, PRODUCTION_SPEC, GOLDEN_PRODUCTION_N5_MAX_SPEC, FEW_SWEEP_SPEC, REGION_SPEC, VERIFY_SPEC]
         paths = []
         for k, spec in enumerate(specs):
             paths.append(str(tmp_path / f"spec{k}.yaml"))
             Path(paths[-1]).write_text(spec)
         loaded = fresh_python("import sys\nfrom infogame.cli import main\n"
                               "codes = [main(['--spec', p, '--out', p + '.csv']) for p in sys.argv[1:]]\n"
-                              "print(codes, '_hashlib' in sys.modules)", *paths)
-        assert loaded == f"{[0] * len(specs)} False\n"
+                              "print(codes, '_hashlib' in sys.modules, 'numpy.random' in sys.modules)", *paths)
+        codes, hashlib_loaded, random_loaded = loaded.rsplit(maxsplit=2)
+        assert (codes, random_loaded) == (str([0] * len(specs)), "False")
+        if BUILTIN_SHA256:
+            assert hashlib_loaded == "False"
 
     def test_header_digest_is_the_sha256_of_the_spec_bytes(self, tmp_path):
         # CRLF line endings, a UTF-8 comment and no final newline: the digest is of the bytes as read

@@ -12,9 +12,11 @@ module takes its sponsored trees from it. ``kernel.components`` is the one
 component walk; no module defines or names the scalar one. Each kernel table
 has one form: no module names a per-size cache switch (``TABLE_AGENTS``), an
 uncached twin of a cached function (``__wrapped__``) or a second walk
-(``_reach``). The package exports a fixed set of names: a link profile is an
-int64 row array, so no profile class is among them. The package's modules
-hold at most ``SRC_LINES`` lines in all.
+(``_reach``). No module imports numpy's random module or reads it as
+``np.random``: it maps OpenSSL into every process that loads it, and verify
+draws from a pure-Python stream. The package exports a fixed set of names: a
+link profile is an int64 row array, so no profile class is among them. The
+package's modules hold at most ``SRC_LINES`` lines in all.
 """
 import ast
 import subprocess
@@ -92,6 +94,17 @@ def test_every_kernel_table_has_one_form(module):
              if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in SECOND_FORMS
              or getattr(node, "id", None) in SECOND_FORMS or getattr(node, "attr", None) in SECOND_FORMS]
     assert names == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reaches_numpy_random(module):
+    names = [node.lineno for node in ast.walk(parsed(module))
+             if isinstance(node, ast.Attribute) and node.attr == "random"
+             and getattr(node.value, "id", None) in ("np", "numpy")
+             or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+             and any(alias.name == "random" for alias in node.names)]
+    assert names == []
+    assert "numpy.random" not in (SRC / f"{module}.py").read_text()
 
 
 @pytest.mark.parametrize("module", MODULES)

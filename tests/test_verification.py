@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from infogame.entropy import from_joint_pmf, validate_shannon
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction
 from infogame.kernel import CHECK_BUDGET, CapExceededError, components, profile_indices, rows_from_indices
+from infogame.pcg64 import Pcg64
 from infogame.production import Aggregation, ProductionGameConfig
 from infogame.verification import random_configs, random_joint_pmf, run_verification
 from scalar_kernel import NO_PURE_NE, random_homogeneous_config, random_recipient_config
@@ -54,6 +56,69 @@ class TestGenerators:
         assert cfg.n_agents == 3 and cfg.costs.kind == "homogeneous"
         cfg = random_recipient_config(rng, 4, LN)
         assert cfg.costs.kind == "recipient" and len(cfg.costs.values) == 4
+
+
+# single- and multi-word seeds of numpy's SeedSequence, up to five 32-bit words
+STREAM_SEEDS = [*range(40), 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**130 + 17, 123456789]
+# scalar lengths and shapes of one to four dimensions
+SHAPES = [1, 5, (3,), (2, 3), (2, 3, 2), (3, 2, 2, 3)]
+
+
+def mixed_calls(rng, calls=300):
+    """A fixed script of ``random(shape)`` and ``integers(lo, lo + width)`` calls (widths 1-6),
+    yielding each result with the generator's state after it."""
+    for k in range(calls):
+        if k % 3 == 0:
+            shape = SHAPES[k // 3 % len(SHAPES)]
+            out = rng.random(shape)
+            yield out.shape, out.dtype, out.tolist(), rng.bit_generator.state
+        else:
+            lo = k % 7 - 3
+            yield int(rng.integers(lo, lo + 1 + k % 6)), rng.bit_generator.state
+
+
+class TestPcg64Stream:
+    """The pure-Python stream against numpy's ``default_rng``, call for call."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_draws_and_states_equal_numpys(self, seed):
+        stream, rng = Pcg64(seed), np.random.default_rng(seed)
+        assert stream.bit_generator.state == rng.bit_generator.state
+        assert list(mixed_calls(stream)) == list(mixed_calls(rng))
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 5])
+    def test_wide_ranges_reject_the_draws_numpy_rejects(self, seed):
+        # near 2**31 about half of the 32-bit words fall below Lemire's threshold and are redrawn
+        stream, rng = Pcg64(seed), np.random.default_rng(seed)
+        for width in [2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 5] * 50:
+            assert stream.integers(-7, width - 7) == rng.integers(-7, width - 7)
+            assert stream.bit_generator.state == rng.bit_generator.state
+
+    def test_a_width_one_range_draws_nothing(self):
+        stream = Pcg64(3)
+        state = stream.bit_generator.state
+        assert stream.integers(4, 5) == 4
+        assert stream.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+    def test_a_state_copied_from_numpy_continues_identically(self, seed):
+        rng = np.random.default_rng(seed)
+        rng.random(3)
+        rng.integers(0, 5)  # leaves half a 64-bit word buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        stream = Pcg64(seed + 1)
+        stream.bit_generator.state = rng.bit_generator.state
+        assert list(mixed_calls(stream, 60)) == list(mixed_calls(rng, 60))
+
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**130 + 17])
+    def test_random_configs_equal_numpys(self, seed, homogeneous):
+        drawn = []
+        for rng in (Pcg64(seed), np.random.default_rng(seed)):
+            states = []
+            cfgs = random_configs(rng, [2, 3, 4] * 4, LN, homogeneous, states)
+            drawn.append(([(cfg.ev.entries, cfg.costs.values) for cfg in cfgs], states))
+        assert drawn[0] == drawn[1]
 
 
 class TestSuite:
@@ -127,6 +192,21 @@ class TestSuite:
             run_verification(n_agents=5)
         with pytest.raises(ValueError):
             run_verification(n_agents=3, instances=0)
+
+    @pytest.mark.parametrize("name", ["n_agents", "instances", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 3.0, 2.5, "3", None])
+    def test_an_argument_that_is_not_an_integer_is_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            run_verification(**{"n_agents": 2, "instances": 1, "seed": 0, name: value})
+
+    def test_a_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            run_verification(2, 1, np.int64(-1))
+
+    def test_numpy_integers_are_accepted_as_plain_ints(self):
+        report = run_verification(np.int64(2), np.uint8(1), np.int32(3))
+        assert type(report.seed) is int
+        assert report.to_text() == run_verification(2, 1, 3).to_text()
 
 
 class TestPoaCheck:
