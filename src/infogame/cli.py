@@ -161,7 +161,7 @@ def _run_sweep(spec: dict):
         ev = family_pair_redundancy(h[0], h[1], h[2], kl)
         points += [(c, kl) + row for c, row in zip(c_values, analytic.homogeneous_sweep(ev, benefit, c_values))]
     header = ["c", "kl", "region", "c_l", "c_u", "poa_or_bound", "mil_or_bound"]
-    columns = [_texts(column) if k == 2 else csvtable.floats(column) for k, column in enumerate(zip(*points))]
+    columns = [_texts(col) if k == 2 else np.array(col, dtype=np.float64) for k, col in enumerate(zip(*points))]
     return lambda out: csvtable.write_csv(out, header, columns)
 
 
@@ -283,8 +283,7 @@ def _run_production(spec: dict):
     cfg = _production_config(spec)
     rows, prods = production.production_equilibria(cfg)
     header = ["links"] + [f"prod_{i}" for i in range(cfg.n_agents)]
-    strings, codes = csvtable.floats(prods)
-    columns = [(csvtable.row_strings(cfg.n_agents), rows)] + [(strings, column) for column in codes.T]
+    columns = [(csvtable.row_strings(cfg.n_agents), rows)] + list(prods.T)
     return lambda out: csvtable.write_csv(out, header, columns)
 
 
@@ -296,7 +295,7 @@ def _run_few_sweep(spec: dict):
     points = production.few_sweep(cfg, [_number(int, n, "n_list entry") for n in n_list])
     header = ["n", "agg", "c", "k", "h_bar", "producer_fraction", "total_information_bits"]
     columns = [_texts([str(pt.n) for pt in points]), _texts([pt.agg.value for pt in points])]
-    columns += [csvtable.floats([getattr(pt, name) for pt in points]) for name in header[2:]]
+    columns += [np.array([getattr(pt, name) for pt in points], dtype=np.float64) for name in header[2:]]
     return lambda out: csvtable.write_csv(out, header, columns)
 
 

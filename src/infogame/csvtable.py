@@ -3,8 +3,9 @@
 A column is a (strings, codes) pair: an object array of cell texts and an
 int array indexing it, one code per row, or one per row and part when a
 cell is the concatenation of parts. A link profile prints as the strings
-of :func:`row_strings` indexed by its rows, and :func:`floats` calls
-``repr`` once per distinct value.
+of :func:`row_strings` indexed by its rows. A float64 array is a column of
+its own: :func:`floats` formats it one chunk at a time, calling ``repr``
+once per distinct value of the chunk, so no whole column is held as text.
 """
 from __future__ import annotations
 
@@ -24,18 +25,21 @@ def floats(values) -> tuple[np.ndarray, np.ndarray]:
     """``repr`` of every float of an array, as strings and codes of the array's shape.
     Values are told apart by bit pattern, so 0.0 and -0.0 keep their own texts."""
     values = np.asarray(values, dtype=np.float64)
-    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    # return_index makes the sort numpy's stable one, which merged_table's np.unique already runs
+    bits, _, codes = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
     strings = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return strings, codes.reshape(values.shape)
 
 
 def write_csv(out, header, columns) -> None:
-    """Write ``header`` and the rows of ``columns`` to the text file ``out``, each line
-    ending in a newline."""
+    """Write ``header`` and the rows of ``columns`` (pairs or float64 arrays) to the text file
+    ``out``, each line ending in a newline."""
     out.write(",".join(header) + "\n")
-    for start in range(0, len(columns[0][1]), CHUNK_ROWS):
-        cells = []
-        for strings, codes in columns:
-            part = strings[codes[start:start + CHUNK_ROWS]]
+    first = columns[0]
+    for start in range(0, len(first if isinstance(first, np.ndarray) else first[1]), CHUNK_ROWS):
+        at, cells = slice(start, start + CHUNK_ROWS), []
+        for column in columns:
+            strings, codes = floats(column[at]) if isinstance(column, np.ndarray) else (column[0], column[1][at])
+            part = strings[codes]
             cells.append((np.add.reduce(part, axis=1) if part.ndim == 2 else part).tolist())
         out.write("\n".join(map(",".join, zip(*cells))) + "\n")

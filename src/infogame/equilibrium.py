@@ -7,20 +7,20 @@ scans evaluate it in fixed-size chunks so that memory stays bounded whatever
 the game. The price of anarchy and the maximum information loss are fields
 of :class:`EquilibriumReport`.
 
-The full scan covers every profile of a chunk of same-size games at once.
+The full scan covers every profile of a chunk of same-size games, one block
+of values of agent 0's row field (the top of the profile index) at a time.
 Agent i's best responses see the others' rows only through the partition of
 the graph without i's links: per ``SCAN_CHUNK`` of the 2**((n-1)**2) others
 configurations, its merged table has a row per partition, kept read-only
-across games. The games' payoff tables, stacked on a leading game axis,
-score the rows together; each game reads them per configuration and reshapes
-them to (2**(w*i), 2**w, rest), w = n-1, with agent i's own row field,
-contiguous in the profile index, in the middle axis, so one gather tests
-agent i's row in every profile of every game. A profile is an NE when every
-agent's own row is set in its table, and strict when it is the only one.
-:func:`enumerate_games` groups its games by size and scans at most
-``SCAN_CHUNK`` others configurations times games at a time: 2,048 two-agent
-games, 256 three-agent or 8 four-agent games, one five-agent game in
-``SCAN_CHUNK`` pieces. :func:`enumerate_nash` is its batch of one game.
+across games and scored once per scan with the games' stacked payoff tables.
+In a block, agent 0 reads the block's columns of its small scored tables and
+each agent i >= 1 the chunks of the block's configurations; each gathers its
+table per configuration as (higher fields, 2**(n-1), lower fields), its own
+row field being contiguous in the profile index. A profile is an NE when
+every agent's own row is set, and strict when it is the only one. A chunk is
+2,048 two-agent, 256 three-agent or 8 four-agent games in one block, or one
+five-agent game in 16 blocks of 2**16 profiles, never a flag per profile of
+its 2**20. :func:`enumerate_nash` is :func:`enumerate_games` of one game.
 
 Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
 have 2**30 profiles) and the scan switches to candidate pruning: every NE
@@ -32,14 +32,14 @@ profile at its first failing agent. The pruned path refuses cost models with
 a link cost at or below tolerance.
 
 Both scans return the equilibria's profile indices and strict flags; the
-report builds their int64 rows (ne, n) once, behind its games' optimal
-forests, keeps them with the kernel's ``components`` and ``welfare`` of
-them, and streams its CSV from the arrays through :mod:`infogame.csvtable`.
-The social optimum is a welfare of the same routine: the first maximum of
-``welfare`` over the optimal forest of every set partition, which the report
-scores in the equilibria's own batch. A chunk's games share that batch, each row
-indexing its game's tables, and games with the same Kruskal link order
-share their forests.
+report builds their rows (ne, n) once, in the masks' dtype, behind its
+games' optimal forests, keeps them with the kernel's ``components`` and
+``welfare`` of them, and streams its CSV from the arrays through
+:mod:`infogame.csvtable`. The social optimum is a welfare of the same
+routine: the first maximum of ``welfare`` over the optimal forest of every
+set partition, which the report scores in the equilibria's own batch. A
+chunk's games share that batch, each row indexing its game's tables, and
+games with the same Kruskal link order share their forests.
 """
 from __future__ import annotations
 
@@ -77,11 +77,11 @@ SCAN_CHUNK = 4096
 class EquilibriumReport:
     """Everything the enumeration learned about a game's equilibria.
 
-    The arrays are in profile-index order: int64 ``rows`` (ne, n), ``strict``
-    flags, ``welfare`` and the ``components`` masks (n, ne), unsigned as
-    :func:`~infogame.kernel.components` gives them. ``info_values``
-    maps a component mask to the vector's own entropy float, and
-    ``social_optimum_rows`` is the optimum's int64 rows (n,). ``ne_profiles``,
+    The arrays are in profile-index order: ``rows`` (ne, n) and the
+    ``components`` masks (n, ne), unsigned as :func:`~infogame.kernel.components`
+    gives its masks (uint8 up to 8 agents), ``strict`` flags and ``welfare``.
+    ``info_values`` maps a component mask to the vector's own entropy float,
+    and ``social_optimum_rows`` is the optimum's int64 rows (n,). ``ne_profiles``,
     the rows as hashable tuples, is built on first use. ``poa`` is None when
     the worst equilibrium welfare is not positive, in which case the
     optimum/worst ratio has no meaningful sign.
@@ -107,7 +107,7 @@ class EquilibriumReport:
         n = self.rows.shape[1]
         header = ["profile", "welfare"] + [f"info_{i}" for i in range(n)] + ["strict"]
         info = np.array([repr(v) for v in self.info_values], dtype=object)
-        columns = [(csvtable.row_strings(n), self.rows), csvtable.floats(self.welfare)]
+        columns = [(csvtable.row_strings(n), self.rows), self.welfare]
         columns += [(info, column) for column in self.components]
         columns.append((np.array(["0", "1"], dtype=object), self.strict.view(np.uint8)))
         csvtable.write_csv(out, header, columns)
@@ -126,34 +126,45 @@ def _others_merged(n: int, i: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     return merged, part
 
 
+def _scored(n: int, i: int, starts, fh: np.ndarray, costs: np.ndarray, compacts: np.ndarray) -> tuple:
+    """Agent i's best responses to the ``SCAN_CHUNK`` others configurations from each of ``starts``,
+    each chunk scored once and the chunks joined: the table (games, partitions, 2**(n-1)) with its
+    columns in row-field order, and each configuration's single-best flag (games, configs) and partition."""
+    tables, parts, count = [], [], 0
+    for start in starts:
+        merged, part = _others_merged(n, i, start)
+        tables.append(best_response_table(merged, fh, costs[:, i]))
+        parts.append(part.astype(np.min_scalar_type(count + len(merged))) + count if count else part)
+        count += len(merged)
+    table, part = np.concatenate(tables, axis=1), np.concatenate(parts)
+    return np.take(table, compacts, axis=-1), np.take(table.sum(axis=-1) == 1, part, axis=1), part
+
+
 def _ne_scan_full(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exhaustive scan of a chunk of same-size games; the profile indices (int64) and
-    strict flags of every NE, game by game and ascending within a game, and
-    each game's count of them."""
+    """Exhaustive scan of a chunk of same-size games, a block of agent 0's row field at a
+    time; the profile indices (int64) and strict flags of every NE, game by game and
+    ascending within a game, and each game's count of them."""
     n = cfgs[0].n_agents
     w, g = n - 1, len(cfgs)
-    fh = np.stack([cfg.fh for cfg in cfgs])
-    costs = np.stack([cfg.row_costs for cfg in cfgs])
-    compacts = field_compacts(n)
-    ne = np.ones((g, 1 << (n * w)), dtype=bool)
-    strict = np.ones((g, 1 << (n * w)), dtype=bool)
-    n_others = 1 << (w * w)
-    for i in range(n):
-        low = w * (n - 1 - i)
-        own = np.empty((g, n_others, 1 << w), dtype=bool)
-        unique = np.empty((g, n_others), dtype=bool)
-        for start in range(0, n_others, SCAN_CHUNK):
-            merged, part = _others_merged(n, i, start)
-            table = best_response_table(merged, fh, costs[:, i])
-            own[:, start:start + len(part)] = np.take(np.take(table, compacts, axis=-1), part, axis=1)
-            unique[:, start:start + len(part)] = np.take(table.sum(axis=-1) == 1, part, axis=1)
-        own = own.reshape(g, 1 << (w * i), 1 << low, 1 << w).transpose(0, 1, 3, 2)
-        ne.reshape(own.shape)[...] &= own
-        strict.reshape(own.shape)[...] &= unique.reshape(g, 1 << (w * i), 1, 1 << low)  # read where ne is set
-    idx = np.flatnonzero(ne)  # the game above the profile index
-    strict = strict.ravel()[idx]
-    idx &= (1 << (n * w)) - 1
-    return idx, strict, ne.sum(axis=1)
+    args = np.stack([cfg.fh for cfg in cfgs]), np.stack([cfg.row_costs for cfg in cfgs]), field_compacts(n)
+    span = 1 << (w * (w - 1))  # the others configurations of agents 1.. per value of agent 0's field
+    step = min(max(1, SCAN_CHUNK // span), 1 << w)  # values of agent 0's field per block
+    first = _scored(n, 0, range(0, 1 << (w * w), SCAN_CHUNK), *args)  # agent 0's, read by every block
+    idx, strict, counts = [], [], 0
+    for v in range(0, 1 << w, step):
+        ne, sure = np.ones((2, g, step << (w * w)), dtype=bool)  # the block's NE and strict flags
+        for i in range(n):
+            table, unique, part = _scored(n, i, range(v * span, (v + step) * span, SCAN_CHUNK), *args) if i else first
+            own = np.take(table if i else table[..., v:v + step], part, axis=1)  # agent 0: the block's own rows
+            low = w * (n - 1 - i)
+            own = own.reshape(g, -1, 1 << low, own.shape[-1]).transpose(0, 1, 3, 2)
+            ne.reshape(own.shape)[...] &= own
+            sure.reshape(own.shape)[...] &= unique.reshape(g, -1, 1, 1 << low)  # read where ne is set
+        hits = np.flatnonzero(ne)  # the game above the block's profile
+        strict.append(sure.ravel()[hits])
+        idx.append(hits & ((step << (w * w)) - 1) | v << (w * w))
+        counts += ne.sum(axis=1)
+    return np.concatenate(idx), np.concatenate(strict), counts
 
 
 def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +248,11 @@ def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
     opt = [forests[links] if links in forests else forests.setdefault(links, _optimal_forests(n, links))
            for links in map(_kruskal_links, cfgs)]
     # every game's forests, then every game's equilibria: the one copy of the rows, which the reports view
-    stack = rows_from_indices(np.concatenate([profile_indices(np.concatenate(opt)), idx]), n)
+    stack = rows_from_indices(np.concatenate([profile_indices(np.concatenate(opt)), idx]), n,
+                              np.min_scalar_type((1 << n) - 1))
     del idx  # released before the stack is scored
-    game = np.concatenate([np.arange(g).repeat(len(opt[0])), np.arange(g).repeat(counts)])
+    games = np.arange(g, dtype=np.min_scalar_type(g - 1))
+    game = np.concatenate([games.repeat(len(opt[0])), games.repeat(counts)])
     comp = components(stack)
     w = welfare(stack, comp, np.stack([c.fh for c in cfgs]), np.stack([c.row_costs for c in cfgs]), game)
     k = g * len(opt[0])
@@ -255,7 +268,7 @@ def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
         reports.append(EquilibriumReport(
             rows=stack[lo:hi], strict=strict[lo - k:hi - k], welfare=ws, components=comp[:, lo:hi],
             info_values=h, social_optimum_value=float(w[top]),
-            social_optimum_rows=stack[top], worst_ne_welfare=worst,
+            social_optimum_rows=stack[top].astype(np.int64), worst_ne_welfare=worst,
             poa=float(w[top]) / worst if count and worst > 0.0 else None,
             mil=max(float(hv[c].max() - hv[c].min()) for c in comp[:, lo:hi]) if count else 0.0))
     return reports

@@ -10,7 +10,8 @@ The *profile index* ranks the 2**(n(n-1)) profiles by their flattened link
 matrix with the diagonal left out: row i is the (n-1)-bit field starting at
 bit (n-1)(n-1-i), and inside a field the most significant bit is the lowest
 target, the reverse of the compact-row order. :func:`rows_from_indices` and
-:func:`profile_indices` convert whole batches between the two forms.
+:func:`profile_indices` convert whole batches between the two forms; the
+rows are int64, or the masks' narrower dtype that equilibrium reports keep.
 
 Every search over sponsored trees (each edge of a tree linked by exactly one
 of its ends) takes its rows from the one Pruefer decoder,
@@ -117,11 +118,11 @@ def field_compacts(n: int) -> np.ndarray:
     return compacts
 
 
-def rows_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    """Rows of every profile index in ``idx``, as an int64 array of shape (len, n)."""
+def rows_from_indices(idx: np.ndarray, n: int, dtype=np.int64) -> np.ndarray:
+    """Rows of every profile index in ``idx``, as an array of shape (len, n), int64 unless ``dtype`` is given."""
     width = n - 1
     compacts = field_compacts(n)
-    out = np.empty((len(idx), n), dtype=np.int64)
+    out = np.empty((len(idx), n), dtype=dtype)
     for i in range(n):
         field = (idx >> (width * (n - 1 - i))) & ((1 << width) - 1)
         out[:, i] = expand_row(compacts, i)[field]
@@ -244,10 +245,11 @@ def sponsored_forests(n: int) -> np.ndarray:
     there are ``set_partition_count(n, sponsored_tree_count)`` of them. Blocks
     own disjoint links, so a forest's index is the sum of its trees' indices.
     A block's sponsored trees are built and indexed about ``TREE_ROWS`` rows
-    at a time, so no block's rows are held whole.
+    at a time, so no block's rows are held whole, and each partition's
+    forests are written into the one array, which is then sorted in place.
     """
     trees = {}  # sponsored-tree indices per block
-    parts = []
+    forests, at = np.empty(set_partition_count(n, sponsored_tree_count), dtype=np.int64), 0
     for part in set_partitions(tuple(range(n))):
         idx = np.zeros(1, dtype=np.int64)
         for block in map(tuple, part):
@@ -256,8 +258,8 @@ def sponsored_forests(n: int) -> np.ndarray:
                 trees[block] = np.concatenate([profile_indices(_oriented(ends[s:s + step], n))
                                                for s in range(0, len(ends), step)])
             idx = (idx[:, None] + trees[block]).ravel()
-        parts.append(idx)
-    forests = np.concatenate(parts)
+        forests[at:at + len(idx)] = idx
+        at += len(idx)
     forests.sort()
     return forests
 
