@@ -26,19 +26,20 @@ Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
 have 2**30 profiles) and the scan switches to candidate pruning: every NE
 with strictly positive link costs is a forest in which each edge has exactly
 one sponsor (a duplicate or cycle link could be dropped for a strict gain),
-so only :func:`~infogame.kernel.sponsored_forests` are generated, as profile
-indices, and verified by :func:`~infogame.kernel.ne_status`, which drops a
-profile at its first failing agent. The pruned path refuses cost models with
-a link cost at or below tolerance.
+so only :func:`~infogame.kernel.forest_batches` are generated: profile
+indices that fill one ``SCAN_CHUNK`` buffer, judged when full by
+:func:`~infogame.kernel.ne_status`, which drops a profile at its first
+failing agent. Only the equilibria are kept, and sorted at the end. The
+pruned path refuses cost models with a link cost at or below tolerance.
 
 Both scans return the equilibria's profile indices and strict flags; the
 report builds their rows (ne, n) once, in the masks' dtype, behind its
-games' optimal forests, keeps them with the kernel's ``components`` and
-``welfare`` of them, and streams its CSV from the arrays through
-:mod:`infogame.csvtable`. The social optimum is a welfare of the same
-routine: the first maximum of ``welfare`` over the optimal forest of every
-set partition, which the report scores in the equilibria's own batch. A
-chunk's games share that batch, each row indexing its game's tables, and
+games' optimal forests, and the kernel's ``components`` and ``welfare`` of
+them, a ``SCAN_CHUNK`` slice at a time, and streams its CSV from the arrays
+through :mod:`infogame.csvtable`. The social optimum is a welfare of the
+same routine: the first maximum of ``welfare`` over the optimal forest of
+every set partition, which the report scores in the equilibria's own batch.
+A chunk's games share that batch, each row indexing its game's tables, and
 games with the same Kruskal link order share their forests.
 """
 from __future__ import annotations
@@ -57,14 +58,13 @@ from .kernel import (
     best_response_table,
     components,
     field_compacts,
+    forest_batches,
     merged_table,
     ne_status,
-    profile_indices,
     require_budget,
     rows_from_indices,
     set_partition_count,
     set_partitions,
-    sponsored_forests,
     sponsored_tree_count,
     welfare,
 )
@@ -167,20 +167,29 @@ def _ne_scan_full(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.concatenate(idx), np.concatenate(strict), counts
 
 
-def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Forest-candidate scan for n >= 6, returning as :func:`_ne_scan_full` does.
+def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forest-candidate scan of one game for n >= 6, returning as :func:`_ne_scan_full` does.
     Needs every link cost above tolerance."""
     n = cfg.n_agents
     if cfg.costs.min_cost(n) <= TOL:
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
-    candidates = sponsored_forests(n)
-    ne, strict = np.zeros(len(candidates), dtype=bool), np.zeros(len(candidates), dtype=bool)
-    for start in range(0, len(candidates), SCAN_CHUNK):
-        at = slice(start, start + SCAN_CHUNK)
-        ne[at], strict[at] = ne_status(rows_from_indices(candidates[at], n), cfg.fh, cfg.row_costs)
-    return candidates[ne], strict[ne]
+    buf, fill, found, dtype = np.empty(SCAN_CHUNK, dtype=np.int64), 0, [], np.min_scalar_type((1 << n) - 1)
+
+    def judge(forests):  # rows in the masks' narrow dtype keep ne_status's copies small; found: index << 1 | strict
+        ne, sure = ne_status(rows_from_indices(forests, n, dtype), cfg.fh, cfg.row_costs)
+        found.append(forests[ne] << 1 | sure[ne])
+    for batch in forest_batches(n):
+        while len(batch):
+            take = min(len(batch), SCAN_CHUNK - fill)
+            buf[fill:fill + take], batch, fill = batch[:take], batch[take:], (fill + take) % SCAN_CHUNK
+            if not fill:  # the buffer is full
+                judge(buf)
+    judge(buf[:fill])
+    found = np.concatenate(found)
+    found.sort()
+    return found >> 1, (found & 1).astype(bool), np.array([len(found)])
 
 
 def _mst(block: tuple[int, ...], links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
@@ -238,24 +247,25 @@ def social_optimum(cfg: GameConfig) -> tuple[float, np.ndarray]:
 def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
     """Reports of a chunk of same-size games: one scan, then every game's optimal forests
     (from ``forests``, one array per Kruskal link order) and every game's equilibria
-    scored in one ``components`` and one ``welfare`` batch."""
+    scored together by ``components`` and ``welfare``, a ``SCAN_CHUNK`` slice at a time."""
     n, g = cfgs[0].n_agents, len(cfgs)
-    if 1 << (n * (n - 1)) <= CHECK_BUDGET:
-        idx, strict, counts = _ne_scan_full(cfgs)
-    else:
-        idx, strict = _ne_scan_pruned(cfgs[0])
-        counts = np.array([len(idx)])
+    idx, strict, counts = _ne_scan_full(cfgs) if 1 << (n * (n - 1)) <= CHECK_BUDGET else _ne_scan_pruned(cfgs[0])
     opt = [forests[links] if links in forests else forests.setdefault(links, _optimal_forests(n, links))
            for links in map(_kruskal_links, cfgs)]
     # every game's forests, then every game's equilibria: the one copy of the rows, which the reports view
-    stack = rows_from_indices(np.concatenate([profile_indices(np.concatenate(opt)), idx]), n,
-                              np.min_scalar_type((1 << n) - 1))
+    k = g * len(opt[0])
+    stack = np.empty((k + len(idx), n), dtype=np.min_scalar_type((1 << n) - 1))
+    stack[:k] = np.concatenate(opt)
+    for start in range(0, len(idx), SCAN_CHUNK):
+        stack[k + start:k + start + SCAN_CHUNK] = rows_from_indices(idx[start:start + SCAN_CHUNK], n, stack.dtype)
     del idx  # released before the stack is scored
     games = np.arange(g, dtype=np.min_scalar_type(g - 1))
     game = np.concatenate([games.repeat(len(opt[0])), games.repeat(counts)])
-    comp = components(stack)
-    w = welfare(stack, comp, np.stack([c.fh for c in cfgs]), np.stack([c.row_costs for c in cfgs]), game)
-    k = g * len(opt[0])
+    fh, costs = np.stack([c.fh for c in cfgs]), np.stack([c.row_costs for c in cfgs])
+    comp, w = np.empty((n, len(stack)), dtype=stack.dtype), np.empty(len(stack))
+    for at in (slice(start, start + SCAN_CHUNK) for start in range(0, len(stack), SCAN_CHUNK)):
+        comp[:, at] = components(stack[at])
+        w[at] = welfare(stack[at], comp[:, at], fh, costs, game[at])
     tops = w[:k].reshape(g, -1).argmax(axis=1) + np.arange(0, k, len(opt[0]))
     reports, hi = [], k
     for cfg, top, count in zip(cfgs, tops.tolist(), counts.tolist()):

@@ -11,7 +11,8 @@ matrix with the diagonal left out: row i is the (n-1)-bit field starting at
 bit (n-1)(n-1-i), and inside a field the most significant bit is the lowest
 target, the reverse of the compact-row order. :func:`rows_from_indices` and
 :func:`profile_indices` convert whole batches between the two forms; the
-rows are int64, or the masks' narrower dtype that equilibrium reports keep.
+rows are int64, or the masks' narrower dtype, which the component walk and
+the best responses take too and equilibrium reports keep.
 
 Every search over sponsored trees (each edge of a tree linked by exactly one
 of its ends) takes its rows from the one Pruefer decoder,
@@ -19,8 +20,8 @@ of its ends) takes its rows from the one Pruefer decoder,
 for the blocks of every partition that the component structures judge and
 for the production game's SUM shapes; :func:`rooted_trees` orients each
 tree toward one agent, as the decoder hangs it from its last member, for
-the production game's MAX shapes; and :func:`sponsored_forests`, a tree per
-block of every partition, serves the pruned NE scan.
+the production game's MAX shapes; and :func:`forest_batches`, a tree per
+block of every partition, streams the pruned NE scan a partition at a time.
 
 One path evaluates best responses. Agent i's payoffs see the others' rows
 only through the partition of the agents into components of the graph
@@ -57,7 +58,7 @@ from .entropy import TOL
 
 # profiles, sponsored trees, partitions or grid points one brute-force search may visit
 CHECK_BUDGET = 1 << 20
-# sponsored-tree rows that sponsored_forests builds at a time
+# sponsored-tree rows of the all-agent block that forest_batches builds at a time
 TREE_ROWS = 4096
 
 
@@ -238,36 +239,34 @@ def rooted_trees(n: int, root: int) -> np.ndarray:
     return rows
 
 
-def sponsored_forests(n: int) -> np.ndarray:
-    """Profile indices (int64) of every sponsored forest of n agents, ascending.
+def forest_batches(n: int):
+    """Profile indices (int64) of every sponsored forest of n agents, in unsorted batches.
 
     Each set partition is wired by a sponsored spanning tree per block, so
     there are ``set_partition_count(n, sponsored_tree_count)`` of them. Blocks
     own disjoint links, so a forest's index is the sum of its trees' indices.
-    A block's sponsored trees are built and indexed about ``TREE_ROWS`` rows
-    at a time, so no block's rows are held whole, and each partition's
-    forests are written into the one array, which is then sorted in place.
+    A batch is one partition's forests, in ``set_partitions`` order, with each
+    smaller block's tree indices built once a call; the one n-member block
+    comes about ``TREE_ROWS`` rows (whole trees, every orientation) at a time.
     """
-    trees = {}  # sponsored-tree indices per block
-    forests, at = np.empty(set_partition_count(n, sponsored_tree_count), dtype=np.int64), 0
+    kept = {}
     for part in set_partitions(tuple(range(n))):
-        idx = np.zeros(1, dtype=np.int64)
-        for block in map(tuple, part):
-            if block not in trees:
-                ends, step = spanning_trees(block), max(1, TREE_ROWS >> (len(block) - 1))
-                trees[block] = np.concatenate([profile_indices(_oriented(ends[s:s + step], n))
-                                               for s in range(0, len(ends), step)])
-            idx = (idx[:, None] + trees[block]).ravel()
-        forests[at:at + len(idx)] = idx
-        at += len(idx)
-    forests.sort()
-    return forests
+        if len(part) == 1:
+            ends, step = spanning_trees(tuple(range(n))), max(1, TREE_ROWS >> (n - 1))
+            yield from (profile_indices(_oriented(ends[s:s + step], n)) for s in range(0, len(ends), step))
+        else:
+            idx = np.zeros(1, dtype=np.int64)
+            for block in map(tuple, part):
+                if block not in kept:
+                    kept[block] = profile_indices(_oriented(spanning_trees(block), n))
+                idx = (idx[:, None] + kept[block]).ravel()
+            yield idx
 
 
 # -- components and payoffs ----------------------------------------------------------
 
 def components(rows: np.ndarray) -> np.ndarray:
-    """Agent a's component in profile b at [a, b] of an (n, batch) array, for int64 ``rows`` (batch, n),
+    """Agent a's component in profile b at [a, b] of an (n, batch) array, for ``rows`` (batch, n),
     in the narrowest unsigned dtype of an n-bit mask: uint8 up to 8 agents, else uint16."""
     n = rows.shape[1]
     dtype = np.uint8 if n <= 8 else np.uint16
@@ -286,7 +285,7 @@ def components(rows: np.ndarray) -> np.ndarray:
 def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Agent i's component mask for every compact row, once per partition of the others.
 
-    ``rows`` is an int64 array of shape (batch, n); column i is ignored.
+    ``rows`` is an int64 or mask-dtype array of shape (batch, n); column i is ignored.
     Linking to agent j merges in j's whole component of the graph without
     i's sponsored links, so only the partition of that graph matters.
     Returns (merged, part): ``merged`` (:func:`components`' dtype, a row per
@@ -332,7 +331,7 @@ def best_response_table(merged: np.ndarray, fh: np.ndarray, row_cost: np.ndarray
 def ne_status(rows: np.ndarray, fh: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(is_ne, is_strict) of every profile of a batch.
 
-    ``rows`` is an int64 array of shape (batch, n); ``fh`` and ``costs`` are
+    ``rows`` is as in :func:`merged_table`; ``fh`` and ``costs`` are
     as in :func:`best_response_table`, with ``costs`` holding every agent's
     table. An agent fails when some row beats its current one by more than
     ``TOL``; it is strict when its current row is its only within-tolerance

@@ -42,8 +42,8 @@ def _seed_words(seed: int) -> tuple[int, int]:
 
 
 class Pcg64:
-    """The stream of ``default_rng(seed)``: ``random(shape)``, a scalar ``integers(lo, hi)`` and
-    ``bit_generator.state`` in numpy's layout, which either generator's state can be set from."""
+    """The stream of ``default_rng(seed)``: ``random(shape)``, a scalar ``integers(lo, hi)`` and its
+    state as the tuple (state, inc, has_uint32, uinteger) of numpy's PCG64 fields."""
 
     MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -52,17 +52,12 @@ class Pcg64:
         self.inc = initseq << 1 & M128 | 1
         self.s = (self.inc + initstate) * self.MULT + self.inc & M128
         self.has_uint32 = self.uinteger = 0
-        self.bit_generator = self
 
-    @property
-    def state(self) -> dict:
-        return {"bit_generator": "PCG64", "state": {"state": self.s, "inc": self.inc},
-                "has_uint32": self.has_uint32, "uinteger": self.uinteger}
+    def getstate(self) -> tuple:
+        return self.s, self.inc, self.has_uint32, self.uinteger
 
-    @state.setter
-    def state(self, value: dict):
-        self.s, self.inc = value["state"]["state"], value["state"]["inc"]
-        self.has_uint32, self.uinteger = value["has_uint32"], value["uinteger"]
+    def setstate(self, state: tuple):
+        self.s, self.inc, self.has_uint32, self.uinteger = state
 
     def _next64(self) -> int:
         self.s = self.s * self.MULT + self.inc & M128

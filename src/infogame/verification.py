@@ -76,14 +76,14 @@ def random_configs(rng, sizes, benefit: BenefitFunction, homogeneous: bool = Tru
                    states: list | None = None) -> list[GameConfig]:
     """A random game per size, pmf-derived, with c drawn from [0, 2 c_u] or recipient costs from
     [0, 1.5 c_u]: a pmf, then a variate u per cost, and cost hi * u, as rng.uniform(0, hi) gives.
-    The vectors are built in one batch per pmf shape; ``states`` gets the state after each game.
-    ``rng`` is a numpy ``Generator`` or a :class:`~infogame.pcg64.Pcg64`."""
+    The vectors are built in one batch per pmf shape. ``rng`` is a numpy ``Generator`` or a
+    :class:`~infogame.pcg64.Pcg64`; ``states``, which needs the latter, gets its state after each game."""
     pmfs, draws = [], []
     for m in sizes:
         pmfs.append(random_joint_pmf(rng, m))
         draws.append(rng.random(1 if homogeneous else m).tolist())
         if states is not None:
-            states.append(rng.bit_generator.state)
+            states.append(rng.getstate())
     cfgs = []
     for ev, u in zip(from_joint_pmfs(pmfs), draws):
         hi = (2.0 if homogeneous else 1.5) * max(analytic.thresholds_homogeneous(ev, benefit)[1], 1e-6)
@@ -110,7 +110,7 @@ def _games(rng, n_agents, instances, benefit, homogeneous=True):
     states = []
     cfgs = random_configs(rng, [2 + t % (n_agents - 1) for t in range(instances)], benefit, homogeneous, states)
     for t, (cfg, report) in enumerate(zip(cfgs, equilibrium.enumerate_games(cfgs))):
-        rng.bit_generator.state = states[t]
+        rng.setstate(states[t])
         yield t, cfg, report
 
 

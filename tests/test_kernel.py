@@ -1,4 +1,5 @@
 """The shared brute-force helpers: decoders, generators and per-profile sums."""
+import functools
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from infogame.kernel import (
     CapExceededError,
     best_response_table,
     components,
+    forest_batches,
     link_rows,
     merged_table,
     ne_status,
@@ -29,7 +31,6 @@ from infogame.kernel import (
     set_partition_count,
     set_partitions,
     spanning_trees,
-    sponsored_forests,
     sponsored_tree_count,
     sponsored_trees,
     welfare,
@@ -106,21 +107,31 @@ def test_sponsored_trees_match_the_scalar_generators(members, n):
         assert component_masks(undirected_adjacency(rows))[members[0]] == mask
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_sponsored_forests_are_the_scalar_forests(n):
+@functools.cache
+def scalar_forests(n):
+    """Profile index of every sponsored forest of n agents, ascending: a scalar tree per block."""
     want = set()
     for part in set_partitions(tuple(range(n))):
         for trees in itertools.product(*(oracle_trees(tuple(block), n) for block in part)):
             want.add(profile_index(tuple(map(sum, zip(*trees)))))
-    assert sponsored_forests(n).tolist() == sorted(want)
+    return sorted(want)
 
 
-@pytest.mark.parametrize("rows", [4, 1 << 20])
-def test_sponsored_forests_do_not_depend_on_the_slice(monkeypatch, rows):
-    # 6 agents: the default slice takes 128 of the 1,296 six-agent trees at a time
-    want = sponsored_forests(6)
+@pytest.mark.parametrize("rows", [1, 7, kernel.TREE_ROWS])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_forest_batches_are_the_scalar_forests(monkeypatch, n, rows):
+    # 6 agents: the default slice takes 128 of the 1,296 six-agent trees at a time, 1 and 7 take one
     monkeypatch.setattr(kernel, "TREE_ROWS", rows)
-    assert np.array_equal(sponsored_forests(6), want)
+    batches = list(forest_batches(n))
+    assert all(b.dtype == np.int64 and b.ndim == 1 for b in batches)
+    assert sum(map(len, batches)) == set_partition_count(n, sponsored_tree_count)
+    assert np.sort(np.concatenate(batches)).tolist() == scalar_forests(n)
+
+
+def test_forest_batches_come_a_partition_or_a_slice_at_a_time():
+    # six agents: 202 partitions of more than one block, then the 41,472 trees of all six, 4,096 at a time
+    sizes = [len(b) for b in forest_batches(6)]
+    assert max(sizes) == kernel.TREE_ROWS and len(sizes) == 202 + 11
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -173,7 +184,7 @@ def test_set_partition_count_counts_set_partitions(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_weighted_partition_count_counts_sponsored_forests(n):
-    assert set_partition_count(n, sponsored_tree_count) == len(sponsored_forests(n))
+    assert set_partition_count(n, sponsored_tree_count) == sum(map(len, forest_batches(n)))
 
 
 def test_closed_form_counts():

@@ -43,12 +43,12 @@ class TestGenerators:
             hi = (2.0 if homogeneous else 1.5) * max(analytic.thresholds_homogeneous(ev, LN)[1], 1e-6)
             return ev.entries, tuple(float(rng.uniform(0.0, hi)) for _ in range(1 if homogeneous else m))
         sizes = [2, 3, 4] * 8
-        rng, states = np.random.default_rng(5), []
-        batch = random_configs(rng, sizes, LN, homogeneous, states)
+        states = []
+        batch = random_configs(Pcg64(5), sizes, LN, homogeneous, states)
         rng = np.random.default_rng(5)
-        for m, cfg, state in zip(sizes, batch, states):
+        for m, cfg, after in zip(sizes, batch, states):
             assert one_game(rng, m) == (cfg.ev.entries, tuple(cfg.costs.values))
-            assert rng.bit_generator.state == state
+            assert state(rng) == after
 
     def test_random_configs_have_matching_dimensions(self):
         rng = np.random.default_rng(2)
@@ -64,6 +64,14 @@ STREAM_SEEDS = [*range(40), 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**130 + 17,
 SHAPES = [1, 5, (3,), (2, 3), (2, 3, 2), (3, 2, 2, 3)]
 
 
+def state(rng):
+    """A generator's state as :meth:`Pcg64.getstate` gives it, numpy's read from its dict layout."""
+    if isinstance(rng, Pcg64):
+        return rng.getstate()
+    s = rng.bit_generator.state
+    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
+
+
 def mixed_calls(rng, calls=300):
     """A fixed script of ``random(shape)`` and ``integers(lo, lo + width)`` calls (widths 1-6),
     yielding each result with the generator's state after it."""
@@ -71,10 +79,10 @@ def mixed_calls(rng, calls=300):
         if k % 3 == 0:
             shape = SHAPES[k // 3 % len(SHAPES)]
             out = rng.random(shape)
-            yield out.shape, out.dtype, out.tolist(), rng.bit_generator.state
+            yield out.shape, out.dtype, out.tolist(), state(rng)
         else:
             lo = k % 7 - 3
-            yield int(rng.integers(lo, lo + 1 + k % 6)), rng.bit_generator.state
+            yield int(rng.integers(lo, lo + 1 + k % 6)), state(rng)
 
 
 class TestPcg64Stream:
@@ -83,7 +91,7 @@ class TestPcg64Stream:
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_draws_and_states_equal_numpys(self, seed):
         stream, rng = Pcg64(seed), np.random.default_rng(seed)
-        assert stream.bit_generator.state == rng.bit_generator.state
+        assert state(stream) == state(rng)
         assert list(mixed_calls(stream)) == list(mixed_calls(rng))
 
     @pytest.mark.parametrize("seed", [0, 2**40 + 5])
@@ -92,13 +100,13 @@ class TestPcg64Stream:
         stream, rng = Pcg64(seed), np.random.default_rng(seed)
         for width in [2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 5] * 50:
             assert stream.integers(-7, width - 7) == rng.integers(-7, width - 7)
-            assert stream.bit_generator.state == rng.bit_generator.state
+            assert state(stream) == state(rng)
 
     def test_a_width_one_range_draws_nothing(self):
         stream = Pcg64(3)
-        state = stream.bit_generator.state
+        before = stream.getstate()
         assert stream.integers(4, 5) == 4
-        assert stream.bit_generator.state == state
+        assert stream.getstate() == before
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
     def test_a_state_copied_from_numpy_continues_identically(self, seed):
@@ -107,18 +115,19 @@ class TestPcg64Stream:
         rng.integers(0, 5)  # leaves half a 64-bit word buffered
         assert rng.bit_generator.state["has_uint32"] == 1
         stream = Pcg64(seed + 1)
-        stream.bit_generator.state = rng.bit_generator.state
+        stream.setstate(state(rng))
         assert list(mixed_calls(stream, 60)) == list(mixed_calls(rng, 60))
 
     @pytest.mark.parametrize("homogeneous", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**130 + 17])
     def test_random_configs_equal_numpys(self, seed, homogeneous):
-        drawn = []
-        for rng in (Pcg64(seed), np.random.default_rng(seed)):
-            states = []
-            cfgs = random_configs(rng, [2, 3, 4] * 4, LN, homogeneous, states)
-            drawn.append(([(cfg.ev.entries, cfg.costs.values) for cfg in cfgs], states))
-        assert drawn[0] == drawn[1]
+        # the batch against numpy's generator drawing one game at a time
+        sizes, states, rng = [2, 3, 4] * 4, [], np.random.default_rng(seed)
+        cfgs = random_configs(Pcg64(seed), sizes, LN, homogeneous, states)
+        for m, cfg, after in zip(sizes, cfgs, states):
+            want = random_configs(rng, [m], LN, homogeneous)[0]
+            assert (cfg.ev.entries, cfg.costs.values) == (want.ev.entries, want.costs.values)
+            assert state(rng) == after
 
 
 class TestSuite:
@@ -216,16 +225,15 @@ class TestPoaCheck:
         assert poa_predict(cfg).is_bound
 
         def drawn(rng, sizes, benefit, homogeneous=True, states=None):
-            states.extend(rng.bit_generator.state for _ in sizes)
+            states.extend(rng.getstate() for _ in sizes)
             return [cfg for _ in sizes]
         monkeypatch.setattr(verification, "random_configs", drawn)
-        passed, detail = verification._check_poa(np.random.default_rng(0), 3, 2, LN, False, "claim")
+        passed, detail = verification._check_poa(Pcg64(0), 3, 2, LN, False, "claim")
         assert passed
         assert detail == "2 instances, claim; 2 without a pure equilibrium"
 
     def test_detail_unchanged_when_every_game_has_an_equilibrium(self):
-        passed, detail = verification._check_poa(
-            np.random.default_rng(0), 3, 4, LN, True, "claim")
+        passed, detail = verification._check_poa(Pcg64(0), 3, 4, LN, True, "claim")
         assert passed and detail == "4 instances, claim"
 
 
@@ -245,7 +253,7 @@ class TestMismatchNamesTheFirstProfile:
         def flip(cfg, rows):
             return mask(cfg, rows) != np.array([tuple(r) in flipped for r in rows.tolist()], dtype=bool)
         monkeypatch.setattr(analytic, "strict_structure_mask", flip)
-        assert verification._check_strict_equivalence(np.random.default_rng(0), 3, 2, LN) == (
+        assert verification._check_strict_equivalence(Pcg64(0), 3, 2, LN) == (
             False, "instance 1: profile 000101000 misclassified")
 
     @pytest.mark.parametrize("extra, witness", [
@@ -264,7 +272,7 @@ class TestMismatchNamesTheFirstProfile:
             return dataclasses.replace(report, rows=rows, components=components(rows))
         monkeypatch.setattr(equilibrium, "enumerate_games",
                             lambda cfgs: [with_extra(r) for r in real(cfgs)])
-        assert verification._check_existence_minimality(np.random.default_rng(0), 3, 2, LN) == (
+        assert verification._check_existence_minimality(Pcg64(0), 3, 2, LN) == (
             False, f"2 instances; instance 1 equilibrium {witness}")
 
     @pytest.mark.parametrize("agg", list(Aggregation))
