@@ -225,24 +225,21 @@ def _check_nonnegative(h) -> tuple[float, ...]:
     return vals
 
 
-def family_independent(h) -> EntropicVector:
-    """Vector with no redundancy: H(S) is the sum of member entropies."""
+def _family(h, combine) -> EntropicVector:
+    """The vector whose H(S) is ``combine`` of the member entropies of S, in ascending agent order."""
     vals = _check_nonnegative(h)
     n = len(vals)
-    entries = [0.0] * ((1 << n) - 1)
-    for mask in range(1, 1 << n):
-        entries[mask - 1] = sum(vals[a] for a in subset_agents(mask))
-    return EntropicVector(n, tuple(entries))
+    return EntropicVector(n, tuple(combine(vals[a] for a in subset_agents(mask)) for mask in range(1, 1 << n)))
+
+
+def family_independent(h) -> EntropicVector:
+    """Vector with no redundancy: H(S) is the sum of member entropies."""
+    return _family(h, sum)
 
 
 def family_max_correlated(h) -> EntropicVector:
     """Fully redundant vector: H(S) is the maximum member entropy."""
-    vals = _check_nonnegative(h)
-    n = len(vals)
-    entries = [0.0] * ((1 << n) - 1)
-    for mask in range(1, 1 << n):
-        entries[mask - 1] = max(vals[a] for a in subset_agents(mask))
-    return EntropicVector(n, tuple(entries))
+    return _family(h, max)
 
 
 def family_pair_redundancy(h1: float, h2: float, h3: float, kl: float) -> EntropicVector:

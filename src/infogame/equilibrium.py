@@ -180,7 +180,7 @@ def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     def judge(forests):  # rows in the masks' narrow dtype keep ne_status's copies small; found: index << 1 | strict
         ne, sure = ne_status(rows_from_indices(forests, n, dtype), cfg.fh, cfg.row_costs)
         found.append(forests[ne] << 1 | sure[ne])
-    for batch in forest_batches(n):
+    for batch in forest_batches(n, SCAN_CHUNK):  # its tree slices feed the buffer
         while len(batch):
             take = min(len(batch), SCAN_CHUNK - fill)
             buf[fill:fill + take], batch, fill = batch[:take], batch[take:], (fill + take) % SCAN_CHUNK

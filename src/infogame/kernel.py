@@ -45,8 +45,8 @@ the social optimum alike, of one game or, through a per-profile game index,
 of many, and sums the tables in a fixed order. Scalar forms of the walk, of
 the welfare sum, of the profile index, of the Pruefer decoder and of the tree
 orientations live under ``tests/`` as the oracles the array forms are
-compared against. Every brute-force search counts its work in closed form
-first and passes it to :func:`require_budget`.
+compared against. Every brute-force search counts its work in closed form,
+in the function that builds it, and passes it to :func:`require_budget`.
 """
 from __future__ import annotations
 
@@ -58,8 +58,6 @@ from .entropy import TOL
 
 # profiles, sponsored trees, partitions or grid points one brute-force search may visit
 CHECK_BUDGET = 1 << 20
-# sponsored-tree rows of the all-agent block that forest_batches builds at a time
-TREE_ROWS = 4096
 
 
 class CapExceededError(RuntimeError):
@@ -239,7 +237,7 @@ def rooted_trees(n: int, root: int) -> np.ndarray:
     return rows
 
 
-def forest_batches(n: int):
+def forest_batches(n: int, rows: int):
     """Profile indices (int64) of every sponsored forest of n agents, in unsorted batches.
 
     Each set partition is wired by a sponsored spanning tree per block, so
@@ -247,12 +245,12 @@ def forest_batches(n: int):
     own disjoint links, so a forest's index is the sum of its trees' indices.
     A batch is one partition's forests, in ``set_partitions`` order, with each
     smaller block's tree indices built once a call; the one n-member block
-    comes about ``TREE_ROWS`` rows (whole trees, every orientation) at a time.
+    comes about ``rows`` rows (whole trees, every orientation) at a time.
     """
     kept = {}
     for part in set_partitions(tuple(range(n))):
         if len(part) == 1:
-            ends, step = spanning_trees(tuple(range(n))), max(1, TREE_ROWS >> (n - 1))
+            ends, step = spanning_trees(tuple(range(n))), max(1, rows >> (n - 1))
             yield from (profile_indices(_oriented(ends[s:s + step], n)) for s in range(0, len(ends), step))
         else:
             idx = np.zeros(1, dtype=np.int64)

@@ -28,8 +28,9 @@ link game reads ``fh``, in blocks of vectors whose arrays fit in
 vector). Each production candidate is scored once per distinct amount a row
 acquires, aggregates are added one agent at a time in ascending order, and f
 is the scalar :class:`BenefitFunction` on distinct values, so every utility
-is the float of the per-profile oracle under ``tests/``. Enumerations count
-their checks first and refuse more than ``CHECK_BUDGET``.
+is the float of the per-profile oracle under ``tests/``. Each builder counts
+its work first and refuses more than ``CHECK_BUDGET``: :func:`grid_profiles`,
+``_candidates``, and :func:`grid_levels` one vector's deviation grid points.
 
 :func:`shape_mask` judges the characterizations' shapes on the same
 products with ``kernel.components``, in payoff terms, taking each tie that
@@ -144,12 +145,14 @@ def _grid_top(cfg: ProductionGameConfig) -> int:
     hb = cfg.h_bar()
     if hb <= 0 and cfg.grid_step is None:
         return 0  # producing anything already costs more than it earns
-    return math.ceil(hb / cfg.step() - 1e-12)
+    return math.ceil(min(hb / cfg.step(), 2.0 ** 62) - 1e-12)  # capped: an overflow reads as over budget
 
 
 def grid_levels(cfg: ProductionGameConfig) -> list[float]:
-    """Production levels 0, step, 2 step, ... up to the first one at or above h_bar."""
-    top = _grid_top(cfg)
+    """Production levels 0, step, 2 step, ... up to the first one at or above h_bar, refused when one
+    vector's deviation table, a row of them per compact row, would hold more than ``CHECK_BUDGET``."""
+    top, n = _grid_top(cfg), cfg.n_agents
+    require_budget((top + 1) << (n - 1), f"production deviation grid at {n} agents", "grid points")
     if not top:
         return [0.0]
     step = cfg.step()
@@ -249,8 +252,9 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
 
 def grid_profiles(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.ndarray]:
     """The full grid's factors: every link profile in index order and every grid production
-    vector in lexicographic order."""
+    vector in lexicographic order, refused when their product has more than ``CHECK_BUDGET`` profiles."""
     n = cfg.n_agents
+    require_budget((1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n, f"full production scan at {n} agents", "profiles")
     return (rows_from_indices(np.arange(1 << (n * (n - 1)), dtype=np.int64), n),
             np.array(list(itertools.product(grid_levels(cfg), repeat=n))))
 
@@ -343,7 +347,8 @@ def _split_totals(cfg: ProductionGameConfig):
     up to h_bar within TOL has one of them as its sum of step counts."""
     hb, step = cfg.h_bar(), cfg.step()
     slack = TOL + 1e-12 * (1.0 + hb)  # covers the rounding of the grid values and their sum
-    for t in range(max(0, math.floor((hb - slack) / step)), math.ceil((hb + slack) / step) + 1):
+    low, high = (min(x / step, 2.0 ** 62) for x in (hb - slack, hb + slack))  # capped as _grid_top caps
+    for t in range(max(0, math.floor(low)), math.ceil(high) + 1):
         if abs(t * step - hb) <= slack:
             yield t
 
@@ -361,29 +366,24 @@ def _splits(cfg: ProductionGameConfig) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(-1, n)
 
 
-def _candidate_count(cfg: ProductionGameConfig) -> int:
-    """Profiles the candidate scan checks, at most: the empty network plus
-    trees x orientations x splits (SUM) or producers x trees (MAX)."""
-    n = cfg.n_agents
-    if cfg.high_cost() or n < 2:
-        return 1
-    if cfg.agg is Aggregation.MAX:
-        return 1 + n ** (n - 1)  # labelled trees, each rooted at one of its n agents
-    checks, top = 1, _grid_top(cfg)
-    for t in _split_totals(cfg):
-        checks += sponsored_tree_count(n) * _composition_count(t, n, top)
-        if checks > CHECK_BUDGET:
-            break  # over budget already, the rest of the count changes nothing
-    return checks
-
-
 def _candidates(cfg: ProductionGameConfig):
     """The characterizations' shapes as (link rows, production vectors) products: the empty
     network at h_bar; every sponsored spanning tree with every split of h_bar (SUM); for each
-    producer of h_bar, every tree rooted at it (MAX). Each profile is generated once."""
+    producer of h_bar, every tree rooted at it (MAX). Each profile is generated once, and the
+    profiles are counted before the first: more than ``CHECK_BUDGET`` raises."""
     n, hb = cfg.n_agents, cfg.h_bar()
+    shapes, count = not (cfg.high_cost() or n < 2), 1  # else the empty network alone
+    if shapes and cfg.agg is Aggregation.MAX:
+        count += n ** (n - 1)  # labelled trees, each rooted at one of its n agents
+    elif shapes:
+        top = _grid_top(cfg)
+        for t in _split_totals(cfg):  # trees x orientations x splits
+            count += sponsored_tree_count(n) * _composition_count(t, n, top)
+            if count > CHECK_BUDGET:
+                break  # over budget already, the rest of the count changes nothing
+    require_budget(count, f"candidates production scan at {n} agents", "profiles")
     yield np.zeros((1, n), dtype=np.int64), np.full((1, n), hb)
-    if cfg.high_cost() or n < 2:
+    if not shapes:
         return
     if cfg.agg is Aggregation.SUM:
         yield sponsored_trees(tuple(range(n)), n), _splits(cfg)
@@ -400,17 +400,11 @@ def production_equilibria(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.nda
     vector. Past that only the characterizations' equilibrium shapes are
     generated (empty network at full production; production splits on
     spanning trees for SUM; single producers on rooted trees for MAX), and
-    the ones that verify are kept. Either way the number of profiles to
-    check is counted first, and a scan of more than ``CHECK_BUDGET`` raises
-    :class:`~infogame.kernel.CapExceededError`.
+    the ones that verify are kept. Either way the function that builds the
+    profiles counts them first, and a scan of more than ``CHECK_BUDGET``
+    raises :class:`~infogame.kernel.CapExceededError`.
     """
-    n = cfg.n_agents
-    if n <= 3:
-        require_budget((1 << (n * (n - 1))) * (_grid_top(cfg) + 1) ** n,
-                       f"full production scan at {n} agents", "profiles")
-        return _equilibria(cfg, [grid_profiles(cfg)])
-    require_budget(_candidate_count(cfg), f"candidates production scan at {n} agents", "profiles")
-    return _equilibria(cfg, _candidates(cfg))
+    return _equilibria(cfg, [grid_profiles(cfg)] if cfg.n_agents <= 3 else _candidates(cfg))
 
 
 def _equilibria(cfg: ProductionGameConfig, products) -> tuple[np.ndarray, np.ndarray]:

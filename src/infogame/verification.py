@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic, equilibrium, production
 from .csvtable import row_strings
-from .entropy import EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmfs, subset_agents
+from .entropy import TOL, EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmfs, subset_agents
 from .formation_game import BenefitFunction, CostModel, GameConfig
 from .kernel import profile_indices, require_budget, rows_from_indices
 from .pcg64 import Pcg64
@@ -100,7 +100,7 @@ def _realized_partitions(report: equilibrium.EquilibriumReport) -> set[frozenset
 def _all_connected(report: equilibrium.EquilibriumReport, ev: EntropicVector) -> bool:
     """Does every agent of every equilibrium hold the joint entropy, within 1e-9?"""
     info = np.array(report.info_values)[report.components]
-    return bool((np.abs(info - ev.joint_entropy) <= 1e-9).all())
+    return bool((np.abs(info - ev.joint_entropy) <= TOL).all())
 
 
 def _games(rng, n_agents, instances, benefit, homogeneous=True):
@@ -139,7 +139,7 @@ def _check_existence_minimality(rng, n_agents, instances, benefit):
     return bad == 0, detail
 
 
-def _check_region_soundness(rng, benefit):
+def _check_region_soundness(benefit):
     games = []  # (kl, c, vector, c_l, c_u), enumerated in one batch
     for kl in [0.0, 1.0, 2.0, 3.0, 4.0]:
         ev = family_pair_redundancy(5.0, 4.0, 4.0, kl)
@@ -149,10 +149,10 @@ def _check_region_soundness(rng, benefit):
                                           for _, c, ev, _, _ in games)
     failures = []
     for (kl, c, ev, c_l, c_u), report in zip(games, reports):
-        if c < c_l - 1e-9:
+        if c < c_l - TOL:
             if not _all_connected(report, ev):
                 failures.append(f"kl={kl} c={c:.4f}: disconnected equilibrium below c_l")
-        elif c > c_u + 1e-9:
+        elif c > c_u + TOL:
             if len(report.rows) != 1 or report.rows.any():  # not the empty network alone
                 failures.append(f"kl={kl} c={c:.4f}: non-empty equilibrium above c_u")
     return not failures, failures[0] if failures else "connected below c_l, unique empty above c_u"
@@ -193,7 +193,7 @@ def _check_poa(rng, n_agents, instances, benefit, homogeneous, claim):
                 continue
             return False, f"instance {t}: undefined brute-force PoA"
         if pred.is_bound:
-            if not poa < pred.value + 1e-9:
+            if not poa < pred.value + TOL:
                 return False, f"instance {t}: PoA {poa} exceeds bound {pred.value}"
         elif abs(poa - pred.value) > 1e-6:
             return False, f"instance {t}: PoA {poa} vs exact {pred.value} in {pred.region}"
@@ -208,9 +208,9 @@ def _check_mil(rng, n_agents, instances, benefit):
         pred = analytic.mil_predict(cfg)
         mil = report.mil
         if pred.is_bound:
-            if mil > pred.value + 1e-9:
+            if mil > pred.value + TOL:
                 return False, f"instance {t}: MIL {mil} above bound {pred.value}"
-        elif abs(mil - pred.value) > 1e-9:
+        elif abs(mil - pred.value) > TOL:
             return False, f"instance {t}: MIL {mil} vs exact {pred.value}"
     return True, f"{instances} instances, zero in K_C/K_I and bounded in K_M"
 
@@ -260,7 +260,7 @@ def _check_production(agg: Aggregation, benefit):
             return False, f"c={c}: {found}"
         if cfg.high_cost():
             rows, prods = found
-            if len(rows) != 1 or rows.any() or (np.abs(prods - cfg.h_bar()) > 1e-9).any():
+            if len(rows) != 1 or rows.any() or (np.abs(prods - cfg.h_bar()) > TOL).any():
                 return False, f"c={c}: high-cost equilibrium not unique full production"
     return True, "grid scan matches on both sides of k*h_bar"
 
@@ -272,13 +272,13 @@ def _check_few_laws(benefit):
     low_sum = ProductionGameConfig(n_agents=2, benefit=benefit, k=0.25, c=0.2, agg=Aggregation.SUM)
     hb = high.h_bar()
     for pt in production.few_sweep(high, n_list):
-        if pt.producer_fraction != 1.0 or abs(pt.total_information_bits - pt.n * hb) > 1e-9:
+        if pt.producer_fraction != 1.0 or abs(pt.total_information_bits - pt.n * hb) > TOL:
             return False, f"high-cost SUM point n={pt.n} off"
     for pt in production.few_sweep(low_max, n_list):
-        if abs(pt.producer_fraction - 1.0 / pt.n) > 1e-12 or abs(pt.total_information_bits - hb) > 1e-9:
+        if abs(pt.producer_fraction - 1.0 / pt.n) > 1e-12 or abs(pt.total_information_bits - hb) > TOL:
             return False, f"low-cost MAX point n={pt.n} off"
     for pt in production.few_sweep(low_sum, n_list):
-        if pt.producer_fraction != 1.0 or abs(pt.total_information_bits - hb) > 1e-9:
+        if pt.producer_fraction != 1.0 or abs(pt.total_information_bits - hb) > TOL:
             return False, f"low-cost SUM point n={pt.n} off"
     return True, f"n in {n_list}: fractions 1, 1/n, 1 with totals n*h_bar, h_bar, h_bar"
 
@@ -315,7 +315,7 @@ def run_verification(n_agents: int = 3, instances: int = 20, seed: int = 0) -> V
 
     rng = Pcg64(seed)
     run("existence_and_minimality", _check_existence_minimality, rng, n_agents, instances, benefit)
-    run("connectivity_thresholds", _check_region_soundness, rng, benefit)
+    run("connectivity_thresholds", _check_region_soundness, benefit)
     run("ne_partition_characterization", _check_partitions, rng, n_agents, instances, benefit, True)
     run("strict_ne_structure", _check_strict_equivalence, rng, n_agents, max(instances // 2, 5), benefit)
     run("poa_homogeneous", _check_poa, rng, n_agents, instances, benefit, True, "exact in K_C/K_I and bounded in K_M")

@@ -304,14 +304,13 @@ class TestEnumerate:
             tracemalloc.stop()
         assert peak < 5 << 19, peak
 
-    @pytest.mark.parametrize("scan_chunk, tree_rows", [(512, 1), (None, 7), (10**6, None)])
+    @pytest.mark.parametrize("scan_chunk", [512, 100, 10**6])
     @pytest.mark.parametrize("spec", [GOLDEN_N6_SPEC, GOLDEN_N6_MIXED_SPEC], ids=["cheap", "mixed"])
-    def test_six_agent_slices_do_not_move_a_byte(self, tmp_path, monkeypatch, spec, scan_chunk, tree_rows):
-        # the pruned scan's buffer and the report's slices (SCAN_CHUNK), the forests' tree slices (TREE_ROWS)
+    def test_six_agent_slices_do_not_move_a_byte(self, tmp_path, monkeypatch, spec, scan_chunk):
+        # the pruned scan's buffer, the forests' tree slices that fill it (100 rows: 3 trees of 32, split
+        # across buffers) and the report's slices, all SCAN_CHUNK
         _, want = run_cli(tmp_path, spec, name="default.yaml")
-        for module, name, value in ((equilibrium, "SCAN_CHUNK", scan_chunk), (kernel, "TREE_ROWS", tree_rows)):
-            if value:
-                monkeypatch.setattr(module, name, value)
+        monkeypatch.setattr(equilibrium, "SCAN_CHUNK", scan_chunk)
         _, got = run_cli(tmp_path, spec, name="default.yaml")
         assert got == want
 
@@ -369,6 +368,21 @@ class TestProduction:
         code, text = run_cli(tmp_path, spec)
         assert code == 2 and text == ""
         assert "within the tolerance 1e-9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["5.0e-324", "1.0e-6"])
+    @pytest.mark.parametrize("command, n, agg", [
+        ("production", 3, "sum"), ("production", 4, "sum"), ("production", 4, "max"), ("few-sweep", 2, "sum")])
+    def test_fine_grid_refused_before_any_check(self, tmp_path, monkeypatch, capsys, command, n, agg, step):
+        # h_bar / 5e-324 overflows a float and reads as over budget; 1e-6 steps make 3,000,001 levels
+        def fail(*args, **kwargs):
+            raise AssertionError("a production level was scored")
+        monkeypatch.setattr(production, "_benefits", fail)
+        spec = PRODUCTION_SPEC.replace("command: production", f"command: {command}").replace(
+            "n_agents: 2", f"n_agents: {n}").replace("c: 1.0", "c: 0.2").replace("sum", agg)
+        code, text = run_cli(tmp_path, spec + f"  grid_step: {step}\n" + f"n_list: [{n}]\n" * (command == "few-sweep"))
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "capped at 1048576" in err and err.count("\n") == 1
 
     def test_few_sweep_columns(self, tmp_path):
         spec = PRODUCTION_SPEC.replace("command: production", "command: few-sweep") \

@@ -50,7 +50,7 @@ def sorted_forest_scan(cfg):
     """The pruned scan as one array, the oracle of the streamed one: ``ne_status`` over every
     sponsored forest in ascending index order, 4,096 at a time."""
     n = cfg.n_agents
-    forests = np.sort(np.concatenate(list(kernel.forest_batches(n))))
+    forests = np.sort(np.concatenate(list(kernel.forest_batches(n, 4096))))
     ne, strict = map(np.concatenate, zip(*(kernel.ne_status(rows_from_indices(forests[s:s + 4096], n),
                                                             cfg.fh, cfg.row_costs)
                                            for s in range(0, len(forests), 4096))))

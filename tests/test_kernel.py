@@ -117,12 +117,11 @@ def scalar_forests(n):
     return sorted(want)
 
 
-@pytest.mark.parametrize("rows", [1, 7, kernel.TREE_ROWS])
+@pytest.mark.parametrize("rows", [1, 7, 4096])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_forest_batches_are_the_scalar_forests(monkeypatch, n, rows):
-    # 6 agents: the default slice takes 128 of the 1,296 six-agent trees at a time, 1 and 7 take one
-    monkeypatch.setattr(kernel, "TREE_ROWS", rows)
-    batches = list(forest_batches(n))
+def test_forest_batches_are_the_scalar_forests(n, rows):
+    # 6 agents: 4,096 rows take 128 of the 1,296 six-agent trees at a time, 1 and 7 take one
+    batches = list(forest_batches(n, rows))
     assert all(b.dtype == np.int64 and b.ndim == 1 for b in batches)
     assert sum(map(len, batches)) == set_partition_count(n, sponsored_tree_count)
     assert np.sort(np.concatenate(batches)).tolist() == scalar_forests(n)
@@ -130,8 +129,8 @@ def test_forest_batches_are_the_scalar_forests(monkeypatch, n, rows):
 
 def test_forest_batches_come_a_partition_or_a_slice_at_a_time():
     # six agents: 202 partitions of more than one block, then the 41,472 trees of all six, 4,096 at a time
-    sizes = [len(b) for b in forest_batches(6)]
-    assert max(sizes) == kernel.TREE_ROWS and len(sizes) == 202 + 11
+    sizes = [len(b) for b in forest_batches(6, 4096)]
+    assert max(sizes) == 4096 and len(sizes) == 202 + 11
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -184,7 +183,7 @@ def test_set_partition_count_counts_set_partitions(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_weighted_partition_count_counts_sponsored_forests(n):
-    assert set_partition_count(n, sponsored_tree_count) == sum(map(len, forest_batches(n)))
+    assert set_partition_count(n, sponsored_tree_count) == sum(map(len, forest_batches(n, 4096)))
 
 
 def test_closed_form_counts():

@@ -12,9 +12,11 @@ module takes its sponsored trees from it. ``kernel.components`` is the one
 component walk; no module defines or names the scalar one. Each kernel table
 has one form: no module names a per-size cache switch (``TABLE_AGENTS``), an
 uncached twin of a cached function (``__wrapped__``) or a second walk
-(``_reach``). No module imports numpy's random module or reads it as
-``np.random``: it maps OpenSSL into every process that loads it, and verify
-draws from a pure-Python stream. The package exports a fixed set of names: a
+(``_reach``). Retired names stay retired: no module defines or names the
+tree-slice knob (``TREE_ROWS``) or a count kept apart from the candidates
+it counts (``_candidate_count``). No module imports numpy's random module
+or reads it as ``np.random``: it maps OpenSSL into every process that
+loads it, and verify draws from a pure-Python stream. The package exports a fixed set of names: a
 link profile is an int64 row array, so no profile class is among them. The
 package's modules hold at most ``SRC_LINES`` lines in all.
 """
@@ -31,6 +33,7 @@ SRC = Path(infogame.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 SCALAR_WALK = {"component_masks", "undirected_adjacency"}
 SECOND_FORMS = {"TABLE_AGENTS", "__wrapped__", "_reach"}
+RETIRED = {"TREE_ROWS", "_candidate_count"}
 # the size gate of the whole package
 SRC_LINES = 3000
 
@@ -79,21 +82,28 @@ def test_only_the_kernel_names_spanning_trees(module):
     assert names == []
 
 
+def lines_naming(module, names):
+    """Lines of ``module`` that define, import or name one of ``names``."""
+    return [node.lineno for node in ast.walk(parsed(module))
+            if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in names
+            or getattr(node, "id", None) in names or getattr(node, "attr", None) in names]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_the_kernel_walk_is_the_only_component_walk(module):
     # the scalar walk lives under tests/ as the oracle of kernel.components
-    names = [node.lineno for node in ast.walk(parsed(module))
-             if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in SCALAR_WALK
-             or getattr(node, "id", None) in SCALAR_WALK or getattr(node, "attr", None) in SCALAR_WALK]
-    assert names == []
+    assert lines_naming(module, SCALAR_WALK) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_kernel_table_has_one_form(module):
-    names = [node.lineno for node in ast.walk(parsed(module))
-             if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in SECOND_FORMS
-             or getattr(node, "id", None) in SECOND_FORMS or getattr(node, "attr", None) in SECOND_FORMS]
-    assert names == []
+    assert lines_naming(module, SECOND_FORMS) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_retired_names_stay_retired(module):
+    # the forests' tree slices follow their one caller's buffer; the candidates count themselves
+    assert lines_naming(module, RETIRED) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogame import production
+from infogame import kernel, production
 from infogame.entropy import TOL
 from infogame.formation_game import BenefitFunction
 from infogame.kernel import CapExceededError, merged_table, rooted_trees, rows_from_indices, sponsored_trees
@@ -71,6 +71,20 @@ def stand_alone(cfg):
 # the two scans' (link rows, production vectors) products
 PRODUCTS = {"grid": lambda cfg: [production.grid_profiles(cfg)],
             "candidates": lambda cfg: production._candidates(cfg)}
+
+
+def counted_candidates(monkeypatch, cfg):
+    """The candidate products of ``cfg``, with the count that ``_candidates`` gave ``require_budget``."""
+    counts = []
+
+    def record(count, what, unit):
+        if what.startswith("candidates"):
+            counts.append(count)
+        kernel.require_budget(count, what, unit)
+    monkeypatch.setattr(production, "require_budget", record)
+    products = list(production._candidates(cfg))
+    (count,) = counts
+    return products, count
 
 
 def assert_mask_matches_scalar(cfg, rows, prods):
@@ -495,14 +509,15 @@ class TestEnumeration:
             rows, prods = production.grid_profiles(cfg)
             assert sum(scalar_is_production_ne(cfg, r, p) for r in rows.tolist() for p in prods.tolist()) == len(found)
 
+    @pytest.mark.parametrize("c", [0.2, 1.0])  # below and above k h_bar = 0.75
     @pytest.mark.parametrize("agg", list(Aggregation))
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_candidates_are_distinct(self, n, agg):
-        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg)
+    def test_candidates_are_distinct(self, monkeypatch, n, agg, c):
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
+        products, count = counted_candidates(monkeypatch, cfg)
         stacked = np.concatenate([np.hstack([np.repeat(r, len(p), axis=0), np.tile(p, (len(r), 1))])
-                                  for r, p in production._candidates(cfg)])
-        assert len(np.unique(stacked, axis=0)) == len(stacked)
-        assert len(stacked) == production._candidate_count(cfg)
+                                  for r, p in products])
+        assert len(np.unique(stacked, axis=0)) == len(stacked) == count
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_splits_are_the_filtered_grid(self, n):
@@ -517,9 +532,10 @@ class TestEnumeration:
 class TestWorkBudget:
     @pytest.fixture
     def never_scan(self, monkeypatch):
+        # the builders of every scanned product, and the check
         def refuse(*args, **kwargs):
             raise AssertionError("the scan started")
-        for name in ("production_ne_mask", "grid_profiles", "_candidates"):
+        for name in ("sponsored_trees", "rooted_trees", "_splits", "rows_from_indices", "production_ne_mask"):
             monkeypatch.setattr(production, name, refuse)
 
     def test_auto_scans_the_full_grid_up_to_three_agents(self, monkeypatch):
@@ -543,9 +559,9 @@ class TestWorkBudget:
         with pytest.raises(CapExceededError, match="it would check 19160065 profiles"):
             production_equilibria(cfg)
 
-    def test_six_agent_max_candidates_run(self):
+    def test_six_agent_max_candidates_run(self, monkeypatch):
         cfg = ProductionGameConfig(6, BENEFITS[1], 0.25, 0.2, Aggregation.MAX)
-        assert production._candidate_count(cfg) == 1 + 6 * 6 ** 4 == 7777
+        assert counted_candidates(monkeypatch, cfg)[1] == 1 + 6 * 6 ** 4 == 7777
         rows, prods = production_equilibria(cfg)
         # every tree rooted at each of the six producers
         assert len(rows) == 6 * 6 ** 4
@@ -560,11 +576,22 @@ class TestWorkBudget:
                                                    f"profiles: it would check {64 * levels ** 3} profiles"):
             production_equilibria(cfg)
 
-    def test_budget_covers_the_largest_default_scans(self):
+    def test_grid_profiles_refuses_a_fine_grid_before_it_builds_anything(self, monkeypatch):
+        # verify takes the full grid from grid_profiles itself, not through production_equilibria
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was built")
+        for name in ("rows_from_indices", "grid_levels"):
+            monkeypatch.setattr(production, name, refuse)
+        cfg = ProductionGameConfig(3, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 1e-3)
+        with pytest.raises(CapExceededError, match="full production scan at 3 agents capped at 1048576 "
+                                                   f"profiles: it would check {64 * 3001 ** 3} profiles"):
+            production.grid_profiles(cfg)
+
+    def test_budget_covers_the_largest_default_scans(self, monkeypatch):
         sum4 = ProductionGameConfig(4, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
-        assert production._candidate_count(sum4) == 1 + 16 * 8 * 84
+        assert counted_candidates(monkeypatch, sum4)[1] == 1 + 16 * 8 * 84
         sum5 = ProductionGameConfig(5, BENEFITS[1], 0.25, 0.2, Aggregation.SUM)
-        assert production._candidate_count(sum5) == 1 + 125 * 16 * 210 <= production.CHECK_BUDGET
+        assert counted_candidates(monkeypatch, sum5)[1] == 1 + 125 * 16 * 210 <= production.CHECK_BUDGET
         assert 64 * 7 ** 3 <= production.CHECK_BUDGET
 
 
