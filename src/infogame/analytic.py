@@ -137,7 +137,7 @@ def component_structures(cfg: GameConfig) -> set[frozenset[frozenset[int]]]:
     """Every partition of the agents that is the component structure of some equilibrium.
 
     A partition is accepted when each block supports a sponsored spanning
-    tree in which no member gains more than 1e-9 from any rewiring, given
+    tree in which no member gains more than ``TOL`` from any rewiring, given
     the other blocks. Those enter a member's payoffs only through their
     joint entropies, so they are wired as index-order paths. The
     certification is exact: viable trees for each block combine into an

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernel import distinct
+
 # rows per chunk: the formatted text held in memory at once is one chunk's, 0.2 MB for a 6-agent report
 CHUNK_ROWS = 512
 
@@ -24,11 +26,8 @@ def row_strings(n: int) -> np.ndarray:
 def floats(values) -> tuple[np.ndarray, np.ndarray]:
     """``repr`` of every float of an array, as strings and codes of the array's shape.
     Values are told apart by bit pattern, so 0.0 and -0.0 keep their own texts."""
-    values = np.asarray(values, dtype=np.float64)
-    # return_index makes the sort numpy's stable one, which merged_table's np.unique already runs
-    bits, _, codes = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    strings = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return strings, codes.reshape(values.shape)
+    bits, _, codes = distinct(np.asarray(values, dtype=np.float64).reshape(-1).view(np.int64))
+    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object), codes.reshape(np.shape(values))
 
 
 def write_csv(out, header, columns) -> None:

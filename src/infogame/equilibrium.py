@@ -188,7 +188,7 @@ def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
                 judge(buf)
     judge(buf[:fill])
     found = np.concatenate(found)
-    found.sort()
+    found.sort(kind="stable")
     return found >> 1, (found & 1).astype(bool), np.array([len(found)])
 
 

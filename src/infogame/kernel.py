@@ -47,6 +47,7 @@ the welfare sum, of the profile index, of the Pruefer decoder and of the tree
 orientations live under ``tests/`` as the oracles the array forms are
 compared against. Every brute-force search counts its work in closed form,
 in the function that builds it, and passes it to :func:`require_budget`.
+:func:`distinct` is the package's one de-duplication, on its one sort kind.
 """
 from __future__ import annotations
 
@@ -263,6 +264,20 @@ def forest_batches(n: int, rows: int):
 
 # -- components and payoffs ----------------------------------------------------------
 
+def distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, first, inverse) of a 1-d int64 array, as ``np.unique`` gives them, from numpy's stable int64 argsort:
+    the package's one sort, since a process maps each numpy sort kernel's code the first time it runs it (0.2 MB
+    or more apiece). Floats pass their ``view(np.int64)`` and view the values back, so 0.0 and -0.0 stay apart."""
+    inverse = np.empty(len(bits), dtype=np.intp)  # before the transients, so that freeing them frees the heap top
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    new = np.ones(len(bits), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    values, first = ordered[new], order[new]
+    inverse[order] = np.subtract(np.cumsum(new, out=ordered), 1, out=ordered)  # ranks, in the sorted copy's buffer
+    return values, first, inverse
+
+
 def components(rows: np.ndarray) -> np.ndarray:
     """Agent a's component in profile b at [a, b] of an (n, batch) array, for ``rows`` (batch, n),
     in the narrowest unsigned dtype of an n-bit mask: uint8 up to 8 agents, else uint16."""
@@ -299,7 +314,7 @@ def merged_table(n: int, rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarr
     # key: sum of (l_a + 1) a!, unique as a's lowest member l_a <= a; l_a + 1 is its lowest bit's exponent
     exponent = np.frexp((reach & -reach).astype(np.float32))[1]
     key = (exponent * np.array([math.factorial(a) for a in range(n)])[:, None]).sum(axis=0)
-    _, first, part = np.unique(key, return_index=True, return_inverse=True)
+    _, first, part = distinct(key)
     reach = reach[:, first]
     # the OR over compact rows, one target bit at a time
     merged = np.empty((len(first), 1 << (n - 1)), dtype=reach.dtype)

@@ -49,8 +49,9 @@ import numpy as np
 
 from .entropy import MAX_AGENTS, TOL
 from .formation_game import BenefitFunction
-from .kernel import (CHECK_BUDGET, components, compress_row, expand_row, link_rows, merged_table, profile_indices,
-                     require_budget, rooted_trees, rows_from_indices, sponsored_tree_count, sponsored_trees)
+from .kernel import (CHECK_BUDGET, components, compress_row, distinct, expand_row, link_rows, merged_table,
+                     profile_indices, require_budget, rooted_trees, rows_from_indices, sponsored_tree_count,
+                     sponsored_trees)
 
 # bytes that each array of one production_ne_mask pass may take
 CHECK_BYTES = 1 << 16
@@ -172,8 +173,8 @@ def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks) -> np.ndarray:
 def _benefits(cfg: ProductionGameConfig, x: np.ndarray) -> np.ndarray:
     """f of every entry of ``x``, once per distinct value, by the scalar BenefitFunction: numpy's
     log1p and power differ from math's in the last bit on some inputs."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([cfg.benefit(v) for v in values.tolist()])[inverse].reshape(x.shape)
+    bits, inverse = distinct(x.reshape(-1).view(np.int64))[::2]  # x may be a whole deviation grid: drop first now
+    return np.array([cfg.benefit(v) for v in bits.view(np.float64).tolist()])[inverse].reshape(x.shape)
 
 
 def _link_counts(n: int) -> np.ndarray:
@@ -188,15 +189,15 @@ def _deviation_table(cfg: ProductionGameConfig, prods: np.ndarray, i: int) -> np
     is_sum = cfg.agg is Aggregation.SUM
     levels = grid_levels(cfg) + [hb]
     others = expand_row(np.arange(1 << (n - 1), dtype=np.min_scalar_type((1 << n) - 1)), i)
-    acquired = _aggregate_masks(cfg.agg, prods[:, None, :], others)
     # each production candidate is scored once per distinct amount that a row acquires
-    distinct, at = np.unique(acquired, return_inverse=True)
-    h = np.empty((len(distinct), len(levels) + is_sum))
+    bits, _, at = distinct(_aggregate_masks(cfg.agg, prods[:, None, :], others).reshape(-1).view(np.int64))
+    amounts = bits.view(np.float64)
+    h = np.empty((len(amounts), len(levels) + is_sum))
     h[:, :len(levels)] = levels
     if is_sum:
-        h[:, -1] = np.maximum(0.0, hb - distinct)
-    gained = distinct[:, None] + h if is_sum else np.maximum(distinct[:, None], h)
-    return (_benefits(cfg, gained) - cfg.k * h).max(axis=1)[at.reshape(acquired.shape)]
+        h[:, -1] = np.maximum(0.0, hb - amounts)
+    gained = amounts[:, None] + h if is_sum else np.maximum(amounts[:, None], h)
+    return (_benefits(cfg, gained) - cfg.k * h).max(axis=1)[at.reshape(len(prods), -1)]
 
 
 def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +215,7 @@ def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray,
 
 def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     """Which profiles of a product are equilibria: no unilateral (links, production)
-    deviation gains more than 1e-9.
+    deviation gains more than ``TOL``.
 
     ``rows`` holds link rows (R, n) and ``prods`` production vectors (V, n);
     entry [r, v] of the bool (R, V) result judges link row r played with
@@ -231,8 +232,7 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
     for i in range(n):
         table, part = merged_table(n, rows, i)
         compact, joined = compress_row(rows[:, i], i), compress_row(table, i)
-        # int64 with return_index, as merged_table sorts: numpy's other sorts map up to 192 KB more code
-        own, _, at = np.unique(table[part, compact].astype(np.int64), return_index=True, return_inverse=True)
+        own, _, at = distinct(table[part, compact].astype(np.int64))
         # vectors of one pass: their aggregate terms, gathered deviations and current utilities
         per = max(1, CHECK_BYTES // (8 * max(n << (n - 1), joined.size, len(rows))))
         for s in range(0, len(prods), per):
@@ -261,7 +261,7 @@ def grid_profiles(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def is_production_ne(cfg: ProductionGameConfig, rows, prods) -> bool:
     """True when no unilateral (links, production) deviation from one profile's link
-    rows and productions gains more than 1e-9: :func:`production_ne_mask` of the 1 x 1 product."""
+    rows and productions gains more than ``TOL``: :func:`production_ne_mask` of the 1 x 1 product."""
     return bool(production_ne_mask(cfg, [rows], [prods])[0, 0])
 
 

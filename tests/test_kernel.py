@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogame import kernel
+from infogame import csvtable, kernel
 from infogame.entropy import family_independent
 from infogame.formation_game import (
     BenefitFunction,
@@ -20,6 +20,7 @@ from infogame.kernel import (
     CapExceededError,
     best_response_table,
     components,
+    distinct,
     forest_batches,
     link_rows,
     merged_table,
@@ -261,6 +262,46 @@ def sparse_rows(rng, n, size):
     rows[1:2 * pairs:2] = rows[0:2 * pairs:2]
     rows[2 * np.arange(pairs) + 1, agent] = redrawn[np.arange(pairs), agent]
     return rows
+
+
+I64 = np.iinfo(np.int64)
+
+
+def check_distinct(bits):
+    """``distinct`` gives np.unique's values, first indices and inverse, in their dtypes."""
+    bits = np.array(bits, dtype=np.int64)
+    values, first, inverse = distinct(bits)
+    want, want_first, want_inverse = np.unique(bits, return_index=True, return_inverse=True)
+    assert values.dtype == np.int64 and first.dtype == inverse.dtype == np.intp
+    assert values.tolist() == want.tolist() and inverse.tolist() == want_inverse.tolist()
+    assert first.tolist() == want_first.tolist()  # each value's first entry, as the stable sort keeps it
+    assert bits[first].tolist() == values.tolist() and values[inverse].tolist() == bits.tolist()
+
+
+@pytest.mark.parametrize("bits", [
+    [], [7], [3, 3, 3, 3], [-1, -5, 0, -5, 7, -1, -(1 << 40)],
+    [I64.max, I64.min, 0, I64.max, -1, I64.min, 1], [I64.min] * 3,
+], ids=["empty", "one", "all-equal", "negatives", "extremes", "min-repeated"])
+def test_distinct_matches_np_unique(bits):
+    check_distinct(bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.integers(I64.min, I64.max), max_size=200))
+def test_distinct_matches_np_unique_on_arrays_with_repeats(bits):
+    check_distinct(bits)
+
+
+def test_distinct_keeps_the_float_bit_patterns_of_zero_apart():
+    x = np.array([0.0, -0.0, 1.5, 0.0, -0.0, -2.0, 1.5])
+    bits, first, inverse = distinct(x.view(np.int64))
+    values = bits.view(np.float64)
+    assert len(values) == 4  # 0.0, -0.0, 1.5, -2.0
+    assert values[inverse].tolist() == x.tolist() and np.signbit(values[inverse]).tolist() == np.signbit(x).tolist()
+    assert x[first].view(np.int64).tolist() == bits.tolist()
+    strings, codes = csvtable.floats(x.reshape(7, 1))
+    assert codes.shape == (7, 1)
+    assert strings[codes].ravel().tolist() == ["0.0", "-0.0", "1.5", "0.0", "-0.0", "-2.0", "1.5"]
 
 
 # wide masks: the top bit of uint8 (8 agents), the switch to uint16 (9) and MAX_AGENTS (16)

@@ -16,9 +16,11 @@ uncached twin of a cached function (``__wrapped__``) or a second walk
 tree-slice knob (``TREE_ROWS``) or a count kept apart from the candidates
 it counts (``_candidate_count``). No module imports numpy's random module
 or reads it as ``np.random``: it maps OpenSSL into every process that
-loads it, and verify draws from a pure-Python stream. The package exports a fixed set of names: a
-link profile is an int64 row array, so no profile class is among them. The
-package's modules hold at most ``SRC_LINES`` lines in all.
+loads it, and verify draws from a pure-Python stream. Every sort is numpy's stable one: no module
+calls ``np.unique``, and every ``sort`` / ``argsort`` call passes ``kind="stable"`` (``np.lexsort``
+is stable already), since a process maps each numpy sort kernel's code the first time it runs it.
+The package exports a fixed set of names: a link profile is an int64 row array, so no profile
+class is among them. The package's modules hold at most ``SRC_LINES`` lines in all.
 """
 import ast
 import subprocess
@@ -106,15 +108,31 @@ def test_retired_names_stay_retired(module):
     assert lines_naming(module, RETIRED) == []
 
 
+def numpy_name(node, name):
+    """Is ``node`` numpy's ``name``, as ``np.<name>`` / ``numpy.<name>`` or imported from numpy?"""
+    return (isinstance(node, ast.Attribute) and node.attr == name and getattr(node.value, "id", None) in ("np", "numpy")
+            or isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(a.name == name for a in node.names))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_reaches_numpy_random(module):
-    names = [node.lineno for node in ast.walk(parsed(module))
-             if isinstance(node, ast.Attribute) and node.attr == "random"
-             and getattr(node.value, "id", None) in ("np", "numpy")
-             or isinstance(node, ast.ImportFrom) and node.module == "numpy"
-             and any(alias.name == "random" for alias in node.names)]
-    assert names == []
+    assert [node.lineno for node in ast.walk(parsed(module)) if numpy_name(node, "random")] == []
     assert "numpy.random" not in (SRC / f"{module}.py").read_text()
+
+
+def is_stable(call):
+    return any(k.arg == "kind" and isinstance(k.value, ast.Constant) and k.value.value == "stable"
+               for k in call.keywords)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_sort_is_numpys_stable_one(module):
+    # the np.unique attribute, not the name: the full scan has a local called ``unique``
+    bad = [f"line {node.lineno}: np.unique" for node in ast.walk(parsed(module)) if numpy_name(node, "unique")]
+    bad += [f"line {node.lineno}: {node.func.attr} without kind='stable'" for node in ast.walk(parsed(module))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sort", "argsort") and not is_stable(node)]
+    assert bad == []
 
 
 @pytest.mark.parametrize("module", MODULES)
