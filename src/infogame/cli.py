@@ -1,10 +1,13 @@
 """Batch front end: experiment documents in, CSV or text reports out.
 
-An experiment is one YAML document. The ``command`` key selects what runs;
+    python -m infogame.cli --spec FILE [--out FILE] [--seed N]
+
+A flag's value follows it (``--out FILE``) or an equals sign (``--out=FILE``);
+a repeated flag keeps its last value, and no flag may be abbreviated. An
+experiment is one YAML document; its ``command`` key selects what runs and
 the remaining sections configure it:
 
-    command: regions | poa-sweep | mil-sweep | enumerate | production
-             | few-sweep | verify
+    command: regions | poa-sweep | mil-sweep | enumerate | production | few-sweep | verify
     seed: 0                      # RNG seed, overridable with --seed
 
     game:                        # enumerate + the three sweeps
@@ -16,8 +19,7 @@ the remaining sections configure it:
         # or: inline: {n_agents: 2, entries: [[1, 1.0], [2, 1.0], [3, 2.0]]}
       benefit: {name: log1p, base: e}   # log1p | power(alpha) | linear
       costs: {model: homogeneous, c: 0.3}
-        # recipient: {model: recipient, c: [0.1, 0.2, 0.3]}
-        # matrix:    {model: matrix, c: [[...], ...]}
+        # or: {model: recipient, c: [0.1, 0.2, 0.3]} | {model: matrix, c: [[...], ...]}
 
     grid:                        # the three sweeps; family must be pair_redundancy
       kl: [0, 1, 2, 3, 4]        # list or {start, stop, points}
@@ -41,15 +43,16 @@ comment line recording the sha256 of the experiment document and the seed,
 so identical inputs produce byte-identical files. Every result is computed
 before the output is opened, so a failed run leaves no file; CSV rows are
 then formatted from arrays and written in chunks by :mod:`infogame.csvtable`.
-Exit codes: 0 success, 1 verification failure, 2 invalid spec, 3 work
-budget (2**20) exceeded.
+Exit codes: 0 success, 1 verification failure, 2 invalid flags, spec or output,
+3 work budget (2**20) exceeded.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import math
+import os
 import sys
+from contextlib import nullcontext
 try:  # CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto (3.5 MB) for one small digest
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
@@ -77,6 +80,7 @@ from .production import Aggregation, ProductionGameConfig
 from .verification import run_verification
 
 COMMANDS = ("enumerate", "regions", "poa-sweep", "mil-sweep", "production", "few-sweep", "verify")
+USAGE = "usage: infogame [-h] --spec SPEC [--out OUT] [--seed SEED]"
 
 
 class SpecError(ValueError):
@@ -346,16 +350,36 @@ def run_spec(spec: dict, spec_bytes: bytes, seed: int | None):
     return write, code
 
 
+def _usage_error(message: str):
+    print(f"{USAGE}\nerror: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _flags(argv: list[str]) -> dict:
+    """``--spec``, ``--out`` and ``--seed`` (an int) of ``argv``; ``-h`` prints the usage and the schema."""
+    flags, args = {}, iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(f"{USAGE}\n\n{__doc__}", end="")
+            raise SystemExit(0)
+        name, eq, value = arg.partition("=")
+        value = value if eq else next(args, None)
+        if name not in ("--spec", "--out", "--seed"):
+            _usage_error(f"unrecognized argument: {arg}")
+        if value is None or not eq and value.startswith("--"):
+            _usage_error(f"{name} expects a value")
+        if name == "--seed" and not value.removeprefix("-").isdecimal():
+            _usage_error(f"--seed must be an integer, got {value!r}")
+        flags[name] = int(value) if name == "--seed" else value
+    if "--spec" not in flags:
+        _usage_error("--spec is required")
+    return flags
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="infogame",
-        description="Run information-network formation experiments from a YAML document.")
-    parser.add_argument("--spec", required=True, help="experiment document (YAML)")
-    parser.add_argument("--out", help="output file; stdout when omitted")
-    parser.add_argument("--seed", type=int, default=None, help="override the document seed")
-    args = parser.parse_args(argv)
+    flags = _flags(sys.argv[1:] if argv is None else argv)
     try:
-        with open(args.spec, "rb") as fh:
+        with open(flags["--spec"], "rb") as fh:
             spec_bytes = fh.read()
         spec = yaml.safe_load(spec_bytes)
     except OSError as e:
@@ -365,24 +389,23 @@ def main(argv=None) -> int:
         print(f"error: spec is not valid YAML: {e}", file=sys.stderr)
         return 2
     try:
-        write, code = run_spec(spec, spec_bytes, args.seed)
+        write, code = run_spec(spec, spec_bytes, flags.get("--seed"))
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:  # SpecError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out_path = args.out or spec.get("output")
-    if out_path:
-        try:
-            fh = open(out_path, "w", encoding="utf-8", newline="\n")
-        except OSError as e:
-            print(f"error: cannot write output: {e}", file=sys.stderr)
-            return 2
-        with fh:
+    out_path = flags.get("--out") or spec.get("output")
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="\n") if out_path else nullcontext(sys.stdout) as fh:
             write(fh)
-    else:
-        write(sys.stdout)
+            fh.flush()
+    except OSError as e:  # an unopenable path, a full disk, a closed pipe
+        if not out_path:  # so that the interpreter's flush at exit meets no closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -23,14 +23,15 @@ with the splits of h_bar (SUM) or trees rooted at a producer with its one
 vector (MAX); a single profile is the 1 x 1 product. Agent i's best
 production deviations are a table per vector over its compact rows, read
 through ``kernel.merged_table`` (a row per partition of the others) as the
-link game reads ``fh``, in blocks of vectors whose arrays fit in
-``CHECK_BYTES``; i's current utility is scored once per (own component,
-vector). Each production candidate is scored once per distinct amount a row
-acquires, aggregates are added one agent at a time in ascending order, and f
-is the scalar :class:`BenefitFunction` on distinct values, so every utility
-is the float of the per-profile oracle under ``tests/``. Each builder counts
-its work first and refuses more than ``CHECK_BUDGET``: :func:`grid_profiles`,
-``_candidates``, and :func:`grid_levels` one vector's deviation grid points.
+link game reads ``fh``, in blocks of vectors, and of grid levels kept as a
+running max, whose arrays fit in ``CHECK_BYTES``; i's current utility is
+scored once per (own component, vector). Each production candidate is
+scored once per distinct amount a row acquires, aggregates are added one
+agent at a time in ascending order, and f is the scalar
+:class:`BenefitFunction` on distinct values, so every utility is the float
+of the per-profile oracle under ``tests/``. Each builder counts its work
+first and refuses more than ``CHECK_BUDGET``: :func:`grid_profiles`,
+``_candidates``, and ``_level_count`` one vector's deviation grid points.
 
 :func:`shape_mask` judges the characterizations' shapes on the same
 products with ``kernel.components``, in payoff terms, taking each tie that
@@ -150,14 +151,15 @@ def _grid_top(cfg: ProductionGameConfig) -> int:
 
 
 def grid_levels(cfg: ProductionGameConfig) -> list[float]:
-    """Production levels 0, step, 2 step, ... up to the first one at or above h_bar, refused when one
-    vector's deviation table, a row of them per compact row, would hold more than ``CHECK_BUDGET``."""
+    """Production levels 0, step, 2 step, ... up to the first one at or above h_bar."""
+    return [m * cfg.step() if m else 0.0 for m in range(_level_count(cfg))]
+
+
+def _level_count(cfg: ProductionGameConfig) -> int:
+    """Levels of :func:`grid_levels`, refused past ``CHECK_BUDGET`` in one vector's deviation table."""
     top, n = _grid_top(cfg), cfg.n_agents
     require_budget((top + 1) << (n - 1), f"production deviation grid at {n} agents", "grid points")
-    if not top:
-        return [0.0]
-    step = cfg.step()
-    return [m * step for m in range(top + 1)]
+    return top + 1
 
 
 def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks) -> np.ndarray:
@@ -185,19 +187,22 @@ def _link_counts(n: int) -> np.ndarray:
 def _deviation_table(cfg: ProductionGameConfig, prods: np.ndarray, i: int) -> np.ndarray:
     """Agent i's best utility over all production deviations, before link costs, when it joins the others
     of each compact row: a (V, 2**(n-1)) table over the vectors ``prods`` (V, n), read as ``fh`` is."""
-    n, hb = cfg.n_agents, cfg.h_bar()
-    is_sum = cfg.agg is Aggregation.SUM
-    levels = grid_levels(cfg) + [hb]
+    n, hb, is_sum, count = cfg.n_agents, cfg.h_bar(), cfg.agg is Aggregation.SUM, _level_count(cfg)
     others = expand_row(np.arange(1 << (n - 1), dtype=np.min_scalar_type((1 << n) - 1)), i)
     # each production candidate is scored once per distinct amount that a row acquires
     bits, _, at = distinct(_aggregate_masks(cfg.agg, prods[:, None, :], others).reshape(-1).view(np.int64))
     amounts = bits.view(np.float64)
-    h = np.empty((len(amounts), len(levels) + is_sum))
-    h[:, :len(levels)] = levels
-    if is_sum:
-        h[:, -1] = np.maximum(0.0, hb - amounts)
-    gained = amounts[:, None] + h if is_sum else np.maximum(amounts[:, None], h)
-    return (_benefits(cfg, gained) - cfg.k * h).max(axis=1)[at.reshape(len(prods), -1)]
+    step, per = cfg.step() if count > 1 else 0.0, max(1, CHECK_BYTES // (8 * len(amounts)))
+    table = np.full(len(amounts), -np.inf)
+    for s in range(0, count, per):  # the levels m * step a slice at a time, a fine grid's table as a running max
+        levels = np.append(np.arange(s, min(s + per, count)) * step, hb)
+        h = np.empty((len(amounts), len(levels) + is_sum))
+        h[:, :len(levels)] = levels
+        if is_sum:
+            h[:, -1] = np.maximum(0.0, hb - amounts)
+        gained = amounts[:, None] + h if is_sum else np.maximum(amounts[:, None], h)
+        np.maximum(table, (_benefits(cfg, gained) - cfg.k * h).max(axis=1), out=table)
+    return table[at.reshape(len(prods), -1)]
 
 
 def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:

@@ -410,6 +410,22 @@ class TestProduction:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM, the process's peak RSS")
+    def test_fine_grid_few_sweep_runs_in_a_small_process(self, tmp_path):
+        """500,001 deviation levels: the check takes them a slice at a time (it peaked near 170 MB
+        holding them whole), and the row is the one the whole table gave."""
+        spec = tmp_path / "fine.yaml"
+        spec.write_text(PRODUCTION_SPEC.replace("command: production", "command: few-sweep").replace("c: 1.0", "c: 0.2")
+                        + "  grid_step: 6.0e-6\nn_list: [2]\n")
+        # VmHWM, not the parent's rusage: a forked child's ru_maxrss counts the parent's pages
+        peak_kb = fresh_python("import sys\nfrom infogame.cli import main\nassert main(sys.argv[1:]) == 0\n"
+                               "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM')))",
+                               "--spec", str(spec), "--out", str(tmp_path / "fine.csv"))
+        assert int(peak_kb) < 40 << 10
+        assert (tmp_path / "fine.csv").read_text().splitlines()[1:] == [
+            "n,agg,c,k,h_bar,producer_fraction,total_information_bits",
+            "2,sum,0.2,0.25,2.999999999970896,1.0,2.999999999970896"]
+
 
 def package_env() -> dict:
     """This process's environment, with the package's source first on PYTHONPATH."""
@@ -495,7 +511,7 @@ def fresh_python(code, *args):
 class TestSpecDigest:
     """The header's digest comes from CPython's built-in SHA-256, and ``verify`` draws its games
     from a pure-Python PCG64 stream, so no command loads numpy's random module or maps OpenSSL
-    (``_hashlib``), which that module imports."""
+    (``_hashlib``), which that module imports. The flags are read without argparse."""
 
     def test_importing_the_cli_loads_neither_openssl_nor_numpy_random(self):
         loaded = fresh_python("import sys, infogame.cli; print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
@@ -512,9 +528,12 @@ class TestSpecDigest:
             Path(paths[-1]).write_text(spec)
         loaded = fresh_python("import sys\nfrom infogame.cli import main\n"
                               "codes = [main(['--spec', p, '--out', p + '.csv']) for p in sys.argv[1:]]\n"
-                              "print(codes, '_hashlib' in sys.modules, 'numpy.random' in sys.modules)", *paths)
+                              "print(codes, '_hashlib' in sys.modules, 'numpy.random' in sys.modules)\n"
+                              "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))", *paths)
+        loaded, parsers = loaded.splitlines()
         codes, hashlib_loaded, random_loaded = loaded.rsplit(maxsplit=2)
         assert (codes, random_loaded) == (str([0] * len(specs)), "False")
+        assert parsers == "[]"  # reading three flags costs no argparse, gettext or locale tables (about 0.6 MB)
         if BUILTIN_SHA256:
             assert hashlib_loaded == "False"
 
@@ -531,6 +550,68 @@ class TestSpecDigest:
 
 INLINE_SPEC = ENUM_SPEC.replace("{family: independent, h: [1, 1]}",
                                 "{inline: {n_agents: 2, entries: [[1, 1.0], [2, 1.0], [3, 1.5]]}}")
+
+
+class TestFlags:
+    """The three flags, read straight from argv: ``--flag value`` or ``--flag=value``, the last of
+    a repeated flag wins, and a usage error exits 2 with the usage line and one error line."""
+
+    def test_equals_form(self, tmp_path):
+        code, text = run_cli(tmp_path, VERIFY_SPEC, extra=["--seed", "7"])
+        out = tmp_path / "eq.csv"
+        assert main([f"--spec={tmp_path / 'exp.yaml'}", f"--out={out}", "--seed=7"]) == code == 0
+        assert out.read_text() == text
+
+    def test_repeated_flag_keeps_its_last_value(self, tmp_path):
+        spec = tmp_path / "exp.yaml"
+        spec.write_text(VERIFY_SPEC)
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        assert main(["--spec", str(tmp_path / "nope.yaml"), "--out", str(first), "--seed", "3",
+                     "--spec", str(spec), "--out", str(last), "--seed", "7"]) == 0
+        assert not first.exists() and "seed=7" in last.read_text().splitlines()[1]
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--seed", "1.5"], "--seed must be an integer, got '1.5'"),
+        (["--seed", "x"], "--seed must be an integer, got 'x'"),
+        (["--seed="], "--seed must be an integer, got ''"),
+        (["--out"], "--out expects a value"),
+        (["--out", "--seed", "7"], "--out expects a value"),
+        (["--sp", "exp.yaml"], "unrecognized argument: --sp"),
+        (["stray"], "unrecognized argument: stray"),
+    ], ids=["seed-float", "seed-text", "seed-empty", "trailing-out", "out-then-flag", "abbreviation", "positional"])
+    def test_usage_errors_exit_2(self, tmp_path, capsys, extra, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, VERIFY_SPEC, extra=extra)
+        assert exc.value.code == 2 and not (tmp_path / "exp.yaml.csv").exists()
+        assert capsys.readouterr().err == f"{cli.USAGE}\nerror: {message}\n"
+
+    def test_spec_is_required(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"{cli.USAGE}\nerror: --spec is required\n"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_the_usage_and_the_schema(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["--spec", "exp.yaml", flag, "--bogus"])
+        out = capsys.readouterr()
+        assert exc.value.code == 0 and out.err == ""
+        assert out.out.startswith("usage: infogame [-h] --spec SPEC [--out OUT] [--seed SEED]\n")
+        assert "command:" in out.out
+
+    def test_closed_stdout_is_a_write_error(self, tmp_path):
+        """A pipe whose reader is gone: exit 2 and one error line, as an unopenable --out."""
+        (tmp_path / "exp.yaml").write_text(ENUM_SPEC)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "infogame.cli", "--spec", str(tmp_path / "exp.yaml")],
+                                  stdout=write, stderr=subprocess.PIPE, env=package_env(), text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write output: ") and len(proc.stderr.splitlines()) == 1
 
 
 class TestSpecValidation:

@@ -19,8 +19,10 @@ or reads it as ``np.random``: it maps OpenSSL into every process that
 loads it, and verify draws from a pure-Python stream. Every sort is numpy's stable one: no module
 calls ``np.unique``, and every ``sort`` / ``argsort`` call passes ``kind="stable"`` (``np.lexsort``
 is stable already), since a process maps each numpy sort kernel's code the first time it runs it.
-The package exports a fixed set of names: a link profile is an int64 row array, so no profile
-class is among them. The package's modules hold at most ``SRC_LINES`` lines in all.
+No module imports a flag parser (``argparse``, ``optparse``, ``getopt``): each loads ``gettext``, and
+argparse's first message loads ``locale``'s alias tables, about 0.6 MB in every CLI process that
+reads three flags. The package exports a fixed set of names: a link profile is an int64 row array,
+so no profile class is among them. The package's modules hold at most ``SRC_LINES`` lines in all.
 """
 import ast
 import subprocess
@@ -36,6 +38,7 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 SCALAR_WALK = {"component_masks", "undirected_adjacency"}
 SECOND_FORMS = {"TABLE_AGENTS", "__wrapped__", "_reach"}
 RETIRED = {"TREE_ROWS", "_candidate_count"}
+FLAG_PARSERS = {"argparse", "optparse", "getopt"}
 # the size gate of the whole package
 SRC_LINES = 3000
 
@@ -132,6 +135,14 @@ def test_every_sort_is_numpys_stable_one(module):
     bad += [f"line {node.lineno}: {node.func.attr} without kind='stable'" for node in ast.walk(parsed(module))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("sort", "argsort") and not is_stable(node)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_a_flag_parser(module):
+    bad = [f"line {node.lineno}" for node in ast.walk(parsed(module))
+           if isinstance(node, ast.Import) and any(a.name.split(".")[0] in FLAG_PARSERS for a in node.names)
+           or isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in FLAG_PARSERS]
     assert bad == []
 
 

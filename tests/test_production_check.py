@@ -613,3 +613,29 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert len(rows) and peak < mib << 20
+
+    def test_a_fine_grid_deviation_table_holds_a_slice_of_levels(self):
+        # 500,001 levels: the whole (amounts, levels) table took about 61 MiB
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 6.0e-6)
+        cfg.h_bar()  # solved before tracing
+        tracemalloc.start()
+        try:
+            table = production._deviation_table(cfg, np.array([[3.0, 0.0]]), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (1, 2) and peak < 2 << 20
+
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_level_slices_do_not_change_the_table(self, monkeypatch, n, agg):
+        rng = np.random.default_rng([n, agg is Aggregation.SUM])
+        for step in (None, 0.5, 0.07, 0.013):
+            cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg, step)
+            prods = rng.choice(grid_levels(cfg) + [cfg.h_bar(), 0.3], size=(9, n))
+            monkeypatch.setattr(production, "CHECK_BYTES", 1 << 40)  # every level in one slice
+            whole = [production._deviation_table(cfg, prods, i) for i in range(n)]
+            for check_bytes in (8, 8 * 7, 8 * 150):  # one level per slice, and ragged last slices
+                monkeypatch.setattr(production, "CHECK_BYTES", check_bytes)
+                for i in range(n):
+                    assert np.array_equal(production._deviation_table(cfg, prods, i), whole[i])
