@@ -14,7 +14,7 @@ from .entropy import (
     family_pair_redundancy,
     family_independent,
     family_max_correlated,
-    from_joint_pmf,
+    from_joint_pmfs,
     subset_mask,
     validate_shannon,
 )
@@ -47,7 +47,7 @@ from .production import (
     ProductionGameConfig,
     few_sweep,
     h_bar,
-    is_production_ne,
+    production_ne_mask,
     shape_mask,
 )
 from .verification import VerifyReport, run_verification
@@ -78,12 +78,12 @@ __all__ = [
     "family_independent",
     "family_max_correlated",
     "few_sweep",
-    "from_joint_pmf",
+    "from_joint_pmfs",
     "h_bar",
-    "is_production_ne",
     "mil_predict",
     "poa_monotonicity_sweep",
     "poa_predict",
+    "production_ne_mask",
     "region_heterogeneous",
     "run_verification",
     "shape_mask",

@@ -117,14 +117,9 @@ class JointPmf:
         return self.table.ndim
 
 
-def from_joint_pmf(pmf: JointPmf) -> EntropicVector:
-    """Entropic vector realized by a joint pmf: H(S) of every marginal, in bits."""
-    return from_joint_pmfs([pmf])[0]
-
-
 def from_joint_pmfs(pmfs) -> list[EntropicVector]:
-    """:func:`from_joint_pmf` of every pmf, computed in one batch per table shape: each mask's
-    marginals with one sum over the pmfs' stacked tables, and their entropies with one more."""
+    """Entropic vector realized by each joint pmf: H(S) of every marginal, in bits. One batch per
+    table shape: each mask's marginals with one sum over the stacked tables, entropies with one more."""
     pmfs = list(pmfs)
     out = [None] * len(pmfs)
     groups = {}

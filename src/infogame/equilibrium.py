@@ -171,7 +171,7 @@ def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Forest-candidate scan of one game for n >= 6, returning as :func:`_ne_scan_full` does.
     Needs every link cost above tolerance."""
     n = cfg.n_agents
-    if cfg.costs.min_cost(n) <= TOL:
+    if min(cfg.costs.link_cost(i, j) for i in range(n) for j in range(n) if i != j) <= TOL:
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
@@ -206,7 +206,7 @@ def _mst(block: tuple[int, ...], links: tuple[tuple[int, int], ...]) -> list[tup
 
 def _kruskal_links(cfg: GameConfig) -> tuple[tuple[int, int], ...]:
     """Every link once, sponsored in its cheaper direction, in Kruskal's order: cost, then agents."""
-    n, cost = cfg.n_agents, cfg.link_cost
+    n, cost = cfg.n_agents, cfg.costs.link_cost
     edges = sorted((min(cost(i, j), cost(j, i)), i, j) for i in range(n) for j in range(i + 1, n))
     return tuple((i, j) if cost(i, j) <= cost(j, i) else (j, i) for _, i, j in edges)
 

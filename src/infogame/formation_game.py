@@ -159,9 +159,6 @@ class CostModel:
             return None
         return len(self.values)
 
-    def min_cost(self, n_agents: int) -> float:
-        return min(self.link_cost(i, j) for i in range(n_agents) for j in range(n_agents) if i != j)
-
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -183,9 +180,6 @@ class GameConfig:
     def n_agents(self) -> int:
         return self.ev.n_agents
 
-    def link_cost(self, i: int, j: int) -> float:
-        return self.costs.link_cost(i, j)
-
     @cached_property
     def fh(self) -> np.ndarray:
         """Benefit of the joint entropy of every subset mask, as a read-only
@@ -204,6 +198,6 @@ class GameConfig:
             targets = [j for j in range(n) if j != i]
             for compact in range(1, 1 << (n - 1)):
                 j = targets[(compact & -compact).bit_length() - 1]
-                table[i, compact] = table[i, compact & (compact - 1)] + self.link_cost(i, j)
+                table[i, compact] = table[i, compact & (compact - 1)] + self.costs.link_cost(i, j)
         table.flags.writeable = False
         return table

@@ -91,12 +91,9 @@ class ProductionGameConfig:
         if self.grid_step is not None and not (math.isfinite(self.grid_step) and self.grid_step > 0):
             raise ValueError("grid step must be finite and positive")
 
-    def h_bar(self) -> float:
-        return self._h_bar
-
     @cached_property
-    def _h_bar(self) -> float:
-        # solved on first use, so a game without a finite optimum still constructs
+    def h_bar(self) -> float:
+        # the module's h_bar, solved on first use, so a game without a finite optimum still constructs
         hb = h_bar(self.benefit, self.k)
         if hb > 0 and self.benefit(hb) - self.k * hb <= TOL:
             raise ValueError("the stand-alone payoff is within the tolerance 1e-9: every production level ties")
@@ -105,14 +102,14 @@ class ProductionGameConfig:
     def step(self) -> float:
         if self.grid_step is not None:
             return self.grid_step
-        hb = self.h_bar()
+        hb = self.h_bar
         if hb <= 0:
             raise ValueError("degenerate game: stand-alone optimum is zero, set grid_step explicitly")
         return hb / 6.0
 
     def high_cost(self) -> bool:
         """True when the link cost is at or above k * h_bar (empty-network regime)."""
-        return self.c >= self.k * self.h_bar()
+        return self.c >= self.k * self.h_bar
 
 
 def h_bar(f: BenefitFunction, k: float) -> float:
@@ -144,7 +141,7 @@ def h_bar(f: BenefitFunction, k: float) -> float:
 
 def _grid_top(cfg: ProductionGameConfig) -> int:
     """Index of the last grid level, the first multiple of the step at or above h_bar."""
-    hb = cfg.h_bar()
+    hb = cfg.h_bar
     if hb <= 0 and cfg.grid_step is None:
         return 0  # producing anything already costs more than it earns
     return math.ceil(min(hb / cfg.step(), 2.0 ** 62) - 1e-12)  # capped: an overflow reads as over budget
@@ -187,7 +184,7 @@ def _link_counts(n: int) -> np.ndarray:
 def _deviation_table(cfg: ProductionGameConfig, prods: np.ndarray, i: int) -> np.ndarray:
     """Agent i's best utility over all production deviations, before link costs, when it joins the others
     of each compact row: a (V, 2**(n-1)) table over the vectors ``prods`` (V, n), read as ``fh`` is."""
-    n, hb, is_sum, count = cfg.n_agents, cfg.h_bar(), cfg.agg is Aggregation.SUM, _level_count(cfg)
+    n, hb, is_sum, count = cfg.n_agents, cfg.h_bar, cfg.agg is Aggregation.SUM, _level_count(cfg)
     others = expand_row(np.arange(1 << (n - 1), dtype=np.min_scalar_type((1 << n) - 1)), i)
     # each production candidate is scored once per distinct amount that a row acquires
     bits, _, at = distinct(_aggregate_masks(cfg.agg, prods[:, None, :], others).reshape(-1).view(np.int64))
@@ -264,12 +261,6 @@ def grid_profiles(cfg: ProductionGameConfig) -> tuple[np.ndarray, np.ndarray]:
             np.array(list(itertools.product(grid_levels(cfg), repeat=n))))
 
 
-def is_production_ne(cfg: ProductionGameConfig, rows, prods) -> bool:
-    """True when no unilateral (links, production) deviation from one profile's link
-    rows and productions gains more than ``TOL``: :func:`production_ne_mask` of the 1 x 1 product."""
-    return bool(production_ne_mask(cfg, [rows], [prods])[0, 0])
-
-
 # -- equilibrium-shape characterizations --------------------------------------
 
 def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
@@ -293,7 +284,7 @@ def shape_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
 
 def _shapes(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarray) -> np.ndarray:
     """The shape test of rows (..., n) against productions (..., n), leading axes broadcast."""
-    n, hb, c, k = cfg.n_agents, cfg.h_bar(), cfg.c, cfg.k
+    n, hb, c, k = cfg.n_agents, cfg.h_bar, cfg.c, cfg.k
     lead, flat, producer = rows.shape[:-1], rows.reshape(-1, rows.shape[-1]), prods > PRODUCER_EPS
     comp = components(flat)
     parts = ((comp & -comp) == 1 << np.arange(n)[:, None].astype(comp.dtype)).sum(axis=0).reshape(lead)
@@ -350,7 +341,7 @@ def _composition_count(total: int, parts: int, top: int) -> int:
 def _split_totals(cfg: ProductionGameConfig):
     """Step counts t with t * step near h_bar: every grid vector whose production adds
     up to h_bar within TOL has one of them as its sum of step counts."""
-    hb, step = cfg.h_bar(), cfg.step()
+    hb, step = cfg.h_bar, cfg.step()
     slack = TOL + 1e-12 * (1.0 + hb)  # covers the rounding of the grid values and their sum
     low, high = (min(x / step, 2.0 ** 62) for x in (hb - slack, hb + slack))  # capped as _grid_top caps
     for t in range(max(0, math.floor(low)), math.ceil(high) + 1):
@@ -360,7 +351,7 @@ def _split_totals(cfg: ProductionGameConfig):
 
 def _splits(cfg: ProductionGameConfig) -> np.ndarray:
     """Grid production vectors adding up to h_bar within TOL, shape (splits, n)."""
-    n, hb = cfg.n_agents, cfg.h_bar()
+    n, hb = cfg.n_agents, cfg.h_bar
     grid = grid_levels(cfg)
     out = []
     for t in _split_totals(cfg):
@@ -376,7 +367,7 @@ def _candidates(cfg: ProductionGameConfig):
     network at h_bar; every sponsored spanning tree with every split of h_bar (SUM); for each
     producer of h_bar, every tree rooted at it (MAX). Each profile is generated once, and the
     profiles are counted before the first: more than ``CHECK_BUDGET`` raises."""
-    n, hb = cfg.n_agents, cfg.h_bar()
+    n, hb = cfg.n_agents, cfg.h_bar
     shapes, count = not (cfg.high_cost() or n < 2), 1  # else the empty network alone
     if shapes and cfg.agg is Aggregation.MAX:
         count += n ** (n - 1)  # labelled trees, each rooted at one of its n agents
@@ -454,7 +445,7 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
     out = []
     for n in n_list:
         point_cfg = replace(cfg, n_agents=n)  # refuses a non-integral n
-        n, hb = point_cfg.n_agents, point_cfg.h_bar()
+        n, hb = point_cfg.n_agents, point_cfg.h_bar
         star = (0,) + (1,) * (n - 1)  # everyone else sponsors a link to agent 0
         if point_cfg.high_cost() or n == 1:
             rows, prods = (0,) * n, (hb,) * n
@@ -463,7 +454,7 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
         else:
             share = min(hb / n, hb - point_cfg.c / point_cfg.k)
             rows, prods = star, (hb - (n - 1) * share,) + (share,) * (n - 1)
-        if not is_production_ne(point_cfg, rows, prods):
+        if not production_ne_mask(point_cfg, [rows], [prods])[0, 0]:
             raise RuntimeError(
                 f"witness profile failed equilibrium verification at n={n}; "
                 "the characterization shapes and the game disagree")

@@ -260,7 +260,7 @@ def _check_production(agg: Aggregation, benefit):
             return False, f"c={c}: {found}"
         if cfg.high_cost():
             rows, prods = found
-            if len(rows) != 1 or rows.any() or (np.abs(prods - cfg.h_bar()) > TOL).any():
+            if len(rows) != 1 or rows.any() or (np.abs(prods - cfg.h_bar) > TOL).any():
                 return False, f"c={c}: high-cost equilibrium not unique full production"
     return True, "grid scan matches on both sides of k*h_bar"
 
@@ -270,7 +270,7 @@ def _check_few_laws(benefit):
     high = ProductionGameConfig(n_agents=2, benefit=benefit, k=0.25, c=1.0, agg=Aggregation.SUM)
     low_max = ProductionGameConfig(n_agents=2, benefit=benefit, k=0.25, c=0.2, agg=Aggregation.MAX)
     low_sum = ProductionGameConfig(n_agents=2, benefit=benefit, k=0.25, c=0.2, agg=Aggregation.SUM)
-    hb = high.h_bar()
+    hb = high.h_bar
     for pt in production.few_sweep(high, n_list):
         if pt.producer_fraction != 1.0 or abs(pt.total_information_bits - pt.n * hb) > TOL:
             return False, f"high-cost SUM point n={pt.n} off"

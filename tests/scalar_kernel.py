@@ -210,23 +210,25 @@ def row_utilities(n: int, rows, i: int, fh: list[float], row_cost: list[float]) 
     return [fh[m] - c for m, c in zip(merged_components(n, rows, i), row_cost)]
 
 
-def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]]) -> tuple[bool, bool]:
+def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]], tol=TOL) -> tuple[bool, bool]:
     """(is_ne, is_strict) of a profile, judged over the given agents only.
 
     ``costs`` holds the per-agent tables of ``GameConfig.row_costs``. An agent
-    fails when some row beats its current one by more than ``TOL``; it is
-    strict when every other row is worse by more than ``TOL``. The test
-    stops at the first failing agent and then returns (False, False).
+    fails when some row beats its current one by more than ``tol``; it is
+    strict when every other row is worse by more than ``tol``. The test
+    stops at the first failing agent and then returns (False, False). With
+    ``Fraction`` tables and ``tol=0`` the walk is exact: ``Fraction - float``
+    would be a float, so the tolerance is a parameter.
     """
     strict = True
     for i in agents:
         utils = row_utilities(n, rows, i, fh, costs[i])
         current = compress_row(rows[i], i)
         u_cur = utils[current]
-        if u_cur < max(utils) - TOL:
+        if u_cur < max(utils) - tol:
             return False, False
         if strict:
-            floor = u_cur - TOL
+            floor = u_cur - tol
             strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
     return True, strict
 
@@ -242,7 +244,7 @@ def welfare(cfg: formation_game.GameConfig, rows, comp: list[int], fh: list[floa
         t = row
         while t:
             low = t & -t
-            w -= cfg.link_cost(i, low.bit_length() - 1)
+            w -= cfg.costs.link_cost(i, low.bit_length() - 1)
             t ^= low
     return w
 
@@ -302,7 +304,7 @@ def production_shape(cfg: ProductionGameConfig, rows, prods) -> bool:
     """
     if not len(rows) == len(prods) == cfg.n_agents:
         raise ValueError("profile size does not match the game")
-    n, hb, c, k = cfg.n_agents, cfg.h_bar(), cfg.c, cfg.k
+    n, hb, c, k = cfg.n_agents, cfg.h_bar, cfg.c, cfg.k
     comps = set(component_masks(undirected_adjacency(rows)))
     if (c < k * hb - TOL and len(comps) != 1) or (c > k * hb + TOL and len(comps) != n):
         return False

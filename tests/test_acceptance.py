@@ -27,7 +27,7 @@ from infogame.analytic import (
     thresholds_homogeneous,
 )
 from infogame.cli import main
-from infogame.entropy import family_pair_redundancy, from_joint_pmf
+from infogame.entropy import family_pair_redundancy, from_joint_pmfs
 from infogame.equilibrium import enumerate_nash
 from infogame.entropy import subset_agents
 from infogame.formation_game import (
@@ -147,7 +147,7 @@ def test_criterion_5_price_of_anarchy():
         for seed in range(40):
             rng = np.random.default_rng(1_000 + seed)
             n = 2 + seed % 3
-            ev = from_joint_pmf(random_joint_pmf(rng, n))
+            ev = from_joint_pmfs([random_joint_pmf(rng, n)])[0]
             c_l, c_u = thresholds_homogeneous(ev, LN)
             if c_l <= 1e-6:
                 continue
@@ -164,7 +164,7 @@ def test_criterion_5_price_of_anarchy():
         for seed in range(40):
             rng = np.random.default_rng(2_000 + seed)
             n = 2 + seed % 3
-            ev = from_joint_pmf(random_joint_pmf(rng, n))
+            ev = from_joint_pmfs([random_joint_pmf(rng, n)])[0]
             _, c_u = thresholds_homogeneous(ev, LN)
             cfg = GameConfig(ev, LN, CostModel.homogeneous(float(rng.uniform(1.0, 2.2)) * c_u))
             pred = poa_predict(cfg)
@@ -192,7 +192,7 @@ def test_criterion_5_price_of_anarchy():
         for seed in range(60):
             rng = np.random.default_rng(3_000 + seed)
             n = 2 + seed % 3
-            ev = from_joint_pmf(random_joint_pmf(rng, n))
+            ev = from_joint_pmfs([random_joint_pmf(rng, n)])[0]
             top = (1 << n) - 1
             fj = LN(ev.joint_entropy)
             gaps = [fj - LN(ev.h(top ^ (1 << i))) for i in range(n)]
@@ -273,10 +273,10 @@ def test_criterion_8_production_characterizations():
                 assert ne.tolist() == shape_mask(cfg, rows, prods).tolist()
                 assert ne.size == (1 << 6) * len(grid) ** 3
                 assert ne.any()
-                if c > 0.25 * cfg.h_bar():
+                if c > 0.25 * cfg.h_bar:
                     rows, prods = production_equilibria(cfg)
                     assert rows.tolist() == [[0, 0, 0]]
-                    assert (np.abs(prods - cfg.h_bar()) <= 1e-9).all()
+                    assert (np.abs(prods - cfg.h_bar) <= 1e-9).all()
 
 
 def test_criterion_9_law_of_the_few():

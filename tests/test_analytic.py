@@ -21,7 +21,7 @@ from infogame.analytic import (
     thresholds_homogeneous,
 )
 from infogame.entropy import (TOL, EntropicVector, family_independent, family_max_correlated, family_pair_redundancy,
-                              from_joint_pmf, subset_agents)
+                              from_joint_pmfs, subset_agents)
 from infogame.equilibrium import CapExceededError, enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import profile_indices, rows_from_indices, set_partition_count
@@ -237,7 +237,7 @@ def strict_games(draw, n):
         return GameConfig(ev, BenefitFunction.linear(), CostModel.homogeneous(c))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = 0.0 if kind == "zero" else float(rng.uniform(0.0, 1.0))
-    return GameConfig(from_joint_pmf(random_joint_pmf(rng, n)), LN, CostModel.homogeneous(c))
+    return GameConfig(from_joint_pmfs([random_joint_pmf(rng, n)])[0], LN, CostModel.homogeneous(c))
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,7 +318,7 @@ def knife_edge_games(draw, n):
     benefit with integer independent or max-correlated entropies, or pmf-realized information."""
     kind = draw(st.sampled_from(["independent", "max_correlated", "pmf"]))
     if kind == "pmf":
-        ev, f = from_joint_pmf(random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)), LN
+        ev, f = from_joint_pmfs([random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)])[0], LN
     else:
         h = [float(x) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
         family = family_independent if kind == "independent" else family_max_correlated
@@ -340,7 +340,7 @@ def knife_edge_structure_games(draw, n):
     kind = draw(st.sampled_from(["independent", "max_correlated", "pmf"]))
     f = draw(st.sampled_from([LN, BenefitFunction.linear(), BenefitFunction.power(0.5)]))
     if kind == "pmf":
-        ev = from_joint_pmf(random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n))
+        ev = from_joint_pmfs([random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)])[0]
     else:
         h = [float(x) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
         ev = (family_independent if kind == "independent" else family_max_correlated)(h)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from infogame import analytic, cli, csvtable, equilibrium, kernel, production
 from infogame.cli import main
-from infogame.entropy import family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmf
+from infogame.entropy import family_independent, family_max_correlated, family_pair_redundancy, from_joint_pmfs
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.verification import random_joint_pmf
@@ -892,7 +892,7 @@ def small_games(draw):
     homogeneous or recipient costs, some of them zero."""
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        ev = from_joint_pmf(random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n))
+        ev = from_joint_pmfs([random_joint_pmf(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)])[0]
     else:
         h = [float(x) for x in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
         ev = draw(st.sampled_from([family_independent, family_max_correlated]))(h)

@@ -14,7 +14,6 @@ from infogame.entropy import (
     family_pair_redundancy,
     family_independent,
     family_max_correlated,
-    from_joint_pmf,
     from_joint_pmfs,
     from_text,
     subset_agents,
@@ -38,18 +37,18 @@ XOR_ROWS = [((x1, x2, x1 ^ x2), 0.25) for x1 in (0, 1) for x2 in (0, 1)]
 
 class TestFromJointPmf:
     def test_two_independent_fair_bits(self):
-        ev = from_joint_pmf(JointPmf([[0.25, 0.25], [0.25, 0.25]]))
+        ev = from_joint_pmfs([JointPmf([[0.25, 0.25], [0.25, 0.25]])])[0]
         assert ev.entries == pytest.approx((1.0, 1.0, 2.0), abs=1e-12)
 
     def test_two_identical_fair_bits(self):
-        ev = from_joint_pmf(JointPmf([[0.5, 0.0], [0.0, 0.5]]))
+        ev = from_joint_pmfs([JointPmf([[0.5, 0.0], [0.0, 0.5]])])[0]
         assert ev.entries == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
     def test_xor_triple_matches_direct_table_computation(self):
         table = np.zeros((2, 2, 2))
         for outcome, p in XOR_ROWS:
             table[outcome] = p
-        ev = from_joint_pmf(JointPmf(table))
+        ev = from_joint_pmfs([JointPmf(table)])[0]
         for mask in range(1, 8):
             expect = table_entropy(XOR_ROWS, subset_agents(mask))
             assert ev.h(mask) == pytest.approx(expect, abs=1e-12)
@@ -101,13 +100,13 @@ def drawn_pmfs(rng, zero_share=0.0, per_shape=4):
 
 class TestBatchVectors:
     """``from_joint_pmfs`` stacks the pmfs of one table shape and takes each mask's marginals and
-    entropies for all of them at once; ``from_joint_pmf`` is its batch of one."""
+    entropies for all of them at once, each as its own batch of one would."""
 
     def test_drawn_pmfs_of_every_shape_match_per_marginal_sums_bit_for_bit(self):
         pmfs = drawn_pmfs(np.random.default_rng(7))
         assert len({p.table.shape for p in pmfs}) == 4 + 8 + 16
         batch = from_joint_pmfs(pmfs)
-        assert [ev.entries for ev in batch] == [from_joint_pmf(p).entries for p in pmfs]
+        assert [ev.entries for ev in batch] == [from_joint_pmfs([p])[0].entries for p in pmfs]
         assert [ev.entries for ev in batch] == [per_marginal_entropies(p) for p in pmfs]
         assert [ev.n_agents for ev in batch] == [p.n_agents for p in pmfs]
 
@@ -115,7 +114,7 @@ class TestBatchVectors:
         pmfs = drawn_pmfs(np.random.default_rng(8), zero_share=0.4, per_shape=3)
         assert sum(int((p.table == 0.0).sum()) for p in pmfs) > 100
         batch = from_joint_pmfs(pmfs)
-        assert [ev.entries for ev in batch] == [from_joint_pmf(p).entries for p in pmfs]
+        assert [ev.entries for ev in batch] == [from_joint_pmfs([p])[0].entries for p in pmfs]
         for ev, pmf in zip(batch, pmfs):
             assert ev.entries == pytest.approx(per_marginal_entropies(pmf), abs=1e-12)
             assert all(math.isfinite(v) for v in ev.entries)
@@ -128,7 +127,7 @@ class TestValidateShannon:
     def test_pmf_output_always_valid(self):
         rng = np.random.default_rng(3)
         raw = rng.random((2, 3, 2)) + 0.01
-        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        ev = from_joint_pmfs([JointPmf(raw / raw.sum())])[0]
         assert validate_shannon(ev).ok
 
     def test_additivity_violation_reported(self):
@@ -155,7 +154,7 @@ class TestInformationMeasures:
         assert mutual_info(ev, 0b01, 0b10) == 0.0
 
     def test_identical_bits(self):
-        ev = from_joint_pmf(JointPmf([[0.5, 0.0], [0.0, 0.5]]))
+        ev = from_joint_pmfs([JointPmf([[0.5, 0.0], [0.0, 0.5]])])[0]
         assert mutual_info(ev, 0b01, 0b10) == pytest.approx(1.0, abs=1e-12)
         assert cond_entropy(ev, 0b01, 0b10) == pytest.approx(0.0, abs=1e-12)
 
@@ -163,7 +162,7 @@ class TestInformationMeasures:
         table = np.zeros((2, 2, 2))
         for outcome, p in XOR_ROWS:
             table[outcome] = p
-        ev = from_joint_pmf(JointPmf(table))
+        ev = from_joint_pmfs([JointPmf(table)])[0]
         h12 = table_entropy(XOR_ROWS, (0, 1))
         h3 = table_entropy(XOR_ROWS, (2,))
         h123 = table_entropy(XOR_ROWS, (0, 1, 2))
@@ -264,7 +263,7 @@ class TestProperties:
         n = int(rng.integers(2, 5))
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n))
         raw = rng.random(sizes) ** 2 + 1e-9
-        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        ev = from_joint_pmfs([JointPmf(raw / raw.sum())])[0]
         assert validate_shannon(ev).ok
         assert kl_total(ev) >= -1e-9
 
@@ -273,7 +272,7 @@ class TestProperties:
     def test_mutual_info_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.random((2, 2, 3)) + 0.01
-        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        ev = from_joint_pmfs([JointPmf(raw / raw.sum())])[0]
         for a, b in [(0b001, 0b010), (0b001, 0b110), (0b011, 0b100)]:
             assert abs(mutual_info(ev, a, b) - mutual_info(ev, b, a)) <= 1e-12
 
@@ -284,7 +283,7 @@ class TestProperties:
         n = int(rng.integers(2, 5))
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n))
         raw = rng.random(sizes) + 0.01
-        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        ev = from_joint_pmfs([JointPmf(raw / raw.sum())])[0]
         order = list(rng.permutation(n))
         i, rest = order[0], order[1:]
         total = ev.h(1 << i)

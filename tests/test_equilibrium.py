@@ -1,6 +1,7 @@
 """Best responses, equilibrium enumeration, optimum, PoA, and MIL."""
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogame import cli, equilibrium, kernel
+from infogame.analytic import thresholds_homogeneous
 from infogame.entropy import (
     TOL,
     family_independent,
     family_max_correlated,
     family_pair_redundancy,
-    from_joint_pmf,
+    from_joint_pmfs,
     subset_agents,
 )
 from infogame.equilibrium import CapExceededError, enumerate_nash, social_optimum
@@ -34,6 +36,12 @@ LN = BenefitFunction.log1p(math.e)
 
 def homog(ev, c, f=LOG2):
     return GameConfig(ev, f, CostModel.homogeneous(c))
+
+
+def cheapest_link(cfg):
+    """The least cost of a link between two agents; the pruned scan refuses a game where it is at most TOL."""
+    n = cfg.n_agents
+    return min(cfg.costs.link_cost(i, j) for i in range(n) for j in range(n) if i != j)
 
 
 def six_agent_game(name):
@@ -157,19 +165,28 @@ class TestEnumerate:
         games += [random_homogeneous_config(np.random.default_rng(seed), 5, LN) for seed in (0, 1, 18)]
         games += [random_recipient_config(np.random.default_rng(seed), 5, LOG2) for seed in (0, 5)]
         for cfg in games:
-            if cfg.costs.min_cost(cfg.n_agents) <= 1e-9:
+            if cheapest_link(cfg) <= TOL:
                 continue
             pruned, full = equilibrium._ne_scan_pruned(cfg), equilibrium._ne_scan_full([cfg])
             assert [a.tolist() for a in pruned] == [a.tolist() for a in full]
             assert pruned[2].tolist() == [len(pruned[0])]
 
     def test_pruned_requires_positive_costs(self, monkeypatch):
-        def never(n):
+        def never(*args):
             raise AssertionError("forests were generated")
         monkeypatch.setattr(equilibrium, "forest_batches", never)
-        cfg = homog(family_independent([1] * 6), 0.0)
-        with pytest.raises(CapExceededError, match="positive"):
-            enumerate_nash(cfg)
+
+        def matrix(free):  # 6 agents; every cost positive but where free(i, j)
+            return CostModel.matrix([[0.0 if free(i, j) else 0.1 + 0.05 * abs(i - j) for j in range(6)]
+                                     for i in range(6)])
+        # one free link under any cost model is refused before a forest is generated
+        for costs in (CostModel.homogeneous(0.0), CostModel.recipient([0.5, 0.4, 0.0, 0.3, 0.6, 0.2]),
+                      matrix(lambda i, j: (i, j) == (4, 1))):
+            with pytest.raises(CapExceededError, match="positive"):
+                enumerate_nash(GameConfig(family_independent([1] * 6), LOG2, costs))
+        # self links are not links: a zero diagonal with every link positive reaches the scan
+        with pytest.raises(AssertionError, match="forests were generated"):
+            enumerate_nash(GameConfig(family_independent([1] * 6), LOG2, matrix(lambda i, j: i == j)))
 
     @pytest.fixture
     def no_scan(self, monkeypatch):
@@ -346,6 +363,44 @@ def scalar_status(cfg, indices):
     return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs) for k in indices}
 
 
+def exact_status(ev, c):
+    """{index: (is_ne, is_strict)} of the linear-benefit game at homogeneous link cost ``c``, a
+    Fraction, from the scalar walk in exact arithmetic: Fraction tables and tolerance 0."""
+    n = ev.n_agents
+    fh = [Fraction(0)] + [Fraction(h) for h in ev.entries]
+    costs = [[c * compact.bit_count() for compact in range(1 << (n - 1))]] * n
+    return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs, tol=0) for k in range(1 << (n * (n - 1)))}
+
+
+# integer entropies under a linear benefit make every payoff exact; equilibrium counts at
+# c_l - 2 TOL, c_l, c_l + 2 TOL, then the same around c_u (a negative cost is skipped)
+EXACT_GAMES = {
+    "pair-redundancy": (family_pair_redundancy(5, 4, 4, 0), [5, 6, 4, 2, 2, 1]),
+    "independent": (family_independent([1, 2]), [1, 2, 1, 1, 2, 1]),
+    "max-correlated": (family_max_correlated([1, 2, 2]), [60, 2, 2, 3, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_GAMES))
+def test_the_float_scan_is_exact_two_tolerances_from_each_threshold(name):
+    # within TOL of a threshold a link that gains c exactly is judged by the tolerance, and the two
+    # scans differ there (c_l + TOL/2 of the pair-redundancy game: 6 float equilibria, 4 exact ones)
+    ev, counts = EXACT_GAMES[name]
+    f, found = BenefitFunction.linear(), []
+    assert all(h == int(h) for h in ev.entries)
+    for cut in thresholds_homogeneous(ev, f):
+        for c in (cut - 2 * TOL, cut, cut + 2 * TOL):
+            if c < 0:
+                continue
+            report = enumerate_nash(GameConfig(ev, f, CostModel.homogeneous(c)))
+            exact = exact_status(ev, Fraction(c))
+            assert [profile_index(r) for r in report.rows.tolist()] == [k for k, (ne, _) in exact.items() if ne]
+            assert [profile_index(r) for r in report.rows[report.strict].tolist()] == [
+                k for k, (_, strict) in exact.items() if strict]
+            found.append(len(report.rows))
+    assert found == counts
+
+
 def kernel_sets(cfg):
     """(NE indices, strict indices) from the full scan."""
     report = enumerate_nash(cfg)
@@ -362,7 +417,7 @@ def games(draw, n):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     source = draw(st.sampled_from(["pmf", "independent", "correlated"]))
     if source == "pmf":
-        ev = from_joint_pmf(random_joint_pmf(rng, n))
+        ev = from_joint_pmfs([random_joint_pmf(rng, n)])[0]
     else:
         h = [float(x) for x in rng.integers(1, 25, size=n) / 8.0]
         ev = family_independent(h) if source == "independent" else family_max_correlated(h)
@@ -505,10 +560,10 @@ def test_kernel_welfare_matches_the_sum_of_utilities(case):
     got = welfare(rows, comp, cfg.fh, cfg.row_costs).tolist()
     for w, r, c in zip(got, rows.tolist(), comp.T.tolist()):
         scale = sum(cfg.fh[m] for m in c) + sum(
-            cfg.link_cost(i, j) for i in range(n) for j in range(n) if r[i] >> j & 1)
+            cfg.costs.link_cost(i, j) for i in range(n) for j in range(n) if r[i] >> j & 1)
         # each agent's utility: the benefit of its component's information minus its links' costs
         masks = component_masks(undirected_adjacency(r))
-        utilities = [cfg.benefit(cfg.ev.h(masks[i])) - sum(cfg.link_cost(i, j) for j in subset_agents(r[i]))
+        utilities = [cfg.benefit(cfg.ev.h(masks[i])) - sum(cfg.costs.link_cost(i, j) for j in subset_agents(r[i]))
                      for i in range(n)]
         assert abs(w - sum(utilities)) <= 1e-12 * scale
 
@@ -606,7 +661,7 @@ class TestEfficiencyMetrics:
         for seed in range(6):
             rng = np.random.default_rng([n, seed])
             for cfg in (random_homogeneous_config(rng, n, LN), random_recipient_config(rng, n, LN)):
-                if n == 6 and cfg.costs.min_cost(n) <= 1e-9:
+                if n == 6 and cheapest_link(cfg) <= TOL:
                     continue  # the pruned scan refuses free links
                 report = enumerate_nash(cfg)
                 infos = [[cfg.ev.h(m) for m in component_masks(undirected_adjacency(r))]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infogame.entropy import EntropicVector, JointPmf, family_independent, from_joint_pmf
+from infogame.entropy import EntropicVector, JointPmf, family_independent, from_joint_pmfs
 from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import components, compress_row
 from scalar_kernel import is_minimally_connected, links, row_utilities, social_welfare, topology
@@ -66,7 +66,6 @@ class TestCostModel:
         cm = CostModel.matrix([[0, 1.0], [2.0, 0]])
         assert cm.link_cost(0, 1) == 1.0
         assert cm.link_cost(1, 0) == 2.0
-        assert cm.min_cost(2) == 1.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -166,7 +165,7 @@ class TestPayoffs:
     def test_connected_profile_benefit_is_joint(self):
         rng = np.random.default_rng(7)
         raw = rng.random((2, 3, 2)) + 0.05
-        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        ev = from_joint_pmfs([JointPmf(raw / raw.sum())])[0]
         cfg = GameConfig(ev, LN, CostModel.homogeneous(0.1))
         p = links(3, [(1, 0), (1, 2)])
         for i in range(3):
@@ -178,7 +177,7 @@ class TestPayoffs:
     def test_adding_link_never_hurts_benefit(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.random((2, 2, 2)) + 0.02
-        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        ev = from_joint_pmfs([JointPmf(raw / raw.sum())])[0]
         cfg = GameConfig(ev, LN, CostModel.homogeneous(0.0))
         base = links(3, [(0, 1)])
         more = links(3, [(0, 1), (1, 2)])
@@ -188,7 +187,7 @@ class TestPayoffs:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
         raw = rng.random((2, 2, 3)) + 0.05
-        ev = from_joint_pmf(JointPmf(raw / raw.sum()))
+        ev = from_joint_pmfs([JointPmf(raw / raw.sum())])[0]
         costs = [0.1, 0.25, 0.4]
         perm = [2, 0, 1]  # new index -> old index
 
@@ -234,7 +233,7 @@ class TestPayoffTables:
         for i in range(4):
             targets = [j for j in range(4) if j != i]
             for compact in range(8):
-                paid = sum(cfg.link_cost(i, targets[k]) for k in range(3) if compact >> k & 1)
+                paid = sum(cfg.costs.link_cost(i, targets[k]) for k in range(3) if compact >> k & 1)
                 assert cfg.row_costs[i, compact] == pytest.approx(paid, abs=1e-12)
 
     def test_tables_are_built_once_and_read_only(self):

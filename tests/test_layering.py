@@ -13,8 +13,12 @@ component walk; no module defines or names the scalar one. Each kernel table
 has one form: no module names a per-size cache switch (``TABLE_AGENTS``), an
 uncached twin of a cached function (``__wrapped__``) or a second walk
 (``_reach``). Retired names stay retired: no module defines or names the
-tree-slice knob (``TREE_ROWS``) or a count kept apart from the candidates
-it counts (``_candidate_count``). No module imports numpy's random module
+tree-slice knob (``TREE_ROWS``), a count kept apart from the candidates
+it counts (``_candidate_count``), or a batch-of-one or delegate wrapper: the
+production check of one profile (``is_production_ne``), the pmf builder of
+one pmf (``from_joint_pmf``), the cost model's least link cost
+(``min_cost``), which its one reader takes inline, and a private cached twin
+of the config's ``h_bar`` (``_h_bar``). No module imports numpy's random module
 or reads it as ``np.random``: it maps OpenSSL into every process that
 loads it, and verify draws from a pure-Python stream. Every sort is numpy's stable one: no module
 calls ``np.unique``, and every ``sort`` / ``argsort`` call passes ``kind="stable"`` (``np.lexsort``
@@ -37,7 +41,7 @@ SRC = Path(infogame.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 SCALAR_WALK = {"component_masks", "undirected_adjacency"}
 SECOND_FORMS = {"TABLE_AGENTS", "__wrapped__", "_reach"}
-RETIRED = {"TREE_ROWS", "_candidate_count"}
+RETIRED = {"TREE_ROWS", "_candidate_count", "is_production_ne", "from_joint_pmf", "min_cost", "_h_bar"}
 FLAG_PARSERS = {"argparse", "optparse", "getopt"}
 # the size gate of the whole package
 SRC_LINES = 3000
@@ -107,7 +111,8 @@ def test_every_kernel_table_has_one_form(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_retired_names_stay_retired(module):
-    # the forests' tree slices follow their one caller's buffer; the candidates count themselves
+    # the forests' tree slices follow their one caller's buffer; the candidates count themselves;
+    # a single profile or pmf is the batch of one, and a wrapper with one caller is inlined there
     assert lines_naming(module, RETIRED) == []
 
 
@@ -190,8 +195,8 @@ def test_the_public_surface_is_pinned():
         "EntropicVector", "EquilibriumReport", "FewSweepPoint", "GameConfig", "JointPmf", "Prediction",
         "ProductionGameConfig", "ShannonReport", "ShannonViolation", "VerifyReport", "classify_homogeneous",
         "component_structures", "enumerate_games", "enumerate_nash", "family_independent",
-        "family_max_correlated", "family_pair_redundancy", "few_sweep", "from_joint_pmf", "h_bar",
-        "is_production_ne", "mil_predict", "poa_monotonicity_sweep", "poa_predict", "region_heterogeneous",
+        "family_max_correlated", "family_pair_redundancy", "few_sweep", "from_joint_pmfs", "h_bar",
+        "mil_predict", "poa_monotonicity_sweep", "poa_predict", "production_ne_mask", "region_heterogeneous",
         "run_verification", "shape_mask", "social_optimum", "subset_mask", "thresholds_homogeneous", "validate_shannon"}
     assert len(infogame.__all__) == len(set(infogame.__all__))
     assert all(hasattr(infogame, name) for name in infogame.__all__)

@@ -15,7 +15,6 @@ from infogame.production import (
     few_sweep,
     grid_levels,
     h_bar,
-    is_production_ne,
     production_equilibria,
     production_ne_mask,
     shape_mask,
@@ -90,17 +89,17 @@ class TestConfig:
                                      pytest.param("3.0", id="text-float"), pytest.param(10 ** 400, id="past-float")])
     def test_production_outside_the_model_rejected(self, bad):
         with pytest.raises(ValueError, match="production levels must be finite and nonnegative"):
-            is_production_ne(make_cfg(), (0, 0), (bad, 0.0))
+            production_ne_mask(make_cfg(), [(0, 0)], [(bad, 0.0)])
 
     @pytest.mark.parametrize("rows, prods", [((0, 0), (3.0,)), ((0, 0), (3.0, 3.0, 3.0)), ((0,), (3.0, 3.0))])
     def test_profile_of_another_size_rejected(self, rows, prods):
         with pytest.raises(ValueError, match="profile size does not match the game"):
-            is_production_ne(make_cfg(), rows, prods)
+            production_ne_mask(make_cfg(), [rows], [prods])
 
     @pytest.mark.parametrize("rows", [(1, 0), (4, 0), (-1, 0)], ids=["self-link", "past-n-bits", "negative"])
     def test_rows_that_are_not_link_rows_rejected(self, rows):
         with pytest.raises(ValueError, match="n-bit masks without self links"):
-            is_production_ne(make_cfg(), rows, (3.0, 3.0))
+            production_ne_mask(make_cfg(), [rows], [(3.0, 3.0)])
 
     def test_h_bar_solved_once_per_config(self, monkeypatch):
         calls = []
@@ -119,7 +118,7 @@ class TestConfig:
     def test_missing_optimum_raises_on_first_use(self):
         cfg = ProductionGameConfig(2, BenefitFunction.linear(), 0.5, 0.2, Aggregation.SUM)
         with pytest.raises(ValueError, match="finite"):
-            cfg.h_bar()
+            cfg.h_bar
 
 
 class TestAggregate:
@@ -154,29 +153,29 @@ class TestUtility:
 class TestEquilibriumCheck:
     def test_high_cost_empty_full_production(self):
         cfg = make_cfg(c=1.0)
-        assert is_production_ne(cfg, (0, 0), (3.0, 3.0))
+        assert production_ne_mask(cfg, [(0, 0)], [(3.0, 3.0)])[0, 0]
         rows, prods = production_equilibria(cfg)
         assert rows.tolist() == [[0, 0]]
         assert prods.tolist() == [pytest.approx([3.0, 3.0], abs=1e-9)]
 
     def test_low_cost_single_producer_sum(self):
         cfg = make_cfg(c=0.2)
-        assert is_production_ne(cfg, links(2, [(1, 0)]), (3.0, 0.0))
+        assert production_ne_mask(cfg, [links(2, [(1, 0)])], [(3.0, 0.0)])[0, 0]
 
     def test_low_cost_shared_production_max_rejected(self):
         cfg = make_cfg(c=0.2, agg=Aggregation.MAX)
         for rows in (links(2, [(1, 0)]), links(2, [])):
-            assert not is_production_ne(cfg, rows, (1.5, 1.5))
+            assert not production_ne_mask(cfg, [rows], [(1.5, 1.5)])[0, 0]
 
     def test_producer_sponsoring_useless_link_rejected(self):
         cfg = make_cfg(c=0.2)
-        assert not is_production_ne(cfg, links(2, [(0, 1)]), (3.0, 0.0))
+        assert not production_ne_mask(cfg, [links(2, [(0, 1)])], [(3.0, 0.0)])[0, 0]
 
     def test_twelve_agents_checked(self):
         # no agent cap of its own: any profile of the game is judged
         cfg = make_cfg(n=12, c=1.0)
-        assert is_production_ne(cfg, (0,) * 12, (3.0,) * 12)
-        assert not is_production_ne(cfg, (0,) * 12, (0.0,) * 12)
+        assert production_ne_mask(cfg, [(0,) * 12], [(3.0,) * 12])[0, 0]
+        assert not production_ne_mask(cfg, [(0,) * 12], [(0.0,) * 12])[0, 0]
 
 
 class TestCharacterizations:
@@ -184,13 +183,13 @@ class TestCharacterizations:
         cfg = make_cfg(n=3, c=0.2)
         rows, prods = links(3, [(1, 0), (2, 0)]), (3.0, 0.0, 0.0)
         assert shape_mask(cfg, [rows], [prods]).tolist() == [[True]]
-        assert is_production_ne(cfg, rows, prods)
+        assert production_ne_mask(cfg, [rows], [prods])[0, 0]
 
     def test_overproduction_rejected(self):
         cfg = make_cfg(n=2, c=0.2)
         rows, prods = links(2, [(1, 0)]), (3.0, 0.5)
         assert shape_mask(cfg, [rows], [prods]).tolist() == [[False]]
-        assert not is_production_ne(cfg, rows, prods)
+        assert not production_ne_mask(cfg, [rows], [prods])[0, 0]
 
     def test_two_producers_under_max_rejected(self):
         cfg = make_cfg(n=2, c=0.2, agg=Aggregation.MAX)
@@ -202,11 +201,11 @@ class TestCharacterizations:
         # dropping that one link and producing the difference is profitable
         cfg = make_cfg(n=3, c=0.3)
         rows, prods = links(3, [(0, 1), (1, 2)]), (1.0, 1.0, 1.0)
-        assert not is_production_ne(cfg, rows, prods)
+        assert not production_ne_mask(cfg, [rows], [prods])[0, 0]
         assert shape_mask(cfg, [rows], [prods]).tolist() == [[False]]
         # a cheaper link keeps the chain in equilibrium
         cheap = make_cfg(n=3, c=0.2)
-        assert is_production_ne(cheap, rows, prods)
+        assert production_ne_mask(cheap, [rows], [prods])[0, 0]
         assert shape_mask(cheap, [rows], [prods]).tolist() == [[True]]
 
     @pytest.mark.parametrize("agg", [Aggregation.SUM, Aggregation.MAX])
@@ -216,7 +215,7 @@ class TestCharacterizations:
         rows = list(itertools.product((0, 2), (0, 1)))
         prods = list(itertools.product(grid_levels(cfg), repeat=2))
         shapes = shape_mask(cfg, rows, prods).tolist()
-        assert shapes == [[is_production_ne(cfg, r, p) for p in prods] for r in rows]
+        assert shapes == [[production_ne_mask(cfg, [r], [p])[0, 0] for p in prods] for r in rows]
         assert shapes == production_ne_mask(cfg, rows, prods).tolist()
 
 
@@ -301,8 +300,8 @@ class TestFewSweep:
     def test_degenerate_game_nobody_produces(self):
         # k at or above f'(0): producing anything is a loss, h_bar is 0
         cfg = make_cfg(n=2, c=0.1, k=1.5)
-        assert cfg.h_bar() == 0.0
-        assert is_production_ne(cfg, (0, 0), (0.0, 0.0))
+        assert cfg.h_bar == 0.0
+        assert production_ne_mask(cfg, [(0, 0)], [(0.0, 0.0)])[0, 0]
         rows, prods = production_equilibria(cfg)
         assert (rows.tolist(), prods.tolist()) == ([[0, 0]], [[0.0, 0.0]])
         points = few_sweep(cfg, [2, 3])

@@ -25,7 +25,6 @@ from infogame.production import (
     ProductionGameConfig,
     few_sweep,
     grid_levels,
-    is_production_ne,
     production_equilibria,
     production_ne_mask,
     shape_mask,
@@ -48,7 +47,7 @@ def label(f):
 def scalar_is_production_ne(cfg, rows, prods):
     """Every agent, every compact row, every production candidate, one at a time."""
     n = cfg.n_agents
-    hb = cfg.h_bar()
+    hb = cfg.h_bar
     grid = grid_levels(cfg)
     is_sum = cfg.agg is Aggregation.SUM
     for i in range(n):
@@ -65,7 +64,7 @@ def scalar_is_production_ne(cfg, rows, prods):
 
 def stand_alone(cfg):
     """f(h_bar) - k h_bar, what producing h_bar alone pays."""
-    return cfg.benefit(cfg.h_bar()) - cfg.k * cfg.h_bar()
+    return cfg.benefit(cfg.h_bar) - cfg.k * cfg.h_bar
 
 
 # the two scans' (link rows, production vectors) products
@@ -127,7 +126,7 @@ def products(draw, cfg, rows, vectors):
         if draw(st.booleans()):
             prods.append(tuple(draw(st.sampled_from(grid)) for _ in range(n)))
         else:
-            prods.append(tuple(draw(st.floats(0.0, 1.5 * cfg.h_bar())) for _ in range(n)))
+            prods.append(tuple(draw(st.floats(0.0, 1.5 * cfg.h_bar)) for _ in range(n)))
     return links_, prods
 
 
@@ -136,7 +135,7 @@ def random_product(cfg, rng, rows, vectors):
     n = cfg.n_agents
     links_ = rng.integers(0, 1 << n, (rows, n)) & ~(1 << np.arange(n))
     on = np.array(grid_levels(cfg))[rng.integers(0, len(grid_levels(cfg)), (vectors - vectors // 2, n))]
-    off = rng.uniform(0.0, 1.5 * cfg.h_bar(), (vectors // 2, n))
+    off = rng.uniform(0.0, 1.5 * cfg.h_bar, (vectors // 2, n))
     return links_, np.concatenate([on, off])
 
 
@@ -148,7 +147,7 @@ class TestMaskMatchesScalar:
         rows, prods = data.draw(products(cfg, 6, 5))
         got = assert_mask_matches_scalar(cfg, rows, prods)
         # and each profile as the 1 x 1 product, which at 1 agent is also a 1-agent game
-        assert [[is_production_ne(cfg, r, p) for p in prods] for r in rows] == got
+        assert [[production_ne_mask(cfg, [r], [p])[0, 0] for p in prods] for r in rows] == got
 
     @settings(max_examples=20, deadline=None)
     @given(games(sizes=(1, 2)))
@@ -200,17 +199,17 @@ class TestMaskMatchesScalar:
         for pt in few_sweep(cfg, range(2, 11)):
             n = pt.n
             point = ProductionGameConfig(n, cfg.benefit, cfg.k, cfg.c, cfg.agg)
-            hb = point.h_bar()
+            hb = point.h_bar
             star = (0,) + (1,) * (n - 1)
             if point.high_cost():
-                witness = (0,) * n, (hb,) * n
+                rows, prods = (0,) * n, (hb,) * n
             elif agg is Aggregation.MAX:
-                witness = star, (hb,) + (0.0,) * (n - 1)
+                rows, prods = star, (hb,) + (0.0,) * (n - 1)
             else:
                 share = min(hb / n, hb - point.c / point.k)
-                witness = star, (hb - (n - 1) * share,) + (share,) * (n - 1)
-            assert scalar_is_production_ne(point, *witness)
-            assert is_production_ne(point, *witness)
+                rows, prods = star, (hb - (n - 1) * share,) + (share,) * (n - 1)
+            assert scalar_is_production_ne(point, rows, prods)
+            assert production_ne_mask(point, [rows], [prods])[0, 0]
 
     def test_sum_closed_form_is_a_candidate(self):
         # total 3.1 beats the grid totals 2.75 and 3.25 and the h_bar total 3.25;
@@ -221,7 +220,7 @@ class TestMaskMatchesScalar:
     def test_h_bar_is_a_candidate(self):
         # on the grid 0, 0.7, ..., 3.5 only producing h_bar = 3 itself beats 2.9
         cfg = ProductionGameConfig(1, BENEFITS[1], 0.25, 0.0, Aggregation.MAX, 0.7)
-        assert assert_mask_matches_scalar(cfg, [(0,)], [(2.9,), (cfg.h_bar(),)]) == [[False, True]]
+        assert assert_mask_matches_scalar(cfg, [(0,)], [(2.9,), (cfg.h_bar,)]) == [[False, True]]
 
     @pytest.mark.parametrize("mask", [production_ne_mask, shape_mask])
     def test_shape_mismatch_rejected(self, mask):
@@ -259,13 +258,14 @@ class TestMaskMatchesScalar:
         # this c that saving is TOL exactly in float64: the knife edge of the strict test
         c = 0.7499999989927241
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, agg)
-        hb = cfg.h_bar()
+        hb = cfg.h_bar
         assert cfg.benefit(hb) - c == (cfg.benefit(hb) - 0.25 * hb) + TOL
-        empty = (0, 0), (hb, hb)
-        assert is_production_ne(cfg, *empty) and scalar_is_production_ne(cfg, *empty)
+        rows, prods = (0, 0), (hb, hb)  # the empty network
+        assert production_ne_mask(cfg, [rows], [prods])[0, 0] and scalar_is_production_ne(cfg, rows, prods)
         # one ulp cheaper and the link gains more than TOL
         cheaper = ProductionGameConfig(2, BENEFITS[1], 0.25, math.nextafter(c, 0.0), agg)
-        assert not is_production_ne(cheaper, *empty) and not scalar_is_production_ne(cheaper, *empty)
+        assert not production_ne_mask(cheaper, [rows], [prods])[0, 0]
+        assert not scalar_is_production_ne(cheaper, rows, prods)
 
 
 class TestDeviationTable:
@@ -278,7 +278,7 @@ class TestDeviationTable:
         # sparse random rows give each agent 20-40 partitions of the others; trees rooted at
         # agent 0 and a star onto it give equilibria for the vectors where agent 0 or all produce
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg)
-        hb, grid = cfg.h_bar(), np.array(grid_levels(cfg))
+        hb, grid = cfg.h_bar, np.array(grid_levels(cfg))
         rng = np.random.default_rng([n, agg is Aggregation.SUM])
         sparse = sum((rng.random((40, n)) < 0.1).astype(np.int64) << b for b in range(n)) & ~(1 << np.arange(n))
         rows = np.concatenate([sparse, rooted_trees(n, 0)[:4], [(0,) + (1,) * (n - 1)]])
@@ -310,7 +310,7 @@ class TestProductScan:
         # the whole grid up to 2 agents, a random product of rows and vectors from 3 on
         base = ProductionGameConfig(n, BENEFITS[2], 0.3, 0.0, agg)
         levels = grid_levels(base)
-        cuts = sorted({0.0, base.h_bar()} | set(levels) | {a + b for a in levels for b in levels})
+        cuts = sorted({0.0, base.h_bar} | set(levels) | {a + b for a in levels for b in levels})
         rng = np.random.default_rng([n, agg is Aggregation.SUM])
         for cut in cuts:
             for c in (0.3 * cut - TOL, 0.3 * cut + TOL):
@@ -366,7 +366,7 @@ class TestShapeCheckers:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_match_the_mask_off_the_grid(self, n, agg, c):
         cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, c, agg)
-        hb = cfg.h_bar()
+        hb = cfg.h_bar
         rng = np.random.default_rng([n, round(100 * c), agg is Aggregation.SUM])
         single = [tuple(hb if a == p else 0.0 for a in range(n)) for p in range(n)]
         cases = [((0,) * n, (hb,) * n)]  # the high-cost equilibrium
@@ -396,7 +396,7 @@ class TestShapeCheckers:
 
     def test_a_link_cutting_off_exactly_its_cost_minus_tol_is_kept(self):
         # agent 1's link to agent 0 cuts off 2 units: worth k * 2 = 0.5, its cost less TOL
-        hb = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM).h_bar()
+        hb = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM).h_bar
         rows, prods = [(0, 1)], [(2.0, hb - 2.0)]
         for c, want in ((0.25 * 2.0 + TOL, True), (math.nextafter(0.25 * 2.0 + TOL, 1.0), False)):
             cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, c, Aggregation.SUM)
@@ -411,7 +411,7 @@ class TestShapeCheckers:
         assert 0.0 < production.h_bar(BENEFITS[1], 1.0 - 1e-10) < TOL
         for n, c in ((2, 1e-11), (1, 0.0)):
             cfg = ProductionGameConfig(n, BENEFITS[1], 1.0 - 1e-10, c, agg)
-            for use in (cfg.h_bar, lambda: production_equilibria(cfg), lambda: few_sweep(cfg, [2]),
+            for use in (lambda: cfg.h_bar, lambda: production_equilibria(cfg), lambda: few_sweep(cfg, [2]),
                         lambda: shape_mask(cfg, [(0,) * n], [(0.0,) * n]),
                         lambda: production_ne_mask(cfg, [(0,) * n], [(0.0,) * n])):
                 with pytest.raises(ValueError, match="within the tolerance 1e-9: every production level ties"):
@@ -427,7 +427,7 @@ class TestShapeCheckers:
         # tie (see test_a_link_tie_and_a_production_tie_add_up)
         game = data.draw(games(sizes=(1, 2, 3)).filter(lambda g: g.n_agents == 1 or stand_alone(g) > 100 * TOL))
         levels = grid_levels(game)
-        x = game.k * data.draw(st.sampled_from([0.0, game.h_bar()] + levels + [a + b for a in levels for b in levels]))
+        x = game.k * data.draw(st.sampled_from([0.0, game.h_bar] + levels + [a + b for a in levels for b in levels]))
         edges = [math.nextafter(x, -1.0), math.nextafter(x, 1.0 + 2.0 * x)]
         edges += [x + side * TOL * scale for side in (-1, 1) for scale in (0.999, 1.001)]
         cfg = ProductionGameConfig(game.n_agents, game.benefit, game.k,
@@ -461,7 +461,7 @@ class TestShapeCheckers:
     @pytest.mark.parametrize("agg", list(Aggregation))
     def test_a_link_tie_and_a_production_tie_add_up(self, agg):
         cfg = ProductionGameConfig(2, BENEFITS[0], 1.4425084770589136, 0.999 * TOL, agg)
-        hb = cfg.h_bar()
+        hb = cfg.h_bar
         rows, prods = [(0, 1)], [(0.0, hb * 5 / 6)]  # agent 1 links to agent 0, who produces nothing
         assert 10 * TOL < stand_alone(cfg) < 20 * TOL
         assert production_ne_mask(cfg, rows, prods).tolist() == [[False]]
@@ -523,7 +523,7 @@ class TestEnumeration:
     def test_splits_are_the_filtered_grid(self, n):
         for step in (None, 0.5, 0.7, 0.3):
             cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, step)
-            hb = cfg.h_bar()
+            hb = cfg.h_bar
             want = [p for p in itertools.product(grid_levels(cfg), repeat=n)
                     if abs(sum(p) - hb) <= TOL]
             assert sorted(map(tuple, production._splits(cfg).tolist())) == want
@@ -617,7 +617,7 @@ class TestWorkingSet:
     def test_a_fine_grid_deviation_table_holds_a_slice_of_levels(self):
         # 500,001 levels: the whole (amounts, levels) table took about 61 MiB
         cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 6.0e-6)
-        cfg.h_bar()  # solved before tracing
+        cfg.h_bar  # solved before tracing
         tracemalloc.start()
         try:
             table = production._deviation_table(cfg, np.array([[3.0, 0.0]]), 0)
@@ -632,7 +632,7 @@ class TestWorkingSet:
         rng = np.random.default_rng([n, agg is Aggregation.SUM])
         for step in (None, 0.5, 0.07, 0.013):
             cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg, step)
-            prods = rng.choice(grid_levels(cfg) + [cfg.h_bar(), 0.3], size=(9, n))
+            prods = rng.choice(grid_levels(cfg) + [cfg.h_bar, 0.3], size=(9, n))
             monkeypatch.setattr(production, "CHECK_BYTES", 1 << 40)  # every level in one slice
             whole = [production._deviation_table(cfg, prods, i) for i in range(n)]
             for check_bytes in (8, 8 * 7, 8 * 150):  # one level per slice, and ragged last slices

@@ -9,7 +9,7 @@ import pytest
 
 from infogame import analytic, equilibrium, production, verification
 from infogame.analytic import poa_predict
-from infogame.entropy import from_joint_pmf, validate_shannon
+from infogame.entropy import from_joint_pmfs, validate_shannon
 from infogame.equilibrium import enumerate_nash
 from infogame.formation_game import BenefitFunction
 from infogame.kernel import CHECK_BUDGET, CapExceededError, components, profile_indices, rows_from_indices
@@ -33,13 +33,13 @@ class TestGenerators:
     def test_random_vectors_are_shannon_valid(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            assert validate_shannon(from_joint_pmf(random_joint_pmf(rng, 3))).ok
+            assert validate_shannon(from_joint_pmfs([random_joint_pmf(rng, 3)])[0]).ok
 
     @pytest.mark.parametrize("homogeneous", [True, False])
     def test_a_batch_draws_the_games_of_one_at_a_time(self, homogeneous):
         # the draws of one game at a time: a pmf, its vector, then rng.uniform per cost
         def one_game(rng, m):
-            ev = from_joint_pmf(random_joint_pmf(rng, m))
+            ev = from_joint_pmfs([random_joint_pmf(rng, m)])[0]
             hi = (2.0 if homogeneous else 1.5) * max(analytic.thresholds_homogeneous(ev, LN)[1], 1e-6)
             return ev.entries, tuple(float(rng.uniform(0.0, hi)) for _ in range(1 if homogeneous else m))
         sizes = [2, 3, 4] * 8
