@@ -9,14 +9,14 @@ the stars.
 Cost-model coverage follows the available theory: homogeneous and
 recipient-dependent costs are supported, general cost matrices are rejected.
 
-Boundary conventions. Homogeneous classification puts c = c_l in the
-connected region and c = c_u in the isolated region; when c_l = c_u the
-connected label wins. Recipient-dependent membership in the connected region
-quantifies its per-agent inequality over every agent, which is what actually
-guarantees that all equilibria are connected (the argmin-only variant does
-not). The cross-component condition of :func:`component_structures` is
-oriented as "a strictly profitable cross link refutes equilibrium" for both
-cost models.
+Boundary conventions. Every threshold is judged by ``entropy.band``, the tie
+rule of brute force: K_C needs c below c_l, and K_I c above c_u, by more than
+TOL; within TOL of either (where a link that gains its cost ties) a game is
+K_M. Recipient-dependent membership in the connected region quantifies its
+per-agent inequality over every agent, which is what actually guarantees
+that all equilibria are connected (the argmin-only variant does not). The
+cross-component condition of :func:`component_structures` is oriented as
+"a strictly profitable cross link refutes equilibrium" for both cost models.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import TOL, EntropicVector, full_mask, subset_mask
+from .entropy import TOL, EntropicVector, band, full_mask, subset_mask
 from .formation_game import BenefitFunction, CostModel, GameConfig
 from .equilibrium import social_optimum
 from .kernel import (best_response_table, components, compress_row, link_rows, merged_table, ne_status,
@@ -43,8 +43,8 @@ class ConnectivityRegion:
     """Region label plus the numbers that decided it.
 
     Homogeneous games carry the two thresholds. Recipient-dependent games
-    carry per-agent connectivity margins (positive for all agents puts the
-    game in K_C) and the isolation margin (positive puts it in K_I).
+    carry per-agent connectivity margins (above TOL for all agents puts the
+    game in K_C) and the isolation margin (above TOL puts it in K_I).
     """
 
     label: str
@@ -76,13 +76,13 @@ def thresholds_homogeneous(ev: EntropicVector, f: BenefitFunction) -> tuple[floa
 
 
 def classify_homogeneous(ev: EntropicVector, f: BenefitFunction, c: float) -> ConnectivityRegion:
-    """Label a homogeneous link cost as K_C (c <= c_l), K_I (c >= c_u) or K_M."""
+    """Label a homogeneous link cost as K_C (c < c_l - TOL), K_I (c > c_u + TOL) or K_M."""
     c_l, c_u = thresholds_homogeneous(ev, f)
     return ConnectivityRegion(_label(c, c_l, c_u), c_l=c_l, c_u=c_u)
 
 
 def _label(c: float, c_l: float, c_u: float) -> str:
-    return K_C if c <= c_l else K_I if c >= c_u else K_M
+    return K_C if band(c, c_l) < 0 else K_I if band(c, c_u) > 0 else K_M
 
 
 def homogeneous_sweep(ev: EntropicVector, f: BenefitFunction, c_values) -> list[tuple]:
@@ -101,13 +101,14 @@ def homogeneous_sweep(ev: EntropicVector, f: BenefitFunction, c_values) -> list[
 def region_heterogeneous(ev: EntropicVector, f: BenefitFunction, costs: CostModel) -> ConnectivityRegion:
     """Classify a recipient-dependent cost vector.
 
-    K_C requires c_i < f(H(all)) - f(H(all\\{i})) for every agent i; that is
-    the universal-quantifier form, which is what actually forces every
+    K_C requires c_i < f(H(all)) - f(H(all\\{i})) - TOL for every agent i; that
+    is the universal-quantifier form, which is what actually forces every
     equilibrium to be connected (the argmin-only form does not). K_I
-    requires f(H(all)) - f(H({i})) < min_{k != i} c_k for every agent i: no
-    agent can cover even the cheapest link with even the maximal
+    requires f(H(all)) - f(H({i})) + TOL < min_{k != i} c_k for every agent i:
+    no agent can cover even the cheapest link with even the maximal
     information gain, so every sponsored link anywhere is strictly
-    droppable and the empty network is the unique equilibrium. An
+    droppable and the empty network is the unique equilibrium. A margin
+    within TOL of 0 is a tie (``entropy.band``), and the game is K_M. An
     argmin-based variant of this test is unsound: it can compare one
     agent's gain against a cost that agent never pays while a cheaper
     recipient sustains a link.
@@ -124,9 +125,9 @@ def region_heterogeneous(ev: EntropicVector, f: BenefitFunction, costs: CostMode
     ki_margin = min(
         min(costs.values[k] for k in range(n) if k != i) - (fj - f(ev.h(1 << i)))
         for i in range(n))
-    if all(m > 0.0 for m in margins):
+    if all(band(m, 0.0) > 0 for m in margins):
         label = K_C
-    elif ki_margin > 0.0:
+    elif band(ki_margin, 0.0) > 0:
         label = K_I
     else:
         label = K_M

@@ -22,6 +22,11 @@ TOL = 1e-9
 MAX_AGENTS = 16
 
 
+def band(x: float, cut: float) -> int:
+    """-1 when x is below ``cut`` by more than TOL, 1 when above it by more than TOL, else 0: a tie."""
+    return -1 if x < cut - TOL else 1 if x > cut + TOL else 0
+
+
 def full_mask(n_agents: int) -> int:
     """Bitmask of the whole agent set."""
     return (1 << n_agents) - 1

@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import MAX_AGENTS, TOL
+from .entropy import MAX_AGENTS, TOL, band
 from .formation_game import BenefitFunction
 from .kernel import (CHECK_BUDGET, components, compress_row, distinct, expand_row, link_rows, merged_table,
                      profile_indices, require_budget, rooted_trees, rows_from_indices, sponsored_tree_count,
@@ -106,10 +106,6 @@ class ProductionGameConfig:
         if hb <= 0:
             raise ValueError("degenerate game: stand-alone optimum is zero, set grid_step explicitly")
         return hb / 6.0
-
-    def high_cost(self) -> bool:
-        """True when the link cost is at or above k * h_bar (empty-network regime)."""
-        return self.c >= self.k * self.h_bar
 
 
 def h_bar(f: BenefitFunction, k: float) -> float:
@@ -288,8 +284,9 @@ def _shapes(cfg: ProductionGameConfig, rows: np.ndarray, prods: np.ndarray) -> n
     lead, flat, producer = rows.shape[:-1], rows.reshape(-1, rows.shape[-1]), prods > PRODUCER_EPS
     comp = components(flat)
     parts = ((comp & -comp) == 1 << np.arange(n)[:, None].astype(comp.dtype)).sum(axis=0).reshape(lead)
-    # within TOL of c = k h_bar a link to a producer of h_bar ties with producing it
-    ok = parts == 1 if c < k * hb - TOL else parts == n if c > k * hb + TOL else parts > 0
+    # one component below the band of c = k h_bar, any number inside it (a link to a producer of
+    # h_bar ties with producing it), every agent alone above it
+    ok = (parts == 1, parts > 0, parts == n)[band(c, k * hb) + 1]
     def payoff(x):  # of holding x, net of producing it
         return _benefits(cfg, x) - k * x
     for mask in sorted(set(comp.ravel().tolist())):  # each component holds h_bar: SUM in all, MAX in one producer
@@ -368,7 +365,7 @@ def _candidates(cfg: ProductionGameConfig):
     producer of h_bar, every tree rooted at it (MAX). Each profile is generated once, and the
     profiles are counted before the first: more than ``CHECK_BUDGET`` raises."""
     n, hb = cfg.n_agents, cfg.h_bar
-    shapes, count = not (cfg.high_cost() or n < 2), 1  # else the empty network alone
+    shapes, count = band(cfg.c, cfg.k * hb) <= 0 and n > 1, 1  # else the empty network alone
     if shapes and cfg.agg is Aggregation.MAX:
         count += n ** (n - 1)  # labelled trees, each rooted at one of its n agents
     elif shapes:
@@ -434,11 +431,13 @@ class FewSweepPoint:
 def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
     """Producer fraction and total information across network sizes.
 
-    High cost: the unique equilibrium has everyone producing h_bar. Low cost
-    under MAX: every equilibrium has exactly one producer, so the supremum
-    fraction is 1/n; the star witness onto the producer is verified. Low
-    cost under SUM: a periphery-sponsored star in which everyone produces a
-    positive share of h_bar is verified, certifying a supremum fraction of 1.
+    Unless c is below k h_bar by more than TOL (``entropy.band``), the empty
+    network with everyone producing h_bar is verified: fraction 1, unique
+    above the band. Below it under MAX every equilibrium has exactly one
+    producer, so the supremum fraction is 1/n; the star witness onto the
+    producer is verified. Below it under SUM a periphery-sponsored star in
+    which everyone produces a positive share of h_bar is verified, certifying
+    a supremum fraction of 1.
     A witness that fails verification raises, since the witnesses are the
     characterizations' own constructions.
     """
@@ -447,7 +446,7 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
         point_cfg = replace(cfg, n_agents=n)  # refuses a non-integral n
         n, hb = point_cfg.n_agents, point_cfg.h_bar
         star = (0,) + (1,) * (n - 1)  # everyone else sponsors a link to agent 0
-        if point_cfg.high_cost() or n == 1:
+        if band(point_cfg.c, point_cfg.k * hb) >= 0 or n == 1:
             rows, prods = (0,) * n, (hb,) * n
         elif point_cfg.agg is Aggregation.MAX:
             rows, prods = star, (hb,) + (0.0,) * (n - 1)
@@ -459,9 +458,9 @@ def few_sweep(cfg: ProductionGameConfig, n_list) -> list[FewSweepPoint]:
                 f"witness profile failed equilibrium verification at n={n}; "
                 "the characterization shapes and the game disagree")
         total = _aggregate_masks(point_cfg.agg, np.array([prods]), np.array([(1 << n) - 1]))
-        # the witness's own fraction is the supremum: the high-cost
-        # equilibrium is unique, every MAX equilibrium has exactly one
-        # producer, and no fraction can exceed the SUM witness's 1
+        # the witness's own fraction is the supremum: no fraction exceeds the
+        # empty network's or the SUM witness's 1, and below the band every MAX
+        # equilibrium has exactly one producer
         out.append(FewSweepPoint(
             n=n,
             agg=point_cfg.agg,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analytic, equilibrium, production
 from .csvtable import row_strings
-from .entropy import TOL, EntropicVector, JointPmf, family_pair_redundancy, from_joint_pmfs, subset_agents
+from .entropy import TOL, EntropicVector, JointPmf, band, family_pair_redundancy, from_joint_pmfs, subset_agents
 from .formation_game import BenefitFunction, CostModel, GameConfig
 from .kernel import profile_indices, require_budget, rows_from_indices
 from .pcg64 import Pcg64
@@ -97,10 +97,15 @@ def _realized_partitions(report: equilibrium.EquilibriumReport) -> set[frozenset
             for column in set(map(tuple, report.components.T.tolist()))}
 
 
-def _all_connected(report: equilibrium.EquilibriumReport, ev: EntropicVector) -> bool:
-    """Does every agent of every equilibrium hold the joint entropy, within 1e-9?"""
+def _region_refuted(label: str, report: equilibrium.EquilibriumReport, ev: EntropicVector) -> str:
+    """What brute force refutes of a region's claim, '' if nothing: in K_C every agent of every
+    equilibrium holds the joint entropy, within TOL; in K_I the empty network is the one equilibrium."""
     info = np.array(report.info_values)[report.components]
-    return bool((np.abs(info - ev.joint_entropy) <= TOL).all())
+    if label == analytic.K_C and (np.abs(info - ev.joint_entropy) > TOL).any():
+        return "disconnected equilibrium inside K_C"
+    if label == analytic.K_I and (len(report.rows) != 1 or report.rows.any()):
+        return "K_I equilibrium is not the unique empty network"
+    return ""
 
 
 def _games(rng, n_agents, instances, benefit, homogeneous=True):
@@ -140,22 +145,16 @@ def _check_existence_minimality(rng, n_agents, instances, benefit):
 
 
 def _check_region_soundness(benefit):
-    games = []  # (kl, c, vector, c_l, c_u), enumerated in one batch
+    games = []  # (kl, c, vector), enumerated in one batch: a grid, then each threshold and TOL/2 either side
     for kl in [0.0, 1.0, 2.0, 3.0, 4.0]:
         ev = family_pair_redundancy(5.0, 4.0, 4.0, kl)
-        c_l, c_u = analytic.thresholds_homogeneous(ev, benefit)
-        games += [(kl, float(c), ev, c_l, c_u) for c in np.linspace(0.02, 1.4, 15)]
-    reports = equilibrium.enumerate_games(GameConfig(ev, benefit, CostModel.homogeneous(c))
-                                          for _, c, ev, _, _ in games)
-    failures = []
-    for (kl, c, ev, c_l, c_u), report in zip(games, reports):
-        if c < c_l - TOL:
-            if not _all_connected(report, ev):
-                failures.append(f"kl={kl} c={c:.4f}: disconnected equilibrium below c_l")
-        elif c > c_u + TOL:
-            if len(report.rows) != 1 or report.rows.any():  # not the empty network alone
-                failures.append(f"kl={kl} c={c:.4f}: non-empty equilibrium above c_u")
-    return not failures, failures[0] if failures else "connected below c_l, unique empty above c_u"
+        cuts = [x + d * TOL for x in analytic.thresholds_homogeneous(ev, benefit) for d in (-0.5, 0, 0.5)]
+        games += [(kl, float(c), ev) for c in [*np.linspace(0.02, 1.4, 15), *cuts]]
+    reports = equilibrium.enumerate_games(GameConfig(ev, benefit, CostModel.homogeneous(c)) for _, c, ev in games)
+    for (kl, c, ev), report in zip(games, reports):
+        if refuted := _region_refuted(analytic.classify_homogeneous(ev, benefit, c).label, report, ev):
+            return False, f"kl={kl} c={c!r}: {refuted}"
+    return True, "connected below c_l, unique empty above c_u"
 
 
 def _check_partitions(rng, n_agents, instances, benefit, homogeneous):
@@ -217,13 +216,8 @@ def _check_mil(rng, n_agents, instances, benefit):
 
 def _check_heterogeneous_regions(rng, n_agents, instances, benefit):
     for t, cfg, report in _games(rng, n_agents, instances, benefit, False):
-        region = analytic.region_heterogeneous(cfg.ev, benefit, cfg.costs)
-        if region.label == analytic.K_C:
-            if not _all_connected(report, cfg.ev):
-                return False, f"instance {t}: disconnected equilibrium inside K_C"
-        elif region.label == analytic.K_I:
-            if len(report.rows) != 1 or report.rows.any():  # not the empty network alone
-                return False, f"instance {t}: K_I equilibrium is not the unique empty network"
+        if refuted := _region_refuted(analytic.region_heterogeneous(cfg.ev, benefit, cfg.costs).label, report, cfg.ev):
+            return False, f"instance {t}: {refuted}"
     return True, f"{instances} instances, K_C all-connected and K_I unique-empty"
 
 
@@ -258,7 +252,7 @@ def _check_production(agg: Aggregation, benefit):
         ok, found = _production_scan_matches(cfg)
         if not ok:
             return False, f"c={c}: {found}"
-        if cfg.high_cost():
+        if band(c, cfg.k * cfg.h_bar) > 0:
             rows, prods = found
             if len(rows) != 1 or rows.any() or (np.abs(prods - cfg.h_bar) > TOL).any():
                 return False, f"c={c}: high-cost equilibrium not unique full production"

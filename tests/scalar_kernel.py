@@ -3,7 +3,8 @@
 These are the per-profile, Python-int forms of :mod:`infogame.kernel`'s
 batch functions. ``merged_components`` is one row of ``merged_table``,
 ``row_utilities`` one row of the utilities behind ``best_response_table``,
-``ne_status`` one profile of the batch ``ne_status``, ``welfare`` one entry
+``ne_status`` one profile of the batch ``ne_status`` (``exact_game`` runs it over every
+profile of a linear-benefit game in exact arithmetic), ``welfare`` one entry
 of the batch ``welfare`` (summed in the same order, so the two agree bit for
 bit), ``profile_from_index`` one row of ``rows_from_indices`` and
 ``profile_index`` one entry of ``profile_indices``, ``spanning_trees`` the
@@ -34,6 +35,7 @@ import heapq
 import io
 import itertools
 import math
+from fractions import Fraction
 
 from infogame import formation_game, kernel
 from infogame.entropy import TOL, EntropicVector, full_mask, subset_agents, subset_mask
@@ -231,6 +233,27 @@ def ne_status(n: int, rows, agents, fh: list[float], costs: list[list[float]], t
             floor = u_cur - tol
             strict = not any(u >= floor for c, u in enumerate(utils) if c != current)
     return True, strict
+
+
+def exact_game(ev: EntropicVector, costs) -> list[tuple]:
+    """Every profile of the linear-benefit game on ``ev`` whose links to agent j cost ``costs[j]``,
+    as (rows, is_ne, is_strict, component masks, welfare) in index order, in exact arithmetic:
+    ``Fraction`` tables and the walk of :func:`ne_status` at tolerance 0. Each entropy and cost is
+    taken as the exact value of its float, so the game is the one a ``GameConfig`` of them holds."""
+    n = ev.n_agents
+    fh = [Fraction(0)] + [Fraction(h) for h in ev.entries]
+    table = []
+    for i in range(n):
+        targets = [Fraction(costs[j]) for j in range(n) if j != i]
+        table.append([sum((c for b, c in enumerate(targets) if compact >> b & 1), Fraction(0))
+                      for compact in range(1 << (n - 1))])
+    game = []
+    for k in range(1 << (n * (n - 1))):
+        rows = profile_from_index(k, n)
+        comp = component_masks(undirected_adjacency(rows))
+        paid = sum(table[i][compress_row(rows[i], i)] for i in range(n))
+        game.append((rows, *ne_status(n, rows, range(n), fh, table, tol=0), comp, sum(fh[m] for m in comp) - paid))
+    return game
 
 
 def welfare(cfg: formation_game.GameConfig, rows, comp: list[int], fh: list[float]) -> float:

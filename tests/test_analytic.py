@@ -1,9 +1,10 @@
 """Closed-form predictors against their formulas and the brute-force oracle."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infogame import analytic, kernel
@@ -27,7 +28,7 @@ from infogame.formation_game import BenefitFunction, CostModel, GameConfig
 from infogame.kernel import profile_indices, rows_from_indices, set_partition_count
 from infogame.verification import random_joint_pmf
 from scalar_kernel import random_homogeneous_config, random_recipient_config
-from scalar_kernel import links, profile_from_index
+from scalar_kernel import exact_game, links, profile_from_index
 from scalar_kernel import strict_ne_structure as scalar_strict_ne_structure
 
 LN = BenefitFunction.log1p(math.e)
@@ -45,15 +46,19 @@ class TestThresholds:
         assert cl == pytest.approx(math.log(10 / 5), abs=1e-9)
 
     def test_identical_bits_zero_thresholds(self):
-        cl, cu = thresholds_homogeneous(family_max_correlated([1, 1]), LN)
+        ev = family_max_correlated([1, 1])
+        cl, cu = thresholds_homogeneous(ev, LN)
         assert cl == 0.0 and cu == 0.0
+        # a free link ties with no link: both the pair and the empty network are equilibria
+        assert classify_homogeneous(ev, LN, 0.0).label == K_M
 
     def test_boundary_conventions(self):
+        # entropy.band's tie: within TOL of either threshold a game is K_M
         ev = family_pair_redundancy(5, 4, 4, 0)
         cl, cu = thresholds_homogeneous(ev, LN)
-        assert classify_homogeneous(ev, LN, cl).label == K_C
-        assert classify_homogeneous(ev, LN, cu).label == K_I
-        assert classify_homogeneous(ev, LN, (cl + cu) / 2).label == K_M
+        costs = [cl - 2 * TOL, cl - TOL / 2, cl, cl + TOL / 2, (cl + cu) / 2, cu - TOL / 2, cu, cu + TOL / 2,
+                 cu + 2 * TOL]
+        assert [classify_homogeneous(ev, LN, c).label for c in costs] == [K_C] + [K_M] * 7 + [K_I]
 
 
 class TestHeterogeneousRegion:
@@ -410,7 +415,7 @@ class TestPredictions:
                                        CostModel.homogeneous(0.0)])
     def test_zero_information_is_undefined_in_every_region(self, costs):
         # every link is worthless, so every network has welfare 0: at c = 0 the game
-        # sits in K_C, at a positive cost in K_I
+        # ties both thresholds (K_M), at a positive cost it sits in K_I
         cfg = GameConfig(family_independent([0, 0, 0]), LN, costs)
         assert enumerate_nash(cfg).poa is None
         with pytest.raises(ValueError, match="undefined"):
@@ -430,6 +435,80 @@ class TestPredictions:
         pred = mil_predict(GameConfig(family_pair_redundancy(5, 4, 4, 2), LN,
                                       CostModel.homogeneous(0.6)))
         assert pred.region == K_M and pred.value == pytest.approx(7.0)
+
+
+def refuted_claims(cfg, exact=True):
+    """The claims of the region label and of :func:`poa_predict` and :func:`mil_predict` that the
+    equilibria of ``cfg`` refute: exact ones (:func:`exact_game`, for a linear benefit on integer
+    entropies) or the float scan's. K_C says every equilibrium is connected, K_I that the empty
+    network is the only one, an exact PoA or MIL is the value, and a bound holds, the PoA's as the
+    verifier judges it (below the bound plus TOL). The float scan's PoA is not held to its bound: an
+    agent of a float equilibrium may lose up to TOL, which can lift the PoA past it (three agents
+    of one shared bit at c = TOL/2: PoA 1 + 1.44e-9 against the bound 1)."""
+    n, ev = cfg.n_agents, cfg.ev
+    if exact:
+        game = exact_game(ev, cfg.costs.values * n if cfg.costs.kind == "homogeneous" else cfg.costs.values)
+        ne = [(rows, comp, w) for rows, is_ne, _, comp, w in game if is_ne]
+        best, h = max(w for *_, w in game), [Fraction(0)] + [Fraction(x) for x in ev.entries]
+    else:
+        report = enumerate_nash(cfg)
+        ne = list(zip(map(tuple, report.rows.tolist()), report.components.T.tolist(), report.welfare.tolist()))
+        best, h = report.social_optimum_value, (0.0,) + ev.entries
+    poa, mil = poa_predict(cfg), mil_predict(cfg)
+    if not ne:  # a bound holds vacuously, an exact value needs an equilibrium
+        return [] if poa.is_bound else [f"{poa.region} without an equilibrium"]
+    true_poa = best / min(w for *_, w in ne)
+    held = [[h[comp[a]] for _, comp, _ in ne] for a in range(n)]  # each agent's information in each equilibrium
+    true_mil = max(max(x) - min(x) for x in held)
+    wrong = []
+    if poa.region == K_C and any(m != (1 << n) - 1 for _, comp, _ in ne for m in comp):
+        wrong.append("a disconnected equilibrium in K_C")
+    if poa.region == K_I and [rows for rows, _, _ in ne] != [(0,) * n]:
+        wrong.append(f"{len(ne)} equilibria in K_I")
+    if not (true_poa < poa.value + TOL or not exact if poa.is_bound
+            else math.isclose(true_poa, poa.value, rel_tol=1e-9)):
+        wrong.append(f"PoA {float(true_poa)} against {poa.value} in {poa.region}")
+    if not (true_mil <= mil.value if mil.is_bound else true_mil == mil.value):
+        wrong.append(f"MIL {float(true_mil)} against {mil.value} in {mil.region}")
+    return wrong
+
+
+@st.composite
+def threshold_games(draw, f):
+    """A game of benefit ``f`` on integer entropies, 2-4 agents, its link costs at a threshold or TOL/2
+    or 2 TOL to either side: homogeneous at c_l or c_u, or recipient with every cost at c_u or each
+    agent's at its own K_C cut f(H(all)) - f(H(all - i)), the largest of which is c_l."""
+    family = draw(st.sampled_from(["independent", "max_correlated", "pair_redundancy"]))
+    if family == "pair_redundancy":
+        h = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+        ev = family_pair_redundancy(*h, draw(st.integers(0, min(h[1:]))))
+    else:
+        h = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        ev = (family_independent if family == "independent" else family_max_correlated)(h)
+    n, top = ev.n_agents, (1 << ev.n_agents) - 1
+    offset = draw(st.sampled_from([-2, Fraction(-1, 2), 0, Fraction(1, 2), 2])) * Fraction(TOL)
+    kind, cut = draw(st.sampled_from(["homogeneous", "recipient"])), draw(st.sampled_from([0, 1]))
+    if kind == "recipient" and cut == 0:
+        costs = [Fraction(f(ev.joint_entropy) - f(ev.h(top ^ 1 << i))) + offset for i in range(n)]
+    else:
+        costs = [Fraction(thresholds_homogeneous(ev, f)[cut]) + offset] * n
+    assume(min(costs) >= 0)
+    floats = [float(c) for c in costs]
+    return GameConfig(ev, f, CostModel.homogeneous(floats[0]) if kind == "homogeneous" else CostModel.recipient(floats))
+
+
+@settings(max_examples=80, deadline=None)
+@given(threshold_games(BenefitFunction.linear()))
+def test_closed_forms_hold_against_the_exact_equilibria_at_the_thresholds(cfg):
+    # entropy.band's tie: a cost within TOL of a threshold is K_M, whose bounds hold on both sides
+    assert refuted_claims(cfg) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(threshold_games(LN))
+def test_closed_forms_hold_against_the_float_scan_at_the_thresholds(cfg):
+    # the float scan ties a link that gains its cost within TOL, as entropy.band does
+    assert refuted_claims(cfg, exact=False) == []
 
 
 class TestMonotonicitySweep:

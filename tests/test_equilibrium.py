@@ -1,7 +1,6 @@
 """Best responses, equilibrium enumeration, optimum, PoA, and MIL."""
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +24,8 @@ from infogame.kernel import components as kernel_components
 from infogame.kernel import expand_row, merged_table, rows_from_indices, set_partition_count, welfare
 from infogame.verification import random_joint_pmf
 from scalar_kernel import NO_PURE_NE, random_homogeneous_config, random_recipient_config
-from scalar_kernel import (bitstring, component_masks, csv_of, is_minimally_connected, links, ne_status, profile_from_index,
-                           profile_index, row_utilities, undirected_adjacency)
+from scalar_kernel import (bitstring, component_masks, csv_of, exact_game, is_minimally_connected, links, ne_status,
+                           profile_from_index, profile_index, row_utilities, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
 from test_cli import GOLDEN_N6_MIXED_SPEC, GOLDEN_N6_SPEC
 
@@ -363,15 +362,6 @@ def scalar_status(cfg, indices):
     return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs) for k in indices}
 
 
-def exact_status(ev, c):
-    """{index: (is_ne, is_strict)} of the linear-benefit game at homogeneous link cost ``c``, a
-    Fraction, from the scalar walk in exact arithmetic: Fraction tables and tolerance 0."""
-    n = ev.n_agents
-    fh = [Fraction(0)] + [Fraction(h) for h in ev.entries]
-    costs = [[c * compact.bit_count() for compact in range(1 << (n - 1))]] * n
-    return {k: ne_status(n, profile_from_index(k, n), range(n), fh, costs, tol=0) for k in range(1 << (n * (n - 1)))}
-
-
 # integer entropies under a linear benefit make every payoff exact; equilibrium counts at
 # c_l - 2 TOL, c_l, c_l + 2 TOL, then the same around c_u (a negative cost is skipped)
 EXACT_GAMES = {
@@ -393,10 +383,10 @@ def test_the_float_scan_is_exact_two_tolerances_from_each_threshold(name):
             if c < 0:
                 continue
             report = enumerate_nash(GameConfig(ev, f, CostModel.homogeneous(c)))
-            exact = exact_status(ev, Fraction(c))
-            assert [profile_index(r) for r in report.rows.tolist()] == [k for k, (ne, _) in exact.items() if ne]
+            exact = exact_game(ev, [c] * ev.n_agents)
+            assert [profile_index(r) for r in report.rows.tolist()] == [k for k, (_, ne, *_) in enumerate(exact) if ne]
             assert [profile_index(r) for r in report.rows[report.strict].tolist()] == [
-                k for k, (_, strict) in exact.items() if strict]
+                k for k, (_, _, strict, *_) in enumerate(exact) if strict]
             found.append(len(report.rows))
     assert found == counts
 

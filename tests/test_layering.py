@@ -17,10 +17,11 @@ tree-slice knob (``TREE_ROWS``), a count kept apart from the candidates
 it counts (``_candidate_count``), or a batch-of-one or delegate wrapper: the
 production check of one profile (``is_production_ne``), the pmf builder of
 one pmf (``from_joint_pmf``), the cost model's least link cost
-(``min_cost``), which its one reader takes inline, and a private cached twin
-of the config's ``h_bar`` (``_h_bar``). No module imports numpy's random module
-or reads it as ``np.random``: it maps OpenSSL into every process that
-loads it, and verify draws from a pure-Python stream. Every sort is numpy's stable one: no module
+(``min_cost``), which its one reader takes inline, a private cached twin
+of the config's ``h_bar`` (``_h_bar``), and the production config's regime test
+(``high_cost``), a second tie rule: every threshold is judged by ``entropy.band``.
+No module imports numpy's random module or reads it as ``np.random``: it maps OpenSSL into every
+process that loads it, and verify draws from a pure-Python stream. Every sort is numpy's stable one: no module
 calls ``np.unique``, and every ``sort`` / ``argsort`` call passes ``kind="stable"`` (``np.lexsort``
 is stable already), since a process maps each numpy sort kernel's code the first time it runs it.
 No module imports a flag parser (``argparse``, ``optparse``, ``getopt``): each loads ``gettext``, and
@@ -41,7 +42,7 @@ SRC = Path(infogame.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 SCALAR_WALK = {"component_masks", "undirected_adjacency"}
 SECOND_FORMS = {"TABLE_AGENTS", "__wrapped__", "_reach"}
-RETIRED = {"TREE_ROWS", "_candidate_count", "is_production_ne", "from_joint_pmf", "min_cost", "_h_bar"}
+RETIRED = {"TREE_ROWS", "_candidate_count", "is_production_ne", "from_joint_pmf", "min_cost", "_h_bar", "high_cost"}
 FLAG_PARSERS = {"argparse", "optparse", "getopt"}
 # the size gate of the whole package
 SRC_LINES = 3000

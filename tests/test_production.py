@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from infogame import production
-from infogame.entropy import TOL
+from infogame.entropy import TOL, band
 from infogame.kernel import CapExceededError
 from infogame.formation_game import BenefitFunction
 from infogame.production import (
@@ -112,7 +112,7 @@ class TestConfig:
         cfg = make_cfg(n=3, c=0.2)
         assert calls == []
         rows, _ = production_equilibria(cfg)
-        assert len(rows) and cfg.step() == pytest.approx(0.5) and not cfg.high_cost()
+        assert len(rows) and cfg.step() == pytest.approx(0.5) and band(cfg.c, cfg.k * cfg.h_bar) < 0
         assert calls == [0.25]
 
     def test_missing_optimum_raises_on_first_use(self):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogame import kernel, production
-from infogame.entropy import TOL
+from infogame.entropy import TOL, band
 from infogame.formation_game import BenefitFunction
 from infogame.kernel import CapExceededError, merged_table, rooted_trees, rows_from_indices, sponsored_trees
 from infogame.production import (
@@ -181,12 +181,12 @@ class TestMaskMatchesScalar:
     @pytest.mark.parametrize("agg", list(Aggregation))
     @pytest.mark.parametrize("f", BENEFITS, ids=label)
     def test_high_cost_knife_edge(self, agg, f):
-        # c = k * h_bar is classified high cost: the empty network at h_bar
+        # c = k * h_bar is a tie (band 0): the empty network at h_bar is an equilibrium
         k = 0.25 if f.name == "power" else f.deriv(0.0) / 4.0
         hb = production.h_bar(f, k)
         for n in (1, 2, 3):
             cfg = ProductionGameConfig(n, f, k, k * hb, agg)
-            assert cfg.high_cost()
+            assert band(cfg.c, cfg.k * cfg.h_bar) == 0
             rows = rows_from_indices(np.arange(1 << (n * (n - 1))), n)
             got = assert_mask_matches_scalar(cfg, rows, [(hb,) * n, (0.0,) * n, (hb,) + (0.0,) * (n - 1)])
             assert got[0][0]  # the empty network at h_bar
@@ -201,7 +201,7 @@ class TestMaskMatchesScalar:
             point = ProductionGameConfig(n, cfg.benefit, cfg.k, cfg.c, cfg.agg)
             hb = point.h_bar
             star = (0,) + (1,) * (n - 1)
-            if point.high_cost():
+            if band(point.c, point.k * point.h_bar) >= 0:
                 rows, prods = (0,) * n, (hb,) * n
             elif agg is Aggregation.MAX:
                 rows, prods = star, (hb,) + (0.0,) * (n - 1)
@@ -518,6 +518,23 @@ class TestEnumeration:
         stacked = np.concatenate([np.hstack([np.repeat(r, len(p), axis=0), np.tile(p, (len(r), 1))])
                                   for r, p in products])
         assert len(np.unique(stacked, axis=0)) == len(stacked) == count
+
+    # the cut c = k h_bar, the points TOL/2 from it inside its band, and points outside it
+    @pytest.mark.parametrize("scale, tols", [(0.5, 0), (1, -2), (1, -0.5), (1, 0), (1, 0.5), (1, 2), (1.5, 0)])
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_candidates_and_few_sweep_in_the_band(self, n, agg, scale, tols):
+        cut = 0.25 * production.h_bar(BENEFITS[1], 0.25)
+        cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, scale * cut + tols * TOL, agg)
+        side = band(cfg.c, cut)
+        grid, candidates = scan(cfg, "grid"), scan(cfg, "candidates")
+        assert set(candidates) <= set(grid)
+        if side:  # off the band the candidates are every equilibrium
+            assert candidates == grid
+        # below the band the SUM witness may produce off the grid: 2 TOL / k each at cut - 2 TOL
+        if agg is Aggregation.MAX or side >= 0:
+            largest = max(sum(p > production.PRODUCER_EPS for p in prods) for _, prods in grid) / n
+            assert few_sweep(cfg, [n])[0].producer_fraction == largest
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_splits_are_the_filtered_grid(self, n):
