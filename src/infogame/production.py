@@ -7,10 +7,10 @@ adds), MAX as fully redundant (any producer's information subsumes the
 rest). Agent i pays k per produced bit and c per sponsored link, and enjoys
 f(aggregate over its component).
 
-Production levels are continuous. Equilibrium checks therefore scan all link
-deviations crossed with a production grid plus the closed-form best
-production for each link choice, which covers the continuous axis: for SUM
-the inner optimum is max(0, h_bar - acquired), for MAX it is 0 or h_bar.
+Production levels are continuous and f is concave, so once a deviation's
+links are fixed its best production has a closed form: for SUM the inner
+optimum is max(0, h_bar - acquired), for MAX it is 0 or h_bar. Equilibrium
+checks score every link deviation at those levels alone and read no grid.
 h_bar, the stand-alone optimal production, solves f'(h) = k. A game whose
 stand-alone payoff f(h_bar) - k h_bar is positive but at most TOL is outside
 the model (every production ties), and h_bar refuses it.
@@ -23,15 +23,15 @@ with the splits of h_bar (SUM) or trees rooted at a producer with its one
 vector (MAX); a single profile is the 1 x 1 product. Agent i's best
 production deviations are a table per vector over its compact rows, read
 through ``kernel.merged_table`` (a row per partition of the others) as the
-link game reads ``fh``, in blocks of vectors, and of grid levels kept as a
-running max, whose arrays fit in ``CHECK_BYTES``; i's current utility is
-scored once per (own component, vector). Each production candidate is
-scored once per distinct amount a row acquires, aggregates are added one
-agent at a time in ascending order, and f is the scalar
-:class:`BenefitFunction` on distinct values, so every utility is the float
-of the per-profile oracle under ``tests/``. Each builder counts its work
-first and refuses more than ``CHECK_BUDGET``: :func:`grid_profiles`,
-``_candidates``, and ``_level_count`` one vector's deviation grid points.
+link game reads ``fh``, in blocks of vectors whose arrays fit in
+``CHECK_BYTES``; i's current utility is scored once per (own component,
+vector). Each production candidate is scored once per distinct amount a row
+acquires, aggregates are added one agent at a time in ascending order, and f
+is the scalar :class:`BenefitFunction` on distinct values, so every utility
+is the float of the per-profile oracle under ``tests/``. Only the profile
+builders read the production grid, and each counts its work first and
+refuses more than ``CHECK_BUDGET``: :func:`grid_profiles`, ``_candidates``,
+and ``_level_count`` the grid's levels.
 
 :func:`shape_mask` judges the characterizations' shapes on the same
 products with ``kernel.components``, in payoff terms, taking each tie that
@@ -149,9 +149,9 @@ def grid_levels(cfg: ProductionGameConfig) -> list[float]:
 
 
 def _level_count(cfg: ProductionGameConfig) -> int:
-    """Levels of :func:`grid_levels`, refused past ``CHECK_BUDGET`` in one vector's deviation table."""
-    top, n = _grid_top(cfg), cfg.n_agents
-    require_budget((top + 1) << (n - 1), f"production deviation grid at {n} agents", "grid points")
+    """Levels of :func:`grid_levels`, the production grid of the profile builders, refused past ``CHECK_BUDGET``."""
+    top = _grid_top(cfg)
+    require_budget(top + 1, f"production grid at {cfg.n_agents} agents", "levels")
     return top + 1
 
 
@@ -168,7 +168,7 @@ def _aggregate_masks(agg: Aggregation, prods: np.ndarray, masks) -> np.ndarray:
 def _benefits(cfg: ProductionGameConfig, x: np.ndarray) -> np.ndarray:
     """f of every entry of ``x``, once per distinct value, by the scalar BenefitFunction: numpy's
     log1p and power differ from math's in the last bit on some inputs."""
-    bits, inverse = distinct(x.reshape(-1).view(np.int64))[::2]  # x may be a whole deviation grid: drop first now
+    bits, inverse = distinct(x.reshape(-1).view(np.int64))[::2]
     return np.array([cfg.benefit(v) for v in bits.view(np.float64).tolist()])[inverse].reshape(x.shape)
 
 
@@ -180,22 +180,18 @@ def _link_counts(n: int) -> np.ndarray:
 def _deviation_table(cfg: ProductionGameConfig, prods: np.ndarray, i: int) -> np.ndarray:
     """Agent i's best utility over all production deviations, before link costs, when it joins the others
     of each compact row: a (V, 2**(n-1)) table over the vectors ``prods`` (V, n), read as ``fh`` is."""
-    n, hb, is_sum, count = cfg.n_agents, cfg.h_bar, cfg.agg is Aggregation.SUM, _level_count(cfg)
+    n, hb, is_sum = cfg.n_agents, cfg.h_bar, cfg.agg is Aggregation.SUM
     others = expand_row(np.arange(1 << (n - 1), dtype=np.min_scalar_type((1 << n) - 1)), i)
     # each production candidate is scored once per distinct amount that a row acquires
     bits, _, at = distinct(_aggregate_masks(cfg.agg, prods[:, None, :], others).reshape(-1).view(np.int64))
     amounts = bits.view(np.float64)
-    step, per = cfg.step() if count > 1 else 0.0, max(1, CHECK_BYTES // (8 * len(amounts)))
-    table = np.full(len(amounts), -np.inf)
-    for s in range(0, count, per):  # the levels m * step a slice at a time, a fine grid's table as a running max
-        levels = np.append(np.arange(s, min(s + per, count)) * step, hb)
-        h = np.empty((len(amounts), len(levels) + is_sum))
-        h[:, :len(levels)] = levels
-        if is_sum:
-            h[:, -1] = np.maximum(0.0, hb - amounts)
-        gained = amounts[:, None] + h if is_sum else np.maximum(amounts[:, None], h)
-        np.maximum(table, (_benefits(cfg, gained) - cfg.k * h).max(axis=1), out=table)
-    return table[at.reshape(len(prods), -1)]
+    # productions 0, h_bar and, under SUM, max(0, h_bar - a): f is concave, so one is the best given amount a
+    h = np.zeros((len(amounts), 2 + is_sum))
+    h[:, 1] = hb
+    if is_sum:
+        h[:, 2] = np.maximum(0.0, hb - amounts)
+    gained = amounts[:, None] + h if is_sum else np.maximum(amounts[:, None], h)
+    return (_benefits(cfg, gained) - cfg.k * h).max(axis=1)[at.reshape(len(prods), -1)]
 
 
 def _profile_arrays(cfg: ProductionGameConfig, rows, prods) -> tuple[np.ndarray, np.ndarray]:
@@ -217,9 +213,9 @@ def production_ne_mask(cfg: ProductionGameConfig, rows, prods) -> np.ndarray:
 
     ``rows`` holds link rows (R, n) and ``prods`` production vectors (V, n);
     entry [r, v] of the bool (R, V) result judges link row r played with
-    production vector v. Deviations range over every link vector crossed
-    with the production grid, h_bar, and for SUM the closed-form best
-    production max(0, h_bar - acquired) for the deviated links.
+    production vector v. Deviations range over every link vector, each
+    with its best production in closed form: 0 or h_bar (MAX), and for SUM
+    also max(0, h_bar - acquired) for the deviated links. No grid is read.
     """
     n, k = cfg.n_agents, cfg.k
     rows, prods = _profile_arrays(cfg, rows, prods)
@@ -369,7 +365,7 @@ def _candidates(cfg: ProductionGameConfig):
     if shapes and cfg.agg is Aggregation.MAX:
         count += n ** (n - 1)  # labelled trees, each rooted at one of its n agents
     elif shapes:
-        top = _grid_top(cfg)
+        top = _level_count(cfg) - 1  # refuses a grid too fine to build before the first candidate
         for t in _split_totals(cfg):  # trees x orientations x splits
             count += sponsored_tree_count(n) * _composition_count(t, n, top)
             if count > CHECK_BUDGET:

@@ -370,19 +370,31 @@ class TestProduction:
         assert "within the tolerance 1e-9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step", ["5.0e-324", "1.0e-6"])
-    @pytest.mark.parametrize("command, n, agg", [
-        ("production", 3, "sum"), ("production", 4, "sum"), ("production", 4, "max"), ("few-sweep", 2, "sum")])
-    def test_fine_grid_refused_before_any_check(self, tmp_path, monkeypatch, capsys, command, n, agg, step):
-        # h_bar / 5e-324 overflows a float and reads as over budget; 1e-6 steps make 3,000,001 levels
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fine_grid_refused_before_any_check(self, tmp_path, monkeypatch, capsys, n, step):
+        # the full grid (3 agents) and the SUM splits (4) come from the grid: h_bar / 5e-324
+        # overflows a float and reads as over budget; 1e-6 steps make 3,000,001 levels
         def fail(*args, **kwargs):
             raise AssertionError("a production level was scored")
         monkeypatch.setattr(production, "_benefits", fail)
-        spec = PRODUCTION_SPEC.replace("command: production", f"command: {command}").replace(
-            "n_agents: 2", f"n_agents: {n}").replace("c: 1.0", "c: 0.2").replace("sum", agg)
-        code, text = run_cli(tmp_path, spec + f"  grid_step: {step}\n" + f"n_list: [{n}]\n" * (command == "few-sweep"))
+        spec = PRODUCTION_SPEC.replace("n_agents: 2", f"n_agents: {n}").replace("c: 1.0", "c: 0.2")
+        code, text = run_cli(tmp_path, spec + f"  grid_step: {step}\n")
         assert code == 3 and text == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "capped at 1048576" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("step", ["5.0e-324", "1.0e-6"])
+    @pytest.mark.parametrize("command, n, agg, c", [
+        ("production", 4, "max", 0.2), ("production", 4, "sum", 1.0), ("few-sweep", 2, "sum", 0.2)])
+    def test_fine_grid_answers_where_no_profile_comes_from_the_grid(self, tmp_path, command, n, agg, c, step):
+        # the MAX trees, the empty network above the band and the witnesses: the check reads no grid
+        spec = PRODUCTION_SPEC.replace("command: production", f"command: {command}").replace(
+            "n_agents: 2", f"n_agents: {n}").replace("c: 1.0", f"c: {c}").replace("sum", agg)
+        tail = f"n_list: [{n}]\n" * (command == "few-sweep")
+        (code, fine), (default_code, default) = run_cli(tmp_path, spec + f"  grid_step: {step}\n" + tail,
+                                                        name="fine.yaml"), run_cli(tmp_path, spec + tail)
+        assert code == default_code == 0
+        assert fine.split("\n", 1)[1] == default.split("\n", 1)[1]  # after the line carrying the spec's hash
 
     def test_few_sweep_columns(self, tmp_path):
         spec = PRODUCTION_SPEC.replace("command: production", "command: few-sweep") \
@@ -412,8 +424,9 @@ class TestProduction:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM, the process's peak RSS")
     def test_fine_grid_few_sweep_runs_in_a_small_process(self, tmp_path):
-        """500,001 deviation levels: the check takes them a slice at a time (it peaked near 170 MB
-        holding them whole), and the row is the one the whole table gave."""
+        """A 6.0e-6 step, 500,001 grid levels: the witness check reads no grid, so the process stays
+        near the import's size (holding every level's deviation at once peaked near 170 MB) and
+        the row is the default step's."""
         spec = tmp_path / "fine.yaml"
         spec.write_text(PRODUCTION_SPEC.replace("command: production", "command: few-sweep").replace("c: 1.0", "c: 0.2")
                         + "  grid_step: 6.0e-6\nn_list: [2]\n")

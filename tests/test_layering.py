@@ -20,6 +20,8 @@ one pmf (``from_joint_pmf``), the cost model's least link cost
 (``min_cost``), which its one reader takes inline, a private cached twin
 of the config's ``h_bar`` (``_h_bar``), and the production config's regime test
 (``high_cost``), a second tie rule: every threshold is judged by ``entropy.band``.
+The production check reads no production grid: ``_deviation_table`` and ``production_ne_mask``
+name neither the step nor a grid helper, since a deviation's best production is in closed form.
 No module imports numpy's random module or reads it as ``np.random``: it maps OpenSSL into every
 process that loads it, and verify draws from a pure-Python stream. Every sort is numpy's stable one: no module
 calls ``np.unique``, and every ``sort`` / ``argsort`` call passes ``kind="stable"`` (``np.lexsort``
@@ -44,6 +46,7 @@ SCALAR_WALK = {"component_masks", "undirected_adjacency"}
 SECOND_FORMS = {"TABLE_AGENTS", "__wrapped__", "_reach"}
 RETIRED = {"TREE_ROWS", "_candidate_count", "is_production_ne", "from_joint_pmf", "min_cost", "_h_bar", "high_cost"}
 FLAG_PARSERS = {"argparse", "optparse", "getopt"}
+GRID_READERS = {"step", "grid_levels", "_grid_top", "_level_count"}
 # the size gate of the whole package
 SRC_LINES = 3000
 
@@ -92,9 +95,12 @@ def test_only_the_kernel_names_spanning_trees(module):
     assert names == []
 
 
-def lines_naming(module, names):
-    """Lines of ``module`` that define, import or name one of ``names``."""
-    return [node.lineno for node in ast.walk(parsed(module))
+def lines_naming(module, names, function=None):
+    """Lines of ``module``, or of its top-level ``function`` alone, that define, import or name one of ``names``."""
+    tree = parsed(module)
+    if function is not None:
+        (tree,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in names
             or getattr(node, "id", None) in names or getattr(node, "attr", None) in names]
 
@@ -115,6 +121,12 @@ def test_retired_names_stay_retired(module):
     # the forests' tree slices follow their one caller's buffer; the candidates count themselves;
     # a single profile or pmf is the batch of one, and a wrapper with one caller is inlined there
     assert lines_naming(module, RETIRED) == []
+
+
+@pytest.mark.parametrize("function", ["_deviation_table", "production_ne_mask"])
+def test_the_production_check_reads_no_grid(function):
+    # a deviation's best production is in closed form: only the profile builders read the grid
+    assert lines_naming("production", GRID_READERS, function) == []
 
 
 def numpy_name(node, name):

@@ -10,6 +10,7 @@ the production grid and, cell by cell with the check, off it.
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ class TestMaskMatchesScalar:
         got = assert_mask_matches_scalar(cfg, rows, prods)
         # and each profile as the 1 x 1 product, which at 1 agent is also a 1-agent game
         assert [[production_ne_mask(cfg, [r], [p])[0, 0] for p in prods] for r in rows] == got
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_the_check_reads_no_grid(self, data):
+        # a deviation's best production is in closed form: the mask is the same at any step, or
+        # none, and it is the scalar check's, which scans the default grid as well
+        cfg = data.draw(games(sizes=(2, 3, 4)))
+        rows, prods = data.draw(products(cfg, 6, 5))
+        want = assert_mask_matches_scalar(cfg, rows, prods)
+        for step in (cfg.h_bar / 24, 1e-6):
+            assert production_ne_mask(replace(cfg, grid_step=step), rows, prods).tolist() == want
 
     @settings(max_examples=20, deadline=None)
     @given(games(sizes=(1, 2)))
@@ -631,28 +643,17 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert len(rows) and peak < mib << 20
 
-    def test_a_fine_grid_deviation_table_holds_a_slice_of_levels(self):
-        # 500,001 levels: the whole (amounts, levels) table took about 61 MiB
-        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, Aggregation.SUM, 6.0e-6)
+    @pytest.mark.parametrize("agg", list(Aggregation))
+    def test_a_fine_grid_deviation_table_is_the_default_steps(self, agg):
+        # 500,001 levels, none of them scored: the whole (amounts, levels) table took about 61 MiB
+        cfg = ProductionGameConfig(2, BENEFITS[1], 0.25, 0.2, agg, 6.0e-6)
+        prods = np.array([[3.0, 0.0], [0.0, 0.0], [1.25, 0.3]])
+        want = production._deviation_table(replace(cfg, grid_step=None), prods, 0)
         cfg.h_bar  # solved before tracing
         tracemalloc.start()
         try:
-            table = production._deviation_table(cfg, np.array([[3.0, 0.0]]), 0)
+            table = production._deviation_table(cfg, prods, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.shape == (1, 2) and peak < 2 << 20
-
-    @pytest.mark.parametrize("agg", list(Aggregation))
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_level_slices_do_not_change_the_table(self, monkeypatch, n, agg):
-        rng = np.random.default_rng([n, agg is Aggregation.SUM])
-        for step in (None, 0.5, 0.07, 0.013):
-            cfg = ProductionGameConfig(n, BENEFITS[1], 0.25, 0.2, agg, step)
-            prods = rng.choice(grid_levels(cfg) + [cfg.h_bar, 0.3], size=(9, n))
-            monkeypatch.setattr(production, "CHECK_BYTES", 1 << 40)  # every level in one slice
-            whole = [production._deviation_table(cfg, prods, i) for i in range(n)]
-            for check_bytes in (8, 8 * 7, 8 * 150):  # one level per slice, and ragged last slices
-                monkeypatch.setattr(production, "CHECK_BYTES", check_bytes)
-                for i in range(n):
-                    assert np.array_equal(production._deviation_table(cfg, prods, i), whole[i])
+        assert np.array_equal(table, want) and peak < 2 << 20
