@@ -1,38 +1,29 @@
 """Brute-force equilibrium machinery: best responses, NE sets, optimum, PoA, MIL.
 
-Every equilibrium test here goes through
-:func:`~infogame.kernel.best_response_table`, which gives agent i's
-within-tolerance best-response rows for a batch of profiles at once: the two
-scans evaluate it in fixed-size chunks so that memory stays bounded whatever
-the game. The price of anarchy and the maximum information loss are fields
-of :class:`EquilibriumReport`.
+Every equilibrium test here is :func:`~infogame.kernel.ne_status`, which
+judges a batch of profiles against every agent's within-tolerance best
+responses at once, for one game or a chunk of same-size games stacked on a
+leading game axis, and drops a profile once every game has refuted it. The
+price of anarchy and the maximum information loss are fields of
+:class:`EquilibriumReport`.
 
-The full scan covers every profile of a chunk of same-size games, one block
-of values of agent 0's row field (the top of the profile index) at a time.
-Agent i's best responses see the others' rows only through the partition of
-the graph without i's links: per ``SCAN_CHUNK`` of the 2**((n-1)**2) others
-configurations, its merged table has a row per partition, kept read-only
-across games and scored once per scan with the games' stacked payoff tables.
-In a block, agent 0 reads the block's columns of its small scored tables and
-each agent i >= 1 the chunks of the block's configurations; each gathers its
-table per configuration as (higher fields, 2**(n-1), lower fields), its own
-row field being contiguous in the profile index. A profile is an NE when
-every agent's own row is set, and strict when it is the only one. A chunk is
-2,048 two-agent, 256 three-agent or 8 four-agent games in one block, or one
-five-agent game in 16 blocks of 2**16 profiles, never a flag per profile of
-its 2**20. :func:`enumerate_nash` is :func:`enumerate_games` of one game.
+There is one scan, and its candidates follow the costs. When every link of
+every game costs more than ``TOL``, each NE is a forest in which each edge
+has exactly one sponsor (a duplicate or cycle link could be dropped for a
+gain above ``TOL``), so the candidates are
+:func:`~infogame.kernel.forest_batches`, at every size. Otherwise they are
+every profile index, which fits ``CHECK_BUDGET`` up to five agents (six
+have 2**30 profiles), so six agents with a link at or below ``TOL`` are
+refused. Either way the candidates fill one ``SCAN_CHUNK`` buffer, judged
+when full, and only the equilibria are kept and sorted at the end, so
+nothing the size of the candidates is ever held. :func:`enumerate_games` groups games by size and by
+that cost rule, and a chunk's games have at most ``SCAN_CHUNK << (n - 1)``
+candidates in all: over every profile 2,048 two-agent, 256 three-agent or 8
+four-agent games, or one five-agent game; over the forests 2,730, 862, 163,
+21 and 2 games of two to six agents. :func:`enumerate_nash` is
+:func:`enumerate_games` of one game.
 
-Past five agents the profile space outgrows ``CHECK_BUDGET`` (six agents
-have 2**30 profiles) and the scan switches to candidate pruning: every NE
-with strictly positive link costs is a forest in which each edge has exactly
-one sponsor (a duplicate or cycle link could be dropped for a strict gain),
-so only :func:`~infogame.kernel.forest_batches` are generated: profile
-indices that fill one ``SCAN_CHUNK`` buffer, judged when full by
-:func:`~infogame.kernel.ne_status`, which drops a profile at its first
-failing agent. Only the equilibria are kept, and sorted at the end. The
-pruned path refuses cost models with a link cost at or below tolerance.
-
-Both scans return the equilibria's profile indices and strict flags; the
+The scan returns the equilibria's profile indices and strict flags; the
 report builds their rows (ne, n) once, in the masks' dtype, behind its
 games' optimal forests, and the kernel's ``components`` and ``welfare`` of
 them, a ``SCAN_CHUNK`` slice at a time, and streams its CSV from the arrays
@@ -45,7 +36,7 @@ games with the same Kruskal link order share their forests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +46,8 @@ from .formation_game import GameConfig
 from .kernel import (
     CHECK_BUDGET,
     CapExceededError,
-    best_response_table,
     components,
-    field_compacts,
     forest_batches,
-    merged_table,
     ne_status,
     require_budget,
     rows_from_indices,
@@ -115,72 +103,35 @@ class EquilibriumReport:
 
 # -- enumeration --------------------------------------------------------------
 
-@cache
-def _others_merged(n: int, i: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Agent i's read-only ``merged_table`` pair for the ``SCAN_CHUNK`` others configurations from ``start``."""
-    w, low = n - 1, (n - 1) * (n - 1 - i)
-    others = np.arange(start, min(start + SCAN_CHUNK, 1 << (w * w)), dtype=np.int64)
-    idx = (others >> low << (low + w)) | (others & ((1 << low) - 1))  # the others' fields, own field empty
-    merged, part = merged_table(n, rows_from_indices(idx, n), i)
-    merged.flags.writeable = part.flags.writeable = False
-    return merged, part
-
-
-def _scored(n: int, i: int, starts, fh: np.ndarray, costs: np.ndarray, compacts: np.ndarray) -> tuple:
-    """Agent i's best responses to the ``SCAN_CHUNK`` others configurations from each of ``starts``,
-    each chunk scored once and the chunks joined: the table (games, partitions, 2**(n-1)) with its
-    columns in row-field order, and each configuration's single-best flag (games, configs) and partition."""
-    tables, parts, count = [], [], 0
-    for start in starts:
-        merged, part = _others_merged(n, i, start)
-        tables.append(best_response_table(merged, fh, costs[:, i]))
-        parts.append(part.astype(np.min_scalar_type(count + len(merged))) + count if count else part)
-        count += len(merged)
-    table, part = np.concatenate(tables, axis=1), np.concatenate(parts)
-    return np.take(table, compacts, axis=-1), np.take(table.sum(axis=-1) == 1, part, axis=1), part
-
-
-def _ne_scan_full(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exhaustive scan of a chunk of same-size games, a block of agent 0's row field at a
-    time; the profile indices (int64) and strict flags of every NE, game by game and
-    ascending within a game, and each game's count of them."""
-    n = cfgs[0].n_agents
-    w, g = n - 1, len(cfgs)
-    args = np.stack([cfg.fh for cfg in cfgs]), np.stack([cfg.row_costs for cfg in cfgs]), field_compacts(n)
-    span = 1 << (w * (w - 1))  # the others configurations of agents 1.. per value of agent 0's field
-    step = min(max(1, SCAN_CHUNK // span), 1 << w)  # values of agent 0's field per block
-    first = _scored(n, 0, range(0, 1 << (w * w), SCAN_CHUNK), *args)  # agent 0's, read by every block
-    idx, strict, counts = [], [], 0
-    for v in range(0, 1 << w, step):
-        ne, sure = np.ones((2, g, step << (w * w)), dtype=bool)  # the block's NE and strict flags
-        for i in range(n):
-            table, unique, part = _scored(n, i, range(v * span, (v + step) * span, SCAN_CHUNK), *args) if i else first
-            own = np.take(table if i else table[..., v:v + step], part, axis=1)  # agent 0: the block's own rows
-            low = w * (n - 1 - i)
-            own = own.reshape(g, -1, 1 << low, own.shape[-1]).transpose(0, 1, 3, 2)
-            ne.reshape(own.shape)[...] &= own
-            sure.reshape(own.shape)[...] &= unique.reshape(g, -1, 1, 1 << low)  # read where ne is set
-        hits = np.flatnonzero(ne)  # the game above the block's profile
-        strict.append(sure.ravel()[hits])
-        idx.append(hits & ((step << (w * w)) - 1) | v << (w * w))
-        counts += ne.sum(axis=1)
-    return np.concatenate(idx), np.concatenate(strict), counts
-
-
-def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forest-candidate scan of one game for n >= 6, returning as :func:`_ne_scan_full` does.
-    Needs every link cost above tolerance."""
+def _costly(cfg: GameConfig) -> bool:
+    """Does every link of the game cost more than ``TOL``? Then each of its equilibria is a sponsored forest."""
     n = cfg.n_agents
-    if min(cfg.costs.link_cost(i, j) for i in range(n) for j in range(n) if i != j) <= TOL:
+    return all(cfg.costs.link_cost(i, j) > TOL for i in range(n) for j in range(n) if i != j)
+
+
+def _ne_scan(cfgs: list[GameConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scan of a chunk of same-size games: the profile indices (int64) and strict flags of every
+    NE, game by game and ascending within a game, and each game's count of them."""
+    n, g = cfgs[0].n_agents, len(cfgs)
+    space = 1 << n * (n - 1)  # profiles per game
+    if all(map(_costly, cfgs)):
+        batches = forest_batches(n, SCAN_CHUNK)  # its tree slices feed the buffer
+    elif space > CHECK_BUDGET:
         raise CapExceededError(
             "pruned enumeration needs strictly positive link costs; "
             "use the full scan (n <= 5) for free links")
+    else:
+        batches = (np.arange(s, min(s + SCAN_CHUNK, space), dtype=np.int64) for s in range(0, space, SCAN_CHUNK))
+    fh, costs = np.stack([cfg.fh for cfg in cfgs]), np.stack([cfg.row_costs for cfg in cfgs])
     buf, fill, found, dtype = np.empty(SCAN_CHUNK, dtype=np.int64), 0, [], np.min_scalar_type((1 << n) - 1)
+    shift, counts = n * (n - 1) + 1, np.zeros(g, dtype=np.int64)
 
-    def judge(forests):  # rows in the masks' narrow dtype keep ne_status's copies small; found: index << 1 | strict
-        ne, sure = ne_status(rows_from_indices(forests, n, dtype), cfg.fh, cfg.row_costs)
-        found.append(forests[ne] << 1 | sure[ne])
-    for batch in forest_batches(n, SCAN_CHUNK):  # its tree slices feed the buffer
+    def judge(idx):  # rows in the masks' narrow dtype keep ne_status's copies small; found: game, index, strict
+        ne, sure = ne_status(rows_from_indices(idx, n, dtype), fh, costs)
+        game, at = np.nonzero(ne)
+        found.append(game << shift | idx[at] << 1 | sure[game, at])
+        counts[:] += ne.sum(axis=1)
+    for batch in batches:
         while len(batch):
             take = min(len(batch), SCAN_CHUNK - fill)
             buf[fill:fill + take], batch, fill = batch[:take], batch[take:], (fill + take) % SCAN_CHUNK
@@ -189,7 +140,9 @@ def _ne_scan_pruned(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     judge(buf[:fill])
     found = np.concatenate(found)
     found.sort(kind="stable")
-    return found >> 1, (found & 1).astype(bool), np.array([len(found)])
+    idx = found >> 1
+    idx &= space - 1  # the game's bits gone
+    return idx, (found & 1).astype(bool), counts
 
 
 def _mst(block: tuple[int, ...], links: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
@@ -249,7 +202,7 @@ def _reports(cfgs: list[GameConfig], forests: dict) -> list[EquilibriumReport]:
     (from ``forests``, one array per Kruskal link order) and every game's equilibria
     scored together by ``components`` and ``welfare``, a ``SCAN_CHUNK`` slice at a time."""
     n, g = cfgs[0].n_agents, len(cfgs)
-    idx, strict, counts = _ne_scan_full(cfgs) if 1 << (n * (n - 1)) <= CHECK_BUDGET else _ne_scan_pruned(cfgs[0])
+    idx, strict, counts = _ne_scan(cfgs)
     opt = [forests[links] if links in forests else forests.setdefault(links, _optimal_forests(n, links))
            for links in map(_kruskal_links, cfgs)]
     # every game's forests, then every game's equilibria: the one copy of the rows, which the reports view
@@ -288,27 +241,27 @@ def enumerate_games(cfgs) -> list[EquilibriumReport]:
     """Enumerate all Nash equilibria of every game and summarize efficiency; the
     reports in input order.
 
-    Scans every profile while the 2**(n(n-1)) of them fit ``CHECK_BUDGET``
-    (n <= 5), and only the sponsored forests past that (they need positive
-    link costs, and more than 6 agents are refused before any work). Results
-    are ordered by the profile index either way. The full scan takes games of
-    one size together, at most ``SCAN_CHUNK`` others configurations times
-    games at a time; the pruned scan takes one game at a time. Each chunk's
-    equilibria share one ``components`` and one ``welfare`` call with its
-    games' optimal forests, so the optimum is never below an equilibrium's
-    welfare and the PoA never below 1.
+    Scans only the sponsored forests of a game whose every link costs more
+    than ``TOL``, and every profile of any other while the 2**(n(n-1)) of them
+    fit ``CHECK_BUDGET`` (n <= 5); more than 6 agents are refused before any
+    work. Results are ordered by the profile index either way. Games of one
+    size and one kind of candidates are scanned together, ``SCAN_CHUNK``
+    candidates at a time. Each chunk's equilibria share one ``components``
+    and one ``welfare`` call with its games' optimal forests, so the optimum
+    is never below an equilibrium's welfare and the PoA never below 1.
     """
     cfgs = list(cfgs)
-    sizes = {}
+    groups = {}  # by size and by the candidates the scan takes
     for k, cfg in enumerate(cfgs):
-        sizes.setdefault(cfg.n_agents, []).append(k)
-    for n in sizes:  # refused before any scan; up to 6 agents the sponsored forests fit the budget
+        groups.setdefault((cfg.n_agents, _costly(cfg)), []).append(k)
+    for n, _ in groups:  # refused before any scan; up to 6 agents the sponsored forests fit the budget
         require_budget(set_partition_count(n, sponsored_tree_count), f"pruned scan at {n} agents",
                        "sponsored forests")
     reports = [None] * len(cfgs)
     forests = {}
-    for n, ks in sorted(sizes.items(), reverse=True):  # the largest scans while few reports are kept
-        per = max(1, SCAN_CHUNK >> (n - 1) ** 2)  # games per chunk: one from 5 agents on
+    for (n, costly), ks in sorted(groups.items(), reverse=True):  # the largest scans while few reports are kept
+        count = set_partition_count(n, sponsored_tree_count) if costly else 1 << n * (n - 1)  # candidates per game
+        per = max(1, (SCAN_CHUNK << (n - 1)) // count)  # games per chunk
         for start in range(0, len(ks), per):
             chunk = ks[start:start + per]
             for k, report in zip(chunk, _reports([cfgs[k] for k in chunk], forests)):

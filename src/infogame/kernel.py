@@ -21,19 +21,21 @@ for the blocks of every partition that the component structures judge and
 for the production game's SUM shapes; :func:`rooted_trees` orients each
 tree toward one agent, as the decoder hangs it from its last member, for
 the production game's MAX shapes; and :func:`forest_batches`, a tree per
-block of every partition, streams the pruned NE scan a partition at a time.
+block of every partition, streams the NE scan's candidates a partition at a
+time when every link costs more than ``TOL``.
 
 One path evaluates best responses. Agent i's payoffs see the others' rows
 only through the partition of the agents into components of the graph
 without i's links, so :func:`merged_table` gives i's merged components once
 per distinct partition of a batch (at most Bell(n) rows) and each profile's
 partition, one byte each up to 256 partitions: the game-independent half,
-which the full scan and the partition judgement keep per agent count.
+which the partition judgement keeps per agent count.
 :func:`best_response_table` scores those rows with the payoff tables each
 ``GameConfig`` owns (``fh``, ``row_costs``), one game's or several games'
-stacked on a leading game axis, so that the full scan scores a chunk of games at once; :func:`ne_status` judges a batch
-with it, and gives the strict-equilibrium characterization its strict flag
-on the stars it keeps.
+stacked on a leading game axis. :func:`ne_status` judges a batch with it,
+every game of a stack at once, for the NE scan, for ``verify``'s
+whole-space oracle of that scan, and for the strict-equilibrium
+characterization's strict flag on the stars it keeps.
 :func:`components` is the package's one component walk; its masks are in the
 narrowest unsigned dtype of an n-bit mask, and every caller reads them in
 that dtype. Through :func:`merged_table` it serves the best responses and
@@ -346,24 +348,25 @@ def ne_status(rows: np.ndarray, fh: np.ndarray, costs: np.ndarray) -> tuple[np.n
 
     ``rows`` is as in :func:`merged_table`; ``fh`` and ``costs`` are
     as in :func:`best_response_table`, with ``costs`` holding every agent's
-    table. An agent fails when some row beats its current one by more than
-    ``TOL``; it is strict when its current row is its only within-tolerance
-    best response. A profile is dropped at its first failing agent. Returns
-    two bool arrays of length batch.
+    table, (n, 2**(n-1)) or (G, n, 2**(n-1)). An agent fails when some row
+    beats its current one by more than ``TOL``; it is strict when its current
+    row is its only within-tolerance best response. A profile is dropped once
+    every game has refuted it. Returns two bool arrays of shape (batch,), or
+    (G, batch) for G games.
     """
     n = rows.shape[1]
-    is_ne = np.zeros(len(rows), dtype=bool)
-    is_strict = np.zeros(len(rows), dtype=bool)
-    alive = np.arange(len(rows))
-    strict = np.ones(len(rows), dtype=bool)
+    is_ne = np.zeros(fh.shape[:-1] + (len(rows),), dtype=bool)
+    is_strict = np.zeros_like(is_ne)
+    alive, ne, strict = np.arange(len(rows)), True, True
     for i in range(n):
         merged, part = merged_table(n, rows, i)
-        table = best_response_table(merged, fh, costs[i])
-        keep = table[part, compress_row(rows[:, i], i)]
-        strict = strict[keep] & (table.sum(axis=1) == 1)[part[keep]]
-        alive, rows = alive[keep], rows[keep]
-    is_ne[alive] = True
-    is_strict[alive] = strict
+        table = best_response_table(merged, fh, costs[..., i, :])
+        ne = ne & table[..., part, compress_row(rows[:, i], i)]
+        strict = strict & (table.sum(axis=-1) == 1)[..., part]
+        keep = ne.any(axis=0) if ne.ndim > 1 else ne
+        alive, rows, ne, strict = alive[keep], rows[keep], ne[..., keep], strict[..., keep]
+    is_ne[..., alive] = ne
+    is_strict[..., alive] = strict & ne
     return is_ne, is_strict
 
 

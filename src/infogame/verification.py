@@ -29,7 +29,7 @@ from . import analytic, equilibrium, production
 from .csvtable import row_strings
 from .entropy import TOL, EntropicVector, JointPmf, band, family_pair_redundancy, from_joint_pmfs, subset_agents
 from .formation_game import BenefitFunction, CostModel, GameConfig
-from .kernel import profile_indices, require_budget, rows_from_indices
+from .kernel import ne_status, profile_indices, require_budget, rows_from_indices
 from .pcg64 import Pcg64
 from .production import Aggregation, ProductionGameConfig
 
@@ -122,10 +122,20 @@ def _games(rng, n_agents, instances, benefit, homogeneous=True):
 # -- individual checks ----------------------------------------------------------
 
 def _check_existence_minimality(rng, n_agents, instances, benefit):
+    """Every game has an equilibrium, each a forest without duplicate links, and the scan lists
+    what ``ne_status`` finds on the whole profile space, each size's games stacked: no forest premise."""
     bad = 0
     witness = ""
-    for t, cfg, report in _games(rng, n_agents, instances, benefit):
+    games = list(_games(rng, n_agents, instances, benefit))
+    judged = {}  # each size's (ne, strict) pairs, one per game in order
+    for n in {cfg.n_agents for _, cfg, _ in games}:
+        same = [cfg for _, cfg, _ in games if cfg.n_agents == n]
+        flags = ne_status(rows_from_indices(np.arange(1 << n * (n - 1)), n), np.stack([cfg.fh for cfg in same]),
+                          np.stack([cfg.row_costs for cfg in same]))
+        judged[n] = zip(*flags)
+    for t, cfg, report in games:
         rows, n = report.rows, cfg.n_agents
+        ne, strict = next(judged[n])
         if not len(rows):
             bad += 1
             witness = f"instance {t} has no equilibrium"
@@ -140,6 +150,11 @@ def _check_existence_minimality(rng, n_agents, instances, benefit):
             duplicate = any(r[i] >> j & r[j] >> i & 1 for i in range(n) for j in range(i))
             witness = (f"instance {t} equilibrium {''.join(row_strings(n)[r])} has "
                        + ("a duplicate link" if duplicate else "a cycle"))
+        elif profile_indices(rows.astype(np.int64)).tolist() != np.flatnonzero(ne).tolist() or (
+                report.strict.tolist() != strict[ne].tolist()):
+            bad += 1
+            witness = (f"instance {t} equilibria differ from its whole profile space's: "
+                       f"{len(rows)} listed, {ne.sum()} found")
     detail = f"{instances} instances" + (f"; {witness}" if bad else ", all equilibria exist and are forests")
     return bad == 0, detail
 

@@ -198,7 +198,7 @@ game:
 """
 
 # every sponsored spanning tree of six agents is an equilibrium: 41,472 rows from the
-# pruned scan, across many chunks of the writer
+# forest scan, across many chunks of the writer
 GOLDEN_N6_SPEC = """\
 command: enumerate
 game:
@@ -208,7 +208,7 @@ game:
 """
 
 # six agents with recipient costs in the mixed region: 31 equilibria, all connected; six in
-# ten sponsored forests of the pruned scan fail at their first agent
+# ten sponsored forests of the forest scan fail at their first agent
 GOLDEN_N6_MIXED_SPEC = """\
 command: enumerate
 game:
@@ -307,7 +307,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("scan_chunk", [512, 100, 10**6])
     @pytest.mark.parametrize("spec", [GOLDEN_N6_SPEC, GOLDEN_N6_MIXED_SPEC], ids=["cheap", "mixed"])
     def test_six_agent_slices_do_not_move_a_byte(self, tmp_path, monkeypatch, spec, scan_chunk):
-        # the pruned scan's buffer, the forests' tree slices that fill it (100 rows: 3 trees of 32, split
+        # the forest scan's buffer, the forests' tree slices that fill it (100 rows: 3 trees of 32, split
         # across buffers) and the report's slices, all SCAN_CHUNK
         _, want = run_cli(tmp_path, spec, name="default.yaml")
         monkeypatch.setattr(equilibrium, "SCAN_CHUNK", scan_chunk)
@@ -651,6 +651,18 @@ game:
     def test_yaml_syntax_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "command: [unclosed\n")
         assert code == 2
+
+    @pytest.mark.parametrize("spec_bytes", [
+        b"command: [unclosed\n", b"command: enumerate: x\n", b"\tcommand: enumerate\n", b"command: 'open\n",
+        b"command: *nowhere\n", b"command: enumerate\n---\ncommand: verify\n", b"command: \xff\xfe\n",
+        b"command: \x00\n", b"command: !!python/name:os.system\n",
+    ], ids=["flow", "mapping", "tab", "quote", "alias", "two-documents", "not-utf8", "nul", "python-tag"])
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys, spec_bytes):
+        # every YAMLError the loader raises, a reader, scanner, parser, composer or constructor one, exits 2
+        (tmp_path / "bad.yaml").write_bytes(spec_bytes)
+        assert main(["--spec", str(tmp_path / "bad.yaml"), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: spec is not valid YAML: ")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_bad_grid(self, tmp_path):
         code, _ = run_cli(tmp_path, REGION_SPEC.replace("kl: [0, 1, 2, 3, 4]", "kl: []"))
@@ -999,3 +1011,4 @@ class TestCsvWriter:
 
     def test_row_strings_put_bit_j_at_position_j(self):
         assert csvtable.row_strings(3).tolist() == ["000", "100", "010", "110", "001", "101", "011", "111"]
+

@@ -37,14 +37,15 @@ def homog(ev, c, f=LOG2):
     return GameConfig(ev, f, CostModel.homogeneous(c))
 
 
-def cheapest_link(cfg):
-    """The least cost of a link between two agents; the pruned scan refuses a game where it is at most TOL."""
-    n = cfg.n_agents
-    return min(cfg.costs.link_cost(i, j) for i in range(n) for j in range(n) if i != j)
+def whole_space_scan(cfg):
+    """``_ne_scan`` of one game over every profile index, whatever its costs: the forest premise switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "_costly", lambda cfg: False)
+        return equilibrium._ne_scan([cfg])
 
 
 def six_agent_game(name):
-    """The six-agent games of the pruned-scan tests: every sponsored tree an equilibrium (41,472,
+    """The six-agent games of the forest-scan tests: every sponsored tree an equilibrium (41,472,
     6 strict), recipient costs in the mixed region (31) and distinct matrix costs (657, all strict)."""
     if name == "matrix":
         c = 0.02 + 0.018 * (np.arange(36).reshape(6, 6) * 7 % 11)
@@ -54,7 +55,7 @@ def six_agent_game(name):
 
 
 def sorted_forest_scan(cfg):
-    """The pruned scan as one array, the oracle of the streamed one: ``ne_status`` over every
+    """The forest scan as one array, the oracle of the streamed one: ``ne_status`` over every
     sponsored forest in ascending index order, 4,096 at a time."""
     n = cfg.n_agents
     forests = np.sort(np.concatenate(list(kernel.forest_batches(n, 4096))))
@@ -157,20 +158,45 @@ class TestEnumerate:
                 assert not any(p[i] >> j & 1 and p[j] >> i & 1
                                for i in range(n) for j in range(i + 1, n))
 
-    def test_pruned_matches_full(self):
+    def test_the_forest_scan_matches_the_whole_space(self):
         games = [random_homogeneous_config(np.random.default_rng(200 + seed), 3 + seed % 2, LN)
                  for seed in range(10)]
         # five agents, positive costs, from 2000 equilibria (5 strict) down to 5 (all strict)
         games += [random_homogeneous_config(np.random.default_rng(seed), 5, LN) for seed in (0, 1, 18)]
         games += [random_recipient_config(np.random.default_rng(seed), 5, LOG2) for seed in (0, 5)]
+        games = [cfg for cfg in games if equilibrium._costly(cfg)]
+        assert len(games) == 15  # every one: the random costs land above TOL
         for cfg in games:
-            if cheapest_link(cfg) <= TOL:
-                continue
-            pruned, full = equilibrium._ne_scan_pruned(cfg), equilibrium._ne_scan_full([cfg])
-            assert [a.tolist() for a in pruned] == [a.tolist() for a in full]
-            assert pruned[2].tolist() == [len(pruned[0])]
+            forests, space = equilibrium._ne_scan([cfg]), whole_space_scan(cfg)
+            assert [a.tolist() for a in forests] == [a.tolist() for a in space]
+            assert forests[2].tolist() == [len(forests[0])]
 
-    def test_pruned_requires_positive_costs(self, monkeypatch):
+    @pytest.mark.parametrize("c, forests", [(0.0, False), (TOL, False), (2 * TOL, True), (0.5, True)])
+    def test_the_costs_pick_the_candidates(self, monkeypatch, c, forests):
+        # every link above TOL: the sponsored forests at every size; else every profile index
+        generated, judged, judge, batches = [], [], kernel.ne_status, kernel.forest_batches
+        monkeypatch.setattr(equilibrium, "forest_batches", lambda n, rows: generated.append(n) or batches(n, rows))
+        monkeypatch.setattr(equilibrium, "ne_status", lambda rows, *a: judged.append(len(rows)) or judge(rows, *a))
+        sizes = [1, 2, 3, 4, 5, 6][:6 if forests else 4]  # the free links' whole space stops at 4 to stay quick
+        for n in sizes:
+            enumerate_nash(homog(family_independent([1] * n), c))
+            assert sum(judged) == (set_partition_count(n, kernel.sponsored_tree_count) if forests
+                                   else 1 << n * (n - 1))
+            judged.clear()
+        assert generated == (sizes if forests else [1])  # one agent has no link to price: its one forest
+
+    def test_a_batch_splits_by_the_cost_rule(self, monkeypatch):
+        # one free link sends its game to the whole space; the games beside it keep their forests
+        costly, free = homog(family_independent([1, 1.5, 2]), 0.3), homog(family_independent([1, 1.5, 2]), 0.0)
+        scanned = []
+        scan = equilibrium._ne_scan
+        monkeypatch.setattr(equilibrium, "_ne_scan", lambda cfgs: scanned.append(
+            [equilibrium._costly(cfg) for cfg in cfgs]) or scan(cfgs))
+        reports = equilibrium.enumerate_games([costly, free, costly])
+        assert sorted(scanned) == [[False], [True, True]]
+        assert [report_text(r) for r in reports] == [report_text(enumerate_nash(cfg)) for cfg in (costly, free, costly)]
+
+    def test_six_agents_need_every_link_above_tolerance(self, monkeypatch):
         def never(*args):
             raise AssertionError("forests were generated")
         monkeypatch.setattr(equilibrium, "forest_batches", never)
@@ -178,9 +204,9 @@ class TestEnumerate:
         def matrix(free):  # 6 agents; every cost positive but where free(i, j)
             return CostModel.matrix([[0.0 if free(i, j) else 0.1 + 0.05 * abs(i - j) for j in range(6)]
                                      for i in range(6)])
-        # one free link under any cost model is refused before a forest is generated
-        for costs in (CostModel.homogeneous(0.0), CostModel.recipient([0.5, 0.4, 0.0, 0.3, 0.6, 0.2]),
-                      matrix(lambda i, j: (i, j) == (4, 1))):
+        # one free link under any cost model, or one at TOL, is refused before a forest is generated
+        for costs in (CostModel.homogeneous(0.0), CostModel.homogeneous(TOL),
+                      CostModel.recipient([0.5, 0.4, 0.0, 0.3, 0.6, 0.2]), matrix(lambda i, j: (i, j) == (4, 1))):
             with pytest.raises(CapExceededError, match="positive"):
                 enumerate_nash(GameConfig(family_independent([1] * 6), LOG2, costs))
         # self links are not links: a zero diagonal with every link positive reaches the scan
@@ -191,7 +217,7 @@ class TestEnumerate:
     def no_scan(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a scan started")
-        for name in ("_ne_scan_full", "_ne_scan_pruned", "forest_batches", "set_partitions"):
+        for name in ("_ne_scan", "forest_batches", "set_partitions"):
             monkeypatch.setattr(equilibrium, name, never)
 
     @pytest.mark.parametrize("n, forests", [(7, 1598955), (8, 49180113), (9, 1773405649)])
@@ -200,16 +226,6 @@ class TestEnumerate:
         with pytest.raises(CapExceededError, match=f"pruned scan at {n} agents capped at 1048576 "
                                                    f"sponsored forests: it would check {forests} "):
             enumerate_nash(cfg)
-
-    def test_auto_scans_in_full_up_to_the_budget(self, monkeypatch):
-        used = []
-        monkeypatch.setattr(equilibrium, "_ne_scan_full", lambda cfgs: used.append("_ne_scan_full") or (
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), np.zeros(len(cfgs), dtype=int)))
-        monkeypatch.setattr(equilibrium, "_ne_scan_pruned", lambda cfg: used.append("_ne_scan_pruned") or (
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), np.zeros(1, dtype=int)))
-        for n in (1, 5, 6):
-            enumerate_nash(homog(family_independent([1] * n), 0.5))
-        assert used == ["_ne_scan_full", "_ne_scan_full", "_ne_scan_pruned"]
 
     def test_social_optimum_refuses_more_partitions_than_the_budget(self, no_scan):
         cfg = homog(family_independent([1] * 12), 0.5)
@@ -249,7 +265,7 @@ class TestEnumerate:
         with the types the CSV prints: Python floats taken from the vector itself."""
         cfg = random_homogeneous_config(np.random.default_rng(3), 6, LN)  # 431 NE, 1 strict
         report = enumerate_nash(cfg)
-        idx, strict, _ = equilibrium._ne_scan_pruned(cfg)
+        idx, strict, _ = equilibrium._ne_scan([cfg])
         rows = rows_from_indices(idx, 6)
         assert len(report.rows) == len(rows) > 1
         fh = cfg.fh.tolist()
@@ -278,34 +294,36 @@ class TestEnumerate:
         assert report.ne_profiles == tuple(map(tuple, report.rows.tolist()))
         assert len(report.ne_profiles) == 2000 and report.ne_profiles is report.ne_profiles
 
-    def test_five_agent_scan_holds_no_array_over_its_profiles(self):
-        """The scan goes a block of agent 0's row field at a time (2**16 of the 2**20 profiles) and the
-        report keeps one-byte rows: 1.4 MiB traced here with the kept tables built afresh, 4.4 MiB when
-        the scan held three flags per profile."""
-        cfg = homog(family_independent([1, 1.5, 2, 1.25, 0.75]), 0.05, LN)
-        equilibrium._others_merged.cache_clear()  # the kept tables are built inside the bound too
+    @pytest.mark.parametrize("costs, count", [(CostModel.homogeneous(0.05), 2000),
+                                              (CostModel.recipient([0.0, 0.3, 0.3, 0.3, 0.3]), 32)])
+    def test_five_agent_scan_holds_no_array_over_its_profiles(self, costs, count):
+        """The forests (every link above TOL) and the 2**20 profile indices (a free link) both go
+        through one SCAN_CHUNK buffer and the report keeps one-byte rows: 0.40 and 0.56 MiB traced
+        here, 1.4 MiB when the whole space went a block of agent 0's row field at a time with its kept
+        tables built afresh, 4.4 MiB when that scan held three flags per profile."""
+        cfg = GameConfig(family_independent([1, 1.5, 2, 1.25, 0.75]), LN, costs)
         tracemalloc.start()
         try:
-            assert len(enumerate_nash(cfg).rows) == 2000
+            assert len(enumerate_nash(cfg).rows) == count
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 << 20, peak
+        assert peak < 1 << 20, peak
 
     @pytest.mark.parametrize("chunk", [512, None, 10**6])
     @pytest.mark.parametrize("name, count", [("cheap", 41472), ("mixed", 31), ("matrix", 657)])
-    def test_pruned_scan_is_the_sorted_forest_scan(self, monkeypatch, name, count, chunk):
+    def test_the_forest_scan_is_the_sorted_forest_scan(self, monkeypatch, name, count, chunk):
         # a buffer of SCAN_CHUNK forests, judged when full: 123 buffers, 16 by default, or one part-filled
         cfg = six_agent_game(name)
         want = sorted_forest_scan(cfg)
         if chunk:
             monkeypatch.setattr(equilibrium, "SCAN_CHUNK", chunk)
-        idx, strict, counts = equilibrium._ne_scan_pruned(cfg)
+        idx, strict, counts = equilibrium._ne_scan([cfg])
         assert idx.dtype == np.int64 and strict.dtype == bool
         assert idx.tolist() == want[0].tolist() and strict.tolist() == want[1].tolist()
         assert counts.tolist() == [len(idx)] == [count]
 
-    def test_pruned_scan_holds_a_buffer_not_its_candidates(self, monkeypatch):
+    def test_the_forest_scan_holds_a_buffer_not_its_candidates(self, monkeypatch):
         """Every batch of forests is judged through one SCAN_CHUNK buffer, never more rows at once, and
         only the equilibria are kept and sorted: 0.83 MiB traced here, 1.45 MiB when the 62,683 sorted
         sponsored forests were built whole and judged from there."""
@@ -314,29 +332,37 @@ class TestEnumerate:
         monkeypatch.setattr(equilibrium, "ne_status", lambda rows, *a: judged.append(len(rows)) or judge(rows, *a))
         tracemalloc.start()
         try:
-            assert len(equilibrium._ne_scan_pruned(cfg)[0]) == 31
+            assert len(equilibrium._ne_scan([cfg])[0]) == 31
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 7 << 17, peak
         assert judged == [equilibrium.SCAN_CHUNK] * 15 + [62683 - 15 * equilibrium.SCAN_CHUNK]
 
+    @pytest.mark.parametrize("c", [0.0, 0.05])
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_best_responses_are_scored_once_per_partition(self, monkeypatch, n):
+    def test_best_responses_are_scored_once_per_partition(self, monkeypatch, n, c):
         """An agent's payoffs see the others' links only through the partition of the graph
-        without its own links, so no scored table has more rows than the Bell number of n."""
-        score, rows_scored = kernel.best_response_table, {"full scan": [], "ne_status": []}
-        for module, path in ((equilibrium, "full scan"), (kernel, "ne_status")):
-            monkeypatch.setattr(module, "best_response_table", lambda merged, *args, path=path: (
-                rows_scored[path].append(len(merged)) or score(merged, *args)))
-        cfg = homog(family_independent([1, 1.5, 2, 1.25, 0.75, 0.5][:n]), 0.05, LN)
-        enumerate_nash(cfg)  # the full scan up to 5 agents, ne_status on the forests at 6
+        without its own links, so no scored table has more rows than the Bell number of n:
+        on the forests, on the whole space of a free-link game and on any batch of profiles."""
+        score, judge, rows_scored, judged = kernel.best_response_table, kernel.ne_status, [], []
+        monkeypatch.setattr(kernel, "best_response_table", lambda merged, *args: (
+            rows_scored.append(len(merged)) or score(merged, *args)))
+        monkeypatch.setattr(equilibrium, "ne_status", lambda rows, *a: judged.append(len(rows)) or judge(rows, *a))
+        # at c = 0 the pair {0, 1} links for free, which sends the game to its whole profile space
+        costs = [[c if {i, j} == {0, 1} else 0.0 if i == j else 0.05 for j in range(n)] for i in range(n)]
+        cfg = GameConfig(family_independent([1, 1.5, 2, 1.25, 0.75, 0.5][:n]), LN, CostModel.matrix(costs))
+        if n == 6 and c == 0.0:
+            with pytest.raises(CapExceededError, match="positive"):
+                enumerate_nash(cfg)
+        else:
+            enumerate_nash(cfg)
+            assert len(rows_scored) == n * len(judged)  # one table per agent and judged batch
+            assert sum(judged) == (1 << n * (n - 1) if c == 0.0
+                                   else set_partition_count(n, kernel.sponsored_tree_count))
         rows = rows_from_indices(np.random.default_rng(n).integers(0, 1 << (n * (n - 1)), size=4096), n)
         kernel.ne_status(rows, cfg.fh, cfg.row_costs)
-        chunks = max(1, (1 << (n - 1) ** 2) // equilibrium.SCAN_CHUNK)  # per agent, of the others' configurations
-        assert len(rows_scored["full scan"]) == (0 if n == 6 else n * chunks)
-        assert rows_scored["ne_status"]
-        assert max(sum(rows_scored.values(), [])) <= set_partition_count(n)
+        assert max(rows_scored) <= set_partition_count(n)
 
     def test_strict_set_stable_under_tolerance_halving(self, monkeypatch):
         configs = [random_homogeneous_config(np.random.default_rng(300 + seed), 2 + seed % 3, LN)
@@ -392,7 +418,7 @@ def test_the_float_scan_is_exact_two_tolerances_from_each_threshold(name):
 
 
 def kernel_sets(cfg):
-    """(NE indices, strict indices) from the full scan."""
+    """(NE indices, strict indices) from the scan."""
     report = enumerate_nash(cfg)
     return ({profile_index(r) for r in report.rows.tolist()},
             {profile_index(r) for r in report.rows[report.strict].tolist()})
@@ -411,13 +437,17 @@ def games(draw, n):
     else:
         h = [float(x) for x in rng.integers(1, 25, size=n) / 8.0]
         ev = family_independent(h) if source == "independent" else family_max_correlated(h)
-    kind = draw(st.sampled_from(["homogeneous", "recipient", "matrix"]))
+    # a free link sends a game to the whole profile space, kept to 4 agents (2**12 profiles) to stay quick
+    kind = draw(st.sampled_from(["homogeneous", "recipient", "matrix"] + ["free link"] * (2 <= n <= 4)))
     if kind == "homogeneous":
         costs = CostModel.homogeneous(float(rng.uniform(0.0, 2.0)))
     elif kind == "recipient":
         costs = CostModel.recipient(rng.uniform(0.0, 2.0, size=n))
     else:
-        costs = CostModel.matrix(rng.uniform(0.0, 2.0, size=(n, n)))
+        c = rng.uniform(0.0, 2.0, size=(n, n))
+        if kind == "free link":
+            c[tuple(rng.choice(n, size=2, replace=False))] = 0.0
+        costs = CostModel.matrix(c)
     return GameConfig(ev, draw(st.sampled_from(BENEFITS)), costs)
 
 
@@ -440,19 +470,18 @@ def report_text(report):
 @settings(max_examples=12, deadline=None)
 @given(game_lists(), st.sampled_from([None, 256, 32, 8192]))
 def test_a_batch_of_games_reports_what_each_game_alone_does(cfgs, chunk):
-    """``enumerate_games`` groups games by size and scans them in chunks of at most ``SCAN_CHUNK``
-    others configurations times games; a smaller ``SCAN_CHUNK`` splits both the games and each
-    game's others configurations, a larger one puts two values of agent 0's row field in each block
-    of a five-agent scan, and no byte of any report moves."""
+    """``enumerate_games`` groups games by size and by the cost rule (every link above TOL: the
+    sponsored forests; else every profile) and scans a chunk of them through one ``SCAN_CHUNK``
+    buffer of candidates; a smaller ``SCAN_CHUNK`` splits both the games and each game's candidates
+    into more chunks and buffers, a larger one takes more of both at once, and no byte of any report
+    moves."""
     alone = [report_text(enumerate_nash(cfg)) for cfg in cfgs]
     default = equilibrium.SCAN_CHUNK
-    equilibrium._others_merged.cache_clear()  # its tables are SCAN_CHUNK configurations each
     equilibrium.SCAN_CHUNK = chunk or default
     try:
         batch = [report_text(r) for r in equilibrium.enumerate_games(cfgs)]
     finally:
         equilibrium.SCAN_CHUNK = default
-        equilibrium._others_merged.cache_clear()
     assert batch == alone
 
 
@@ -476,7 +505,7 @@ def tie_games(draw, n):
 
 
 class TestArrayKernelMatchesScalar:
-    """The full scan's NE and strict sets against the per-profile ``ne_status``."""
+    """The scan's NE and strict sets, on forests or on every profile, against the per-profile ``ne_status``."""
 
     @staticmethod
     def check_all_profiles(cfg):
@@ -495,6 +524,36 @@ class TestArrayKernelMatchesScalar:
     @given(st.integers(2, 4).flatmap(tie_games))
     def test_every_profile_tie_heavy_games(self, cfg):
         self.check_all_profiles(cfg)
+
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_every_profile_one_agent(self, c):
+        # no link to price: the cost rule holds vacuously and the one forest is the one profile
+        cfg = homog(family_independent([2.0]), c)
+        assert equilibrium._costly(cfg)
+        self.check_all_profiles(cfg)
+
+    @pytest.mark.parametrize("free", [True, False])
+    def test_five_agent_matrix_games(self, free):
+        """A pair linked both ways at cost 0 sends the game to the whole profile space, where
+        that duplicate link is in equilibria no forest holds; with every link positive the
+        scan judges the forests. Every reported NE, every sponsored forest and a sample of
+        other profiles against the scalar test."""
+        rng = np.random.default_rng(11)
+        c = rng.uniform(0.05, 1.0, size=(5, 5))
+        np.fill_diagonal(c, 0.0)
+        if free:
+            c[1, 3] = c[3, 1] = 0.0
+        cfg = GameConfig(family_independent([1, 1.5, 2, 1.25, 0.75]), LN, CostModel.matrix(c.tolist()))
+        assert equilibrium._costly(cfg) is not free
+        ne, strict = kernel_sets(cfg)
+        assert len(ne) == (10 if free else 4)
+        duplicate = [k for k in ne if (p := profile_from_index(k, 5))[1] >> 3 & p[3] >> 1 & 1]
+        assert len(duplicate) == (3 if free else 0)
+        forests = np.concatenate(list(kernel.forest_batches(5, 4096))).tolist()
+        sample = rng.integers(0, 1 << 20, size=1000).tolist()
+        for k, (is_ne, is_strict) in scalar_status(cfg, sorted(ne) + forests + sample).items():
+            assert (k in ne) == is_ne
+            assert (k in strict) == is_strict
 
     @settings(max_examples=6, deadline=None)
     @given(st.one_of(games(5), tie_games(5)), st.data())
@@ -651,8 +710,8 @@ class TestEfficiencyMetrics:
         for seed in range(6):
             rng = np.random.default_rng([n, seed])
             for cfg in (random_homogeneous_config(rng, n, LN), random_recipient_config(rng, n, LN)):
-                if n == 6 and cheapest_link(cfg) <= TOL:
-                    continue  # the pruned scan refuses free links
+                if n == 6 and not equilibrium._costly(cfg):
+                    continue  # six agents scan only their forests, which needs every link above TOL
                 report = enumerate_nash(cfg)
                 infos = [[cfg.ev.h(m) for m in component_masks(undirected_adjacency(r))]
                          for r in report.rows.tolist()]

@@ -36,7 +36,7 @@ from infogame.kernel import (
     sponsored_trees,
     welfare,
 )
-from scalar_kernel import random_homogeneous_config, random_recipient_config
+from scalar_kernel import NO_PURE_NE, random_homogeneous_config, random_recipient_config
 from scalar_kernel import (bitstring, component_masks, merged_components, orientations, profile_from_index,
                            profile_index, row_utilities, social_welfare, topology, undirected_adjacency)
 from scalar_kernel import welfare as scalar_welfare
@@ -351,6 +351,32 @@ def test_batch_ne_status_matches_scalar_over_agent_subsets(n, ties):
     assert got == [scalar_ne_status(n, r, range(n), fh, costs) for r in profiles]
     each = [[scalar_ne_status(n, r, [a], fh, costs) for a in range(n)] for r in profiles]
     assert got == [(all(ne for ne, _ in e), all(st for _, st in e)) for e in each]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_ne_status_is_each_games_own(n):
+    # G games on a leading axis judge as G single-game calls: a random homogeneous and recipient
+    # game, one whose best responses tie within TOL and, at 3 agents, one that refutes every profile;
+    # a profile leaves once every game has refuted it, so a refuted one reads False in every game
+    rng = np.random.default_rng(90 + n)
+    cfgs = [random_homogeneous_config(rng, n, LN), random_recipient_config(rng, n, LN),
+            GameConfig(family_independent([1.0] * (n - 1) + [2.0]), BenefitFunction.linear(),
+                       CostModel.homogeneous(1.0))]
+    cfgs += [NO_PURE_NE] * (n == 3)
+    rows = rows_from_indices(rng.integers(0, 1 << (n * (n - 1)), size=3000), n)
+    rows = np.concatenate([rows, np.zeros((1, n), dtype=np.int64)])  # the empty network too
+    fh, costs = np.stack([cfg.fh for cfg in cfgs]), np.stack([cfg.row_costs for cfg in cfgs])
+    each = [ne_status(rows, cfg.fh, cfg.row_costs) for cfg in cfgs]
+    stacked = ne_status(rows, fh, costs)
+    assert [a.shape for a in stacked] == [(len(cfgs), len(rows))] * 2
+    assert [a.tolist() for a in stacked] == [np.stack(flags).tolist() for flags in zip(*each)]
+    assert each[2][0].any() and not each[2][1][each[2][0]].all()  # ties: equilibria that are not strict
+    assert not (stacked[1] & ~stacked[0]).any()  # strict only where an equilibrium
+    if n == 3:
+        assert not stacked[0][3].any()
+        assert not ne_status(rows, fh[3:][[0, 0]], costs[3:][[0, 0]])[0].any()  # every game refutes every profile
+    empty = ne_status(rows[:0], fh, costs)
+    assert [a.shape for a in empty] == [(len(cfgs), 0)] * 2
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1)], [(0, 1), (1, 2)], [(0, 3), (1, 3), (2, 4), (3, 4)]])

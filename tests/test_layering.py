@@ -19,7 +19,9 @@ production check of one profile (``is_production_ne``), the pmf builder of
 one pmf (``from_joint_pmf``), the cost model's least link cost
 (``min_cost``), which its one reader takes inline, a private cached twin
 of the config's ``h_bar`` (``_h_bar``), and the production config's regime test
-(``high_cost``), a second tie rule: every threshold is judged by ``entropy.band``.
+(``high_cost``), a second tie rule: every threshold is judged by ``entropy.band``. The equilibrium
+scan is one: no module defines or names the two size-picked scans (``_ne_scan_full``,
+``_ne_scan_pruned``) or the full scan's shared-partition tables (``_scored``, ``_others_merged``).
 The production check reads no production grid: ``_deviation_table`` and ``production_ne_mask``
 name neither the step nor a grid helper, since a deviation's best production is in closed form.
 No module imports numpy's random module or reads it as ``np.random``: it maps OpenSSL into every
@@ -44,7 +46,8 @@ SRC = Path(infogame.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 SCALAR_WALK = {"component_masks", "undirected_adjacency"}
 SECOND_FORMS = {"TABLE_AGENTS", "__wrapped__", "_reach"}
-RETIRED = {"TREE_ROWS", "_candidate_count", "is_production_ne", "from_joint_pmf", "min_cost", "_h_bar", "high_cost"}
+RETIRED = {"TREE_ROWS", "_candidate_count", "is_production_ne", "from_joint_pmf", "min_cost", "_h_bar", "high_cost",
+           "_ne_scan_full", "_ne_scan_pruned", "_scored", "_others_merged"}
 FLAG_PARSERS = {"argparse", "optparse", "getopt"}
 GRID_READERS = {"step", "grid_levels", "_grid_top", "_level_count"}
 # the size gate of the whole package
@@ -119,7 +122,8 @@ def test_every_kernel_table_has_one_form(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_retired_names_stay_retired(module):
     # the forests' tree slices follow their one caller's buffer; the candidates count themselves;
-    # a single profile or pmf is the batch of one, and a wrapper with one caller is inlined there
+    # a single profile or pmf is the batch of one, and a wrapper with one caller is inlined there;
+    # one scan judges its candidates, forests or every profile, with kernel.ne_status
     assert lines_naming(module, RETIRED) == []
 
 
@@ -148,7 +152,7 @@ def is_stable(call):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_sort_is_numpys_stable_one(module):
-    # the np.unique attribute, not the name: the full scan has a local called ``unique``
+    # the np.unique attribute, not the name, which a local may take
     bad = [f"line {node.lineno}: np.unique" for node in ast.walk(parsed(module)) if numpy_name(node, "unique")]
     bad += [f"line {node.lineno}: {node.func.attr} without kind='stable'" for node in ast.walk(parsed(module))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

@@ -1,11 +1,10 @@
-"""The game-independent tables that the full scan and the partition judgement keep
-per agent count: they never leak one game into the next, cannot be written, and
-stay small.
+"""The game-independent tables that the partition judgement keeps per agent count:
+they never leak one game into the next, cannot be written, and stay small.
 
-The full scan (``equilibrium._others_merged``, one table per agent and ``SCAN_CHUNK``
-others configurations) and ``analytic.component_structures`` (``analytic._partition_batch``,
-one batch per agent count) keep their merged component tables at every agent count
-they accept; a second game of the same size only scores them.
+``analytic.component_structures`` (``analytic._partition_batch``, one batch per agent
+count) keeps its merged component tables at every agent count it accepts; a second
+game of the same size only scores them. The equilibrium scan keeps no table: it
+judges each buffer of candidates afresh with ``kernel.ne_status``.
 """
 import hashlib
 import math
@@ -13,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from infogame import analytic, equilibrium
+from infogame import analytic
 from infogame.analytic import component_structures
 from infogame.entropy import family_independent
 from infogame.equilibrium import enumerate_nash
@@ -22,7 +21,7 @@ from infogame.verification import run_verification
 from scalar_kernel import random_homogeneous_config, random_recipient_config
 
 LN = BenefitFunction.log1p(math.e)
-CACHES = (equilibrium._others_merged, analytic._partition_batch)
+CACHES = (analytic._partition_batch,)
 # bench cross-check's verify-n4 report: 4 agents, 60 instances, seed 0
 VERIFY_N4_SHA256 = "942d8566669cd354f858223d9519890c0fa13cc457119179dfc81360d2eea62a"
 
@@ -44,9 +43,6 @@ def arrays(value):
 def cached_arrays(sizes=range(1, 5)):
     """Every array of the tables of each agent count in ``sizes``, built on first use."""
     for n in sizes:
-        for i in range(n):
-            for start in range(0, 1 << (n - 1) ** 2, equilibrium.SCAN_CHUNK):
-                yield from arrays(equilibrium._others_merged(n, i, start))
         yield from arrays(analytic._partition_batch(n))
 
 
@@ -75,8 +71,7 @@ def test_a_game_after_another_matches_a_fresh_state(n):
 def test_every_cached_array_is_read_only():
     found = list(cached_arrays())
     assert found and not any(a.flags.writeable for a in found)
-    merged, part = equilibrium._others_merged(3, 0, 0)
-    for a in (merged, part):
+    for a in arrays(analytic._partition_batch(3)):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -86,8 +81,8 @@ def test_verify_bytes_are_repeatable_and_the_tables_stay_small():
     texts = [run_verification(4, 60, 0).to_text() for _ in range(2)]
     assert texts[0] == texts[1]
     assert hashlib.sha256(texts[0].encode()).hexdigest() == VERIFY_N4_SHA256
-    # one table per agent of 2, 3 and 4 agents, one batch per agent count
-    assert [cache.cache_info().currsize for cache in CACHES] == [2 + 3 + 4, 3]
+    # one batch per agent count of 2, 3 and 4 agents
+    assert [cache.cache_info().currsize for cache in CACHES] == [3]
     assert sum(a.nbytes for a in cached_arrays()) < 64 * 1024
 
 
@@ -97,13 +92,12 @@ def test_five_agent_tables_are_kept_read_only_and_small():
     for _ in range(2):  # the second game only scores the kept tables
         assert len(enumerate_nash(cfg).rows) == 5 ** 3 * 2 ** 4  # every sponsored spanning tree
         assert frozenset({frozenset(range(5))}) in component_structures(cfg)
-        # one table per agent and SCAN_CHUNK of the 2**16 others configurations, one batch
-        assert [cache.cache_info().currsize for cache in CACHES] == [5 * 16, 1]
+        assert [cache.cache_info().currsize for cache in CACHES] == [1]  # one batch
     kept = list(cached_arrays([5]))
-    assert [cache.cache_info().currsize for cache in CACHES] == [5 * 16, 1]  # nothing new was built
+    assert [cache.cache_info().currsize for cache in CACHES] == [1]  # nothing new was built
     assert not any(a.flags.writeable for a in kept)
-    # one-byte partition indices: 0.41 MiB in all, of which 0.32 MiB are the full scan's tables
-    assert sum(a.nbytes for a in kept) < 1 << 20
+    # one-byte partitions and uint8 merged tables: 0.08 MiB
+    assert sum(a.nbytes for a in kept) < 1 << 17
 
 
 def test_six_agent_partition_batch_is_kept_read_only_and_small():

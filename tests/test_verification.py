@@ -275,6 +275,20 @@ class TestMismatchNamesTheFirstProfile:
         assert verification._check_existence_minimality(Pcg64(0), 3, 2, LN) == (
             False, f"2 instances; instance 1 equilibrium {witness}")
 
+    @pytest.mark.parametrize("edit, witness", [
+        (lambda r: dataclasses.replace(r, rows=r.rows[1:], strict=r.strict[1:], components=r.components[:, 1:]),
+         "instance 1 equilibria differ from its whole profile space's: 1 listed, 2 found"),
+        (lambda r: dataclasses.replace(r, strict=~r.strict),
+         "instance 1 equilibria differ from its whole profile space's: 2 listed, 2 found"),
+    ], ids=["missed", "strict-flag"])
+    def test_existence_and_minimality_judges_the_whole_space(self, monkeypatch, edit, witness):
+        # a scan that drops an equilibrium, or misflags one, still lists forests only: the
+        # whole-space oracle, with no forest premise, names the game
+        real = equilibrium.enumerate_games
+        monkeypatch.setattr(equilibrium, "enumerate_games",
+                            lambda cfgs: [edit(r) if r.rows.shape[1] == 3 else r for r in real(cfgs)])
+        assert verification._check_existence_minimality(Pcg64(0), 3, 2, LN) == (False, f"2 instances; {witness}")
+
     @pytest.mark.parametrize("agg", list(Aggregation))
     def test_production_shapes(self, monkeypatch, agg):
         levels = production.grid_levels(ProductionGameConfig(3, LN, 0.25, 0.2, agg))
